@@ -273,7 +273,7 @@ impl PairwisePlan {
     /// Partitions the base's first attribute into at most `parts` morsels at
     /// quantiles of the values present (the same scheme the trie engines use; see
     /// `gj_runtime::partition_values`). Fewer than two morsels means the base is
-    /// too small to split — callers should fall back to serial execution.
+    /// too small to split — the driver runs the single morsel with one worker.
     pub fn partition(&self, parts: usize) -> Vec<Morsel> {
         partition_values(&self.base_first, parts)
     }

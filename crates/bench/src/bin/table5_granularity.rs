@@ -43,9 +43,10 @@ fn main() {
             let q = query.query();
             let mut baseline_ms = 0.0;
             for (i, &granularity) in granularities.iter().enumerate() {
-                let config = MsConfig { threads, granularity, ..MsConfig::default() };
-                let (_, elapsed) =
-                    time_cold(&db, || db.count(&q, &Engine::Minesweeper(config)).unwrap());
+                let engine = Engine::Minesweeper(MsConfig { granularity, ..MsConfig::default() });
+                let (_, elapsed) = time_cold(&db, || {
+                    db.prepare(&q, &engine).and_then(|p| p.par_count(threads)).unwrap()
+                });
                 let ms = elapsed.as_secs_f64() * 1e3;
                 if i == 0 {
                     baseline_ms = ms.max(1e-3);

@@ -42,7 +42,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Minesweeper with the default configuration (all ideas enabled, single thread).
+    /// Minesweeper with the default configuration (all ideas enabled).
     pub fn minesweeper() -> Engine {
         Engine::Minesweeper(MsConfig::default())
     }

@@ -41,16 +41,15 @@
 use crate::database::{same_shape, Database, Engine, EngineError, QueryOutput};
 use crate::sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 use gj_baselines::{BaselineError, GraphEngine, JoinAlgo, PairwiseMorsels, PairwisePlan};
-use gj_lftj::{LftjExecutor, LftjMorsels};
-use gj_minesweeper::{HybridPlan, MinesweeperExecutor, MsConfig, MsMorsels};
+use gj_lftj::LftjMorsels;
+use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels};
 use gj_query::{BindReport, BoundQuery, CatalogQuery, Query, VarId};
 use gj_runtime::{
-    panic_payload, partition_first_attribute, try_drive, DriveReport, ExecCtx, ExecError,
-    ExecMonitor, ParallelSink, QueryBudget, ShardSink,
+    partition_first_attribute, try_drive, ExecCtx, ExecError, ExecMonitor, Morsel, MorselSource,
+    Ordered, ParallelSink, QueryBudget,
 };
 use gj_storage::Val;
 use std::ops::ControlFlow;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Morsels per thread for parallel LFTJ (Minesweeper takes the factor from
@@ -73,16 +72,17 @@ pub struct RunStats {
     /// execution: validation, GAO selection and trie-index construction. Amortised
     /// across executions — near zero when the index cache was warm.
     pub prepare: Duration,
-    /// Per-execution setup before the main loop (executor and iterator
-    /// construction).
+    /// Per-execution setup before the drive: partitioning the first attribute
+    /// and constructing the engine's morsel source.
     pub bind: Duration,
-    /// The execution main loop.
+    /// The drive: every worker's executor construction and search, and the merge.
     pub run: Duration,
     /// Number of output rows delivered (to the sink, or counted).
     pub rows: u64,
     /// Worker threads used (index builds during prepare, or parallel execution).
     pub threads: usize,
-    /// Morsels the output space was partitioned into (0 for serial executions).
+    /// Morsels the output space was partitioned into (0 when it was not: a
+    /// one-thread run, or a first attribute too small to split).
     pub morsels: usize,
     /// Trie indexes built during prepare (0 when the shared cache was warm).
     pub indexes_built: usize,
@@ -90,8 +90,8 @@ pub struct RunStats {
     /// `("peak_intermediate", …)` for the pairwise baselines.
     pub extras: Vec<(&'static str, u64)>,
     /// How the execution ended: ran to completion, or aborted early with a typed
-    /// reason. Always [`RunOutcome::Completed`] for the infallible API (which has
-    /// no budget to trip); the `try_*` executions and
+    /// reason. Always [`RunOutcome::Completed`] for the infallible API (whose
+    /// budget cannot trip); the `try_*` executions and
     /// [`count_outcome`](PreparedQuery::count_outcome) report aborts here.
     pub outcome: RunOutcome,
 }
@@ -145,24 +145,79 @@ enum GraphOp {
     FourCliques,
 }
 
-/// The engine-specific half of a prepared query.
+/// The engine-specific half of a prepared query — the only thing
+/// [`PreparedQuery::execute`] dispatches on.
 #[derive(Debug, Clone)]
 enum Plan {
-    /// LFTJ / Minesweeper: a bound query (GAO + cache-shared trie indexes).
-    Bound(BoundQuery),
-    /// The hybrid: both sub-queries bound.
-    Hybrid(HybridPlan),
+    /// LFTJ: a bound query (GAO + cache-shared trie indexes).
+    Lftj(BoundQuery),
+    /// Minesweeper: a bound query and the engine configuration.
+    Minesweeper(BoundQuery, MsConfig),
     /// Pairwise baselines: the prepared left-deep plan — join order chosen, every
     /// atom's rows copied into columnar intermediates, right-side probe structures
     /// (hash tables / sort permutations) prebuilt and shared by every execution.
     Pairwise(Box<PairwisePlan>),
+    /// The hybrid and the specialised graph engine, which only produce counts.
+    CountOnly(CountOnly),
+}
+
+/// The count-only engines as a morsel source. They take no range restriction, so
+/// they are only ever driven over [`Morsel::whole_axis`], and
+/// [`PreparedQuery::execute`] only lets counting sinks reach them.
+#[derive(Debug, Clone)]
+enum CountOnly {
+    /// The hybrid: both sub-queries bound.
+    Hybrid(Box<HybridPlan>, MsConfig),
     /// The specialised graph engine: CSR adjacency loaded.
-    Graph { engine: Box<GraphEngine>, op: GraphOp },
+    Graph(Box<GraphEngine>, GraphOp),
+}
+
+impl MorselSource for CountOnly {
+    type Worker = ();
+
+    fn worker(&self) {}
+
+    /// Counting sinks take the row path when the budget caps rows (the cap is
+    /// accounted row by row): a count-only engine has no rows to show, so it
+    /// delivers its count as that many empty rows.
+    fn run_morsel(
+        &self,
+        worker: &mut (),
+        morsel: Morsel,
+        ctx: &ExecCtx<'_>,
+        emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
+    ) {
+        for _ in 0..self.count_morsel(worker, morsel, ctx) {
+            if emit(&[]).is_break() {
+                return;
+            }
+        }
+    }
+
+    fn count_morsel(&self, _worker: &mut (), _morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
+        match self {
+            CountOnly::Hybrid(plan, config) => plan.count_ctx(config, ctx),
+            // The watch-free CSR loop is the benchmarked path; keep it for runs
+            // with nothing to watch.
+            CountOnly::Graph(engine, GraphOp::Triangles) if ctx.monitor().is_none() => {
+                engine.triangle_count()
+            }
+            CountOnly::Graph(engine, GraphOp::Triangles) => engine.triangle_count_ctx(ctx),
+            CountOnly::Graph(engine, GraphOp::FourCliques) => engine.four_clique_count_ctx(ctx),
+        }
+    }
 }
 
 /// A query prepared against a [`Database`] for one [`Engine`]: binding, GAO
 /// selection and index construction already paid. Executions borrow the database
 /// immutably, so any number of prepared queries can serve traffic concurrently.
+///
+/// Every execution — any sink, any thread count, with or without a budget — goes
+/// through one path: partition the first attribute, drive the engine's
+/// `gj_runtime::MorselSource` over the morsels, assemble [`RunStats`]. A serial
+/// execution is the one-worker case (one whole-axis morsel, run on the calling
+/// thread, rows pushed straight into the sink); an infallible method is its `try_*`
+/// twin under a [`QueryBudget`] that cannot trip.
 ///
 /// See the [module docs](self) for the warm-cache reuse pattern.
 #[derive(Debug, Clone)]
@@ -175,9 +230,52 @@ pub struct PreparedQuery<'db> {
     report: BindReport,
 }
 
-/// A drive report plus the engine-specific stat extras its retired workers
-/// aggregated (what [`PreparedQuery::drive_bound`] hands back).
-type DrivenBound = (DriveReport, Vec<(&'static str, u64)>);
+/// The infallible API: `result` comes from a `try_*` twin run under a budget that
+/// cannot trip, so the only [`ExecError`] it can hold is a caught worker panic —
+/// re-raised here, on the caller's thread.
+fn infallible<T>(result: Result<T, EngineError>) -> Result<T, EngineError> {
+    match result {
+        // gj-lint: allow(no-panic-in-engines) — documented contract of the infallible wrappers: an engine bug caught at the worker boundary is re-raised, not returned
+        Err(EngineError::Exec(err)) => panic!("{err}"),
+        other => other,
+    }
+}
+
+/// The partition of a run on `threads` workers: a one-thread run has nothing to
+/// split, so it never pays for `partition`.
+fn morsels_for(threads: usize, partition: impl FnOnce() -> Vec<Morsel>) -> Vec<Morsel> {
+    if threads == 1 {
+        vec![Morsel::whole_axis()]
+    } else {
+        partition()
+    }
+}
+
+/// One execution in flight: what [`PreparedQuery::execute`] threads through its
+/// drive.
+struct Execution<'a, K> {
+    sink: &'a mut K,
+    threads: usize,
+    monitor: ExecMonitor,
+    stats: RunStats,
+    started: Instant,
+}
+
+impl<K: ParallelSink> Execution<'_, K> {
+    /// Drives `source` over `morsels` — the one place an engine runs — and records
+    /// the drive's share of the statistics. `bind` ends where the drive starts.
+    fn drive<S: MorselSource>(&mut self, source: &S, morsels: &[Morsel]) -> Result<(), ExecError> {
+        self.stats.bind = self.started.elapsed();
+        let run_start = Instant::now();
+        let driven = try_drive(source, morsels, self.threads, self.sink, &self.monitor);
+        self.stats.run = run_start.elapsed();
+        let report = driven?;
+        self.stats.rows = report.rows;
+        self.stats.threads = self.stats.threads.max(report.threads);
+        self.stats.morsels = if morsels.len() > 1 { report.morsels } else { 0 };
+        Ok(())
+    }
+}
 
 impl<'db> PreparedQuery<'db> {
     /// Prepares `query` for `engine` over `db` (called by [`Database::prepare`]).
@@ -190,34 +288,33 @@ impl<'db> PreparedQuery<'db> {
         let start = Instant::now();
         let threads = db.prepare_threads();
         let cache = db.cache();
-        let mut report = BindReport::default();
-        let plan = match engine {
-            Engine::Lftj | Engine::Minesweeper(_) => {
-                let (bq, bind_report) =
-                    BoundQuery::with_cache(db.instance(), query, gao, cache, threads)
-                        .map_err(EngineError::Bind)?;
-                report = bind_report;
-                Plan::Bound(bq)
+        let bind = |gao| {
+            BoundQuery::with_cache(db.instance(), query, gao, cache, threads)
+                .map_err(EngineError::Bind)
+        };
+        let pairwise = |algo, limits| {
+            db.instance().validate_query(query).map_err(EngineError::Bind)?;
+            let plan = PairwisePlan::new(db.instance(), query, algo, limits)
+                .map_err(EngineError::Baseline)?;
+            Ok::<_, EngineError>((Plan::Pairwise(Box::new(plan)), BindReport::default()))
+        };
+        let (plan, report) = match engine {
+            Engine::Lftj => {
+                let (bq, report) = bind(gao)?;
+                (Plan::Lftj(bq), report)
             }
-            Engine::Hybrid { split, .. } => {
-                let (plan, bind_report) =
+            Engine::Minesweeper(config) => {
+                let (bq, report) = bind(gao)?;
+                (Plan::Minesweeper(bq, config.clone()), report)
+            }
+            Engine::Hybrid { split, config } => {
+                let (plan, report) =
                     HybridPlan::with_cache(db.instance(), query, *split, cache, threads)
                         .map_err(EngineError::Unsupported)?;
-                report = bind_report;
-                Plan::Hybrid(plan)
+                (Plan::CountOnly(CountOnly::Hybrid(Box::new(plan), config.clone())), report)
             }
-            Engine::HashJoin(limits) => {
-                db.instance().validate_query(query).map_err(EngineError::Bind)?;
-                let plan = PairwisePlan::new(db.instance(), query, JoinAlgo::Hash, *limits)
-                    .map_err(EngineError::Baseline)?;
-                Plan::Pairwise(Box::new(plan))
-            }
-            Engine::SortMergeJoin(limits) => {
-                db.instance().validate_query(query).map_err(EngineError::Bind)?;
-                let plan = PairwisePlan::new(db.instance(), query, JoinAlgo::SortMerge, *limits)
-                    .map_err(EngineError::Baseline)?;
-                Plan::Pairwise(Box::new(plan))
-            }
+            Engine::HashJoin(limits) => pairwise(JoinAlgo::Hash, *limits)?,
+            Engine::SortMergeJoin(limits) => pairwise(JoinAlgo::SortMerge, *limits)?,
             Engine::GraphEngine => {
                 let Some(graph) = db.graph() else {
                     return Err(EngineError::Unsupported(
@@ -234,7 +331,8 @@ impl<'db> PreparedQuery<'db> {
                         query.name
                     )));
                 };
-                Plan::Graph { engine: Box::new(GraphEngine::load(graph)), op }
+                let engine = Box::new(GraphEngine::load(graph));
+                (Plan::CountOnly(CountOnly::Graph(engine, op)), BindReport::default())
             }
         };
         Ok(PreparedQuery {
@@ -291,103 +389,126 @@ impl<'db> PreparedQuery<'db> {
         }
     }
 
-    /// Whether [`run`](Self::run) (and therefore `collect`/`first_k`) is supported:
-    /// the hybrid and the specialised graph engine only produce counts.
+    /// Whether row sinks ([`run`](Self::run), and therefore `collect`/`first_k`)
+    /// are supported: the hybrid and the specialised graph engine only produce
+    /// counts.
     pub fn supports_enumeration(&self) -> bool {
-        matches!(self.plan, Plan::Bound(_) | Plan::Pairwise { .. })
+        !matches!(self.plan, Plan::CountOnly(_))
+    }
+
+    /// The one execution path: partition → one drive → [`RunStats`].
+    ///
+    /// One thread drives the single whole-axis morsel on the calling thread (the
+    /// serial execution); more threads partition the first attribute into
+    /// `threads × granularity` morsels and merge the per-morsel shards in morsel
+    /// order. The count-only engines serve any [`ParallelSink::COUNT_ONLY`] sink at
+    /// any thread count and reject row sinks.
+    fn execute<K: ParallelSink>(
+        &self,
+        sink: &mut K,
+        threads: usize,
+        budget: &QueryBudget,
+    ) -> Result<RunStats, EngineError> {
+        if !K::COUNT_ONLY && !self.supports_enumeration() {
+            return Err(EngineError::Unsupported(format!(
+                "{} only supports counting",
+                self.engine.label()
+            )));
+        }
+        let threads = threads.max(1);
+        let mut run = Execution {
+            sink,
+            threads,
+            monitor: ExecMonitor::new(budget),
+            stats: self.base_stats(),
+            started: Instant::now(),
+        };
+        match &self.plan {
+            Plan::Lftj(bq) => {
+                let morsels = morsels_for(threads, || {
+                    partition_first_attribute(bq, threads * LFTJ_GRANULARITY)
+                });
+                let source = LftjMorsels::new(bq);
+                run.drive(&source, &morsels)?;
+                run.stats.extras = vec![("bindings_explored", source.total_bindings_explored())];
+            }
+            Plan::Minesweeper(bq, config) => {
+                let morsels = morsels_for(threads, || {
+                    partition_first_attribute(bq, threads * config.granularity.max(1))
+                });
+                // CDS carry-over only pays when workers claim several morsels
+                // each; with at most one morsel per worker (a serial run, or
+                // granularity 1, the acyclic default) there is no later range to
+                // re-seed, so the constraint recording would be pure overhead. It
+                // is also a wash on β-cyclic queries: there the CDS holds only the
+                // skeletonised (Idea 7) constraints, and re-seeding those into a
+                // disjoint first-attribute range almost never prunes — at
+                // granularity 8 (Table 5's cyclic setting) the recording cost
+                // exceeds the savings, so carry-over stays off unless the query is
+                // β-acyclic.
+                let mut config = config.clone();
+                config.cds_carryover = config.cds_carryover
+                    && morsels.len() > threads
+                    && gj_query::Hypergraph::of_query(&bq.query).is_beta_acyclic();
+                let source = MsMorsels::new(bq, config);
+                run.drive(&source, &morsels)?;
+                run.stats.extras = ms_extras(&source.totals());
+            }
+            Plan::Pairwise(plan) => {
+                let morsels =
+                    morsels_for(threads, || plan.partition(threads * PAIRWISE_GRANULARITY));
+                let source = PairwiseMorsels::new(plan);
+                let driven = run.drive(&source, &morsels);
+                // Reclaim the workers (and collect the aggregated budget state)
+                // before surfacing any error: a monitor trip outranks the pairwise
+                // materialisation budget, which in turn fails the run (the sink
+                // may have received a partial prefix by then).
+                let pairwise = source.finish();
+                driven?;
+                let pairwise = pairwise.map_err(EngineError::Baseline)?;
+                run.stats.extras = vec![
+                    ("materialized_rows", pairwise.materialized_rows),
+                    ("peak_intermediate", pairwise.peak_intermediate),
+                ];
+            }
+            Plan::CountOnly(source) => run.drive(source, &[Morsel::whole_axis()])?,
+        }
+        Ok(run.stats)
+    }
+
+    /// Executes into a fresh `sink` and hands the filled sink back.
+    fn drain<K: ParallelSink>(
+        &self,
+        mut sink: K,
+        threads: usize,
+        budget: &QueryBudget,
+    ) -> Result<K, EngineError> {
+        self.execute(&mut sink, threads, budget)?;
+        Ok(sink)
+    }
+
+    /// Whether the query has any output row: enumeration-capable engines stop at
+    /// the first row any worker finds; count-only engines need a full count.
+    fn any_row(&self, threads: usize, budget: &QueryBudget) -> Result<bool, EngineError> {
+        if self.supports_enumeration() {
+            self.drain(ExistsSink::new(), threads, budget).map(|sink| sink.found())
+        } else {
+            self.drain(CountSink::new(), threads, budget).map(|sink| sink.rows() > 0)
+        }
     }
 
     /// Executes the query, pushing every output row (in **variable-id order**) into
-    /// `sink` until the sink breaks or the output is exhausted.
+    /// `sink` until the sink breaks or the output is exhausted — row at a time: the
+    /// sink sees each row as the engine finds it, and a `Break` stops the search at
+    /// that row.
     ///
     /// Rows arrive in a deterministic per-engine emission order: LFTJ and
     /// Minesweeper emit in lexicographic GAO order, the pairwise baselines in the
     /// order of their streamed final join. The count-only engines (hybrid, graph
     /// engine) return [`EngineError::Unsupported`]; use [`count`](Self::count) for
     /// those.
-    pub fn run(&self, sink: &mut impl Sink) -> Result<RunStats, EngineError> {
-        self.run_ctx(sink, &ExecCtx::none())
-    }
-
-    /// [`run`](Self::run) under an execution context: the engine inner loops poll
-    /// `ctx` at the coarse check stride, and every delivered row is accounted
-    /// against the context's monitor (row budget). With [`ExecCtx::none()`] this
-    /// *is* the infallible serial execution.
-    fn run_ctx(&self, sink: &mut impl Sink, ctx: &ExecCtx<'_>) -> Result<RunStats, EngineError> {
-        let mut stats = self.base_stats();
-        let monitor = ctx.monitor();
-        match &self.plan {
-            Plan::Bound(bq) => {
-                let bind_start = Instant::now();
-                let gao = &bq.gao;
-                let mut scratch: Vec<Val> = vec![0; bq.num_vars()];
-                let mut rows = 0u64;
-                match &self.engine {
-                    Engine::Lftj => {
-                        let exec = LftjExecutor::new(bq);
-                        stats.bind = bind_start.elapsed();
-                        let run_start = Instant::now();
-                        let lftj = exec.try_run_ctx(ctx, &mut |binding| {
-                            for (pos, &v) in gao.iter().enumerate() {
-                                scratch[v] = binding[pos];
-                            }
-                            if monitor.is_some_and(|m| m.note_rows(1)) {
-                                return ControlFlow::Break(());
-                            }
-                            rows += 1;
-                            sink.push(&scratch)
-                        });
-                        stats.run = run_start.elapsed();
-                        stats.extras = vec![("bindings_explored", lftj.bindings_explored)];
-                    }
-                    Engine::Minesweeper(config) => {
-                        // One row per output: batch counting (Idea 8) is a
-                        // counting-only optimisation, so it is disabled under a sink.
-                        let config = MsConfig { idea8_batch_counting: false, ..config.clone() };
-                        let mut exec = MinesweeperExecutor::new(bq, config);
-                        stats.bind = bind_start.elapsed();
-                        let run_start = Instant::now();
-                        let ms = exec.try_run_ctx(ctx, &mut |binding, _| {
-                            for (pos, &v) in gao.iter().enumerate() {
-                                scratch[v] = binding[pos];
-                            }
-                            if monitor.is_some_and(|m| m.note_rows(1)) {
-                                return ControlFlow::Break(());
-                            }
-                            rows += 1;
-                            sink.push(&scratch)
-                        });
-                        stats.run = run_start.elapsed();
-                        stats.extras = ms_extras(&ms);
-                    }
-                    _ => unreachable!("Plan::Bound only serves LFTJ and Minesweeper"),
-                }
-                stats.rows = rows;
-                Ok(stats)
-            }
-            Plan::Pairwise(plan) => {
-                let run_start = Instant::now();
-                let (rows, pairwise) = plan
-                    .run_ctx(ctx, &mut |row| {
-                        if monitor.is_some_and(|m| m.note_rows(1)) {
-                            return ControlFlow::Break(());
-                        }
-                        sink.push(row)
-                    })
-                    .map_err(EngineError::Baseline)?;
-                stats.run = run_start.elapsed();
-                stats.rows = rows;
-                stats.extras = vec![
-                    ("materialized_rows", pairwise.materialized_rows),
-                    ("peak_intermediate", pairwise.peak_intermediate),
-                ];
-                Ok(stats)
-            }
-            Plan::Hybrid(_) | Plan::Graph { .. } => Err(EngineError::Unsupported(format!(
-                "{} only supports counting",
-                self.engine.label()
-            ))),
-        }
+    pub fn run(&self, sink: &mut (impl Sink + Send)) -> Result<RunStats, EngineError> {
+        infallible(self.try_run(sink, &QueryBudget::new()))
     }
 
     /// Executes the query on `threads` worker threads through the morsel-driven
@@ -402,9 +523,10 @@ impl<'db> PreparedQuery<'db> {
     /// relation is partitioned on its first column; the left-order join emission
     /// makes the merged stream identical to the serial one, and the
     /// [`ExecLimits`](gj_baselines::ExecLimits) budget aggregates across workers).
-    /// With one thread or a degenerate partition this falls back to the serial
-    /// [`run`](Self::run); the count-only engines return
-    /// [`EngineError::Unsupported`] as usual.
+    /// One thread — or a first attribute too small to split — is the one-worker
+    /// case of the same drive: a single morsel on the calling thread. The
+    /// count-only engines serve counting sinks ([`CountSink`]) at any thread count
+    /// and return [`EngineError::Unsupported`] for row sinks.
     ///
     /// Engine state is reused across the morsels each worker claims (and, for the
     /// pairwise baselines, across repeated executions of the same prepared
@@ -438,166 +560,22 @@ impl<'db> PreparedQuery<'db> {
         sink: &mut K,
         threads: usize,
     ) -> Result<RunStats, EngineError> {
-        let monitor = ExecMonitor::unlimited();
-        match self.run_parallel_ctx(sink, threads, &monitor) {
-            // Without a budget the only possible ExecError is a worker panic;
-            // re-raise it like the scoped join used to (the `try_*` API returns
-            // it as a typed error instead).
-            Err(EngineError::Exec(err)) => panic!("{err}"),
-            other => other,
-        }
-    }
-
-    /// [`run_parallel`](Self::run_parallel) under a shared [`ExecMonitor`]: workers
-    /// run under `catch_unwind`, poll the monitor at morsel boundaries and inside
-    /// morsels, and the first tripped abort reason surfaces as
-    /// [`EngineError::Exec`].
-    fn run_parallel_ctx<K: ParallelSink>(
-        &self,
-        sink: &mut K,
-        threads: usize,
-        monitor: &ExecMonitor,
-    ) -> Result<RunStats, EngineError> {
-        let threads = threads.max(1);
-        let ctx = ExecCtx::with_monitor(monitor);
-        match &self.plan {
-            Plan::Bound(_) | Plan::Pairwise(_) if threads == 1 => self.serial_fallback(sink, &ctx),
-            Plan::Bound(bq) => {
-                let mut stats = self.base_stats();
-                let bind_start = Instant::now();
-                let granularity = match &self.engine {
-                    Engine::Minesweeper(config) => config.granularity.max(1),
-                    _ => LFTJ_GRANULARITY,
-                };
-                let morsels = partition_first_attribute(bq, threads * granularity);
-                if morsels.len() <= 1 {
-                    return self.serial_fallback(sink, &ctx);
-                }
-                stats.bind = bind_start.elapsed();
-                let run_start = Instant::now();
-                let (report, extras) = self.drive_bound(bq, &morsels, threads, sink, monitor)?;
-                stats.run = run_start.elapsed();
-                stats.rows = report.rows;
-                stats.threads = stats.threads.max(report.threads);
-                stats.morsels = report.morsels;
-                stats.extras = extras;
-                Ok(stats)
-            }
-            Plan::Pairwise(plan) => {
-                let mut stats = self.base_stats();
-                let bind_start = Instant::now();
-                let morsels = plan.partition(threads * PAIRWISE_GRANULARITY);
-                if morsels.len() <= 1 {
-                    return self.serial_fallback(sink, &ctx);
-                }
-                stats.bind = bind_start.elapsed();
-                let run_start = Instant::now();
-                let source = PairwiseMorsels::new(plan);
-                let driven = try_drive(&source, &morsels, threads, sink, monitor);
-                // Reclaim the workers (and collect the aggregated budget state)
-                // before surfacing any error: a monitor trip outranks the
-                // pairwise materialisation budget, which in turn fails the run
-                // exactly like the serial abort (the sink may have received a
-                // partial prefix, as it would under a serial abort too).
-                let pairwise = source.finish();
-                let report = driven.map_err(EngineError::Exec)?;
-                let pairwise = pairwise.map_err(EngineError::Baseline)?;
-                stats.run = run_start.elapsed();
-                stats.rows = report.rows;
-                stats.threads = stats.threads.max(report.threads);
-                stats.morsels = report.morsels;
-                stats.extras = vec![
-                    ("materialized_rows", pairwise.materialized_rows),
-                    ("peak_intermediate", pairwise.peak_intermediate),
-                ];
-                Ok(stats)
-            }
-            Plan::Hybrid(_) | Plan::Graph { .. } => self.run_ctx(sink, &ctx),
-        }
-    }
-
-    /// The serial half of [`run_parallel`](Self::run_parallel): counting sinks take
-    /// the engine's counting fast path (preserving e.g. Minesweeper's Idea 8 batch
-    /// counting, which the row-wise sink protocol disables); everything else runs
-    /// through the plain sink execution.
-    fn serial_fallback<K: ParallelSink>(
-        &self,
-        sink: &mut K,
-        ctx: &ExecCtx<'_>,
-    ) -> Result<RunStats, EngineError> {
-        if K::COUNT_ONLY {
-            let (count, stats) = self.count_with_stats_ctx(ctx)?;
-            let mut shard = sink.shard();
-            shard.push_count(count);
-            let _ = sink.absorb(shard);
-            return Ok(stats);
-        }
-        self.run_ctx(sink, ctx)
-    }
-
-    /// Runs the morsels of a bound plan through the engine's [`MorselSource`]
-    /// (`gj_runtime::MorselSource`) adapter. Besides the drive report it returns
-    /// the engine-specific statistics the sources aggregated across their retired
-    /// workers (the runtime's `retire_worker` lifecycle hook), so parallel
-    /// executions report the same extras serial ones do.
-    fn drive_bound<K: ParallelSink>(
-        &self,
-        bq: &BoundQuery,
-        morsels: &[gj_runtime::Morsel],
-        threads: usize,
-        sink: &mut K,
-        monitor: &ExecMonitor,
-    ) -> Result<DrivenBound, ExecError> {
-        match &self.engine {
-            Engine::Lftj => {
-                let source = LftjMorsels::new(bq);
-                let report = try_drive(&source, morsels, threads, sink, monitor)?;
-                Ok((report, vec![("bindings_explored", source.total_bindings_explored())]))
-            }
-            Engine::Minesweeper(config) => {
-                // CDS carry-over only pays when workers claim several morsels
-                // each; with at most one morsel per worker (granularity 1, the
-                // acyclic default) there is no later range to re-seed, so the
-                // constraint recording would be pure overhead. It is also a
-                // wash on β-cyclic queries: there the CDS holds only the
-                // skeletonised (Idea 7) constraints, and re-seeding those
-                // into a disjoint first-attribute range almost never prunes —
-                // at granularity 8 (Table 5's cyclic setting) the recording
-                // cost exceeds the savings, so carry-over stays off unless
-                // the query is β-acyclic.
-                let mut config = config.clone();
-                config.cds_carryover = config.cds_carryover
-                    && morsels.len() > threads
-                    && gj_query::Hypergraph::of_query(&bq.query).is_beta_acyclic();
-                let source = MsMorsels::new(bq, config);
-                let report = try_drive(&source, morsels, threads, sink, monitor)?;
-                let extras = ms_extras(&source.totals());
-                Ok((report, extras))
-            }
-            _ => unreachable!("Plan::Bound only serves LFTJ and Minesweeper"),
-        }
+        infallible(self.try_run_parallel(sink, threads, &QueryBudget::new()))
     }
 
     /// Counts the output rows on `threads` worker threads — the parallel
     /// counterpart of [`count`](Self::count), using the engine's per-morsel
-    /// counting fast path (no row is materialised). Engines without a parallel
-    /// driver fall back to the serial count.
+    /// counting fast path (no row is materialised).
     pub fn par_count(&self, threads: usize) -> Result<u64, EngineError> {
-        if threads <= 1 || !matches!(self.plan, Plan::Bound(_) | Plan::Pairwise(_)) {
-            return self.count();
-        }
-        let mut sink = CountSink::new();
-        self.run_parallel(&mut sink, threads)?;
-        Ok(sink.rows())
+        infallible(self.try_par_count(threads, &QueryBudget::new()))
     }
 
     /// Materialises every output row on `threads` worker threads. The ordered
     /// shard merge makes the result identical to [`collect`](Self::collect) —
     /// same rows, same order.
     pub fn par_collect(&self, threads: usize) -> Result<QueryOutput, EngineError> {
-        let mut sink = CollectSink::new();
-        self.run_parallel(&mut sink, threads)?;
-        Ok(sink.into_rows())
+        infallible(self.drain(CollectSink::new(), threads, &QueryBudget::new()))
+            .map(CollectSink::into_rows)
     }
 
     /// The first `limit` output rows, computed on `threads` worker threads —
@@ -605,231 +583,55 @@ impl<'db> PreparedQuery<'db> {
     /// morsels are merged in order and the cross-worker stop flag retires the
     /// remaining morsels once the prefix is full.
     pub fn par_first_k(&self, limit: usize, threads: usize) -> Result<QueryOutput, EngineError> {
-        let mut sink = FirstK::new(limit);
-        self.run_parallel(&mut sink, threads)?;
-        Ok(sink.into_rows())
+        infallible(self.drain(FirstK::new(limit), threads, &QueryBudget::new()))
+            .map(FirstK::into_rows)
     }
 
     /// Whether the query has at least one output row, checked on `threads` worker
     /// threads: the first row found by *any* worker stops all of them. Count-only
-    /// engines fall back to a full (serial) count.
+    /// engines fall back to a full count.
     pub fn par_exists(&self, threads: usize) -> Result<bool, EngineError> {
-        if self.supports_enumeration() {
-            let mut sink = ExistsSink::new();
-            self.run_parallel(&mut sink, threads)?;
-            Ok(sink.found())
-        } else {
-            Ok(self.count()? > 0)
-        }
+        infallible(self.any_row(threads, &QueryBudget::new()))
     }
 
     /// Counts the output rows. Supported by every engine; uses the engine's
-    /// counting fast path (e.g. Minesweeper's batch counting and multi-threaded
-    /// driver) rather than the sink protocol.
+    /// counting fast path (e.g. Minesweeper's batch counting) rather than
+    /// delivering rows.
     pub fn count(&self) -> Result<u64, EngineError> {
-        self.count_with_stats().map(|(count, _)| count)
+        infallible(self.try_count(&QueryBudget::new()))
     }
 
     /// Counts the output rows and reports the execution statistics.
     pub fn count_with_stats(&self) -> Result<(u64, RunStats), EngineError> {
-        self.count_with_stats_ctx(&ExecCtx::none())
-    }
-
-    /// [`count_with_stats`](Self::count_with_stats) under an execution context:
-    /// every engine's counting loop polls `ctx` at the coarse check stride. With
-    /// [`ExecCtx::none()`] this *is* the infallible serial count.
-    fn count_with_stats_ctx(&self, ctx: &ExecCtx<'_>) -> Result<(u64, RunStats), EngineError> {
-        let mut stats = self.base_stats();
-        let monitor = ctx.monitor();
-        let count = match &self.plan {
-            Plan::Bound(bq) => match &self.engine {
-                Engine::Lftj => {
-                    let bind_start = Instant::now();
-                    let exec = LftjExecutor::new(bq);
-                    stats.bind = bind_start.elapsed();
-                    let run_start = Instant::now();
-                    let lftj = exec.try_run_ctx(ctx, &mut |_| {
-                        if monitor.is_some_and(|m| m.note_rows(1)) {
-                            return ControlFlow::Break(());
-                        }
-                        ControlFlow::Continue(())
-                    });
-                    stats.run = run_start.elapsed();
-                    stats.extras = vec![("bindings_explored", lftj.bindings_explored)];
-                    lftj.results
-                }
-                Engine::Minesweeper(config) if config.threads > 1 => {
-                    // The historical `MsConfig::threads > 1` contract, now served by
-                    // the shared morsel runtime instead of the deprecated
-                    // engine-local `par_count`.
-                    let run_start = Instant::now();
-                    let morsels =
-                        partition_first_attribute(bq, config.threads * config.granularity.max(1));
-                    let count = if morsels.len() <= 1 {
-                        // Too few distinct values to split: sequential fallback.
-                        let mut exec = MinesweeperExecutor::new(bq, config.clone());
-                        let ms = exec.try_run_ctx(ctx, &mut |_, mult| {
-                            if monitor.is_some_and(|m| m.note_rows(mult)) {
-                                return ControlFlow::Break(());
-                            }
-                            ControlFlow::Continue(())
-                        });
-                        stats.extras = ms_extras(&ms);
-                        ms.results
-                    } else {
-                        let mut sink = CountSink::new();
-                        let unlimited;
-                        let monitor = match monitor {
-                            Some(m) => m,
-                            None => {
-                                unlimited = ExecMonitor::unlimited();
-                                &unlimited
-                            }
-                        };
-                        let (report, extras) = self
-                            .drive_bound(bq, &morsels, config.threads, &mut sink, monitor)
-                            .map_err(|err| {
-                                if ctx.monitor().is_none() {
-                                    // Infallible path: re-raise the worker panic
-                                    // like the scoped join used to.
-                                    panic!("{err}");
-                                }
-                                EngineError::Exec(err)
-                            })?;
-                        stats.threads = stats.threads.max(report.threads);
-                        stats.morsels = report.morsels;
-                        stats.extras = extras;
-                        sink.rows()
-                    };
-                    stats.run = run_start.elapsed();
-                    count
-                }
-                Engine::Minesweeper(config) => {
-                    let bind_start = Instant::now();
-                    let mut exec = MinesweeperExecutor::new(bq, config.clone());
-                    stats.bind = bind_start.elapsed();
-                    let run_start = Instant::now();
-                    let ms = exec.try_run_ctx(ctx, &mut |_, mult| {
-                        if monitor.is_some_and(|m| m.note_rows(mult)) {
-                            return ControlFlow::Break(());
-                        }
-                        ControlFlow::Continue(())
-                    });
-                    stats.run = run_start.elapsed();
-                    stats.extras = ms_extras(&ms);
-                    ms.results
-                }
-                _ => unreachable!("Plan::Bound only serves LFTJ and Minesweeper"),
-            },
-            Plan::Hybrid(plan) => {
-                let Engine::Hybrid { config, .. } = &self.engine else {
-                    unreachable!("Plan::Hybrid only serves the hybrid engine");
-                };
-                let run_start = Instant::now();
-                let count = plan.count_ctx(config, ctx);
-                stats.run = run_start.elapsed();
-                count
-            }
-            Plan::Pairwise(plan) => {
-                let run_start = Instant::now();
-                let (count, pairwise) = plan
-                    .run_ctx(ctx, &mut |_| {
-                        if monitor.is_some_and(|m| m.note_rows(1)) {
-                            return ControlFlow::Break(());
-                        }
-                        ControlFlow::Continue(())
-                    })
-                    .map_err(EngineError::Baseline)?;
-                stats.run = run_start.elapsed();
-                stats.extras = vec![
-                    ("materialized_rows", pairwise.materialized_rows),
-                    ("peak_intermediate", pairwise.peak_intermediate),
-                ];
-                count
-            }
-            Plan::Graph { engine, op } => {
-                let run_start = Instant::now();
-                let count = match (op, monitor.is_some()) {
-                    // The watch-free CSR loop is the hot benchmarked path; keep it
-                    // for unmonitored counts.
-                    (GraphOp::Triangles, false) => engine.triangle_count(),
-                    (GraphOp::Triangles, true) => engine.triangle_count_ctx(ctx),
-                    (GraphOp::FourCliques, false) => engine.four_clique_count(),
-                    (GraphOp::FourCliques, true) => engine.four_clique_count_ctx(ctx),
-                };
-                stats.run = run_start.elapsed();
-                count
-            }
-        };
-        stats.rows = count;
-        Ok((count, stats))
+        infallible(self.try_count_with_stats(&QueryBudget::new()))
     }
 
     /// Materialises every output row, in the engine's deterministic emission order
     /// (see [`run`](Self::run)). Count-only engines return
     /// [`EngineError::Unsupported`].
     pub fn collect(&self) -> Result<QueryOutput, EngineError> {
-        let mut sink = CollectSink::new();
-        self.run(&mut sink)?;
-        Ok(sink.into_rows())
+        infallible(self.try_collect(&QueryBudget::new()))
     }
 
     /// The first `limit` output rows in the engine's emission order — always a
     /// prefix of what [`collect`](Self::collect) returns. The engine stops as soon
     /// as the limit is reached.
     pub fn first_k(&self, limit: usize) -> Result<QueryOutput, EngineError> {
-        let mut sink = FirstK::new(limit);
-        self.run(&mut sink)?;
-        Ok(sink.into_rows())
+        infallible(self.try_first_k(limit, &QueryBudget::new()))
     }
 
     /// Whether the query has at least one output row. Enumeration-capable engines
     /// stop at the first row; count-only engines fall back to a full count.
     pub fn exists(&self) -> Result<bool, EngineError> {
-        if self.supports_enumeration() {
-            let mut sink = ExistsSink::new();
-            self.run(&mut sink)?;
-            Ok(sink.found())
-        } else {
-            Ok(self.count()? > 0)
-        }
-    }
-
-    /// Runs `f` under `monitor` with panic isolation: a panic anywhere in engine
-    /// code is caught, recorded as [`ExecError::WorkerPanicked`], and shared state
-    /// (index cache, worker pools) stays reusable. The monitor's recorded abort
-    /// reason outranks whatever `f` returned — an engine that stopped early on a
-    /// trip returns a meaningless partial result, which must not leak out as `Ok`.
-    fn guard<T>(
-        &self,
-        monitor: &ExecMonitor,
-        f: impl FnOnce(&ExecCtx<'_>) -> Result<T, EngineError>,
-    ) -> Result<T, EngineError> {
-        let ctx = ExecCtx::with_monitor(monitor);
-        // Poll once before the run: a budget that is already violated (cancelled
-        // token, zero deadline) aborts deterministically even when the query is so
-        // small the engine would finish before its first stride poll.
-        monitor.check();
-        let result = match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-            Ok(result) => result,
-            Err(payload) => {
-                monitor.trip(ExecError::WorkerPanicked { payload: panic_payload(payload) });
-                Err(EngineError::Exec(ExecError::WorkerPanicked {
-                    payload: "worker panicked".to_string(),
-                }))
-            }
-        };
-        match monitor.take_reason() {
-            Some(reason) => Err(EngineError::Exec(reason)),
-            None => result,
-        }
+        infallible(self.try_exists(&QueryBudget::new()))
     }
 
     /// Counts the output rows under `budget` — the fallible counterpart of
     /// [`count`](Self::count): the engine polls the budget cooperatively (bounded
     /// by one check stride, [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE) inner-loop
     /// steps) and an abort surfaces as a typed [`EngineError::Exec`] instead of a
-    /// panic or a silently truncated answer.
+    /// panic or a silently truncated answer. A row budget is accounted as rows are
+    /// found, so it bounds the work and not just the answer.
     ///
     /// ```
     /// use graphjoin::{
@@ -862,7 +664,7 @@ impl<'db> PreparedQuery<'db> {
     /// # Ok::<(), graphjoin::EngineError>(())
     /// ```
     pub fn try_count(&self, budget: &QueryBudget) -> Result<u64, EngineError> {
-        self.try_count_with_stats(budget).map(|(count, _)| count)
+        self.try_par_count(1, budget)
     }
 
     /// [`count_with_stats`](Self::count_with_stats) under `budget`.
@@ -870,20 +672,20 @@ impl<'db> PreparedQuery<'db> {
         &self,
         budget: &QueryBudget,
     ) -> Result<(u64, RunStats), EngineError> {
-        let monitor = ExecMonitor::new(budget);
-        self.guard(&monitor, |ctx| self.count_with_stats_ctx(ctx))
+        let mut sink = CountSink::new();
+        let stats = self.execute(&mut sink, 1, budget)?;
+        Ok((sink.rows(), stats))
     }
 
-    /// [`run`](Self::run) under `budget`: the serial sink execution with
+    /// [`run`](Self::run) under `budget`: the one-worker execution with
     /// cooperative budget checks and panic isolation. On `Err` the sink holds a
     /// meaningless prefix and must be discarded.
     pub fn try_run(
         &self,
-        sink: &mut impl Sink,
+        sink: &mut (impl Sink + Send),
         budget: &QueryBudget,
     ) -> Result<RunStats, EngineError> {
-        let monitor = ExecMonitor::new(budget);
-        self.guard(&monitor, |ctx| self.run_ctx(sink, ctx))
+        self.execute(&mut Ordered::new(|row: &[Val]| sink.push(row)), 1, budget)
     }
 
     /// [`run_parallel`](Self::run_parallel) under `budget`: every worker runs under
@@ -897,25 +699,17 @@ impl<'db> PreparedQuery<'db> {
         threads: usize,
         budget: &QueryBudget,
     ) -> Result<RunStats, EngineError> {
-        let monitor = ExecMonitor::new(budget);
-        self.guard(&monitor, |_| self.run_parallel_ctx(sink, threads, &monitor))
+        self.execute(sink, threads, budget)
     }
 
     /// [`par_count`](Self::par_count) under `budget`.
     pub fn try_par_count(&self, threads: usize, budget: &QueryBudget) -> Result<u64, EngineError> {
-        if threads <= 1 || !matches!(self.plan, Plan::Bound(_) | Plan::Pairwise(_)) {
-            return self.try_count(budget);
-        }
-        let mut sink = CountSink::new();
-        self.try_run_parallel(&mut sink, threads, budget)?;
-        Ok(sink.rows())
+        self.drain(CountSink::new(), threads, budget).map(|sink| sink.rows())
     }
 
     /// [`collect`](Self::collect) under `budget`.
     pub fn try_collect(&self, budget: &QueryBudget) -> Result<QueryOutput, EngineError> {
-        let mut sink = CollectSink::new();
-        self.try_run(&mut sink, budget)?;
-        Ok(sink.into_rows())
+        self.drain(CollectSink::new(), 1, budget).map(CollectSink::into_rows)
     }
 
     /// [`first_k`](Self::first_k) under `budget`.
@@ -924,20 +718,12 @@ impl<'db> PreparedQuery<'db> {
         limit: usize,
         budget: &QueryBudget,
     ) -> Result<QueryOutput, EngineError> {
-        let mut sink = FirstK::new(limit);
-        self.try_run(&mut sink, budget)?;
-        Ok(sink.into_rows())
+        self.drain(FirstK::new(limit), 1, budget).map(FirstK::into_rows)
     }
 
     /// [`exists`](Self::exists) under `budget`.
     pub fn try_exists(&self, budget: &QueryBudget) -> Result<bool, EngineError> {
-        if self.supports_enumeration() {
-            let mut sink = ExistsSink::new();
-            self.try_run(&mut sink, budget)?;
-            Ok(sink.found())
-        } else {
-            Ok(self.try_count(budget)? > 0)
-        }
+        self.any_row(1, budget)
     }
 
     /// Counts under `budget` on `threads` workers and **never fails**: an abort is
@@ -949,13 +735,7 @@ impl<'db> PreparedQuery<'db> {
     /// text. When the budget carries a fault-injection registry, the outcome also
     /// names the failpoint that fired.
     pub fn count_outcome(&self, threads: usize, budget: &QueryBudget) -> RunStats {
-        let result = if threads > 1 {
-            let mut sink = CountSink::new();
-            self.try_run_parallel(&mut sink, threads, budget)
-        } else {
-            self.try_count_with_stats(budget).map(|(_, stats)| stats)
-        };
-        match result {
+        match self.execute(&mut CountSink::new(), threads, budget) {
             Ok(stats) => stats,
             Err(err) => {
                 let reason = match err {
@@ -1244,11 +1024,11 @@ mod tests {
     fn threaded_minesweeper_engine_counts_through_the_runtime() {
         let db = two_triangle_db();
         let q = CatalogQuery::ThreeClique.query();
-        let engine =
-            Engine::Minesweeper(MsConfig { threads: 3, granularity: 2, ..MsConfig::default() });
+        let engine = Engine::Minesweeper(MsConfig { granularity: 2, ..MsConfig::default() });
         let prepared = db.prepare(&q, &engine).unwrap();
-        let (count, stats) = prepared.count_with_stats().unwrap();
-        assert_eq!(count, 2);
+        assert_eq!(prepared.par_count(3).unwrap(), 2);
+        let stats = prepared.count_outcome(3, &QueryBudget::new());
+        assert_eq!(stats.rows, 2);
         assert!(stats.threads >= 1);
     }
 
@@ -1301,7 +1081,7 @@ mod tests {
         let q = CatalogQuery::FourClique.query();
         let a = db.prepare(&q, &Engine::Lftj).unwrap();
         let b = db.prepare(&q, &Engine::Lftj).unwrap();
-        let (Plan::Bound(ba), Plan::Bound(bb)) = (&a.plan, &b.plan) else {
+        let (Plan::Lftj(ba), Plan::Lftj(bb)) = (&a.plan, &b.plan) else {
             panic!("LFTJ plans are bound queries");
         };
         for (x, y) in ba.atoms.iter().zip(&bb.atoms) {

@@ -150,8 +150,8 @@ impl<'a> LftjExecutor<'a> {
             let mut watch = ctx.watch();
             // The watched and unwatched searches are separate monomorphisations:
             // the per-binding `tick()` is cheap but the leapfrog inner loop is
-            // cheaper still, so unmonitored runs (the serial fast path) must not
-            // pay even that branch.
+            // cheaper still, so unmonitored runs (the one-worker drive under a
+            // budget that cannot trip) must not pay even that branch.
             let _ = if watch.is_inert() {
                 self.search::<F, false>(0, &mut watch, emit)
             } else {

@@ -50,11 +50,9 @@ pub struct MsConfig {
     /// it; one-shot serial executors never do. Off in [`MsConfig::baseline`] so
     /// the ablation tables can quantify the probes saved.
     pub cds_carryover: bool,
-    /// Number of worker threads for the morsel-driven parallel execution
-    /// (`PreparedQuery::run_parallel` in `gj-core`, [`crate::parallel::MsMorsels`]
-    /// underneath; 1 = sequential).
-    pub threads: usize,
-    /// Granularity factor `f` of Section 4.10: the output space is split into
+    /// Granularity factor `f` of Section 4.10: a run on `threads` workers
+    /// (`PreparedQuery::par_count(threads)` and friends in `gj-core`,
+    /// [`crate::parallel::MsMorsels`] underneath) splits the output space into
     /// `threads * granularity` jobs.
     pub granularity: usize,
 }
@@ -68,7 +66,6 @@ impl Default for MsConfig {
             idea7_skeleton: true,
             idea8_batch_counting: false,
             cds_carryover: true,
-            threads: 1,
             granularity: 1,
         }
     }
@@ -84,7 +81,6 @@ impl MsConfig {
             idea7_skeleton: false,
             idea8_batch_counting: false,
             cds_carryover: false,
-            threads: 1,
             granularity: 1,
         }
     }
@@ -420,9 +416,6 @@ impl<'a> MinesweeperExecutor<'a> {
             if watch.tick() {
                 break;
             }
-            if std::env::var_os("MS_TRACE").is_some() {
-                eprintln!("[ms-trace] it={} t={:?}", stats.iterations, t);
-            }
 
             // The frontier always advances at least past `t` (Idea 2 / termination).
             let mut advance = successor(&t);
@@ -654,7 +647,6 @@ mod tests {
             idea7_skeleton: false,
             idea8_batch_counting: false,
             cds_carryover: false,
-            threads: 1,
             granularity: 1,
         };
         for cq in CatalogQuery::all() {

@@ -29,9 +29,13 @@
 //!   [`MsStats`] into run totals ([`MsMorsels::totals`]), so parallel executions
 //!   report the same engine statistics serial ones do.
 //!
-//! The historical `par_count` free function (deprecated since the runtime landed)
-//! is gone; use `PreparedQuery::par_count` in `gj-core`, or drive [`MsMorsels`]
-//! through `gj_runtime::drive` directly.
+//! A serial Minesweeper execution in `gj-core` is this same source driven by one
+//! worker over the single whole-axis morsel: `run_range` over the whole axis
+//! starts from the frontier an unrestricted run starts from, and with one morsel
+//! per worker `gj-core` leaves the carry-over unarmed, so the statistics are those
+//! of [`MinesweeperExecutor::try_run`]. Use `PreparedQuery::par_count(threads)` in
+//! `gj-core` for a parallel count, or drive [`MsMorsels`] through
+//! `gj_runtime::drive` directly.
 
 use crate::engine::{MinesweeperExecutor, MsConfig, MsStats};
 use gj_query::BoundQuery;

@@ -8,6 +8,13 @@
 //! morsel order** — shards finishing out of order wait in a pending map — so the
 //! sink observes the serial emission stream regardless of scheduling.
 //!
+//! Serial execution is the one-worker case of the same loop, not a separate path:
+//! with one worker the loop runs **on the calling thread** (nothing is spawned),
+//! and because a single worker's emission order *is* the serial order, its rows go
+//! straight into the sink — row at a time, with an immediate `Break` — instead of
+//! through shards. Under a monitor that cannot trip, that worker also hands its
+//! engine an inert [`ExecCtx`], so the unmonitored serial run stays tick-free.
+//!
 //! Per-worker engine state ([`MorselSource::Worker`]) lives for the whole worker
 //! loop: an engine can keep its executor, search buffers, or constraint store alive
 //! across every morsel the worker claims, instead of re-allocating per job.
@@ -24,7 +31,8 @@
 //!
 //! # Fault tolerance
 //!
-//! Each worker's whole loop runs under `catch_unwind`: a panic anywhere in engine
+//! Each worker's whole loop runs under `catch_unwind` (the one-worker loop on the
+//! calling thread included): a panic anywhere in engine
 //! code trips the queue's stop flag, is recorded as
 //! [`ExecError::WorkerPanicked`] on the shared [`ExecMonitor`], and surfaces as a
 //! typed `Err` from [`try_drive`] — never as a propagated panic, and never leaving
@@ -33,9 +41,10 @@
 //! *inside* morsels through the [`ExecCtx`] the driver threads into
 //! [`MorselSource::run_morsel`] / [`count_morsel`](MorselSource::count_morsel), so
 //! cancellations and deadlines are honored with bounded latency even during one
-//! long morsel. The legacy [`drive`] wrapper keeps the infallible signature for
-//! callers without a budget (and re-raises worker panics like the scoped join
-//! used to).
+//! long morsel. A row budget is accounted row by row on both the row and the
+//! counting path (each worker may overshoot by the one row it was delivering, never
+//! by a morsel). The [`drive`] wrapper keeps the infallible signature for callers
+//! without a budget (and re-raises worker panics).
 
 use crate::exec::{panic_payload, ExecCtx, ExecError, ExecMonitor};
 use crate::morsel::Morsel;
@@ -43,6 +52,7 @@ use crate::psink::{ParallelSink, ShardSink};
 use crate::queue::JobQueue;
 use gj_storage::fault::{sites, FailpointHit};
 use gj_storage::Val;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -118,9 +128,10 @@ pub trait MorselSource: Sync {
 pub struct DriveReport {
     /// Number of morsels the output space was partitioned into.
     pub morsels: usize,
-    /// Worker threads spawned.
+    /// Worker threads used (1 = the calling thread; nothing was spawned).
     pub threads: usize,
-    /// Rows delivered into the sink by the ordered merge.
+    /// Rows delivered into the sink (by the ordered merge, or directly by a
+    /// single worker).
     pub rows: u64,
     /// Morsels actually executed (smaller than `morsels` under early termination).
     pub morsels_run: usize,
@@ -164,95 +175,229 @@ impl<'s, K: ParallelSink> Merger<'s, K> {
     }
 }
 
-/// One worker's claim/run/merge loop. Runs under `catch_unwind` in [`try_drive`];
-/// everything here must leave shared state consistent if it unwinds.
-fn worker_loop<S: MorselSource, K: ParallelSink>(
-    source: &S,
-    morsels: &[Morsel],
-    queue: &JobQueue,
-    shards: &[Mutex<Option<K::Shard>>],
-    merger: &Mutex<Merger<'_, K>>,
-    monitor: &ExecMonitor,
-) {
-    let mut worker = source.worker();
-    let ctx = ExecCtx::for_drive(monitor, queue);
-    loop {
-        // Morsel-boundary checks: budget state, then the claim failpoint.
-        if monitor.check() {
-            queue.stop();
-            break;
-        }
-        if let Some(fp) = monitor.failpoints() {
-            match fp.hit(sites::MORSEL_CLAIM) {
-                // gj-lint: allow(no-panic-in-engines) — fault-injection failpoint: the panic IS the fault under test
-                Some(FailpointHit::Panic) => panic!("failpoint panic: {}", sites::MORSEL_CLAIM),
-                Some(FailpointHit::Trip) => {
-                    monitor.trip_budget();
-                    queue.stop();
-                    break;
-                }
-                None => {}
-            }
-        }
-        let Some(job) = queue.claim() else { break };
-        let mut shard = shards[job]
+/// Where a worker's rows go while it runs a morsel, and how they reach the sink
+/// once the morsel is done — the only thing that differs between one worker and
+/// many.
+trait Lanes<K: ParallelSink> {
+    /// Exactly one worker drives these lanes, so the queue's stop flag is only ever
+    /// set by that worker itself and its engine need not watch it.
+    const SOLO: bool;
+
+    /// The row target of one morsel.
+    type Lane: ShardSink;
+
+    /// Hands out morsel `job`'s lane to the worker that claimed it.
+    fn open(&self, job: usize) -> Self::Lane;
+
+    /// Takes back morsel `job`'s finished lane; `Break` once the sink is satisfied.
+    fn close(&self, job: usize, lane: Self::Lane) -> ControlFlow<()>;
+
+    /// `(rows delivered into the sink, morsels delivered)`, once every worker is done.
+    fn delivered(self) -> (u64, usize);
+}
+
+/// Many workers: one private shard per morsel, absorbed into the sink in morsel
+/// order by the [`Merger`].
+struct Sharded<'s, K: ParallelSink> {
+    shards: Vec<Mutex<Option<K::Shard>>>,
+    merger: Mutex<Merger<'s, K>>,
+}
+
+impl<'s, K: ParallelSink> Sharded<'s, K> {
+    /// One shard per morsel, created up front (shard creation needs `&sink`, which
+    /// the merger then borrows mutably).
+    fn new(sink: &'s mut K, morsels: usize) -> Self {
+        let shards = (0..morsels).map(|_| Mutex::new(Some(sink.shard()))).collect();
+        Sharded { shards, merger: Mutex::new(Merger::new(sink)) }
+    }
+}
+
+impl<K: ParallelSink> Lanes<K> for Sharded<'_, K> {
+    const SOLO: bool = false;
+    type Lane = K::Shard;
+
+    fn open(&self, job: usize) -> K::Shard {
+        self.shards[job]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take()
             // gj-lint: allow(no-panic-in-engines) — double-claim means corrupt results; aborting the worker is the safe outcome
-            .expect("every job is claimed exactly once");
-        if K::COUNT_ONLY {
-            let count = source.count_morsel(&mut worker, morsels[job], &ctx);
-            // Counting runs see the row budget at morsel granularity: no row is
-            // materialised, so the count is noted when the morsel completes.
-            if monitor.note_rows(count) {
-                queue.stop();
-            }
-            shard.push_count(count);
+            .expect("every job is claimed exactly once")
+    }
+
+    fn close(&self, job: usize, shard: K::Shard) -> ControlFlow<()> {
+        self.merger.lock().unwrap_or_else(PoisonError::into_inner).complete(job, shard)
+    }
+
+    fn delivered(self) -> (u64, usize) {
+        let merger = self.merger.into_inner().unwrap_or_else(PoisonError::into_inner);
+        (merger.rows, merger.next)
+    }
+}
+
+/// One worker: its emission order is the serial order, so every lane *is* the
+/// sink — rows are pushed straight into it, and a `Break` stops the engine at that
+/// row.
+struct Direct<'s, K> {
+    /// The sink, lent to the open lane and returned when the lane closes.
+    sink: Cell<Option<&'s mut K>>,
+    rows: Cell<u64>,
+    morsels: Cell<usize>,
+}
+
+/// The lane of [`Direct`]: the sink itself, plus what this morsel delivered.
+struct DirectLane<'s, K> {
+    sink: &'s mut K,
+    rows: u64,
+    flow: ControlFlow<()>,
+}
+
+impl<K: ParallelSink> ShardSink for DirectLane<'_, K> {
+    fn push(&mut self, row: &[Val]) -> ControlFlow<()> {
+        self.rows += 1;
+        self.flow = self.sink.push(row);
+        self.flow
+    }
+
+    fn push_count(&mut self, rows: u64) {
+        let mut shard = self.sink.shard();
+        shard.push_count(rows);
+        let (rows, flow) = self.sink.absorb(shard);
+        self.rows += rows;
+        self.flow = flow;
+    }
+}
+
+impl<'s, K: ParallelSink> Lanes<K> for Direct<'s, K> {
+    const SOLO: bool = true;
+    type Lane = DirectLane<'s, K>;
+
+    fn open(&self, _job: usize) -> DirectLane<'s, K> {
+        let sink = self
+            .sink
+            .take()
+            // gj-lint: allow(no-panic-in-engines) — the one worker closes each lane before opening the next; a second open means a corrupt driver loop
+            .expect("the single worker holds one lane at a time");
+        DirectLane { sink, rows: 0, flow: ControlFlow::Continue(()) }
+    }
+
+    fn close(&self, _job: usize, lane: DirectLane<'s, K>) -> ControlFlow<()> {
+        self.rows.set(self.rows.get() + lane.rows);
+        self.morsels.set(self.morsels.get() + 1);
+        self.sink.set(Some(lane.sink));
+        lane.flow
+    }
+
+    fn delivered(self) -> (u64, usize) {
+        (self.rows.get(), self.morsels.get())
+    }
+}
+
+/// Fires the driver-level failpoint `site` when a registry is attached: an
+/// injected panic unwinds the worker, an injected trip aborts the run (`Break`).
+fn failpoint(monitor: &ExecMonitor, site: &str) -> ControlFlow<()> {
+    match monitor.failpoints().and_then(|fp| fp.hit(site)) {
+        // gj-lint: allow(no-panic-in-engines) — fault-injection failpoint: the panic IS the fault under test
+        Some(FailpointHit::Panic) => panic!("failpoint panic: {site}"),
+        Some(FailpointHit::Trip) => {
+            monitor.trip_budget();
+            ControlFlow::Break(())
+        }
+        None => ControlFlow::Continue(()),
+    }
+}
+
+/// One worker's claim/run/merge loop. Runs under `catch_unwind` in [`run_worker`];
+/// everything here must leave shared state consistent if it unwinds.
+fn worker_loop<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
+    source: &S,
+    morsels: &[Morsel],
+    queue: &JobQueue,
+    lanes: &L,
+    monitor: &ExecMonitor,
+) {
+    let mut worker = source.worker();
+    // A lone worker under a monitor that cannot trip has nothing to watch: the
+    // inert context lets engines run their tick-free search.
+    let ctx = if L::SOLO && !monitor.can_trip() {
+        ExecCtx::none()
+    } else {
+        ExecCtx::for_drive(monitor, queue)
+    };
+    let capped = monitor.has_row_cap();
+    loop {
+        // Morsel-boundary checks: budget state, then the claim failpoint.
+        if monitor.check() || failpoint(monitor, sites::MORSEL_CLAIM).is_break() {
+            queue.stop();
+            break;
+        }
+        let Some(job) = queue.claim() else { break };
+        let mut lane = lanes.open(job);
+        let mut found = 0;
+        if K::COUNT_ONLY && !capped {
+            found = source.count_morsel(&mut worker, morsels[job], &ctx);
+            lane.push_count(found);
         } else {
+            // A row cap is accounted as rows are found — also for counting sinks,
+            // which therefore take the row path — so a budget bounds the work and
+            // not just the answer.
             source.run_morsel(&mut worker, morsels[job], &ctx, &mut |row| {
                 if queue.is_stopped() {
                     return ControlFlow::Break(());
                 }
-                if monitor.note_rows(1) {
+                if capped && monitor.note_rows(1) {
                     queue.stop();
                     return ControlFlow::Break(());
                 }
-                let flow = shard.push(row);
-                if shard.wants_global_stop() {
+                found += 1;
+                let flow = lane.push(row);
+                if lane.wants_global_stop() {
                     queue.stop();
                 }
                 flow
             });
         }
-        source.morsel_done(&mut worker, morsels[job]);
-        if let Some(fp) = monitor.failpoints() {
-            match fp.hit(sites::SHARD_MERGE) {
-                // gj-lint: allow(no-panic-in-engines) — fault-injection failpoint: the panic IS the fault under test
-                Some(FailpointHit::Panic) => panic!("failpoint panic: {}", sites::SHARD_MERGE),
-                Some(FailpointHit::Trip) => {
-                    monitor.trip_budget();
-                    queue.stop();
-                    break;
-                }
-                None => {}
-            }
+        if !capped {
+            // Nothing to trip: this only keeps the delivered-row total that an
+            // injected budget abort reports.
+            monitor.note_rows(found);
         }
-        let merged = merger.lock().unwrap_or_else(PoisonError::into_inner).complete(job, shard);
-        if merged.is_break() {
+        source.morsel_done(&mut worker, morsels[job]);
+        if failpoint(monitor, sites::SHARD_MERGE).is_break() || lanes.close(job, lane).is_break() {
             queue.stop();
+            break;
         }
     }
     source.retire_worker(worker);
 }
 
-/// Runs `morsels` of `source` on `threads` worker threads under `monitor`, merging
+/// [`worker_loop`] at the worker's panic boundary: a panic is recorded on the
+/// monitor and stops the other workers.
+fn run_worker<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
+    source: &S,
+    morsels: &[Morsel],
+    queue: &JobQueue,
+    lanes: &L,
+    monitor: &ExecMonitor,
+) {
+    let caught =
+        catch_unwind(AssertUnwindSafe(|| worker_loop(source, morsels, queue, lanes, monitor)));
+    if let Err(payload) = caught {
+        monitor.trip(ExecError::WorkerPanicked { payload: panic_payload(payload) });
+        queue.stop();
+    }
+}
+
+/// Runs `morsels` of `source` on `threads` workers under `monitor`, delivering
 /// every morsel's output into `sink` in morsel order.
 ///
-/// With a single thread or a single morsel this still goes through the worker loop
-/// (one worker, in-order completion), so serial and parallel execution share one
-/// code path; callers that want the engine's serial fast path should branch before
-/// calling.
+/// With one worker — one thread asked for, or a single morsel — the worker loop
+/// runs on the calling thread and pushes rows straight into `sink`; serial
+/// execution is exactly this case over [`Morsel::whole_axis`]. More workers run on
+/// scoped threads and merge per-morsel shards in order. A monitor that cannot trip
+/// by itself (no token, deadline, row cap or failpoints) makes the one-worker case
+/// hand engines an inert context; a [`trip`](ExecMonitor::trip) by the monitor's
+/// owner is then honoured at morsel boundaries only.
 ///
 /// # Errors
 ///
@@ -270,31 +415,21 @@ pub fn try_drive<S: MorselSource, K: ParallelSink>(
     let n = morsels.len();
     let threads = threads.max(1).min(n.max(1));
     let queue = JobQueue::new(n);
-    // One shard per morsel, created up front (shard creation needs `&sink`, which is
-    // mutably borrowed by the merger below).
-    let shards: Vec<Mutex<Option<K::Shard>>> =
-        (0..n).map(|_| Mutex::new(Some(sink.shard()))).collect();
-    let merger = Mutex::new(Merger::new(sink));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let queue = &queue;
-            let shards = &shards;
-            let merger = &merger;
-            scope.spawn(move || {
-                let caught = catch_unwind(AssertUnwindSafe(|| {
-                    worker_loop(source, morsels, queue, shards, merger, monitor);
-                }));
-                if let Err(payload) = caught {
-                    monitor.trip(ExecError::WorkerPanicked { payload: panic_payload(payload) });
-                    queue.stop();
-                }
-            });
-        }
-    });
-
-    let merger = merger.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let report = DriveReport { morsels: n, threads, rows: merger.rows, morsels_run: merger.next };
+    let (rows, morsels_run) = if threads == 1 {
+        let lanes =
+            Direct { sink: Cell::new(Some(sink)), rows: Cell::new(0), morsels: Cell::new(0) };
+        run_worker(source, morsels, &queue, &lanes, monitor);
+        lanes.delivered()
+    } else {
+        let lanes = Sharded::new(sink, n);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| run_worker(source, morsels, &queue, &lanes, monitor));
+            }
+        });
+        lanes.delivered()
+    };
+    let report = DriveReport { morsels: n, threads, rows, morsels_run };
     match monitor.take_reason() {
         Some(reason) => Err(reason),
         None => Ok(report),
@@ -306,8 +441,8 @@ pub fn try_drive<S: MorselSource, K: ParallelSink>(
 ///
 /// # Panics
 ///
-/// Re-raises a worker panic as a panic in the calling thread (matching the old
-/// scoped-join behaviour); no other [`ExecError`] can occur without a budget.
+/// Re-raises a worker panic as a panic in the calling thread; no other
+/// [`ExecError`] can occur without a budget.
 pub fn drive<S: MorselSource, K: ParallelSink>(
     source: &S,
     morsels: &[Morsel],
@@ -469,16 +604,68 @@ mod tests {
     }
 
     #[test]
-    fn counting_runs_see_the_row_budget_at_morsel_granularity() {
-        // COUNT_ONLY materialises nothing, so the budget is noted per completed
-        // morsel rather than per row — it must still abort the run.
+    fn counting_runs_see_the_row_budget_row_by_row() {
+        // Under a row cap a counting sink takes the row path, so the budget trips
+        // at the row that overruns it: one worker stops at exactly cap + 1, and
+        // each of several workers overshoots by at most the row it was delivering.
         let source = Iota { n: 10_000 };
         let morsels = tile(&(1..10).map(|i| i * 1000).collect::<Vec<_>>());
         let budget = QueryBudget::new().with_max_rows(10);
-        let monitor = ExecMonitor::new(&budget);
-        let mut sink = CountSink::new();
-        let err = try_drive(&source, &morsels, 4, &mut sink, &monitor).unwrap_err();
-        assert!(matches!(err, ExecError::BudgetExceeded { .. }), "{err:?}");
+        for threads in [1u64, 4] {
+            let monitor = ExecMonitor::new(&budget);
+            let mut sink = CountSink::new();
+            match try_drive(&source, &morsels, threads as usize, &mut sink, &monitor) {
+                Err(ExecError::BudgetExceeded { rows, budget: 10 }) => {
+                    assert!((11..=10 + threads).contains(&rows), "threads {threads}: {rows}");
+                }
+                other => panic!("expected a budget abort, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread_and_feeds_the_sink_directly() {
+        /// Records the thread its morsels ran on.
+        struct Here(Mutex<Vec<std::thread::ThreadId>>);
+        impl MorselSource for Here {
+            type Worker = ();
+            fn worker(&self) {}
+            fn run_morsel(
+                &self,
+                _w: &mut (),
+                m: Morsel,
+                ctx: &ExecCtx<'_>,
+                emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
+            ) {
+                self.0
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(std::thread::current().id());
+                assert!(
+                    ctx.watch().is_inert(),
+                    "an unlimited monitor hands one worker an inert watch"
+                );
+                for v in m.lo.max(0)..m.hi.min(100) {
+                    if emit(&[v]).is_break() {
+                        return;
+                    }
+                }
+            }
+        }
+        let source = Here(Mutex::new(Vec::new()));
+        let morsels = tile(&[10, 20]);
+        // An arbitrary serial sink that breaks on its first row sees exactly that
+        // row: nothing is buffered in a shard first, and no later morsel runs.
+        let mut seen = Vec::new();
+        let mut sink = crate::psink::Ordered::new(|row: &[Val]| {
+            seen.push(row.to_vec());
+            ControlFlow::Break(())
+        });
+        let report = drive(&source, &morsels, 1, &mut sink);
+        assert_eq!(seen, vec![vec![0]]);
+        assert_eq!((report.threads, report.rows, report.morsels_run), (1, 1, 1));
+        let ran_on = source.0.into_inner().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(ran_on, vec![std::thread::current().id()]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   stop flag plus the *first* abort reason, checked cooperatively;
 //! * [`ExecCtx`] / [`ExecWatch`] — how the checks reach engine inner loops. A
 //!   context is threaded into [`MorselSource::run_morsel`](crate::MorselSource) and
-//!   the serial executors; engines derive a [`ExecWatch`] from it and call
+//!   the engines' own entry points; engines derive a [`ExecWatch`] from it and call
 //!   [`tick`](ExecWatch::tick) once per search step. The watch only *polls* the
 //!   shared state every [`CHECK_STRIDE`] ticks, so the per-step cost is a local
 //!   counter decrement and cancellation latency stays bounded by one stride.
@@ -234,6 +234,23 @@ impl ExecMonitor {
         self.stopped.store(true, Ordering::Relaxed);
     }
 
+    /// Whether the budget can trip on its own: it carries a cancel token, a
+    /// deadline, a row cap or a failpoint registry. A monitor that cannot is only
+    /// ever tripped by a caught worker panic (or by its owner calling
+    /// [`trip`](Self::trip)), which is what lets a one-worker drive hand its
+    /// engine an inert watch.
+    pub(crate) fn can_trip(&self) -> bool {
+        self.cancel.is_some()
+            || self.deadline.is_some()
+            || self.max_rows.is_some()
+            || self.failpoints.is_some()
+    }
+
+    /// Whether delivered rows count against a cap ([`QueryBudget::with_max_rows`]).
+    pub(crate) fn has_row_cap(&self) -> bool {
+        self.max_rows.is_some()
+    }
+
     /// Whether some check already tripped the monitor.
     pub fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Relaxed)
@@ -289,11 +306,13 @@ impl ExecMonitor {
     }
 }
 
-/// The execution context threaded from the driver (or a serial entry point) into
-/// engine code: which monitor and which job queue to consult at check points.
+/// The execution context threaded from the driver (or an engine's own serial
+/// entry point) into engine code: which monitor and which job queue to consult at
+/// check points.
 ///
-/// `ExecCtx::none()` is the zero-cost context for infallible paths — a watch built
-/// from it decrements a local counter and never takes a branch further.
+/// `ExecCtx::none()` is the zero-cost context — what a lone worker gets under a
+/// monitor that cannot trip: a watch built from it is inert, so engines run their
+/// tick-free search.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecCtx<'a> {
     monitor: Option<&'a ExecMonitor>,
@@ -301,12 +320,12 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A context with nothing to check (infallible serial paths).
+    /// A context with nothing to check.
     pub fn none() -> ExecCtx<'static> {
         ExecCtx { monitor: None, queue: None }
     }
 
-    /// A context that checks `monitor` (serial `try_*` paths).
+    /// A context that checks `monitor` (engine entry points called outside a drive).
     pub fn with_monitor(monitor: &'a ExecMonitor) -> Self {
         ExecCtx { monitor: Some(monitor), queue: None }
     }

@@ -34,7 +34,7 @@ impl Morsel {
         Morsel { lo, hi }
     }
 
-    /// The whole axis as a single morsel (the serial fallback).
+    /// The whole axis as a single morsel — what a serial (one-worker) run drives.
     pub fn whole_axis() -> Self {
         Morsel { lo: NEG_INF, hi: POS_INF }
     }
@@ -45,8 +45,8 @@ impl Morsel {
 ///
 /// Returns a single [`Morsel::whole_axis`] when the query has no variables, no atom
 /// leads with the first GAO variable, or the first attribute has too few distinct
-/// values to split — callers should fall back to serial execution when the result
-/// has fewer than two morsels.
+/// values to split — the driver then runs that one morsel with one worker, on the
+/// calling thread.
 pub fn partition_first_attribute(bq: &BoundQuery, parts: usize) -> Vec<Morsel> {
     let Some(&first_var) = bq.gao.first() else {
         return vec![Morsel::whole_axis()];
@@ -71,8 +71,7 @@ pub fn partition_first_attribute(bq: &BoundQuery, parts: usize) -> Vec<Morsel> {
 /// so the tiling covers arbitrary signed domains; engines whose search encodes
 /// "before everything" differently clamp at their own boundary (Minesweeper's
 /// frontier clamps a morsel's `lo` to the paper's `-1` natural-number
-/// convention). Callers should fall back to serial execution when the result has
-/// fewer than two morsels.
+/// convention). A result of fewer than two morsels is driven by one worker.
 pub fn partition_values(values: &[Val], parts: usize) -> Vec<Morsel> {
     debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "values must be sorted and distinct");
     if values.is_empty() || parts <= 1 {

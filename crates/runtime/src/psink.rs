@@ -23,8 +23,13 @@
 //! [`CountSink`] additionally opts into the counting fast path
 //! ([`ParallelSink::COUNT_ONLY`]): the driver asks the engine for per-morsel counts
 //! ([`MorselSource::count_morsel`](crate::MorselSource)) and no row is ever
-//! materialised. Arbitrary user sinks run in parallel through [`Ordered`], which
-//! buffers each morsel's rows and replays them in serial order.
+//! materialised (under a row budget it takes the row path instead, so the budget is
+//! accounted row by row). Arbitrary user sinks run in parallel through [`Ordered`],
+//! which buffers each morsel's rows and replays them in serial order.
+//!
+//! With a single worker none of the shard machinery is used: that worker's emission
+//! order is the serial order, so the driver pushes its rows straight into the sink
+//! ([`Sink::push`]) and only hands a count through a shard.
 
 use crate::sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 use gj_storage::Val;
@@ -41,7 +46,9 @@ pub trait ParallelSink: Sink + Send {
 
     /// When `true`, the driver skips row emission entirely and feeds the engine's
     /// per-morsel counts to [`ShardSink::push_count`] instead — the zero
-    /// materialisation path for counting sinks.
+    /// materialisation path for counting sinks. A run whose budget caps rows is
+    /// the exception: its rows are accounted one by one, so they arrive through
+    /// [`push`](ShardSink::push) like any other sink's.
     const COUNT_ONLY: bool = false;
 
     /// Creates an empty shard for one morsel.

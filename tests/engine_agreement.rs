@@ -84,9 +84,9 @@ fn parallel_minesweeper_agrees_with_sequential() {
         let q = cq.query();
         let sequential = db.count(&q, &Engine::minesweeper()).unwrap();
         let f = if cq.is_cyclic() { 8 } else { 1 };
-        let parallel =
-            Engine::Minesweeper(MsConfig { threads: 4, granularity: f, ..MsConfig::default() });
-        assert_eq!(db.count(&q, &parallel).unwrap(), sequential, "{}", q.name);
+        let engine = Engine::Minesweeper(MsConfig { granularity: f, ..MsConfig::default() });
+        let parallel = db.prepare(&q, &engine).unwrap().par_count(4).unwrap();
+        assert_eq!(parallel, sequential, "{}", q.name);
     }
 }
 

@@ -3,10 +3,11 @@
 //! inject panics, forced budget trips and delays into every engine at 1 and 4
 //! worker threads, and the suite asserts the robustness contract:
 //!
-//! * a run under an injected fault either **completes with the exact answer**
-//!   (the site was never reached — e.g. parallel-only sites under a serial run)
-//!   or surfaces a **typed [`ExecError`]** matching the injected action — never a
-//!   process abort and never a wrong answer;
+//! * a run under an injected fault surfaces a **typed [`ExecError`]** matching the
+//!   injected action, or **completes with the exact answer** when the site was
+//!   never reached — never a process abort and never a wrong answer. A serial
+//!   run is the one-worker drive, so the driver-level sites (morsel claim, shard
+//!   merge) exist there too;
 //! * after the fault, the *same* `PreparedQuery` (same plan, same shared index
 //!   cache, same worker pool) re-executes cleanly and byte-identically to a
 //!   fresh database;
@@ -72,9 +73,11 @@ fn engines() -> Vec<Engine> {
     ]
 }
 
-/// The central sweep: sites × actions × engines × threads. Each run must either
-/// complete exactly (fault site never reached) or abort with the typed error the
-/// action dictates; either way the same prepared query then re-executes cleanly.
+/// The central sweep: sites × actions × engines × threads. Each run must abort
+/// with the typed error the action dictates — the serial run goes through the
+/// same driver, so at 1 thread every site fires exactly as at 4 — or, where a
+/// partitioned run never reaches the in-engine site, complete exactly; either way
+/// the same prepared query then re-executes cleanly.
 #[test]
 fn injected_faults_yield_typed_errors_or_exact_answers_and_clean_reruns() {
     quiet_failpoint_panics();
@@ -92,8 +95,12 @@ fn injected_faults_yield_typed_errors_or_exact_answers_and_clean_reruns() {
                     let budget = QueryBudget::new().with_failpoints(fp.clone());
                     match prepared.try_par_count(threads, &budget) {
                         Ok(count) => {
-                            // Legitimate only when the site was never reached
-                            // (driver-level sites do not exist on a serial run).
+                            // Legitimate only for `join_step` on a partitioned
+                            // run: every morsel starts a fresh check stride, and
+                            // a morsel shorter than one stride never polls. The
+                            // driver-level sites are reached at every thread
+                            // count, and the serial run reaches all three.
+                            assert!(site == sites::JOIN_STEP && threads > 1, "site not hit: {tag}");
                             assert_eq!(count, expected, "completed run must be exact: {tag}");
                             assert_eq!(
                                 fp.fired(),
@@ -238,6 +245,32 @@ fn abort_reasons_agree_between_serial_and_parallel() {
             assert_eq!(serial, *want, "serial {} {want}", engine.label());
             assert_eq!(serial, parallel, "parity {} {want}", engine.label());
         }
+    }
+}
+
+/// A row budget bounds the work, not just the answer: rows are accounted as they
+/// are found, on the counting path too. On the 3-clique query over a 24-clique
+/// (2024 rows) a cap of 5 stops the serial count at exactly row 6, and each of
+/// four workers overshoots by at most the one row it was delivering — never by a
+/// morsel.
+#[test]
+fn row_budgets_are_row_granular_on_the_counting_path() {
+    let n: u32 = 24;
+    let edges: Vec<(u32, u32)> = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
+    let mut db = Database::new();
+    db.add_graph(Graph::new_undirected(n as usize, edges));
+    let prepared = db.prepare(&CatalogQuery::ThreeClique.query(), &Engine::Lftj).unwrap();
+    assert_eq!(prepared.count().unwrap(), 2024);
+    let budget = QueryBudget::new().with_max_rows(5);
+    assert_eq!(
+        prepared.try_count(&budget),
+        Err(EngineError::Exec(ExecError::BudgetExceeded { rows: 6, budget: 5 }))
+    );
+    match prepared.try_par_count(4, &budget) {
+        Err(EngineError::Exec(ExecError::BudgetExceeded { rows, budget: 5 })) => {
+            assert!((6..=5 + 4).contains(&rows), "overshoot of {rows} rows");
+        }
+        other => panic!("expected a budget abort, got {other:?}"),
     }
 }
 

@@ -5,9 +5,11 @@
 //! shared index cache.
 
 use graphjoin::{
-    naive_count, CatalogQuery, Database, Engine, EngineError, ExecLimits, Graph, MsConfig, Relation,
+    naive_count, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError, ExecLimits,
+    Graph, MsConfig, QueryBudget, Relation, RunOutcome, Val,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 /// A random database: a seeded undirected graph plus the node samples every catalog
 /// query draws on.
@@ -65,6 +67,16 @@ fn all_supporting_engines_count_identically_through_prepare() {
                     q.name,
                     engine.label()
                 );
+                // One execution path: the serial count is the one-worker drive of
+                // a counting sink, so both report the same rows and the same
+                // engine extras (Minesweeper's probes / CDS nodes included).
+                let (_, serial) = prepared.count_with_stats().unwrap();
+                let mut sink = CountSink::new();
+                let driven = prepared.run_parallel(&mut sink, 1).unwrap();
+                let tag = format!("seed {seed} {} {}", q.name, engine.label());
+                assert_eq!((sink.rows(), driven.rows, serial.rows), (expected, expected, expected));
+                assert_eq!(driven.extras, serial.extras, "{tag}");
+                assert_eq!((driven.morsels, serial.morsels), (0, 0), "{tag}");
             }
         }
     }
@@ -90,6 +102,29 @@ fn first_k_is_a_prefix_of_collect_for_every_engine() {
                 );
             }
         }
+    }
+}
+
+/// The serial path delivers rows one at a time: an arbitrary sink that breaks on
+/// its first row sees exactly that row (nothing is buffered ahead of it), and it
+/// is the first row of `collect()`.
+#[test]
+fn a_breaking_sink_sees_exactly_one_row_on_the_serial_path() {
+    let db = random_database(7, 20, 0.2);
+    let q = CatalogQuery::ThreePath.query();
+    for engine in enumeration_engines() {
+        let prepared = db.prepare(&q, &engine).unwrap();
+        let all = prepared.collect().unwrap();
+        assert!(all.len() > 1, "the test needs several rows");
+        let mut seen: Vec<Vec<Val>> = Vec::new();
+        let stats = prepared
+            .run(&mut |row: &[Val]| {
+                seen.push(row.to_vec());
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert_eq!(seen, all[..1].to_vec(), "{}", engine.label());
+        assert_eq!(stats.rows, 1, "{}", engine.label());
     }
 }
 
@@ -136,4 +171,45 @@ fn count_only_engines_report_unsupported_for_enumeration() {
     assert!(matches!(prepared.collect(), Err(EngineError::Unsupported(_))));
     assert!(matches!(prepared.first_k(3), Err(EngineError::Unsupported(_))));
     assert_eq!(prepared.count().unwrap(), naive_count(db.instance(), &q));
+}
+
+/// A counting sink is served by the count-only engines at every thread count and
+/// through every entry point — `par_count`, `run_parallel(CountSink, ..)` and
+/// `count_outcome` agree (a rejected counting sink would surface in a bench cell as
+/// a fake worker panic with zero rows); row sinks stay unsupported.
+#[test]
+fn count_only_engines_serve_counting_sinks_at_every_thread_count() {
+    let db = random_database(17, 18, 0.25);
+    let lollipop = CatalogQuery::TwoLollipop;
+    let cases = [
+        (CatalogQuery::ThreeClique.query(), Engine::GraphEngine),
+        (CatalogQuery::FourClique.query(), Engine::GraphEngine),
+        (lollipop.query(), Engine::hybrid_for(lollipop).unwrap()),
+    ];
+    for (q, engine) in cases {
+        let expected = naive_count(db.instance(), &q);
+        let prepared = db.prepare(&q, &engine).unwrap();
+        for threads in [1usize, 4] {
+            let tag = format!("{} {} threads {threads}", q.name, engine.label());
+            assert_eq!(prepared.par_count(threads).unwrap(), expected, "{tag}");
+            let mut sink = CountSink::new();
+            let stats = prepared.run_parallel(&mut sink, threads).unwrap();
+            assert_eq!((sink.rows(), stats.rows), (expected, expected), "{tag}");
+            let outcome = prepared.count_outcome(threads, &QueryBudget::new());
+            assert_eq!(outcome.outcome, RunOutcome::Completed, "{tag}");
+            assert_eq!(outcome.rows, expected, "{tag}");
+            assert!(matches!(prepared.par_collect(threads), Err(EngineError::Unsupported(_))));
+        }
+        // A row cap is honoured too: the count is delivered row by row.
+        if expected > 2 {
+            let capped = prepared.try_count(&QueryBudget::new().with_max_rows(2));
+            assert_eq!(
+                capped,
+                Err(EngineError::Exec(ExecError::BudgetExceeded { rows: 3, budget: 2 })),
+                "{} {}",
+                q.name,
+                engine.label()
+            );
+        }
+    }
 }

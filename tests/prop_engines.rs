@@ -94,8 +94,9 @@ proptest! {
         for cq in [CatalogQuery::ThreeClique, CatalogQuery::ThreePath] {
             let q = cq.query();
             let expected = db.count(&q, &Engine::minesweeper()).unwrap();
-            let cfg = MsConfig { threads, granularity, ..MsConfig::default() };
-            prop_assert_eq!(db.count(&q, &Engine::Minesweeper(cfg)).unwrap(), expected, "{}", q.name);
+            let engine = Engine::Minesweeper(MsConfig { granularity, ..MsConfig::default() });
+            let parallel = db.prepare(&q, &engine).unwrap().par_count(threads).unwrap();
+            prop_assert_eq!(parallel, expected, "{}", q.name);
         }
     }
 
