@@ -768,6 +768,8 @@ fn ms_extras(ms: &gj_minesweeper::MsStats) -> Vec<(&'static str, u64)> {
         ("complete_node_hits", ms.complete_node_hits),
         ("cds_nodes", ms.cds_nodes),
         ("carried_constraints", ms.carried_constraints),
+        ("free_tuple_steps", ms.free_tuple_steps),
+        ("backjumps", ms.backjumps),
     ]
 }
 

@@ -14,11 +14,35 @@
 //!   with `getFreeValue` (Algorithm 5), backtracking and truncating (Algorithm 6) as
 //!   needed.
 //!
-//! One deliberate deviation from the pseudocode is documented inline: whenever the
-//! frontier value at a level is bumped during backtracking, the deeper frontier
-//! components are reset to `-1` immediately (the paper resets them lazily at the next
-//! descent, which as written can leave a stale suffix and skip tuples; resetting
-//! eagerly is always sound because it only lowers the frontier tail).
+//! Two deliberate deviations from the pseudocode:
+//!
+//! * **Eager tail reset.** Whenever the frontier value at a level is bumped during
+//!   backtracking, the deeper frontier components are reset to `-1` immediately (the
+//!   paper resets them lazily at the next descent, which as written can leave a stale
+//!   suffix and skip tuples; resetting eagerly is always sound because it only lowers
+//!   the frontier tail).
+//! * **Conflict-directed backjumping when caching is off.** Algorithm 6 (`truncate`)
+//!   walks from the exhausted bottom node to its first equality edge, which is only
+//!   available in chain mode. Without caching, the pseudocode's fallback is
+//!   chronological: bump position `d - 1` by one and re-scan level `d`. When no
+//!   pattern that covers level `d` mentions position `d - 1`, that re-scan dies again
+//!   for every value up to `domain_max` — O(domain × gaps) per dead prefix. Instead,
+//!   when level `d` is exhausted, let `j` be the deepest position `< d` at which the
+//!   root path of *any* chain node (a node with intervals that generalises the
+//!   prefix) carries an equality label. Every chain pattern is a wildcard on
+//!   `j+1..d`, so **if the chain covers the whole level** every tuple that agrees
+//!   with the frontier on `0..=j` lies in one of its gap boxes, whatever it holds on
+//!   `j+1..d`: position `j` is bumped, the tail reset, and the walk resumes at `j`
+//!   (no equality edge at all means the space is exhausted). "Whole level" matters:
+//!   values below the frontier value the scan started from were skipped for *this*
+//!   prefix only and may be free under a later value of `j+1..d`, so a scan that
+//!   started above `-1` is re-run from `-1` first, and a free value found there
+//!   falls back to the chronological bump. With `j == d - 1` the jump *is* the
+//!   chronological bump. Caching mode does not need any of this: there the cached
+//!   interval makes the bottom node itself cover the level and `truncate` rules the
+//!   branch out at its first equality edge. The jump learns nothing (no constraint
+//!   is inserted), so node and constraint counts are those of the chronological
+//!   walk.
 
 use crate::constraint::{Constraint, PatternComp};
 use crate::node::{Node, NodeId};
@@ -37,6 +61,14 @@ pub struct CdsStats {
     pub free_tuples: u64,
     /// Number of times a complete node answered a `getFreeValue` call (Idea 6).
     pub complete_node_hits: u64,
+    /// Turns of [`Cds::compute_free_tuple`]'s level loop (one `getFreeValue` each).
+    /// Per free tuple this should be O(depth + gaps crossed); a figure in the
+    /// thousands means the search is crawling through a dead region value by value.
+    pub free_tuple_steps: u64,
+    /// Exhausted levels left by a conflict-directed backjump — over at least one
+    /// irrelevant attribute, or straight out of the space (non-caching mode; see the
+    /// module docs).
+    pub backjumps: u64,
 }
 
 /// The constraint data structure.
@@ -65,6 +97,14 @@ pub struct Cds {
     /// Free values beyond it are treated as exhausted, which keeps every level's
     /// search bounded even when no constraint caps it yet.
     domain_max: Val,
+    /// Per-depth active sets of the walk in progress: the CDS nodes whose pattern
+    /// generalises the frontier prefix, with their specificity (number of equality
+    /// edges), most specific first. Owned so that a call refills them in place;
+    /// `active[0]` is always the root alone.
+    active: Vec<Vec<(NodeId, u32)>>,
+    /// Scratch: the chain (active nodes that constrain the level) of the level
+    /// being scanned.
+    chain: Vec<NodeId>,
     /// Statistics.
     pub stats: CdsStats,
 }
@@ -85,6 +125,8 @@ impl Cds {
     /// `(-1, …, -1)`.
     pub fn new(n: usize, caching: bool, complete_nodes: bool) -> Self {
         assert!(n > 0, "a query needs at least one variable");
+        let mut active = vec![Vec::new(); n];
+        active[0].push((0, 0));
         Cds {
             n,
             nodes: vec![Node::new()],
@@ -94,6 +136,8 @@ impl Cds {
             caching,
             complete_nodes: complete_nodes && caching,
             domain_max: POS_INF,
+            active,
+            chain: Vec::new(),
             stats: CdsStats::default(),
         }
     }
@@ -119,14 +163,13 @@ impl Cds {
 
     /// Replaces the frontier. The new frontier must be lexicographically `>=` the old
     /// one (the CDS never moves backwards).
-    pub fn set_frontier(&mut self, frontier: Vec<Val>) {
-        debug_assert_eq!(frontier.len(), self.n);
+    pub fn set_frontier(&mut self, frontier: &[Val]) {
         debug_assert!(
-            frontier.as_slice() >= self.frontier.as_slice(),
+            frontier >= self.frontier.as_slice(),
             "frontier may only move forward: {:?} -> {frontier:?}",
             self.frontier
         );
-        self.frontier = frontier;
+        self.frontier.copy_from_slice(frontier);
     }
 
     /// Read access to a node (for tests and diagnostics).
@@ -216,29 +259,23 @@ impl Cds {
     /// candidate because every value skipped so far was inside a stored
     /// (output-free) gap box.
     pub fn compute_free_tuple(&mut self) -> bool {
-        // Active sets: for each depth, the CDS nodes whose pattern generalises the
-        // current prefix, with their specificity (number of equality edges), sorted
-        // most-specific first.
-        let mut active: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); self.n];
-        active[0] = vec![(0, 0)];
         let mut depth: isize = 0;
 
         loop {
             if depth < 0 {
                 return false;
             }
+            self.stats.free_tuple_steps += 1;
             let d = depth as usize;
             let x = self.frontier[d];
-            let fv = self.get_free_value(x, &active[d], d);
+            let fv = self.get_free_value(x, d);
             if fv.backtracked {
                 depth = fv.resume_depth;
                 continue;
             }
             self.frontier[d] = fv.value;
             if fv.value > x {
-                for i in d + 1..self.n {
-                    self.frontier[i] = -1;
-                }
+                self.frontier[d + 1..].fill(-1);
             }
             if d + 1 == self.n {
                 self.stats.free_tuples += 1;
@@ -248,8 +285,10 @@ impl Cds {
             // Compute the next active set: children reached by the chosen label or by
             // a wildcard edge.
             let label = fv.value;
-            let mut next: Vec<(NodeId, u32)> = Vec::new();
-            for &(id, spec) in &active[d] {
+            let (upto, below) = self.active.split_at_mut(d + 1);
+            let next = &mut below[0];
+            next.clear();
+            for &(id, spec) in &upto[d] {
                 if let Some(c) = self.nodes[id].child(label) {
                     next.push((c, spec + 1));
                 }
@@ -258,9 +297,7 @@ impl Cds {
                 }
             }
             next.sort_by_key(|&(_, spec)| std::cmp::Reverse(spec));
-            let empty = next.is_empty();
-            active[d + 1] = next;
-            if empty {
+            if next.is_empty() {
                 // Algorithm 4, line 13–16: no CDS node generalises the prefix at the
                 // next level, hence none exists at any deeper level either (paths are
                 // connected), so the current frontier completion is already free.
@@ -277,20 +314,21 @@ impl Cds {
     /// `getFreeValue(x, G)` (Algorithm 5): the smallest value `>= x` not covered by
     /// any interval of the nodes in the chain for depth `d`, caching the scan into
     /// the bottom node (Idea 5), answering from complete nodes (Idea 6), and
-    /// triggering backtracking / truncation when the level is exhausted.
-    fn get_free_value(&mut self, x: Val, active_d: &[(NodeId, u32)], d: usize) -> FreeValue {
-        let chain: Vec<NodeId> = active_d
-            .iter()
-            .filter(|&&(id, _)| self.nodes[id].has_intervals() || self.nodes[id].is_complete())
-            .map(|&(id, _)| id)
-            .collect();
-        if chain.is_empty() {
+    /// triggering backtracking / truncation / backjumping when the level is
+    /// exhausted.
+    fn get_free_value(&mut self, x: Val, d: usize) -> FreeValue {
+        self.chain.clear();
+        for &(id, _) in &self.active[d] {
+            if self.nodes[id].has_intervals() || self.nodes[id].is_complete() {
+                self.chain.push(id);
+            }
+        }
+        let Some(&bottom) = self.chain.first() else {
             if x > self.domain_max {
                 return self.backtrack_bump(d);
             }
             return FreeValue { value: x, backtracked: false, resume_depth: d as isize };
-        }
-        let bottom = chain[0];
+        };
 
         // Idea 6: a complete bottom node already knows every value that can be free.
         if self.complete_nodes && self.nodes[bottom].is_complete() {
@@ -305,24 +343,7 @@ impl Cds {
             return FreeValue { value: y, backtracked: false, resume_depth: d as isize };
         }
 
-        // Ping-pong to a fixpoint across the chain.
-        let mut y = x;
-        loop {
-            let mut y2 = y;
-            for &id in &chain {
-                y2 = self.nodes[id].next(y2);
-            }
-            if y2 == y || y2 == POS_INF {
-                y = y2;
-                break;
-            }
-            y = y2;
-        }
-        // Values beyond the largest data value cannot be outputs: treat them as
-        // exhausted so unconstrained levels still terminate.
-        if y > self.domain_max {
-            y = POS_INF;
-        }
+        let y = self.chain_fixpoint(x);
 
         if self.caching {
             if y > x {
@@ -342,9 +363,66 @@ impl Cds {
             if self.complete_nodes {
                 self.nodes[bottom].record_wrap();
             }
+            if !self.caching {
+                return self.backjump(x, d);
+            }
             return self.backtrack_bump(d);
         }
         FreeValue { value: y, backtracked: false, resume_depth: d as isize }
+    }
+
+    /// Ping-pongs `x` across the current chain to a fixpoint: the smallest value
+    /// `>= x` outside every chain interval. Values beyond the largest data value
+    /// cannot be outputs and are reported as `POS_INF` (exhausted), so unconstrained
+    /// levels still terminate.
+    fn chain_fixpoint(&self, x: Val) -> Val {
+        let mut y = x;
+        loop {
+            let y2 = self.chain.iter().fold(y, |y, &id| self.nodes[id].next(y));
+            let settled = y2 == y || y2 == POS_INF;
+            y = y2;
+            if settled {
+                break;
+            }
+        }
+        if y > self.domain_max {
+            POS_INF
+        } else {
+            y
+        }
+    }
+
+    /// Leaves level `d`, found exhausted from `x` upwards by the current chain, in
+    /// non-caching mode (the module docs carry the soundness argument): jumps to the
+    /// deepest position any chain pattern pins by equality when the chain covers the
+    /// whole level, and falls back to [`backtrack_bump`](Self::backtrack_bump) when
+    /// that position is `d - 1` anyway or a value below `x` is still free.
+    fn backjump(&mut self, x: Val, d: usize) -> FreeValue {
+        let mut meet: Option<usize> = None;
+        for &id in &self.chain {
+            let mut cur = id;
+            for pos in (0..d).rev() {
+                let (parent, label) = self.parents[cur];
+                if label.is_some() {
+                    meet = meet.max(Some(pos));
+                    break;
+                }
+                cur = parent;
+            }
+        }
+        if d == 0 || meet == Some(d - 1) || (x > -1 && self.chain_fixpoint(-1) != POS_INF) {
+            return self.backtrack_bump(d);
+        }
+        self.stats.backjumps += 1;
+        let resume_depth = match meet {
+            Some(j) => {
+                self.frontier[j] += 1;
+                self.frontier[j + 1..].fill(-1);
+                j as isize
+            }
+            None => -1,
+        };
+        FreeValue { value: POS_INF, backtracked: true, resume_depth }
     }
 
     /// Backtracking when a level has no free value `>=` its frontier value: move to
@@ -352,9 +430,7 @@ impl Cds {
     fn backtrack_bump(&mut self, d: usize) -> FreeValue {
         if d >= 1 {
             self.frontier[d - 1] += 1;
-            for i in d..self.n {
-                self.frontier[i] = -1;
-            }
+            self.frontier[d..].fill(-1);
         }
         FreeValue { value: POS_INF, backtracked: true, resume_depth: d as isize - 1 }
     }
@@ -463,7 +539,7 @@ mod tests {
         let mut cds = Cds::new(3, true, true);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[-1, -1, -1]);
-        cds.set_frontier(vec![4, 2, 7]);
+        cds.set_frontier(&[4, 2, 7]);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[4, 2, 7]);
     }
@@ -485,11 +561,11 @@ mod tests {
         let mut cds = Cds::new(2, true, true);
         // Under first attribute = 3, the second attribute is blocked below 8.
         cds.insert_constraint(&c(vec![Eq(3)], (NEG_INF, 8)));
-        cds.set_frontier(vec![3, -1]);
+        cds.set_frontier(&[3, -1]);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[3, 8]);
         // Under a different first value the constraint does not apply.
-        cds.set_frontier(vec![4, -1]);
+        cds.set_frontier(&[4, -1]);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[4, -1]);
     }
@@ -498,7 +574,7 @@ mod tests {
     fn wildcard_gaps_apply_to_every_prefix() {
         let mut cds = Cds::new(3, true, true);
         cds.insert_constraint(&c(vec![Wildcard, Wildcard], (NEG_INF, 4)));
-        cds.set_frontier(vec![7, 2, -1]);
+        cds.set_frontier(&[7, 2, -1]);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[7, 2, 4]);
     }
@@ -516,7 +592,7 @@ mod tests {
         let mut cds = Cds::new(2, true, true);
         // Under first attribute = 2 the second attribute is fully covered.
         cds.insert_constraint(&c(vec![Eq(2)], (NEG_INF, POS_INF)));
-        cds.set_frontier(vec![2, -1]);
+        cds.set_frontier(&[2, -1]);
         assert!(cds.compute_free_tuple());
         // The CDS must move past first attribute 2 entirely.
         assert!(cds.frontier()[0] >= 3, "frontier {:?}", cds.frontier());
@@ -527,7 +603,7 @@ mod tests {
         let mut cds = Cds::new(3, true, true);
         // Under (1, 5) the third attribute is fully covered.
         cds.insert_constraint(&c(vec![Eq(1), Eq(5)], (NEG_INF, POS_INF)));
-        cds.set_frontier(vec![1, 5, -1]);
+        cds.set_frontier(&[1, 5, -1]);
         assert!(cds.compute_free_tuple());
         let f = cds.frontier().to_vec();
         assert!(f.as_slice() > [1, 5, POS_INF - 1].as_slice() || f[1] != 5, "frontier {f:?}");
@@ -540,17 +616,19 @@ mod tests {
     #[test]
     fn frontier_never_moves_backwards() {
         let mut cds = Cds::new(2, true, true);
-        cds.set_frontier(vec![5, 5]);
+        cds.set_frontier(&[5, 5]);
         assert!(cds.compute_free_tuple());
         assert!(cds.frontier() >= &[5, 5][..]);
     }
 
+    // The check is a `debug_assert!`, so there is nothing to observe in release.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "forward")]
     fn set_frontier_rejects_backward_moves() {
         let mut cds = Cds::new(2, true, true);
-        cds.set_frontier(vec![5, 5]);
-        cds.set_frontier(vec![4, 0]);
+        cds.set_frontier(&[5, 5]);
+        cds.set_frontier(&[4, 0]);
     }
 
     #[test]
@@ -559,7 +637,7 @@ mod tests {
         // Two constraints at different nodes of the chain for attribute 1.
         cds.insert_constraint(&c(vec![Wildcard], (2, 6)));
         cds.insert_constraint(&c(vec![Eq(1)], (5, 9)));
-        cds.set_frontier(vec![1, 3]);
+        cds.set_frontier(&[1, 3]);
         assert!(cds.compute_free_tuple());
         // 3..8 are covered by the union of the two gaps; the first free value is 9.
         assert_eq!(cds.frontier(), &[1, 9]);
@@ -574,9 +652,53 @@ mod tests {
         let mut cds = Cds::new(2, false, false);
         cds.insert_constraint(&c(vec![Wildcard], (2, 6)));
         cds.insert_constraint(&c(vec![Eq(1)], (5, 9)));
-        cds.set_frontier(vec![1, 3]);
+        cds.set_frontier(&[1, 3]);
         assert!(cds.compute_free_tuple());
         assert_eq!(cds.frontier(), &[1, 9]);
         assert_eq!(cds.stats.cached_intervals, 0);
+    }
+
+    #[test]
+    fn backjump_skips_an_irrelevant_attribute_in_o_gaps_steps() {
+        let a = 7;
+        let mut cds = Cds::new(3, false, false).with_domain_max(1_000_000);
+        // Under `a` level 2 is covered by gaps that never mention the middle attribute.
+        cds.insert_constraint(&c(vec![Eq(a), Wildcard], (NEG_INF, 10)));
+        cds.insert_constraint(&c(vec![Wildcard, Wildcard], (9, POS_INF)));
+        cds.set_frontier(&[a, -1, -1]);
+        assert!(cds.compute_free_tuple());
+        // Every (a, *, *) is dead; chronological backtracking would bump the middle
+        // value a million times before noticing.
+        assert_eq!(cds.frontier(), &[a + 1, -1, -1]);
+        assert!(cds.stats.free_tuple_steps <= 8, "steps: {}", cds.stats.free_tuple_steps);
+        assert!(cds.stats.backjumps >= 1);
+        assert_eq!(cds.stats.constraints_inserted, 2, "the jump learns nothing");
+        assert_eq!(cds.num_nodes(), 5);
+    }
+
+    #[test]
+    fn backjump_requires_the_whole_level_to_be_covered() {
+        let a = 7;
+        let mut cds = Cds::new(3, false, false).with_domain_max(1_000_000);
+        // Neither pattern mentions the middle attribute, but under `a` they cover
+        // level 2 from 5 upwards only.
+        cds.insert_constraint(&c(vec![Eq(a), Wildcard], (4, POS_INF)));
+        cds.insert_constraint(&c(vec![Wildcard, Wildcard], (20, 30)));
+        // The frontier stands at 5 because (a, 3, 0..=4) were stepped over one by one
+        // (outputs, say): those values were skipped for middle value 3 only.
+        cds.set_frontier(&[a, 3, 5]);
+        assert!(cds.compute_free_tuple());
+        assert_eq!(cds.frontier(), &[a, 4, -1], "a jump past `a` would lose (a, 4, 0..=4)");
+        assert_eq!(cds.stats.backjumps, 0);
+    }
+
+    #[test]
+    fn all_wildcard_chain_covering_a_level_exhausts_the_space() {
+        let mut cds = Cds::new(3, false, false).with_domain_max(1_000_000);
+        cds.insert_constraint(&c(vec![Wildcard, Wildcard], (NEG_INF, POS_INF)));
+        cds.set_frontier(&[2, 5, -1]);
+        assert!(!cds.compute_free_tuple());
+        assert!(cds.stats.free_tuple_steps <= 4, "steps: {}", cds.stats.free_tuple_steps);
+        assert_eq!(cds.stats.backjumps, 1);
     }
 }

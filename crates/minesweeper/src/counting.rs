@@ -13,9 +13,8 @@ use gj_query::BoundQuery;
 use gj_storage::{Val, POS_INF};
 
 /// Counts the outputs that share `t`'s first `n-1` attributes and whose last
-/// attribute is `>= t[n-1]` (subject to the query's order filters), and returns the
-/// frontier that skips past the whole block (`None` when the query has a single
-/// variable, in which case everything has been counted).
+/// attribute is `>= t[n-1]` (subject to the query's order filters). The caller moves
+/// the frontier past the whole block.
 ///
 /// Precondition: `t` itself has been verified to be an output.
 pub fn count_last_level_run(
@@ -23,7 +22,7 @@ pub fn count_last_level_run(
     probers: &[AtomProber],
     filters: &[Vec<(usize, bool)>],
     t: &[Val],
-) -> (u64, Option<Vec<Val>>) {
+) -> u64 {
     let n = bq.num_vars();
     let last = n - 1;
 
@@ -65,18 +64,17 @@ pub fn count_last_level_run(
             Some(list) => lists.push(list),
             // `t` was verified as an output, so the prefix must exist; be defensive
             // anyway and fall back to counting just `t`.
-            None => return (1, bump_prefix(t)),
+            None => return 1,
         }
     }
     let slices: Vec<&[Val]> = lists.iter().map(|l| &**l).collect();
     if slices.is_empty() {
         // Every variable of a valid query occurs in some atom, so this cannot happen;
         // count just the verified tuple to stay safe.
-        return (1, bump_prefix(t));
+        return 1;
     }
 
-    let count = intersect_count(&slices, lower, upper);
-    (count.max(1), bump_prefix(t))
+    intersect_count(&slices, lower, upper).max(1)
 }
 
 /// Counts the values present in every sorted slice within `[lower, upper)`.
@@ -120,19 +118,6 @@ fn intersect_count(slices: &[&[Val]], lower: Val, upper: Val) -> u64 {
     count
 }
 
-/// The frontier that skips every remaining tuple sharing `t`'s first `n-1`
-/// attributes: position `n-2` is incremented and the last position resets.
-fn bump_prefix(t: &[Val]) -> Option<Vec<Val>> {
-    if t.len() < 2 {
-        return None;
-    }
-    let mut f = t.to_vec();
-    let n = f.len();
-    f[n - 1] = -1;
-    f[n - 2] += 1;
-    Some(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,11 +130,5 @@ mod tests {
         assert_eq!(intersect_count(&[&[1, 2, 3]], 2, 4), 2);
         assert_eq!(intersect_count(&[&[1, 2], &[3, 4]], 0, POS_INF), 0);
         assert_eq!(intersect_count(&[&[], &[1]], 0, POS_INF), 0);
-    }
-
-    #[test]
-    fn bump_prefix_increments_the_second_to_last() {
-        assert_eq!(bump_prefix(&[4, 7, 9]), Some(vec![4, 8, -1]));
-        assert_eq!(bump_prefix(&[4]), None);
     }
 }

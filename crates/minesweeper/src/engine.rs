@@ -110,6 +110,11 @@ pub struct MsStats {
     /// Number of carried-over constraints the run's CDS was re-seeded with (they
     /// are also counted by `constraints_inserted`).
     pub carried_constraints: u64,
+    /// Turns of the CDS free-tuple search (`CdsStats::free_tuple_steps`). A healthy
+    /// run spends a small constant number per iteration.
+    pub free_tuple_steps: u64,
+    /// Conflict-directed backjumps taken by the CDS (non-chain mode only).
+    pub backjumps: u64,
 }
 
 impl MsStats {
@@ -127,6 +132,8 @@ impl MsStats {
         self.complete_node_hits += other.complete_node_hits;
         self.cds_nodes = self.cds_nodes.max(other.cds_nodes);
         self.carried_constraints += other.carried_constraints;
+        self.free_tuple_steps += other.free_tuple_steps;
+        self.backjumps += other.backjumps;
     }
 }
 
@@ -170,6 +177,12 @@ pub struct MinesweeperExecutor<'a> {
     /// One-shot executors never arm, so plain serial runs pay no recording cost;
     /// the morsel worker lifecycle arms its executors because it will harvest.
     carry_armed: bool,
+    /// The free tuple being probed: a copy of the CDS frontier, which the probes'
+    /// constraint inserts would otherwise hold borrowed. Reused across iterations.
+    t: Vec<Val>,
+    /// Where the frontier moves after this iteration; raised in place by
+    /// [`successor`] and [`escape`]. Reused across iterations.
+    advance: Vec<Val>,
 }
 
 /// Ledger cap: beyond this many carried constraints the per-run re-seeding cost
@@ -219,6 +232,8 @@ impl<'a> MinesweeperExecutor<'a> {
             carry_seen: std::collections::HashSet::new(),
             fresh_carry: Vec::new(),
             carry_armed: false,
+            t: vec![-1; bq.num_vars()],
+            advance: vec![-1; bq.num_vars()],
         }
     }
 
@@ -367,7 +382,6 @@ impl<'a> MinesweeperExecutor<'a> {
         ctx: &ExecCtx<'_>,
         emit: &mut F,
     ) -> MsStats {
-        let n = self.bq.num_vars();
         let mut watch = ctx.watch();
         // The CDS is owned by the executor and recycled (arena and all) across runs;
         // the probers keep their Idea 4 memos, which stay valid because gap boxes
@@ -393,22 +407,25 @@ impl<'a> MinesweeperExecutor<'a> {
         stats.carried_constraints = self.carry.len() as u64;
 
         if let Some((lo, _)) = self.range0 {
-            let mut start = vec![-1; n];
             // The moving frontier encodes "before everything" as -1 (the paper's
             // natural-number domains; NEG_INF is reserved for gap sentinels), so
             // a morsel's open lower end is clamped to that convention — the same
             // starting frontier an unrestricted run uses.
-            start[0] = lo.max(-1);
-            self.cds.set_frontier(start);
+            self.advance.fill(-1);
+            self.advance[0] = lo.max(-1);
+            self.cds.set_frontier(&self.advance);
         }
 
+        // Steady state (no new gap discovered) allocates nothing: `t` and `advance`
+        // are the executor's buffers, the CDS refills its own scratch, and a probe
+        // lends its gap out of the prober's memo.
         loop {
             if !self.cds.compute_free_tuple() {
                 break;
             }
-            let t = self.cds.frontier().to_vec();
+            self.t.copy_from_slice(self.cds.frontier());
             if let Some((_, hi)) = self.range0 {
-                if t[0] >= hi {
+                if self.t[0] >= hi {
                     break;
                 }
             }
@@ -418,7 +435,7 @@ impl<'a> MinesweeperExecutor<'a> {
             }
 
             // The frontier always advances at least past `t` (Idea 2 / termination).
-            let mut advance = successor(&t);
+            successor(&mut self.advance, &self.t);
             let mut exhausted = false;
             let mut any_gap = false;
 
@@ -429,86 +446,68 @@ impl<'a> MinesweeperExecutor<'a> {
             // attributes, which is what guarantees termination.
             for (pos, checks) in self.filters.iter().enumerate() {
                 for &(other, other_is_smaller) in checks {
-                    let violated =
-                        if other_is_smaller { t[pos] <= t[other] } else { t[pos] >= t[other] };
+                    let (here, there) = (self.t[pos], self.t[other]);
+                    let violated = if other_is_smaller { here <= there } else { here >= there };
                     if violated {
                         any_gap = true;
-                        let escape_to = if other_is_smaller { t[other] + 1 } else { POS_INF };
-                        match escape(&t, pos, escape_to) {
-                            Some(f) => {
-                                if f > advance {
-                                    advance = f;
-                                }
-                            }
-                            None => exhausted = true,
-                        }
+                        let escape_to = if other_is_smaller { there + 1 } else { POS_INF };
+                        exhausted |= !escape(&mut self.advance, &self.t, pos, escape_to);
                     }
                 }
             }
 
             for prober in &mut self.probers {
-                match prober.probe(&t, self.config.idea4_gap_memo, &mut probe_stats) {
+                let skeleton = prober.skeleton;
+                match prober.probe(&self.t, self.config.idea4_gap_memo, &mut probe_stats) {
                     ProbeOutcome::Member => {}
                     ProbeOutcome::Gap { constraint, newly_discovered } => {
                         any_gap = true;
-                        if prober.skeleton {
+                        if skeleton {
                             if newly_discovered {
-                                self.cds.insert_constraint(&constraint);
+                                self.cds.insert_constraint(constraint);
                                 // Only skeleton gaps may re-enter the CDS later
                                 // (Idea 7's caching soundness), and only the
                                 // first-attribute-independent ones outlive a
                                 // morsel. Constraints already in the ledger are
                                 // not staged again.
                                 if self.carry_armed
-                                    && Self::carries_across_morsels(&constraint)
-                                    && !self.carry_seen.contains(&constraint)
+                                    && Self::carries_across_morsels(constraint)
+                                    && !self.carry_seen.contains(constraint)
                                 {
-                                    self.fresh_carry.push(constraint);
+                                    self.fresh_carry.push(constraint.clone());
                                 }
                             }
                         } else {
-                            match escape_from_constraint(&t, &constraint) {
-                                Some(f) => {
-                                    if f > advance {
-                                        advance = f;
-                                    }
-                                }
-                                None => exhausted = true,
-                            }
+                            // Idea 7: a non-skeleton gap only advances the frontier.
+                            debug_assert!(constraint.covers(&self.t));
+                            let (pos, escape_to) =
+                                (constraint.interval_pos(), constraint.interval.1);
+                            exhausted |= !escape(&mut self.advance, &self.t, pos, escape_to);
                         }
                     }
                 }
             }
 
             if !any_gap {
-                if self.config.idea8_batch_counting {
-                    let (run, next) =
-                        count_last_level_run(self.bq, &self.probers, &self.filters, &t);
-                    stats.results += run;
-                    let flow = emit(&t, run);
-                    match next {
-                        Some(f) => {
-                            if f > advance {
-                                advance = f;
-                            }
-                        }
-                        None => exhausted = true,
-                    }
-                    if flow.is_break() {
-                        break;
-                    }
+                let run = if self.config.idea8_batch_counting {
+                    // The whole run of outputs sharing `t`'s first `n - 1` values is
+                    // counted at once, and the frontier leaves the block.
+                    let last = self.t.len() - 1;
+                    exhausted |= !escape(&mut self.advance, &self.t, last, POS_INF);
+                    count_last_level_run(self.bq, &self.probers, &self.filters, &self.t)
                 } else {
-                    stats.results += 1;
-                    if emit(&t, 1).is_break() {
-                        break;
-                    }
+                    1
+                };
+                stats.results += run;
+                if emit(&self.t, run).is_break() {
+                    break;
                 }
             }
 
             if exhausted {
                 break;
             }
-            self.cds.set_frontier(advance);
+            self.cds.set_frontier(&self.advance);
         }
 
         stats.probes = probe_stats.probes;
@@ -518,6 +517,8 @@ impl<'a> MinesweeperExecutor<'a> {
         stats.truncations = self.cds.stats.truncations;
         stats.complete_node_hits = self.cds.stats.complete_node_hits;
         stats.cds_nodes = self.cds.num_nodes() as u64;
+        stats.free_tuple_steps = self.cds.stats.free_tuple_steps;
+        stats.backjumps = self.cds.stats.backjumps;
         stats
     }
 
@@ -527,43 +528,39 @@ impl<'a> MinesweeperExecutor<'a> {
     }
 }
 
-/// The lexicographic successor of `t` (last component incremented).
-fn successor(t: &[Val]) -> Vec<Val> {
-    let mut s = t.to_vec();
-    if let Some(last) = s.last_mut() {
+/// Writes the lexicographic successor of `t` (last component incremented) into
+/// `advance`.
+fn successor(advance: &mut [Val], t: &[Val]) {
+    advance.copy_from_slice(t);
+    if let Some(last) = advance.last_mut() {
         *last += 1;
     }
-    s
 }
 
-/// The smallest tuple `> t` outside the band "positions `0..pos` equal to `t`,
-/// position `pos` in `[t[pos], escape_to)`": position `pos` jumps to `escape_to` and
-/// the deeper positions reset. When `escape_to` is `POS_INF` the band extends to the
-/// end of the axis, so the escape has to increment position `pos - 1` instead;
-/// returns `None` when that is impossible (`pos == 0`), i.e. the whole remaining
-/// space is exhausted.
-fn escape(t: &[Val], pos: usize, escape_to: Val) -> Option<Vec<Val>> {
-    let mut f = t.to_vec();
-    for x in f.iter_mut().skip(pos + 1) {
-        *x = -1;
-    }
-    if escape_to < POS_INF {
-        f[pos] = escape_to;
-        Some(f)
+/// Raises `advance` to at least the smallest tuple `> t` outside the band "positions
+/// `0..pos` equal to `t`, position `pos` in `[t[pos], escape_to)`": position `pos`
+/// jumps to `escape_to` and the deeper positions reset. When `escape_to` is `POS_INF`
+/// the band extends to the end of the axis, so the escape has to increment position
+/// `pos - 1` instead; returns `false` when that is impossible (`pos == 0`), i.e. the
+/// whole remaining space is exhausted.
+///
+/// `advance` must already be `> t` (it starts as [`successor`]), which is what lets
+/// the maximum be taken in place: the escape tuple is `t[..p]`, a value `v > t[p]`,
+/// then `-1`s, so it exceeds `advance` exactly when `advance` still agrees with `t`
+/// before `p` and holds less than `v` there.
+fn escape(advance: &mut [Val], t: &[Val], pos: usize, escape_to: Val) -> bool {
+    let (p, v) = if escape_to < POS_INF {
+        (pos, escape_to)
     } else if pos > 0 {
-        f[pos] = -1;
-        f[pos - 1] += 1;
-        Some(f)
+        (pos - 1, t[pos - 1] + 1)
     } else {
-        None
+        return false;
+    };
+    if advance[..p] == t[..p] && advance[p] < v {
+        advance[p] = v;
+        advance[p + 1..].fill(-1);
     }
-}
-
-/// Escape past a gap constraint that covers `t` (Idea 7: gaps from non-skeleton atoms
-/// only advance the frontier).
-fn escape_from_constraint(t: &[Val], c: &Constraint) -> Option<Vec<Val>> {
-    debug_assert!(c.covers(t), "escape requires the constraint to cover the tuple");
-    escape(t, c.interval_pos(), c.interval.1)
+    true
 }
 
 /// Counts the output of the bound query with Minesweeper.
@@ -616,6 +613,40 @@ mod tests {
         inst.add_relation("v3", Relation::from_values(vec![0, 2]));
         inst.add_relation("v4", Relation::from_values(vec![1, 4]));
         inst
+    }
+
+    /// The escape tuple itself: what [`escape`] folds into `advance` in place.
+    fn escape_tuple(t: &[Val], pos: usize, escape_to: Val) -> Option<Vec<Val>> {
+        let (p, v) = match (escape_to < POS_INF, pos) {
+            (true, _) => (pos, escape_to),
+            (false, 0) => return None,
+            (false, _) => (pos - 1, t[pos - 1] + 1),
+        };
+        let mut f = t[..p].to_vec();
+        f.push(v);
+        f.resize(t.len(), -1);
+        Some(f)
+    }
+
+    #[test]
+    fn escape_raises_advance_to_the_lexicographic_maximum() {
+        let t = [3, 5, -1, 7];
+        let escapes = [(3, 9), (3, POS_INF), (2, 0), (2, POS_INF), (1, 6), (1, POS_INF), (0, 4)];
+        for first in escapes {
+            for second in escapes {
+                let mut advance = vec![0; t.len()];
+                successor(&mut advance, &t);
+                let mut expected = advance.clone();
+                for (pos, escape_to) in [first, second] {
+                    assert!(escape(&mut advance, &t, pos, escape_to));
+                    expected = expected.max(escape_tuple(&t, pos, escape_to).unwrap());
+                }
+                assert_eq!(advance, expected, "{first:?} then {second:?}");
+            }
+        }
+        let mut advance = vec![3, 5, -1, 8];
+        assert!(!escape(&mut advance, &t, 0, POS_INF), "nothing lies beyond position 0");
+        assert_eq!(advance, [3, 5, -1, 8]);
     }
 
     #[test]

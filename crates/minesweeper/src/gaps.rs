@@ -19,14 +19,15 @@ use gj_storage::{ProbeResult, TrieIndex, Val, POS_INF};
 use std::sync::Arc;
 
 /// Outcome of probing one atom around a free tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProbeOutcome {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeOutcome<'a> {
     /// The projection of the free tuple is a member of the relation.
     Member,
     /// The projection is not a member; `constraint` is the maximal gap box around it
-    /// (in GAO space). `newly_discovered` is `false` when the gap was answered from
-    /// the Idea 4 memo (it is already known to the CDS).
-    Gap { constraint: Constraint, newly_discovered: bool },
+    /// (in GAO space), borrowed from the prober's memo. `newly_discovered` is `false`
+    /// when the gap was answered from the Idea 4 memo (it is already known to the
+    /// CDS).
+    Gap { constraint: &'a Constraint, newly_discovered: bool },
 }
 
 /// Per-atom prober: projection bookkeeping plus the Idea 4 memo.
@@ -42,9 +43,15 @@ pub struct AtomProber {
     positions: Vec<usize>,
     /// The atom's GAO-consistent trie index.
     index: Arc<TrieIndex>,
-    /// Idea 4 memo: the last gap constraint produced, with the index level that
-    /// carried the interval.
-    memo: Option<(Constraint, usize)>,
+    /// Idea 4 memo: the last gap constraint produced, rewritten in place by every
+    /// probe that finds a gap (so its pattern buffer is allocated once). It is kept
+    /// whether or not Idea 4 is enabled, because it is also the storage
+    /// [`probe`](Self::probe) lends its gap out of. Meaningless until `memo_level`
+    /// is set.
+    memo: Constraint,
+    /// The index level that carried the memoised interval; `None` until the first
+    /// gap.
+    memo_level: Option<usize>,
     /// Whether the memo predates the current run (see [`begin_run`](Self::begin_run)).
     memo_stale: bool,
     /// Scratch buffer for projections.
@@ -72,7 +79,8 @@ impl AtomProber {
             scratch: vec![0; positions.len()],
             positions,
             index: Arc::clone(&bound_atom.index),
-            memo: None,
+            memo: Constraint { pattern: Vec::new(), interval: (0, 0) },
+            memo_level: None,
             memo_stale: false,
         }
     }
@@ -83,7 +91,7 @@ impl AtomProber {
     /// engine re-inserts the constraint into the empty CDS — otherwise the frontier
     /// would crawl through the remembered gap value by value.
     pub fn begin_run(&mut self) {
-        self.memo_stale = self.memo.is_some();
+        self.memo_stale = self.memo_level.is_some();
     }
 
     /// The GAO positions of the atom's attributes.
@@ -100,31 +108,29 @@ impl AtomProber {
     }
 
     /// Probes the relation around the free tuple `t` (in GAO order).
-    pub fn probe(&mut self, t: &[Val], use_memo: bool, stats: &mut ProbeStats) -> ProbeOutcome {
+    pub fn probe(&mut self, t: &[Val], use_memo: bool, stats: &mut ProbeStats) -> ProbeOutcome<'_> {
         // Idea 4: answer from the memo when possible.
-        if use_memo {
-            if let Some((c, level)) = &self.memo {
-                if c.pattern_matches(t) {
-                    let v = t[c.interval_pos()];
-                    let (lo, hi) = c.interval;
-                    if lo < v && v < hi {
-                        stats.probes_skipped += 1;
-                        // A memo carried over from a previous run answers its first
-                        // hit as newly discovered: the (reset) CDS has not seen it.
-                        let newly_discovered = std::mem::replace(&mut self.memo_stale, false);
-                        return ProbeOutcome::Gap { constraint: c.clone(), newly_discovered };
-                    }
-                    // On the finite endpoint of a last-attribute interval the
-                    // projection is a member: the endpoint came from the index, and
-                    // there is no deeper attribute left to check.
-                    if *level + 1 == self.positions.len()
-                        && (v == lo || v == hi)
-                        && v > gj_storage::NEG_INF
-                        && v < POS_INF
-                    {
-                        stats.probes_skipped += 1;
-                        return ProbeOutcome::Member;
-                    }
+        if let (true, Some(level)) = (use_memo, self.memo_level) {
+            if self.memo.pattern_matches(t) {
+                let v = t[self.memo.interval_pos()];
+                let (lo, hi) = self.memo.interval;
+                if lo < v && v < hi {
+                    stats.probes_skipped += 1;
+                    // A memo carried over from a previous run answers its first
+                    // hit as newly discovered: the (reset) CDS has not seen it.
+                    let newly_discovered = std::mem::replace(&mut self.memo_stale, false);
+                    return ProbeOutcome::Gap { constraint: &self.memo, newly_discovered };
+                }
+                // On the finite endpoint of a last-attribute interval the
+                // projection is a member: the endpoint came from the index, and
+                // there is no deeper attribute left to check.
+                if level + 1 == self.positions.len()
+                    && (v == lo || v == hi)
+                    && v > gj_storage::NEG_INF
+                    && v < POS_INF
+                {
+                    stats.probes_skipped += 1;
+                    return ProbeOutcome::Member;
                 }
             }
         }
@@ -136,24 +142,26 @@ impl AtomProber {
         match self.index.probe(&self.scratch) {
             ProbeResult::Found => ProbeOutcome::Member,
             ProbeResult::Gap { depth, lower, upper } => {
-                let constraint = self.gap_to_constraint(t, depth, lower, upper);
-                self.memo = Some((constraint.clone(), depth));
-                self.memo_stale = false;
-                ProbeOutcome::Gap { constraint, newly_discovered: true }
+                self.memoise_gap(t, depth, lower, upper);
+                ProbeOutcome::Gap { constraint: &self.memo, newly_discovered: true }
             }
         }
     }
 
-    /// Translates an index-level gap into a GAO-space constraint (Idea 3): equality
+    /// Translates an index-level gap into a GAO-space constraint (Idea 3) — equality
     /// components at the atom's earlier attributes, wildcards elsewhere, and the open
-    /// interval at the failing attribute's GAO position.
-    fn gap_to_constraint(&self, t: &[Val], level: usize, lower: Val, upper: Val) -> Constraint {
-        let interval_pos = self.positions[level];
-        let mut pattern = vec![PatternComp::Wildcard; interval_pos];
+    /// interval at the failing attribute's GAO position — overwriting the memo.
+    fn memoise_gap(&mut self, t: &[Val], level: usize, lower: Val, upper: Val) {
+        debug_assert!(lower < upper, "the index reports non-empty gaps: ({lower}, {upper})");
+        let pattern = &mut self.memo.pattern;
+        pattern.clear();
+        pattern.resize(self.positions[level], PatternComp::Wildcard);
         for &p in &self.positions[..level] {
             pattern[p] = PatternComp::Eq(t[p]);
         }
-        Constraint::new(pattern, (lower, upper))
+        self.memo.interval = (lower, upper);
+        self.memo_level = Some(level);
+        self.memo_stale = false;
     }
 }
 

@@ -1,0 +1,98 @@
+//! Allocation guard for the Minesweeper outer loop: in steady state (no new gap
+//! discovered) an iteration must not touch the heap. The executor owns its `t` /
+//! `advance` buffers, the CDS refills its own active-set stack and chain scratch,
+//! and a probe lends its gap out of the prober's memo, so on a *second* run over one
+//! executor — node arena, point lists and memo buffers already grown — the only
+//! allocations left are the ones a CDS insert can cause. The bound is therefore a
+//! multiple of `constraints_inserted`, never of `iterations`.
+
+use gj_minesweeper::{MinesweeperExecutor, MsConfig};
+use gj_query::{BoundQuery, CatalogQuery, Instance};
+use gj_storage::{Graph, Relation};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap acquisitions (`alloc` + `realloc`) made by this thread. Per thread, so
+    /// the test harness's own threads do not leak into the measurement.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator outlives thread-local teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised `Cell<u64>` with no
+// destructor, so touching it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: same contract as `System.alloc`, which receives `layout` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: same contract as `System.dealloc`: `ptr` was handed out by `System`
+    // through this allocator with this `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: same contract as `System.realloc`: `ptr` was handed out by `System`
+    // through this allocator with this `layout`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// A sparse random graph with two node samples: the 3-path workload in miniature.
+fn sampled_instance(seed: u64, n: u32, p: f64) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let edges: Vec<(u32, u32)> =
+        (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).filter(|_| rng.gen_bool(p)).collect();
+    let mut inst = Instance::new();
+    inst.add_relation("edge", Graph::new_undirected(n as usize, edges).edge_relation());
+    inst.add_relation("v1", Relation::from_values((0..n as i64).step_by(3)));
+    inst.add_relation("v2", Relation::from_values((1..n as i64).step_by(2)));
+    inst
+}
+
+#[test]
+fn a_warm_executor_allocates_per_constraint_not_per_iteration() {
+    let inst = sampled_instance(7, 120, 0.05);
+    let query = CatalogQuery::ThreePath.query();
+    let bq = BoundQuery::new(&inst, &query, None).unwrap();
+    let mut exec = MinesweeperExecutor::new(&bq, MsConfig::default());
+
+    let cold = exec.run(&mut |_, _| {});
+    let before = ALLOCATIONS.with(Cell::get);
+    let warm = exec.run(&mut |_, _| {});
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+
+    assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
+    // Nothing per iteration; per inserted constraint at most a point-list growth and
+    // an arena growth; the constant covers per-run setup.
+    let bound = 2 * warm.constraints_inserted + 16;
+    assert!(
+        bound < warm.iterations,
+        "vacuous: {} iterations cannot exceed the bound {bound}",
+        warm.iterations
+    );
+    assert!(
+        allocations <= bound,
+        "{allocations} allocations on a warm run of {} iterations / {} constraints (bound {bound})",
+        warm.iterations,
+        warm.constraints_inserted
+    );
+}

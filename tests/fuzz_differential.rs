@@ -112,10 +112,17 @@ fn random_query(rng: &mut StdRng, case: u64) -> Query {
 }
 
 /// The general-purpose engines every case must agree on.
-fn fuzz_engines() -> [Engine; 4] {
+fn fuzz_engines() -> [Engine; 5] {
     [
         Engine::Lftj,
         Engine::Minesweeper(MsConfig::default()),
+        // Caching off takes every query — the binary acyclic ones included — out of
+        // chain mode, where exhausted levels are left by conflict-directed backjumps.
+        Engine::Minesweeper(MsConfig {
+            idea5_caching: false,
+            idea6_complete_nodes: false,
+            ..MsConfig::default()
+        }),
         Engine::HashJoin(ExecLimits::default()),
         Engine::SortMergeJoin(ExecLimits::default()),
     ]

@@ -3,8 +3,9 @@
 //! reflect what each idea is supposed to do. These are the correctness counterparts
 //! of the speed-up Tables 1–3.
 
+use gj_datagen::{LdbcConfig, SocialNetwork};
 use gj_minesweeper::{run, MsConfig};
-use graphjoin::{workload_database, BoundQuery, CatalogQuery, Engine, Graph};
+use graphjoin::{workload_database, BoundQuery, CatalogQuery, Database, Engine, Graph, LdbcQuery};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -142,5 +143,37 @@ fn non_neo_gaos_still_count_correctly() {
     for gao in gaos {
         let got = db.count_with_gao(&q, &Engine::minesweeper(), Some(gao.clone())).unwrap();
         assert_eq!(got, expected, "GAO {gao:?}");
+    }
+}
+
+/// The former cliff: `mutual-fans` joins two arity-3 `likes` atoms, so it runs
+/// outside chain mode, and its level `b` is exhausted by gaps that never mention
+/// `d1`. The free-tuple search must leave such a level by a backjump — a constant
+/// number of steps per iteration — not by crawling `d1` up to the largest value
+/// (≈ 500 steps per iteration at 112 persons, ≈ 4 000 at 256, before the backjump).
+#[test]
+fn mutual_fans_free_tuple_search_is_linear_in_iterations() {
+    let query = LdbcQuery::MutualFans.query();
+    for persons in [112, 256] {
+        let config = LdbcConfig { persons, tags: (persons / 8).max(16), ..LdbcConfig::default() };
+        let net = SocialNetwork::generate(&config).expect("valid config");
+        let mut db = Database::new();
+        for (name, rel) in net.relations() {
+            db.add_relation(*name, rel.clone());
+        }
+        let expected = db.count(&query, &Engine::Lftj).unwrap();
+
+        let prepared = db.prepare(&query, &Engine::Minesweeper(MsConfig::default())).unwrap();
+        let (count, stats) = prepared.count_with_stats().unwrap();
+        assert_eq!(count, expected, "{persons} persons");
+        assert_eq!(prepared.par_count(2).unwrap(), expected, "{persons} persons, 2 threads");
+
+        let extra = |name| stats.extra(name).expect("Minesweeper reports its counters");
+        let (steps, iterations) = (extra("free_tuple_steps"), extra("iterations"));
+        assert!(extra("backjumps") > 0, "{persons} persons: the backjump never fired");
+        assert!(
+            steps <= 20 * iterations,
+            "{persons} persons: {steps} free-tuple steps for {iterations} iterations"
+        );
     }
 }
