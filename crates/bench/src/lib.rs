@@ -1,14 +1,14 @@
 //! # gj-bench
 //!
 //! Shared support for the benchmark harness binaries that regenerate every table and
-//! figure of the paper's evaluation (see `DESIGN.md`, per-experiment index).
+//! figure of the paper's evaluation (one binary per table or figure, named after it).
 //!
 //! Each binary in `src/bin/` prints one table (or figure series) in the paper's
 //! layout — datasets as columns or rows, systems/configurations as the other axis —
 //! and writes the same data as CSV under `target/bench-results/`. Because the paper's
 //! SNAP graphs are replaced by seeded synthetic stand-ins (see `gj-datagen`), the
 //! absolute numbers differ from the paper; the *shapes* (who wins, by what factor,
-//! where the timeouts appear) are what EXPERIMENTS.md compares.
+//! where the timeouts appear) are what to compare against it.
 //!
 //! Common conventions:
 //!
@@ -225,7 +225,8 @@ impl Table {
     }
 }
 
-/// Formats a speed-up ratio the way Tables 1–3 do (`8` marks thrashing/timeout).
+/// Formats a speed-up ratio the way Tables 1–3 do: `inf` when only the baseline
+/// timed out, `-` when the improved configuration did (or took no time).
 pub fn ratio(baseline_ms: Option<f64>, improved_ms: Option<f64>) -> String {
     match (baseline_ms, improved_ms) {
         (Some(b), Some(i)) if i > 0.0 => format!("{:.2}", b / i),

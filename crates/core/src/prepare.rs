@@ -436,21 +436,7 @@ impl<'db> PreparedQuery<'db> {
                 let morsels = morsels_for(threads, || {
                     partition_first_attribute(bq, threads * config.granularity.max(1))
                 });
-                // CDS carry-over only pays when workers claim several morsels
-                // each; with at most one morsel per worker (a serial run, or
-                // granularity 1, the acyclic default) there is no later range to
-                // re-seed, so the constraint recording would be pure overhead. It
-                // is also a wash on β-cyclic queries: there the CDS holds only the
-                // skeletonised (Idea 7) constraints, and re-seeding those into a
-                // disjoint first-attribute range almost never prunes — at
-                // granularity 8 (Table 5's cyclic setting) the recording cost
-                // exceeds the savings, so carry-over stays off unless the query is
-                // β-acyclic.
-                let mut config = config.clone();
-                config.cds_carryover = config.cds_carryover
-                    && morsels.len() > threads
-                    && gj_query::Hypergraph::of_query(&bq.query).is_beta_acyclic();
-                let source = MsMorsels::new(bq, config);
+                let source = MsMorsels::new(bq, config.clone());
                 run.drive(&source, &morsels)?;
                 run.stats.extras = ms_extras(&source.totals());
             }
@@ -767,7 +753,6 @@ fn ms_extras(ms: &gj_minesweeper::MsStats) -> Vec<(&'static str, u64)> {
         ("truncations", ms.truncations),
         ("complete_node_hits", ms.complete_node_hits),
         ("cds_nodes", ms.cds_nodes),
-        ("carried_constraints", ms.carried_constraints),
         ("free_tuple_steps", ms.free_tuple_steps),
         ("backjumps", ms.backjumps),
     ]
@@ -910,7 +895,7 @@ mod tests {
 
     #[test]
     fn run_parallel_reports_engine_extras_from_retired_workers() {
-        // The worker lifecycle hooks fold per-worker statistics into the run
+        // The worker lifecycle hook folds per-worker statistics into the run
         // totals, so parallel executions report the same engine extras serial
         // ones do (they used to report none).
         let db = two_triangle_db();
@@ -920,51 +905,12 @@ mod tests {
         let stats = prepared.run_parallel(&mut sink, 2).unwrap();
         assert!(stats.morsels > 1, "the run must actually partition");
         assert!(stats.extra("probes").unwrap() > 0);
-        assert_eq!(stats.extra("carried_constraints").map(|_| ()), Some(()));
         let serial_results = prepared.count().unwrap();
         assert_eq!(stats.rows, serial_results);
         let lftj = db.prepare(&q, &Engine::Lftj).unwrap();
         let mut sink = CountSink::new();
         let stats = lftj.run_parallel(&mut sink, 2).unwrap();
         assert!(stats.extra("bindings_explored").unwrap() >= stats.rows);
-    }
-
-    /// Ablation for the carry-over auto-disable: a β-cyclic query at the
-    /// paper's cyclic granularity (`f = 8`) would arm the CDS constraint
-    /// carry-over (many morsels per worker) but re-seeding skeletonised
-    /// constraints across first-attribute ranges is a wash, so the default
-    /// config turns it off there — while a β-acyclic query at the same
-    /// granularity keeps carrying constraints forward.
-    #[test]
-    fn cds_carryover_auto_disables_on_cyclic_queries() {
-        let mut db = Database::new();
-        db.add_graph(gj_datagen::erdos_renyi(60, 220, 19));
-        db.add_relation("v1", Relation::from_values((0..60_i64).step_by(3).collect::<Vec<_>>()));
-        db.add_relation("v2", Relation::from_values((0..60_i64).step_by(2).collect::<Vec<_>>()));
-        let engine = Engine::Minesweeper(MsConfig { granularity: 8, ..MsConfig::default() });
-        assert!(MsConfig::default().cds_carryover, "carry-over is on by default");
-
-        let cyclic = CatalogQuery::ThreeClique.query();
-        let prepared = db.prepare(&cyclic, &engine).unwrap();
-        let mut sink = CountSink::new();
-        let stats = prepared.run_parallel(&mut sink, 2).unwrap();
-        assert!(stats.morsels > 2, "granularity 8 over-splits, so carry-over *would* arm");
-        assert_eq!(
-            stats.extra("carried_constraints"),
-            Some(0),
-            "cyclic GAO: carry-over auto-disabled"
-        );
-        assert_eq!(stats.rows, prepared.count().unwrap());
-
-        let acyclic = CatalogQuery::ThreePath.query();
-        let prepared = db.prepare(&acyclic, &engine).unwrap();
-        let mut sink = CountSink::new();
-        let stats = prepared.run_parallel(&mut sink, 2).unwrap();
-        assert!(
-            stats.extra("carried_constraints").unwrap() > 0,
-            "acyclic GAO at the same granularity still re-seeds later morsels"
-        );
-        assert_eq!(stats.rows, prepared.count().unwrap());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! executor is behaviourally identical (same rows, same per-morsel result and
 //! exploration counts) to building a fresh executor per morsel.
 //!
-//! The runtime's worker lifecycle hooks are adopted too: each worker accumulates
+//! The runtime's worker lifecycle hook is adopted too: each worker accumulates
 //! its [`LftjStats`] across the morsels it ran, and `retire_worker` folds them
 //! into run totals ([`LftjMorsels::total_bindings_explored`]) when the worker
 //! loop ends — so parallel executions report the same `bindings_explored`
@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(sink.into_rows(), expected);
     }
 
-    /// The lifecycle hooks fold per-worker stats into run totals: the parallel
+    /// The lifecycle hook folds per-worker stats into run totals: the parallel
     /// exploration count equals the sum of the serial per-morsel counts.
     #[test]
     fn retired_workers_fold_bindings_explored_into_totals() {

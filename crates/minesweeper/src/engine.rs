@@ -13,7 +13,6 @@
 //!   optimisations are enabled).
 
 use crate::cds::Cds;
-use crate::constraint::{Constraint, PatternComp};
 use crate::counting::count_last_level_run;
 use crate::gaps::{build_probers, AtomProber, ProbeOutcome, ProbeStats};
 use gj_query::gao::is_neo;
@@ -39,17 +38,6 @@ pub struct MsConfig {
     /// whole runs of outputs that share the first `n-1` attributes in one step
     /// instead of enumerating them tuple by tuple.
     pub idea8_batch_counting: bool,
-    /// CDS constraint carry-over between the runs of one reused executor (the
-    /// morsel lifecycle): skeleton gap constraints that do not fix the first GAO
-    /// attribute by equality are value-independent facts about the data, so a
-    /// worker that harvests them ([`MinesweeperExecutor::harvest_carryover`],
-    /// driven by the runtime's `morsel_done` hook) re-seeds its reset CDS with
-    /// them instead of re-discovering every gap probe by probe. The recording is
-    /// additionally gated on [`MinesweeperExecutor::arm_carryover`] — only
-    /// executors whose lifecycle will actually harvest (the morsel workers) pay
-    /// it; one-shot serial executors never do. Off in [`MsConfig::baseline`] so
-    /// the ablation tables can quantify the probes saved.
-    pub cds_carryover: bool,
     /// Granularity factor `f` of Section 4.10: a run on `threads` workers
     /// (`PreparedQuery::par_count(threads)` and friends in `gj-core`,
     /// [`crate::parallel::MsMorsels`] underneath) splits the output space into
@@ -65,7 +53,6 @@ impl Default for MsConfig {
             idea6_complete_nodes: true,
             idea7_skeleton: true,
             idea8_batch_counting: false,
-            cds_carryover: true,
             granularity: 1,
         }
     }
@@ -80,7 +67,6 @@ impl MsConfig {
             idea6_complete_nodes: false,
             idea7_skeleton: false,
             idea8_batch_counting: false,
-            cds_carryover: false,
             granularity: 1,
         }
     }
@@ -107,9 +93,6 @@ pub struct MsStats {
     pub complete_node_hits: u64,
     /// Number of CDS nodes allocated.
     pub cds_nodes: u64,
-    /// Number of carried-over constraints the run's CDS was re-seeded with (they
-    /// are also counted by `constraints_inserted`).
-    pub carried_constraints: u64,
     /// Turns of the CDS free-tuple search (`CdsStats::free_tuple_steps`). A healthy
     /// run spends a small constant number per iteration.
     pub free_tuple_steps: u64,
@@ -131,7 +114,6 @@ impl MsStats {
         self.truncations += other.truncations;
         self.complete_node_hits += other.complete_node_hits;
         self.cds_nodes = self.cds_nodes.max(other.cds_nodes);
-        self.carried_constraints += other.carried_constraints;
         self.free_tuple_steps += other.free_tuple_steps;
         self.backjumps += other.backjumps;
     }
@@ -159,24 +141,6 @@ pub struct MinesweeperExecutor<'a> {
     /// repeated executions (one per claimed morsel) recycle the node arena instead
     /// of re-allocating it.
     cds: Cds,
-    /// Carry-over ledger: skeleton gap constraints from earlier runs that do not
-    /// fix the first GAO attribute by equality. They are value-independent facts
-    /// about the data, so every later run re-seeds its reset CDS with them (the
-    /// generalisation of the Idea 4 memo from "last gap per relation" to "every
-    /// gap a worker has learned"). Populated only through
-    /// [`harvest_carryover`](Self::harvest_carryover) — the runtime's per-morsel
-    /// lifecycle hook — so plain serial runs behave exactly as before.
-    carry: Vec<Constraint>,
-    /// Dedup set over `carry` (the same gap is re-discovered by every morsel that
-    /// touches it; the ledger keeps one copy).
-    carry_seen: std::collections::HashSet<Constraint>,
-    /// Carryable constraints discovered by the current/most recent run, staged
-    /// until (and unless) the worker lifecycle harvests them.
-    fresh_carry: Vec<Constraint>,
-    /// Whether gap recording is armed ([`arm_carryover`](Self::arm_carryover)).
-    /// One-shot executors never arm, so plain serial runs pay no recording cost;
-    /// the morsel worker lifecycle arms its executors because it will harvest.
-    carry_armed: bool,
     /// The free tuple being probed: a copy of the CDS frontier, which the probes'
     /// constraint inserts would otherwise hold borrowed. Reused across iterations.
     t: Vec<Val>,
@@ -184,10 +148,6 @@ pub struct MinesweeperExecutor<'a> {
     /// [`successor`] and [`escape`]. Reused across iterations.
     advance: Vec<Val>,
 }
-
-/// Ledger cap: beyond this many carried constraints the per-run re-seeding cost
-/// outweighs the probes it saves, so harvesting stops adopting new ones.
-const CARRY_CAP: usize = 1 << 16;
 
 impl<'a> MinesweeperExecutor<'a> {
     /// Prepares an executor.
@@ -228,24 +188,9 @@ impl<'a> MinesweeperExecutor<'a> {
             range0: None,
             probers,
             cds,
-            carry: Vec::new(),
-            carry_seen: std::collections::HashSet::new(),
-            fresh_carry: Vec::new(),
-            carry_armed: false,
             t: vec![-1; bq.num_vars()],
             advance: vec![-1; bq.num_vars()],
         }
-    }
-
-    /// Arms the CDS constraint carry-over (no-op when
-    /// [`MsConfig::cds_carryover`] is off): from the next run on, the executor
-    /// records the carryable gap constraints it discovers so
-    /// [`harvest_carryover`](Self::harvest_carryover) can adopt them. Recording
-    /// is opt-in because it only pays when a later run will re-seed from the
-    /// ledger — the morsel worker lifecycle arms its executors; one-shot serial
-    /// executors stay unarmed and behave exactly as before.
-    pub fn arm_carryover(&mut self) {
-        self.carry_armed = self.config.cds_carryover;
     }
 
     /// Restricts the executor to free tuples whose first GAO attribute lies in
@@ -292,44 +237,6 @@ impl<'a> MinesweeperExecutor<'a> {
     /// Whether the caching machinery (Ideas 5/6) is active for this query and GAO.
     pub fn chain_mode(&self) -> bool {
         self.chain_mode
-    }
-
-    /// Adopts the carryable constraints discovered by the most recent run into the
-    /// executor's carry-over ledger, returning how many were new. The next run
-    /// re-seeds its reset CDS with the whole ledger instead of starting cold.
-    ///
-    /// This is the engine half of the runtime's `morsel_done` lifecycle hook: a
-    /// worker calls it after each morsel, so every gap learned on one range prunes
-    /// the search on all later ranges. It is deliberately **not** called by the
-    /// plain serial entry points — carry-over is a worker-lifecycle feature, and a
-    /// one-shot run has nothing to carry anything over to.
-    pub fn harvest_carryover(&mut self) -> usize {
-        let mut adopted = 0;
-        for c in self.fresh_carry.drain(..) {
-            if self.carry.len() >= CARRY_CAP {
-                break;
-            }
-            if self.carry_seen.insert(c.clone()) {
-                self.carry.push(c);
-                adopted += 1;
-            }
-        }
-        self.fresh_carry.clear();
-        adopted
-    }
-
-    /// Number of constraints currently in the carry-over ledger.
-    pub fn carryover_len(&self) -> usize {
-        self.carry.len()
-    }
-
-    /// Whether a skeleton gap constraint is a morsel-independent fact: morsels
-    /// partition the **first** GAO attribute, so any constraint that does not pin
-    /// it by equality applies identically to every range — either its interval
-    /// lies on the first attribute (an empty pattern) or its pattern starts with a
-    /// wildcard.
-    fn carries_across_morsels(c: &Constraint) -> bool {
-        !matches!(c.pattern.first(), Some(PatternComp::Eq(_)))
     }
 
     /// The skeleton flags in atom order (true = inserts constraints).
@@ -394,18 +301,6 @@ impl<'a> MinesweeperExecutor<'a> {
         let mut probe_stats = ProbeStats::default();
         let mut stats = MsStats::default();
 
-        // Carry-over: re-seed the fresh CDS with the harvested ledger — every
-        // constraint in it is a value-independent gap box (a fact about the data),
-        // so inserting it is sound for any range and spares the run from
-        // re-discovering the gap one probe at a time. Constraints discovered by
-        // *this* run are staged into `fresh_carry` and only enter the ledger when
-        // the worker lifecycle harvests them.
-        self.fresh_carry.clear();
-        for c in &self.carry {
-            self.cds.insert_constraint(c);
-        }
-        stats.carried_constraints = self.carry.len() as u64;
-
         if let Some((lo, _)) = self.range0 {
             // The moving frontier encodes "before everything" as -1 (the paper's
             // natural-number domains; NEG_INF is reserved for gap sentinels), so
@@ -465,17 +360,6 @@ impl<'a> MinesweeperExecutor<'a> {
                         if skeleton {
                             if newly_discovered {
                                 self.cds.insert_constraint(constraint);
-                                // Only skeleton gaps may re-enter the CDS later
-                                // (Idea 7's caching soundness), and only the
-                                // first-attribute-independent ones outlive a
-                                // morsel. Constraints already in the ledger are
-                                // not staged again.
-                                if self.carry_armed
-                                    && Self::carries_across_morsels(constraint)
-                                    && !self.carry_seen.contains(constraint)
-                                {
-                                    self.fresh_carry.push(constraint.clone());
-                                }
                             }
                         } else {
                             // Idea 7: a non-skeleton gap only advances the frontier.
@@ -677,7 +561,6 @@ mod tests {
             idea6_complete_nodes: false,
             idea7_skeleton: false,
             idea8_batch_counting: false,
-            cds_carryover: false,
             granularity: 1,
         };
         for cq in CatalogQuery::all() {

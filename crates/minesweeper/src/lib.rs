@@ -30,10 +30,7 @@
 //!   through completed nodes);
 //! * the **multi-threaded** partitioning of Section 4.10 — served through the
 //!   shared `gj-runtime` morsel driver ([`MsMorsels`]), with one executor reused
-//!   per worker across morsels, **CDS constraint carry-over** between the morsels
-//!   a worker claims (value-independent gap constraints re-seed each reset CDS via
-//!   the runtime's `morsel_done` lifecycle hook; see
-//!   [`MinesweeperExecutor::harvest_carryover`]) and full sink support (parallel
+//!   per worker across morsels and full sink support (parallel
 //!   enumerate/collect/first_k, not just counting) — and the **hybrid**
 //!   Minesweeper + LFTJ algorithm of Section 4.12.
 //!

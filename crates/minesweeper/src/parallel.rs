@@ -14,28 +14,17 @@
 //! [`MinesweeperExecutor`] and carries it across every morsel it claims —
 //! [`run_range`](MinesweeperExecutor::run_range) recycles the CDS node arena and
 //! keeps the probers' Idea 4 gap memos warm, instead of paying a fresh executor
-//! (and a fresh CDS) per job.
-//!
-//! On top of that reuse sit the runtime's worker lifecycle hooks:
-//!
-//! * after each morsel, `morsel_done` **harvests the CDS carry-over**
-//!   ([`MinesweeperExecutor::harvest_carryover`]): the value-independent skeleton
-//!   gap constraints the morsel discovered enter the executor's ledger, and every
-//!   later morsel re-seeds its reset CDS with them instead of starting cold — the
-//!   constraints learned during search keep paying for themselves across ranges
-//!   (the paper's core bet, extended across the morsel boundary). The ablation
-//!   test below quantifies the probes saved.
-//! * when the worker loop ends, `retire_worker` folds the worker's accumulated
-//!   [`MsStats`] into run totals ([`MsMorsels::totals`]), so parallel executions
-//!   report the same engine statistics serial ones do.
+//! (and a fresh CDS) per job. When the worker loop ends, the runtime's
+//! `retire_worker` hook folds the worker's accumulated [`MsStats`] into run
+//! totals ([`MsMorsels::totals`]), so parallel executions report the same engine
+//! statistics serial ones do.
 //!
 //! A serial Minesweeper execution in `gj-core` is this same source driven by one
 //! worker over the single whole-axis morsel: `run_range` over the whole axis
-//! starts from the frontier an unrestricted run starts from, and with one morsel
-//! per worker `gj-core` leaves the carry-over unarmed, so the statistics are those
-//! of [`MinesweeperExecutor::try_run`]. Use `PreparedQuery::par_count(threads)` in
-//! `gj-core` for a parallel count, or drive [`MsMorsels`] through
-//! `gj_runtime::drive` directly.
+//! starts from the frontier an unrestricted run starts from, so the statistics
+//! are those of [`MinesweeperExecutor::try_run`]. Use
+//! `PreparedQuery::par_count(threads)` in `gj-core` for a parallel count, or
+//! drive [`MsMorsels`] through `gj_runtime::drive` directly.
 
 use crate::engine::{MinesweeperExecutor, MsConfig, MsStats};
 use gj_query::BoundQuery;
@@ -74,12 +63,6 @@ impl MsWorker<'_> {
     pub fn totals(&self) -> MsStats {
         self.totals
     }
-
-    /// Number of constraints in the reused executor's carry-over ledger (0 until
-    /// the first `morsel_done` harvest, or when no executor was built yet).
-    pub fn carryover_len(&self) -> usize {
-        self.exec.as_ref().map_or(0, |(exec, _)| exec.carryover_len())
-    }
 }
 
 impl<'a> MsMorsels<'a> {
@@ -112,12 +95,7 @@ impl<'a> MsMorsels<'a> {
             } else {
                 MsConfig { idea8_batch_counting: false, ..self.config.clone() }
             };
-            let mut exec = MinesweeperExecutor::new(self.bq, config);
-            // The morsel lifecycle harvests after every morsel, so recording the
-            // carryable constraints pays off here (one-shot executors stay
-            // unarmed and skip the recording cost).
-            exec.arm_carryover();
-            (exec, counting)
+            (MinesweeperExecutor::new(self.bq, config), counting)
         });
         exec
     }
@@ -161,15 +139,6 @@ impl<'a> MorselSource for MsMorsels<'a> {
         });
         worker.totals.merge(&stats);
         rows
-    }
-
-    /// The CDS carry-over harvest: the value-independent gap constraints this
-    /// morsel discovered enter the executor's ledger, so the next morsel's reset
-    /// CDS starts from everything the worker has already learned.
-    fn morsel_done(&self, worker: &mut MsWorker<'a>, _morsel: Morsel) {
-        if let Some((exec, _)) = worker.exec.as_mut() {
-            exec.harvest_carryover();
-        }
     }
 
     /// Folds the worker's accumulated statistics into the run totals.
@@ -302,88 +271,11 @@ mod tests {
         assert_eq!(total, crate::engine::count(&bq, &MsConfig::default()));
     }
 
-    /// Runs every morsel through one worker with the full lifecycle (count,
-    /// harvest, retire) and returns (total rows, per-worker totals).
-    fn lifecycle_count(source: &MsMorsels<'_>, morsels: &[Morsel]) -> (u64, MsStats) {
-        let mut worker = source.worker();
-        let mut rows = 0;
-        for &m in morsels {
-            rows += source.count_morsel(&mut worker, m, &ExecCtx::none());
-            source.morsel_done(&mut worker, m);
-        }
-        let totals = worker.totals();
-        source.retire_worker(worker);
-        (rows, totals)
-    }
-
-    /// Ablation for the CDS constraint carry-over: identical results, measurably
-    /// fewer probes — the constraints a morsel learned keep pruning the next one.
+    /// Through the actual multi-threaded driver, counts agree with the serial
+    /// engine for every thread/granularity mix, and `retire_worker` folds every
+    /// worker's statistics into the run totals.
     #[test]
-    fn cds_carryover_saves_probes_across_morsels() {
-        let inst = random_instance(19, 60, 0.12);
-        for cq in [CatalogQuery::ThreeClique, CatalogQuery::ThreePath, CatalogQuery::FourCycle] {
-            let q = cq.query();
-            let bq = BoundQuery::new(&inst, &q, None).unwrap();
-            let morsels = partition_first_attribute(&bq, 8);
-            assert!(morsels.len() > 1, "the ablation needs a real partition");
-            let cold_cfg = MsConfig { cds_carryover: false, ..MsConfig::default() };
-            let warm_cfg = MsConfig::default();
-            let cold_src = MsMorsels::new(&bq, cold_cfg);
-            let warm_src = MsMorsels::new(&bq, warm_cfg);
-            let (cold_rows, cold) = lifecycle_count(&cold_src, &morsels);
-            let (warm_rows, warm) = lifecycle_count(&warm_src, &morsels);
-            assert_eq!(warm_rows, cold_rows, "{}: carry-over must not change results", q.name);
-            assert_eq!(warm_rows, crate::engine::count(&bq, &MsConfig::default()), "{}", q.name);
-            assert_eq!(cold.carried_constraints, 0, "{}", q.name);
-            assert!(warm.carried_constraints > 0, "{}: no constraint was carried over", q.name);
-            assert!(
-                warm.probes < cold.probes,
-                "{}: carry-over saved no probes ({} vs {})",
-                q.name,
-                warm.probes,
-                cold.probes
-            );
-            // The run totals folded by retire_worker match the worker's own.
-            assert_eq!(warm_src.totals().probes, warm.probes, "{}", q.name);
-            assert_eq!(cold_src.totals().results, cold_rows, "{}", q.name);
-        }
-    }
-
-    /// The harvest only adopts each constraint once, and the ledger survives the
-    /// morsel sequence (visible through the public worker API).
-    #[test]
-    fn carryover_ledger_deduplicates_and_persists() {
-        let inst = random_instance(20, 50, 0.15);
-        let q = CatalogQuery::ThreeClique.query();
-        let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let source = MsMorsels::new(&bq, MsConfig::default());
-        let morsels = partition_first_attribute(&bq, 6);
-        assert!(morsels.len() > 2, "the test needs several morsels");
-        let mut worker = source.worker();
-        assert_eq!(worker.carryover_len(), 0);
-        let mut sizes = Vec::new();
-        for &m in &morsels {
-            source.count_morsel(&mut worker, m, &ExecCtx::none());
-            source.morsel_done(&mut worker, m);
-            sizes.push(worker.carryover_len());
-        }
-        assert!(sizes[0] > 0, "the first morsel must contribute to the ledger");
-        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "the ledger never shrinks: {sizes:?}");
-        // Re-running the same morsels discovers nothing new: every gap is already
-        // in the ledger, so its size is stable.
-        let stable = worker.carryover_len();
-        for &m in &morsels {
-            source.count_morsel(&mut worker, m, &ExecCtx::none());
-            source.morsel_done(&mut worker, m);
-        }
-        assert_eq!(worker.carryover_len(), stable, "a repeated pass must deduplicate");
-    }
-
-    /// Carry-over through the actual multi-threaded driver: counts agree with the
-    /// serial engine for every thread/granularity mix, and the folded totals see
-    /// the carried constraints.
-    #[test]
-    fn parallel_carryover_keeps_counts_exact() {
+    fn parallel_totals_fold_and_counts_stay_exact() {
         let inst = random_instance(21, 60, 0.12);
         for cq in [CatalogQuery::ThreeClique, CatalogQuery::ThreePath] {
             let q = cq.query();
@@ -397,13 +289,6 @@ mod tests {
                 assert_eq!(sink.rows(), sequential, "{} t={threads} p={parts}", q.name);
                 let totals = source.totals();
                 assert_eq!(totals.results, sequential, "{} t={threads} p={parts}", q.name);
-                if morsels.len() > 1 {
-                    assert!(
-                        totals.carried_constraints > 0,
-                        "{} t={threads} p={parts}: nothing carried",
-                        q.name
-                    );
-                }
             }
         }
     }

@@ -19,11 +19,7 @@
 //! loop: an engine can keep its executor, search buffers, or constraint store alive
 //! across every morsel the worker claims, instead of re-allocating per job.
 //!
-//! Two lifecycle hooks bracket that state. After a worker finishes one morsel the
-//! driver calls [`MorselSource::morsel_done`] — the engine's chance to *harvest*
-//! whatever the morsel taught it into worker state that benefits the next morsel
-//! (Minesweeper moves the globally-valid gap constraints it discovered into its
-//! carry-over ledger there). When a worker's loop ends the driver calls
+//! One lifecycle hook ends that state. When a worker's loop ends the driver calls
 //! [`MorselSource::retire_worker`] with the worker state by value — the engine's
 //! chance to *reclaim* it: fold per-worker statistics into run totals, or return
 //! expensive caches to a [`WorkerPool`](crate::WorkerPool) so the next execution of
@@ -77,16 +73,6 @@ pub trait MorselSource: Sync {
     /// repeated executions of the same prepared plan, not just across the morsels
     /// of one run.
     fn worker(&self) -> Self::Worker;
-
-    /// Lifecycle hook: called by the driver after `worker` finished `morsel`
-    /// (after [`run_morsel`](Self::run_morsel) / [`count_morsel`](Self::count_morsel)
-    /// returned, before the shard is merged or the next morsel is claimed).
-    ///
-    /// This is where an engine harvests what the morsel taught it into state that
-    /// carries over: Minesweeper moves the value-independent gap constraints
-    /// discovered during the morsel into the ledger that re-seeds its reset CDS
-    /// for the next range. The default does nothing.
-    fn morsel_done(&self, _worker: &mut Self::Worker, _morsel: Morsel) {}
 
     /// Lifecycle hook: called by the driver exactly once per worker, when its loop
     /// ends (no more morsels, or the run stopped early). Receives the worker state
@@ -362,7 +348,6 @@ fn worker_loop<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
             // injected budget abort reports.
             monitor.note_rows(found);
         }
-        source.morsel_done(&mut worker, morsels[job]);
         if failpoint(monitor, sites::SHARD_MERGE).is_break() || lanes.close(job, lane).is_break() {
             queue.stop();
             break;

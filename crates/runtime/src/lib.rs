@@ -26,13 +26,12 @@
 //! leapfrog intersection, `gj-minesweeper` restricts the CDS frontier; the runtime
 //! never needs to know how a search is actually performed.
 //!
-//! Per-worker engine state lives for the whole worker loop and is bracketed by two
-//! lifecycle hooks: [`MorselSource::morsel_done`] (harvest what one morsel taught
-//! the worker — Minesweeper's CDS constraint carry-over) and
-//! [`MorselSource::retire_worker`] (reclaim the worker when the loop ends — fold
-//! statistics into run totals, or park warmed caches in a [`WorkerPool`] embedded
-//! in the prepared plan so the *next* execution starts warm too, which is how the
-//! pairwise baselines keep their merge-join sort permutations across reruns).
+//! Per-worker engine state lives for the whole worker loop and ends in one
+//! lifecycle hook, [`MorselSource::retire_worker`]: it reclaims the worker when
+//! the loop ends — folds statistics into run totals, or parks warmed caches in a
+//! [`WorkerPool`] embedded in the prepared plan so the *next* execution starts warm
+//! too, which is how the pairwise baselines keep their merge-join sort
+//! permutations across reruns.
 //!
 //! Early termination propagates across workers: a sink that answers
 //! [`ControlFlow::Break`](std::ops::ControlFlow::Break) during the merge (`first_k`

@@ -1,7 +1,7 @@
 //! A reclaim pool for per-worker engine state.
 //!
 //! The driver creates one [`MorselSource::Worker`](crate::MorselSource::Worker) per
-//! worker thread and, since the lifecycle hooks landed, hands it back through
+//! worker thread and hands it back through
 //! [`retire_worker`](crate::MorselSource::retire_worker) when the worker's loop
 //! ends. A [`WorkerPool`] is the natural home for those retired workers: a prepared
 //! plan embeds one, [`MorselSource::worker`](crate::MorselSource::worker) pops a

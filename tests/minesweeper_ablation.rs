@@ -4,7 +4,7 @@
 //! of the speed-up Tables 1–3.
 
 use gj_datagen::{LdbcConfig, SocialNetwork};
-use gj_minesweeper::{run, MsConfig};
+use gj_minesweeper::{run, MinesweeperExecutor, MsConfig};
 use graphjoin::{workload_database, BoundQuery, CatalogQuery, Database, Engine, Graph, LdbcQuery};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -72,6 +72,45 @@ fn idea4_reduces_index_probes() {
         "idea 4 should reduce probes: {} vs {}",
         with.probes,
         without.probes
+    );
+}
+
+#[test]
+fn idea5_caches_intervals_in_chain_mode() {
+    let graph = random_graph(17, 80, 0.08);
+    let db = workload_database(graph, CatalogQuery::ThreePath, 2, 3);
+    let q = CatalogQuery::ThreePath.query();
+    let bq = BoundQuery::new(db.instance(), &q, None).unwrap();
+    assert!(MinesweeperExecutor::new(&bq, MsConfig::default()).chain_mode());
+
+    let with = run(&bq, &MsConfig::default(), &mut |_, _| {});
+    let without = run(
+        &bq,
+        &MsConfig { idea5_caching: false, idea6_complete_nodes: false, ..MsConfig::default() },
+        &mut |_, _| {},
+    );
+    assert_eq!(with.results, without.results);
+    assert!(with.cached_intervals > 0, "interval caching never fired");
+    assert_eq!(without.cached_intervals, 0);
+}
+
+#[test]
+fn idea8_batch_counting_takes_fewer_iterations() {
+    let graph = random_graph(18, 80, 0.08);
+    // Selectivity 2: many outputs share their first attributes, so runs are long.
+    let db = workload_database(graph, CatalogQuery::ThreePath, 2, 3);
+    let q = CatalogQuery::ThreePath.query();
+    let bq = BoundQuery::new(db.instance(), &q, None).unwrap();
+
+    let with =
+        run(&bq, &MsConfig { idea8_batch_counting: true, ..MsConfig::default() }, &mut |_, _| {});
+    let without = run(&bq, &MsConfig::default(), &mut |_, _| {});
+    assert_eq!(with.results, without.results);
+    assert!(
+        with.iterations < without.iterations,
+        "idea 8 should take fewer iterations: {} vs {}",
+        with.iterations,
+        without.iterations
     );
 }
 
