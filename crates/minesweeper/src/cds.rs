@@ -14,7 +14,7 @@
 //!   with `getFreeValue` (Algorithm 5), backtracking and truncating (Algorithm 6) as
 //!   needed.
 //!
-//! Two deliberate deviations from the pseudocode:
+//! Three deliberate deviations from the pseudocode:
 //!
 //! * **Eager tail reset.** Whenever the frontier value at a level is bumped during
 //!   backtracking, the deeper frontier components are reset to `-1` immediately (the
@@ -43,6 +43,22 @@
 //!   branch out at its first equality edge. The jump learns nothing (no constraint
 //!   is inserted), so node and constraint counts are those of the chronological
 //!   walk.
+//! * **Walk resumption.** Algorithm 4 walks from the root on every call. Here a
+//!   call starts at `resume`, the shallowest level whose frontier value, active set
+//!   or chain intervals may have changed since the last walk: [`Cds::set_frontier`]
+//!   lowers it to the first position that changes, [`Cds::insert_constraint`] to the
+//!   constraint's interval position, or to `i` when it created a node at pattern
+//!   index `i` (that node may join the active set level `i` computes), and
+//!   [`Cds::reset`] to 0. A walk that returns sets it to the level it returned from,
+//!   which covers Algorithm 4's early return: the levels below it were not walked,
+//!   so their active sets are stale. This is sound because a level whose prefix and
+//!   nodes did not change returns its frontier value again (`y == x`): the value
+//!   was free when the walk left it, so the level caches no interval, truncates
+//!   nothing, records no new free point and computes the same next active set.
+//!   Truncations, backjumps and cached intervals all happen *inside* a walk, which
+//!   re-descends from where they struck. So every outcome and counter equals the
+//!   restart-from-root walk's, except `free_tuple_steps` and `complete_node_hits`,
+//!   which count the skipped re-checks.
 
 use crate::constraint::{Constraint, PatternComp};
 use crate::node::{Node, NodeId};
@@ -105,6 +121,11 @@ pub struct Cds {
     /// Scratch: the chain (active nodes that constrain the level) of the level
     /// being scanned.
     chain: Vec<NodeId>,
+    /// The level the next [`compute_free_tuple`](Self::compute_free_tuple) walk
+    /// starts at: the shallowest level whose frontier value, active set or chain
+    /// intervals may have changed since the last walk (see the module docs, "walk
+    /// resumption"). `active[..=resume]` is valid for the current frontier.
+    resume: usize,
     /// Statistics.
     pub stats: CdsStats,
 }
@@ -138,6 +159,7 @@ impl Cds {
             domain_max: POS_INF,
             active,
             chain: Vec::new(),
+            resume: 0,
             stats: CdsStats::default(),
         }
     }
@@ -162,13 +184,17 @@ impl Cds {
     }
 
     /// Replaces the frontier. The new frontier must be lexicographically `>=` the old
-    /// one (the CDS never moves backwards).
+    /// one (the CDS never moves backwards). The next walk resumes no deeper than the
+    /// first position that changes.
     pub fn set_frontier(&mut self, frontier: &[Val]) {
         debug_assert!(
             frontier >= self.frontier.as_slice(),
             "frontier may only move forward: {:?} -> {frontier:?}",
             self.frontier
         );
+        if let Some(p) = self.frontier.iter().zip(frontier).position(|(a, b)| a != b) {
+            self.resume = self.resume.min(p);
+        }
         self.frontier.copy_from_slice(frontier);
     }
 
@@ -191,7 +217,15 @@ impl Cds {
         self.nodes[0].clear();
         self.live = 1;
         self.frontier.iter_mut().for_each(|v| *v = -1);
+        self.resume = 0;
         self.stats = CdsStats::default();
+    }
+
+    /// Makes the next walk start at the root, as if nothing were known about the
+    /// previous one: the reference the walk resumption is tested against.
+    #[cfg(test)]
+    fn restart_from_root(&mut self) {
+        self.resume = 0;
     }
 
     /// Finds the node with exactly this pattern, if it exists.
@@ -221,15 +255,19 @@ impl Cds {
     }
 
     /// `InsConstraint(c)`: walks (creating as needed) the node with the constraint's
-    /// pattern and inserts the interval there.
+    /// pattern and inserts the interval there. The next walk resumes no deeper than
+    /// the level whose chain gained the interval, or the level whose descent
+    /// reaches the first node created.
     pub fn insert_constraint(&mut self, c: &Constraint) {
         debug_assert!(c.interval_pos() < self.n, "constraint interval beyond the last attribute");
         let mut cur = 0;
-        for comp in &c.pattern {
+        // A node created at depth `i + 1` may join the active set level `i` computes.
+        for (i, comp) in c.pattern.iter().enumerate() {
             cur = match comp {
                 PatternComp::Wildcard => match self.nodes[cur].wildcard_child() {
                     Some(w) => w,
                     None => {
+                        self.resume = self.resume.min(i);
                         let id = self.new_node(cur, None);
                         self.nodes[cur].set_wildcard_child(id);
                         id
@@ -238,6 +276,7 @@ impl Cds {
                 PatternComp::Eq(v) => match self.nodes[cur].child(*v) {
                     Some(ch) => ch,
                     None => {
+                        self.resume = self.resume.min(i);
                         let id = self.new_node(cur, Some(*v));
                         self.nodes[cur].set_child(*v, id);
                         id
@@ -246,6 +285,7 @@ impl Cds {
             };
         }
         self.nodes[cur].insert_interval(c.interval.0, c.interval.1);
+        self.resume = self.resume.min(c.interval_pos());
         self.stats.constraints_inserted += 1;
     }
 
@@ -258,11 +298,16 @@ impl Cds {
     /// constraint can apply either); the returned tuple is then still a sound
     /// candidate because every value skipped so far was inside a stored
     /// (output-free) gap box.
+    ///
+    /// The walk starts at the `resume` level rather than the root: every level above
+    /// it would return its frontier value unchanged (module docs, "walk
+    /// resumption").
     pub fn compute_free_tuple(&mut self) -> bool {
-        let mut depth: isize = 0;
+        let mut depth = self.resume as isize;
 
         loop {
             if depth < 0 {
+                self.resume = 0;
                 return false;
             }
             self.stats.free_tuple_steps += 1;
@@ -279,6 +324,7 @@ impl Cds {
             }
             if d + 1 == self.n {
                 self.stats.free_tuples += 1;
+                self.resume = d;
                 return true;
             }
 
@@ -303,8 +349,11 @@ impl Cds {
                 // connected), so the current frontier completion is already free.
                 // The deeper frontier components are left untouched: resetting them
                 // here could move the frontier backwards past an already-reported
-                // output, whereas keeping them is always sound.
+                // output, whereas keeping them is always sound. The next walk
+                // resumes here too, never below: `active[d + 1]` is empty, and
+                // the levels under it were not walked.
                 self.stats.free_tuples += 1;
+                self.resume = d;
                 return true;
             }
             depth += 1;
@@ -465,9 +514,90 @@ mod tests {
     use super::*;
     use crate::constraint::PatternComp::{Eq, Wildcard};
     use gj_storage::NEG_INF;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn c(pattern: Vec<PatternComp>, interval: (Val, Val)) -> Constraint {
         Constraint::new(pattern, interval)
+    }
+
+    /// Drives a CDS that resumes its walks and a twin forced back to the root before
+    /// every walk through one seeded, engine-like script: each free tuple gets up to
+    /// two gap boxes around it, then the frontier moves to its successor or jumps at
+    /// a random position. Returns the resumed CDS's statistics, the restarted twin's,
+    /// and how many walks returned early (Algorithm 4's empty next active set).
+    fn resumed_and_restarted_walks(seed: u64, caching: bool) -> (CdsStats, CdsStats, u32) {
+        let n = 4;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut resumed = Cds::new(n, caching, caching).with_domain_max(24);
+        let mut restarted = resumed.clone();
+        let mut early_returns = 0;
+        for _ in 0..5_000 {
+            restarted.restart_from_root();
+            let more = resumed.compute_free_tuple();
+            assert_eq!(restarted.compute_free_tuple(), more, "seed {seed}");
+            assert_eq!(resumed.frontier(), restarted.frontier(), "seed {seed}");
+            assert_eq!(resumed.num_nodes(), restarted.num_nodes(), "seed {seed}");
+            let (a, b) = (resumed.stats, restarted.stats);
+            assert_eq!(a.constraints_inserted, b.constraints_inserted, "seed {seed}");
+            assert_eq!(a.cached_intervals, b.cached_intervals, "seed {seed}");
+            assert_eq!(a.truncations, b.truncations, "seed {seed}");
+            assert_eq!(a.backjumps, b.backjumps, "seed {seed}");
+            if !more {
+                break;
+            }
+            early_returns += u32::from(resumed.resume + 1 < n);
+            let t = resumed.frontier().to_vec();
+            for _ in 0..rng.gen_range(0..3) {
+                let pos = rng.gen_range(0..n);
+                let pattern: Vec<PatternComp> = t[..pos]
+                    .iter()
+                    .map(|&v| if rng.gen_bool(0.5) { Eq(v) } else { Wildcard })
+                    .collect();
+                let low =
+                    if rng.gen_bool(0.2) { NEG_INF } else { t[pos] - 1 - rng.gen_range(0..4) };
+                let high =
+                    if rng.gen_bool(0.2) { POS_INF } else { t[pos] + 1 + rng.gen_range(0..4) };
+                let gap = c(pattern, (low, high));
+                resumed.insert_constraint(&gap);
+                restarted.insert_constraint(&gap);
+            }
+            // The successor, or a jump at a random position that may land one past
+            // the largest value, as the engine's escapes and successors can.
+            let mut next = t;
+            let p = if rng.gen_bool(0.8) { n - 1 } else { rng.gen_range(0..n) };
+            next[p] = (next[p] + 1).max(rng.gen_range(0..26));
+            next[p + 1..].fill(-1);
+            resumed.set_frontier(&next);
+            restarted.set_frontier(&next);
+        }
+        (resumed.stats, restarted.stats, early_returns)
+    }
+
+    #[test]
+    fn resumed_walks_match_walks_restarted_from_the_root() {
+        for caching in [true, false] {
+            let mut totals = [0u64; 5];
+            for seed in 0..20 {
+                let (resumed, restarted, early_returns) =
+                    resumed_and_restarted_walks(seed, caching);
+                assert!(resumed.free_tuple_steps <= restarted.free_tuple_steps);
+                assert!(resumed.complete_node_hits <= restarted.complete_node_hits);
+                totals[0] += u64::from(early_returns);
+                totals[1] += resumed.truncations;
+                totals[2] += resumed.backjumps;
+                totals[3] += resumed.free_tuple_steps;
+                totals[4] += restarted.free_tuple_steps;
+            }
+            let [early_returns, truncations, backjumps, steps, restarted_steps] = totals;
+            // The script must reach every way a walk ends or leaves a level.
+            assert!(early_returns > 0, "caching {caching}: no early return");
+            if caching {
+                assert!(truncations > 0, "no truncation");
+            } else {
+                assert!(backjumps > 0, "no backjump");
+            }
+            assert!(steps < restarted_steps, "caching {caching}: resumption saved nothing");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   optimisations are enabled).
 
 use crate::cds::Cds;
-use crate::counting::count_last_level_run;
+use crate::counting::{count_last_level_run, RunScratch};
 use crate::gaps::{build_probers, AtomProber, ProbeOutcome, ProbeStats};
 use gj_query::gao::is_neo;
 use gj_query::{acyclic_skeleton, BoundQuery, Hypergraph, Query};
@@ -147,6 +147,8 @@ pub struct MinesweeperExecutor<'a> {
     /// Where the frontier moves after this iteration; raised in place by
     /// [`successor`] and [`escape`]. Reused across iterations.
     advance: Vec<Val>,
+    /// Buffers of Idea 8's run counting. Reused across iterations.
+    run_scratch: RunScratch<'a>,
 }
 
 impl<'a> MinesweeperExecutor<'a> {
@@ -190,6 +192,7 @@ impl<'a> MinesweeperExecutor<'a> {
             cds,
             t: vec![-1; bq.num_vars()],
             advance: vec![-1; bq.num_vars()],
+            run_scratch: RunScratch::default(),
         }
     }
 
@@ -311,9 +314,9 @@ impl<'a> MinesweeperExecutor<'a> {
             self.cds.set_frontier(&self.advance);
         }
 
-        // Steady state (no new gap discovered) allocates nothing: `t` and `advance`
-        // are the executor's buffers, the CDS refills its own scratch, and a probe
-        // lends its gap out of the prober's memo.
+        // Steady state (no new gap discovered) allocates nothing: `t`, `advance` and
+        // the run-counting buffers are the executor's, the CDS refills its own
+        // scratch, and a probe lends its gap out of the prober's memo.
         loop {
             if !self.cds.compute_free_tuple() {
                 break;
@@ -378,7 +381,7 @@ impl<'a> MinesweeperExecutor<'a> {
                     // counted at once, and the frontier leaves the block.
                     let last = self.t.len() - 1;
                     exhausted |= !escape(&mut self.advance, &self.t, last, POS_INF);
-                    count_last_level_run(self.bq, &self.probers, &self.filters, &self.t)
+                    count_last_level_run(self.bq, &self.filters, &self.t, &mut self.run_scratch)
                 } else {
                     1
                 };

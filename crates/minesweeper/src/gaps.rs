@@ -15,7 +15,7 @@
 use crate::constraint::{Constraint, PatternComp};
 use gj_query::bind::BoundAtom;
 use gj_query::BoundQuery;
-use gj_storage::{ProbeResult, TrieIndex, Val, POS_INF};
+use gj_storage::{ProbeCursor, ProbeResult, TrieIndex, Val, POS_INF};
 use std::sync::Arc;
 
 /// Outcome of probing one atom around a free tuple.
@@ -43,6 +43,11 @@ pub struct AtomProber {
     positions: Vec<usize>,
     /// The atom's GAO-consistent trie index.
     index: Arc<TrieIndex>,
+    /// Where the last index probe left its descent, so the next one searches only
+    /// the levels whose projected value changed. It stays valid across runs and
+    /// morsels because the index behind a prober never changes; memo answers do not
+    /// touch it.
+    cursor: ProbeCursor,
     /// Idea 4 memo: the last gap constraint produced, rewritten in place by every
     /// probe that finds a gap (so its pattern buffer is allocated once). It is kept
     /// whether or not Idea 4 is enabled, because it is also the storage
@@ -78,6 +83,7 @@ impl AtomProber {
             skeleton,
             scratch: vec![0; positions.len()],
             positions,
+            cursor: bound_atom.index.probe_cursor(),
             index: Arc::clone(&bound_atom.index),
             memo: Constraint { pattern: Vec::new(), interval: (0, 0) },
             memo_level: None,
@@ -97,14 +103,6 @@ impl AtomProber {
     /// The GAO positions of the atom's attributes.
     pub fn positions(&self) -> &[usize] {
         &self.positions
-    }
-
-    /// The sorted list of **live** values extending `prefix` (given in the atom's
-    /// own GAO attribute order) in this atom's index, or `None` when the prefix is
-    /// absent. Borrowed for solid indexes; merged across delta layers otherwise.
-    /// Used by the #Minesweeper-style batch counting (Idea 8).
-    pub fn extensions(&self, prefix: &[Val]) -> Option<std::borrow::Cow<'_, [Val]>> {
-        self.index.extensions(prefix)
     }
 
     /// Probes the relation around the free tuple `t` (in GAO order).
@@ -139,7 +137,7 @@ impl AtomProber {
             self.scratch[i] = t[p];
         }
         stats.probes += 1;
-        match self.index.probe(&self.scratch) {
+        match self.index.probe_with(&self.scratch, &mut self.cursor) {
             ProbeResult::Found => ProbeOutcome::Member,
             ProbeResult::Gap { depth, lower, upper } => {
                 self.memoise_gap(t, depth, lower, upper);
@@ -281,6 +279,49 @@ mod tests {
             ProbeOutcome::Gap { newly_discovered: true, .. }
         ));
         assert_eq!(stats.probes, 2);
+    }
+
+    #[test]
+    fn a_memo_hit_between_index_probes_leaves_the_cursor_valid() {
+        let (_bq, mut probers) = paper_setup();
+        let mut stats = ProbeStats::default();
+        let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
+        // Index probes: a gap on A2, then the member (7, 9, 13).
+        assert!(matches!(
+            r.probe(&[2, 6, 6, 1, 3, 7, 9], true, &mut stats),
+            ProbeOutcome::Gap { .. }
+        ));
+        assert_eq!(r.probe(&[0, 0, 7, 0, 9, 13, 0], true, &mut stats), ProbeOutcome::Member);
+        // Answered by the memo (A2 = 6 is inside (5, 7)): the cursor still holds
+        // the member's descent.
+        assert!(matches!(
+            r.probe(&[3, 9, 6, 2, 8, 1, 0], true, &mut stats),
+            ProbeOutcome::Gap { newly_discovered: false, .. }
+        ));
+        assert_eq!(stats.probes, 2);
+        // Index probes resumed below the unchanged prefix (7, 9).
+        assert_eq!(r.probe(&[1, 1, 7, 1, 9, 8, 1], true, &mut stats), ProbeOutcome::Member);
+        match r.probe(&[1, 1, 7, 1, 9, 10, 1], true, &mut stats) {
+            ProbeOutcome::Gap { constraint, newly_discovered } => {
+                assert!(newly_discovered);
+                assert_eq!(constraint.interval_pos(), 5);
+                assert_eq!(constraint.interval, (8, 13));
+                assert_eq!(
+                    constraint.pattern,
+                    vec![
+                        PatternComp::Wildcard,
+                        PatternComp::Wildcard,
+                        PatternComp::Eq(7),
+                        PatternComp::Wildcard,
+                        PatternComp::Eq(9),
+                    ]
+                );
+            }
+            other => panic!("expected a gap, got {other:?}"),
+        }
+        // A changed first value searches from the root again.
+        assert_eq!(r.probe(&[1, 1, 5, 1, 1, 12, 1], true, &mut stats), ProbeOutcome::Member);
+        assert_eq!(stats.probes, 5);
     }
 
     #[test]

@@ -73,13 +73,13 @@ impl Node {
 
     /// Inserts the open interval `(low, high)`, merging it with every overlapping
     /// stored interval, and removes children whose labels fall strictly inside the
-    /// merged interval. Returns the pruned children's node ids.
+    /// merged interval.
     ///
     /// Degenerate intervals (`high <= low`) are ignored; intervals with an empty
     /// integer interior such as `(9, 10)` are kept, as in the paper's point lists.
-    pub fn insert_interval(&mut self, low: Val, high: Val) -> Vec<NodeId> {
+    pub fn insert_interval(&mut self, low: Val, high: Val) {
         if high <= low {
-            return Vec::new();
+            return;
         }
         let mut new_low = low;
         let mut new_high = high;
@@ -99,17 +99,9 @@ impl Node {
 
         // Prune children strictly inside the merged interval (their whole branch is
         // subsumed by the gap).
-        let mut pruned = Vec::new();
-        self.children.retain(|&(label, id)| {
-            let inside = new_low < label && label < new_high;
-            if inside {
-                pruned.push(id);
-            }
-            !inside
-        });
+        self.children.retain(|&(label, _)| !(new_low < label && label < new_high));
         // Free points strictly inside the interval are no longer free.
         self.free_points.retain(|&(v, _)| !(new_low < v && v < new_high));
-        pruned
     }
 
     /// `Next(x)`: the smallest value `y >= x` not strictly inside any stored interval.
@@ -300,8 +292,8 @@ mod tests {
         n.set_child(3, 30);
         n.set_child(7, 70);
         n.set_child(10, 100);
-        let pruned = n.insert_interval(5, 10);
-        assert_eq!(pruned, vec![70]);
+        n.insert_interval(5, 10);
+        assert_eq!(n.children(), &[(3, 30), (10, 100)]);
         assert_eq!(n.child(3), Some(30));
         assert_eq!(n.child(7), None);
         assert_eq!(n.child(10), Some(100)); // 10 is the open end, not inside

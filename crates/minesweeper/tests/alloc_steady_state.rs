@@ -1,12 +1,13 @@
 //! Allocation guard for the Minesweeper outer loop: in steady state (no new gap
 //! discovered) an iteration must not touch the heap. The executor owns its `t` /
-//! `advance` buffers, the CDS refills its own active-set stack and chain scratch,
-//! and a probe lends its gap out of the prober's memo, so on a *second* run over one
+//! `advance` buffers and Idea 8's run-counting buffers, the CDS refills its own
+//! active-set stack and chain scratch, each prober owns its trie cursor, and a probe
+//! lends its gap out of the prober's memo, so on a *second* run over one
 //! executor — node arena, point lists and memo buffers already grown — the only
 //! allocations left are the ones a CDS insert can cause. The bound is therefore a
 //! multiple of `constraints_inserted`, never of `iterations`.
 
-use gj_minesweeper::{MinesweeperExecutor, MsConfig};
+use gj_minesweeper::{MinesweeperExecutor, MsConfig, MsStats};
 use gj_query::{BoundQuery, CatalogQuery, Instance};
 use gj_storage::{Graph, Relation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -68,21 +69,25 @@ fn sampled_instance(seed: u64, n: u32, p: f64) -> Instance {
     inst
 }
 
-#[test]
-fn a_warm_executor_allocates_per_constraint_not_per_iteration() {
+/// Runs 3-path twice on one executor and returns the second run's statistics with
+/// the allocations it made.
+fn warm_run(config: MsConfig) -> (MsStats, u64) {
     let inst = sampled_instance(7, 120, 0.05);
     let query = CatalogQuery::ThreePath.query();
     let bq = BoundQuery::new(&inst, &query, None).unwrap();
-    let mut exec = MinesweeperExecutor::new(&bq, MsConfig::default());
+    let mut exec = MinesweeperExecutor::new(&bq, config);
 
     let cold = exec.run(&mut |_, _| {});
     let before = ALLOCATIONS.with(Cell::get);
     let warm = exec.run(&mut |_, _| {});
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-
     assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
-    // Nothing per iteration; per inserted constraint at most a point-list growth and
-    // an arena growth; the constant covers per-run setup.
+    (warm, allocations)
+}
+
+/// Nothing per iteration; per inserted constraint at most a point-list growth and an
+/// arena growth; the constant covers per-run setup.
+fn assert_allocates_per_constraint((warm, allocations): (MsStats, u64)) {
     let bound = 2 * warm.constraints_inserted + 16;
     assert!(
         bound < warm.iterations,
@@ -95,4 +100,17 @@ fn a_warm_executor_allocates_per_constraint_not_per_iteration() {
         warm.iterations,
         warm.constraints_inserted
     );
+}
+
+#[test]
+fn a_warm_executor_allocates_per_constraint_not_per_iteration() {
+    assert_allocates_per_constraint(warm_run(MsConfig::default()));
+}
+
+/// Idea 8 counts each run of outputs out of executor-owned buffers (four `Vec`s per
+/// counted run came to ≈ 9 400 allocations here, three times the bound).
+#[test]
+fn batch_counting_allocates_per_constraint_not_per_counted_run() {
+    let config = MsConfig { idea8_batch_counting: true, ..MsConfig::default() };
+    assert_allocates_per_constraint(warm_run(config));
 }

@@ -51,5 +51,5 @@ pub mod value;
 pub use fault::{FailAction, FailpointHit, FailpointRegistry};
 pub use graph::{Csr, Graph};
 pub use relation::Relation;
-pub use trie::{ProbeResult, TrieIndex, TrieIterator};
+pub use trie::{ProbeCursor, ProbeResult, TrieIndex, TrieIterator};
 pub use value::{is_finite, Tuple, Val, NEG_INF, POS_INF};

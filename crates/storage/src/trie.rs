@@ -10,7 +10,8 @@
 //!   (`open` / `up` / `next` / `seek`), and
 //! * `O(log)` per-level prefix probes with greatest-lower-bound / least-upper-bound
 //!   answers, which is exactly what Minesweeper's `seekGap` (Idea 3) needs to build a
-//!   maximal gap box around a free tuple.
+//!   maximal gap box around a free tuple. A [`ProbeCursor`] lets consecutive probes
+//!   of one solid index skip the leading levels whose value did not change.
 //!
 //! # Delta layers (incremental maintenance)
 //!
@@ -159,6 +160,19 @@ pub enum ProbeResult {
     /// that contains no value extending that prefix; the ends are `NEG_INF` /
     /// `POS_INF` when the probe falls before the first or after the last child.
     Gap { depth: usize, lower: Val, upper: Val },
+}
+
+/// Where the previous [`TrieIndex::probe_with`] left its descent of one solid
+/// index, so the next probe redoes only the levels its tuple changes.
+#[derive(Debug, Clone)]
+pub struct ProbeCursor {
+    /// Per level: the value probed there and the entry range `lo..hi` of the level
+    /// it was searched in (the children of the probed prefix). Valid for levels
+    /// `0..=matched` (all of them after a `Found`).
+    levels: Vec<(Val, usize, usize)>,
+    /// Leading levels whose probed value was found: the gap depth, or the arity
+    /// after a `Found`.
+    matched: usize,
 }
 
 impl TrieIndex {
@@ -422,9 +436,89 @@ impl TrieIndex {
     /// head tombstoned subtrees — the interval is still free of live values, just not
     /// always maximal.
     pub fn probe(&self, t: &[Val]) -> ProbeResult {
-        let Some(delta) = &self.delta else {
-            return self.probe_solid(t);
+        if self.delta.is_none() {
+            let (lo, hi) = self.base.root_range();
+            return self.descend(t, 0, lo, hi, |_, _, _, _| {});
+        }
+        self.probe_merged(t)
+    }
+
+    /// A cursor for [`TrieIndex::probe_with`] on this index, positioned at the root.
+    pub fn probe_cursor(&self) -> ProbeCursor {
+        let (lo, hi) = self.base.root_range();
+        ProbeCursor { levels: vec![(NEG_INF, lo, hi); self.arity()], matched: 0 }
+    }
+
+    /// [`TrieIndex::probe`], resumed from the levels of the previous probe through
+    /// `cursor` that `t` leaves unchanged: the walk skips every leading level whose
+    /// value was found last time and is probed again, and searches from the first
+    /// changed level inside the entry range it was searched in before. Repeating a
+    /// member costs `arity` comparisons and no search. The answer is exactly
+    /// [`TrieIndex::probe`]'s.
+    ///
+    /// `cursor` must come from [`TrieIndex::probe_cursor`] on this index (or one
+    /// sharing its base and carrying no delta). Delta-carrying indexes ignore the
+    /// cursor and take the merged probe.
+    pub fn probe_with(&self, t: &[Val], cursor: &mut ProbeCursor) -> ProbeResult {
+        if self.delta.is_some() {
+            return self.probe_merged(t);
+        }
+        debug_assert_eq!(cursor.levels.len(), self.arity(), "cursor of another index");
+        let mut d = 0;
+        while d < cursor.matched && cursor.levels[d].0 == t[d] {
+            d += 1;
+        }
+        if d == self.arity() {
+            return ProbeResult::Found;
+        }
+        let (_, lo, hi) = cursor.levels[d];
+        let levels = &mut cursor.levels;
+        let result = self.descend(t, d, lo, hi, |d, v, lo, hi| levels[d] = (v, lo, hi));
+        cursor.matched = match result {
+            ProbeResult::Found => self.arity(),
+            ProbeResult::Gap { depth, .. } => depth,
         };
+        result
+    }
+
+    /// The solid probe's one descent loop: searches level `d` of the base for
+    /// `t[d]` among the entries `lo..hi` (the children of the matched prefix
+    /// `t[..d]`) and goes down until a level misses or the leaf matches. `visit`
+    /// sees each level's value and searched range before its search.
+    fn descend(
+        &self,
+        t: &[Val],
+        mut d: usize,
+        mut lo: usize,
+        mut hi: usize,
+        mut visit: impl FnMut(usize, Val, usize, usize),
+    ) -> ProbeResult {
+        assert_eq!(t.len(), self.arity(), "probe tuple must have the index arity");
+        let core = &self.base;
+        while d < core.arity {
+            let tv = t[d];
+            visit(d, tv, lo, hi);
+            let vals = &core.values[d][lo..hi];
+            // partition_point: number of values < tv in the node.
+            let pos = vals.partition_point(|&x| x < tv);
+            if pos == vals.len() || vals[pos] != tv {
+                let lower = if pos == 0 { NEG_INF } else { vals[pos - 1] };
+                let upper = if pos == vals.len() { POS_INF } else { vals[pos] };
+                return ProbeResult::Gap { depth: d, lower, upper };
+            }
+            if d + 1 < core.arity {
+                (lo, hi) = core.children_range(d, lo + pos);
+            }
+            d += 1;
+        }
+        ProbeResult::Found
+    }
+
+    /// The delta-layer probe: base and insert tries walked in lockstep. It stays a
+    /// separate, cursor-free path only until readers see solid tries alone, which
+    /// deletes it together with the merged iterator.
+    fn probe_merged(&self, t: &[Val]) -> ProbeResult {
+        let delta = self.delta.as_ref().expect("the merged probe runs on a delta layer");
         assert_eq!(t.len(), self.arity(), "probe tuple must have the index arity");
         let arity = self.arity();
         let mut b = Some(self.base.root_range());
@@ -472,33 +566,6 @@ impl TrieIndex {
             };
         }
         unreachable!("the loop returns at the leaf level");
-    }
-
-    /// The solid-index probe: one layer, no liveness checks.
-    fn probe_solid(&self, t: &[Val]) -> ProbeResult {
-        assert_eq!(t.len(), self.arity(), "probe tuple must have the index arity");
-        let core = &self.base;
-        let (mut lo, mut hi) = core.root_range();
-        for (d, &tv) in t.iter().enumerate() {
-            match core.find_in(d, lo, hi, tv) {
-                Some(idx) => {
-                    if d + 1 < core.arity {
-                        let (clo, chi) = core.children_range(d, idx);
-                        lo = clo;
-                        hi = chi;
-                    }
-                }
-                None => {
-                    let vals = &core.values[d][lo..hi];
-                    // partition_point: number of values < tv in the node.
-                    let pos = vals.partition_point(|&x| x < tv);
-                    let lower = if pos == 0 { NEG_INF } else { vals[pos - 1] };
-                    let upper = if pos == vals.len() { POS_INF } else { vals[pos] };
-                    return ProbeResult::Gap { depth: d, lower, upper };
-                }
-            }
-        }
-        ProbeResult::Found
     }
 
     /// Creates a fresh [`TrieIterator`] positioned at the root.

@@ -1,5 +1,6 @@
 //! Property-based tests for the trie index: every probe, seek and prefix walk must
-//! agree with a naive linear-scan reference over the same set of rows, and the
+//! agree with a naive linear-scan reference over the same set of rows, a probe
+//! resumed through a cursor must agree with a fresh one, and the
 //! zero-materialization build must be structurally identical to a reference build
 //! through an explicitly permuted relation.
 
@@ -48,6 +49,36 @@ proptest! {
         let idx = TrieIndex::build_natural(&rel);
         for t in &probes {
             prop_assert_eq!(idx.probe(t), reference_probe(&rel.to_rows(), t));
+        }
+    }
+
+    /// One cursor carried through a random walk of probes — each probe changes one
+    /// position of the previous, so consecutive probes share prefixes of every
+    /// length — answers every probe exactly as the stateless probe does, on a solid
+    /// index and on the same index with a delta layer.
+    #[test]
+    fn cursor_probes_agree_with_stateless_probes(
+        base in rows(3),
+        inserts in rows(3),
+        deletes in prop::collection::vec(0usize..60, 0..12),
+        steps in prop::collection::vec((0usize..3, 0i64..20), 1..60),
+    ) {
+        let rel = Relation::from_rows(3, base);
+        let solid = TrieIndex::build_natural(&rel);
+        // `with_edits` wants inserts absent from the base and deletes present in it.
+        let ins = Relation::from_rows(3, inserts.into_iter().filter(|r| !rel.contains(r)).collect());
+        let del = Relation::from_rows(
+            3,
+            deletes.iter().filter(|_| !rel.is_empty()).map(|&i| rel.row(i % rel.len()).to_vec()).collect(),
+        );
+        let edited = solid.with_edits(&ins, &del);
+        for idx in [&solid, &edited] {
+            let mut cursor = idx.probe_cursor();
+            let mut t = vec![0i64; 3];
+            for &(pos, v) in &steps {
+                t[pos] = v;
+                prop_assert_eq!(idx.probe_with(&t, &mut cursor), idx.probe(&t), "probe {:?}", &t);
+            }
         }
     }
 
