@@ -3,9 +3,9 @@
 //! The workspace lint gate (`no-direct-thread-spawn-outside-runtime`) funnels
 //! every thread spawn through this crate so panic isolation is never skipped by
 //! accident. [`scoped_workers`] is the general-purpose entry point for callers
-//! outside the morsel driver — e.g. `gj-bench`'s concurrent-session load
-//! generator: it runs a closure on `n` scoped threads, catches panics at each
-//! worker boundary, and returns one typed result per worker.
+//! outside the morsel driver — e.g. `gj-service`'s session replay and the
+//! benchmark's service workloads: it runs a closure on `n` scoped threads, catches
+//! panics at each worker boundary, and returns one typed result per worker.
 
 use crate::exec::{panic_payload, ExecError};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -11,7 +11,8 @@
 //!   the session-history serializability checker);
 //! * `gj-storage`, `gj-query`, `gj-runtime`, `gj-lftj`, `gj-minesweeper`,
 //!   `gj-baselines`, `gj-datagen`, `gj-store` — the individual building blocks;
-//! * `gj-bench` (not re-exported) — the table/figure harness binaries.
+//! * `gj-bench` (not re-exported) — the `paper_tables` runner for the paper's
+//!   tables and figures.
 //!
 //! Start with the repository-level `README.md` (quickstart, bench instructions)
 //! and `ARCHITECTURE.md` (crate dependency graph, the prepare/execute split, the
