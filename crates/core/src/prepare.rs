@@ -755,6 +755,7 @@ fn ms_extras(ms: &gj_minesweeper::MsStats) -> Vec<(&'static str, u64)> {
         ("cds_nodes", ms.cds_nodes),
         ("free_tuple_steps", ms.free_tuple_steps),
         ("backjumps", ms.backjumps),
+        ("batched_runs", ms.batched_runs),
     ]
 }
 

@@ -3,8 +3,8 @@
 //! The CDS is a tree with one level per GAO attribute. A node is identified by the
 //! labels on the path from the root (its *pattern*: equality values or wildcards) and
 //! stores the open intervals of the constraints whose pattern is that path, plus the
-//! bookkeeping of Ideas 5, 6 and 8 (cached intervals, discovered free values,
-//! completeness, counts).
+//! bookkeeping of Ideas 5 and 6 (cached intervals, discovered free values,
+//! completeness).
 //!
 //! Its two operations are exactly the paper's:
 //!
@@ -13,6 +13,10 @@
 //!   current frontier that is not covered by any stored gap box, walking the levels
 //!   with `getFreeValue` (Algorithm 5), backtracking and truncating (Algorithm 6) as
 //!   needed.
+//!
+//! A third, [`Cds::complete_run_len`], is Idea 8's count: how many outputs share the
+//! first `n - 1` values of the free tuple just returned, read off a complete
+//! last-level node instead of enumerated.
 //!
 //! Three deliberate deviations from the pseudocode:
 //!
@@ -360,6 +364,52 @@ impl Cds {
         }
     }
 
+    /// Idea 8: the length of the *run* of the free tuple the last walk returned —
+    /// the tuples that share its first `n - 1` values and whose last value lies in
+    /// `[frontier[n - 1], upper)` — when that tuple is a verified output and the
+    /// walk's last-level bottom node can answer for the run. `None` means "take a
+    /// normal one-output iteration".
+    ///
+    /// The bottom node answers when it is complete (Idea 6) and its pattern pins
+    /// `pins` positions by equality, where `pins` counts the earlier positions that
+    /// the atoms containing the last attribute mention. Every last-level node's
+    /// pattern is the equality prefix of one such atom, so then the bottom node pins
+    /// all of them, and whether a value `y` extends the prefix depends on those
+    /// pinned values alone. Each free point `y` was probed (under some prefix
+    /// agreeing on them) when the node recorded it; a failing atom then inserted a
+    /// gap around `y` into a node that generalises the current prefix, i.e. a chain
+    /// node. Hence the free points outside every chain node's intervals are exactly
+    /// the run, and completeness says no output lies outside the free points. A
+    /// less specific bottom node (say `<*, *, *>` of a 3-path before `<*, *, c>`
+    /// exists) lists values that some unpinned atom may still reject.
+    ///
+    /// Valid only right after a [`compute_free_tuple`](Self::compute_free_tuple)
+    /// that returned `true` at level `n - 1`, before any constraint is inserted or
+    /// the frontier moves; returns `None` otherwise. The caller's escape past the
+    /// run leaves completeness sound: it skips values at the last level only under
+    /// this (already complete) bottom node, exactly as its wrap would.
+    pub fn complete_run_len(&self, pins: u32, upper: Val) -> Option<u64> {
+        let last = self.n - 1;
+        if !self.complete_nodes || self.resume != last {
+            return None;
+        }
+        let active = &self.active[last];
+        let &(bottom, spec) = active
+            .iter()
+            .find(|&&(id, _)| self.nodes[id].has_intervals() || self.nodes[id].is_complete())?;
+        if spec != pins || !self.nodes[bottom].is_complete() {
+            return None;
+        }
+        // Active nodes outside the chain have no intervals, so checking them all
+        // costs nothing and covers every chain node.
+        let run = self.nodes[bottom]
+            .free_points_in(self.frontier[last], upper)
+            .iter()
+            .filter(|&&y| active.iter().all(|&(id, _)| self.nodes[id].next(y) == y))
+            .count();
+        Some(run as u64)
+    }
+
     /// `getFreeValue(x, G)` (Algorithm 5): the smallest value `>= x` not covered by
     /// any interval of the nodes in the chain for depth `d`, caching the scan into
     /// the bottom node (Idea 5), answering from complete nodes (Idea 6), and
@@ -400,7 +450,7 @@ impl Cds {
                 self.stats.cached_intervals += 1;
             }
             if y < POS_INF {
-                self.nodes[bottom].add_free_point(y, 1);
+                self.nodes[bottom].add_free_point(y);
             }
             if self.nodes[bottom].has_no_free_value() {
                 let resume_depth = self.truncate(bottom, d);
@@ -598,6 +648,86 @@ mod tests {
             }
             assert!(steps < restarted_steps, "caching {caching}: resumption saved nothing");
         }
+    }
+
+    /// The open interval around `v` that a sorted list leaves free of values, or
+    /// `None` when `v` is in the list.
+    fn gap_around(list: &[Val], v: Val) -> Option<(Val, Val)> {
+        let i = list.partition_point(|&x| x < v);
+        if list.get(i) == Some(&v) {
+            return None;
+        }
+        let low = if i == 0 { NEG_INF } else { list[i - 1] };
+        Some((low, list.get(i).copied().unwrap_or(POS_INF)))
+    }
+
+    /// Drives the engine's loop by hand over `R(a), T(b, c), S(c)` in GAO order
+    /// `a, b, c` (random data, so the atoms containing `c` pin `b` only): every
+    /// output asks [`Cds::complete_run_len`] for its run, and a counted run must
+    /// equal the run listed from the data. A sparse `S` lets `S`'s node `<*, *>`
+    /// complete under a `b` whose `T(b, ·)` holds all of `S`; counting from it
+    /// under another `b` would over-count. Returns the runs counted at once.
+    fn runs_counted_from_complete_nodes(seed: u64) -> u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let r: Vec<Val> = (0..6).filter(|_| rng.gen_bool(0.8)).collect();
+        let t_rows: Vec<(Val, Val)> = (0..6)
+            .flat_map(|b| (0..12).map(move |c| (b, c)))
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        let s: Vec<Val> = (0..12).filter(|_| rng.gen_bool(0.25)).collect();
+        let t_bs: Vec<Val> = {
+            let mut bs: Vec<Val> = t_rows.iter().map(|&(b, _)| b).collect();
+            bs.dedup();
+            bs
+        };
+        let t_cs = |b: Val| -> Vec<Val> {
+            t_rows.iter().filter(|&&(tb, _)| tb == b).map(|&(_, c)| c).collect()
+        };
+        let run_in_data = |b: Val, from: Val| {
+            t_cs(b).into_iter().filter(|c| *c >= from && s.contains(c)).count() as u64
+        };
+
+        let mut cds = Cds::new(3, true, true).with_domain_max(12);
+        let (mut outputs, mut batched) = (0, 0);
+        while cds.compute_free_tuple() {
+            let t = cds.frontier().to_vec();
+            let (a, b, v) = (t[0], t[1], t[2]);
+            let mut gaps = Vec::new();
+            if let Some(gap) = gap_around(&r, a) {
+                gaps.push(c(vec![], gap));
+            }
+            if let Some(gap) = gap_around(&t_bs, b) {
+                gaps.push(c(vec![Wildcard], gap));
+            } else if let Some(gap) = gap_around(&t_cs(b), v) {
+                gaps.push(c(vec![Wildcard, Eq(b)], gap));
+            }
+            if let Some(gap) = gap_around(&s, v) {
+                gaps.push(c(vec![Wildcard, Wildcard], gap));
+            }
+            let mut next = vec![a, b, v + 1];
+            if gaps.is_empty() {
+                match cds.complete_run_len(1, POS_INF) {
+                    Some(run) => {
+                        assert_eq!(run, run_in_data(b, v), "seed {seed}: run of {t:?}");
+                        outputs += run;
+                        batched += 1;
+                        next = vec![a, b + 1, -1];
+                    }
+                    None => outputs += 1,
+                }
+            }
+            gaps.iter().for_each(|gap| cds.insert_constraint(gap));
+            cds.set_frontier(&next);
+        }
+        let expected = r.len() as u64 * t_bs.iter().map(|&b| run_in_data(b, -1)).sum::<u64>();
+        assert_eq!(outputs, expected, "seed {seed}");
+        batched
+    }
+
+    #[test]
+    fn complete_run_len_equals_the_run_listed_from_the_data() {
+        let batched: u64 = (0..64).map(runs_counted_from_complete_nodes).sum();
+        assert!(batched > 0, "no run was counted from a complete node");
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   optimisations are enabled).
 
 use crate::cds::Cds;
-use crate::counting::{count_last_level_run, RunScratch};
 use crate::gaps::{build_probers, AtomProber, ProbeOutcome, ProbeStats};
 use gj_query::gao::is_neo;
 use gj_query::{acyclic_skeleton, BoundQuery, Hypergraph, Query};
 use gj_runtime::ExecCtx;
 use gj_storage::{Val, POS_INF};
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
 /// Configuration of the Minesweeper executor. Every flag corresponds to one of the
@@ -34,9 +34,13 @@ pub struct MsConfig {
     /// Idea 7: for β-cyclic queries, only a β-acyclic skeleton of the atoms inserts
     /// constraints; the other atoms' gaps just advance the frontier.
     pub idea7_skeleton: bool,
-    /// Idea 8 (#Minesweeper-style counting): when only a count is requested, count
-    /// whole runs of outputs that share the first `n-1` attributes in one step
-    /// instead of enumerating them tuple by tuple.
+    /// Idea 8 (#Minesweeper-style counting): when only a count is requested and a
+    /// verified output sits under a complete last-level node (Idea 6), count the
+    /// whole run of outputs sharing its first `n-1` attributes from that node's
+    /// free points in one step instead of enumerating them tuple by tuple
+    /// ([`Cds::complete_run_len`]). On by default; row sinks switch it off, and it
+    /// does nothing where Idea 6 is off (order filters, non-skeleton atoms, no
+    /// chain mode).
     pub idea8_batch_counting: bool,
     /// Granularity factor `f` of Section 4.10: a run on `threads` workers
     /// (`PreparedQuery::par_count(threads)` and friends in `gj-core`,
@@ -52,7 +56,7 @@ impl Default for MsConfig {
             idea5_caching: true,
             idea6_complete_nodes: true,
             idea7_skeleton: true,
-            idea8_batch_counting: false,
+            idea8_batch_counting: true,
             granularity: 1,
         }
     }
@@ -79,6 +83,9 @@ pub struct MsStats {
     pub results: u64,
     /// Number of outer-loop iterations (free tuples probed).
     pub iterations: u64,
+    /// Number of runs of outputs counted at once from a complete node (Idea 8);
+    /// each takes one iteration however long the run.
+    pub batched_runs: u64,
     /// Number of `seekGap` probes issued against the trie indexes.
     pub probes: u64,
     /// Number of probes avoided by the Idea 4 memo.
@@ -107,6 +114,7 @@ impl MsStats {
     pub fn merge(&mut self, other: &MsStats) {
         self.results += other.results;
         self.iterations += other.iterations;
+        self.batched_runs += other.batched_runs;
         self.probes += other.probes;
         self.probes_skipped += other.probes_skipped;
         self.constraints_inserted += other.constraints_inserted;
@@ -120,8 +128,7 @@ impl MsStats {
 }
 
 /// The Minesweeper executor for one bound query.
-pub struct MinesweeperExecutor<'a> {
-    bq: &'a BoundQuery,
+pub struct MinesweeperExecutor {
     config: MsConfig,
     /// Per atom: whether it inserts constraints into the CDS (Idea 7).
     skeleton: Vec<bool>,
@@ -147,13 +154,15 @@ pub struct MinesweeperExecutor<'a> {
     /// Where the frontier moves after this iteration; raised in place by
     /// [`successor`] and [`escape`]. Reused across iterations.
     advance: Vec<Val>,
-    /// Buffers of Idea 8's run counting. Reused across iterations.
-    run_scratch: RunScratch<'a>,
+    /// How many earlier GAO positions the atoms containing the last attribute
+    /// mention: the equality pins a last-level node needs before Idea 8 may count
+    /// a run from it ([`Cds::complete_run_len`]).
+    run_pins: u32,
 }
 
-impl<'a> MinesweeperExecutor<'a> {
+impl MinesweeperExecutor {
     /// Prepares an executor.
-    pub fn new(bq: &'a BoundQuery, config: MsConfig) -> Self {
+    pub fn new(bq: &BoundQuery, config: MsConfig) -> Self {
         let query = &bq.query;
         let beta_acyclic = Hypergraph::of_query(query).is_beta_acyclic();
         let skeleton: Vec<bool> = if beta_acyclic {
@@ -167,22 +176,29 @@ impl<'a> MinesweeperExecutor<'a> {
         let caching = config.idea5_caching && chain_mode;
         // Idea 6 assumes that by the time a node wraps twice, every value that can
         // still be free under its pattern has been *scanned* and recorded. Frontier
-        // jumps that bypass the CDS — escapes from non-skeleton gaps (Idea 7), from
-        // violated order filters, or from Idea 8 batch counting — skip values without
-        // scanning them, which would make a "complete" node silently drop outputs
-        // reached under a different prefix. Complete nodes are therefore only enabled
-        // when no such jump can occur: β-acyclic (all-skeleton), filter-free queries,
-        // which is exactly the setting of the paper's Section 4.7 and Tables 1–2.
-        let no_frontier_jumps =
-            query.filters.is_empty() && skeleton.iter().all(|&s| s) && !config.idea8_batch_counting;
+        // jumps that bypass the CDS — escapes from non-skeleton gaps (Idea 7) or from
+        // violated order filters — skip values without scanning them, which would
+        // make a "complete" node silently drop outputs reached under a different
+        // prefix. Complete nodes are therefore only enabled when no such jump can
+        // occur: β-acyclic (all-skeleton), filter-free queries, which is exactly the
+        // setting of the paper's Section 4.7 and Tables 1–2. Idea 8's escape is not
+        // such a jump: it only skips last-level values under a node that is already
+        // complete.
+        let no_frontier_jumps = query.filters.is_empty() && skeleton.iter().all(|&s| s);
         let complete = config.idea6_complete_nodes && caching && no_frontier_jumps;
         // No output tuple can contain a value larger than the largest data value, so
         // the CDS search is bounded by it.
         let domain_max = bq.atoms.iter().filter_map(|a| a.index.max_value()).max().unwrap_or(-1);
         let probers = build_probers(bq, &skeleton);
         let cds = Cds::new(bq.num_vars(), caching, complete).with_domain_max(domain_max);
+        let last = bq.num_vars() - 1;
+        let pinned: BTreeSet<usize> = bq
+            .atoms
+            .iter()
+            .filter(|a| a.vars.iter().any(|&v| bq.var_pos[v] == last))
+            .flat_map(|a| a.vars.iter().map(|&v| bq.var_pos[v]).filter(|&p| p != last))
+            .collect();
         MinesweeperExecutor {
-            bq,
             config,
             skeleton,
             chain_mode,
@@ -192,7 +208,7 @@ impl<'a> MinesweeperExecutor<'a> {
             cds,
             t: vec![-1; bq.num_vars()],
             advance: vec![-1; bq.num_vars()],
-            run_scratch: RunScratch::default(),
+            run_pins: pinned.len() as u32,
         }
     }
 
@@ -314,9 +330,9 @@ impl<'a> MinesweeperExecutor<'a> {
             self.cds.set_frontier(&self.advance);
         }
 
-        // Steady state (no new gap discovered) allocates nothing: `t`, `advance` and
-        // the run-counting buffers are the executor's, the CDS refills its own
-        // scratch, and a probe lends its gap out of the prober's memo.
+        // Steady state (no new gap discovered) allocates nothing: `t` and `advance`
+        // are the executor's, the CDS refills its own scratch, and a probe lends its
+        // gap out of the prober's memo.
         loop {
             if !self.cds.compute_free_tuple() {
                 break;
@@ -376,14 +392,26 @@ impl<'a> MinesweeperExecutor<'a> {
             }
 
             if !any_gap {
-                let run = if self.config.idea8_batch_counting {
-                    // The whole run of outputs sharing `t`'s first `n - 1` values is
-                    // counted at once, and the frontier leaves the block.
-                    let last = self.t.len() - 1;
-                    exhausted |= !escape(&mut self.advance, &self.t, last, POS_INF);
-                    count_last_level_run(self.bq, &self.filters, &self.t, &mut self.run_scratch)
+                // Idea 8: when the CDS can count the whole run of outputs sharing
+                // `t`'s first `n - 1` values, the frontier leaves the run at once. A
+                // one-attribute query's run is bounded by the morsel instead.
+                let last = self.t.len() - 1;
+                let upper = match self.range0 {
+                    Some((_, hi)) if last == 0 => hi,
+                    _ => POS_INF,
+                };
+                let batch = if self.config.idea8_batch_counting {
+                    self.cds.complete_run_len(self.run_pins, upper)
                 } else {
-                    1
+                    None
+                };
+                let run = match batch {
+                    Some(run) => {
+                        stats.batched_runs += 1;
+                        exhausted |= !escape(&mut self.advance, &self.t, last, POS_INF);
+                        run
+                    }
+                    None => 1,
                 };
                 stats.results += run;
                 if emit(&self.t, run).is_break() {
@@ -456,8 +484,9 @@ pub fn count(bq: &BoundQuery, config: &MsConfig) -> u64 {
 }
 
 /// Runs the bound query, calling `emit(binding, multiplicity)` for every output (in
-/// GAO order; multiplicity is 1 unless Idea 8 batch counting is enabled), and returns
-/// the execution statistics.
+/// GAO order), and returns the execution statistics. With Idea 8 on, a binding may
+/// stand for a whole run: its multiplicity counts the outputs that share its first
+/// `n - 1` values from it onwards.
 pub fn run<F: FnMut(&[Val], u64)>(bq: &BoundQuery, config: &MsConfig, emit: &mut F) -> MsStats {
     MinesweeperExecutor::new(bq, config.clone()).run(emit)
 }
@@ -574,15 +603,58 @@ mod tests {
         }
     }
 
+    /// A seeded random graph plus the four node samples the catalog queries use.
+    fn random_instance(seed: u64, n: u32, p: f64) -> Instance {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|_| rng.gen_bool(p))
+            .collect();
+        let mut inst = Instance::new();
+        inst.add_relation("edge", Graph::new_undirected(n as usize, edges).edge_relation());
+        for (i, step) in [3usize, 2, 5, 4].into_iter().enumerate() {
+            inst.add_relation(
+                format!("v{}", i + 1),
+                Relation::from_values((0..n as i64).step_by(step)),
+            );
+        }
+        inst
+    }
+
     #[test]
     fn batch_counting_agrees_with_plain_counting() {
-        let inst = two_triangle_instance();
-        let config = MsConfig { idea8_batch_counting: true, ..MsConfig::default() };
-        for cq in [CatalogQuery::ThreePath, CatalogQuery::OneTree, CatalogQuery::TwoComb] {
+        let off = MsConfig { idea8_batch_counting: false, ..MsConfig::default() };
+        let inst = random_instance(5, 40, 0.12);
+        let mut batched = 0;
+        for cq in CatalogQuery::all() {
             let q = cq.query();
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
-            assert_eq!(count(&bq, &config), count(&bq, &MsConfig::default()), "{}", q.name);
+            let on = run(&bq, &MsConfig::default(), &mut |_, _| {});
+            assert_eq!(on.results, count(&bq, &off), "{}", q.name);
+            batched += on.batched_runs;
         }
+        assert!(batched > 0, "no run was counted from a complete node");
+
+        // The same over a delta-carrying `edge` index: edits land in the cached
+        // tries as a delta layer, and the count must follow them.
+        let cache = gj_query::IndexCache::new();
+        let q = CatalogQuery::ThreePath.query();
+        BoundQuery::with_cache(&inst, &q, None, &cache, 1).unwrap();
+        let edge = inst.relation("edge").unwrap();
+        let ins = Relation::from_pairs([(0, 39), (39, 0), (3, 38), (38, 3)]);
+        let del = Relation::from_rows(2, edge.iter().take(6).map(<[Val]>::to_vec).collect());
+        let updated = edge.with_edits(&ins, &del);
+        assert_eq!(cache.apply_edits("edge", &ins, &del, &updated), 0, "edits must stay a delta");
+        let mut edited = inst.clone();
+        edited.add_relation("edge", updated);
+        let (bq, report) = BoundQuery::with_cache(&edited, &q, None, &cache, 1).unwrap();
+        assert_eq!(report.indexes_built, 0);
+        assert!(bq.atoms.iter().any(|a| a.index.has_delta()), "no delta-carrying index");
+        let on = run(&bq, &MsConfig::default(), &mut |_, _| {});
+        assert!(on.batched_runs > 0, "no run was counted over the delta index");
+        assert_eq!(on.results, count(&bq, &off));
+        assert_eq!(on.results, gj_query::naive_count(&edited, &q));
     }
 
     #[test]

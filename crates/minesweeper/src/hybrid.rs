@@ -160,8 +160,15 @@ impl HybridPlan {
             ControlFlow::Continue(())
         });
 
+        // An Idea 8 run shares every path value but the last, so it carries one
+        // shared-vertex value only when that vertex is not the last attribute.
+        let joint_is_last = self.path_joint_gao_pos + 1 == self.path_bq.num_vars();
+        let config = MsConfig {
+            idea8_batch_counting: config.idea8_batch_counting && !joint_is_last,
+            ..config.clone()
+        };
         let mut total = 0u64;
-        MinesweeperExecutor::new(&self.path_bq, config.clone()).try_run_ctx(
+        MinesweeperExecutor::new(&self.path_bq, config).try_run_ctx(
             ctx,
             &mut |binding, multiplicity| {
                 let joint_value = binding[self.path_joint_gao_pos];

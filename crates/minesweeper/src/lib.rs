@@ -26,8 +26,9 @@
 //! * **Idea 6** — complete nodes, which short-circuit the chain walk entirely;
 //! * **Idea 7** — the β-acyclic skeleton for cyclic queries (gaps from non-skeleton
 //!   atoms only advance the frontier);
-//! * **Idea 8** — #Minesweeper-style counting (per-free-value counts propagated
-//!   through completed nodes);
+//! * **Idea 8** — #Minesweeper-style counting: a run of outputs that share all
+//!   but the last attribute is counted from the free points of a complete
+//!   last-level node instead of being enumerated;
 //! * the **multi-threaded** partitioning of Section 4.10 — served through the
 //!   shared `gj-runtime` morsel driver ([`MsMorsels`]), with one executor reused
 //!   per worker across morsels and full sink support (parallel
@@ -39,7 +40,6 @@
 
 pub mod cds;
 pub mod constraint;
-pub mod counting;
 pub mod engine;
 pub mod gaps;
 pub mod hybrid;

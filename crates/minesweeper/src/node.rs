@@ -6,8 +6,8 @@
 //!   under this node's pattern (overlapping intervals are merged on insertion, and
 //!   children whose labels fall strictly inside a newly inserted interval are pruned);
 //! * the node's **children**: one per equality label plus at most one wildcard child;
-//! * the **free points** discovered so far (with multiplicity counts for
-//!   #Minesweeper) and the completeness bookkeeping of Idea 6.
+//! * the **free points** discovered so far and the completeness bookkeeping of
+//!   Idea 6 (a complete last-level node also answers Idea 8's run counts).
 //!
 //! The paper fuses intervals, children and free values into a single sorted
 //! `pointList`. We keep them as three sorted vectors with the same asymptotic costs;
@@ -30,9 +30,8 @@ pub struct Node {
     children: Vec<(Val, NodeId)>,
     /// The wildcard (`˚`) child, if any.
     wildcard_child: Option<NodeId>,
-    /// Free values discovered while this node was the bottom of the chain, with the
-    /// #Minesweeper count attached (1 for plain Minesweeper).
-    free_points: Vec<(Val, u64)>,
+    /// Free values discovered while this node was the bottom of the chain (sorted).
+    free_points: Vec<Val>,
     /// How many times the free-value scan wrapped past `+∞` at this node (Idea 6).
     wraps: u8,
     /// Whether the node is complete: its `free_points` enumerate every value that can
@@ -101,7 +100,7 @@ impl Node {
         // subsumed by the gap).
         self.children.retain(|&(label, _)| !(new_low < label && label < new_high));
         // Free points strictly inside the interval are no longer free.
-        self.free_points.retain(|&(v, _)| !(new_low < v && v < new_high));
+        self.free_points.retain(|&v| !(new_low < v && v < new_high));
     }
 
     /// `Next(x)`: the smallest value `y >= x` not strictly inside any stored interval.
@@ -156,46 +155,36 @@ impl Node {
         self.wildcard_child = Some(id);
     }
 
-    // ----- free points, completeness, counts (Ideas 6 and 8) ---------------------
+    // ----- free points and completeness (Ideas 6 and 8) --------------------------
 
     /// Records that `v` was found free while this node was the bottom of the chain.
-    /// `count` is the #Minesweeper multiplicity (1 for plain Minesweeper).
-    pub fn add_free_point(&mut self, v: Val, count: u64) {
+    pub fn add_free_point(&mut self, v: Val) {
         if v == NEG_INF || v == POS_INF {
             return;
         }
-        match self.free_points.binary_search_by_key(&v, |&(p, _)| p) {
-            Ok(i) => self.free_points[i].1 = self.free_points[i].1.max(count),
-            Err(i) => self.free_points.insert(i, (v, count)),
+        if let Err(i) = self.free_points.binary_search(&v) {
+            self.free_points.insert(i, v);
         }
     }
 
-    /// Adds `delta` to the #Minesweeper count of free point `v` (creating it if
-    /// needed).
-    pub fn bump_count(&mut self, v: Val, delta: u64) {
-        match self.free_points.binary_search_by_key(&v, |&(p, _)| p) {
-            Ok(i) => self.free_points[i].1 += delta,
-            Err(i) => self.free_points.insert(i, (v, delta)),
-        }
-    }
-
-    /// The recorded free points (sorted) with their counts.
-    pub fn free_points(&self) -> &[(Val, u64)] {
+    /// The recorded free points (sorted).
+    pub fn free_points(&self) -> &[Val] {
         &self.free_points
     }
 
-    /// Sum of the counts of all recorded free points (#Minesweeper, Idea 8).
-    pub fn total_count(&self) -> u64 {
-        self.free_points.iter().map(|&(_, c)| c).sum()
+    /// The recorded free points in `[lo, hi)` (sorted).
+    pub fn free_points_in(&self, lo: Val, hi: Val) -> &[Val] {
+        let start = self.free_points.partition_point(|&v| v < lo);
+        let end = self.free_points.partition_point(|&v| v < hi);
+        &self.free_points[start..end.max(start)]
     }
 
     /// The smallest recorded free point `>= x` that is not covered by an interval, or
     /// `POS_INF` if none. Used when the node is complete (Idea 6).
     pub fn next_free_point(&self, x: Val) -> Val {
-        let start = self.free_points.partition_point(|&(v, _)| v < x);
-        self.free_points[start..]
+        self.free_points_in(x, POS_INF)
             .iter()
-            .map(|&(v, _)| v)
+            .copied()
             .find(|&v| self.next(v) == v)
             .unwrap_or(POS_INF)
     }
@@ -313,13 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn free_points_track_counts_and_completeness() {
+    fn free_points_track_values_and_completeness() {
         let mut n = Node::new();
-        n.add_free_point(4, 1);
-        n.add_free_point(9, 1);
-        n.bump_count(4, 2);
-        assert_eq!(n.free_points(), &[(4, 3), (9, 1)]);
-        assert_eq!(n.total_count(), 4);
+        n.add_free_point(9);
+        n.add_free_point(4);
+        n.add_free_point(4);
+        assert_eq!(n.free_points(), &[4, 9]);
+        assert_eq!(n.free_points_in(4, 9), &[4]);
+        assert_eq!(n.free_points_in(5, POS_INF), &[9]);
+        assert_eq!(n.free_points_in(9, 4), &[] as &[Val]);
         assert_eq!(n.next_free_point(0), 4);
         assert_eq!(n.next_free_point(5), 9);
         assert_eq!(n.next_free_point(10), POS_INF);
@@ -332,18 +323,18 @@ mod tests {
     #[test]
     fn free_points_inside_new_intervals_are_dropped() {
         let mut n = Node::new();
-        n.add_free_point(4, 1);
-        n.add_free_point(9, 1);
+        n.add_free_point(4);
+        n.add_free_point(9);
         n.insert_interval(3, 8);
-        assert_eq!(n.free_points(), &[(9, 1)]);
+        assert_eq!(n.free_points(), &[9]);
         assert_eq!(n.next_free_point(0), 9);
     }
 
     #[test]
     fn sentinel_free_points_are_ignored() {
         let mut n = Node::new();
-        n.add_free_point(POS_INF, 1);
-        n.add_free_point(NEG_INF, 1);
+        n.add_free_point(POS_INF);
+        n.add_free_point(NEG_INF);
         assert!(n.free_points().is_empty());
     }
 }

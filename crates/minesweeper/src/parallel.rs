@@ -52,13 +52,13 @@ pub struct MsMorsels<'a> {
 /// between the counting and the row path rebuilds instead of serving rows from a
 /// batch-counting executor), the variable-order scratch row, and the worker's
 /// accumulated statistics.
-pub struct MsWorker<'a> {
-    exec: Option<(MinesweeperExecutor<'a>, bool)>,
+pub struct MsWorker {
+    exec: Option<(MinesweeperExecutor, bool)>,
     scratch: Vec<Val>,
     totals: MsStats,
 }
 
-impl MsWorker<'_> {
+impl MsWorker {
     /// The statistics accumulated over every morsel this worker ran.
     pub fn totals(&self) -> MsStats {
         self.totals
@@ -83,9 +83,9 @@ impl<'a> MsMorsels<'a> {
     /// path, creating or rebuilding it when the cached one served the other path.
     fn executor<'w>(
         &self,
-        worker: &'w mut MsWorker<'a>,
+        worker: &'w mut MsWorker,
         counting: bool,
-    ) -> &'w mut MinesweeperExecutor<'a> {
+    ) -> &'w mut MinesweeperExecutor {
         if worker.exec.as_ref().is_none_or(|&(_, kind)| kind != counting) {
             worker.exec = None;
         }
@@ -102,15 +102,15 @@ impl<'a> MsMorsels<'a> {
 }
 
 impl<'a> MorselSource for MsMorsels<'a> {
-    type Worker = MsWorker<'a>;
+    type Worker = MsWorker;
 
-    fn worker(&self) -> MsWorker<'a> {
+    fn worker(&self) -> MsWorker {
         MsWorker { exec: None, scratch: vec![0; self.bq.num_vars()], totals: MsStats::default() }
     }
 
     fn run_morsel(
         &self,
-        worker: &mut MsWorker<'a>,
+        worker: &mut MsWorker,
         morsel: Morsel,
         ctx: &ExecCtx<'_>,
         emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
@@ -130,7 +130,7 @@ impl<'a> MorselSource for MsMorsels<'a> {
         totals.merge(&stats);
     }
 
-    fn count_morsel(&self, worker: &mut MsWorker<'a>, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
+    fn count_morsel(&self, worker: &mut MsWorker, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
         let exec = self.executor(worker, true);
         let mut rows = 0;
         let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_, multiplicity| {
@@ -142,7 +142,7 @@ impl<'a> MorselSource for MsMorsels<'a> {
     }
 
     /// Folds the worker's accumulated statistics into the run totals.
-    fn retire_worker(&self, worker: MsWorker<'a>) {
+    fn retire_worker(&self, worker: MsWorker) {
         self.totals.lock().unwrap_or_else(PoisonError::into_inner).merge(&worker.totals);
     }
 }
@@ -206,9 +206,9 @@ mod tests {
         let inst = random_instance(15, 50, 0.12);
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let sequential = crate::engine::count(&bq, &MsConfig::default());
-        let cfg = MsConfig { idea8_batch_counting: true, ..MsConfig::default() };
-        assert_eq!(par_count(&bq, &cfg, 4, 8), sequential);
+        let plain = MsConfig { idea8_batch_counting: false, ..MsConfig::default() };
+        let sequential = crate::engine::count(&bq, &plain);
+        assert_eq!(par_count(&bq, &MsConfig::default(), 4, 8), sequential);
     }
 
     #[test]
@@ -235,8 +235,7 @@ mod tests {
         let inst = random_instance(18, 40, 0.15);
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let config = MsConfig { idea8_batch_counting: true, ..MsConfig::default() };
-        let source = MsMorsels::new(&bq, config);
+        let source = MsMorsels::new(&bq, MsConfig::default());
         let morsels = partition_first_attribute(&bq, 4);
         let mut worker = source.worker();
         let counted: u64 =

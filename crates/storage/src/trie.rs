@@ -272,8 +272,7 @@ impl TrieIndex {
 
     /// The distinct values at trie level `d` of the **base** layer (grouped by
     /// parent, each group sorted). Solid indexes only — delta-carrying indexes must
-    /// be read through [`TrieIndex::iter`] / [`TrieIndex::first_level_values`] /
-    /// [`TrieIndex::extensions`].
+    /// be read through [`TrieIndex::iter`] / [`TrieIndex::first_level_values`].
     pub fn level_values(&self, d: usize) -> &[Val] {
         debug_assert!(self.delta.is_none(), "level_values() reads the base layer only");
         &self.base.values[d]
@@ -333,7 +332,7 @@ impl TrieIndex {
     }
 
     /// Locates the node reached by following `prefix` from the root of the **base**
-    /// layer. Solid indexes only; delta-aware callers use [`TrieIndex::extensions`].
+    /// layer. Solid indexes only; delta-aware callers use [`TrieIndex::iter`].
     ///
     /// Returns the `(lo, hi)` range of that node's children at level `prefix.len()`,
     /// or `None` if the prefix is not present in the relation. An empty prefix returns
@@ -346,70 +345,6 @@ impl TrieIndex {
         for (d, &v) in prefix.iter().enumerate() {
             let idx = self.base.find_in(d, lo, hi, v)?;
             let (clo, chi) = self.base.children_range(d, idx);
-            lo = clo;
-            hi = chi;
-        }
-        Some((lo, hi))
-    }
-
-    /// The sorted **live** values extending `prefix` at level `prefix.len()`, merged
-    /// across the layers: base children minus tombstones (when the extension is the
-    /// last attribute), unioned with delta-insert children. `None` when the prefix
-    /// exists in no layer. Borrowed (zero-copy) for solid indexes — this is the
-    /// delta-aware replacement for `prefix_range` + `level_values`.
-    pub fn extensions(&self, prefix: &[Val]) -> Option<Cow<'_, [Val]>> {
-        assert!(prefix.len() < self.arity(), "prefix must be shorter than the arity");
-        let Some(delta) = &self.delta else {
-            let (lo, hi) = self.walk_core(&self.base, prefix)?;
-            return Some(Cow::Borrowed(&self.base.values[prefix.len()][lo..hi]));
-        };
-        let d = prefix.len();
-        let base = self.walk_core(&self.base, prefix);
-        let ins = self.walk_core(&delta.ins, prefix);
-        if base.is_none() && ins.is_none() {
-            return None;
-        }
-        let base_vals = base.map_or(&[][..], |(lo, hi)| &self.base.values[d][lo..hi]);
-        let ins_vals = ins.map_or(&[][..], |(lo, hi)| &delta.ins.values[d][lo..hi]);
-        // Tombstones remove full tuples, so they only filter the last level; an
-        // interior dead key still heads (possibly empty) live subtrees below it.
-        let del_vals = if d + 1 == self.arity() {
-            self.walk_core(&delta.del, prefix)
-                .map_or(&[][..], |(lo, hi)| &delta.del.values[d][lo..hi])
-        } else {
-            &[]
-        };
-        if del_vals.is_empty() && ins_vals.is_empty() {
-            return Some(Cow::Borrowed(base_vals));
-        }
-        let mut out = Vec::with_capacity(base_vals.len() + ins_vals.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base_vals.len() || j < ins_vals.len() {
-            let take_base =
-                j >= ins_vals.len() || (i < base_vals.len() && base_vals[i] <= ins_vals[j]);
-            if take_base {
-                let v = base_vals[i];
-                if j < ins_vals.len() && ins_vals[j] == v {
-                    j += 1;
-                }
-                i += 1;
-                if del_vals.binary_search(&v).is_err() {
-                    out.push(v);
-                }
-            } else {
-                out.push(ins_vals[j]);
-                j += 1;
-            }
-        }
-        Some(Cow::Owned(out))
-    }
-
-    /// Follows `prefix` down `core`, returning the child range at the next level.
-    fn walk_core(&self, core: &TrieCore, prefix: &[Val]) -> Option<(usize, usize)> {
-        let (mut lo, mut hi) = core.root_range();
-        for (d, &v) in prefix.iter().enumerate() {
-            let idx = core.find_in(d, lo, hi, v)?;
-            let (clo, chi) = core.children_range(d, idx);
             lo = clo;
             hi = chi;
         }
@@ -1334,26 +1269,6 @@ mod tests {
         // Union of both layers' first keys, sorted distinct; the fully-deleted 20
         // may remain (harmless for partitioning).
         assert_eq!(&*idx.first_level_values(), &[-5, 10, 20, 99]);
-    }
-
-    #[test]
-    fn extensions_merge_and_filter_tombstones() {
-        let base = figure1_relation();
-        let ins = Relation::from_rows(3, vec![vec![5, 1, 5], vec![5, 2, 9]]);
-        let del = Relation::from_rows(3, vec![vec![5, 1, 7]]);
-        let idx = TrieIndex::build_natural(&base).with_edits(&ins, &del);
-        // Leaf-level extensions: tombstones filtered, inserts merged.
-        assert_eq!(&*idx.extensions(&[5, 1]).unwrap(), &[4, 5, 12]);
-        // Interior extensions: inserts merged (no tombstone filtering above leaves).
-        assert_eq!(&*idx.extensions(&[5]).unwrap(), &[1, 2]);
-        // Delta-only prefix.
-        assert_eq!(&*idx.extensions(&[5, 2]).unwrap(), &[9]);
-        // Absent from every layer.
-        assert!(idx.extensions(&[6, 6]).is_none());
-        // Solid path stays zero-copy.
-        let solid = TrieIndex::build_natural(&base);
-        assert!(matches!(solid.extensions(&[5, 1]), Some(Cow::Borrowed(_))));
-        assert_eq!(&*solid.extensions(&[5, 1]).unwrap(), &[4, 7, 12]);
     }
 
     #[test]

@@ -112,10 +112,12 @@ fn random_query(rng: &mut StdRng, case: u64) -> Query {
 }
 
 /// The general-purpose engines every case must agree on.
-fn fuzz_engines() -> [Engine; 5] {
+fn fuzz_engines() -> [Engine; 6] {
     [
         Engine::Lftj,
         Engine::Minesweeper(MsConfig::default()),
+        // Idea 8 off: every output takes its own iteration.
+        Engine::Minesweeper(MsConfig { idea8_batch_counting: false, ..MsConfig::default() }),
         // Caching off takes every query — the binary acyclic ones included — out of
         // chain mode, where exhausted levels are left by conflict-directed backjumps.
         Engine::Minesweeper(MsConfig {

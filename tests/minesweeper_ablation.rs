@@ -5,7 +5,9 @@
 
 use gj_datagen::{powerlaw_cluster, LdbcConfig, SocialNetwork};
 use gj_minesweeper::{run, MinesweeperExecutor, MsConfig};
-use graphjoin::{workload_database, BoundQuery, CatalogQuery, Database, Engine, Graph, LdbcQuery};
+use graphjoin::{
+    workload_database, BoundQuery, CatalogQuery, Database, Engine, Graph, LdbcQuery, QueryBuilder,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -94,6 +96,12 @@ fn idea5_caches_intervals_in_chain_mode() {
     assert_eq!(without.cached_intervals, 0);
 }
 
+/// Idea 8 off, everything else at its default: the one-output-per-iteration run
+/// the batch counter is measured against.
+fn idea8_off() -> MsConfig {
+    MsConfig { idea8_batch_counting: false, ..MsConfig::default() }
+}
+
 #[test]
 fn idea8_batch_counting_takes_fewer_iterations() {
     let graph = random_graph(18, 80, 0.08);
@@ -102,9 +110,8 @@ fn idea8_batch_counting_takes_fewer_iterations() {
     let q = CatalogQuery::ThreePath.query();
     let bq = BoundQuery::new(db.instance(), &q, None).unwrap();
 
-    let with =
-        run(&bq, &MsConfig { idea8_batch_counting: true, ..MsConfig::default() }, &mut |_, _| {});
-    let without = run(&bq, &MsConfig::default(), &mut |_, _| {});
+    let with = run(&bq, &MsConfig::default(), &mut |_, _| {});
+    let without = run(&bq, &idea8_off(), &mut |_, _| {});
     assert_eq!(with.results, without.results);
     assert!(
         with.iterations < without.iterations,
@@ -112,6 +119,33 @@ fn idea8_batch_counting_takes_fewer_iterations() {
         with.iterations,
         without.iterations
     );
+    assert!(with.batched_runs > 0, "no run was counted from a complete node");
+    assert!(with.complete_node_hits > 0, "idea 8 must keep complete nodes on");
+    assert_eq!(without.batched_runs, 0);
+    // Batch counting skips outputs only, so it learns the same gaps.
+    assert_eq!(with.cds_nodes, without.cds_nodes);
+    assert_eq!(with.constraints_inserted, without.constraints_inserted);
+}
+
+#[test]
+fn idea8_stays_off_under_order_filters() {
+    // A filter switches complete nodes off, so no run has a node to be counted from.
+    let graph = random_graph(18, 80, 0.08);
+    let db = workload_database(graph, CatalogQuery::ThreePath, 2, 3);
+    let q = QueryBuilder::new("3-path-a<d")
+        .atom("v1", &["a"])
+        .atom("edge", &["a", "b"])
+        .atom("edge", &["b", "c"])
+        .atom("edge", &["c", "d"])
+        .atom("v2", &["d"])
+        .lt("a", "d")
+        .build();
+    let bq = BoundQuery::new(db.instance(), &q, None).unwrap();
+    let with = run(&bq, &MsConfig::default(), &mut |_, _| {});
+    let without = run(&bq, &idea8_off(), &mut |_, _| {});
+    assert!(with.results > 0, "vacuous: no output");
+    assert_eq!(with.batched_runs, 0);
+    assert_eq!(with, without, "idea 8 must change nothing when it cannot fire");
 }
 
 #[test]
@@ -161,8 +195,10 @@ fn stats_results_match_the_actual_count_in_every_configuration() {
         let stats = run(&bq, &config, &mut |_, m| emitted += m);
         assert_eq!(stats.results, expected, "stats.results for {name}");
         assert_eq!(emitted, expected, "emitted for {name}");
-        assert!(stats.iterations >= stats.results, "iterations for {name}");
     }
+    // One output per iteration at most — unless Idea 8 counts whole runs at once.
+    let stats = run(&bq, &idea8_off(), &mut |_, _| {});
+    assert!(stats.iterations >= stats.results, "{} iterations", stats.iterations);
 }
 
 #[test]
@@ -238,5 +274,6 @@ fn three_path_free_tuple_walks_resume_below_the_unchanged_prefix() {
     let extra = |name| stats.extra(name).expect("Minesweeper reports its counters");
     let (steps, iterations) = (extra("free_tuple_steps"), extra("iterations"));
     assert!(iterations > 1_000, "vacuous: {iterations} iterations");
+    assert!(extra("batched_runs") > 0, "no run was counted from a complete node");
     assert!(steps <= 2 * iterations, "{steps} free-tuple steps for {iterations} iterations");
 }

@@ -6,7 +6,9 @@
 //! (not merely set-equal) `collect` results, and `first_k` answers that are exact
 //! serial prefixes even when early termination retires morsels across workers.
 
-use graphjoin::{CatalogQuery, Database, Engine, Graph, MsConfig, Ordered, Relation, Val};
+use graphjoin::{
+    CatalogQuery, Database, Engine, Graph, MsConfig, Ordered, QueryBuilder, Relation, Val,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::ControlFlow;
@@ -33,7 +35,7 @@ fn parallel_engines() -> Vec<Engine> {
         engines.push(Engine::Minesweeper(MsConfig { granularity, ..MsConfig::default() }));
     }
     engines.push(Engine::Minesweeper(MsConfig {
-        idea8_batch_counting: true,
+        idea8_batch_counting: false,
         granularity: 4,
         ..MsConfig::default()
     }));
@@ -59,6 +61,23 @@ fn parallel_counts_match_serial_for_all_engines_and_thread_counts() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A one-variable query: its last GAO attribute is also the first, so an Idea 8
+/// run is bounded by the morsel, not by the end of the axis.
+#[test]
+fn single_variable_counts_stay_inside_their_morsels() {
+    let mut db = Database::new();
+    db.add_relation("u1", Relation::from_values((0..200).step_by(2)));
+    db.add_relation("u2", Relation::from_values(0..250));
+    let q = QueryBuilder::new("u1-and-u2").atom("u1", &["a"]).atom("u2", &["a"]).build();
+    for engine in parallel_engines() {
+        let prepared = db.prepare(&q, &engine).unwrap();
+        assert_eq!(prepared.count().unwrap(), 100, "{}", engine.label());
+        for threads in [2, 4, 8] {
+            assert_eq!(prepared.par_count(threads).unwrap(), 100, "{} {threads}", engine.label());
         }
     }
 }
