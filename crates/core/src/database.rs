@@ -229,22 +229,28 @@ impl Database {
         ins: &[Vec<Val>],
         del: &[Vec<Val>],
     ) -> Result<usize, EngineError> {
-        let (eff_ins, eff_del) = self.stage_edits(name, ins, del)?;
-        self.apply_effective_edits(name, &eff_ins, &eff_del)
+        match self.stage_edits(name, ins, del)? {
+            Some(staged) => Ok(self.apply_staged(name, staged)),
+            None => Ok(0),
+        }
     }
 
-    /// Validates an edit batch against relation `name` and reduces it to its
-    /// *effective* deltas: inserts that are new (and not simultaneously
-    /// deleted), deletes that currently exist — exactly what the cache's delta
-    /// invariants require, and what makes the edit count meaningful. Shared by
-    /// [`edit_rows`](Self::edit_rows) and the durable `commit_edits` path,
-    /// which must validate *before* touching the WAL.
+    /// Validates an edit batch against relation `name` and computes everything
+    /// applying it needs, so that nothing can fail after this returns: the
+    /// *effective* deltas (inserts that are new and not simultaneously deleted,
+    /// deletes that currently exist — exactly what the cache's delta invariants
+    /// require, and what makes the edit count meaningful), the edited relation
+    /// and, for the `"edge"` view of a graph, the re-derived graph. `None` when
+    /// the batch changes nothing. Shared by [`edit_rows`](Self::edit_rows) and
+    /// the durable `commit_edits` path, which must fail *before* touching the
+    /// WAL: a logged batch the in-memory apply rejected would be replayed on
+    /// every reopen.
     pub(crate) fn stage_edits(
         &self,
         name: &str,
         ins: &[Vec<Val>],
         del: &[Vec<Val>],
-    ) -> Result<(Relation, Relation), EngineError> {
+    ) -> Result<Option<StagedEdit>, EngineError> {
         let current = self
             .instance
             .relation(name)
@@ -273,32 +279,32 @@ impl Database {
             arity,
             del.iter().filter(|r| current.contains(r)).cloned().collect::<Vec<_>>(),
         );
-        Ok((eff_ins, eff_del))
+        if eff_ins.is_empty() && eff_del.is_empty() {
+            return Ok(None);
+        }
+        let updated = current.with_edits(&eff_ins, &eff_del);
+        let graph = match (name == "edge", self.graph()) {
+            (true, Some(old)) => Some(Arc::new(
+                Graph::from_edge_relation(&updated, old.num_nodes()).map_err(|(a, b)| {
+                    EngineError::Edit(format!(
+                        "edge ({a}, {b}) has endpoints outside the graph node domain"
+                    ))
+                })?,
+            )),
+            _ => None,
+        };
+        Ok(Some(StagedEdit { ins: eff_ins, del: eff_del, updated, graph }))
     }
 
-    /// Applies pre-staged effective deltas (see [`stage_edits`](Self::stage_edits))
-    /// to the in-memory state: relation, graph view, and cached indexes.
-    pub(crate) fn apply_effective_edits(
-        &mut self,
-        name: &str,
-        eff_ins: &Relation,
-        eff_del: &Relation,
-    ) -> Result<usize, EngineError> {
-        if eff_ins.is_empty() && eff_del.is_empty() {
-            return Ok(0);
+    /// Installs a batch staged by [`stage_edits`](Self::stage_edits): relation,
+    /// graph view and cached indexes. Returns the number of effective rows.
+    pub(crate) fn apply_staged(&mut self, name: &str, staged: StagedEdit) -> usize {
+        if let Some(graph) = staged.graph {
+            self.graph = Some(graph);
         }
-        let current = self
-            .instance
-            .relation(name)
-            .ok_or_else(|| EngineError::Edit(format!("unknown relation {name:?}")))?;
-        let updated = current.with_edits(eff_ins, eff_del);
-        let changed = eff_ins.len() + eff_del.len();
-        if name == "edge" && self.graph.is_some() {
-            self.graph = Some(Arc::new(graph_from_edge_relation(&updated, self.graph())?));
-        }
-        self.cache.apply_edits(name, eff_ins, eff_del, &updated);
-        self.instance.add_relation(name, updated);
-        Ok(changed)
+        self.cache.apply_edits(name, &staged.ins, &staged.del, &staged.updated);
+        self.instance.add_relation(name, staged.updated);
+        staged.ins.len() + staged.del.len()
     }
 
     /// Inserts undirected edges incrementally: both orientations enter the
@@ -470,23 +476,17 @@ fn symmetrize(edges: &[(u32, u32)]) -> Vec<Vec<Val>> {
     rows
 }
 
-/// Re-derives the graph view from an edited (symmetric) `"edge"` relation. The node
-/// count never shrinks — ids are stable — and grows to fit the largest endpoint.
-fn graph_from_edge_relation(rel: &Relation, old: Option<&Graph>) -> Result<Graph, EngineError> {
-    let mut edges = Vec::with_capacity(rel.len());
-    let mut max_endpoint: i64 = -1;
-    for row in rel.iter() {
-        let (a, b) = (row[0], row[1]);
-        let (Ok(a), Ok(b)) = (u32::try_from(a), u32::try_from(b)) else {
-            return Err(EngineError::Edit(format!(
-                "edge ({a}, {b}) has endpoints outside the graph node domain"
-            )));
-        };
-        max_endpoint = max_endpoint.max(i64::from(a)).max(i64::from(b));
-        edges.push((a, b));
-    }
-    let num_nodes = (max_endpoint + 1) as usize;
-    Ok(Graph::new(num_nodes.max(old.map_or(0, Graph::num_nodes)), edges))
+/// An edit batch that [`Database::stage_edits`] validated and fully computed:
+/// installing it with [`Database::apply_staged`] cannot fail.
+pub(crate) struct StagedEdit {
+    /// Effective inserts.
+    pub(crate) ins: Relation,
+    /// Effective deletes.
+    pub(crate) del: Relation,
+    /// The relation with the batch applied.
+    updated: Relation,
+    /// The re-derived graph, when the batch edits the `"edge"` view of one.
+    graph: Option<Arc<Graph>>,
 }
 
 /// Structural equality of two queries up to variable names: same atoms (relation name

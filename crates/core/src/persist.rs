@@ -32,7 +32,9 @@ impl Database {
     /// Every persisted relation is installed as a lazy slot (hydrated through
     /// the store's buffer pool on first use); the graph, if persisted, is
     /// rebuilt eagerly (its CSR adjacency is needed by the graph engine and is
-    /// cheap relative to relation extents). WAL recovery runs inside
+    /// cheap relative to relation extents). If durable edits on `"edge"` are
+    /// pending, the graph is derived from the folded `"edge"` relation, which
+    /// is then installed resident instead of lazy. WAL recovery runs inside
     /// [`Store::open`]: committed-but-not-checkpointed mutations are replayed,
     /// a torn tail from a crash is discarded.
     ///
@@ -63,7 +65,11 @@ impl Database {
         for name in store.relation_names() {
             db.instance_mut().add_lazy_relation(name.clone(), lazy_loader(&store, name));
         }
-        if let Some(graph) = store.load_graph()? {
+        if let Some((graph, edge)) = store.load_graph()? {
+            if let Some(edge) = edge {
+                // Folded to derive the graph: keep it rather than fold it again.
+                db.instance_mut().add_relation("edge", edge);
+            }
             db.set_graph_raw(Arc::new(graph));
         }
         db.set_store(store);
@@ -127,8 +133,10 @@ impl Database {
     ///
     /// A batch that changes nothing returns `Ok(0)` without touching the WAL.
     /// Returns [`EngineError::Store`]\([`StoreError::NotAttached`]) when the
-    /// database has no store, [`EngineError::Edit`] on a malformed batch (the
-    /// WAL is untouched in both cases).
+    /// database has no store, [`EngineError::Edit`] on a malformed batch,
+    /// including an `"edge"` endpoint outside the graph's `u32` node domain.
+    /// Everything that can fail in memory runs before the append, so in these
+    /// cases the WAL is untouched and the store still reopens.
     ///
     /// [`EngineError::Store`]: crate::EngineError::Store
     /// [`EngineError::Edit`]: crate::EngineError::Edit
@@ -138,13 +146,10 @@ impl Database {
         ins: &[Vec<Val>],
         del: &[Vec<Val>],
     ) -> Result<usize, EngineError> {
-        let (eff_ins, eff_del) = self.stage_edits(name, ins, del)?;
-        if eff_ins.is_empty() && eff_del.is_empty() {
-            return Ok(0);
-        }
+        let Some(staged) = self.stage_edits(name, ins, del)? else { return Ok(0) };
         let store = self.store().ok_or(StoreError::NotAttached)?;
-        store.log_edit(name, &eff_ins, &eff_del)?;
-        self.apply_effective_edits(name, &eff_ins, &eff_del)
+        store.log_edit(name, &staged.ins, &staged.del)?;
+        Ok(self.apply_staged(name, staged))
     }
 
     /// Folds the WAL into a fresh checkpoint image of the attached store:
@@ -289,6 +294,68 @@ mod tests {
             &[1, 3, 5],
             "edit record replayed against the image base"
         );
+    }
+
+    #[test]
+    fn durable_edge_edits_reach_the_graph_view_after_a_restart() {
+        let dir = scratch("edge-edits");
+        let mut db = Database::new();
+        db.add_graph(Graph::new_undirected(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]));
+        db.persist(&dir).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        db.commit_edits("edge", &[vec![0, 2], vec![2, 0]], &[]).unwrap();
+        let q = CatalogQuery::ThreeClique.query();
+        assert_eq!(db.count(&q, &Engine::Lftj).unwrap(), 1);
+        assert_eq!(db.count(&q, &Engine::GraphEngine).unwrap(), 1);
+        drop(db);
+
+        let reopened = Database::open(&dir).unwrap();
+        assert_eq!(reopened.count(&q, &Engine::Lftj).unwrap(), 1);
+        assert_eq!(
+            reopened.count(&q, &Engine::GraphEngine).unwrap(),
+            1,
+            "the graph view is derived from the edited edge relation"
+        );
+        assert_eq!(reopened.graph().unwrap().num_nodes(), 5);
+        assert!(reopened.instance().is_resident("edge"), "open keeps the edge it folded");
+    }
+
+    #[test]
+    fn a_deleted_edge_keeps_the_nodes_it_added_after_a_restart() {
+        let dir = scratch("edge-node-count");
+        let mut db = Database::new();
+        db.add_graph(Graph::new_undirected(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]));
+        db.persist(&dir).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        db.commit_edits("edge", &[vec![5, 6], vec![6, 5]], &[]).unwrap();
+        db.commit_edits("edge", &[], &[vec![5, 6], vec![6, 5]]).unwrap();
+        assert_eq!(db.graph().unwrap().num_nodes(), 7, "node ids never shrink in memory");
+        drop(db);
+        let reopened = Database::open(&dir).unwrap();
+        assert_eq!(reopened.graph().unwrap().num_nodes(), 7);
+        assert_eq!(reopened.graph().unwrap().num_edges(), 8);
+    }
+
+    #[test]
+    fn an_edge_outside_the_node_domain_fails_before_the_wal_and_the_store_reopens() {
+        let dir = scratch("edge-domain");
+        let mut db = Database::new();
+        db.add_graph(Graph::new_undirected(4, vec![(0, 1), (1, 2), (0, 2), (2, 3)]));
+        db.persist(&dir).unwrap();
+        let mut db = Database::open(&dir).unwrap();
+        let wal_len = || std::fs::metadata(dir.join("wal.gj")).unwrap().len();
+        let too_big = i64::from(u32::MAX) + 1;
+        for bad in [[vec![-1, 0], vec![0, -1]], [vec![too_big, 0], vec![0, too_big]]] {
+            let err = db.commit_edits("edge", &bad, &[]).unwrap_err();
+            assert!(matches!(err, EngineError::Edit(_)), "{err}");
+            assert_eq!(wal_len(), 0, "a rejected batch is not logged");
+        }
+        drop(db);
+        let reopened = Database::open(&dir).unwrap();
+        let q = CatalogQuery::ThreeClique.query();
+        assert_eq!(reopened.count(&q, &Engine::Lftj).unwrap(), 1);
+        assert_eq!(reopened.count(&q, &Engine::GraphEngine).unwrap(), 1);
+        assert_eq!(reopened.graph().unwrap().num_nodes(), 4);
     }
 
     #[test]

@@ -52,6 +52,23 @@ impl Graph {
         Graph::new(num_nodes, sym)
     }
 
+    /// Re-derives a graph from a binary `edge(a, b)` relation, the inverse of
+    /// [`Graph::edge_relation`]. The node count is `min_nodes` or one past the
+    /// largest endpoint, whichever is larger, so node ids stay stable when edges
+    /// are deleted. An endpoint outside `u32` is returned as the offending row.
+    pub fn from_edge_relation(rel: &Relation, min_nodes: usize) -> Result<Graph, (Val, Val)> {
+        let mut edges = Vec::with_capacity(rel.len());
+        let mut num_nodes = min_nodes;
+        for row in rel.iter() {
+            let (Ok(a), Ok(b)) = (u32::try_from(row[0]), u32::try_from(row[1])) else {
+                return Err((row[0], row[1]));
+            };
+            num_nodes = num_nodes.max(a.max(b) as usize + 1);
+            edges.push((a, b));
+        }
+        Ok(Graph::new(num_nodes, edges))
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

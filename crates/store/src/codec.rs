@@ -9,12 +9,21 @@
 use crate::error::StoreError;
 use gj_storage::Val;
 
+/// The FNV-1a 32-bit offset basis: the hash of no bytes, where a running
+/// [`fnv1a32_extend`] starts.
+pub const FNV1A32_START: u32 = 0x811c_9dc5;
+
 /// FNV-1a 32-bit hash; the checksum on WAL records and catalog extents.
 ///
 /// Not cryptographic — it only needs to catch torn writes and bit rot, and it
 /// keeps the crate dependency-free.
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
+    fnv1a32_extend(FNV1A32_START, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes, so an extent can be checksummed
+/// one page at a time: `fnv1a32_extend(fnv1a32(a), b) == fnv1a32(a ++ b)`.
+pub fn fnv1a32_extend(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= b as u32;
         hash = hash.wrapping_mul(0x0100_0193);
@@ -183,5 +192,14 @@ mod tests {
     fn fnv_is_stable_and_input_sensitive() {
         assert_eq!(fnv1a32(b""), 0x811c_9dc5);
         assert_ne!(fnv1a32(b"edge"), fnv1a32(b"edgf"));
+    }
+
+    #[test]
+    fn fnv_extends_across_split_points() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        for split in [0, 1, 100, 256] {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(fnv1a32_extend(fnv1a32(a), b), fnv1a32(&bytes));
+        }
     }
 }

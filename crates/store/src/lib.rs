@@ -17,7 +17,8 @@
 //!   action deliberately tears a record, simulating a crash mid-append);
 //! * [`Store`] — the catalog, the atomic-rename checkpoint protocol, and
 //!   ARIES-lite redo recovery (the `recovery_replay` failpoint fires once per
-//!   replayed record).
+//!   replayed record). Edit records are queued per relation at recovery and
+//!   commit, and folded into the relation once, on its first load.
 //!
 //! `gj-core` builds `Database::open` / `Database::persist` on top: relations
 //! hydrate lazily through the pool on first query, so opening a store is cheap
@@ -44,6 +45,8 @@ mod tests {
     use super::*;
     use gj_storage::fault::{sites, FailAction, FailpointRegistry};
     use gj_storage::{Graph, Relation};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -75,7 +78,8 @@ mod tests {
         assert_eq!(store.relation_names(), ["edge", "r", "u"]);
         assert_eq!(store.load_relation("u").unwrap().flat_values(), r1.flat_values());
         assert_eq!(store.load_relation("r").unwrap().flat_values(), r2.flat_values());
-        let reopened = store.load_graph().unwrap().unwrap();
+        let (reopened, folded_edge) = store.load_graph().unwrap().unwrap();
+        assert!(folded_edge.is_none(), "no edits on edge: the written graph is used as is");
         assert_eq!(reopened.edges(), g.edges());
         assert_eq!(reopened.num_nodes(), g.num_nodes());
         assert!(matches!(store.load_relation("nope").unwrap_err(), StoreError::MissingRelation(_)));
@@ -114,7 +118,35 @@ mod tests {
             g.edge_relation().flat_values(),
             "add_graph replay derives the edge relation, mirroring Database::add_graph"
         );
-        assert_eq!(store.load_graph().unwrap().unwrap().edges(), g.edges());
+        assert_eq!(store.load_graph().unwrap().unwrap().0.edges(), g.edges());
+    }
+
+    #[test]
+    fn edge_edits_derive_the_graph_from_the_edge_extent_alone() {
+        let dir = scratch("edge-graph");
+        let store = Store::create(&dir, None).unwrap();
+        let g = Graph::new_undirected(600, (0..599).map(|v| (v, v + 1)).collect());
+        store.checkpoint(&[("edge", &g.edge_relation())], Some(&g)).unwrap();
+        let (far, none) =
+            (Relation::from_flat(2, vec![0, 700, 700, 0]), Relation::from_flat(2, vec![]));
+        store.log_edit("edge", &far, &none).unwrap();
+        // Deleting the edge again keeps node 700, as the in-memory graph does.
+        store.log_edit("edge", &none, &far).unwrap();
+        drop(store);
+        let edge_only = Store::open(&dir, None).unwrap();
+        edge_only.load_relation("edge").unwrap();
+
+        let store = Store::open(&dir, None).unwrap();
+        let (graph, folded_edge) = store.load_graph().unwrap().unwrap();
+        let (stats, edge_stats) = (store.pool_stats(), edge_only.pool_stats());
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (edge_stats.hits, edge_stats.misses),
+            "deriving the graph reads the edge extent and not the graph's"
+        );
+        assert_eq!(folded_edge, Some(g.edge_relation()), "the folded relation is handed back");
+        assert_eq!(graph.edges(), g.edges());
+        assert_eq!(graph.num_nodes(), 701, "an endpoint a later batch deleted still counts");
     }
 
     #[test]
@@ -122,8 +154,8 @@ mod tests {
         let dir = scratch("edit-replay");
         let store = Store::create(&dir, None).unwrap();
         let base = unary(&[10, 20, 30]);
-        // Base lives only in the checkpoint image: replaying the edit must load
-        // the extent lazily.
+        // Base lives only in the checkpoint image: the edits are queued and
+        // folded onto the extent when it is first loaded.
         store.checkpoint(&[("u", &base)], None).unwrap();
         store.log_edit("u", &unary(&[25]), &unary(&[10])).unwrap();
         // A second edit chains on the first (WAL order matters).
@@ -146,7 +178,93 @@ mod tests {
         let store = Store::create(&dir, None).unwrap();
         let err = store.log_edit("ghost", &unary(&[1]), &unary(&[])).unwrap_err();
         assert!(matches!(err, StoreError::MissingRelation(_)));
+        store.checkpoint(&[("u", &unary(&[1]))], None).unwrap();
+        let pair = Relation::from_flat(2, vec![1, 2]);
+        let err = store.log_edit("u", &pair, &Relation::empty(2)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "arity mismatch: {err}");
         assert_eq!(std::fs::metadata(dir.join("wal.gj")).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn an_edit_record_for_an_unknown_relation_fails_open() {
+        let dir = scratch("edit-ghost");
+        drop(Store::create(&dir, None).unwrap());
+        let (mut wal, _) = Wal::open(&dir.join("wal.gj"), None).unwrap();
+        wal.append(&WalRecord::edit("ghost", &unary(&[1]), &unary(&[]))).unwrap();
+        drop(wal);
+        assert!(matches!(Store::open(&dir, None).unwrap_err(), StoreError::Corrupt(_)));
+    }
+
+    /// Up to `max_rows` random rows of `arity` over the values `0..8`.
+    fn random_rows(rng: &mut StdRng, arity: usize, max_rows: usize) -> Relation {
+        let rows = rng.gen_range(0..max_rows + 1);
+        Relation::from_flat(arity, (0..rows * arity).map(|_| rng.gen_range(0..8i64)).collect())
+    }
+
+    #[test]
+    fn queued_batches_fold_to_the_sequential_result_before_and_after_reopen() {
+        for seed in 0..32u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dir = scratch(&format!("fold-{seed}"));
+            let store = Store::create(&dir, None).unwrap();
+            let base = random_rows(&mut rng, 2, 40);
+            store.checkpoint(&[("r", &base)], None).unwrap();
+            let mut model = base;
+            for _ in 0..rng.gen_range(1..16usize) {
+                if rng.gen_bool(0.15) {
+                    // A full replacement drops the batches queued before it.
+                    let replacement = random_rows(&mut rng, 2, 30);
+                    store.log_add_relation("r", &replacement).unwrap();
+                    model = replacement;
+                    continue;
+                }
+                // Raw batches, not effective deltas: inserts of present rows,
+                // deletes of absent ones, and (often) a row in both.
+                let ins = random_rows(&mut rng, 2, 10);
+                let mut del = random_rows(&mut rng, 2, 10);
+                if let (true, Some(row)) = (rng.gen_bool(0.5), ins.iter().next()) {
+                    del =
+                        del.with_edits(&Relation::from_flat(2, row.to_vec()), &Relation::empty(2));
+                }
+                store.log_edit("r", &ins, &del).unwrap();
+                model = model.with_edits(&ins, &del);
+            }
+            assert_eq!(store.load_relation("r").unwrap(), model, "seed {seed}, before the restart");
+            drop(store);
+            let store = Store::open(&dir, None).unwrap();
+            assert_eq!(store.load_relation("r").unwrap(), model, "seed {seed}, after the restart");
+        }
+    }
+
+    #[test]
+    fn recovery_queues_edit_records_without_reading_an_extent() {
+        let dir = scratch("lazy-recovery");
+        let store = Store::create(&dir, None).unwrap();
+        let base = Relation::from_flat(2, (0..4096).collect());
+        store.checkpoint(&[("r", &base)], None).unwrap();
+        drop(store);
+        let image_only = Store::open(&dir, None).unwrap().pool_stats();
+
+        let store = Store::open(&dir, None).unwrap();
+        let mut model = base;
+        for k in 0..32 {
+            let ins = Relation::from_flat(2, vec![5000 + k, k]);
+            let del = Relation::from_flat(2, vec![2 * k, 2 * k + 1]);
+            store.log_edit("r", &ins, &del).unwrap();
+            model = model.with_edits(&ins, &del);
+        }
+        assert_eq!(store.pool_stats().misses, image_only.misses, "a commit reads no extent");
+        drop(store);
+
+        let store = Store::open(&dir, None).unwrap();
+        let opened = store.pool_stats();
+        assert_eq!(
+            (opened.hits, opened.misses),
+            (image_only.hits, image_only.misses),
+            "replaying 32 edit records fetches no page beyond the header and catalog"
+        );
+        assert_eq!(store.load_relation("r").unwrap(), model);
+        assert!(store.pool_stats().misses > opened.misses, "the first load reads the extent");
     }
 
     #[test]
@@ -191,6 +309,22 @@ mod tests {
         bytes[0] ^= 0xff;
         std::fs::write(&data, bytes).unwrap();
         assert!(matches!(Store::open(&dir, None).unwrap_err(), StoreError::Corrupt(_)));
+    }
+
+    #[test]
+    fn an_extent_past_the_end_of_the_image_is_corrupt() {
+        let dir = scratch("truncated");
+        let store = Store::create(&dir, None).unwrap();
+        store.checkpoint(&[("u", &Relation::from_flat(1, (0..4096).collect()))], None).unwrap();
+        drop(store);
+        let data = dir.join("data.gj");
+        let len = std::fs::metadata(&data).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(&data).unwrap();
+        file.set_len(len - 2 * PAGE_SIZE as u64).unwrap();
+        drop(file);
+        let store = Store::open(&dir, None).unwrap();
+        let err = store.load_relation("u").unwrap_err();
+        assert!(matches!(&err, StoreError::Corrupt(m) if m.contains("past the end")), "{err}");
     }
 
     #[test]

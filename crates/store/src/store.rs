@@ -30,10 +30,22 @@
 //!   redo records are idempotent full replacements.
 //! * **Recovery** ([`Store::open`]) reads the image catalog lazily (extents
 //!   stay on disk until first use), replays the WAL's valid prefix in order,
-//!   and truncates the torn tail. Replay itself only builds in-memory state, so
-//!   a crash *during* recovery loses nothing: the next open replays again.
+//!   and truncates the torn tail. Replay only builds in-memory state, so a
+//!   crash *during* recovery loses nothing: the next open replays again. A
+//!   full-replacement record (`AddRelation` / `AddGraph`) becomes the
+//!   relation's new base and drops its queued edits. An edit record is checked
+//!   against the relation's arity and *queued* on that relation; no extent is
+//!   read and nothing is rebuilt. Commits ([`Store::log_edit`]) queue the same
+//!   way, so a durable edit costs O(delta) at commit and at recovery.
+//! * **Loading** ([`Store::load_relation`]) folds a relation's base (the image
+//!   extent or a full-replacement record) with every queued edit batch in one
+//!   pass over the base, equal to applying the batches one by one. The graph
+//!   view follows its `"edge"` relation: with edits queued on `"edge"`,
+//!   [`Store::load_graph`] derives the graph from the folded relation, as
+//!   `Database::commit_edits` did in memory, and returns that relation too;
+//!   the written graph's edge extent is then not read, only its node count.
 
-use crate::codec::{fnv1a32, ByteReader, ByteWriter};
+use crate::codec::{fnv1a32, fnv1a32_extend, ByteReader, ByteWriter, FNV1A32_START};
 use crate::error::StoreError;
 use crate::pager::{Pager, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolStats};
@@ -76,15 +88,24 @@ struct Catalog {
     graph: Option<GraphEntry>,
 }
 
+/// One logged edit batch, kept until the relation is loaded or checkpointed.
+#[derive(Debug)]
+struct EditBatch {
+    ins: Relation,
+    del: Relation,
+}
+
 #[derive(Debug)]
 struct StoreState {
     pool: BufferPool,
     catalog: Catalog,
     wal: Wal,
-    /// Relations whose latest version lives in the WAL, already materialized.
+    /// Relations whose base a full-replacement WAL record replaced.
     overrides: BTreeMap<String, Relation>,
     /// Graph whose latest version lives in the WAL.
     graph_override: Option<Graph>,
+    /// Edit batches logged on each relation since its base, in log order.
+    pending: BTreeMap<String, Vec<EditBatch>>,
 }
 
 /// A disk-backed relation store (see the module docs for the protocol).
@@ -115,7 +136,8 @@ impl Store {
 
     /// Opens an existing store: reads the header + catalog, replays the WAL's
     /// valid prefix (each record passes the `recovery_replay` failpoint), and
-    /// truncates any torn tail.
+    /// truncates any torn tail. Edit records are queued, not applied, so no
+    /// extent is read here.
     pub fn open(
         dir: impl AsRef<Path>,
         failpoints: Option<Arc<FailpointRegistry>>,
@@ -126,8 +148,14 @@ impl Store {
         let catalog = read_catalog(&pool)?;
         let (wal, records) = Wal::open(&dir.join("wal.gj"), failpoints.clone())?;
 
-        let mut overrides = BTreeMap::new();
-        let mut graph_override = None;
+        let mut state = StoreState {
+            pool,
+            catalog,
+            wal,
+            overrides: BTreeMap::new(),
+            graph_override: None,
+            pending: BTreeMap::new(),
+        };
         for record in records {
             if let Some(fp) = &failpoints {
                 match fp.hit(sites::RECOVERY_REPLAY) {
@@ -141,10 +169,8 @@ impl Store {
                     None => {}
                 }
             }
-            apply_record(record, &mut overrides, &mut graph_override, &pool, &catalog)?;
+            state.replay(record)?;
         }
-
-        let state = StoreState { pool, catalog, wal, overrides, graph_override };
         Ok(Store { dir, failpoints, state: Mutex::new(state) })
     }
 
@@ -171,37 +197,49 @@ impl Store {
         names
     }
 
-    /// Materializes one relation: the WAL-replayed version if the log replaced
-    /// it, otherwise the image extent read through the buffer pool and
-    /// checksum-verified.
+    /// Materializes one relation: its base (the WAL-replayed replacement if the
+    /// log replaced it, otherwise the image extent read through the buffer pool
+    /// and checksum-verified) folded with the edit batches logged since.
     pub fn load_relation(&self, name: &str) -> Result<Relation, StoreError> {
-        let state = self.lock_state();
-        if let Some(r) = state.overrides.get(name) {
-            return Ok(r.clone());
-        }
-        load_image_relation(&state.pool, &state.catalog, name)?
+        self.lock_state()
+            .relation(name)?
             .ok_or_else(|| StoreError::MissingRelation(name.to_string()))
     }
 
     /// Materializes the graph, if one was persisted or committed.
-    pub fn load_graph(&self) -> Result<Option<Graph>, StoreError> {
+    ///
+    /// When edits were logged on `"edge"` since the graph was written, the
+    /// graph is derived from the folded `"edge"` relation instead, and that
+    /// relation is returned beside it so the caller need not fold it again.
+    /// The written graph is then not decoded: only its node count is used, and
+    /// the derived graph's count never falls below it or below what an
+    /// inserted edge needed (node ids stay stable when edges are deleted).
+    pub fn load_graph(&self) -> Result<Option<(Graph, Option<Relation>)>, StoreError> {
         let state = self.lock_state();
-        if let Some(g) = &state.graph_override {
-            return Ok(Some(g.clone()));
-        }
-        let Some(entry) = state.catalog.graph.clone() else { return Ok(None) };
-        let total = entry.num_edges * 8;
-        let bytes = read_extent(&state.pool, entry.first_page, total, entry.crc, "graph")?;
-        let edges: Vec<(u32, u32)> = bytes
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                )
-            })
-            .collect();
-        Ok(Some(Graph::new(entry.num_nodes as usize, edges)))
+        let Some(batches) = state.pending.get("edge") else {
+            return Ok(match (&state.graph_override, &state.catalog.graph) {
+                (Some(g), _) => Some((g.clone(), None)),
+                (None, Some(entry)) => Some((load_image_graph(&state.pool, entry)?, None)),
+                (None, None) => None,
+            });
+        };
+        let base_nodes = match (&state.graph_override, &state.catalog.graph) {
+            (Some(g), _) => g.num_nodes(),
+            (None, Some(entry)) => entry.num_nodes as usize,
+            (None, None) => return Ok(None),
+        };
+        let min_nodes = batches
+            .iter()
+            .filter_map(|b| b.ins.max_value())
+            .filter_map(|v| u32::try_from(v).ok())
+            .fold(base_nodes, |n, v| n.max(v as usize + 1));
+        let edge = state.relation("edge")?.ok_or_else(|| {
+            StoreError::Corrupt("edits logged on 'edge' without an edge relation".to_string())
+        })?;
+        let graph = Graph::from_edge_relation(&edge, min_nodes).map_err(|(a, b)| {
+            StoreError::Corrupt(format!("edge ({a}, {b}) lies outside the graph node domain"))
+        })?;
+        Ok(Some((graph, Some(edge))))
     }
 
     /// Durably records `add_relation(name, relation)`: WAL append first, then
@@ -210,7 +248,7 @@ impl Store {
     pub fn log_add_relation(&self, name: &str, relation: &Relation) -> Result<(), StoreError> {
         let mut state = self.lock_state();
         state.wal.append(&WalRecord::add_relation(name, relation))?;
-        state.overrides.insert(name.to_string(), relation.clone());
+        state.replace(name.to_string(), relation.clone());
         Ok(())
     }
 
@@ -220,27 +258,27 @@ impl Store {
     pub fn log_add_graph(&self, graph: &Graph) -> Result<(), StoreError> {
         let mut state = self.lock_state();
         state.wal.append(&WalRecord::add_graph(graph))?;
-        state.overrides.insert("edge".to_string(), graph.edge_relation());
-        state.graph_override = Some(graph.clone());
+        state.replace_graph(graph.clone());
         Ok(())
     }
 
-    /// Durably records an incremental edit batch on `name`: WAL append first
-    /// (an [`WalRecord::Edit`] record sized by the delta, not the relation),
-    /// then the in-memory apply via [`Relation::with_edits`]. The relation must
-    /// already exist in the store (override or image); on any error nothing is
-    /// applied.
+    /// Durably records an incremental edit batch on `name`: checks that the
+    /// relation exists with the batch's arity, appends an [`WalRecord::Edit`]
+    /// record sized by the delta, and queues the batch for the next
+    /// [`load_relation`](Self::load_relation). Nothing is read or rebuilt, so a
+    /// commit costs O(delta).
+    ///
+    /// An unknown relation returns [`StoreError::MissingRelation`] and an arity
+    /// mismatch [`StoreError::Corrupt`], both before the log is touched. The
+    /// relation's extent is not read here: `Database::commit_edits` stages the
+    /// batch against the hydrated relation first, so an unreadable extent fails
+    /// the commit before anything is appended.
     pub fn log_edit(&self, name: &str, ins: &Relation, del: &Relation) -> Result<(), StoreError> {
         let mut state = self.lock_state();
-        // Resolve the base before appending, so an unknown relation (or an
-        // unreadable extent) fails the commit without dirtying the log.
-        let base = match state.overrides.get(name) {
-            Some(r) => r.clone(),
-            None => load_image_relation(&state.pool, &state.catalog, name)?
-                .ok_or_else(|| StoreError::MissingRelation(name.to_string()))?,
-        };
+        state.check_edit(name, ins.arity())?;
+        state.check_edit(name, del.arity())?;
         state.wal.append(&WalRecord::edit(name, ins, del))?;
-        state.overrides.insert(name.to_string(), base.with_edits(ins, del));
+        state.queue(name.to_string(), ins.clone(), del.clone());
         Ok(())
     }
 
@@ -262,6 +300,7 @@ impl Store {
         state.catalog = catalog;
         state.overrides.clear();
         state.graph_override = None;
+        state.pending.clear();
         state.wal.truncate()
     }
 
@@ -271,39 +310,111 @@ impl Store {
     }
 }
 
-/// Applies one redo record to the in-memory override maps (recovery replay and
-/// the post-append apply share these exact semantics). Edit records need the
-/// image behind them: their base is the relation's current state, loaded from
-/// `pool`/`catalog` when no earlier record replaced it.
-fn apply_record(
-    record: WalRecord,
-    overrides: &mut BTreeMap<String, Relation>,
-    graph_override: &mut Option<Graph>,
-    pool: &BufferPool,
-    catalog: &Catalog,
-) -> Result<(), StoreError> {
-    match record {
-        WalRecord::AddRelation { name, arity, values } => {
-            overrides.insert(name, Relation::from_flat(arity as usize, values));
+impl StoreState {
+    /// Applies one redo record during recovery, with the same semantics as the
+    /// `log_*` method that appended it.
+    fn replay(&mut self, record: WalRecord) -> Result<(), StoreError> {
+        match record {
+            WalRecord::AddRelation { name, arity, values } => {
+                self.replace(name, Relation::from_flat(arity as usize, values));
+            }
+            WalRecord::AddGraph { num_nodes, edges } => {
+                self.replace_graph(Graph::new(num_nodes as usize, edges));
+            }
+            WalRecord::Edit { name, arity, ins, del } => {
+                let arity = arity as usize;
+                self.check_edit(&name, arity).map_err(|err| match err {
+                    StoreError::MissingRelation(name) => StoreError::Corrupt(format!(
+                        "wal edit record for unknown relation '{name}'"
+                    )),
+                    other => other,
+                })?;
+                let (ins, del) = (Relation::from_flat(arity, ins), Relation::from_flat(arity, del));
+                self.queue(name, ins, del);
+            }
         }
-        WalRecord::AddGraph { num_nodes, edges } => {
-            let graph = Graph::new(num_nodes as usize, edges);
-            overrides.insert("edge".to_string(), graph.edge_relation());
-            *graph_override = Some(graph);
-        }
-        WalRecord::Edit { name, arity, ins, del } => {
-            let base = match overrides.get(&name) {
-                Some(r) => r.clone(),
-                None => load_image_relation(pool, catalog, &name)?.ok_or_else(|| {
-                    StoreError::Corrupt(format!("wal edit record for unknown relation '{name}'"))
-                })?,
-            };
-            let ins = Relation::from_flat(arity as usize, ins);
-            let del = Relation::from_flat(arity as usize, del);
-            overrides.insert(name, base.with_edits(&ins, &del));
+        Ok(())
+    }
+
+    /// Makes `relation` the new base of `name`; edits queued on the old base go.
+    fn replace(&mut self, name: String, relation: Relation) {
+        self.pending.remove(&name);
+        self.overrides.insert(name, relation);
+    }
+
+    /// Replaces the graph and, as `Database::add_graph` does, its `"edge"` view.
+    fn replace_graph(&mut self, graph: Graph) {
+        self.replace("edge".to_string(), graph.edge_relation());
+        self.graph_override = Some(graph);
+    }
+
+    fn queue(&mut self, name: String, ins: Relation, del: Relation) {
+        self.pending.entry(name).or_default().push(EditBatch { ins, del });
+    }
+
+    /// Checks, without reading it, that relation `name` exists (as a
+    /// replacement or in the image) and has `arity` columns.
+    fn check_edit(&self, name: &str, arity: usize) -> Result<(), StoreError> {
+        let have = match self.overrides.get(name) {
+            Some(r) => Some(r.arity()),
+            None => self.catalog.relations.get(name).map(|e| e.arity as usize),
+        };
+        match have {
+            None => Err(StoreError::MissingRelation(name.to_string())),
+            Some(have) if have != arity => Err(StoreError::Corrupt(format!(
+                "edit batch of arity {arity} for relation '{name}' of arity {have}"
+            ))),
+            Some(_) => Ok(()),
         }
     }
-    Ok(())
+
+    /// Relation `name` as the log leaves it, or `None` when the store lacks it.
+    fn relation(&self, name: &str) -> Result<Option<Relation>, StoreError> {
+        let base = match self.overrides.get(name) {
+            Some(base) => base.clone(),
+            None => match load_image_relation(&self.pool, &self.catalog, name)? {
+                Some(base) => base,
+                None => return Ok(None),
+            },
+        };
+        let batches = self.pending.get(name).map_or(&[][..], Vec::as_slice);
+        Ok(Some(fold(base, batches)))
+    }
+}
+
+/// Applies `batches` (in log order) to `base` in one pass over `base`.
+///
+/// For each row, the last batch that names it decides: it is absent if that
+/// batch deletes it (a delete wins inside a batch) and present if it inserts
+/// it; rows no batch names keep their membership in `base`. So the batches
+/// reduce to one net insert set and one net delete set, and a single
+/// [`Relation::with_edits`] gives the same relation as applying the batches one
+/// by one.
+fn fold(base: Relation, batches: &[EditBatch]) -> Relation {
+    if batches.is_empty() {
+        return base;
+    }
+    // (row, rank): a later batch ranks higher; inside a batch a delete (odd
+    // rank) outranks an insert (even rank).
+    let mut named: Vec<(&[Val], usize)> = Vec::new();
+    for (k, batch) in batches.iter().enumerate() {
+        named.extend(batch.ins.iter().map(|row| (row, 2 * k)));
+        named.extend(batch.del.iter().map(|row| (row, 2 * k + 1)));
+    }
+    named.sort_unstable_by(|x, y| x.0.cmp(y.0).then(y.1.cmp(&x.1)));
+    let (mut ins, mut del) = (Vec::new(), Vec::new());
+    for (i, &(row, rank)) in named.iter().enumerate() {
+        if i > 0 && named[i - 1].0 == row {
+            continue; // outranked by the entry before it
+        }
+        if rank % 2 == 0 {
+            ins.extend_from_slice(row);
+        } else {
+            del.extend_from_slice(row);
+        }
+    }
+    let arity = base.arity();
+    base.with_edits(&Relation::from_flat(arity, ins), &Relation::from_flat(arity, del))
 }
 
 /// Materializes one relation from the checkpoint image (checksum-verified), or
@@ -313,39 +424,79 @@ fn load_image_relation(
     catalog: &Catalog,
     name: &str,
 ) -> Result<Option<Relation>, StoreError> {
-    let Some(entry) = catalog.relations.get(name).cloned() else { return Ok(None) };
-    let total = entry.rows * entry.arity as u64 * 8;
-    let bytes = read_extent(pool, entry.first_page, total, entry.crc, "relation")?;
-    let values: Vec<Val> = bytes
-        .chunks_exact(8)
-        .map(|c| Val::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect();
+    let Some(entry) = catalog.relations.get(name) else { return Ok(None) };
+    let total =
+        extent_len(pool, entry.first_page, entry.rows, 8 * u64::from(entry.arity), "relation")?;
+    let mut values: Vec<Val> = Vec::with_capacity((total / 8) as usize);
+    read_extent(pool, entry.first_page, total, entry.crc, "relation", |bytes| {
+        values.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|c| Val::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])),
+        );
+    })?;
     Ok(Some(Relation::from_flat(entry.arity as usize, values)))
 }
 
-/// Reads `total` bytes starting at `first_page` through the pool and verifies
-/// the extent checksum.
+/// Materializes the graph from the checkpoint image (checksum-verified).
+fn load_image_graph(pool: &BufferPool, entry: &GraphEntry) -> Result<Graph, StoreError> {
+    let total = extent_len(pool, entry.first_page, entry.num_edges, 8, "graph")?;
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(entry.num_edges as usize);
+    read_extent(pool, entry.first_page, total, entry.crc, "graph", |bytes| {
+        edges.extend(bytes.chunks_exact(8).map(|c| {
+            (
+                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+            )
+        }));
+    })?;
+    Ok(Graph::new(entry.num_nodes as usize, edges))
+}
+
+/// The byte length of an extent of `items` items of `item_bytes` each, checked
+/// against the image: a catalog entry whose extent would run past the end of
+/// the file is [`StoreError::Corrupt`], so the length can size an allocation.
+fn extent_len(
+    pool: &BufferPool,
+    first_page: u32,
+    items: u64,
+    item_bytes: u64,
+    what: &'static str,
+) -> Result<u64, StoreError> {
+    let available = u64::from(pool.pager().num_pages()?.saturating_sub(first_page));
+    match items.checked_mul(item_bytes) {
+        Some(total) if total.div_ceil(PAGE_SIZE as u64) <= available => Ok(total),
+        _ => Err(StoreError::Corrupt(format!("{what} extent runs past the end of the image"))),
+    }
+}
+
+/// Streams the `total` bytes starting at `first_page` through the pool into
+/// `decode`, one page at a time, and verifies the extent checksum at the end.
+/// No copy of the whole extent is made; on a mismatch the caller drops what
+/// `decode` built.
 fn read_extent(
     pool: &BufferPool,
     first_page: u32,
     total: u64,
     crc: u32,
     what: &'static str,
-) -> Result<Vec<u8>, StoreError> {
-    let mut bytes = Vec::with_capacity(total as usize);
+    mut decode: impl FnMut(&[u8]),
+) -> Result<(), StoreError> {
+    let mut hash = FNV1A32_START;
     let mut remaining = total as usize;
     let mut page = first_page;
     while remaining > 0 {
         let guard = pool.fetch(page)?;
         let take = remaining.min(PAGE_SIZE);
-        bytes.extend_from_slice(&guard[..take]);
+        hash = fnv1a32_extend(hash, &guard[..take]);
+        decode(&guard[..take]);
         remaining -= take;
         page += 1;
     }
-    if fnv1a32(&bytes) != crc {
+    if hash != crc {
         return Err(StoreError::Corrupt(format!("{what} extent checksum mismatch")));
     }
-    Ok(bytes)
+    Ok(())
 }
 
 /// Serializes the catalog. Byte length is independent of the page-number
@@ -450,74 +601,55 @@ fn write_image(
     relations: &[(&str, &Relation)],
     graph: Option<&Graph>,
 ) -> Result<(), StoreError> {
-    // Serialize extents and build a catalog with placeholder page numbers; the
-    // catalog's byte length does not depend on those numbers.
-    let mut extents: Vec<Vec<u8>> = Vec::new();
+    // Lay the image out from sizes alone: the catalog's byte length does not
+    // depend on its page numbers or checksums (fixed-width fields). Extents
+    // follow the catalog in name order, then the graph's.
     let mut catalog = Catalog::default();
-    for (name, relation) in relations {
-        let mut bytes = Vec::with_capacity(relation.flat_values().len() * 8);
-        for &v in relation.flat_values() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        catalog.relations.insert(
-            name.to_string(),
-            RelationEntry {
-                arity: relation.arity() as u32,
-                rows: relation.len() as u64,
-                first_page: 0,
-                crc: fnv1a32(&bytes),
-            },
-        );
-        extents.push(bytes);
-    }
-    let graph_bytes = graph.map(|g| {
-        let mut bytes = Vec::with_capacity(g.edges().len() * 8);
-        for &(a, b) in g.edges() {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&b.to_le_bytes());
-        }
-        catalog.graph = Some(GraphEntry {
-            num_nodes: g.num_nodes() as u64,
-            num_edges: g.edges().len() as u64,
+    let mut extent_of: BTreeMap<&str, &Relation> = BTreeMap::new();
+    for &(name, relation) in relations {
+        let entry = RelationEntry {
+            arity: relation.arity() as u32,
+            rows: relation.len() as u64,
             first_page: 0,
-            crc: fnv1a32(&bytes),
-        });
-        bytes
+            crc: 0,
+        };
+        catalog.relations.insert(name.to_string(), entry);
+        extent_of.insert(name, relation);
+    }
+    catalog.graph = graph.map(|g| GraphEntry {
+        num_nodes: g.num_nodes() as u64,
+        num_edges: g.edges().len() as u64,
+        first_page: 0,
+        crc: 0,
     });
-
     let catalog_pages = encode_catalog(&catalog).len().div_ceil(PAGE_SIZE).max(1) as u32;
     let mut next_page = 1 + catalog_pages;
-    // BTreeMap iteration matches the `relations` insertion scan only if names
-    // are unique; assign pages by re-walking the same sorted order.
-    let sorted_names: Vec<String> = catalog.relations.keys().cloned().collect();
-    let extent_of: BTreeMap<&str, &Vec<u8>> =
-        relations.iter().zip(&extents).map(|((n, _), b)| (*n, b)).collect();
-    for name in &sorted_names {
-        let bytes_len = extent_of.get(name.as_str()).map_or(0, |b| b.len());
-        if let Some(entry) = catalog.relations.get_mut(name) {
-            entry.first_page = next_page;
-            next_page += bytes_len.div_ceil(PAGE_SIZE) as u32;
-        }
+    for entry in catalog.relations.values_mut() {
+        entry.first_page = next_page;
+        next_page += (entry.rows * u64::from(entry.arity) * 8).div_ceil(PAGE_SIZE as u64) as u32;
     }
     if let Some(entry) = &mut catalog.graph {
         entry.first_page = next_page;
     }
 
-    let catalog_bytes = encode_catalog(&catalog);
+    // Encode each extent page by page, checksumming as it goes.
     let tmp = dir.join("data.gj.tmp");
     let pool = BufferPool::new(Pager::create(&tmp, failpoints)?, CHECKPOINT_POOL_FRAMES);
-    for name in &sorted_names {
-        let Some(entry) = catalog.relations.get(name.as_str()) else { continue };
-        let Some(bytes) = extent_of.get(name.as_str()) else { continue };
-        for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-            pool.write_page(entry.first_page + i as u32, chunk)?;
-        }
+    for (name, entry) in &mut catalog.relations {
+        let Some(relation) = extent_of.get(name.as_str()) else { continue };
+        let words = relation.flat_values().iter().map(|v| v.to_le_bytes());
+        entry.crc = write_extent(&pool, entry.first_page, words)?;
     }
-    if let (Some(entry), Some(bytes)) = (&catalog.graph, &graph_bytes) {
-        for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
-            pool.write_page(entry.first_page + i as u32, chunk)?;
-        }
+    if let (Some(entry), Some(g)) = (&mut catalog.graph, graph) {
+        let words = g.edges().iter().map(|&(a, b)| {
+            let mut word = [0u8; 8];
+            word[..4].copy_from_slice(&a.to_le_bytes());
+            word[4..].copy_from_slice(&b.to_le_bytes());
+            word
+        });
+        entry.crc = write_extent(&pool, entry.first_page, words)?;
     }
+    let catalog_bytes = encode_catalog(&catalog);
     for (i, chunk) in catalog_bytes.chunks(PAGE_SIZE).enumerate() {
         pool.write_page(1 + i as u32, chunk)?;
     }
@@ -531,4 +663,31 @@ fn write_image(
     pool.flush_all()?;
     drop(pool);
     std::fs::rename(&tmp, dir.join("data.gj")).map_err(|e| StoreError::io("commit image", e))
+}
+
+/// Writes the 8-byte `words` of one extent through `pool` from `first_page`
+/// on, one page at a time (the last page may be short), and returns the
+/// extent's checksum.
+fn write_extent(
+    pool: &BufferPool,
+    first_page: u32,
+    words: impl Iterator<Item = [u8; 8]>,
+) -> Result<u32, StoreError> {
+    let mut buf = [0u8; PAGE_SIZE];
+    let (mut len, mut page, mut hash) = (0usize, first_page, FNV1A32_START);
+    for word in words {
+        buf[len..len + 8].copy_from_slice(&word);
+        len += 8;
+        if len == PAGE_SIZE {
+            hash = fnv1a32_extend(hash, &buf);
+            pool.write_page(page, &buf)?;
+            page += 1;
+            len = 0;
+        }
+    }
+    if len > 0 {
+        hash = fnv1a32_extend(hash, &buf[..len]);
+        pool.write_page(page, &buf[..len])?;
+    }
+    Ok(hash)
 }

@@ -51,10 +51,12 @@ pub enum WalRecord {
         /// Canonical (sorted, deduped, self-loop-free) directed edges.
         edges: Vec<(u32, u32)>,
     },
-    /// `commit_edits(name, …)`: an incremental edit batch. Replay applies
-    /// [`Relation::with_edits`] to the relation's current state (earlier records
-    /// plus the image), so an edit record costs O(delta) bytes — this is what
-    /// keeps a sustained update stream from rewriting full images into the log.
+    /// `commit_edits(name, …)`: an incremental edit batch, O(delta) bytes —
+    /// this is what keeps a sustained update stream from rewriting full images
+    /// into the log. Replay does not apply it: the store queues the batch on
+    /// the relation, and the first load folds every queued batch into the
+    /// relation's base (the image, or the last full replacement) with one
+    /// [`Relation::with_edits`], equal to applying the batches in log order.
     ///
     /// Not idempotent *in isolation* (unlike the full-replacement records), but
     /// recovery always replays the log's valid prefix exactly once from the

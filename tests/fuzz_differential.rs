@@ -18,7 +18,8 @@
 
 use gj_baselines::BaselineError;
 use graphjoin::{
-    Database, Engine, EngineError, ExecLimits, Graph, MsConfig, Query, QueryBuilder, Relation,
+    CatalogQuery, Database, Engine, EngineError, ExecLimits, Graph, MsConfig, Query, QueryBuilder,
+    Relation,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -417,7 +418,10 @@ const PERSIST_CASES: u64 = 16;
 /// store and reopened through lazy catalog slots, must be query-indistinguishable
 /// from the in-RAM original — identical counts and **byte-identical**
 /// `par_collect` rows for every engine, with hydration actually deferred until
-/// the first query touches a relation.
+/// the first query touches a relation. Then one durable edit batch on `edge` and
+/// one on a sample relation are committed to the reopened store (and applied to
+/// the in-RAM twin), and a second restart must still answer like memory, the
+/// graph engine's clique counts included.
 #[test]
 fn persisted_and_reopened_databases_are_query_identical() {
     let scratch = std::env::temp_dir().join(format!("gj-fuzz-persist-{}", std::process::id()));
@@ -425,45 +429,117 @@ fn persisted_and_reopened_databases_are_query_identical() {
     for case in 0..PERSIST_CASES {
         let seed = case_seed(3000 + case);
         let mut rng = StdRng::seed_from_u64(seed);
-        let db = random_database(&mut rng);
+        let mut db = random_database(&mut rng);
         let query = random_query(&mut rng, 3000 + case);
         let ctx = format!("persist case {case} seed {seed:#018x} [{query}]");
 
         let dir = scratch.join(format!("case-{case}"));
         db.persist(&dir).unwrap_or_else(|e| panic!("{ctx}: persist failed: {e}"));
-        let reopened = Database::open(&dir).unwrap_or_else(|e| panic!("{ctx}: open failed: {e}"));
+        let mut reopened =
+            Database::open(&dir).unwrap_or_else(|e| panic!("{ctx}: open failed: {e}"));
         assert!(
             !reopened.instance().is_resident("edge"),
             "{ctx}: open must not hydrate relation extents"
         );
-
-        for engine in fuzz_engines() {
-            let label = format!("{ctx} {}", engine.label());
-            let mem = db
-                .prepare(&query, &engine)
-                .unwrap_or_else(|e| panic!("{label}: prepare failed: {e}"));
-            let disk = reopened
-                .prepare(&query, &engine)
-                .unwrap_or_else(|e| panic!("{label}: reopened prepare failed: {e}"));
-            assert_eq!(
-                disk.count().unwrap_or_else(|e| panic!("{label}: {e}")),
-                mem.count().unwrap_or_else(|e| panic!("{label}: {e}")),
-                "{label}: reopened count disagrees"
-            );
-            assert_eq!(
-                disk.par_collect(4).unwrap_or_else(|e| panic!("{label}: {e}")),
-                mem.par_collect(4).unwrap_or_else(|e| panic!("{label}: {e}")),
-                "{label}: reopened par_collect is not byte-identical"
-            );
-        }
+        let checks: Vec<(&Query, Engine)> = fuzz_engines().map(|e| (&query, e)).into();
+        assert_disk_matches_memory(&db, &reopened, &checks, &ctx);
         for name in query.relation_names() {
             assert!(
                 reopened.instance().is_resident(name),
                 "{ctx}: queries hydrate the relations they touch ({name})"
             );
         }
+
+        let sample = ["u1", "u2", "r1"][rng.gen_range(0usize..3)];
+        let batches = [
+            ("edge", random_edge_edit(&mut rng, &db)),
+            (sample, random_edit(&mut rng, &db, sample)),
+        ];
+        for (name, (ins, del)) in &batches {
+            let durable = reopened
+                .commit_edits(name, ins, del)
+                .unwrap_or_else(|e| panic!("{ctx}: commit_edits({name}) failed: {e}"));
+            let memory = db.edit_rows(name, ins, del).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(durable, memory, "{ctx}: {name} batch changed a different number of rows");
+        }
+        drop(reopened);
+        let restarted =
+            Database::open(&dir).unwrap_or_else(|e| panic!("{ctx}: second open failed: {e}"));
+        assert_eq!(
+            restarted.graph().map(Graph::num_nodes),
+            db.graph().map(Graph::num_nodes),
+            "{ctx}: restarted graph node count"
+        );
+        let cliques = [CatalogQuery::ThreeClique.query(), CatalogQuery::FourClique.query()];
+        let mut checks: Vec<(&Query, Engine)> = fuzz_engines().map(|e| (&query, e)).into();
+        for clique in &cliques {
+            checks.push((clique, Engine::Lftj));
+            // The graph engine only counts, so it gets no rows check.
+            let graph_engine = |d: &Database| {
+                d.count(clique, &Engine::GraphEngine)
+                    .unwrap_or_else(|e| panic!("{ctx}: graph engine on {}: {e}", clique.name))
+            };
+            assert_eq!(
+                graph_engine(&restarted),
+                graph_engine(&db),
+                "{ctx}: graph engine on {} disagrees after the restart",
+                clique.name
+            );
+        }
+        assert_disk_matches_memory(&db, &restarted, &checks, &format!("{ctx} after edits"));
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Every `(query, engine)` pair counts the same on `disk` as on `mem` and
+/// returns byte-identical `par_collect` rows.
+fn assert_disk_matches_memory(
+    mem: &Database,
+    disk: &Database,
+    checks: &[(&Query, Engine)],
+    ctx: &str,
+) {
+    for (query, engine) in checks {
+        let label = format!("{ctx} {} on {}", engine.label(), query.name);
+        let mem = mem.prepare(query, engine).unwrap_or_else(|e| panic!("{label}: prepare: {e}"));
+        let disk = disk
+            .prepare(query, engine)
+            .unwrap_or_else(|e| panic!("{label}: reopened prepare failed: {e}"));
+        assert_eq!(
+            disk.count().unwrap_or_else(|e| panic!("{label}: {e}")),
+            mem.count().unwrap_or_else(|e| panic!("{label}: {e}")),
+            "{label}: reopened count disagrees"
+        );
+        assert_eq!(
+            disk.par_collect(4).unwrap_or_else(|e| panic!("{label}: {e}")),
+            mem.par_collect(4).unwrap_or_else(|e| panic!("{label}: {e}")),
+            "{label}: reopened par_collect is not byte-identical"
+        );
+    }
+}
+
+/// One random undirected edit batch on `edge`: up to 3 new edges (endpoints may
+/// lie up to two ids past the graph, growing it) and up to 2 existing edges
+/// deleted, each in both orientations so the relation stays symmetric.
+fn random_edge_edit(rng: &mut StdRng, db: &Database) -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
+    let nodes = db.graph().expect("random databases carry a graph").num_nodes() as i64;
+    let both = |a: i64, b: i64| [vec![a, b], vec![b, a]];
+    let mut ins = Vec::new();
+    for _ in 0..rng.gen_range(0usize..4) {
+        let (a, b) = (rng.gen_range(0..nodes + 2), rng.gen_range(0..nodes + 2));
+        if a != b {
+            ins.extend(both(a, b));
+        }
+    }
+    let edge = db.instance().relation("edge").expect("edge relation");
+    let mut del = Vec::new();
+    for _ in 0..rng.gen_range(0usize..3) {
+        if !edge.is_empty() {
+            let row = edge.row(rng.gen_range(0..edge.len()));
+            del.extend(both(row[0], row[1]));
+        }
+    }
+    (ins, del)
 }
 
 /// Number of (graph, edit-script) cases the incremental-edit corpus draws.
