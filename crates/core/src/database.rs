@@ -176,8 +176,13 @@ impl Database {
     }
 
     /// Adds (or replaces) a relation, dropping any cached indexes built over a
-    /// previous relation of the same name.
-    pub fn add_relation(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
+    /// previous relation of the same name. Takes a [`Relation`] or an
+    /// `Arc<Relation>` (stored without a copy).
+    pub fn add_relation(
+        &mut self,
+        name: impl Into<String>,
+        relation: impl Into<Arc<Relation>>,
+    ) -> &mut Self {
         let name = name.into();
         self.cache.invalidate(&name);
         self.instance.add_relation(name, relation);
@@ -464,8 +469,10 @@ impl Database {
     }
 }
 
-/// Both orientations of each undirected edge as relation rows, self-loops dropped.
-fn symmetrize(edges: &[(u32, u32)]) -> Vec<Vec<Val>> {
+/// Both orientations of each undirected edge as `"edge"` relation rows,
+/// self-loops dropped: the rows [`Database::insert_edges`] and
+/// [`Database::delete_edges`] pass to [`Database::edit_rows`].
+pub fn symmetrize(edges: &[(u32, u32)]) -> Vec<Vec<Val>> {
     let mut rows = Vec::with_capacity(edges.len() * 2);
     for &(a, b) in edges {
         if a != b {
@@ -617,6 +624,23 @@ mod tests {
         assert_eq!(Engine::HashJoin(ExecLimits::default()).label(), "psql");
         assert_eq!(Engine::SortMergeJoin(ExecLimits::default()).label(), "monetdb");
         assert_eq!(Engine::GraphEngine.label(), "graphlab");
+    }
+
+    #[test]
+    fn clones_share_relations_and_an_edit_moves_only_its_own_pointer() {
+        let db = two_triangle_db();
+        let mut edited = db.clone();
+        let names: Vec<String> = db.instance().relation_names().map(str::to_string).collect();
+        let same = |a: &Database, b: &Database, n: &str| {
+            std::ptr::eq(a.instance().relation(n).unwrap(), b.instance().relation(n).unwrap())
+        };
+        assert!(names.iter().all(|n| same(&db, &edited, n)), "a clone copies no relation");
+        let before: *const Relation = db.instance().relation("v1").unwrap();
+        assert_eq!(edited.insert_rows("v1", &[vec![4]]).unwrap(), 1);
+        assert!(!same(&db, &edited, "v1"), "the edit replaced the clone's slot");
+        assert!(std::ptr::eq(before, db.instance().relation("v1").unwrap()));
+        assert_eq!(db.instance().relation("v1").unwrap().flat_values(), &[0, 1, 3]);
+        assert!(names.iter().filter(|n| *n != "v1").all(|n| same(&db, &edited, n)));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod sink;
 /// The paper's workload: canned queries and the generator-backed instances.
 pub mod workload;
 
-pub use database::{Database, Engine, EngineError, QueryOutput};
+pub use database::{symmetrize, Database, Engine, EngineError, QueryOutput};
 pub use prepare::{PreparedQuery, RunOutcome, RunStats};
 pub use sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 pub use workload::{workload_database, Workload};

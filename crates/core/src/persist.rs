@@ -108,6 +108,9 @@ impl Database {
     ) -> Result<&mut Self, StoreError> {
         let name = name.into();
         let store = self.store().ok_or(StoreError::NotAttached)?;
+        // A clone still reading the old slot through the store must load it
+        // before the log replaces it.
+        self.instance().hydrate_if_shared(&name);
         store.log_add_relation(&name, &relation)?;
         self.add_relation(name, relation);
         Ok(self)
@@ -118,6 +121,7 @@ impl Database {
     pub fn commit_graph(&mut self, graph: impl Into<Arc<Graph>>) -> Result<&mut Self, StoreError> {
         let graph = graph.into();
         let store = self.store().ok_or(StoreError::NotAttached)?;
+        self.instance().hydrate_if_shared("edge");
         store.log_add_graph(&graph)?;
         self.add_graph(graph);
         Ok(self)
@@ -356,6 +360,53 @@ mod tests {
         assert_eq!(reopened.count(&q, &Engine::Lftj).unwrap(), 1);
         assert_eq!(reopened.count(&q, &Engine::GraphEngine).unwrap(), 1);
         assert_eq!(reopened.graph().unwrap().num_nodes(), 4);
+    }
+
+    /// A store holding `r = {1, 2}`, opened with `r` still unhydrated.
+    fn opened_with_r(tag: &str) -> Database {
+        let dir = scratch(tag);
+        let mut db = Database::new();
+        db.add_relation("r", Relation::from_values(vec![1, 2]));
+        db.persist(&dir).unwrap();
+        let opened = Database::open(&dir).unwrap();
+        assert!(!opened.instance().is_resident("r"));
+        opened
+    }
+
+    #[test]
+    fn a_clone_taken_before_a_durable_commit_keeps_its_snapshot() {
+        let mut a = opened_with_r("clone-snapshot");
+        let b = a.clone();
+        a.commit_edits("r", &[vec![3]], &[]).unwrap();
+        assert_eq!(a.instance().relation("r").unwrap().len(), 3);
+        assert_eq!(b.instance().relation("r").unwrap().flat_values(), &[1, 2]);
+
+        // A durable replacement and a checkpoint after an in-memory one leave
+        // an unhydrated clone's view alone too.
+        let mut a = opened_with_r("clone-replace");
+        let b = a.clone();
+        a.commit_relation("r", Relation::from_values(vec![7])).unwrap();
+        assert_eq!(b.instance().relation("r").unwrap().flat_values(), &[1, 2]);
+        let mut a = opened_with_r("clone-checkpoint");
+        let b = a.clone();
+        a.add_relation("r", Relation::from_values(vec![7]));
+        a.checkpoint().unwrap();
+        assert_eq!(b.instance().relation("r").unwrap().flat_values(), &[1, 2]);
+        assert_eq!(a.instance().relation("r").unwrap().flat_values(), &[7]);
+    }
+
+    #[test]
+    fn one_hydration_serves_every_clone() {
+        let a = opened_with_r("clone-hydration");
+        let b = a.clone();
+        let store = a.store().unwrap();
+        let before = store.pool_stats();
+        let first: *const Relation = a.instance().relation("r").unwrap();
+        let loaded = store.pool_stats();
+        assert!(loaded.hits + loaded.misses > before.hits + before.misses, "hydration reads pages");
+        assert!(b.instance().is_resident("r"), "the clone shares the hydrated cell");
+        assert!(std::ptr::eq(first, b.instance().relation("r").unwrap()));
+        assert_eq!(store.pool_stats(), loaded, "the clone's read fetched no page");
     }
 
     #[test]

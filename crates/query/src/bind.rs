@@ -27,20 +27,32 @@ pub type RelationLoader = Arc<dyn Fn() -> Relation + Send + Sync>;
 
 /// One catalog slot: a resident relation, or a lazily hydrated one.
 ///
-/// Hydration happens at most once per slot (enforced by `OnceLock`) and is
-/// thread-safe, so a shared instance can be queried concurrently while slots
-/// fill in. Cloning an unhydrated lazy slot clones the *loader* (both clones
-/// hydrate independently); cloning a hydrated slot clones the relation.
+/// Both variants keep the relation behind an [`Arc`], so cloning a slot — and
+/// with it an [`Instance`] — copies pointers, never rows: a clone shares every
+/// relation with its source, and replacing a slot in one clone leaves the
+/// other's pointer where it was. A lazy slot's cell is shared as well, so
+/// hydration happens at most once across all clones (enforced by `OnceLock`,
+/// thread-safe) and every clone sees the same hydrated relation, whichever of
+/// them touched it first.
+///
+/// A lazy loader reads the store as it is at hydration time, so an unhydrated
+/// shared cell must be filled before the store behind it changes, or a clone
+/// would see changes made after it was taken. Durable edits stage against the
+/// hydrated relation, and a checkpoint hydrates every slot of the clone that
+/// writes it, so both fill the cell first; replacing a slot (in memory or
+/// durably) calls [`Instance::hydrate_if_shared`] before the old cell is let
+/// go.
+#[derive(Clone)]
 enum Slot {
-    Resident(Relation),
-    Lazy { cell: OnceLock<Relation>, load: RelationLoader },
+    Resident(Arc<Relation>),
+    Lazy { cell: Arc<OnceLock<Arc<Relation>>>, load: RelationLoader },
 }
 
 impl Slot {
     fn get(&self) -> &Relation {
         match self {
             Slot::Resident(r) => r,
-            Slot::Lazy { cell, load } => cell.get_or_init(|| load()),
+            Slot::Lazy { cell, load } => cell.get_or_init(|| Arc::new(load())),
         }
     }
 
@@ -50,16 +62,12 @@ impl Slot {
             Slot::Lazy { cell, .. } => cell.get().is_some(),
         }
     }
-}
 
-impl Clone for Slot {
-    fn clone(&self) -> Self {
+    /// Whether another clone still reaches this slot's unhydrated cell.
+    fn is_shared_unhydrated(&self) -> bool {
         match self {
-            Slot::Resident(r) => Slot::Resident(r.clone()),
-            Slot::Lazy { cell, load } => match cell.get() {
-                Some(r) => Slot::Resident(r.clone()),
-                None => Slot::Lazy { cell: OnceLock::new(), load: Arc::clone(load) },
-            },
+            Slot::Resident(_) => false,
+            Slot::Lazy { cell, .. } => cell.get().is_none() && Arc::strong_count(cell) > 1,
         }
     }
 }
@@ -77,6 +85,13 @@ impl std::fmt::Debug for Slot {
 }
 
 /// A database instance: a set of named relations.
+///
+/// Cloning costs one pointer copy per relation: the clone shares every
+/// relation with its source, and each side replaces its own slots
+/// independently afterwards. A lazy slot's hydration is shared too: whichever
+/// clone touches it first runs the loader once, for all of them (see
+/// [`hydrate_if_shared`](Self::hydrate_if_shared) for keeping that snapshot
+/// when the store behind the loader changes).
 #[derive(Debug, Clone, Default)]
 pub struct Instance {
     relations: BTreeMap<String, Slot>,
@@ -88,21 +103,37 @@ impl Instance {
         Instance::default()
     }
 
-    /// Adds (or replaces) a relation under `name`.
-    pub fn add_relation(&mut self, name: impl Into<String>, relation: Relation) {
-        self.relations.insert(name.into(), Slot::Resident(relation));
+    /// Adds (or replaces) a relation under `name`. Takes a [`Relation`] or an
+    /// `Arc<Relation>`; the latter is stored as is, without a copy.
+    pub fn add_relation(&mut self, name: impl Into<String>, relation: impl Into<Arc<Relation>>) {
+        let name = name.into();
+        self.hydrate_if_shared(&name);
+        self.relations.insert(name, Slot::Resident(relation.into()));
     }
 
     /// Adds (or replaces) a relation under `name` whose contents are produced
     /// by `load` on first access (see [`RelationLoader`]). Until then the slot
     /// holds no data, so opening a large disk-backed catalog stays cheap.
     pub fn add_lazy_relation(&mut self, name: impl Into<String>, load: RelationLoader) {
-        self.relations.insert(name.into(), Slot::Lazy { cell: OnceLock::new(), load });
+        let name = name.into();
+        self.hydrate_if_shared(&name);
+        self.relations.insert(name, Slot::Lazy { cell: Arc::default(), load });
     }
 
     /// Looks up a relation by name, hydrating a lazy slot on first access.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name).map(Slot::get)
+    }
+
+    /// Hydrates `name`'s slot if it is lazy, not yet hydrated and shared with
+    /// another clone of this instance. Call it before replacing the slot or
+    /// changing the store its loader reads, so the other clone keeps the
+    /// relation as it was when the clone was taken. A slot no clone shares is
+    /// left alone: nobody else could observe its loader running later.
+    pub fn hydrate_if_shared(&self, name: &str) {
+        if let Some(slot) = self.relations.get(name).filter(|s| s.is_shared_unhydrated()) {
+            slot.get();
+        }
     }
 
     /// Whether `name`'s slot currently holds materialized data — `false` only
@@ -341,11 +372,71 @@ mod tests {
         assert_eq!(inst.relation("u").unwrap().len(), 3);
         assert!(inst.is_resident("u"));
         assert_eq!(calls.load(Ordering::SeqCst), 1, "loader ran exactly once");
-        // A clone of the unhydrated slot re-runs the loader; a clone of the
-        // hydrated slot does not.
+        // A clone of the hydrated slot does not run the loader again.
         let clone = inst.clone();
         assert_eq!(clone.relation("u").unwrap().len(), 3);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn clones_share_one_hydration_of_a_lazy_slot() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut inst = Instance::new();
+        let counter = Arc::clone(&calls);
+        inst.add_lazy_relation(
+            "u",
+            Arc::new(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Relation::from_values(vec![1, 2, 3])
+            }),
+        );
+        let clone = inst.clone();
+        let a: *const Relation = clone.relation("u").unwrap();
+        assert!(inst.is_resident("u"), "hydrating one clone fills the shared cell");
+        assert!(std::ptr::eq(a, inst.relation("u").unwrap()));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "loader ran once for both clones");
+    }
+
+    #[test]
+    fn replacing_a_shared_unhydrated_slot_hydrates_it_for_the_other_clone() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let load: RelationLoader = Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Relation::from_values(vec![1, 2, 3])
+        });
+        let mut inst = Instance::new();
+        inst.add_lazy_relation("u", Arc::clone(&load));
+        // No clone shares the cell: replacing it loads nothing.
+        inst.add_relation("u", Relation::from_values(vec![9]));
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        inst.add_lazy_relation("u", load);
+        let keep = inst.clone();
+        inst.add_relation("u", Relation::from_values(vec![9]));
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "the shared cell was filled before it was let go"
+        );
+        assert!(keep.is_resident("u"));
+        assert_eq!(keep.relation("u").unwrap().len(), 3);
+        assert_eq!(inst.relation("u").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn clones_share_relations_until_one_replaces_its_slot() {
+        let inst = small_instance();
+        let mut clone = inst.clone();
+        for name in ["edge", "v1", "v2"] {
+            assert!(std::ptr::eq(inst.relation(name).unwrap(), clone.relation(name).unwrap()));
+        }
+        let shared = Arc::new(Relation::from_values(vec![7]));
+        clone.add_relation("v1", Arc::clone(&shared));
+        assert!(std::ptr::eq(&*shared, clone.relation("v1").unwrap()), "an Arc is stored as is");
+        assert!(!std::ptr::eq(inst.relation("v1").unwrap(), clone.relation("v1").unwrap()));
+        assert!(std::ptr::eq(inst.relation("v2").unwrap(), clone.relation("v2").unwrap()));
     }
 
     #[test]

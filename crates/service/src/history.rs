@@ -1,17 +1,28 @@
 //! Session-history recording and black-box serializability checking.
 //!
 //! The service appends one [`SessionEvent`] per successful read and per
-//! update. Updates are recorded *while holding the database write lock*, so
+//! write. Writes are recorded *while holding the database write lock*, so
 //! their position in the log is their epoch order; reads record the epoch of
-//! the snapshot they executed against. [`check_history`] then replays the
-//! updates into a chain of epoch snapshots and re-executes every read
-//! serially: the history is valid iff each read's count matches what a
-//! single-threaded client would have seen at that epoch. This is a black-box
-//! checker — it exercises the public prepare/execute surface only.
+//! the snapshot they executed against.
+//!
+//! A write is recorded as what it did, never as a copy of the database: an
+//! incremental edit as its batch ([`SessionEvent::Edit`]: the relation, the
+//! rows the write passed to `Database::edit_rows`, the epoch it committed),
+//! a wholesale replacement as the shared handle of the new relation
+//! ([`SessionEvent::Update`], the same allocation the snapshot holds). The
+//! log thus grows by the size of the batches, not by the size of the edited
+//! relations.
+//!
+//! [`check_history`] replays the writes into a chain of epoch snapshots —
+//! each a cheap clone of the previous one with one write applied — and
+//! re-executes every read serially: the history is valid iff each read's
+//! count matches what a single-threaded client would have seen at that
+//! epoch. This is a black-box checker: it exercises the public
+//! edit/prepare/execute surface only.
 
-use gj_storage::Relation;
+use gj_storage::{Relation, Val};
 use graphjoin::{Database, Engine, Query};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One entry in a service's history log.
 #[derive(Debug, Clone)]
@@ -34,12 +45,24 @@ pub enum SessionEvent {
     },
     /// A committed update: replacing relation `name` produced `epoch`.
     Update {
-        /// The epoch this update produced (first update produces epoch 1).
+        /// The epoch this update produced (first write produces epoch 1).
         epoch: u64,
         /// Relation replaced.
         name: String,
-        /// Its new contents.
-        relation: Relation,
+        /// Its new contents, shared with the snapshot that installed them.
+        relation: Arc<Relation>,
+    },
+    /// A committed edit batch: applying `ins`/`del` to relation `name`
+    /// (through `Database::edit_rows`) produced `epoch`.
+    Edit {
+        /// The epoch this edit produced.
+        epoch: u64,
+        /// Relation edited.
+        name: String,
+        /// Rows the write inserted (rows already present are no-ops).
+        ins: Vec<Vec<Val>>,
+        /// Rows the write deleted (a row in both `ins` and `del` is deleted).
+        del: Vec<Vec<Val>>,
     },
 }
 
@@ -82,26 +105,45 @@ impl HistoryLog {
 
 /// Verifies a concurrent history against serial re-execution.
 ///
-/// `base` must be the database state at epoch 0 (before any recorded update).
-/// Replays every [`SessionEvent::Update`] in log order to materialise the
-/// snapshot chain, then re-runs every [`SessionEvent::Read`] against its
-/// epoch's snapshot on a single thread and compares counts. Returns a
-/// human-readable description of the first divergence.
+/// `base` must be the database state at epoch 0 (before any recorded write).
+/// Replays every [`SessionEvent::Update`] and [`SessionEvent::Edit`] in log
+/// order onto a clone of the previous snapshot to materialise the snapshot
+/// chain (clones share every relation the write left alone), then re-runs
+/// every [`SessionEvent::Read`] against its epoch's snapshot on a single
+/// thread and compares counts. Returns a human-readable description of the
+/// first divergence.
 pub fn check_history(base: &Database, events: &[SessionEvent]) -> Result<(), String> {
     let mut snapshots: Vec<Database> = vec![base.clone()];
     for event in events {
-        if let SessionEvent::Update { epoch, name, relation } = event {
-            if *epoch as usize != snapshots.len() {
+        let (epoch, name) = match event {
+            SessionEvent::Read { .. } => continue,
+            SessionEvent::Update { epoch, name, .. } | SessionEvent::Edit { epoch, name, .. } => {
+                (*epoch, name)
+            }
+        };
+        if epoch as usize != snapshots.len() {
+            return Err(format!(
+                "write to '{name}' recorded at epoch {epoch}, expected epoch {}: \
+                 writes must be logged in epoch order",
+                snapshots.len()
+            ));
+        }
+        let mut next = snapshots[snapshots.len() - 1].clone();
+        if let SessionEvent::Update { relation, .. } = event {
+            next.add_relation(name.as_str(), Arc::clone(relation));
+        } else if let SessionEvent::Edit { ins, del, .. } = event {
+            let changed = next
+                .edit_rows(name, ins, del)
+                .map_err(|e| format!("replaying the edit of epoch {epoch} failed: {e}"))?;
+            if changed == 0 {
                 return Err(format!(
-                    "update '{name}' recorded at epoch {epoch}, expected epoch {}: \
-                     updates must be logged in epoch order",
-                    snapshots.len()
+                    "the edit of '{name}' recorded at epoch {epoch} changes nothing on \
+                     epoch {}, yet the service published it",
+                    epoch - 1
                 ));
             }
-            let mut next = snapshots[snapshots.len() - 1].clone();
-            next.add_relation(name.clone(), relation.clone());
-            snapshots.push(next);
         }
+        snapshots.push(next);
     }
     for event in events {
         if let SessionEvent::Read { session, seq, epoch, query, engine, count } = event {
@@ -154,7 +196,10 @@ mod tests {
             SessionEvent::Update {
                 epoch: 1,
                 name: "edge".into(),
-                relation: Relation::from_flat(2, vec![0, 1, 1, 0, 1, 2, 2, 1, 0, 2, 2, 0]),
+                relation: Arc::new(Relation::from_flat(
+                    2,
+                    vec![0, 1, 1, 0, 1, 2, 2, 1, 0, 2, 2, 0],
+                )),
             },
             SessionEvent::Read {
                 session: 2,
@@ -191,9 +236,66 @@ mod tests {
         let events = vec![SessionEvent::Update {
             epoch: 5,
             name: "x".into(),
-            relation: Relation::from_values(vec![1]),
+            relation: Arc::new(Relation::from_values(vec![1])),
         }];
         assert!(check_history(&db, &events).is_err());
+    }
+
+    fn read(session: u64, epoch: u64, count: u64) -> SessionEvent {
+        SessionEvent::Read {
+            session,
+            seq: 0,
+            epoch,
+            query: CatalogQuery::ThreeClique.query(),
+            engine: Engine::Lftj,
+            count,
+        }
+    }
+
+    /// Deletes the undirected edge (1, 3), which breaks the triangle {1, 2, 3}.
+    fn cut_1_3(epoch: u64) -> SessionEvent {
+        SessionEvent::Edit {
+            epoch,
+            name: "edge".into(),
+            ins: vec![],
+            del: vec![vec![1, 3], vec![3, 1]],
+        }
+    }
+
+    #[test]
+    fn histories_with_edit_batches_pass() {
+        let restore = SessionEvent::Edit {
+            epoch: 2,
+            name: "edge".into(),
+            ins: vec![vec![1, 3], vec![3, 1], vec![0, 3], vec![3, 0]],
+            del: vec![],
+        };
+        let events =
+            vec![read(1, 0, 2), cut_1_3(1), read(2, 1, 1), restore, read(1, 2, 4), read(2, 1, 1)];
+        check_history(&base(), &events).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_edits_are_rejected() {
+        let err = check_history(&base(), &[cut_1_3(2)]).unwrap_err();
+        assert!(err.contains("epoch 2"), "{err}");
+        let err = check_history(&base(), &[cut_1_3(1), cut_1_3(1)]).unwrap_err();
+        assert!(err.contains("expected epoch 2"), "{err}");
+    }
+
+    #[test]
+    fn a_wrong_count_after_an_edit_names_its_session() {
+        let events = vec![read(1, 0, 2), cut_1_3(1), read(4, 1, 2)];
+        let err = check_history(&base(), &events).unwrap_err();
+        assert!(err.contains("session 4") && err.contains("epoch 1"), "{err}");
+        assert!(err.contains("observed 2, serial replay says 1"), "{err}");
+    }
+
+    #[test]
+    fn an_edit_that_replays_as_a_no_op_is_rejected() {
+        let events = vec![cut_1_3(1), cut_1_3(2)];
+        let err = check_history(&base(), &events).unwrap_err();
+        assert!(err.contains("changes nothing"), "{err}");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! * [`Service`] owns the current database behind an epoch-stamped lock;
 //!   [`Service::session`] hands out independent [`Session`] handles that
 //!   execute queries against consistent snapshots (an update never tears a
-//!   running query). All snapshots share one
-//!   [`IndexCache`](graphjoin::IndexCache), so indexes built by any session
-//!   warm the rest.
+//!   running query). A write clones the snapshot — one pointer copy per
+//!   relation, since clones share relations — and replaces only the
+//!   relation it changes; the clone starts with the snapshot's cached trie
+//!   indexes and absorbs an edit through their delta layers.
 //! * [`Gate`] bounds concurrency: `max_concurrent` executing queries plus a
 //!   `queue_depth` wait queue, with immediate typed
 //!   [`ExecError::Saturated`](gj_runtime::ExecError) rejections past that —
@@ -18,10 +19,11 @@
 //!   deadlines, row caps and per-query cancellation via
 //!   [`CancelToken`](gj_runtime::CancelToken) all surface as typed
 //!   `EngineError::Exec` aborts.
-//! * [`HistoryLog`] records every successful read and every update;
-//!   [`check_history`] replays the log serially and verifies that each
-//!   session observed exactly what some single serial order of the updates
-//!   would have produced.
+//! * [`HistoryLog`] records every successful read and every write — an
+//!   edit as its batch, never as a copy of the relation; [`check_history`]
+//!   replays the log serially and verifies that each session observed
+//!   exactly what some single serial order of the writes would have
+//!   produced.
 //!
 //! ```
 //! use gj_service::{Service, ServiceConfig};
@@ -132,6 +134,52 @@ mod tests {
         // whole interleaving is serially consistent.
         assert_eq!(before.count(&q, &Engine::Lftj).unwrap(), 2);
         service.verify_history(&base).unwrap();
+    }
+
+    #[test]
+    fn edge_edits_record_their_batches_and_every_epoch_counts_right() {
+        let db = sample();
+        let base = db.clone();
+        let service = Service::with_defaults(db);
+        let q = CatalogQuery::ThreeClique.query();
+        let session = service.session();
+        let mut counts = vec![session.count(&q, &Engine::Lftj).unwrap()];
+        assert_eq!(service.insert_edges(&[(0, 3)]).unwrap(), 1);
+        counts.push(session.count(&q, &Engine::Lftj).unwrap());
+        assert_eq!(service.delete_edges(&[(1, 2), (2, 2)]).unwrap(), 2);
+        counts.push(session.count(&q, &Engine::Lftj).unwrap());
+        assert_eq!(counts, [2, 4, 2], "two triangles, K4, K4 minus the edge (1, 2)");
+
+        // Each edit is logged as the symmetrized batch it applied (the
+        // self-loop dropped), not as a copy of the relation.
+        let edits: Vec<_> = service
+            .history()
+            .into_iter()
+            .filter_map(|event| match event {
+                SessionEvent::Edit { epoch, name, ins, del } => Some((epoch, name, ins, del)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            edits,
+            [
+                (1, "edge".to_string(), vec![vec![0, 3], vec![3, 0]], vec![]),
+                (2, "edge".to_string(), vec![], vec![vec![1, 2], vec![2, 1]]),
+            ]
+        );
+        service.verify_history(&base).unwrap();
+    }
+
+    #[test]
+    fn an_update_records_the_relation_its_snapshot_holds() {
+        let service = Service::with_defaults(sample());
+        let before = service.snapshot();
+        service.update_relation("edge", Relation::from_flat(2, vec![0, 1, 1, 0]));
+        let [SessionEvent::Update { relation, .. }] = &service.history()[..] else {
+            panic!("one update was recorded");
+        };
+        assert!(std::ptr::eq(&**relation, service.snapshot().instance().relation("edge").unwrap()));
+        assert!(!std::ptr::eq(&**relation, before.instance().relation("edge").unwrap()));
     }
 
     #[test]

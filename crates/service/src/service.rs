@@ -2,11 +2,13 @@
 //!
 //! A service owns an `Arc<Database>` behind an epoch-stamped `RwLock`.
 //! Sessions read by cloning the `Arc` (a snapshot: queries never see a
-//! half-applied update), updates copy-on-write the database and swap the
-//! `Arc` under the write lock, bumping the epoch. Because every clone of a
-//! [`Database`](graphjoin::Database) shares one
-//! [`IndexCache`](graphjoin::IndexCache), trie indexes built by any session
-//! warm all the others.
+//! half-applied update). A write clones the current database — one pointer
+//! copy per relation, since clones share relations — replaces the one
+//! relation it changes in the clone, and swaps the `Arc` under the write
+//! lock, bumping the epoch. The clone starts with every trie index the
+//! current snapshot's [`IndexCache`](graphjoin::IndexCache) holds, and an edit
+//! patches them through their delta layers, so sessions keep reading warm
+//! indexes across epochs.
 //!
 //! Execution is bounded on two axes: the admission [`Gate`] caps concurrent
 //! queries (typed [`ExecError::Saturated`](gj_runtime::ExecError) rejections
@@ -19,7 +21,7 @@ use crate::admission::Gate;
 use crate::history::{check_history, HistoryLog, SessionEvent};
 use gj_runtime::QueryBudget;
 use gj_storage::Relation;
-use graphjoin::{Database, Engine, EngineError, Query};
+use graphjoin::{symmetrize, Database, Engine, EngineError, Query};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -109,35 +111,45 @@ impl Service {
     }
 
     /// Replaces relation `name` for all *future* snapshots and returns the new
-    /// epoch. In-flight queries keep their old snapshot. The update event is
+    /// epoch. In-flight queries keep their old snapshot. The recorded update
+    /// event holds the same `Arc` the new snapshot's slot holds, and is
     /// recorded while the write lock is held, so log order is epoch order.
-    pub fn update_relation(&self, name: impl Into<String>, relation: Relation) -> u64 {
-        let name = name.into();
+    pub fn update_relation(
+        &self,
+        name: impl Into<String>,
+        relation: impl Into<Arc<Relation>>,
+    ) -> u64 {
+        let (name, relation) = (name.into(), relation.into());
         let mut guard = self.inner.db.write().unwrap_or_else(PoisonError::into_inner);
         let mut next = (*guard.1).clone();
-        next.add_relation(name.clone(), relation.clone());
-        guard.0 += 1;
-        guard.1 = Arc::new(next);
-        let epoch = guard.0;
-        self.inner.history.record(SessionEvent::Update { epoch, name, relation });
-        epoch
+        next.add_relation(name.clone(), Arc::clone(&relation));
+        self.publish(&mut guard, next, |epoch| SessionEvent::Update { epoch, name, relation })
     }
 
     /// Applies one incremental edit batch to relation `name` (`ins` rows
     /// enter, `del` rows leave — see [`Database::edit_rows`]) and returns the
-    /// resulting epoch. The database is copied-on-write under the write lock:
-    /// the copy's cached trie indexes absorb the edit through their delta
-    /// layers (no rebuild), in-flight queries keep their old snapshot, and
-    /// the resulting relation is recorded as an update event so
-    /// [`verify_history`](Self::verify_history) replays it exactly. A batch
-    /// that changes nothing returns the current epoch without bumping it.
+    /// resulting epoch. Under the write lock the current snapshot is cloned
+    /// (one pointer copy per relation) and the batch is applied to the clone:
+    /// only the edited relation is replaced, the clone's cached trie indexes
+    /// absorb the edit through their delta layers (no rebuild), and in-flight
+    /// queries keep their old snapshot. The batch itself is recorded as an
+    /// [`SessionEvent::Edit`], which [`verify_history`](Self::verify_history)
+    /// replays through the same `edit_rows`. A batch that changes nothing
+    /// returns the current epoch without bumping it or recording anything;
+    /// a rejected batch leaves the service exactly as it was.
     pub fn edit_relation(
         &self,
         name: &str,
         ins: &[Vec<i64>],
         del: &[Vec<i64>],
     ) -> Result<u64, EngineError> {
-        self.apply_edit(name, |db| db.edit_rows(name, ins, del))
+        let mut guard = self.inner.db.write().unwrap_or_else(PoisonError::into_inner);
+        let mut next = (*guard.1).clone();
+        if next.edit_rows(name, ins, del)? == 0 {
+            return Ok(guard.0);
+        }
+        let (name, ins, del) = (name.to_string(), ins.to_vec(), del.to_vec());
+        Ok(self.publish(&mut guard, next, |epoch| SessionEvent::Edit { epoch, name, ins, del }))
     }
 
     /// Incrementally inserts rows into relation `name` for all future
@@ -153,44 +165,31 @@ impl Service {
     }
 
     /// Incrementally inserts undirected edges (both orientations of the
-    /// `"edge"` relation; the attached graph view grows to fit new
-    /// endpoints). Returns the resulting epoch.
+    /// `"edge"` relation, as [`symmetrize`] spells them; the attached graph
+    /// view grows to fit new endpoints). Returns the resulting epoch.
     pub fn insert_edges(&self, edges: &[(u32, u32)]) -> Result<u64, EngineError> {
-        self.apply_edit("edge", |db| db.insert_edges(edges))
+        self.edit_relation("edge", &symmetrize(edges), &[])
     }
 
     /// Incrementally deletes undirected edges (both orientations leave the
     /// `"edge"` relation). Returns the resulting epoch.
     pub fn delete_edges(&self, edges: &[(u32, u32)]) -> Result<u64, EngineError> {
-        self.apply_edit("edge", |db| db.delete_edges(edges))
+        self.edit_relation("edge", &[], &symmetrize(edges))
     }
 
-    /// Shared copy-on-write edit path: runs `edit` against a clone of the
-    /// current database, and publishes the clone (bumping the epoch and
-    /// recording the resulting relation) only if it changed something. The
-    /// edit validates before any state is touched, so a rejected batch leaves
-    /// the service exactly as it was.
-    fn apply_edit(
+    /// The one write path: installs `next` as the snapshot of the next epoch
+    /// and records `event(epoch)`, both under the caller's write lock, so log
+    /// order is epoch order.
+    fn publish(
         &self,
-        name: &str,
-        edit: impl FnOnce(&mut Database) -> Result<usize, EngineError>,
-    ) -> Result<u64, EngineError> {
-        let mut guard = self.inner.db.write().unwrap_or_else(PoisonError::into_inner);
-        let mut next = (*guard.1).clone();
-        let changed = edit(&mut next)?;
-        if changed == 0 {
-            return Ok(guard.0);
-        }
-        let relation = next
-            .instance()
-            .relation(name)
-            .cloned()
-            .ok_or_else(|| EngineError::Edit(format!("edited relation {name:?} vanished")))?;
+        guard: &mut (u64, Arc<Database>),
+        next: Database,
+        event: impl FnOnce(u64) -> SessionEvent,
+    ) -> u64 {
         guard.0 += 1;
         guard.1 = Arc::new(next);
-        let epoch = guard.0;
-        self.inner.history.record(SessionEvent::Update { epoch, name: name.to_string(), relation });
-        Ok(epoch)
+        self.inner.history.record(event(guard.0));
+        guard.0
     }
 
     /// The current snapshot (epoch advances as updates land).
