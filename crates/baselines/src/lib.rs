@@ -31,6 +31,6 @@ pub use graph_engine::GraphEngine;
 pub use intermediate::{Intermediate, JoinCols, RightIndex};
 pub use pairwise::{
     pairwise_count, pairwise_count_with_stats, pairwise_run, BaselineError, ExecLimits, JoinAlgo,
-    PairwiseMorsels, PairwisePlan, PairwiseStats, PairwiseWorker,
+    PairwiseMorsels, PairwisePlan, PairwiseWorker,
 };
 pub use planner::{plan_left_deep, JoinPlan};

@@ -58,7 +58,7 @@
 use crate::intermediate::{Intermediate, JoinCols, RightIndex};
 use crate::planner::plan_left_deep;
 use gj_query::{Instance, Query, VarId};
-use gj_runtime::{partition_values, ExecCtx, Morsel, MorselSource, WorkerPool};
+use gj_runtime::{partition_values, Counters, ExecCtx, Morsel, MorselSource, WorkerPool};
 use gj_storage::{Relation, Val, NEG_INF, POS_INF};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -120,20 +120,6 @@ impl std::fmt::Display for BaselineError {
 }
 
 impl std::error::Error for BaselineError {}
-
-/// Statistics of a pairwise execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairwiseStats {
-    /// Total rows written by the materialising joins (and the base copy), counted
-    /// **before** filter pruning, summed across workers under parallel execution
-    /// — the sums equal the serial run's, because morsels partition each step's
-    /// join output. The final join is streamed (never materialised), so its
-    /// output is not counted here.
-    pub materialized_rows: u64,
-    /// Rows of the largest materialised step (pre-filter; the largest per-step
-    /// aggregate, under parallel execution).
-    pub peak_intermediate: u64,
-}
 
 /// One prepared step of the left-deep chain: the right side's rows, the resolved
 /// join columns, and the prebuilt probe structure — all shared read-only.
@@ -299,7 +285,7 @@ impl PairwisePlan {
     pub fn run(
         &self,
         emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> Result<(u64, PairwiseStats), BaselineError> {
+    ) -> Result<(u64, Counters), BaselineError> {
         self.run_ctx(&ExecCtx::none(), emit)
     }
 
@@ -311,7 +297,7 @@ impl PairwisePlan {
         &self,
         ctx: &ExecCtx<'_>,
         emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> Result<(u64, PairwiseStats), BaselineError> {
+    ) -> Result<(u64, Counters), BaselineError> {
         let budget = BudgetState::new(self.limits.max_intermediate_rows, self.materialised_steps());
         let mut worker = self.acquire_worker();
         let emitted = self.run_range(&mut worker, NEG_INF, POS_INF, &budget, ctx, emit);
@@ -551,14 +537,20 @@ impl BudgetState {
         ControlFlow::Continue(())
     }
 
-    /// The aggregated statistics, or the recorded budget violation.
-    fn finish(&self) -> Result<PairwiseStats, BaselineError> {
+    /// The aggregated counters, or the recorded budget violation:
+    /// `materialized_rows` sums every step's rows — the rows written by the
+    /// materialising joins (and the base copy), counted **before** filter pruning;
+    /// across workers the sums equal the serial run's, because morsels partition
+    /// each step's join output — and `peak_intermediate` is the largest step's.
+    /// The final join is streamed (never materialised), so its output is not
+    /// counted.
+    fn finish(&self) -> Result<Counters, BaselineError> {
         if let Some(err) =
             self.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
         {
             return Err(err);
         }
-        let mut stats = PairwiseStats::default();
+        let mut stats = Counters::default();
         for step in &self.steps {
             let rows = step.load(Ordering::Relaxed);
             stats.materialized_rows += rows;
@@ -592,7 +584,7 @@ impl<'p> PairwiseMorsels<'p> {
 
     /// The aggregated materialisation statistics of the finished run, or the
     /// budget violation some worker recorded.
-    pub fn finish(self) -> Result<PairwiseStats, BaselineError> {
+    pub fn finish(self) -> Result<Counters, BaselineError> {
         self.budget.finish()
     }
 }
@@ -638,7 +630,7 @@ pub fn pairwise_count_with_stats(
     query: &Query,
     algo: JoinAlgo,
     limits: &ExecLimits,
-) -> Result<(u64, PairwiseStats), BaselineError> {
+) -> Result<(u64, Counters), BaselineError> {
     pairwise_run(instance, query, algo, limits, &mut |_| ControlFlow::Continue(()))
 }
 
@@ -651,7 +643,7 @@ pub fn pairwise_run(
     algo: JoinAlgo,
     limits: &ExecLimits,
     emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-) -> Result<(u64, PairwiseStats), BaselineError> {
+) -> Result<(u64, Counters), BaselineError> {
     PairwisePlan::new(instance, query, algo, *limits)?.run(emit)
 }
 

@@ -78,9 +78,9 @@ pub use workload::{workload_database, Workload};
 // `PreparedQuery::run_parallel`, the building blocks for custom drivers, and the
 // error-model types (typed aborts, cancellation, budgets) of the `try_*` API.
 pub use gj_runtime::{
-    drive, partition_first_attribute, try_drive, CancelToken, DriveReport, ExecCtx, ExecError,
-    ExecMonitor, ExecWatch, JobQueue, Morsel, MorselSource, Ordered, ParallelSink, QueryBudget,
-    ShardSink, CHECK_STRIDE,
+    drive, partition_first_attribute, try_drive, CancelToken, Counters, DriveReport, ExecCtx,
+    ExecError, ExecMonitor, ExecWatch, JobQueue, Morsel, MorselSource, Ordered, ParallelSink,
+    QueryBudget, ShardSink, CHECK_STRIDE,
 };
 
 // Re-export the pieces users of the façade routinely need.

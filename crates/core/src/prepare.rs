@@ -45,8 +45,8 @@ use gj_lftj::LftjMorsels;
 use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels};
 use gj_query::{BindReport, BoundQuery, CatalogQuery, Query, VarId};
 use gj_runtime::{
-    partition_first_attribute, try_drive, ExecCtx, ExecError, ExecMonitor, Morsel, MorselSource,
-    Ordered, ParallelSink, QueryBudget,
+    partition_first_attribute, try_drive, Counters, ExecCtx, ExecError, ExecMonitor, Morsel,
+    MorselSource, Ordered, ParallelSink, QueryBudget,
 };
 use gj_storage::Val;
 use std::ops::ControlFlow;
@@ -63,9 +63,38 @@ const LFTJ_GRANULARITY: usize = 8;
 /// a moderate over-split still lets the pool work-steal around skew.
 const PAIRWISE_GRANULARITY: usize = 4;
 
-/// Cross-engine execution statistics: one shape for every engine, replacing the
-/// per-engine stats types at the API boundary. Engine-specific counters (probe
-/// counts, CDS sizes, materialised rows, …) are reported as named `extras`.
+/// A counter an engine reports by name through [`RunStats::extra`]: the name and
+/// the field of [`Counters`] it reads.
+type Extra = (&'static str, fn(&Counters) -> u64);
+
+/// LFTJ's named counters.
+const LFTJ_EXTRAS: &[Extra] = &[("bindings_explored", |c| c.bindings_explored)];
+
+/// Minesweeper's named counters.
+const MS_EXTRAS: &[Extra] = &[
+    ("iterations", |c| c.iterations),
+    ("probes", |c| c.probes),
+    ("probes_skipped", |c| c.probes_skipped),
+    ("constraints_inserted", |c| c.constraints_inserted),
+    ("cached_intervals", |c| c.cached_intervals),
+    ("truncations", |c| c.truncations),
+    ("complete_node_hits", |c| c.complete_node_hits),
+    ("cds_nodes", |c| c.cds_nodes),
+    ("free_tuple_steps", |c| c.free_tuple_steps),
+    ("backjumps", |c| c.backjumps),
+    ("batched_runs", |c| c.batched_runs),
+];
+
+/// The pairwise baselines' named counters.
+const PAIRWISE_EXTRAS: &[Extra] = &[
+    ("materialized_rows", |c| c.materialized_rows),
+    ("peak_intermediate", |c| c.peak_intermediate),
+];
+
+/// Cross-engine execution statistics: one shape for every engine. The engine's
+/// work counters (probe counts, CDS sizes, materialised rows, …) are one
+/// [`Counters`] value, and [`extra`](Self::extra) looks up the ones the engine
+/// reports by name.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
     /// One-time preparation cost of the [`PreparedQuery`] that produced this
@@ -86,9 +115,13 @@ pub struct RunStats {
     pub morsels: usize,
     /// Trie indexes built during prepare (0 when the shared cache was warm).
     pub indexes_built: usize,
-    /// Engine-specific counters, e.g. `("probes", …)` for Minesweeper or
-    /// `("peak_intermediate", …)` for the pairwise baselines.
-    pub extras: Vec<(&'static str, u64)>,
+    /// The engine's work counters, summed over its workers: `bindings_explored`
+    /// for LFTJ, `probes`, `cds_nodes`, … for Minesweeper, `peak_intermediate`
+    /// for the pairwise baselines; all zero for the count-only engines.
+    pub counters: Counters,
+    /// The counters the engine reports by name — what [`extra`](Self::extra)
+    /// answers.
+    reported: &'static [Extra],
     /// How the execution ended: ran to completion, or aborted early with a typed
     /// reason. Always [`RunOutcome::Completed`] for the infallible API (whose
     /// budget cannot trip); the `try_*` executions and
@@ -97,9 +130,13 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Looks up an engine-specific counter by name.
+    /// Looks up an engine-specific counter by name: `Some` for exactly the
+    /// counters the engine that ran reports (`bindings_explored` for LFTJ; eleven
+    /// for Minesweeper, `probes` and `cds_nodes` among them; `materialized_rows`
+    /// and `peak_intermediate` for the pairwise baselines), `None` for every other
+    /// name, and for every name when a count-only engine ran.
     pub fn extra(&self, name: &str) -> Option<u64> {
-        self.extras.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+        self.reported.iter().find(|(n, _)| *n == name).map(|(_, get)| get(&self.counters))
     }
 }
 
@@ -263,8 +300,14 @@ struct Execution<'a, K> {
 
 impl<K: ParallelSink> Execution<'_, K> {
     /// Drives `source` over `morsels` — the one place an engine runs — and records
-    /// the drive's share of the statistics. `bind` ends where the drive starts.
-    fn drive<S: MorselSource>(&mut self, source: &S, morsels: &[Morsel]) -> Result<(), ExecError> {
+    /// the drive's share of the statistics, with the counters the engine reports
+    /// by name. `bind` ends where the drive starts.
+    fn drive<S: MorselSource>(
+        &mut self,
+        source: &S,
+        morsels: &[Morsel],
+        reported: &'static [Extra],
+    ) -> Result<(), ExecError> {
         self.stats.bind = self.started.elapsed();
         let run_start = Instant::now();
         let driven = try_drive(source, morsels, self.threads, self.sink, &self.monitor);
@@ -273,6 +316,8 @@ impl<K: ParallelSink> Execution<'_, K> {
         self.stats.rows = report.rows;
         self.stats.threads = self.stats.threads.max(report.threads);
         self.stats.morsels = if morsels.len() > 1 { report.morsels } else { 0 };
+        self.stats.counters = report.counters;
+        self.stats.reported = reported;
         Ok(())
     }
 }
@@ -428,36 +473,28 @@ impl<'db> PreparedQuery<'db> {
                 let morsels = morsels_for(threads, || {
                     partition_first_attribute(bq, threads * LFTJ_GRANULARITY)
                 });
-                let source = LftjMorsels::new(bq);
-                run.drive(&source, &morsels)?;
-                run.stats.extras = vec![("bindings_explored", source.total_bindings_explored())];
+                run.drive(&LftjMorsels::new(bq), &morsels, LFTJ_EXTRAS)?;
             }
             Plan::Minesweeper(bq, config) => {
                 let morsels = morsels_for(threads, || {
                     partition_first_attribute(bq, threads * config.granularity.max(1))
                 });
-                let source = MsMorsels::new(bq, config.clone());
-                run.drive(&source, &morsels)?;
-                run.stats.extras = ms_extras(&source.totals());
+                run.drive(&MsMorsels::new(bq, config.clone()), &morsels, MS_EXTRAS)?;
             }
             Plan::Pairwise(plan) => {
                 let morsels =
                     morsels_for(threads, || plan.partition(threads * PAIRWISE_GRANULARITY));
                 let source = PairwiseMorsels::new(plan);
-                let driven = run.drive(&source, &morsels);
+                let driven = run.drive(&source, &morsels, PAIRWISE_EXTRAS);
                 // Reclaim the workers (and collect the aggregated budget state)
                 // before surfacing any error: a monitor trip outranks the pairwise
                 // materialisation budget, which in turn fails the run (the sink
                 // may have received a partial prefix by then).
                 let pairwise = source.finish();
                 driven?;
-                let pairwise = pairwise.map_err(EngineError::Baseline)?;
-                run.stats.extras = vec![
-                    ("materialized_rows", pairwise.materialized_rows),
-                    ("peak_intermediate", pairwise.peak_intermediate),
-                ];
+                run.stats.counters = pairwise.map_err(EngineError::Baseline)?;
             }
-            Plan::CountOnly(source) => run.drive(source, &[Morsel::whole_axis()])?,
+            Plan::CountOnly(source) => run.drive(source, &[Morsel::whole_axis()], &[])?,
         }
         Ok(run.stats)
     }
@@ -518,8 +555,8 @@ impl<'db> PreparedQuery<'db> {
     /// pairwise baselines, across repeated executions of the same prepared
     /// query): Minesweeper carries its learned CDS constraints from morsel to
     /// morsel, the pairwise engines pool their buffers and merge-join sort
-    /// permutations. The per-engine statistics workers accumulate are folded into
-    /// [`RunStats::extras`].
+    /// permutations. The counters workers accumulate are summed into
+    /// [`RunStats::counters`].
     ///
     /// ```
     /// use graphjoin::{CatalogQuery, CountSink, Database, Engine, Graph};
@@ -742,23 +779,6 @@ impl<'db> PreparedQuery<'db> {
     }
 }
 
-/// Minesweeper's statistics as unified extras.
-fn ms_extras(ms: &gj_minesweeper::MsStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("iterations", ms.iterations),
-        ("probes", ms.probes),
-        ("probes_skipped", ms.probes_skipped),
-        ("constraints_inserted", ms.constraints_inserted),
-        ("cached_intervals", ms.cached_intervals),
-        ("truncations", ms.truncations),
-        ("complete_node_hits", ms.complete_node_hits),
-        ("cds_nodes", ms.cds_nodes),
-        ("free_tuple_steps", ms.free_tuple_steps),
-        ("backjumps", ms.backjumps),
-        ("batched_runs", ms.batched_runs),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,10 +915,9 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_reports_engine_extras_from_retired_workers() {
-        // The worker lifecycle hook folds per-worker statistics into the run
-        // totals, so parallel executions report the same engine extras serial
-        // ones do (they used to report none).
+    fn run_parallel_reports_engine_extras_from_every_worker() {
+        // The driver sums the workers' counters, so parallel executions report
+        // the same engine extras serial ones do.
         let db = two_triangle_db();
         let q = CatalogQuery::ThreeClique.query();
         let prepared = db.prepare(&q, &Engine::minesweeper()).unwrap();
@@ -912,6 +931,55 @@ mod tests {
         let mut sink = CountSink::new();
         let stats = lftj.run_parallel(&mut sink, 2).unwrap();
         assert!(stats.extra("bindings_explored").unwrap() >= stats.rows);
+    }
+
+    /// The `extra()` contract: each engine answers exactly its own counter
+    /// names, at one thread and at two, and `None` for every other name.
+    #[test]
+    fn extra_answers_exactly_the_names_each_engine_reports() {
+        let ms = [
+            "iterations",
+            "probes",
+            "probes_skipped",
+            "constraints_inserted",
+            "cached_intervals",
+            "truncations",
+            "complete_node_hits",
+            "cds_nodes",
+            "free_tuple_steps",
+            "backjumps",
+            "batched_runs",
+        ];
+        let pairwise = ["materialized_rows", "peak_intermediate"];
+        let universe: Vec<&str> = ["bindings_explored", "results", "rows", "no_such_counter"]
+            .into_iter()
+            .chain(ms)
+            .chain(pairwise)
+            .collect();
+        let db = two_triangle_db();
+        let idea8_off = MsConfig { idea8_batch_counting: false, ..MsConfig::default() };
+        let lollipop = CatalogQuery::TwoLollipop;
+        let cases: Vec<(Engine, CatalogQuery, &[&str])> = vec![
+            (Engine::Lftj, CatalogQuery::ThreePath, &["bindings_explored"]),
+            (Engine::minesweeper(), CatalogQuery::ThreePath, &ms),
+            (Engine::Minesweeper(idea8_off), CatalogQuery::ThreePath, &ms),
+            (Engine::HashJoin(ExecLimits::default()), CatalogQuery::ThreePath, &pairwise),
+            (Engine::SortMergeJoin(ExecLimits::default()), CatalogQuery::ThreePath, &pairwise),
+            (Engine::GraphEngine, CatalogQuery::ThreeClique, &[]),
+            (Engine::hybrid_for(lollipop).unwrap(), lollipop, &[]),
+        ];
+        for (engine, cq, expected) in cases {
+            let prepared = db.prepare(&cq.query(), &engine).unwrap();
+            for threads in [1, 2] {
+                let stats = prepared.count_outcome(threads, &QueryBudget::new());
+                assert!(stats.outcome.is_completed());
+                let answered: Vec<_> =
+                    universe.iter().filter(|name| stats.extra(name).is_some()).collect();
+                let wanted: Vec<_> =
+                    universe.iter().filter(|name| expected.contains(name)).collect();
+                assert_eq!(answered, wanted, "{} t={threads}", engine.label());
+            }
+        }
     }
 
     #[test]

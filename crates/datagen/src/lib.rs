@@ -8,8 +8,9 @@
 //! graphs), comparable average degree, and a comparable triangle density — the three
 //! properties the paper's comparisons actually hinge on (clique-rich social networks
 //! versus triangle-poor peer-to-peer graphs, small versus large inputs). The
-//! substitution and its rationale are documented in `DESIGN.md`; `EXPERIMENTS.md`
-//! records the generated statistics next to the paper's.
+//! substitution and its rationale are documented in [`catalog`]; the
+//! `paper_tables` binary of `gj-bench` prints the generated statistics next to the
+//! paper's.
 //!
 //! * [`generators`] — seeded Erdős–Rényi and powerlaw-cluster (preferential
 //!   attachment with triangle closure) generators;

@@ -11,18 +11,9 @@
 
 use crate::leapfrog::LeapfrogJoin;
 use gj_query::BoundQuery;
-use gj_runtime::{ExecCtx, ExecWatch};
+use gj_runtime::{Counters, ExecCtx, ExecWatch, Morsel};
 use gj_storage::{TrieIterator, Val};
 use std::ops::ControlFlow;
-
-/// Execution statistics, mostly for the benchmark harness and EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LftjStats {
-    /// Number of output tuples produced (after filters).
-    pub results: u64,
-    /// Number of variable bindings explored (matches found at any level).
-    pub bindings_explored: u64,
-}
 
 /// LeapFrog TrieJoin executor over a [`BoundQuery`].
 pub struct LftjExecutor<'a> {
@@ -33,9 +24,11 @@ pub struct LftjExecutor<'a> {
     /// Per GAO position: filters `(earlier_gao_pos, earlier_is_smaller)`.
     filters: Vec<Vec<(usize, bool)>>,
     binding: Vec<Val>,
-    stats: LftjStats,
-    /// Restriction of the first GAO attribute to `[lo, hi)` (parallel partitioning).
-    range0: Option<(Val, Val)>,
+    /// The current search's `results` and `bindings_explored`.
+    stats: Counters,
+    /// Restriction of the first GAO attribute (parallel partitioning); the whole
+    /// axis unless restricted.
+    range0: Morsel,
 }
 
 impl<'a> LftjExecutor<'a> {
@@ -60,8 +53,8 @@ impl<'a> LftjExecutor<'a> {
             participants,
             filters: bq.filters_by_gao_pos(),
             binding: vec![0; n],
-            stats: LftjStats::default(),
-            range0: None,
+            stats: Counters::default(),
+            range0: Morsel::whole_axis(),
         }
     }
 
@@ -70,82 +63,46 @@ impl<'a> LftjExecutor<'a> {
     /// to LFTJ): the root-level leapfrog intersection seeks to `lo` and stops at
     /// `hi`, so disjoint ranges enumerate disjoint output slices.
     pub fn with_range0(mut self, lo: Val, hi: Val) -> Self {
-        self.range0 = Some((lo, hi));
+        self.range0 = Morsel::new(lo, hi);
         self
     }
 
-    /// Runs the join, invoking `emit` with each output binding (indexed by GAO
-    /// position). Returns the execution statistics.
-    pub fn run<F: FnMut(&[Val])>(self, emit: &mut F) -> LftjStats {
-        self.try_run(&mut |binding| {
-            emit(binding);
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Runs the join with early termination: `emit` returns
-    /// [`ControlFlow::Break`] to stop the search immediately (e.g. once a sink has
-    /// collected enough rows, or to answer an existence check after the first
-    /// output). Returns the statistics accumulated up to the stop point.
-    pub fn try_run<F: FnMut(&[Val]) -> ControlFlow<()>>(self, emit: &mut F) -> LftjStats {
-        self.try_run_ctx(&ExecCtx::none(), emit)
-    }
-
-    /// [`try_run`](Self::try_run) under an execution context: the search
-    /// additionally polls `ctx` once per explored binding (at the coarse
+    /// Runs the join restricted to first-GAO-attribute values in `[lo, hi)`,
+    /// invoking `emit` with each output binding (indexed by GAO position) until it
+    /// returns [`ControlFlow::Break`], and returns the search's `results` and
+    /// `bindings_explored` counters. An unrestricted run passes
+    /// [`Morsel::whole_axis`]'s bounds.
+    ///
+    /// The executor is **not consumed** — the per-worker reuse primitive of the
+    /// parallel runtime: a worker builds one executor and runs every morsel it
+    /// claims on it. The trie iterators, participant lists, and filter tables are
+    /// carried across calls (a completed or early-terminated search always rewinds
+    /// its iterators back to the root), and only the counters are reset per
+    /// range, so the result is identical to a fresh executor's over the same
+    /// range. The search polls `ctx` once per explored binding (at the coarse
     /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE)) and unwinds cleanly when a
     /// cancel, deadline, or stop flag trips — the caller learns the reason from
     /// the context's monitor.
-    pub fn try_run_ctx<F: FnMut(&[Val]) -> ControlFlow<()>>(
-        mut self,
-        ctx: &ExecCtx<'_>,
-        emit: &mut F,
-    ) -> LftjStats {
-        self.execute(ctx, emit)
-    }
-
-    /// Runs the join restricted to first-GAO-attribute values in `[lo, hi)`
-    /// **without consuming the executor** — the per-worker reuse primitive of the
-    /// parallel runtime. A worker builds one executor and calls `run_range` for
-    /// every morsel it claims: the trie iterators, participant lists, and filter
-    /// tables are carried across calls (a completed or early-terminated search
-    /// always rewinds its iterators back to the root), and only the statistics are
-    /// reset per range. The result is identical to running a fresh
-    /// [`with_range0`](Self::with_range0) executor over the same range.
-    pub fn run_range<F: FnMut(&[Val]) -> ControlFlow<()>>(
-        &mut self,
-        lo: Val,
-        hi: Val,
-        emit: &mut F,
-    ) -> LftjStats {
-        self.run_range_ctx(lo, hi, &ExecCtx::none(), emit)
-    }
-
-    /// [`run_range`](Self::run_range) under an execution context (see
-    /// [`try_run_ctx`](Self::try_run_ctx)) — the form the parallel runtime calls,
-    /// so stop flags and budgets are honored *inside* a long morsel, not only
-    /// between morsels.
     pub fn run_range_ctx<F: FnMut(&[Val]) -> ControlFlow<()>>(
         &mut self,
         lo: Val,
         hi: Val,
         ctx: &ExecCtx<'_>,
         emit: &mut F,
-    ) -> LftjStats {
-        self.range0 = Some((lo, hi));
+    ) -> Counters {
+        self.range0 = Morsel::new(lo, hi);
         self.execute(ctx, emit)
     }
 
-    /// The shared search entry: resets the statistics, runs the (possibly
-    /// range-restricted) search, and leaves the executor reusable — every level
-    /// opened during the search is closed again on unwind, even under early
-    /// termination.
+    /// The shared search entry: resets the counters, runs the search over
+    /// `range0`, and leaves the executor reusable — every level opened during the
+    /// search is closed again on unwind, even under early termination.
     fn execute<F: FnMut(&[Val]) -> ControlFlow<()>>(
         &mut self,
         ctx: &ExecCtx<'_>,
         emit: &mut F,
-    ) -> LftjStats {
-        self.stats = LftjStats::default();
+    ) -> Counters {
+        self.stats = Counters::default();
         if self.bq.num_vars() > 0 {
             let mut watch = ctx.watch();
             // The watched and unwatched searches are separate monomorphisations:
@@ -161,11 +118,10 @@ impl<'a> LftjExecutor<'a> {
         self.stats
     }
 
-    /// Counts the output tuples.
-    pub fn count(self) -> u64 {
-        let mut n = 0u64;
-        self.run(&mut |_| n += 1);
-        n
+    /// Counts the output tuples (within the [`with_range0`](Self::with_range0)
+    /// restriction, if any).
+    pub fn count(mut self) -> u64 {
+        self.execute(&ExecCtx::none(), &mut |_| ControlFlow::Continue(())).results
     }
 
     /// Recursive triejoin over GAO positions `depth..n`. Propagates the emitter's
@@ -186,14 +142,12 @@ impl<'a> LftjExecutor<'a> {
         lf.init(&mut self.iters);
 
         // Bounds induced by the order filters whose later variable sits at `depth`,
-        // seeded at the root level with the morsel range restriction (if any).
+        // seeded at the root level with the morsel range restriction.
         let mut lower: Option<Val> = None;
         let mut upper: Option<Val> = None;
         if depth == 0 {
-            if let Some((lo, hi)) = self.range0 {
-                lower = Some(lo);
-                upper = Some(hi);
-            }
+            lower = Some(self.range0.lo);
+            upper = Some(self.range0.hi);
         }
         for &(earlier_pos, earlier_is_smaller) in &self.filters[depth] {
             let bound = self.binding[earlier_pos];
@@ -249,23 +203,13 @@ pub fn count(bq: &BoundQuery) -> u64 {
 /// order** (not GAO order), sorted lexicographically.
 pub fn enumerate(bq: &BoundQuery) -> Vec<Vec<Val>> {
     let mut out = Vec::new();
-    LftjExecutor::new(bq).run(&mut |gao_binding| {
+    let all = Morsel::whole_axis();
+    LftjExecutor::new(bq).run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |gao_binding| {
         out.push(bq.binding_to_var_order(gao_binding));
+        ControlFlow::Continue(())
     });
     out.sort_unstable();
     out
-}
-
-/// Runs the bound query, calling `emit` for every output binding in GAO order, and
-/// returns the execution statistics.
-pub fn run<F: FnMut(&[Val])>(bq: &BoundQuery, emit: &mut F) -> LftjStats {
-    LftjExecutor::new(bq).run(emit)
-}
-
-/// Runs the bound query with early termination: the search stops as soon as `emit`
-/// returns [`ControlFlow::Break`]. Bindings are emitted in GAO order.
-pub fn try_run<F: FnMut(&[Val]) -> ControlFlow<()>>(bq: &BoundQuery, emit: &mut F) -> LftjStats {
-    LftjExecutor::new(bq).try_run(emit)
 }
 
 #[cfg(test)]
@@ -281,6 +225,12 @@ mod tests {
             inst.add_relation(*name, Relation::from_values(vals.clone()));
         }
         inst
+    }
+
+    /// Runs the whole query on a fresh executor, emitting GAO-order bindings.
+    fn run_all(bq: &BoundQuery, emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>) -> Counters {
+        let all = Morsel::whole_axis();
+        LftjExecutor::new(bq).run_range_ctx(all.lo, all.hi, &ExecCtx::none(), emit)
     }
 
     fn two_triangle_graph() -> Graph {
@@ -382,13 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn try_run_stops_at_the_first_break() {
+    fn a_break_stops_the_search_at_once() {
         let g = two_triangle_graph();
         let inst = instance_with_samples(&g, &[]);
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
         let mut seen = Vec::new();
-        let stats = try_run(&bq, &mut |binding| {
+        let stats = run_all(&bq, &mut |binding| {
             seen.push(binding.to_vec());
             ControlFlow::Break(())
         });
@@ -397,7 +347,10 @@ mod tests {
         // The truncated prefix must coincide with the full run's first output, and
         // stopping early must explore no more bindings than the full search.
         let mut all = Vec::new();
-        let full = run(&bq, &mut |b| all.push(b.to_vec()));
+        let full = run_all(&bq, &mut |b| {
+            all.push(b.to_vec());
+            ControlFlow::Continue(())
+        });
         assert_eq!(seen[0], all[0]);
         assert!(stats.bindings_explored < full.bindings_explored);
     }
@@ -413,17 +366,22 @@ mod tests {
             let mut split = 0;
             let mut rows = Vec::new();
             for (lo, hi) in [(-1, 2), (2, 3), (3, gj_storage::POS_INF)] {
-                let stats = LftjExecutor::new(&bq).with_range0(lo, hi).try_run(&mut |b| {
+                let mut exec = LftjExecutor::new(&bq);
+                let stats = exec.run_range_ctx(lo, hi, &ExecCtx::none(), &mut |b| {
                     assert!(b[0] >= lo && b[0] < hi);
                     rows.push(b.to_vec());
                     ControlFlow::Continue(())
                 });
+                assert_eq!(LftjExecutor::new(&bq).with_range0(lo, hi).count(), stats.results);
                 split += stats.results;
             }
             assert_eq!(split, total, "{}", q.name);
             // Concatenating the ranges in order reproduces the serial emission order.
             let mut serial = Vec::new();
-            run(&bq, &mut |b| serial.push(b.to_vec()));
+            run_all(&bq, &mut |b| {
+                serial.push(b.to_vec());
+                ControlFlow::Continue(())
+            });
             assert_eq!(rows, serial, "{}", q.name);
         }
     }
@@ -434,7 +392,7 @@ mod tests {
         let inst = instance_with_samples(&g, &[]);
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let stats = run(&bq, &mut |_| {});
+        let stats = run_all(&bq, &mut |_| ControlFlow::Continue(()));
         assert_eq!(stats.results, 2);
         assert!(stats.bindings_explored >= stats.results);
     }

@@ -12,19 +12,20 @@
 //! worst-case optimal — which is what lets it avoid the exploding intermediate
 //! results that pairwise (Selinger-style) plans materialise on cyclic graph patterns.
 //!
-//! The public entry points are [`LftjExecutor`], [`count`], [`enumerate`], [`run`]
-//! and [`try_run`] (early termination); all of them consume a
-//! [`BoundQuery`](gj_query::BoundQuery) (query + GAO + GAO-consistent trie indexes)
-//! from `gj-query`. For parallel execution, [`LftjMorsels`] plugs the executor into
-//! the `gj-runtime` morsel driver: each worker thread reuses **one** executor
-//! across every morsel it claims ([`LftjExecutor::run_range`] range-restricts the
-//! root-level intersection without consuming the executor; [`LftjWorker`] carries
-//! it plus the re-ordering scratch row).
+//! The public entry points are [`LftjExecutor`], [`count`] and [`enumerate`]; all of
+//! them consume a [`BoundQuery`](gj_query::BoundQuery) (query + GAO + GAO-consistent
+//! trie indexes) from `gj-query`. The executor has one way to run,
+//! [`LftjExecutor::run_range_ctx`]: it range-restricts the root-level intersection
+//! (the whole axis for an unrestricted run), stops when the emitter breaks or the
+//! execution context trips, and does not consume the executor. For parallel
+//! execution, [`LftjMorsels`] plugs it into the `gj-runtime` morsel driver: each
+//! worker thread reuses **one** executor across every morsel it claims
+//! ([`LftjWorker`] carries it plus the re-ordering scratch row).
 
 pub mod executor;
 pub mod leapfrog;
 pub mod parallel;
 
-pub use executor::{count, enumerate, run, try_run, LftjExecutor, LftjStats};
+pub use executor::{count, enumerate, LftjExecutor};
 pub use leapfrog::LeapfrogJoin;
 pub use parallel::{LftjMorsels, LftjWorker};

@@ -2,7 +2,7 @@
 //!
 //! The `gj-runtime` morsel driver partitions the first GAO attribute into ranges;
 //! this adapter runs the query restricted to each range with
-//! [`run_range`](LftjExecutor::run_range) and emits each output binding re-ordered
+//! [`run_range_ctx`](LftjExecutor::run_range_ctx) and emits each output binding re-ordered
 //! into **variable-id order** (the sink protocol's row shape). Because the executor
 //! emits in lexicographic GAO order and morsels tile the first attribute in
 //! increasing order, the runtime's ordered merge reproduces the exact serial
@@ -16,53 +16,35 @@
 //! executor is behaviourally identical (same rows, same per-morsel result and
 //! exploration counts) to building a fresh executor per morsel.
 //!
-//! The runtime's worker lifecycle hook is adopted too: each worker accumulates
-//! its [`LftjStats`] across the morsels it ran, and `retire_worker` folds them
-//! into run totals ([`LftjMorsels::total_bindings_explored`]) when the worker
-//! loop ends — so parallel executions report the same `bindings_explored`
-//! statistic serial ones do.
+//! Each worker accumulates the [`Counters`] of the morsels it ran; the driver
+//! sums every worker's into its report, so parallel executions report the same
+//! `bindings_explored` count serial ones do.
 
-use crate::executor::{LftjExecutor, LftjStats};
+use crate::executor::LftjExecutor;
 use gj_query::BoundQuery;
-use gj_runtime::{ExecCtx, Morsel, MorselSource};
+use gj_runtime::{Counters, ExecCtx, Morsel, MorselSource};
 use gj_storage::Val;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bound query exposed to the parallel runtime through LFTJ.
 #[derive(Debug)]
 pub struct LftjMorsels<'a> {
     bq: &'a BoundQuery,
-    /// Bindings explored, folded from retired workers (the `retire_worker` hook).
-    bindings_explored: AtomicU64,
 }
 
 /// Per-worker state of [`LftjMorsels`]: one executor reused across every claimed
 /// morsel, the GAO → variable-id scratch row, and the worker's accumulated
-/// statistics.
+/// counters.
 pub struct LftjWorker<'a> {
     exec: LftjExecutor<'a>,
     scratch: Vec<Val>,
-    totals: LftjStats,
-}
-
-impl LftjWorker<'_> {
-    /// The statistics accumulated over every morsel this worker ran.
-    pub fn totals(&self) -> LftjStats {
-        self.totals
-    }
+    counters: Counters,
 }
 
 impl<'a> LftjMorsels<'a> {
     /// Wraps a bound query for morsel-driven execution.
     pub fn new(bq: &'a BoundQuery) -> Self {
-        LftjMorsels { bq, bindings_explored: AtomicU64::new(0) }
-    }
-
-    /// Total bindings explored, summed over every retired worker — available once
-    /// `gj_runtime::drive` returned (all workers are retired by then).
-    pub fn total_bindings_explored(&self) -> u64 {
-        self.bindings_explored.load(Ordering::Relaxed)
+        LftjMorsels { bq }
     }
 }
 
@@ -73,7 +55,7 @@ impl<'a> MorselSource for LftjMorsels<'a> {
         LftjWorker {
             exec: LftjExecutor::new(self.bq),
             scratch: vec![0; self.bq.num_vars()],
-            totals: LftjStats::default(),
+            counters: Counters::default(),
         }
     }
 
@@ -85,29 +67,25 @@ impl<'a> MorselSource for LftjMorsels<'a> {
         emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
     ) {
         let gao = &self.bq.gao;
-        let LftjWorker { exec, scratch, totals } = worker;
-        let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |binding| {
+        let LftjWorker { exec, scratch, counters } = worker;
+        counters.merge(exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |binding| {
             for (pos, &v) in gao.iter().enumerate() {
                 scratch[v] = binding[pos];
             }
             emit(scratch)
-        });
-        totals.results += stats.results;
-        totals.bindings_explored += stats.bindings_explored;
+        }));
     }
 
     fn count_morsel(&self, worker: &mut LftjWorker<'a>, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
         let stats = worker
             .exec
             .run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_| ControlFlow::Continue(()));
-        worker.totals.results += stats.results;
-        worker.totals.bindings_explored += stats.bindings_explored;
+        worker.counters.merge(stats);
         stats.results
     }
 
-    /// Folds the worker's accumulated exploration count into the run totals.
-    fn retire_worker(&self, worker: LftjWorker<'a>) {
-        self.bindings_explored.fetch_add(worker.totals.bindings_explored, Ordering::Relaxed);
+    fn counters(&self, worker: &LftjWorker<'a>) -> Counters {
+        worker.counters
     }
 }
 
@@ -129,6 +107,17 @@ mod tests {
         (inst, q.clone())
     }
 
+    /// The serial emission, re-ordered into variable-id order.
+    fn serial_rows(bq: &BoundQuery) -> Vec<Vec<Val>> {
+        let mut rows = Vec::new();
+        let all = Morsel::whole_axis();
+        LftjExecutor::new(bq).run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |b| {
+            rows.push(bq.binding_to_var_order(b));
+            ControlFlow::Continue(())
+        });
+        rows
+    }
+
     #[test]
     fn parallel_lftj_matches_serial_counts_and_order() {
         let (inst, q) = bound(&CatalogQuery::ThreeClique.query());
@@ -141,9 +130,7 @@ mod tests {
         assert_eq!(count.rows(), serial);
         let mut collect = CollectSink::new();
         drive(&source, &morsels, 2, &mut collect);
-        let mut expected = Vec::new();
-        crate::executor::run(&bq, &mut |b| expected.push(bq.binding_to_var_order(b)));
-        assert_eq!(collect.into_rows(), expected);
+        assert_eq!(collect.into_rows(), serial_rows(&bq));
     }
 
     /// Ablation: one executor reused across morsels (the worker behaviour) must be
@@ -160,13 +147,17 @@ mod tests {
             let mut total = 0;
             for m in &morsels {
                 let mut fresh_rows: Vec<Val> = Vec::new();
-                let fresh =
-                    LftjExecutor::new(&bq).with_range0(m.lo, m.hi).try_run(&mut |binding| {
+                let fresh = LftjExecutor::new(&bq).run_range_ctx(
+                    m.lo,
+                    m.hi,
+                    &ExecCtx::none(),
+                    &mut |binding| {
                         fresh_rows.extend_from_slice(binding);
                         ControlFlow::Continue(())
-                    });
+                    },
+                );
                 let mut reused_rows: Vec<Val> = Vec::new();
-                let stats = reused.run_range(m.lo, m.hi, &mut |binding| {
+                let stats = reused.run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |binding| {
                     reused_rows.extend_from_slice(binding);
                     ControlFlow::Continue(())
                 });
@@ -197,16 +188,15 @@ mod tests {
         assert_eq!(morsels[0].lo, gj_storage::NEG_INF);
         let mut sink = CollectSink::new();
         drive(&LftjMorsels::new(&bq), &morsels, 4, &mut sink);
-        let mut expected = Vec::new();
-        crate::executor::run(&bq, &mut |b| expected.push(bq.binding_to_var_order(b)));
+        let expected = serial_rows(&bq);
         assert_eq!(expected.len() as u64, serial);
         assert_eq!(sink.into_rows(), expected);
     }
 
-    /// The lifecycle hook folds per-worker stats into run totals: the parallel
-    /// exploration count equals the sum of the serial per-morsel counts.
+    /// The driver sums the workers' counters: the parallel exploration count
+    /// equals the sum of the serial per-morsel counts.
     #[test]
-    fn retired_workers_fold_bindings_explored_into_totals() {
+    fn the_drive_sums_bindings_explored_over_workers() {
         let (inst, q) = bound(&CatalogQuery::ThreeClique.query());
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
         let morsels = partition_first_attribute(&bq, 6);
@@ -215,16 +205,15 @@ mod tests {
             .iter()
             .map(|m| {
                 LftjExecutor::new(&bq)
-                    .with_range0(m.lo, m.hi)
-                    .try_run(&mut |_| ControlFlow::Continue(()))
+                    .run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()))
                     .bindings_explored
             })
             .sum();
         for threads in [1, 3] {
-            let source = LftjMorsels::new(&bq);
             let mut sink = CountSink::new();
-            drive(&source, &morsels, threads, &mut sink);
-            assert_eq!(source.total_bindings_explored(), expected, "threads {threads}");
+            let report = drive(&LftjMorsels::new(&bq), &morsels, threads, &mut sink);
+            assert_eq!(report.counters.bindings_explored, expected, "threads {threads}");
+            assert_eq!(report.counters.results, sink.rows(), "threads {threads}");
         }
     }
 
@@ -237,12 +226,16 @@ mod tests {
         let morsels = partition_first_attribute(&bq, 6);
         let mut exec = LftjExecutor::new(&bq);
         // Break immediately in the first morsel ...
-        let stats = exec.run_range(morsels[0].lo, morsels[0].hi, &mut |_| ControlFlow::Break(()));
+        let (lo, hi) = (morsels[0].lo, morsels[0].hi);
+        let stats = exec.run_range_ctx(lo, hi, &ExecCtx::none(), &mut |_| ControlFlow::Break(()));
         assert!(stats.results <= 1);
         // ... then run every morsel to completion: totals must still be exact.
         let total: u64 = morsels
             .iter()
-            .map(|m| exec.run_range(m.lo, m.hi, &mut |_| ControlFlow::Continue(())).results)
+            .map(|m| {
+                exec.run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()))
+                    .results
+            })
             .sum();
         assert_eq!(total, crate::executor::count(&bq));
     }

@@ -66,30 +66,8 @@
 
 use crate::constraint::{Constraint, PatternComp};
 use crate::node::{Node, NodeId};
+use gj_runtime::Counters;
 use gj_storage::{Val, POS_INF};
-
-/// Statistics the CDS keeps about its own operation (for the ablation tables).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CdsStats {
-    /// Number of constraints inserted (gap boxes from relations).
-    pub constraints_inserted: u64,
-    /// Number of intervals cached by `getFreeValue` (Idea 5).
-    pub cached_intervals: u64,
-    /// Number of branch truncations (Algorithm 6).
-    pub truncations: u64,
-    /// Number of free tuples handed out.
-    pub free_tuples: u64,
-    /// Number of times a complete node answered a `getFreeValue` call (Idea 6).
-    pub complete_node_hits: u64,
-    /// Turns of [`Cds::compute_free_tuple`]'s level loop (one `getFreeValue` each).
-    /// Per free tuple this should be O(depth + gaps crossed); a figure in the
-    /// thousands means the search is crawling through a dead region value by value.
-    pub free_tuple_steps: u64,
-    /// Exhausted levels left by a conflict-directed backjump — over at least one
-    /// irrelevant attribute, or straight out of the space (non-caching mode; see the
-    /// module docs).
-    pub backjumps: u64,
-}
 
 /// The constraint data structure.
 #[derive(Debug, Clone)]
@@ -130,8 +108,13 @@ pub struct Cds {
     /// intervals may have changed since the last walk (see the module docs, "walk
     /// resumption"). `active[..=resume]` is valid for the current frontier.
     resume: usize,
-    /// Statistics.
-    pub stats: CdsStats,
+    /// The counters the CDS keeps about its own operation (for the ablation
+    /// tables): `constraints_inserted`, `cached_intervals`, `truncations`,
+    /// `complete_node_hits`, `free_tuple_steps` (turns of
+    /// [`Cds::compute_free_tuple`]'s level loop — per free tuple O(depth + gaps
+    /// crossed)) and `backjumps` (exhausted levels left by a conflict-directed
+    /// backjump; non-caching mode, see the module docs). Every other field stays 0.
+    pub stats: Counters,
 }
 
 /// Result of a `getFreeValue` call.
@@ -164,7 +147,7 @@ impl Cds {
             active,
             chain: Vec::new(),
             resume: 0,
-            stats: CdsStats::default(),
+            stats: Counters::default(),
         }
     }
 
@@ -222,7 +205,7 @@ impl Cds {
         self.live = 1;
         self.frontier.iter_mut().for_each(|v| *v = -1);
         self.resume = 0;
-        self.stats = CdsStats::default();
+        self.stats = Counters::default();
     }
 
     /// Makes the next walk start at the root, as if nothing were known about the
@@ -327,7 +310,6 @@ impl Cds {
                 self.frontier[d + 1..].fill(-1);
             }
             if d + 1 == self.n {
-                self.stats.free_tuples += 1;
                 self.resume = d;
                 return true;
             }
@@ -356,7 +338,6 @@ impl Cds {
                 // output, whereas keeping them is always sound. The next walk
                 // resumes here too, never below: `active[d + 1]` is empty, and
                 // the levels under it were not walked.
-                self.stats.free_tuples += 1;
                 self.resume = d;
                 return true;
             }
@@ -575,7 +556,7 @@ mod tests {
     /// two gap boxes around it, then the frontier moves to its successor or jumps at
     /// a random position. Returns the resumed CDS's statistics, the restarted twin's,
     /// and how many walks returned early (Algorithm 4's empty next active set).
-    fn resumed_and_restarted_walks(seed: u64, caching: bool) -> (CdsStats, CdsStats, u32) {
+    fn resumed_and_restarted_walks(seed: u64, caching: bool) -> (Counters, Counters, u32) {
         let n = 4;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut resumed = Cds::new(n, caching, caching).with_domain_max(24);
@@ -743,7 +724,7 @@ mod tests {
         cds.reset();
         assert_eq!(cds.num_nodes(), 1, "reset rewinds to the root");
         assert_eq!(cds.frontier(), &[-1, -1, -1, -1]);
-        assert_eq!(cds.stats, CdsStats::default());
+        assert_eq!(cds.stats, Counters::default());
 
         // Re-inserting the same constraints reuses the arena slots and reproduces
         // the same first free tuple.

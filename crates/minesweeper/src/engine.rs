@@ -13,10 +13,10 @@
 //!   optimisations are enabled).
 
 use crate::cds::Cds;
-use crate::gaps::{build_probers, AtomProber, ProbeOutcome, ProbeStats};
+use crate::gaps::{build_probers, AtomProber, ProbeOutcome};
 use gj_query::gao::is_neo;
 use gj_query::{acyclic_skeleton, BoundQuery, Hypergraph, Query};
-use gj_runtime::ExecCtx;
+use gj_runtime::{Counters, ExecCtx, Morsel};
 use gj_storage::{Val, POS_INF};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -76,57 +76,6 @@ impl MsConfig {
     }
 }
 
-/// Execution statistics reported by the executor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MsStats {
-    /// Number of output tuples (after order filters).
-    pub results: u64,
-    /// Number of outer-loop iterations (free tuples probed).
-    pub iterations: u64,
-    /// Number of runs of outputs counted at once from a complete node (Idea 8);
-    /// each takes one iteration however long the run.
-    pub batched_runs: u64,
-    /// Number of `seekGap` probes issued against the trie indexes.
-    pub probes: u64,
-    /// Number of probes avoided by the Idea 4 memo.
-    pub probes_skipped: u64,
-    /// Number of constraints inserted into the CDS.
-    pub constraints_inserted: u64,
-    /// Number of intervals cached by `getFreeValue` (Idea 5).
-    pub cached_intervals: u64,
-    /// Number of branch truncations.
-    pub truncations: u64,
-    /// Number of `getFreeValue` calls answered by a complete node (Idea 6).
-    pub complete_node_hits: u64,
-    /// Number of CDS nodes allocated.
-    pub cds_nodes: u64,
-    /// Turns of the CDS free-tuple search (`CdsStats::free_tuple_steps`). A healthy
-    /// run spends a small constant number per iteration.
-    pub free_tuple_steps: u64,
-    /// Conflict-directed backjumps taken by the CDS (non-chain mode only).
-    pub backjumps: u64,
-}
-
-impl MsStats {
-    /// Folds another run's statistics into this one (counters add up; `cds_nodes`,
-    /// an arena high-water mark, takes the maximum) — how a worker accumulates its
-    /// per-morsel statistics into per-worker totals.
-    pub fn merge(&mut self, other: &MsStats) {
-        self.results += other.results;
-        self.iterations += other.iterations;
-        self.batched_runs += other.batched_runs;
-        self.probes += other.probes;
-        self.probes_skipped += other.probes_skipped;
-        self.constraints_inserted += other.constraints_inserted;
-        self.cached_intervals += other.cached_intervals;
-        self.truncations += other.truncations;
-        self.complete_node_hits += other.complete_node_hits;
-        self.cds_nodes = self.cds_nodes.max(other.cds_nodes);
-        self.free_tuple_steps += other.free_tuple_steps;
-        self.backjumps += other.backjumps;
-    }
-}
-
 /// The Minesweeper executor for one bound query.
 pub struct MinesweeperExecutor {
     config: MsConfig,
@@ -137,8 +86,6 @@ pub struct MinesweeperExecutor {
     chain_mode: bool,
     /// Order filters indexed by the GAO position of their later variable.
     filters: Vec<Vec<(usize, bool)>>,
-    /// Restriction of the first GAO attribute to `[lo, hi)` (parallel partitioning).
-    range0: Option<(Val, Val)>,
     /// Per-atom probers, built once and reused across runs. Their Idea 4 memos are
     /// *facts about the data* (a gap box stays a gap box whatever range is being
     /// scanned), so they deliberately survive from one run to the next — a worker
@@ -203,54 +150,12 @@ impl MinesweeperExecutor {
             skeleton,
             chain_mode,
             filters: bq.filters_by_gao_pos(),
-            range0: None,
             probers,
             cds,
             t: vec![-1; bq.num_vars()],
             advance: vec![-1; bq.num_vars()],
             run_pins: pinned.len() as u32,
         }
-    }
-
-    /// Restricts the executor to free tuples whose first GAO attribute lies in
-    /// `[lo, hi)` — the partitioning used by the multi-threaded driver (Section 4.10).
-    pub fn with_range0(mut self, lo: Val, hi: Val) -> Self {
-        self.range0 = Some((lo, hi));
-        self
-    }
-
-    /// Runs the query restricted to first-GAO-attribute values in `[lo, hi)` — the
-    /// morsel entry point of the parallel runtime. Unlike constructing a fresh
-    /// executor per range, repeated `run_range` calls on one executor reuse the
-    /// probers (with their warmed-up Idea 4 gap memos) and recycle the CDS node
-    /// arena, so a worker thread pays the executor setup once for all the morsels
-    /// it claims.
-    pub fn run_range<F: FnMut(&[Val], u64) -> ControlFlow<()>>(
-        &mut self,
-        lo: Val,
-        hi: Val,
-        emit: &mut F,
-    ) -> MsStats {
-        self.run_range_ctx(lo, hi, &ExecCtx::none(), emit)
-    }
-
-    /// [`run_range`](Self::run_range) under an execution context: the outer loop
-    /// additionally polls `ctx` once per iteration (at the coarse
-    /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE)), so a stop flag, cancel token or
-    /// deadline is honored inside a long morsel with bounded latency.
-    pub fn run_range_ctx<F: FnMut(&[Val], u64) -> ControlFlow<()>>(
-        &mut self,
-        lo: Val,
-        hi: Val,
-        ctx: &ExecCtx<'_>,
-        emit: &mut F,
-    ) -> MsStats {
-        // The restriction is transient: it must not leak into a later full-range
-        // run on this (reusable) executor.
-        let previous = self.range0.replace((lo, hi));
-        let stats = self.try_run_ctx(ctx, emit);
-        self.range0 = previous;
-        stats
     }
 
     /// Whether the caching machinery (Ideas 5/6) is active for this query and GAO.
@@ -282,32 +187,30 @@ impl MinesweeperExecutor {
         Hypergraph::of_query(&sub).is_graph_forest() == Some(true) && is_neo(&sub, gao)
     }
 
-    /// Runs the join, invoking `emit` with each output binding (in GAO order), and
-    /// returns the execution statistics.
-    pub fn run<F: FnMut(&[Val], u64)>(&mut self, emit: &mut F) -> MsStats {
-        self.try_run(&mut |binding, multiplicity| {
-            emit(binding, multiplicity);
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Runs the join with early termination: the outer loop stops as soon as `emit`
-    /// returns [`ControlFlow::Break`] — no further free tuple is requested from the
-    /// CDS and no further probe is issued. Returns the statistics accumulated up to
-    /// the stop point.
-    pub fn try_run<F: FnMut(&[Val], u64) -> ControlFlow<()>>(&mut self, emit: &mut F) -> MsStats {
-        self.try_run_ctx(&ExecCtx::none(), emit)
-    }
-
-    /// [`try_run`](Self::try_run) under an execution context (see
-    /// [`run_range_ctx`](Self::run_range_ctx)): the outer loop stops cleanly when
-    /// the context's watch observes a trip; the caller learns the abort reason from
-    /// the context's monitor.
-    pub fn try_run_ctx<F: FnMut(&[Val], u64) -> ControlFlow<()>>(
+    /// Runs the join restricted to free tuples whose first GAO attribute lies in
+    /// `[lo, hi)` — the morsel partitioning of the multi-threaded driver (Section
+    /// 4.10); an unrestricted run passes [`Morsel::whole_axis`]'s bounds. Calls
+    /// `emit(binding, multiplicity)` for every output (in GAO order) until it
+    /// returns [`ControlFlow::Break`] — then no further free tuple is requested
+    /// from the CDS and no further probe is issued — and returns the run's
+    /// counters. With Idea 8 on, a binding may stand for a whole run: its
+    /// multiplicity counts the outputs that share its first `n - 1` values from it
+    /// onwards.
+    ///
+    /// Repeated calls on one executor reuse the probers (with their warmed-up Idea
+    /// 4 gap memos) and recycle the CDS node arena, so a worker thread pays the
+    /// executor setup once for all the morsels it claims. The outer loop polls
+    /// `ctx` once per iteration (at the coarse
+    /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE)) and stops cleanly when a stop
+    /// flag, cancel token or deadline trips; the caller learns the abort reason
+    /// from the context's monitor.
+    pub fn run_range_ctx<F: FnMut(&[Val], u64) -> ControlFlow<()>>(
         &mut self,
+        lo: Val,
+        hi: Val,
         ctx: &ExecCtx<'_>,
         emit: &mut F,
-    ) -> MsStats {
+    ) -> Counters {
         let mut watch = ctx.watch();
         // The CDS is owned by the executor and recycled (arena and all) across runs;
         // the probers keep their Idea 4 memos, which stay valid because gap boxes
@@ -317,18 +220,15 @@ impl MinesweeperExecutor {
         for prober in &mut self.probers {
             prober.begin_run();
         }
-        let mut probe_stats = ProbeStats::default();
-        let mut stats = MsStats::default();
+        let mut stats = Counters::default();
 
-        if let Some((lo, _)) = self.range0 {
-            // The moving frontier encodes "before everything" as -1 (the paper's
-            // natural-number domains; NEG_INF is reserved for gap sentinels), so
-            // a morsel's open lower end is clamped to that convention — the same
-            // starting frontier an unrestricted run uses.
-            self.advance.fill(-1);
-            self.advance[0] = lo.max(-1);
-            self.cds.set_frontier(&self.advance);
-        }
+        // The moving frontier encodes "before everything" as -1 (the paper's
+        // natural-number domains; NEG_INF is reserved for gap sentinels), so a
+        // morsel's open lower end is clamped to that convention — the same
+        // starting frontier an unrestricted run uses.
+        self.advance.fill(-1);
+        self.advance[0] = lo.max(-1);
+        self.cds.set_frontier(&self.advance);
 
         // Steady state (no new gap discovered) allocates nothing: `t` and `advance`
         // are the executor's, the CDS refills its own scratch, and a probe lends its
@@ -338,10 +238,8 @@ impl MinesweeperExecutor {
                 break;
             }
             self.t.copy_from_slice(self.cds.frontier());
-            if let Some((_, hi)) = self.range0 {
-                if self.t[0] >= hi {
-                    break;
-                }
+            if self.t[0] >= hi {
+                break;
             }
             stats.iterations += 1;
             if watch.tick() {
@@ -372,7 +270,7 @@ impl MinesweeperExecutor {
 
             for prober in &mut self.probers {
                 let skeleton = prober.skeleton;
-                match prober.probe(&self.t, self.config.idea4_gap_memo, &mut probe_stats) {
+                match prober.probe(&self.t, self.config.idea4_gap_memo, &mut stats) {
                     ProbeOutcome::Member => {}
                     ProbeOutcome::Gap { constraint, newly_discovered } => {
                         any_gap = true;
@@ -396,10 +294,7 @@ impl MinesweeperExecutor {
                 // `t`'s first `n - 1` values, the frontier leaves the run at once. A
                 // one-attribute query's run is bounded by the morsel instead.
                 let last = self.t.len() - 1;
-                let upper = match self.range0 {
-                    Some((_, hi)) if last == 0 => hi,
-                    _ => POS_INF,
-                };
+                let upper = if last == 0 { hi } else { POS_INF };
                 let batch = if self.config.idea8_batch_counting {
                     self.cds.complete_run_len(self.run_pins, upper)
                 } else {
@@ -425,21 +320,17 @@ impl MinesweeperExecutor {
             self.cds.set_frontier(&self.advance);
         }
 
-        stats.probes = probe_stats.probes;
-        stats.probes_skipped = probe_stats.probes_skipped;
-        stats.constraints_inserted = self.cds.stats.constraints_inserted;
-        stats.cached_intervals = self.cds.stats.cached_intervals;
-        stats.truncations = self.cds.stats.truncations;
-        stats.complete_node_hits = self.cds.stats.complete_node_hits;
+        // The CDS counted its own work; the two sets of fields are disjoint.
+        stats.merge(self.cds.stats);
         stats.cds_nodes = self.cds.num_nodes() as u64;
-        stats.free_tuple_steps = self.cds.stats.free_tuple_steps;
-        stats.backjumps = self.cds.stats.backjumps;
         stats
     }
 
     /// Counts the output tuples.
     pub fn count(&mut self) -> u64 {
-        self.run(&mut |_, _| {}).results
+        let all = Morsel::whole_axis();
+        self.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |_, _| ControlFlow::Continue(()))
+            .results
     }
 }
 
@@ -483,32 +374,17 @@ pub fn count(bq: &BoundQuery, config: &MsConfig) -> u64 {
     MinesweeperExecutor::new(bq, config.clone()).count()
 }
 
-/// Runs the bound query, calling `emit(binding, multiplicity)` for every output (in
-/// GAO order), and returns the execution statistics. With Idea 8 on, a binding may
-/// stand for a whole run: its multiplicity counts the outputs that share its first
-/// `n - 1` values from it onwards.
-pub fn run<F: FnMut(&[Val], u64)>(bq: &BoundQuery, config: &MsConfig, emit: &mut F) -> MsStats {
-    MinesweeperExecutor::new(bq, config.clone()).run(emit)
-}
-
-/// Runs the bound query with early termination: the outer loop stops as soon as
-/// `emit` returns [`ControlFlow::Break`].
-pub fn try_run<F: FnMut(&[Val], u64) -> ControlFlow<()>>(
-    bq: &BoundQuery,
-    config: &MsConfig,
-    emit: &mut F,
-) -> MsStats {
-    MinesweeperExecutor::new(bq, config.clone()).try_run(emit)
-}
-
 /// Enumerates the output of the bound query; bindings are returned in variable-id
 /// order, sorted lexicographically. (Batch counting is disabled for enumeration.)
 pub fn enumerate(bq: &BoundQuery, config: &MsConfig) -> Vec<Vec<Val>> {
     let mut cfg = config.clone();
     cfg.idea8_batch_counting = false;
     let mut out = Vec::new();
-    MinesweeperExecutor::new(bq, cfg).run(&mut |gao_binding, _| {
+    let all = Morsel::whole_axis();
+    let mut exec = MinesweeperExecutor::new(bq, cfg);
+    exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |gao_binding, _| {
         out.push(bq.binding_to_var_order(gao_binding));
+        ControlFlow::Continue(())
     });
     out.sort_unstable();
     out
@@ -519,6 +395,27 @@ mod tests {
     use super::*;
     use gj_query::{naive_join, CatalogQuery, Instance};
     use gj_storage::{Graph, Relation};
+
+    /// Runs the whole query on a fresh executor; `emit` sees `(binding,
+    /// multiplicity)`.
+    fn run(
+        bq: &BoundQuery,
+        config: &MsConfig,
+        emit: &mut impl FnMut(&[Val], u64) -> ControlFlow<()>,
+    ) -> Counters {
+        let all = Morsel::whole_axis();
+        MinesweeperExecutor::new(bq, config.clone()).run_range_ctx(
+            all.lo,
+            all.hi,
+            &ExecCtx::none(),
+            emit,
+        )
+    }
+
+    /// [`run`] to completion.
+    fn run_all(bq: &BoundQuery, config: &MsConfig) -> Counters {
+        run(bq, config, &mut |_, _| ControlFlow::Continue(()))
+    }
 
     fn two_triangle_instance() -> Instance {
         let g = Graph::new_undirected(5, vec![(0, 1), (1, 2), (0, 2), (1, 3), (2, 3), (3, 4)]);
@@ -630,7 +527,7 @@ mod tests {
         for cq in CatalogQuery::all() {
             let q = cq.query();
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
-            let on = run(&bq, &MsConfig::default(), &mut |_, _| {});
+            let on = run_all(&bq, &MsConfig::default());
             assert_eq!(on.results, count(&bq, &off), "{}", q.name);
             batched += on.batched_runs;
         }
@@ -651,7 +548,7 @@ mod tests {
         let (bq, report) = BoundQuery::with_cache(&edited, &q, None, &cache, 1).unwrap();
         assert_eq!(report.indexes_built, 0);
         assert!(bq.atoms.iter().any(|a| a.index.has_delta()), "no delta-carrying index");
-        let on = run(&bq, &MsConfig::default(), &mut |_, _| {});
+        let on = run_all(&bq, &MsConfig::default());
         assert!(on.batched_runs > 0, "no run was counted over the delta index");
         assert_eq!(on.results, count(&bq, &off));
         assert_eq!(on.results, gj_query::naive_count(&edited, &q));
@@ -694,17 +591,19 @@ mod tests {
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
         let total = count(&bq, &MsConfig::default());
-        let lo_half = MinesweeperExecutor::new(&bq, MsConfig::default()).with_range0(-1, 2).count();
-        let hi_half =
-            MinesweeperExecutor::new(&bq, MsConfig::default()).with_range0(2, POS_INF).count();
-        assert_eq!(lo_half + hi_half, total);
+        let mut exec = MinesweeperExecutor::new(&bq, MsConfig::default());
+        let mut half = |lo, hi| {
+            exec.run_range_ctx(lo, hi, &ExecCtx::none(), &mut |_, _| ControlFlow::Continue(()))
+                .results
+        };
+        assert_eq!(half(-1, 2) + half(2, POS_INF), total);
     }
 
     #[test]
     fn one_executor_serves_many_ranges_and_full_runs() {
         // The morsel reuse pattern: a single executor runs several disjoint ranges
         // (recycling its CDS arena) and still answers a full-range run afterwards —
-        // run_range must not leak its restriction into later runs.
+        // a range must not leak its restriction into later runs.
         let inst = two_triangle_instance();
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
@@ -712,11 +611,12 @@ mod tests {
         let mut exec = MinesweeperExecutor::new(&bq, MsConfig::default());
         let mut split = 0;
         for (lo, hi) in [(-1, 1), (1, 2), (2, POS_INF)] {
-            split += exec.run_range(lo, hi, &mut |_, _| ControlFlow::Continue(())).results;
+            split += exec
+                .run_range_ctx(lo, hi, &ExecCtx::none(), &mut |_, _| ControlFlow::Continue(()))
+                .results;
         }
         assert_eq!(split, total);
-        let full = exec.run(&mut |_, _| {});
-        assert_eq!(full.results, total, "run_range must not restrict later full runs");
+        assert_eq!(exec.count(), total, "a range must not restrict later full runs");
     }
 
     #[test]
@@ -724,7 +624,7 @@ mod tests {
         let inst = two_triangle_instance();
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let stats = run(&bq, &MsConfig::default(), &mut |_, _| {});
+        let stats = run_all(&bq, &MsConfig::default());
         assert_eq!(stats.results, gj_query::naive_count(&inst, &q));
         assert!(stats.iterations >= stats.results);
         assert!(stats.probes > 0);
@@ -732,14 +632,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_stops_at_the_first_break() {
+    fn a_break_stops_the_outer_loop() {
         let inst = two_triangle_instance();
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let full = run(&bq, &MsConfig::default(), &mut |_, _| {});
+        let full = run_all(&bq, &MsConfig::default());
         assert!(full.results > 1, "the test needs a query with several outputs");
         let mut seen = 0u64;
-        let stats = try_run(&bq, &MsConfig::default(), &mut |_, _| {
+        let stats = run(&bq, &MsConfig::default(), &mut |_, _| {
             seen += 1;
             ControlFlow::Break(())
         });

@@ -15,6 +15,7 @@
 use crate::constraint::{Constraint, PatternComp};
 use gj_query::bind::BoundAtom;
 use gj_query::BoundQuery;
+use gj_runtime::Counters;
 use gj_storage::{ProbeCursor, ProbeResult, TrieIndex, Val, POS_INF};
 use std::sync::Arc;
 
@@ -63,15 +64,6 @@ pub struct AtomProber {
     scratch: Vec<Val>,
 }
 
-/// Statistics for gap extraction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Number of `seekGap` probes actually issued against the indexes.
-    pub probes: u64,
-    /// Number of probes avoided by the Idea 4 memo.
-    pub probes_skipped: u64,
-}
-
 impl AtomProber {
     /// Builds a prober for a bound atom. `var_pos` maps variables to GAO positions;
     /// `skeleton` says whether the atom inserts constraints into the CDS.
@@ -105,8 +97,10 @@ impl AtomProber {
         &self.positions
     }
 
-    /// Probes the relation around the free tuple `t` (in GAO order).
-    pub fn probe(&mut self, t: &[Val], use_memo: bool, stats: &mut ProbeStats) -> ProbeOutcome<'_> {
+    /// Probes the relation around the free tuple `t` (in GAO order), counting
+    /// into `stats` the `seekGap` probes issued (`probes`) and those the Idea 4
+    /// memo avoided (`probes_skipped`).
+    pub fn probe(&mut self, t: &[Val], use_memo: bool, stats: &mut Counters) -> ProbeOutcome<'_> {
         // Idea 4: answer from the memo when possible.
         if let (true, Some(level)) = (use_memo, self.memo_level) {
             if self.memo.pattern_matches(t) {
@@ -211,7 +205,7 @@ mod tests {
     #[test]
     fn gap_constraints_match_the_paper_examples() {
         let (_bq, mut probers) = paper_setup();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
 
         // Free tuple (2,6,6,1,3,7,9): R returns <*,*,(5,7),*,*,*,*>.
@@ -249,7 +243,7 @@ mod tests {
     #[test]
     fn member_when_projection_present() {
         let (_bq, mut probers) = paper_setup();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
         let t = [0, 0, 7, 0, 9, 13, 0];
         assert_eq!(r.probe(&t, false, &mut stats), ProbeOutcome::Member);
@@ -258,7 +252,7 @@ mod tests {
     #[test]
     fn idea4_memo_skips_probe_inside_the_same_gap() {
         let (_bq, mut probers) = paper_setup();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
         let t1 = [2, 6, 6, 1, 3, 7, 9];
         assert!(matches!(
@@ -284,7 +278,7 @@ mod tests {
     #[test]
     fn a_memo_hit_between_index_probes_leaves_the_cursor_valid() {
         let (_bq, mut probers) = paper_setup();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
         // Index probes: a gap on A2, then the member (7, 9, 13).
         assert!(matches!(
@@ -327,7 +321,7 @@ mod tests {
     #[test]
     fn stale_memos_reinsert_their_gap_after_begin_run() {
         let (_bq, mut probers) = paper_setup();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
         let t = [2, 6, 6, 1, 3, 7, 9];
         assert!(matches!(
@@ -365,7 +359,7 @@ mod tests {
         let bq = BoundQuery::new(&inst, &q, Some(vec![0, 1, 2])).unwrap();
         let mut probers = build_probers(&bq, &[true, true]);
         let r = probers.iter_mut().find(|p| p.positions() == [1, 2]).unwrap();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         // (a=0, b=1, c=7): gap (5, 9) on the last attribute.
         assert!(matches!(r.probe(&[0, 1, 7], true, &mut stats), ProbeOutcome::Gap { .. }));
         // (a=3, b=1, c=9): 9 is the finite right endpoint -> member, no probe issued.
@@ -383,7 +377,7 @@ mod tests {
         let bq = BoundQuery::new(&inst, &q, Some(vec![0, 1, 2])).unwrap();
         let mut probers = build_probers(&bq, &[true, true]);
         let r = probers.iter_mut().find(|p| p.positions() == [1, 2]).unwrap();
-        let mut stats = ProbeStats::default();
+        let mut stats = Counters::default();
         // Gap above the largest C value: (5, +inf).
         assert!(matches!(r.probe(&[0, 1, 7], true, &mut stats), ProbeOutcome::Gap { .. }));
         // POS_INF is not a data value; the memo must not claim membership for it.

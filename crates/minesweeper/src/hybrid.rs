@@ -10,7 +10,7 @@
 
 use crate::engine::{MinesweeperExecutor, MsConfig};
 use gj_query::{BindReport, BoundQuery, IndexCache, Instance, Query, QueryBuilder, VarId};
-use gj_runtime::ExecCtx;
+use gj_runtime::{ExecCtx, Morsel};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
@@ -155,7 +155,9 @@ impl HybridPlan {
     /// context's monitor before using it.
     pub fn count_ctx(&self, config: &MsConfig, ctx: &ExecCtx<'_>) -> u64 {
         let mut clique_counts: HashMap<i64, u64> = HashMap::new();
-        gj_lftj::LftjExecutor::new(&self.clique_bq).try_run_ctx(ctx, &mut |binding| {
+        let all = Morsel::whole_axis();
+        let mut clique = gj_lftj::LftjExecutor::new(&self.clique_bq);
+        clique.run_range_ctx(all.lo, all.hi, ctx, &mut |binding| {
             *clique_counts.entry(binding[0]).or_insert(0) += 1;
             ControlFlow::Continue(())
         });
@@ -168,14 +170,12 @@ impl HybridPlan {
             ..config.clone()
         };
         let mut total = 0u64;
-        MinesweeperExecutor::new(&self.path_bq, config).try_run_ctx(
-            ctx,
-            &mut |binding, multiplicity| {
-                let joint_value = binding[self.path_joint_gao_pos];
-                total += multiplicity * clique_counts.get(&joint_value).copied().unwrap_or(0);
-                ControlFlow::Continue(())
-            },
-        );
+        let mut path = MinesweeperExecutor::new(&self.path_bq, config);
+        path.run_range_ctx(all.lo, all.hi, ctx, &mut |binding, multiplicity| {
+            let joint_value = binding[self.path_joint_gao_pos];
+            total += multiplicity * clique_counts.get(&joint_value).copied().unwrap_or(0);
+            ControlFlow::Continue(())
+        });
         total
     }
 }

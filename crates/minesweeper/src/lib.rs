@@ -48,6 +48,6 @@ pub mod parallel;
 
 pub use cds::Cds;
 pub use constraint::{Constraint, PatternComp};
-pub use engine::{count, enumerate, run, try_run, MinesweeperExecutor, MsConfig, MsStats};
+pub use engine::{count, enumerate, MinesweeperExecutor, MsConfig};
 pub use hybrid::{hybrid_count, HybridPlan};
 pub use parallel::{MsMorsels, MsWorker};

@@ -12,26 +12,22 @@
 //!
 //! [`MsMorsels`] is Minesweeper's [`MorselSource`]: each worker thread builds **one**
 //! [`MinesweeperExecutor`] and carries it across every morsel it claims —
-//! [`run_range`](MinesweeperExecutor::run_range) recycles the CDS node arena and
-//! keeps the probers' Idea 4 gap memos warm, instead of paying a fresh executor
-//! (and a fresh CDS) per job. When the worker loop ends, the runtime's
-//! `retire_worker` hook folds the worker's accumulated [`MsStats`] into run
-//! totals ([`MsMorsels::totals`]), so parallel executions report the same engine
-//! statistics serial ones do.
+//! [`run_range_ctx`](MinesweeperExecutor::run_range_ctx) recycles the CDS node
+//! arena and keeps the probers' Idea 4 gap memos warm, instead of paying a fresh
+//! executor (and a fresh CDS) per job. Each worker accumulates the [`Counters`]
+//! of its morsels, and the driver sums every worker's into its report, so
+//! parallel executions report the same engine counters serial ones do.
 //!
 //! A serial Minesweeper execution in `gj-core` is this same source driven by one
-//! worker over the single whole-axis morsel: `run_range` over the whole axis
-//! starts from the frontier an unrestricted run starts from, so the statistics
-//! are those of [`MinesweeperExecutor::try_run`]. Use
+//! worker over the single whole-axis morsel. Use
 //! `PreparedQuery::par_count(threads)` in `gj-core` for a parallel count, or
 //! drive [`MsMorsels`] through `gj_runtime::drive` directly.
 
-use crate::engine::{MinesweeperExecutor, MsConfig, MsStats};
+use crate::engine::{MinesweeperExecutor, MsConfig};
 use gj_query::BoundQuery;
-use gj_runtime::{ExecCtx, Morsel, MorselSource};
+use gj_runtime::{Counters, ExecCtx, Morsel, MorselSource};
 use gj_storage::Val;
 use std::ops::ControlFlow;
-use std::sync::{Mutex, PoisonError};
 
 /// Minesweeper as a [`MorselSource`] for the `gj-runtime` morsel driver.
 ///
@@ -43,38 +39,23 @@ use std::sync::{Mutex, PoisonError};
 pub struct MsMorsels<'a> {
     bq: &'a BoundQuery,
     config: MsConfig,
-    /// Run totals folded from retired workers (the `retire_worker` hook).
-    totals: Mutex<MsStats>,
 }
 
 /// Per-worker state of [`MsMorsels`]: the executor reused across claimed morsels
 /// (tagged with the configuration it was built for, so a worker that switches
 /// between the counting and the row path rebuilds instead of serving rows from a
 /// batch-counting executor), the variable-order scratch row, and the worker's
-/// accumulated statistics.
+/// accumulated counters.
 pub struct MsWorker {
     exec: Option<(MinesweeperExecutor, bool)>,
     scratch: Vec<Val>,
-    totals: MsStats,
-}
-
-impl MsWorker {
-    /// The statistics accumulated over every morsel this worker ran.
-    pub fn totals(&self) -> MsStats {
-        self.totals
-    }
+    counters: Counters,
 }
 
 impl<'a> MsMorsels<'a> {
     /// Wraps a bound query for morsel-driven execution under `config`.
     pub fn new(bq: &'a BoundQuery, config: MsConfig) -> Self {
-        MsMorsels { bq, config, totals: Mutex::new(MsStats::default()) }
-    }
-
-    /// The engine statistics summed over every retired worker — available once
-    /// `gj_runtime::drive` returned (all workers are retired by then).
-    pub fn totals(&self) -> MsStats {
-        *self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+        MsMorsels { bq, config }
     }
 
     /// The worker's executor for the counting (`counting = true`, configuration as
@@ -105,7 +86,7 @@ impl<'a> MorselSource for MsMorsels<'a> {
     type Worker = MsWorker;
 
     fn worker(&self) -> MsWorker {
-        MsWorker { exec: None, scratch: vec![0; self.bq.num_vars()], totals: MsStats::default() }
+        MsWorker { exec: None, scratch: vec![0; self.bq.num_vars()], counters: Counters::default() }
     }
 
     fn run_morsel(
@@ -119,15 +100,14 @@ impl<'a> MorselSource for MsMorsels<'a> {
         if worker.exec.as_ref().is_none_or(|&(_, kind)| kind) {
             self.executor(worker, false);
         }
-        let MsWorker { exec, scratch, totals } = worker;
+        let MsWorker { exec, scratch, counters } = worker;
         let Some((exec, _)) = exec.as_mut() else { return };
-        let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |binding, _| {
+        counters.merge(exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |binding, _| {
             for (pos, &v) in gao.iter().enumerate() {
                 scratch[v] = binding[pos];
             }
             emit(scratch)
-        });
-        totals.merge(&stats);
+        }));
     }
 
     fn count_morsel(&self, worker: &mut MsWorker, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
@@ -137,13 +117,12 @@ impl<'a> MorselSource for MsMorsels<'a> {
             rows += multiplicity;
             ControlFlow::Continue(())
         });
-        worker.totals.merge(&stats);
+        worker.counters.merge(stats);
         rows
     }
 
-    /// Folds the worker's accumulated statistics into the run totals.
-    fn retire_worker(&self, worker: MsWorker) {
-        self.totals.lock().unwrap_or_else(PoisonError::into_inner).merge(&worker.totals);
+    fn counters(&self, worker: &MsWorker) -> Counters {
+        worker.counters
     }
 }
 
@@ -217,8 +196,11 @@ mod tests {
         let q = CatalogQuery::FourCycle.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
         let mut expected = Vec::new();
-        crate::engine::run(&bq, &MsConfig::default(), &mut |binding, _| {
+        let all = Morsel::whole_axis();
+        let mut exec = MinesweeperExecutor::new(&bq, MsConfig::default());
+        exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |binding, _| {
             expected.push(bq.binding_to_var_order(binding));
+            ControlFlow::Continue(())
         });
         let morsels = partition_first_attribute(&bq, 6);
         assert!(morsels.len() > 1, "test needs a real partition");
@@ -271,10 +253,10 @@ mod tests {
     }
 
     /// Through the actual multi-threaded driver, counts agree with the serial
-    /// engine for every thread/granularity mix, and `retire_worker` folds every
-    /// worker's statistics into the run totals.
+    /// engine for every thread/granularity mix, and the driver sums every
+    /// worker's counters into its report.
     #[test]
-    fn parallel_totals_fold_and_counts_stay_exact() {
+    fn parallel_counters_sum_and_counts_stay_exact() {
         let inst = random_instance(21, 60, 0.12);
         for cq in [CatalogQuery::ThreeClique, CatalogQuery::ThreePath] {
             let q = cq.query();
@@ -284,10 +266,11 @@ mod tests {
                 let source = MsMorsels::new(&bq, MsConfig::default());
                 let morsels = partition_first_attribute(&bq, parts);
                 let mut sink = CountSink::new();
-                drive(&source, &morsels, threads, &mut sink);
+                let report = drive(&source, &morsels, threads, &mut sink);
                 assert_eq!(sink.rows(), sequential, "{} t={threads} p={parts}", q.name);
-                let totals = source.totals();
-                assert_eq!(totals.results, sequential, "{} t={threads} p={parts}", q.name);
+                let counters = report.counters;
+                assert_eq!(counters.results, sequential, "{} t={threads} p={parts}", q.name);
+                assert!(counters.cds_nodes >= 1, "{} t={threads} p={parts}", q.name);
             }
         }
     }

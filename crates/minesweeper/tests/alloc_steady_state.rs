@@ -7,12 +7,14 @@
 //! allocations left are the ones a CDS insert can cause. The bound is therefore a
 //! multiple of `constraints_inserted`, never of `iterations`.
 
-use gj_minesweeper::{MinesweeperExecutor, MsConfig, MsStats};
+use gj_minesweeper::{MinesweeperExecutor, MsConfig};
 use gj_query::{BoundQuery, CatalogQuery, Instance};
+use gj_runtime::{Counters, ExecCtx, Morsel};
 use gj_storage::{Graph, Relation};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::ControlFlow;
 
 thread_local! {
     /// Heap acquisitions (`alloc` + `realloc`) made by this thread. Per thread, so
@@ -71,15 +73,19 @@ fn sampled_instance(seed: u64, n: u32, p: f64) -> Instance {
 
 /// Runs 3-path twice on one executor and returns the second run's statistics with
 /// the allocations it made.
-fn warm_run(config: MsConfig) -> (MsStats, u64) {
+fn warm_run(config: MsConfig) -> (Counters, u64) {
     let inst = sampled_instance(7, 120, 0.05);
     let query = CatalogQuery::ThreePath.query();
     let bq = BoundQuery::new(&inst, &query, None).unwrap();
     let mut exec = MinesweeperExecutor::new(&bq, config);
+    let all = Morsel::whole_axis();
+    let mut run = || {
+        exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |_, _| ControlFlow::Continue(()))
+    };
 
-    let cold = exec.run(&mut |_, _| {});
+    let cold = run();
     let before = ALLOCATIONS.with(Cell::get);
-    let warm = exec.run(&mut |_, _| {});
+    let warm = run();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
     (warm, allocations)
@@ -87,7 +93,7 @@ fn warm_run(config: MsConfig) -> (MsStats, u64) {
 
 /// Nothing per iteration; per inserted constraint at most a point-list growth and an
 /// arena growth; the constant covers per-run setup.
-fn assert_allocates_per_constraint((warm, allocations): (MsStats, u64)) {
+fn assert_allocates_per_constraint((warm, allocations): (Counters, u64)) {
     let bound = 2 * warm.constraints_inserted + 16;
     assert!(
         bound < warm.iterations,

@@ -19,11 +19,12 @@
 //! loop: an engine can keep its executor, search buffers, or constraint store alive
 //! across every morsel the worker claims, instead of re-allocating per job.
 //!
-//! One lifecycle hook ends that state. When a worker's loop ends the driver calls
-//! [`MorselSource::retire_worker`] with the worker state by value — the engine's
-//! chance to *reclaim* it: fold per-worker statistics into run totals, or return
-//! expensive caches to a [`WorkerPool`](crate::WorkerPool) so the next execution of
-//! the same prepared plan starts warm instead of cold.
+//! When a worker's loop ends the driver reads its [`Counters`]
+//! ([`MorselSource::counters`]) and sums every worker's into the
+//! [`DriveReport`] — once, here, for every engine. Then one lifecycle hook ends
+//! the state: [`MorselSource::retire_worker`] receives it by value, the engine's
+//! chance to return expensive caches to a [`WorkerPool`](crate::WorkerPool) so
+//! the next execution of the same prepared plan starts warm instead of cold.
 //!
 //! # Fault tolerance
 //!
@@ -42,6 +43,7 @@
 //! by a morsel). The [`drive`] wrapper keeps the infallible signature for callers
 //! without a budget (and re-raises worker panics).
 
+use crate::counters::Counters;
 use crate::exec::{panic_payload, ExecCtx, ExecError, ExecMonitor};
 use crate::morsel::Morsel;
 use crate::psink::{ParallelSink, ShardSink};
@@ -74,12 +76,19 @@ pub trait MorselSource: Sync {
     /// of one run.
     fn worker(&self) -> Self::Worker;
 
+    /// The work counters this worker accumulated over the morsels it ran. The
+    /// driver reads them once, when the worker's loop ends, and sums every
+    /// worker's into [`DriveReport::counters`]. The default reports none.
+    fn counters(&self, _worker: &Self::Worker) -> Counters {
+        Counters::default()
+    }
+
     /// Lifecycle hook: called by the driver exactly once per worker, when its loop
-    /// ends (no more morsels, or the run stopped early). Receives the worker state
-    /// by value so the source can reclaim it — fold per-worker statistics into run
-    /// totals, or return the worker (with its warmed caches) to a
-    /// [`WorkerPool`](crate::WorkerPool) shared by later executions. The default
-    /// drops the worker.
+    /// ends (no more morsels, or the run stopped early) and after its
+    /// [`counters`](Self::counters) were read. Receives the worker state by value
+    /// so the source can reclaim it — return the worker (with its warmed caches)
+    /// to a [`WorkerPool`](crate::WorkerPool) shared by later executions. The
+    /// default drops the worker.
     fn retire_worker(&self, _worker: Self::Worker) {}
 
     /// Runs one morsel, emitting rows until exhaustion, until `emit` breaks, or
@@ -121,6 +130,9 @@ pub struct DriveReport {
     pub rows: u64,
     /// Morsels actually executed (smaller than `morsels` under early termination).
     pub morsels_run: usize,
+    /// The engine's work counters, summed over every worker that finished its
+    /// loop (a worker that panicked contributes none).
+    pub counters: Counters,
 }
 
 /// The ordered merge: absorbs completed shards into the sink in morsel order.
@@ -293,15 +305,16 @@ fn failpoint(monitor: &ExecMonitor, site: &str) -> ControlFlow<()> {
     }
 }
 
-/// One worker's claim/run/merge loop. Runs under `catch_unwind` in [`run_worker`];
-/// everything here must leave shared state consistent if it unwinds.
+/// One worker's claim/run/merge loop; returns the worker's counters. Runs under
+/// `catch_unwind` in [`run_worker`]; everything here must leave shared state
+/// consistent if it unwinds.
 fn worker_loop<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
     source: &S,
     morsels: &[Morsel],
     queue: &JobQueue,
     lanes: &L,
     monitor: &ExecMonitor,
-) {
+) -> Counters {
     let mut worker = source.worker();
     // A lone worker under a monitor that cannot trip has nothing to watch: the
     // inert context lets engines run their tick-free search.
@@ -353,24 +366,27 @@ fn worker_loop<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
             break;
         }
     }
+    let counters = source.counters(&worker);
     source.retire_worker(worker);
+    counters
 }
 
 /// [`worker_loop`] at the worker's panic boundary: a panic is recorded on the
-/// monitor and stops the other workers.
+/// monitor and stops the other workers (and the worker reports no counters).
 fn run_worker<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
     source: &S,
     morsels: &[Morsel],
     queue: &JobQueue,
     lanes: &L,
     monitor: &ExecMonitor,
-) {
+) -> Counters {
     let caught =
         catch_unwind(AssertUnwindSafe(|| worker_loop(source, morsels, queue, lanes, monitor)));
-    if let Err(payload) = caught {
+    caught.unwrap_or_else(|payload| {
         monitor.trip(ExecError::WorkerPanicked { payload: panic_payload(payload) });
         queue.stop();
-    }
+        Counters::default()
+    })
 }
 
 /// Runs `morsels` of `source` on `threads` workers under `monitor`, delivering
@@ -400,21 +416,26 @@ pub fn try_drive<S: MorselSource, K: ParallelSink>(
     let n = morsels.len();
     let threads = threads.max(1).min(n.max(1));
     let queue = JobQueue::new(n);
-    let (rows, morsels_run) = if threads == 1 {
+    let ((rows, morsels_run), counters) = if threads == 1 {
         let lanes =
             Direct { sink: Cell::new(Some(sink)), rows: Cell::new(0), morsels: Cell::new(0) };
-        run_worker(source, morsels, &queue, &lanes, monitor);
-        lanes.delivered()
+        let counters = run_worker(source, morsels, &queue, &lanes, monitor);
+        (lanes.delivered(), counters)
     } else {
         let lanes = Sharded::new(sink, n);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| run_worker(source, morsels, &queue, &lanes, monitor));
-            }
+        let counters = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| run_worker(source, morsels, &queue, &lanes, monitor)))
+                .collect();
+            // `run_worker` catches every panic, so a join never fails.
+            workers.into_iter().fold(Counters::default(), |mut sum, worker| {
+                sum.merge(worker.join().unwrap_or_default());
+                sum
+            })
         });
-        lanes.delivered()
+        (lanes.delivered(), counters)
     };
-    let report = DriveReport { morsels: n, threads, rows, morsels_run };
+    let report = DriveReport { morsels: n, threads, rows, morsels_run, counters };
     match monitor.take_reason() {
         Some(reason) => Err(reason),
         None => Ok(report),
@@ -507,6 +528,57 @@ mod tests {
             assert_eq!(report.morsels, 5);
             assert_eq!(report.morsels_run, 5);
         }
+    }
+
+    /// [`Iota`] counting its rows into its worker's counters, with the largest
+    /// morsel's rows as the high-water mark.
+    struct CountedIota(Iota);
+
+    impl MorselSource for CountedIota {
+        type Worker = (Vec<Val>, Counters);
+
+        fn worker(&self) -> Self::Worker {
+            (self.0.worker(), Counters::default())
+        }
+
+        fn run_morsel(
+            &self,
+            (scratch, counters): &mut Self::Worker,
+            m: Morsel,
+            ctx: &ExecCtx<'_>,
+            emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
+        ) {
+            let mut rows = 0;
+            self.0.run_morsel(scratch, m, ctx, &mut |row| {
+                rows += 1;
+                emit(row)
+            });
+            counters.merge(Counters {
+                results: rows,
+                peak_intermediate: rows,
+                ..Counters::default()
+            });
+        }
+
+        fn counters(&self, (_, counters): &Self::Worker) -> Counters {
+            *counters
+        }
+    }
+
+    #[test]
+    fn the_report_sums_every_workers_counters() {
+        let source = CountedIota(Iota { n: 1000 });
+        let morsels = tile(&[100, 300, 301, 999]);
+        for threads in [1, 2, 4] {
+            let mut sink = CountSink::new();
+            let report = drive(&source, &morsels, threads, &mut sink);
+            let expected =
+                Counters { results: 1000, peak_intermediate: 698, ..Counters::default() };
+            assert_eq!(report.counters, expected, "threads {threads}");
+        }
+        // A source without counters reports none.
+        let report = drive(&Iota { n: 1000 }, &morsels, 2, &mut CountSink::new());
+        assert_eq!(report.counters, Counters::default());
     }
 
     #[test]

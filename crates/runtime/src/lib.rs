@@ -26,11 +26,12 @@
 //! leapfrog intersection, `gj-minesweeper` restricts the CDS frontier; the runtime
 //! never needs to know how a search is actually performed.
 //!
-//! Per-worker engine state lives for the whole worker loop and ends in one
-//! lifecycle hook, [`MorselSource::retire_worker`]: it reclaims the worker when
-//! the loop ends — folds statistics into run totals, or parks warmed caches in a
-//! [`WorkerPool`] embedded in the prepared plan so the *next* execution starts warm
-//! too, which is how the pairwise baselines keep their merge-join sort
+//! Per-worker engine state lives for the whole worker loop. When the loop ends
+//! the driver reads the worker's [`Counters`] ([`MorselSource::counters`]) and
+//! sums them into the run's [`DriveReport`], then hands the worker to one
+//! lifecycle hook, [`MorselSource::retire_worker`], which may park warmed caches
+//! in a [`WorkerPool`] embedded in the prepared plan so the *next* execution
+//! starts warm too — how the pairwise baselines keep their merge-join sort
 //! permutations across reruns.
 //!
 //! Early termination propagates across workers: a sink that answers
@@ -76,6 +77,7 @@
 //! let _ = JobQueue::new(0);
 //! ```
 
+pub mod counters;
 pub mod drive;
 pub mod exec;
 pub mod morsel;
@@ -85,6 +87,7 @@ pub mod queue;
 pub mod sink;
 pub mod workers;
 
+pub use counters::Counters;
 pub use drive::{drive, try_drive, DriveReport, MorselSource};
 pub use exec::{
     panic_payload, CancelToken, ExecCtx, ExecError, ExecMonitor, ExecWatch, QueryBudget,

@@ -4,12 +4,25 @@
 //! of the speed-up Tables 1–3.
 
 use gj_datagen::{powerlaw_cluster, LdbcConfig, SocialNetwork};
-use gj_minesweeper::{run, MinesweeperExecutor, MsConfig};
+use gj_minesweeper::{MinesweeperExecutor, MsConfig};
 use graphjoin::{
-    workload_database, BoundQuery, CatalogQuery, Database, Engine, Graph, LdbcQuery, QueryBuilder,
+    workload_database, BoundQuery, CatalogQuery, Counters, Database, Engine, ExecCtx, Graph,
+    LdbcQuery, Morsel, QueryBuilder, Val,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::ops::ControlFlow;
 use std::sync::Arc;
+
+/// Runs the whole query on a fresh executor, calling `emit(binding, multiplicity)`
+/// for every output, and returns the run's counters.
+fn run(bq: &BoundQuery, config: &MsConfig, emit: &mut impl FnMut(&[Val], u64)) -> Counters {
+    let all = Morsel::whole_axis();
+    let mut exec = MinesweeperExecutor::new(bq, config.clone());
+    exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |binding, multiplicity| {
+        emit(binding, multiplicity);
+        ControlFlow::Continue(())
+    })
+}
 
 fn random_graph(seed: u64, n: u32, p: f64) -> Arc<Graph> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -69,13 +69,13 @@ fn all_supporting_engines_count_identically_through_prepare() {
                 );
                 // One execution path: the serial count is the one-worker drive of
                 // a counting sink, so both report the same rows and the same
-                // engine extras (Minesweeper's probes / CDS nodes included).
+                // engine counters, every field of them.
                 let (_, serial) = prepared.count_with_stats().unwrap();
                 let mut sink = CountSink::new();
                 let driven = prepared.run_parallel(&mut sink, 1).unwrap();
                 let tag = format!("seed {seed} {} {}", q.name, engine.label());
                 assert_eq!((sink.rows(), driven.rows, serial.rows), (expected, expected, expected));
-                assert_eq!(driven.extras, serial.extras, "{tag}");
+                assert_eq!(driven.counters, serial.counters, "{tag}");
                 assert_eq!((driven.morsels, serial.morsels), (0, 0), "{tag}");
             }
         }
