@@ -43,7 +43,7 @@ use crate::sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 use gj_baselines::{BaselineError, GraphEngine, JoinAlgo, PairwiseMorsels, PairwisePlan};
 use gj_lftj::LftjMorsels;
 use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels};
-use gj_query::{BindReport, BoundQuery, CatalogQuery, Query, VarId};
+use gj_query::{lftj_gao, BindReport, BoundQuery, CatalogQuery, Query, VarId};
 use gj_runtime::{
     partition_first_attribute, try_drive, Counters, ExecCtx, ExecError, ExecMonitor, Morsel,
     MorselSource, Ordered, ParallelSink, QueryBudget,
@@ -345,6 +345,7 @@ impl<'db> PreparedQuery<'db> {
         };
         let (plan, report) = match engine {
             Engine::Lftj => {
+                let gao = gao.or_else(|| Some(lftj_gao(query, db.instance())));
                 let (bq, report) = bind(gao)?;
                 (Plan::Lftj(bq), report)
             }
@@ -405,6 +406,16 @@ impl<'db> PreparedQuery<'db> {
     /// The engine this query was prepared for.
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// The global attribute order the plan executes in, as variable names: the
+    /// pinned order of [`Database::prepare_with_gao`], or else the engine's own
+    /// choice ([`gj_query::lftj_gao`] for LFTJ, [`gj_query::select_gao`] for
+    /// Minesweeper). `None` for engines that run no GAO (pairwise plans, the
+    /// hybrid, the graph engine).
+    pub fn gao(&self) -> Option<Vec<&str>> {
+        let (Plan::Lftj(bq) | Plan::Minesweeper(bq, _)) = &self.plan else { return None };
+        Some(bq.gao.iter().map(|&v| bq.query.var_names[v].as_str()).collect())
     }
 
     /// Wall-clock time the preparation took (validation, GAO selection, index
@@ -1088,8 +1099,12 @@ mod tests {
         let v = |s: &str| q.var(s).unwrap();
         let gao = vec![v("c"), v("b"), v("a"), v("d"), v("e")];
         let expected = db.prepare(&q, &Engine::Lftj).unwrap().count().unwrap();
-        let prepared = db.prepare_with_gao(&q, &Engine::Lftj, Some(gao)).unwrap();
-        assert_eq!(prepared.count().unwrap(), expected);
+        // A pinned order wins over every engine's own choice.
+        for engine in [Engine::Lftj, Engine::minesweeper()] {
+            let prepared = db.prepare_with_gao(&q, &engine, Some(gao.clone())).unwrap();
+            assert_eq!(prepared.gao(), Some(vec!["c", "b", "a", "d", "e"]));
+            assert_eq!(prepared.count().unwrap(), expected);
+        }
     }
 
     #[test]

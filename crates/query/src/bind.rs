@@ -240,6 +240,11 @@ impl BoundQuery {
     /// building the misses — sharded across up to `threads` worker threads, since
     /// each `sorted_row_order` + trie construction is independent of the others.
     ///
+    /// A `None` GAO means [`select_gao`]'s longest-path NEO order, which is what
+    /// Minesweeper and the hybrid run. LFTJ does not rely on this default: its
+    /// prepare path passes the order [`lftj_gao`](crate::gao::lftj_gao) estimates
+    /// from per-column distinct counts.
+    ///
     /// This is the workhorse of the prepared-query API: with a database-level cache
     /// the first preparation pays for the index builds and every later preparation
     /// over the same relations reports `indexes_built == 0`.

@@ -2,21 +2,28 @@
 //! β-acyclic skeleton.
 //!
 //! Both join algorithms process variables in one *global attribute order* shared by
-//! every index (Section 4.1). For Minesweeper the GAO additionally has to be a
-//! *nested elimination order* when the query is β-acyclic, so that the set of CDS
-//! nodes constraining each prefix is a chain (Proposition 4.2); the paper further
-//! picks the NEO "with the longest path length" because longer equality prefixes give
-//! the CDS more caching opportunities (Section 4.9, Table 4).
+//! every index of a query (Section 4.1). The engines choose that order differently:
+//!
+//! * Minesweeper and the hybrid use [`select_gao`]. For Minesweeper the GAO
+//!   additionally has to be a *nested elimination order* when the query is
+//!   β-acyclic, so that the set of CDS nodes constraining each prefix is a chain
+//!   (Proposition 4.2); the paper further picks the NEO "with the longest path
+//!   length" because longer equality prefixes give the CDS more caching
+//!   opportunities (Section 4.9, Table 4).
+//! * LFTJ needs no NEO, so it uses [`lftj_gao`]: a greedy order that estimates
+//!   each variable's candidate count from per-column distinct counts and binds the
+//!   most selective join variable first.
 //!
 //! For β-cyclic queries Minesweeper falls back to Idea 7: it chooses a β-acyclic
 //! *skeleton* of the atoms (a spanning forest of the pattern graph plus every unary
 //! atom); only skeleton atoms insert constraints into the CDS
 //! ([`acyclic_skeleton`]).
 //!
-//! These helpers are defined for queries whose atoms are unary or binary — which
+//! The NEO helpers are defined for queries whose atoms are unary or binary — which
 //! covers every graph-pattern query in the paper. (`is_neo` on a query with a wider
 //! atom conservatively returns `false`.)
 
+use crate::bind::Instance;
 use crate::hypergraph::Hypergraph;
 use crate::query::{Atom, Query, VarId};
 use std::collections::VecDeque;
@@ -46,7 +53,8 @@ pub fn is_neo(q: &Query, gao: &[VarId]) -> bool {
     true
 }
 
-/// Selects the GAO for a query, following the paper's heuristics:
+/// Selects Minesweeper's (and the hybrid's) GAO for a query, following the paper's
+/// heuristics (LFTJ estimates its own order with [`lftj_gao`]):
 ///
 /// * β-acyclic (forest) pattern: the NEO that follows the longest path of the pattern
 ///   graph (path vertices first, in path order; remaining vertices appended in BFS
@@ -157,6 +165,62 @@ pub fn select_gao(q: &Query) -> Vec<VarId> {
     order
 }
 
+/// Chooses LFTJ's GAO for `q` over `instance`: selective join variables first.
+///
+/// Variables that occur in two or more atoms come before the others. Within each
+/// group the order is greedy: the next variable is the unbound one with the
+/// smallest estimated candidate count, the minimum over its atoms of
+///
+/// * `distinct(column)` when no other column of the atom is bound yet, and
+/// * `min(distinct(column), max(1, |R| / max distinct(bound column)))` otherwise
+///   (the mean fan-out of the bound prefix).
+///
+/// Estimates with the same `⌊log2⌋` (within 2× of each other) tie, and ties go to
+/// the lowest `VarId`, i.e. to first appearance in the query. The statistics are
+/// [`Relation::column_distinct`](gj_storage::Relation::column_distinct), computed
+/// once per relation value.
+///
+/// An invalid query, a missing relation or an arity mismatch yields the natural
+/// order, so that binding reports the error as it would for any other order.
+pub fn lftj_gao(q: &Query, instance: &Instance) -> Vec<VarId> {
+    let n = q.num_vars();
+    let relations: Result<Vec<_>, _> = q.atoms.iter().map(|a| instance.atom_relation(a)).collect();
+    let (Ok(()), Ok(relations)) = (q.validate(), relations) else {
+        return (0..n).collect();
+    };
+    let mut bound = vec![false; n];
+    let estimate = |v: VarId, bound: &[bool]| {
+        let per_atom = q.atoms.iter().zip(&relations).filter_map(|(atom, rel)| {
+            let col = atom.vars.iter().position(|&u| u == v)?;
+            let distinct = rel.column_distinct(col);
+            let bound_distinct = (0..atom.arity())
+                .filter(|&c| bound[atom.vars[c]])
+                .map(|c| rel.column_distinct(c))
+                .max();
+            Some(match bound_distinct {
+                None => distinct,
+                Some(b) => distinct.min((rel.len() / b.max(1)).max(1)),
+            })
+        });
+        per_atom.min().unwrap_or(usize::MAX)
+    };
+    let occurrences: Vec<usize> =
+        (0..n).map(|v| q.atoms.iter().filter(|a| a.contains(v)).count()).collect();
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let next = (0..n)
+            .filter(|&v| !bound[v])
+            .min_by_key(|&v| {
+                let log2_bucket = usize::BITS - estimate(v, &bound).leading_zeros();
+                (occurrences[v] < 2, log2_bucket, v)
+            })
+            .expect("an unbound variable remains");
+        bound[next] = true;
+        order.push(next);
+    }
+    order
+}
+
 /// The column permutation that indexes `atom`'s relation consistently with `gao`:
 /// output level `d` of the trie is the atom column holding the `d`-th of the atom's
 /// variables in GAO order.
@@ -216,8 +280,100 @@ pub fn acyclic_skeleton(q: &Query) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::BoundQuery;
     use crate::catalog::CatalogQuery;
+    use crate::ldbc::LdbcQuery;
     use crate::query::QueryBuilder;
+    use gj_datagen::{powerlaw_cluster, LdbcConfig, SocialNetwork};
+    use gj_storage::Relation;
+
+    fn names<'q>(q: &'q Query, gao: &[VarId]) -> Vec<&'q str> {
+        gao.iter().map(|&v| q.var_names[v].as_str()).collect()
+    }
+
+    #[test]
+    fn lftj_gao_puts_join_variables_before_single_atom_variables() {
+        // x has one distinct value but occurs in one atom only, so it goes last.
+        let q = QueryBuilder::new("q")
+            .atom("r", &["x", "a"])
+            .atom("s", &["a", "b"])
+            .atom("u", &["b"])
+            .build();
+        let mut inst = Instance::new();
+        inst.add_relation("r", Relation::from_pairs((0..8).map(|i| (0, i))));
+        inst.add_relation("s", Relation::from_pairs((0..64).map(|i| (i / 8, i % 8))));
+        inst.add_relation("u", Relation::from_values(0..8));
+        assert_eq!(names(&q, &lftj_gao(&q, &inst)), ["a", "b", "x"]);
+    }
+
+    #[test]
+    fn lftj_gao_ties_estimates_within_2x_to_the_first_variable() {
+        let q = QueryBuilder::new("q")
+            .atom("r", &["a"])
+            .atom("s", &["b"])
+            .atom("t", &["a", "b"])
+            .build();
+        let t = Relation::from_pairs((0..16).flat_map(|i| (0..16).map(move |j| (i, j))));
+        let with_sizes = |r: i64, s: i64| {
+            let mut inst = Instance::new();
+            inst.add_relation("r", Relation::from_values(0..r));
+            inst.add_relation("s", Relation::from_values(0..s));
+            inst.add_relation("t", t.clone());
+            lftj_gao(&q, &inst)
+        };
+        // 6 and 4 candidates share ⌊log2⌋ = 2: a tie, so declaration order.
+        assert_eq!(names(&q, &with_sizes(6, 4)), ["a", "b"]);
+        // 9 against 4 is more than 2× apart: the smaller estimate goes first.
+        assert_eq!(names(&q, &with_sizes(9, 4)), ["b", "a"]);
+    }
+
+    #[test]
+    fn lftj_gao_starts_two_hop_friends_at_the_sampled_person() {
+        let net = SocialNetwork::generate(&LdbcConfig {
+            persons: 120,
+            person_selectivity: 4,
+            ..LdbcConfig::default()
+        })
+        .expect("valid config");
+        let mut inst = Instance::new();
+        for (name, rel) in net.relations() {
+            inst.add_relation(*name, rel.clone());
+        }
+        let q = LdbcQuery::TwoHopFriends.query();
+        assert_eq!(names(&q, &lftj_gao(&q, &inst)), ["a", "b", "c"]);
+        // The NEO order starts at the other end of the path.
+        assert_eq!(names(&q, &select_gao(&q)), ["c", "b", "a"]);
+    }
+
+    #[test]
+    fn lftj_gao_keeps_the_natural_order_of_cyclic_queries_on_a_symmetric_edge() {
+        let mut inst = Instance::new();
+        inst.add_relation("edge", powerlaw_cluster(300, 4, 0.3, 7).edge_relation());
+        for cq in [CatalogQuery::ThreeClique, CatalogQuery::FourClique, CatalogQuery::FourCycle] {
+            let q = cq.query();
+            assert_eq!(lftj_gao(&q, &inst), select_gao(&q), "{}", q.name);
+        }
+    }
+
+    #[test]
+    fn lftj_gao_leaves_bind_errors_and_empty_relations_alone() {
+        let q = LdbcQuery::TwoHopFriends.query();
+        let bind_error = |inst: &Instance| {
+            let chosen = BoundQuery::new(inst, &q, Some(lftj_gao(&q, inst))).map(|_| ());
+            assert_eq!(chosen, BoundQuery::new(inst, &q, None).map(|_| ()));
+            chosen
+        };
+        let mut inst = Instance::new();
+        inst.add_relation("knows", Relation::empty(2));
+        assert!(bind_error(&inst).unwrap_err().contains("personSample"));
+        inst.add_relation("personSample", Relation::empty(2));
+        assert!(bind_error(&inst).unwrap_err().contains("arity"));
+        inst.add_relation("personSample", Relation::empty(1));
+        assert_eq!(bind_error(&inst), Ok(()));
+        let mut gao = lftj_gao(&q, &inst);
+        gao.sort_unstable();
+        assert_eq!(gao, [0, 1, 2]);
+    }
 
     #[test]
     fn four_path_neo_classification_matches_table4() {

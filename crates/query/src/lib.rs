@@ -10,8 +10,10 @@
 //! * [`Hypergraph`] — the query hypergraph, with α-acyclicity (GYO reduction) and
 //!   β-acyclicity (nest-point elimination) tests;
 //! * [`gao`] — global attribute orders: validity of a GAO as a nested elimination
-//!   order (NEO), the paper's "longest-path NEO" selection heuristic, per-atom index
-//!   permutations, and the β-acyclic skeleton used by Idea 7;
+//!   order (NEO), the paper's "longest-path NEO" selection heuristic (Minesweeper,
+//!   the hybrid), LFTJ's selective-variables-first order estimated from per-column
+//!   distinct counts, per-atom index permutations, and the β-acyclic skeleton used
+//!   by Idea 7;
 //! * [`agm`] — the AGM bound computed from the fractional edge cover LP, solved with
 //!   the small dense [`lp`] simplex solver;
 //! * [`catalog`] — the exact benchmark queries of Section 5.1 (cliques, cycles,
@@ -40,7 +42,7 @@ pub use agm::agm_bound;
 pub use bind::{BindReport, BoundAtom, BoundQuery, Instance, RelationLoader};
 pub use cache::IndexCache;
 pub use catalog::CatalogQuery;
-pub use gao::{acyclic_skeleton, atom_index_perm, is_neo, select_gao};
+pub use gao::{acyclic_skeleton, atom_index_perm, is_neo, lftj_gao, select_gao};
 pub use hypergraph::Hypergraph;
 pub use ldbc::LdbcQuery;
 pub use naive::{naive_count, naive_join};

@@ -13,6 +13,7 @@
 
 use crate::value::{is_finite, Tuple, Val};
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 /// A fixed-arity relation stored as sorted, deduplicated rows in one flat buffer.
 ///
@@ -20,7 +21,7 @@ use std::cmp::Ordering;
 /// a relation in a different attribute order (as required by GAO-consistency), build a
 /// [`TrieIndex`](crate::trie::TrieIndex) with the desired column permutation — the
 /// relation itself is never reordered or copied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Relation {
     arity: usize,
     len: usize,
@@ -30,13 +31,36 @@ pub struct Relation {
     /// not affect it, so every [`TrieIndex`](crate::trie::TrieIndex) built over this
     /// relation shares it instead of rescanning its levels.
     max_value: Option<Val>,
+    /// Distinct values per column, computed on first use by
+    /// [`Relation::column_distinct`]. A derived statistic: equality ignores it,
+    /// and an edited relation starts without it.
+    distinct: OnceLock<Box<[usize]>>,
 }
 
+/// Equality is set equality of the rows (the cached maximum follows from them);
+/// whether the distinct counts have been computed yet does not matter.
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity
+            && self.len == other.len
+            && self.values == other.values
+            && self.max_value == other.max_value
+    }
+}
+
+impl Eq for Relation {}
+
 impl Relation {
+    /// Assembles a relation from a buffer already sorted and deduplicated.
+    fn from_parts(arity: usize, values: Vec<Val>, max_value: Option<Val>) -> Self {
+        let len = values.len() / arity;
+        Relation { arity, len, values, max_value, distinct: OnceLock::new() }
+    }
+
     /// Creates an empty relation of the given arity.
     pub fn empty(arity: usize) -> Self {
         assert!(arity > 0, "relations need at least one attribute");
-        Relation { arity, len: 0, values: Vec::new(), max_value: None }
+        Self::from_parts(arity, Vec::new(), None)
     }
 
     /// Builds a relation from a flat row-major buffer of `values.len() / arity` rows.
@@ -81,9 +105,8 @@ impl Relation {
             }
             values = gathered;
         }
-        let len = values.len() / arity;
         let max_value = values.iter().copied().max();
-        Relation { arity, len, values, max_value }
+        Self::from_parts(arity, values, max_value)
     }
 
     /// Builds a relation from an arbitrary collection of rows.
@@ -155,6 +178,49 @@ impl Relation {
         self.max_value
     }
 
+    /// The number of distinct values in column `col`.
+    ///
+    /// Computed for every column on the first call and cached for the life of
+    /// this relation value, in O(rows) per column: column 0 counts the run
+    /// boundaries of the sorted buffer; another column marks a bitset over its
+    /// value range when that range is at most 64 × rows wide, and sorts a copy
+    /// of the column otherwise. Panics if `col >= arity`.
+    pub fn column_distinct(&self, col: usize) -> usize {
+        assert!(col < self.arity, "column {col} out of range for arity {}", self.arity);
+        self.distinct.get_or_init(|| (0..self.arity).map(|c| self.count_distinct(c)).collect())[col]
+    }
+
+    fn count_distinct(&self, col: usize) -> usize {
+        let rows = || self.values.chunks_exact(self.arity);
+        if self.len == 0 {
+            return 0;
+        }
+        if col == 0 {
+            // The rows are sorted, so column 0 is too: count its runs.
+            return 1 + rows()
+                .zip(rows().skip(1))
+                .filter(|(prev, next)| prev[0] != next[0])
+                .count();
+        }
+        let (lo, hi) =
+            rows().fold((Val::MAX, Val::MIN), |(lo, hi), r| (lo.min(r[col]), hi.max(r[col])));
+        let span = hi.saturating_sub(lo);
+        if span >= 64 * self.len as Val {
+            let mut values: Vec<Val> = rows().map(|r| r[col]).collect();
+            values.sort_unstable();
+            values.dedup();
+            return values.len();
+        }
+        // Every value lies in [lo, lo + span] and span < 64 × rows, so the
+        // offsets fit the bitset and the subtraction cannot overflow.
+        let mut seen = vec![0u64; span as usize / 64 + 1];
+        for r in rows() {
+            let bit = (r[col] - lo) as usize;
+            seen[bit / 64] |= 1 << (bit % 64);
+        }
+        seen.iter().map(|word| word.count_ones() as usize).sum()
+    }
+
     /// Materializes the rows as owned tuples (convenience for tests and engines that
     /// need owned intermediates; the hot paths use [`Relation::row`] /
     /// [`Relation::iter`] instead).
@@ -212,7 +278,7 @@ impl Relation {
         }
         // Distinct rows stay distinct under a full column permutation, and `order`
         // already sorted them, so no normalization pass is needed.
-        Relation { arity: self.arity, len: self.len, values, max_value: self.max_value }
+        Self::from_parts(self.arity, values, self.max_value)
     }
 
     /// Projects the relation onto the given columns (duplicates removed).
@@ -283,13 +349,12 @@ impl Relation {
             }
         }
         values.extend_from_slice(&self.values[i * arity..]);
-        let len = values.len() / arity;
         let max_value = if removed_max {
             values.iter().copied().max()
         } else {
             self.max_value.max(inserted_max)
         };
-        Relation { arity, len, values, max_value }
+        Self::from_parts(arity, values, max_value)
     }
 
     /// The first row index `>= from` whose row is not less than `row`, and whether
@@ -412,6 +477,20 @@ mod tests {
         assert_eq!(Relation::empty(2).max_value(), None);
         assert_eq!(Relation::from_pairs(vec![(3, 9), (12, 0)]).max_value(), Some(12));
         assert_eq!(Relation::from_values(vec![-5, -2]).max_value(), Some(-2));
+    }
+
+    #[test]
+    fn column_distinct_counts_each_column() {
+        // Column 1 spans 104 values over 4 rows (a two-word bitset); column 2
+        // spans 2·10⁹ (sort fallback).
+        let r = Relation::from_rows(
+            3,
+            vec![vec![1, -100, 0], vec![1, 3, 2_000_000_000], vec![2, -100, 0], vec![5, 0, 7]],
+        );
+        assert_eq!((0..3).map(|c| r.column_distinct(c)).collect::<Vec<_>>(), vec![3, 3, 3]);
+        assert_eq!(Relation::empty(2).column_distinct(1), 0);
+        // Computed statistics do not take part in equality.
+        assert_eq!(r, Relation::from_flat(3, r.flat_values().to_vec()));
     }
 
     #[test]

@@ -178,6 +178,13 @@ fn warm_preparations_build_nothing_and_stay_correct() {
         let cold = db.prepare(&q, &Engine::Lftj).unwrap();
         let expected = cold.count().unwrap();
         for engine in enumeration_engines() {
+            // LFTJ and Minesweeper choose their orders apart, so an engine's
+            // first preparation shares the cold one's indexes only when its
+            // order is the same.
+            let first = db.prepare(&q, &engine).unwrap();
+            if first.gao().is_some() && first.gao() == cold.gao() {
+                assert_eq!(first.indexes_built(), 0, "{} {} (shared)", q.name, engine.label());
+            }
             let warm = db.prepare(&q, &engine).unwrap();
             if matches!(engine, Engine::Lftj | Engine::Minesweeper(_)) {
                 assert_eq!(warm.indexes_built(), 0, "{} {}", q.name, engine.label());
