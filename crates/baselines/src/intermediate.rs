@@ -16,7 +16,7 @@
 //!   occupies `buf[i * width .. (i + 1) * width]`.
 //! * The schema ([`Intermediate::vars`]) never repeats a variable, and joins never
 //!   drop columns — the output schema is the left schema followed by the right
-//!   side's non-shared columns ([`Intermediate::joined_vars`]).
+//!   side's non-shared columns ([`JoinCols::resolve`]).
 //! * Rows are **not** kept sorted (unlike `Relation`): the row order is the
 //!   deterministic emission order of the operator that produced them, which the
 //!   parallel pairwise runtime relies on (see below).
@@ -24,12 +24,14 @@
 //!   row-index permutation ordered by the key columns (ties broken by row index,
 //!   i.e. a stable sort), and consumers read `row(perm[k])`.
 //!
-//! Two physical join implementations are provided — [`Intermediate::hash_join`]
-//! (row-store stand-in; a chained hash table of row indices, no per-key bucket
-//! allocations) and [`Intermediate::sort_merge_join`] (column-store stand-in; both
-//! sides sorted by index permutation, runs aligned by a linear merge) — along with
-//! streamed variants that pipeline each joined row into a caller sink, and the
-//! selection/filter operators the executor needs.
+//! One operator, [`Intermediate::stream_join`], implements both physical joins,
+//! picked by the prebuilt [`RightIndex`] of the right side:
+//! [`RightIndex::Hash`] (row-store stand-in; a chained hash table of row indices,
+//! no per-key bucket allocations) and [`RightIndex::Sorted`] (column-store
+//! stand-in; both sides sorted by index permutation, runs aligned by a linear
+//! merge). It pipelines each joined row into a caller sink; the executor either
+//! materialises those rows ([`Intermediate::push_row`]) or streams them on.
+//! [`Intermediate::apply_filters`] is the selection operator.
 //!
 //! # Emission order
 //!
@@ -68,16 +70,11 @@ pub struct Intermediate {
 }
 
 impl Intermediate {
-    /// An empty intermediate with the given schema.
-    pub fn empty(vars: Vec<VarId>) -> Self {
-        let width = vars.len();
-        Intermediate { vars, width, buf: Vec::new() }
-    }
-
     /// Builds an intermediate from a base relation and the variables of its atom:
     /// one `memcpy` of the relation's flat buffer, no per-row work. Atoms never
     /// repeat a variable (checked by the query validator).
     pub fn from_relation(relation: &Relation, vars: &[VarId]) -> Self {
+        // gj-lint: allow(no-panic-in-engines) — a width that is not the relation's arity would misread every row; queries are arity-checked before planning, so this only fires on a caller bug
         assert_eq!(vars.len(), relation.arity(), "one variable per relation column");
         Intermediate {
             vars: vars.to_vec(),
@@ -98,9 +95,9 @@ impl Intermediate {
     /// The row-index bounds `[start, end)` of the rows whose **first column**
     /// value lies in `[lo, hi)`. The rows must be sorted on their first column
     /// (base relations are — `Relation` stores rows in lexicographic order), so
-    /// this is a pair of binary searches. Exposed separately from
-    /// [`load_first_col_range`](Self::load_first_col_range) so callers can check
-    /// a row budget against the restriction's size *before* paying the copy.
+    /// this is a pair of binary searches. Separate from
+    /// [`load_row_range`](Self::load_row_range) so callers can check a row
+    /// budget against the restriction's size *before* paying the copy.
     pub fn first_col_range(&self, lo: Val, hi: Val) -> (usize, usize) {
         if self.is_empty() {
             return (0, 0);
@@ -110,14 +107,6 @@ impl Intermediate {
         let start = partition_rows(self.len(), |i| first(i) < lo);
         let end = partition_rows(self.len(), |i| first(i) < hi);
         (start, end)
-    }
-
-    /// Replaces the contents with the rows of `source` whose **first column**
-    /// value lies in `[lo, hi)` (see [`first_col_range`](Self::first_col_range)):
-    /// a binary search plus one `memcpy`.
-    pub fn load_first_col_range(&mut self, source: &Intermediate, lo: Val, hi: Val) {
-        let (start, end) = source.first_col_range(lo, hi);
-        self.load_row_range(source, start, end);
     }
 
     /// Replaces the contents with rows `start..end` of `source` — one `memcpy`,
@@ -148,16 +137,6 @@ impl Intermediate {
         &self.buf[i * self.width..(i + 1) * self.width]
     }
 
-    /// Iterates over the rows as zero-copy slices.
-    pub fn rows(&self) -> impl Iterator<Item = &[Val]> {
-        self.buf.chunks_exact(self.width.max(1))
-    }
-
-    /// The flat row-major buffer (`len() * vars().len()` values).
-    pub fn flat_values(&self) -> &[Val] {
-        &self.buf
-    }
-
     /// Appends one row (must match the schema width).
     pub fn push_row(&mut self, row: &[Val]) {
         debug_assert_eq!(row.len(), self.width);
@@ -165,19 +144,8 @@ impl Intermediate {
     }
 
     /// The column index of `var`, if present.
-    pub fn col_of(&self, var: VarId) -> Option<usize> {
+    fn col_of(&self, var: VarId) -> Option<usize> {
         self.vars.iter().position(|&v| v == var)
-    }
-
-    /// The variables shared with another intermediate.
-    pub fn shared_vars(&self, other: &Intermediate) -> Vec<VarId> {
-        self.vars.iter().copied().filter(|v| other.col_of(*v).is_some()).collect()
-    }
-
-    /// The output schema of joining `self` with `other` (self's variables followed
-    /// by other's non-shared ones) — the row shape both joins emit.
-    pub fn joined_vars(&self, other: &Intermediate) -> Vec<VarId> {
-        JoinCols::resolve(&self.vars, &other.vars).1
     }
 
     /// The row-index permutation that orders the rows by the given key columns,
@@ -224,35 +192,12 @@ impl Intermediate {
     /// This is the shared core of both physical joins: the operator (hash probe vs
     /// merge of sorted runs) is picked by the index variant. Per call it allocates
     /// only the scratch row and, for the merge join, the left permutation and run
-    /// table — never anything per output row. Callers that execute the same join
-    /// repeatedly (the per-worker morsel path) should use
-    /// [`stream_join_with`](Self::stream_join_with) and cache the left
-    /// permutation.
+    /// table — never anything per output row.
     pub fn stream_join(
         &self,
         right: &Intermediate,
         cols: &JoinCols,
         index: &RightIndex,
-        emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> u64 {
-        self.stream_join_with(right, cols, index, None, emit)
-    }
-
-    /// [`stream_join`](Self::stream_join) with an optional precomputed **left**
-    /// sort permutation for the merge join (`self.sort_perm(&cols.left)`; ignored
-    /// by the hash join). The left sort is the only per-execution build of a
-    /// prepared merge-join step — the right side's permutation lives in the
-    /// prepared [`RightIndex`] — so workers that run the same join over the same
-    /// left rows repeatedly (same morsel, repeated executions) cache it and skip
-    /// the `O(n log n)` sort. The permutation must be exactly
-    /// `self.sort_perm(&cols.left)`; a permutation of the wrong length panics in
-    /// debug builds and must not be passed in release ones.
-    pub fn stream_join_with(
-        &self,
-        right: &Intermediate,
-        cols: &JoinCols,
-        index: &RightIndex,
-        left_perm: Option<&[u32]>,
         emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
     ) -> u64 {
         let mut out = vec![0; self.width + cols.extra.len()];
@@ -283,17 +228,10 @@ impl Intermediate {
                 }
             }
             RightIndex::Sorted { order } => {
-                // Sort-merge: sort the left by the key columns too (or take the
-                // caller's cached permutation), align the equal-key runs of both
-                // sorted sides with one linear merge, then emit in left *stored*
-                // order through the per-left-row run table.
-                let lperm: std::borrow::Cow<'_, [u32]> = match left_perm {
-                    Some(perm) => {
-                        debug_assert_eq!(perm.len(), self.len(), "stale left permutation");
-                        std::borrow::Cow::Borrowed(perm)
-                    }
-                    None => std::borrow::Cow::Owned(self.sort_perm(&cols.left)),
-                };
+                // Sort-merge: sort the left by the key columns too, align the
+                // equal-key runs of both sorted sides with one linear merge, then
+                // emit in left *stored* order through the per-left-row run table.
+                let lperm = self.sort_perm(&cols.left);
                 let mut runs = vec![(0u32, 0u32); self.len()];
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < lperm.len() && j < order.len() {
@@ -347,71 +285,6 @@ impl Intermediate {
         emitted
     }
 
-    /// Materialises the join of `self` with `right` into `out`, reusing `out`'s
-    /// buffer capacity: the joined rows are written straight into the output
-    /// buffer in emission order, with no per-row allocation.
-    pub fn join_into(
-        &self,
-        right: &Intermediate,
-        cols: &JoinCols,
-        index: &RightIndex,
-        out_vars: &[VarId],
-        out: &mut Intermediate,
-    ) {
-        out.reset(out_vars);
-        let buf = &mut out.buf;
-        self.stream_join(right, cols, index, &mut |row| {
-            buf.extend_from_slice(row);
-            ControlFlow::Continue(())
-        });
-    }
-
-    /// Hash join with `other` on all shared variables (cartesian product when
-    /// there are none, as a pairwise plan occasionally requires). Convenience
-    /// wrapper building the [`RightIndex`] on the fly; the executor precomputes
-    /// the index once per plan step instead.
-    pub fn hash_join(&self, other: &Intermediate) -> Intermediate {
-        let (cols, out_vars) = JoinCols::resolve(&self.vars, &other.vars);
-        let index = RightIndex::hash(other, &cols.right);
-        let mut out = Intermediate::default();
-        self.join_into(other, &cols, &index, &out_vars, &mut out);
-        out
-    }
-
-    /// Sort-merge join with `other` on all shared variables (cartesian product
-    /// when there are none: the empty key makes both sides one equal-key run).
-    pub fn sort_merge_join(&self, other: &Intermediate) -> Intermediate {
-        let (cols, out_vars) = JoinCols::resolve(&self.vars, &other.vars);
-        let index = RightIndex::sorted(other, &cols.right);
-        let mut out = Intermediate::default();
-        self.join_into(other, &cols, &index, &out_vars, &mut out);
-        out
-    }
-
-    /// Streams the hash join with `other` instead of materialising it (see
-    /// [`stream_join`](Self::stream_join)). Returns the number of rows emitted.
-    pub fn hash_join_streamed(
-        &self,
-        other: &Intermediate,
-        emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> u64 {
-        let (cols, _) = JoinCols::resolve(&self.vars, &other.vars);
-        let index = RightIndex::hash(other, &cols.right);
-        self.stream_join(other, &cols, &index, emit)
-    }
-
-    /// Streams the sort-merge join with `other` (see
-    /// [`stream_join`](Self::stream_join)). Returns the number of rows emitted.
-    pub fn sort_merge_join_streamed(
-        &self,
-        other: &Intermediate,
-        emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> u64 {
-        let (cols, _) = JoinCols::resolve(&self.vars, &other.vars);
-        let index = RightIndex::sorted(other, &cols.right);
-        self.stream_join(other, &cols, &index, emit)
-    }
-
     /// Keeps only rows satisfying `binding[x] < binding[y]` for each applicable
     /// filter (both variables must be present in the schema). Compacts the flat
     /// buffer in place — surviving rows slide forward, nothing is reallocated.
@@ -433,16 +306,6 @@ impl Intermediate {
             }
         }
         self.buf.truncate(kept * w);
-    }
-
-    /// Number of distinct values in the column of `var` (used by the optimizer's
-    /// cardinality estimates).
-    pub fn distinct_count(&self, var: VarId) -> usize {
-        let Some(col) = self.col_of(var) else { return 0 };
-        let mut values: Vec<Val> = (0..self.len()).map(|i| self.row(i)[col]).collect();
-        values.sort_unstable();
-        values.dedup();
-        values.len()
     }
 
     /// The distinct values of the first column, in increasing order — the morsel
@@ -570,7 +433,8 @@ mod tests {
     /// Test helper: an intermediate from a flat buffer (rows are `vars.len()`
     /// wide).
     fn r(vars: &[VarId], flat: &[Val]) -> Intermediate {
-        let mut inter = Intermediate::empty(vars.to_vec());
+        let mut inter = Intermediate::default();
+        inter.reset(vars);
         assert_eq!(flat.len() % vars.len(), 0);
         for row in flat.chunks_exact(vars.len()) {
             inter.push_row(row);
@@ -578,10 +442,39 @@ mod tests {
         inter
     }
 
-    /// Sorted row set of an intermediate, flattened (for order-insensitive
+    /// Joins `left ⋈ right` on their shared variables through `stream_join` with
+    /// the given index variant (`merge`: sorted, else hash), stopping after
+    /// `limit` rows. Returns the output schema and the flat row stream.
+    fn join(
+        left: &Intermediate,
+        right: &Intermediate,
+        merge: bool,
+        limit: usize,
+    ) -> (Vec<VarId>, Vec<Val>) {
+        let (cols, out_vars) = JoinCols::resolve(left.vars(), right.vars());
+        let index = if merge {
+            RightIndex::sorted(right, &cols.right)
+        } else {
+            RightIndex::hash(right, &cols.right)
+        };
+        let (mut flat, mut rows) = (Vec::new(), 0);
+        let emitted = left.stream_join(right, &cols, &index, &mut |row| {
+            flat.extend_from_slice(row);
+            rows += 1;
+            if rows == limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(emitted as usize, rows, "stream_join reports the rows it emitted");
+        (out_vars, flat)
+    }
+
+    /// Sorted rows of a flat `width`-wide stream (for order-insensitive
     /// comparisons).
-    fn sorted_rows(inter: &Intermediate) -> Vec<Val> {
-        let mut rows: Vec<&[Val]> = inter.rows().collect();
+    fn sorted_rows(flat: &[Val], width: usize) -> Vec<Val> {
+        let mut rows: Vec<&[Val]> = flat.chunks_exact(width).collect();
         rows.sort_unstable();
         rows.concat()
     }
@@ -590,118 +483,71 @@ mod tests {
     fn hash_join_on_one_shared_variable() {
         let left = r(&[0, 1], &[1, 2, 2, 3, 4, 5]);
         let right = r(&[1, 2], &[2, 7, 3, 8, 3, 9]);
-        let out = left.hash_join(&right);
-        assert_eq!(out.vars(), &[0, 1, 2]);
-        assert_eq!(sorted_rows(&out), vec![1, 2, 7, 2, 3, 8, 2, 3, 9]);
+        let (vars, out) = join(&left, &right, false, usize::MAX);
+        assert_eq!(vars, &[0, 1, 2]);
+        assert_eq!(sorted_rows(&out, 3), vec![1, 2, 7, 2, 3, 8, 2, 3, 9]);
     }
 
     #[test]
     fn sort_merge_join_agrees_with_hash_join() {
         let left = r(&[0, 1], &[1, 2, 2, 3, 4, 5, 6, 3]);
         let right = r(&[1, 2], &[2, 7, 3, 8, 3, 9, 5, 1]);
-        let h = left.hash_join(&right);
-        let s = left.sort_merge_join(&right);
-        assert_eq!(sorted_rows(&h), sorted_rows(&s));
+        let (_, h) = join(&left, &right, false, usize::MAX);
+        let (_, s) = join(&left, &right, true, usize::MAX);
         // (1,2)x(2,7), (2,3)x(3,8),(3,9), (6,3)x(3,8),(3,9), (4,5)x(5,1).
-        assert_eq!(h.len(), 6);
+        assert_eq!(h.len(), 6 * 3);
         // Both joins emit in left-row order (the parallel-exactness invariant).
-        assert_eq!(h.flat_values(), s.flat_values());
-        assert_eq!(h.row(0), &[1, 2, 7]);
-        assert_eq!(h.row(5), &[6, 3, 9]);
+        assert_eq!(h, s);
+        assert_eq!(&h[..3], &[1, 2, 7]);
+        assert_eq!(&h[15..], &[6, 3, 9]);
     }
 
     #[test]
     fn join_on_two_shared_variables() {
         let left = r(&[0, 1], &[1, 2, 3, 4]);
         let right = r(&[0, 1, 2], &[1, 2, 9, 1, 5, 8, 3, 4, 7]);
-        let out = left.hash_join(&right);
-        assert_eq!(out.vars(), &[0, 1, 2]);
-        assert_eq!(sorted_rows(&out), vec![1, 2, 9, 3, 4, 7]);
+        for merge in [false, true] {
+            let (vars, out) = join(&left, &right, merge, usize::MAX);
+            assert_eq!(vars, &[0, 1, 2]);
+            assert_eq!(sorted_rows(&out, 3), vec![1, 2, 9, 3, 4, 7], "merge={merge}");
+        }
     }
 
     #[test]
     fn join_without_shared_variables_is_a_cross_product() {
         let left = r(&[0], &[1, 2]);
         let right = r(&[1], &[7, 8]);
-        let out = left.hash_join(&right);
-        assert_eq!(out.len(), 4);
-        let smj = left.sort_merge_join(&right);
-        assert_eq!(smj.len(), 4);
-        assert_eq!(out.flat_values(), smj.flat_values());
-        assert_eq!(out.flat_values(), &[1, 7, 1, 8, 2, 7, 2, 8]);
+        for merge in [false, true] {
+            let (_, out) = join(&left, &right, merge, usize::MAX);
+            assert_eq!(out, &[1, 7, 1, 8, 2, 7, 2, 8], "merge={merge}");
+        }
     }
 
     #[test]
-    fn streamed_joins_agree_with_materialised_joins() {
+    fn streamed_joins_stop_when_the_sink_breaks() {
         let left = r(&[0, 1], &[1, 2, 2, 3, 4, 5, 6, 3]);
         let right = r(&[1, 2], &[2, 7, 3, 8, 3, 9, 5, 1]);
-        let materialised = left.hash_join(&right);
-        assert_eq!(left.joined_vars(&right), materialised.vars());
         for merge in [false, true] {
-            let mut flat = Vec::new();
-            let mut collect = |row: &[Val]| {
-                flat.extend_from_slice(row);
-                ControlFlow::Continue(())
-            };
-            let emitted = if merge {
-                left.sort_merge_join_streamed(&right, &mut collect)
-            } else {
-                left.hash_join_streamed(&right, &mut collect)
-            };
-            assert_eq!(emitted, materialised.len() as u64);
-            // Streaming and materialising produce the identical row stream.
-            assert_eq!(flat, materialised.flat_values(), "merge={merge}");
+            let (_, all) = join(&left, &right, merge, usize::MAX);
+            // Early termination stops the scan on the sink's row, and the prefix
+            // is the full stream's.
+            for limit in [1, 4] {
+                let (_, prefix) = join(&left, &right, merge, limit);
+                assert_eq!(prefix, all[..limit * 3], "merge={merge} limit={limit}");
+            }
         }
-        // Early termination stops the scan.
-        let mut seen = 0;
-        let emitted = left.hash_join_streamed(&right, &mut |_| {
-            seen += 1;
-            ControlFlow::Break(())
-        });
-        assert_eq!((seen, emitted), (1, 1));
         // The cartesian case streams too.
         let a = r(&[0], &[1, 2]);
         let b = r(&[1], &[7]);
-        let mut n = 0;
-        a.sort_merge_join_streamed(&b, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn join_into_reuses_the_output_buffer() {
-        let left = r(&[0, 1], &[1, 2, 2, 3]);
-        let right = r(&[1, 2], &[2, 7, 3, 8]);
-        let (cols, out_vars) = JoinCols::resolve(left.vars(), right.vars());
-        let index = RightIndex::hash(&right, &cols.right);
-        let mut out = Intermediate::default();
-        left.join_into(&right, &cols, &index, &out_vars, &mut out);
-        assert_eq!(out.flat_values(), &[1, 2, 7, 2, 3, 8]);
-        let capacity = out.buf.capacity();
-        let ptr = out.buf.as_ptr();
-        // A second join into the same output reuses the allocation.
-        left.join_into(&right, &cols, &index, &out_vars, &mut out);
-        assert_eq!(out.flat_values(), &[1, 2, 7, 2, 3, 8]);
-        assert_eq!(out.buf.capacity(), capacity);
-        assert_eq!(out.buf.as_ptr(), ptr);
+        assert_eq!(join(&a, &b, true, usize::MAX).1, &[1, 7, 2, 7]);
     }
 
     #[test]
     fn filters_prune_rows_once_both_sides_are_present() {
         let mut inter = r(&[0, 1], &[1, 2, 3, 2, 2, 2]);
         inter.apply_filters(&[(0, 1), (2, 3)]); // the second filter is not applicable
-        assert_eq!(inter.flat_values(), &[1, 2]);
+        assert_eq!(inter.buf, &[1, 2]);
         assert_eq!(inter.len(), 1);
-    }
-
-    #[test]
-    fn distinct_counts_per_column() {
-        let inter = r(&[0, 1], &[1, 2, 1, 3, 2, 3]);
-        assert_eq!(inter.distinct_count(0), 2);
-        assert_eq!(inter.distinct_count(1), 2);
-        assert_eq!(inter.distinct_count(9), 0);
     }
 
     #[test]
@@ -710,7 +556,7 @@ mod tests {
         let inter = Intermediate::from_relation(&rel, &[5, 7]);
         assert_eq!(inter.vars(), &[5, 7]);
         assert_eq!(inter.len(), 2);
-        assert_eq!(inter.flat_values(), rel.flat_values());
+        assert_eq!(inter.buf, rel.flat_values());
     }
 
     #[test]
@@ -718,20 +564,21 @@ mod tests {
         let rel = Relation::from_pairs(vec![(1, 2), (1, 5), (3, 4), (7, 0), (9, 9)]);
         let base = Intermediate::from_relation(&rel, &[0, 1]);
         let mut restricted = Intermediate::default();
-        restricted.load_first_col_range(&base, 1, 7);
-        assert_eq!(restricted.flat_values(), &[1, 2, 1, 5, 3, 4]);
-        restricted.load_first_col_range(&base, 8, gj_storage::POS_INF);
-        assert_eq!(restricted.flat_values(), &[9, 9]);
-        restricted.load_first_col_range(&base, gj_storage::NEG_INF, gj_storage::POS_INF);
-        assert_eq!(restricted.flat_values(), base.flat_values());
+        let mut load = |lo, hi| {
+            let (start, end) = base.first_col_range(lo, hi);
+            restricted.load_row_range(&base, start, end);
+            restricted.buf.clone()
+        };
+        assert_eq!(load(1, 7), &[1, 2, 1, 5, 3, 4]);
+        assert_eq!(load(8, gj_storage::POS_INF), &[9, 9]);
+        assert_eq!(load(gj_storage::NEG_INF, gj_storage::POS_INF), base.buf);
         // Splitting at boundaries tiles the base exactly.
         assert_eq!(base.distinct_first_values(), vec![1, 3, 7, 9]);
-        let mut reassembled = Vec::new();
-        for (lo, hi) in [(-1, 3), (3, 9), (9, gj_storage::POS_INF)] {
-            restricted.load_first_col_range(&base, lo, hi);
-            reassembled.extend_from_slice(restricted.flat_values());
-        }
-        assert_eq!(reassembled, base.flat_values());
+        let reassembled: Vec<Val> = [(-1, 3), (3, 9), (9, gj_storage::POS_INF)]
+            .into_iter()
+            .flat_map(|(lo, hi)| load(lo, hi))
+            .collect();
+        assert_eq!(reassembled, base.buf);
     }
 
     #[test]

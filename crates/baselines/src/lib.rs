@@ -12,9 +12,9 @@
 //!   paper attributes to the relational competitors: on cyclic self-joins the
 //!   intermediates explode, regardless of the storage format. The intermediates
 //!   themselves are columnar (one flat `len × arity` buffer, no per-row
-//!   allocations — see [`intermediate`]), and a prepared [`PairwisePlan`] runs
-//!   either serially or over the `gj-runtime` morsel driver ([`PairwiseMorsels`])
-//!   with output identical to the serial emission.
+//!   allocations), and a prepared [`PairwisePlan`] runs one way: over the
+//!   `gj-runtime` morsel driver ([`PairwiseMorsels`]), where a serial run is the
+//!   one-worker drive and more workers reproduce its row stream exactly.
 //! * [`graph_engine`] — a hand-specialised clique counter over CSR adjacency lists
 //!   (neighbourhood intersection), standing in for GraphLab's triangle-count /
 //!   4-clique programs: very fast, but limited to exactly those patterns.
@@ -23,14 +23,12 @@
 //! report "timeout" rows (the paper's `-` cells) without actually exhausting memory.
 
 pub mod graph_engine;
-pub mod intermediate;
+mod intermediate;
 pub mod pairwise;
-pub mod planner;
+mod planner;
 
 pub use graph_engine::GraphEngine;
-pub use intermediate::{Intermediate, JoinCols, RightIndex};
 pub use pairwise::{
-    pairwise_count, pairwise_count_with_stats, pairwise_run, BaselineError, ExecLimits, JoinAlgo,
-    PairwiseMorsels, PairwisePlan, PairwiseWorker,
+    pairwise_count, BaselineError, ExecLimits, JoinAlgo, PairwiseMorsels, PairwisePlan,
+    PairwiseWorker,
 };
-pub use planner::{plan_left_deep, JoinPlan};

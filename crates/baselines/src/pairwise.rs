@@ -1,6 +1,7 @@
 //! The pairwise (Selinger-style) executor — PostgreSQL / MonetDB stand-ins.
 //!
-//! Executes the left-deep plan chosen by the [`planner`](crate::planner), joining one
+//! Executes the left-deep plan chosen by a Selinger-style dynamic-programming
+//! planner (System-R cardinality estimates over 1..=16 atoms), joining one
 //! atom at a time and materialising every intermediate **except the last**: the
 //! final join is streamed row by row into the caller's sink, the way a SQL engine
 //! pipelines its top operator into the client cursor. Joins run with either hash
@@ -10,27 +11,24 @@
 //! the same opportunity a SQL engine has — and re-checked on the streamed rows for
 //! the filters that only complete at the last join.
 //!
-//! # Prepared plans and parallel execution
+//! # Prepared plans and the morsel driver
 //!
 //! [`PairwisePlan`] is the prepared form: planning, the copy of every atom's rows
-//! into columnar [`Intermediate`]s, and the right-side probe structures
-//! ([`RightIndex`] — hash tables / sort permutations, including the streamed
-//! final join's) are built **once** and shared read-only by every execution and
-//! every worker thread. Executions then only pay the left-deep chain itself, with
-//! per-worker state ([`PairwiseWorker`]) reused across runs: the two intermediate
-//! buffers the chain alternates between, plus a cache of the merge join's **left**
-//! sort permutations keyed by `(step, morsel)` — the one per-execution build a
-//! prepared merge-join step still had. Retired workers park in the plan's
-//! [`WorkerPool`] (the runtime's `retire_worker` lifecycle hook), so buffers and
-//! permutation caches survive across morsels *and* across repeated executions of
-//! the same prepared query — a warm rerun pays no left sort at all.
+//! into columnar intermediates, and the right-side probe structures (hash tables /
+//! sort permutations, including the streamed final join's) are built **once** and
+//! shared read-only by every worker thread. An execution then only pays the
+//! left-deep chain itself — the merge join's left sort included, which depends on
+//! the rows the chain has materialised so far.
 //!
-//! The plan also plugs into the `gj-runtime` morsel driver: the first join's build
-//! side (the base of the left-deep chain, whose rows are sorted) is partitioned
-//! into first-attribute ranges, [`PairwiseMorsels`] runs the whole chain per range
-//! on each worker, and because both physical joins emit in **left-row order** (see
-//! [`intermediate`](crate::intermediate)), concatenating the per-morsel outputs in
-//! morsel order reproduces the serial emission stream exactly.
+//! The plan runs one way: through the `gj-runtime` morsel driver. The first
+//! join's build side (the base of the left-deep chain, whose rows are sorted) is
+//! partitioned into first-attribute ranges, [`PairwiseMorsels`] runs the whole
+//! chain per range on each worker ([`PairwiseWorker`] holds the two intermediate
+//! buffers the chain alternates between, reused across the worker's morsels), and
+//! because both physical joins emit in **left-row order** (see the
+//! `intermediate` module), concatenating the per-morsel outputs in morsel order
+//! reproduces the one-worker emission stream exactly. A serial run is the
+//! one-worker drive over [`Morsel::whole_axis`], as in [`pairwise_count`].
 //!
 //! # Budgets
 //!
@@ -56,11 +54,10 @@
 //! `first_k` that would succeed serially.)
 
 use crate::intermediate::{Intermediate, JoinCols, RightIndex};
-use crate::planner::plan_left_deep;
+use crate::planner::{plan_left_deep, MAX_ATOMS};
 use gj_query::{Instance, Query, VarId};
-use gj_runtime::{partition_values, Counters, ExecCtx, Morsel, MorselSource, WorkerPool};
-use gj_storage::{Relation, Val, NEG_INF, POS_INF};
-use std::collections::HashMap;
+use gj_runtime::{drive, partition_values, CountSink, Counters, ExecCtx, Morsel, MorselSource};
+use gj_storage::{Relation, Val};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -103,6 +100,9 @@ pub enum BaselineError {
     /// variable that occurs in no atom) — rejected as a typed error rather than
     /// panicking mid-plan.
     UncoveredVariable(usize),
+    /// The query has no atom, or more than the pairwise planner's subset DP
+    /// handles; the allowed range is `1..=16`.
+    UnsupportedAtomCount(usize),
 }
 
 impl std::fmt::Display for BaselineError {
@@ -114,6 +114,9 @@ impl std::fmt::Display for BaselineError {
             }
             BaselineError::UncoveredVariable(v) => {
                 write!(f, "query variable v{v} is not covered by any join atom")
+            }
+            BaselineError::UnsupportedAtomCount(atoms) => {
+                write!(f, "the pairwise planner supports 1..={MAX_ATOMS} atoms, not {atoms}")
             }
         }
     }
@@ -132,12 +135,11 @@ struct JoinStep {
 }
 
 /// A pairwise query prepared once: left-deep join order chosen, every atom's rows
-/// copied into columnar [`Intermediate`]s, and each step's right-side probe
-/// structure prebuilt. Executions ([`run`](Self::run), or the parallel driver via
-/// [`PairwiseMorsels`]) share the plan immutably.
+/// copied into columnar intermediates, and each step's right-side probe
+/// structure prebuilt. Every execution drives [`PairwiseMorsels`] over the plan,
+/// which it shares immutably.
 #[derive(Debug, Clone)]
 pub struct PairwisePlan {
-    algo: JoinAlgo,
     limits: ExecLimits,
     num_vars: usize,
     filters: Vec<(VarId, VarId)>,
@@ -149,25 +151,29 @@ pub struct PairwisePlan {
     steps: Vec<JoinStep>,
     /// Projection from the final schema to variable-id order.
     out_cols: Vec<usize>,
-    /// Retired [`PairwiseWorker`]s, parked between executions. Workers carry the
-    /// chain's intermediate buffers **and** the merge-join left-permutation cache,
-    /// so pooling them makes both survive across morsels *and* across repeated
-    /// executions of the same plan: a warm rerun skips every left sort the cold
-    /// run paid for. Cloning the plan starts with an empty pool (caches do not
-    /// follow clones).
-    pool: WorkerPool<PairwiseWorker>,
 }
 
 impl PairwisePlan {
     /// Plans and prepares `query` over `instance` for the given join algorithm and
     /// budget: left-deep join order, row copies, and right-side probe structures
     /// are all built here, once.
+    ///
+    /// # Errors
+    ///
+    /// [`BaselineError::UnsupportedAtomCount`] for a query with no atom or more
+    /// than 16, [`BaselineError::MissingRelation`] for an atom over an unknown
+    /// relation, and [`BaselineError::UncoveredVariable`] for a query variable
+    /// that occurs in no atom.
     pub fn new(
         instance: &Instance,
         query: &Query,
         algo: JoinAlgo,
         limits: ExecLimits,
     ) -> Result<Self, BaselineError> {
+        let atoms = query.num_atoms();
+        if !(1..=MAX_ATOMS).contains(&atoms) {
+            return Err(BaselineError::UnsupportedAtomCount(atoms));
+        }
         let relations: Vec<&Relation> = query
             .atoms
             .iter()
@@ -178,14 +184,14 @@ impl PairwisePlan {
             })
             .collect::<Result<_, _>>()?;
 
-        let plan = plan_left_deep(query, &relations);
-        let first = plan.order[0];
+        let order = plan_left_deep(query, &relations);
+        let first = order[0];
         let base = Intermediate::from_relation(relations[first], &query.atoms[first].vars);
         let base_first = base.distinct_first_values();
 
         let mut left_vars = base.vars().to_vec();
-        let mut steps = Vec::with_capacity(plan.order.len() - 1);
-        for &idx in &plan.order[1..] {
+        let mut steps = Vec::with_capacity(order.len() - 1);
+        for &idx in &order[1..] {
             let right = Intermediate::from_relation(relations[idx], &query.atoms[idx].vars);
             let (cols, out_vars) = JoinCols::resolve(&left_vars, right.vars());
             let index = match algo {
@@ -201,7 +207,6 @@ impl PairwisePlan {
             })
             .collect::<Result<_, _>>()?;
         Ok(PairwisePlan {
-            algo,
             limits,
             num_vars: query.num_vars(),
             filters: query.filters.clone(),
@@ -209,18 +214,7 @@ impl PairwisePlan {
             base_first,
             steps,
             out_cols,
-            pool: WorkerPool::new(),
         })
-    }
-
-    /// The join algorithm the plan was prepared for.
-    pub fn algo(&self) -> JoinAlgo {
-        self.algo
-    }
-
-    /// The configured execution limits.
-    pub fn limits(&self) -> &ExecLimits {
-        &self.limits
     }
 
     /// Number of materialised intermediates (the base plus every join but the
@@ -229,31 +223,15 @@ impl PairwisePlan {
         1 + self.steps.len().saturating_sub(1)
     }
 
-    /// Fresh per-worker execution state: two reusable intermediate buffers (the
-    /// chain alternates between them, so one run allocates at most twice and
-    /// subsequent runs not at all), the output scratch row, and an empty
-    /// merge-join left-permutation cache. Prefer
-    /// [`acquire_worker`](Self::acquire_worker), which recycles a pooled worker
-    /// with warm caches.
-    pub fn worker(&self) -> PairwiseWorker {
+    /// Fresh per-worker execution state: two empty intermediate buffers (the
+    /// chain alternates between them, so a worker allocates at most twice over
+    /// all its morsels) and the output scratch row.
+    fn worker(&self) -> PairwiseWorker {
         PairwiseWorker {
             cur: Intermediate::default(),
             next: Intermediate::default(),
             scratch: vec![0; self.num_vars],
-            perms: HashMap::new(),
         }
-    }
-
-    /// A worker from the plan's pool (warm buffers and left-permutation cache from
-    /// an earlier execution), or a fresh one when the pool is empty. Pair with
-    /// [`release_worker`](Self::release_worker) so the state keeps amortising.
-    pub fn acquire_worker(&self) -> PairwiseWorker {
-        self.pool.acquire_or(|| self.worker())
-    }
-
-    /// Parks a worker back into the plan's pool for later executions.
-    pub fn release_worker(&self, worker: PairwiseWorker) {
-        self.pool.release(worker);
     }
 
     /// Partitions the base's first attribute into at most `parts` morsels at
@@ -264,51 +242,20 @@ impl PairwisePlan {
         partition_values(&self.base_first, parts)
     }
 
-    /// Runs the plan serially, streaming the final join's rows — re-ordered into
-    /// **variable-id order** — directly into `emit`; emission stops as soon as
-    /// `emit` returns [`ControlFlow::Break`]. Returns the number of rows emitted
-    /// and the materialisation statistics.
+    /// Runs the chain with the base restricted to first-attribute values in
+    /// `[lo, hi)`, streaming the final join's rows — re-ordered into
+    /// **variable-id order** — into `emit` and tracking every row count in the
+    /// execution's shared `budget`. Returns the number of rows emitted; a run
+    /// aborted by the budget returns early and leaves the error in the budget
+    /// state.
     ///
     /// Every intermediate *except the last* is materialised (that is the pairwise
     /// engine's defining limitation — a worst-case optimal engine materialises
     /// nothing), but the final join pipelines into the sink: no last
-    /// [`Intermediate`] is ever built, so early termination also skips the tail of
+    /// intermediate is ever built, so early termination also skips the tail of
     /// the final probe scan. Rows arrive in the deterministic left-row order of
     /// the streamed join; `Database::enumerate` sorts when a canonical order is
     /// needed.
-    ///
-    /// The streamed output still counts against
-    /// [`ExecLimits::max_intermediate_rows`]: a final join whose output overruns
-    /// the budget aborts with [`BaselineError::IntermediateBudgetExceeded`],
-    /// exactly as it did when the final intermediate was materialised (the budget
-    /// is the benchmark harness's stand-in for the paper's timeouts).
-    pub fn run(
-        &self,
-        emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> Result<(u64, Counters), BaselineError> {
-        self.run_ctx(&ExecCtx::none(), emit)
-    }
-
-    /// [`run`](Self::run) under an execution context: the materialise and stream
-    /// loops poll `ctx` at the coarse check stride and stop cleanly on a trip. An
-    /// aborted run returns `Ok` with a meaningless partial row count — the caller
-    /// must consult the context's monitor before using the result.
-    pub fn run_ctx(
-        &self,
-        ctx: &ExecCtx<'_>,
-        emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-    ) -> Result<(u64, Counters), BaselineError> {
-        let budget = BudgetState::new(self.limits.max_intermediate_rows, self.materialised_steps());
-        let mut worker = self.acquire_worker();
-        let emitted = self.run_range(&mut worker, NEG_INF, POS_INF, &budget, ctx, emit);
-        self.release_worker(worker);
-        budget.finish().map(|stats| (emitted, stats))
-    }
-
-    /// Runs the chain with the base restricted to first-attribute values in
-    /// `[lo, hi)`, tracking every row count in the (possibly shared) `budget`.
-    /// Returns the number of rows emitted; a run aborted by the budget returns
-    /// early and leaves the error in the budget state.
     fn run_range(
         &self,
         worker: &mut PairwiseWorker,
@@ -322,7 +269,7 @@ impl PairwisePlan {
             return 0;
         }
         let mut watch = ctx.watch();
-        let PairwiseWorker { cur, next, scratch, perms } = worker;
+        let PairwiseWorker { cur, next, scratch } = worker;
         // The budget is checked against the restriction's row count *before* the
         // copy is paid: an overrunning base build aborts during the build, not
         // after materialising it.
@@ -339,15 +286,14 @@ impl PairwisePlan {
         // aborts at the budget boundary instead of first exhausting memory. The
         // accounting is uniformly *pre-filter*: rows later pruned by the order
         // filters stay counted, which keeps the per-step aggregates an exact
-        // partition of the serial run's — a budget aborts serially if and only if
-        // it aborts in parallel, on any query.
+        // partition of the one-worker run's — a budget aborts a one-worker run if
+        // and only if it aborts a many-worker one, on any query.
         let materialised = self.steps.len().saturating_sub(1);
         for (k, step) in self.steps[..materialised].iter().enumerate() {
             next.reset(&step.out_vars);
             let mut overrun = false;
             let mut stopped = false;
-            let lperm = cached_left_perm(perms, (k, lo, hi), cur, &step.cols, &step.index);
-            cur.stream_join_with(&step.right, &step.cols, &step.index, lperm, &mut |row| {
+            cur.stream_join(&step.right, &step.cols, &step.index, &mut |row| {
                 if watch.tick() {
                     stopped = true;
                     return ControlFlow::Break(());
@@ -372,7 +318,8 @@ impl PairwisePlan {
         // Stream the final join (or, for a single-atom plan, the restricted base
         // itself) straight into the sink: project each joined row to variable-id
         // order, re-check the order filters (the ones whose variables only meet at
-        // this join have not been applied yet), and emit.
+        // this join have not been applied yet), and emit. The streamed rows still
+        // count against the budget, exactly as a materialised final join would.
         let (out_cols, filters) = (&self.out_cols, &self.filters);
         let mut emitted = 0u64;
         let mut stream = |row: &[Val]| {
@@ -400,81 +347,26 @@ impl PairwisePlan {
                 }
             }
             Some(step) => {
-                let lperm =
-                    cached_left_perm(perms, (materialised, lo, hi), cur, &step.cols, &step.index);
-                cur.stream_join_with(&step.right, &step.cols, &step.index, lperm, &mut stream);
+                cur.stream_join(&step.right, &step.cols, &step.index, &mut stream);
             }
         }
         emitted
     }
 }
 
-/// Entry cap on a worker's left-permutation cache. One partitioning produces at
-/// most `threads × granularity` morsels × the plan's merge steps — comfortably
-/// below this — so a fixed execution configuration never hits the cap; a
-/// long-lived plan driven with *varying* thread counts produces a fresh key set
-/// per partitioning, and without the cap those generations would accumulate
-/// without bound (each entry is O(left rows)).
-const PERM_CACHE_CAP: usize = 1024;
-
-/// Looks up (or computes and caches) the merge-join left sort permutation for one
-/// `(step, morsel)` pair. Hash-join steps need no left sort and return `None`.
-///
-/// The cache key is `(step index, morsel lo, morsel hi)`: the chain is
-/// deterministic, so the left side of a given step over a given base restriction
-/// is identical on every execution — and it is always *fully* materialised by the
-/// time its join runs (a budget abort returns before reaching the join), so a
-/// cached permutation can never go stale. The length check is a defensive
-/// revalidation only. When a new key would push the cache past
-/// [`PERM_CACHE_CAP`], the stale generations are dropped wholesale and the
-/// current partitioning refills from scratch.
-fn cached_left_perm<'w>(
-    perms: &'w mut HashMap<(usize, Val, Val), Vec<u32>>,
-    key: (usize, Val, Val),
-    cur: &Intermediate,
-    cols: &JoinCols,
-    index: &RightIndex,
-) -> Option<&'w [u32]> {
-    if !matches!(index, RightIndex::Sorted { .. }) {
-        return None;
-    }
-    if perms.len() >= PERM_CACHE_CAP && !perms.contains_key(&key) {
-        perms.clear();
-    }
-    let perm = perms.entry(key).or_insert_with(|| cur.sort_perm(&cols.left));
-    if perm.len() != cur.len() {
-        *perm = cur.sort_perm(&cols.left);
-    }
-    Some(perm)
-}
-
 /// Per-worker execution state of a [`PairwisePlan`]: the two intermediate buffers
 /// the chain alternates between (reused across every morsel the worker claims,
-/// like the Minesweeper worker's executor), the projection scratch row, and the
-/// merge-join left-permutation cache. Workers retired through the runtime's
-/// `retire_worker` lifecycle hook park in the plan's [`WorkerPool`], so the cache
-/// also survives across repeated executions of the same prepared plan.
+/// like the Minesweeper worker's executor) and the projection scratch row.
 #[derive(Debug)]
 pub struct PairwiseWorker {
     cur: Intermediate,
     next: Intermediate,
     scratch: Vec<Val>,
-    /// `(step, morsel lo, morsel hi)` → the step's left sort permutation (merge
-    /// join only; see [`cached_left_perm`]).
-    perms: HashMap<(usize, Val, Val), Vec<u32>>,
 }
 
-impl PairwiseWorker {
-    /// Number of cached merge-join left sort permutations.
-    pub fn cached_perms(&self) -> usize {
-        self.perms.len()
-    }
-}
-
-/// The shared budget/statistics ledger of one execution (serial or parallel):
-/// per-materialised-step row totals, the streamed row total, and the first budget
-/// violation. All counters are atomics so parallel workers aggregate into one
-/// global budget.
+/// The shared budget/statistics ledger of one execution: per-materialised-step
+/// row totals, the streamed row total, and the first budget violation. All
+/// counters are atomics so parallel workers aggregate into one global budget.
 #[derive(Debug)]
 struct BudgetState {
     limit: usize,
@@ -593,7 +485,7 @@ impl MorselSource for PairwiseMorsels<'_> {
     type Worker = PairwiseWorker;
 
     fn worker(&self) -> PairwiseWorker {
-        self.plan.acquire_worker()
+        self.plan.worker()
     }
 
     fn run_morsel(
@@ -605,53 +497,30 @@ impl MorselSource for PairwiseMorsels<'_> {
     ) {
         self.plan.run_range(worker, morsel.lo, morsel.hi, &self.budget, ctx, emit);
     }
-
-    /// Parks the worker (buffers + left-permutation cache) in the plan's pool, so
-    /// the next execution of the same prepared plan starts with warm caches.
-    fn retire_worker(&self, worker: PairwiseWorker) {
-        self.plan.release_worker(worker);
-    }
 }
 
-/// Counts the output of `query` over `instance` with the pairwise engine.
+/// Counts the output of `query` over `instance` with the pairwise engine: a
+/// one-worker drive of [`PairwiseMorsels`] over [`Morsel::whole_axis`]. The final
+/// join is streamed into the counter, so the count never materialises the full
+/// result.
 pub fn pairwise_count(
     instance: &Instance,
     query: &Query,
     algo: JoinAlgo,
     limits: &ExecLimits,
 ) -> Result<u64, BaselineError> {
-    pairwise_count_with_stats(instance, query, algo, limits).map(|(count, _)| count)
-}
-
-/// Counts the output and also reports materialisation statistics. The final join
-/// is streamed into a counter, so the count never materialises the full result.
-pub fn pairwise_count_with_stats(
-    instance: &Instance,
-    query: &Query,
-    algo: JoinAlgo,
-    limits: &ExecLimits,
-) -> Result<(u64, Counters), BaselineError> {
-    pairwise_run(instance, query, algo, limits, &mut |_| ControlFlow::Continue(()))
-}
-
-/// One-shot convenience over [`PairwisePlan::new`] + [`PairwisePlan::run`]: plans,
-/// prepares and runs in a single call. Under repeated traffic, build the plan once
-/// and execute it many times instead.
-pub fn pairwise_run(
-    instance: &Instance,
-    query: &Query,
-    algo: JoinAlgo,
-    limits: &ExecLimits,
-    emit: &mut impl FnMut(&[Val]) -> ControlFlow<()>,
-) -> Result<(u64, Counters), BaselineError> {
-    PairwisePlan::new(instance, query, algo, *limits)?.run(emit)
+    let plan = PairwisePlan::new(instance, query, algo, *limits)?;
+    let source = PairwiseMorsels::new(&plan);
+    let mut sink = CountSink::new();
+    drive(&source, &[Morsel::whole_axis()], 1, &mut sink);
+    source.finish().map(|_| sink.rows())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gj_query::{naive_count, CatalogQuery};
-    use gj_runtime::{drive, CollectSink, CountSink, FirstK};
+    use gj_query::{naive_count, CatalogQuery, QueryBuilder};
+    use gj_runtime::{CollectSink, FirstK, ParallelSink};
     use gj_storage::Graph;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -669,6 +538,35 @@ mod tests {
         inst.add_relation("v3", Relation::from_values((0..n as i64).step_by(5)));
         inst.add_relation("v4", Relation::from_values((1..n as i64).step_by(4)));
         inst
+    }
+
+    /// One execution of `plan` over `morsels` on `threads` workers into `sink`:
+    /// the execution's counters, or its budget violation.
+    fn run(
+        plan: &PairwisePlan,
+        morsels: &[Morsel],
+        threads: usize,
+        sink: &mut impl ParallelSink,
+    ) -> Result<Counters, BaselineError> {
+        let source = PairwiseMorsels::new(plan);
+        drive(&source, morsels, threads, sink);
+        source.finish()
+    }
+
+    /// The serial reference — one worker over the whole axis: the flattened row
+    /// stream (a prefix on a budget abort) and the execution's outcome.
+    fn serial(plan: &PairwisePlan) -> (Vec<Val>, Result<Counters, BaselineError>) {
+        let mut sink = CollectSink::new();
+        let outcome = run(plan, &[Morsel::whole_axis()], 1, &mut sink);
+        (sink.into_rows().concat(), outcome)
+    }
+
+    fn plan(inst: &Instance, q: &Query, algo: JoinAlgo, max_rows: usize) -> PairwisePlan {
+        PairwisePlan::new(inst, q, algo, ExecLimits { max_intermediate_rows: max_rows }).unwrap()
+    }
+
+    fn wedge() -> Query {
+        QueryBuilder::new("wedge").atom("edge", &["a", "b"]).atom("edge", &["b", "c"]).build()
     }
 
     #[test]
@@ -702,11 +600,35 @@ mod tests {
     }
 
     #[test]
+    fn atom_counts_outside_the_planner_range_are_typed_errors() {
+        // A 17-atom path over a 20-row chain has 4 answers, but the subset DP
+        // plans at most 16 atoms; a query without atoms has nothing to plan.
+        let mut inst = Instance::new();
+        inst.add_relation("r", Relation::from_pairs((0..20).map(|i| (i, i + 1))));
+        let vars: Vec<String> = (0..18).map(|i| format!("x{i}")).collect();
+        let long = vars
+            .windows(2)
+            .fold(QueryBuilder::new("17-path"), |q, w| q.atom("r", &[&w[0], &w[1]]))
+            .build();
+        let empty = QueryBuilder::new("empty").build();
+        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            for (q, atoms) in [(&long, 17), (&empty, 0)] {
+                let err = PairwisePlan::new(&inst, q, algo, ExecLimits::default()).unwrap_err();
+                assert_eq!(err, BaselineError::UnsupportedAtomCount(atoms), "{algo:?}");
+                assert_eq!(
+                    err.to_string(),
+                    format!("the pairwise planner supports 1..=16 atoms, not {atoms}")
+                );
+            }
+        }
+    }
+
+    #[test]
     fn stats_show_larger_intermediates_on_cyclic_queries_than_output() {
         let inst = random_instance(33, 40, 0.25);
         let q = CatalogQuery::ThreeClique.query();
-        let (count, stats) =
-            pairwise_count_with_stats(&inst, &q, JoinAlgo::Hash, &ExecLimits::default()).unwrap();
+        let (rows, stats) = serial(&plan(&inst, &q, JoinAlgo::Hash, usize::MAX));
+        let (count, stats) = ((rows.len() / q.num_vars()) as u64, stats.unwrap());
         // The open-wedge intermediate is much bigger than the number of triangles —
         // the effect the paper blames for the relational systems' slowness.
         assert!(
@@ -717,39 +639,25 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_run_streams_deterministic_rows_and_stops_on_break() {
+    fn serial_drive_streams_deterministic_rows_and_stops_on_break() {
         let inst = random_instance(34, 20, 0.25);
         let q = CatalogQuery::ThreeClique.query();
         for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let mut rows: Vec<Val> = Vec::new();
-            let (emitted, _) = pairwise_run(&inst, &q, algo, &ExecLimits::default(), &mut |r| {
-                rows.extend_from_slice(r);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
+            let plan = plan(&inst, &q, algo, usize::MAX);
+            let (rows, outcome) = serial(&plan);
+            outcome.unwrap();
             let width = q.num_vars();
-            assert_eq!(emitted as usize, rows.len() / width, "{algo:?}");
-            assert_eq!(emitted, naive_count(&inst, &q), "{algo:?}");
+            assert_eq!((rows.len() / width) as u64, naive_count(&inst, &q), "{algo:?}");
             // The streamed order is deterministic and duplicate-free (set semantics).
             let mut sorted: Vec<&[Val]> = rows.chunks_exact(width).collect();
             sorted.sort_unstable();
             sorted.dedup();
-            assert_eq!(sorted.len() as u64, emitted, "{algo:?}");
+            assert_eq!(sorted.len(), rows.len() / width, "{algo:?}");
+            assert_eq!(serial(&plan).0, rows, "{algo:?}: a rerun streams the same rows");
             // Early exit after two rows yields exactly the engine's first two.
-            let mut prefix: Vec<Val> = Vec::new();
-            let (two, _) = pairwise_run(&inst, &q, algo, &ExecLimits::default(), {
-                &mut |r: &[Val]| {
-                    prefix.extend_from_slice(r);
-                    if prefix.len() == 2 * width {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                }
-            })
-            .unwrap();
-            assert_eq!(two, 2, "{algo:?}");
-            assert_eq!(prefix, rows[..2 * width], "{algo:?}");
+            let mut first_two = FirstK::new(2);
+            run(&plan, &[Morsel::whole_axis()], 1, &mut first_two).unwrap();
+            assert_eq!(first_two.into_rows().concat(), rows[..2 * width], "{algo:?}");
         }
     }
 
@@ -761,25 +669,20 @@ mod tests {
         // An open wedge over a dense graph: the only materialised intermediate is
         // the edge list itself, while the (much larger) wedge output streams.
         let inst = random_instance(35, 40, 0.3);
-        let q = gj_query::QueryBuilder::new("wedge")
-            .atom("edge", &["a", "b"])
-            .atom("edge", &["b", "c"])
-            .build();
-        let (count, full_stats) =
-            pairwise_count_with_stats(&inst, &q, JoinAlgo::Hash, &ExecLimits::default()).unwrap();
+        let q = wedge();
+        let (rows, full_stats) = serial(&plan(&inst, &q, JoinAlgo::Hash, usize::MAX));
+        let (count, full_stats) = (rows.len() / q.num_vars(), full_stats.unwrap());
         assert!(
-            count > full_stats.peak_intermediate,
+            count as u64 > full_stats.peak_intermediate,
             "the test needs a streamed output larger than every materialised step"
         );
-        let tight = ExecLimits { max_intermediate_rows: count as usize - 1 };
-        let err = pairwise_count_with_stats(&inst, &q, JoinAlgo::Hash, &tight).unwrap_err();
+        let err = serial(&plan(&inst, &q, JoinAlgo::Hash, count - 1)).1.unwrap_err();
         assert!(matches!(err, BaselineError::IntermediateBudgetExceeded { .. }));
         // An exact budget succeeds with identical (materialisation-only) stats: the
         // streamed rows are bounded but never counted as materialised.
-        let exact = ExecLimits { max_intermediate_rows: count as usize };
-        let (ok, stats) = pairwise_count_with_stats(&inst, &q, JoinAlgo::Hash, &exact).unwrap();
-        assert_eq!(ok, count);
-        assert_eq!(stats, full_stats);
+        let (exact_rows, stats) = serial(&plan(&inst, &q, JoinAlgo::Hash, count));
+        assert_eq!(exact_rows, rows);
+        assert_eq!(stats.unwrap(), full_stats);
     }
 
     #[test]
@@ -799,32 +702,22 @@ mod tests {
         for cq in [CatalogQuery::ThreeClique, CatalogQuery::FourCycle, CatalogQuery::ThreePath] {
             let q = cq.query();
             for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-                let plan = PairwisePlan::new(&inst, &q, algo, ExecLimits::default()).unwrap();
-                let mut serial: Vec<Val> = Vec::new();
-                let (emitted, serial_stats) = plan
-                    .run(&mut |row| {
-                        serial.extend_from_slice(row);
-                        ControlFlow::Continue(())
-                    })
-                    .unwrap();
+                let plan = plan(&inst, &q, algo, usize::MAX);
+                let (serial_rows, serial_stats) = serial(&plan);
+                let serial_stats = serial_stats.unwrap();
                 for parts in [2, 5, 16] {
                     let morsels = plan.partition(parts);
                     for threads in [1, 2, 4] {
                         let label = format!("{} {algo:?} parts {parts} threads {threads}", q.name);
-                        let source = PairwiseMorsels::new(&plan);
                         let mut sink = CollectSink::new();
-                        drive(&source, &morsels, threads, &mut sink);
-                        let par_stats = source.finish().unwrap();
-                        let flat: Vec<Val> =
-                            sink.rows().iter().flat_map(|r| r.iter().copied()).collect();
-                        assert_eq!(flat, serial, "{label}");
+                        let par_stats = run(&plan, &morsels, threads, &mut sink).unwrap();
+                        assert_eq!(sink.into_rows().concat(), serial_rows, "{label}");
                         // Per-step aggregates across morsels equal the serial
                         // intermediate sizes.
                         assert_eq!(par_stats, serial_stats, "{label}");
-                        let source = PairwiseMorsels::new(&plan);
                         let mut count = CountSink::new();
-                        drive(&source, &morsels, threads, &mut count);
-                        assert_eq!(count.rows(), emitted, "{label}");
+                        run(&plan, &morsels, threads, &mut count).unwrap();
+                        assert_eq!(count.rows() as usize, serial_rows.len() / q.num_vars());
                     }
                 }
             }
@@ -837,56 +730,37 @@ mod tests {
         // short of the output must abort the *parallel* run too, even though every
         // single morsel stays far below the budget on its own.
         let inst = random_instance(37, 40, 0.3);
-        let q = gj_query::QueryBuilder::new("wedge")
-            .atom("edge", &["a", "b"])
-            .atom("edge", &["b", "c"])
-            .build();
+        let q = wedge();
         let count = pairwise_count(&inst, &q, JoinAlgo::Hash, &ExecLimits::default()).unwrap();
-        let tight = ExecLimits { max_intermediate_rows: count as usize - 1 };
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, tight).unwrap();
-        let morsels = plan.partition(16);
+        let tight = plan(&inst, &q, JoinAlgo::Hash, count as usize - 1);
+        let morsels = tight.partition(16);
         assert!(morsels.len() > 4, "the test needs a real partition");
-        let source = PairwiseMorsels::new(&plan);
-        let mut sink = CountSink::new();
-        drive(&source, &morsels, 4, &mut sink);
-        let err = source.finish().unwrap_err();
+        let err = run(&tight, &morsels, 4, &mut CountSink::new()).unwrap_err();
         assert!(matches!(err, BaselineError::IntermediateBudgetExceeded { .. }), "{err:?}");
         // The exact budget still succeeds in parallel.
-        let exact = ExecLimits { max_intermediate_rows: count as usize };
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, exact).unwrap();
-        let source = PairwiseMorsels::new(&plan);
+        let exact = plan(&inst, &q, JoinAlgo::Hash, count as usize);
         let mut sink = CountSink::new();
-        drive(&source, &plan.partition(16), 4, &mut sink);
+        run(&exact, &exact.partition(16), 4, &mut sink).unwrap();
         assert_eq!(sink.rows(), count);
-        source.finish().unwrap();
     }
 
     #[test]
     fn early_termination_delivers_the_serial_prefix() {
         let inst = random_instance(38, 30, 0.25);
         let q = CatalogQuery::ThreeClique.query();
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, ExecLimits::default()).unwrap();
-        let mut serial: Vec<Val> = Vec::new();
-        plan.run(&mut |row| {
-            serial.extend_from_slice(row);
-            ControlFlow::Continue(())
-        })
-        .unwrap();
-        assert!(serial.len() >= 3 * q.num_vars(), "the test needs at least three rows");
-        let morsels = plan.partition(8);
-        let source = PairwiseMorsels::new(&plan);
+        let plan = plan(&inst, &q, JoinAlgo::Hash, usize::MAX);
+        let (serial_rows, _) = serial(&plan);
+        assert!(serial_rows.len() >= 3 * q.num_vars(), "the test needs at least three rows");
         let mut sink = FirstK::new(3);
-        drive(&source, &morsels, 4, &mut sink);
-        source.finish().unwrap();
-        let flat: Vec<Val> = sink.into_rows().iter().flat_map(|r| r.iter().copied()).collect();
-        assert_eq!(flat, serial[..3 * q.num_vars()]);
+        run(&plan, &plan.partition(8), 4, &mut sink).unwrap();
+        assert_eq!(sink.into_rows().concat(), serial_rows[..3 * q.num_vars()]);
     }
 
     #[test]
     fn worker_buffers_are_reused_across_morsels() {
         let inst = random_instance(39, 30, 0.2);
         let q = CatalogQuery::ThreeClique.query();
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, ExecLimits::default()).unwrap();
+        let plan = plan(&inst, &q, JoinAlgo::Hash, usize::MAX);
         let budget = BudgetState::new(usize::MAX, plan.materialised_steps());
         let mut worker = plan.worker();
         let morsels = plan.partition(6);
@@ -910,93 +784,27 @@ mod tests {
     }
 
     #[test]
-    fn cached_left_permutations_keep_merge_join_output_identical() {
-        // A worker that re-runs the same morsels serves the merge joins from its
-        // left-permutation cache; the emitted stream must stay byte-identical and
-        // the cache must stop growing once every (step, morsel) pair is seen.
-        let inst = random_instance(41, 30, 0.2);
-        for cq in [CatalogQuery::ThreeClique, CatalogQuery::ThreePath, CatalogQuery::FourCycle] {
-            let q = cq.query();
-            let plan =
-                PairwisePlan::new(&inst, &q, JoinAlgo::SortMerge, ExecLimits::default()).unwrap();
-            let budget = BudgetState::new(usize::MAX, plan.materialised_steps());
-            let morsels = plan.partition(6);
-            assert!(morsels.len() > 1, "{}: the test needs a real partition", q.name);
-            let mut worker = plan.worker();
-            assert_eq!(worker.cached_perms(), 0);
-            let collect = |worker: &mut PairwiseWorker| -> Vec<Val> {
-                let mut rows = Vec::new();
-                for m in &morsels {
-                    plan.run_range(worker, m.lo, m.hi, &budget, &ExecCtx::none(), &mut |r| {
-                        rows.extend_from_slice(r);
-                        ControlFlow::Continue(())
-                    });
-                }
-                rows
-            };
-            let cold = collect(&mut worker);
-            let cached = worker.cached_perms();
-            assert!(cached > 0, "{}: no permutation was cached", q.name);
-            let warm = collect(&mut worker);
-            assert_eq!(warm, cold, "{}: cached permutations changed the output", q.name);
-            assert_eq!(worker.cached_perms(), cached, "{}: cache kept growing", q.name);
-        }
-    }
-
-    #[test]
-    fn perm_cache_is_bounded_under_varying_partitionings() {
-        // A long-lived plan driven with many different partitionings (varying
-        // thread counts) must not grow a worker's permutation cache without
-        // bound: the cap drops stale generations, and results stay exact.
-        let inst = random_instance(44, 40, 0.2);
-        let q = CatalogQuery::ThreePath.query();
-        let plan =
-            PairwisePlan::new(&inst, &q, JoinAlgo::SortMerge, ExecLimits::default()).unwrap();
-        let budget = BudgetState::new(usize::MAX, plan.materialised_steps());
-        let mut worker = plan.worker();
-        let serial = plan.run(&mut |_| ControlFlow::Continue(())).unwrap().0;
-        // Hundreds of distinct partitionings -> thousands of distinct keys.
-        for parts in 2..200 {
-            let mut rows = 0;
-            for m in plan.partition(parts) {
-                rows +=
-                    plan.run_range(&mut worker, m.lo, m.hi, &budget, &ExecCtx::none(), &mut |_| {
-                        ControlFlow::Continue(())
-                    });
-            }
-            assert_eq!(rows, serial, "parts {parts}");
-            assert!(
-                worker.cached_perms() <= PERM_CACHE_CAP,
-                "cache exceeded its cap: {} at parts {parts}",
-                worker.cached_perms()
-            );
-        }
-    }
-
-    #[test]
-    fn worker_pool_survives_across_executions() {
+    fn reruns_of_one_plan_are_identical() {
+        // Every execution starts from fresh workers; the shared plan must come out
+        // of a run unchanged, so serial and parallel reruns repeat the first run
+        // row for row.
         let inst = random_instance(42, 30, 0.2);
-        let q = CatalogQuery::ThreePath.query();
-        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let plan = PairwisePlan::new(&inst, &q, algo, ExecLimits::default()).unwrap();
-            let (first, _) = plan.run(&mut |_| ControlFlow::Continue(())).unwrap();
-            // Serial reruns recycle the pooled worker (and its caches).
-            let (second, _) = plan.run(&mut |_| ControlFlow::Continue(())).unwrap();
-            assert_eq!(first, second, "{algo:?}");
-            // Parallel executions retire their workers into the same pool; a
-            // rerun over the same morsels must be byte-identical to the cold run.
-            let morsels = plan.partition(8);
-            let run_par = || {
-                let source = PairwiseMorsels::new(&plan);
-                let mut sink = CollectSink::new();
-                drive(&source, &morsels, 4, &mut sink);
-                source.finish().unwrap();
-                sink.into_rows()
-            };
-            let cold = run_par();
-            let warm = run_par();
-            assert_eq!(cold, warm, "{algo:?}");
-            assert_eq!(cold.len() as u64, first, "{algo:?}");
+        for cq in [CatalogQuery::ThreePath, CatalogQuery::ThreeClique, CatalogQuery::FourCycle] {
+            let q = cq.query();
+            for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+                let plan = plan(&inst, &q, algo, usize::MAX);
+                let first = serial(&plan);
+                assert_eq!(serial(&plan), first, "{} {algo:?}", q.name);
+                let morsels = plan.partition(8);
+                let run_par = || {
+                    let mut sink = CollectSink::new();
+                    let stats = run(&plan, &morsels, 4, &mut sink);
+                    (sink.into_rows().concat(), stats)
+                };
+                let cold = run_par();
+                assert_eq!(run_par(), cold, "{} {algo:?}", q.name);
+                assert_eq!(cold, first, "{} {algo:?}", q.name);
+            }
         }
     }
 
@@ -1007,17 +815,9 @@ mod tests {
         let inst = random_instance(43, 40, 0.25);
         let q = CatalogQuery::ThreeClique.query();
         let edge_rows = inst.relation("edge").unwrap().len();
-        let tight = ExecLimits { max_intermediate_rows: edge_rows - 1 };
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, tight).unwrap();
-        let mut emitted = 0u64;
-        let err = plan
-            .run(&mut |_| {
-                emitted += 1;
-                ControlFlow::Continue(())
-            })
-            .unwrap_err();
-        assert!(matches!(err, BaselineError::IntermediateBudgetExceeded { .. }));
-        assert_eq!(emitted, 0, "the run must abort before any row is produced");
+        let (rows, outcome) = serial(&plan(&inst, &q, JoinAlgo::Hash, edge_rows - 1));
+        assert!(matches!(outcome, Err(BaselineError::IntermediateBudgetExceeded { .. })));
+        assert!(rows.is_empty(), "the run must abort before any row is produced");
     }
 
     #[test]
@@ -1027,31 +827,19 @@ mod tests {
         // values are not silently dropped by the parallel path.
         let mut inst = Instance::new();
         inst.add_relation("r", Relation::from_pairs((-10..10).map(|i| (i, i + 1))));
-        let q = gj_query::QueryBuilder::new("2-path")
-            .atom("r", &["a", "b"])
-            .atom("r", &["b", "c"])
-            .build();
+        let q = QueryBuilder::new("2-path").atom("r", &["a", "b"]).atom("r", &["b", "c"]).build();
         for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            let plan = PairwisePlan::new(&inst, &q, algo, ExecLimits::default()).unwrap();
-            let mut serial: Vec<Val> = Vec::new();
-            let (count, _) = plan
-                .run(&mut |row| {
-                    serial.extend_from_slice(row);
-                    ControlFlow::Continue(())
-                })
-                .unwrap();
+            let plan = plan(&inst, &q, algo, usize::MAX);
+            let (serial_rows, _) = serial(&plan);
             // b ranges over {-9..=9}: 19 two-paths, most through negative values.
-            assert_eq!(count, 19, "{algo:?}");
+            assert_eq!(serial_rows.len(), 19 * 3, "{algo:?}");
             let morsels = plan.partition(8);
             assert!(morsels.len() > 1, "the test needs a real partition");
             assert_eq!(morsels[0].lo, gj_storage::NEG_INF, "{algo:?}");
             for threads in [1, 4] {
-                let source = PairwiseMorsels::new(&plan);
                 let mut sink = CollectSink::new();
-                drive(&source, &morsels, threads, &mut sink);
-                source.finish().unwrap();
-                let flat: Vec<Val> = sink.rows().iter().flat_map(|r| r.iter().copied()).collect();
-                assert_eq!(flat, serial, "{algo:?} threads {threads}");
+                run(&plan, &morsels, threads, &mut sink).unwrap();
+                assert_eq!(sink.into_rows().concat(), serial_rows, "{algo:?} threads {threads}");
             }
         }
     }
@@ -1063,28 +851,22 @@ mod tests {
         // abort the serial AND the parallel run — not just one of them.
         let inst = random_instance(40, 30, 0.25);
         let q = CatalogQuery::ThreeClique.query();
-        let generous = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, ExecLimits::default()).unwrap();
-        let (_, stats) = generous.run(&mut |_| ControlFlow::Continue(())).unwrap();
+        let stats = serial(&plan(&inst, &q, JoinAlgo::Hash, usize::MAX)).1.unwrap();
         // peak is the pre-filter wedge count; a budget just below it must trip.
-        let tight = ExecLimits { max_intermediate_rows: stats.peak_intermediate as usize - 1 };
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, tight).unwrap();
-        let serial = plan.run(&mut |_| ControlFlow::Continue(())).unwrap_err();
-        assert!(matches!(serial, BaselineError::IntermediateBudgetExceeded { .. }));
-        let morsels = plan.partition(8);
+        let tight = plan(&inst, &q, JoinAlgo::Hash, stats.peak_intermediate as usize - 1);
+        let serial_err = serial(&tight).1.unwrap_err();
+        assert!(matches!(serial_err, BaselineError::IntermediateBudgetExceeded { .. }));
+        let morsels = tight.partition(8);
         assert!(morsels.len() > 1, "the test needs a real partition");
-        let source = PairwiseMorsels::new(&plan);
-        let mut sink = CountSink::new();
-        drive(&source, &morsels, 4, &mut sink);
-        let parallel = source.finish().unwrap_err();
+        let parallel = run(&tight, &morsels, 4, &mut CountSink::new()).unwrap_err();
         assert!(matches!(parallel, BaselineError::IntermediateBudgetExceeded { .. }));
         // And an exact pre-filter budget succeeds both ways with equal stats.
-        let exact = ExecLimits { max_intermediate_rows: stats.peak_intermediate as usize };
-        let plan = PairwisePlan::new(&inst, &q, JoinAlgo::Hash, exact).unwrap();
-        let (count, serial_stats) = plan.run(&mut |_| ControlFlow::Continue(())).unwrap();
-        let source = PairwiseMorsels::new(&plan);
+        let exact = plan(&inst, &q, JoinAlgo::Hash, stats.peak_intermediate as usize);
+        let (rows, serial_stats) = serial(&exact);
         let mut sink = CountSink::new();
-        drive(&source, &plan.partition(8), 4, &mut sink);
-        assert_eq!(sink.rows(), count);
-        assert_eq!(source.finish().unwrap(), serial_stats);
+        let parallel_stats = run(&exact, &exact.partition(8), 4, &mut sink);
+        assert_eq!(sink.rows() as usize, rows.len() / q.num_vars());
+        assert_eq!(parallel_stats, serial_stats);
+        serial_stats.unwrap();
     }
 }

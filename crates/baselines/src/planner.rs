@@ -16,15 +16,9 @@ use gj_query::{Query, VarId};
 use gj_storage::Relation;
 use std::collections::HashMap;
 
-/// A left-deep pairwise join plan: atoms are joined in this order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinPlan {
-    /// Atom indices in join order (the first is the base of the left-deep chain).
-    pub order: Vec<usize>,
-    /// The optimizer's estimate of the total number of materialised intermediate
-    /// rows (for diagnostics; the executor reports actual numbers).
-    pub estimated_rows: u64,
-}
+/// The most atoms the subset DP plans: it keeps one entry per atom subset, so
+/// `2^MAX_ATOMS` of them.
+pub const MAX_ATOMS: usize = 16;
 
 /// Per-atom statistics used by the estimator.
 struct AtomStats {
@@ -42,15 +36,16 @@ struct PartialStats {
     order: Vec<usize>,
 }
 
-/// Plans a left-deep pairwise join order for `query`, given each atom's relation.
+/// Plans a left-deep pairwise join order for `query` — the atom indices in join
+/// order, the first being the base of the chain — given each atom's relation.
 ///
 /// Connected sub-plans are preferred (cartesian products are only considered when a
-/// query is disconnected), matching what real pairwise optimizers do.
-pub fn plan_left_deep(query: &Query, relations: &[&Relation]) -> JoinPlan {
-    assert_eq!(relations.len(), query.num_atoms(), "one relation per atom required");
+/// query is disconnected), matching what real pairwise optimizers do. The caller
+/// guarantees 1..=[`MAX_ATOMS`] atoms and one relation per atom.
+pub fn plan_left_deep(query: &Query, relations: &[&Relation]) -> Vec<usize> {
+    debug_assert_eq!(relations.len(), query.num_atoms(), "one relation per atom required");
     let m = query.num_atoms();
-    assert!(m >= 1, "cannot plan an empty query");
-    assert!(m <= 16, "the DP planner supports at most 16 atoms");
+    debug_assert!((1..=MAX_ATOMS).contains(&m), "{m} atoms is outside 1..={MAX_ATOMS}");
 
     let atom_stats: Vec<AtomStats> = query
         .atoms
@@ -59,7 +54,7 @@ pub fn plan_left_deep(query: &Query, relations: &[&Relation]) -> JoinPlan {
         .map(|(atom, rel)| {
             let mut ndv = HashMap::new();
             for (col, &v) in atom.vars.iter().enumerate() {
-                ndv.insert(v, rel.project(&[col]).len().max(1) as f64);
+                ndv.insert(v, rel.column_distinct(col).max(1) as f64);
             }
             AtomStats { cardinality: rel.len().max(1) as f64, ndv }
         })
@@ -106,13 +101,13 @@ pub fn plan_left_deep(query: &Query, relations: &[&Relation]) -> JoinPlan {
         }
     }
 
-    let Some(full) = best[(1 << m) - 1].clone() else {
+    match best[(1 << m) - 1].take() {
+        Some(full) => full.order,
         // The DP always fills the full subset (every singleton seeds it and every
         // extension step is admissible); if that invariant ever breaks, degrade
         // to textual atom order instead of taking the whole query down.
-        return JoinPlan { order: (0..m).collect(), estimated_rows: u64::MAX };
-    };
-    JoinPlan { order: full.order, estimated_rows: full.cost.min(u64::MAX as f64) as u64 }
+        None => (0..m).collect(),
+    }
 }
 
 /// Extends a partial plan with one more atom, producing the new statistics under the
@@ -180,7 +175,7 @@ mod tests {
         let edge = dense_edge();
         let samples = HashMap::new();
         let plan = plan_left_deep(&q, &relations_for(&q, &edge, &samples));
-        let mut order = plan.order.clone();
+        let mut order = plan;
         order.sort_unstable();
         assert_eq!(order, (0..q.num_atoms()).collect::<Vec<_>>());
     }
@@ -195,7 +190,7 @@ mod tests {
         samples.insert("v1".to_string(), Relation::from_values(vec![1]));
         samples.insert("v2".to_string(), Relation::from_values(vec![2, 3]));
         let plan = plan_left_deep(&q, &relations_for(&q, &edge, &samples));
-        let first_atom = &q.atoms[plan.order[0]];
+        let first_atom = &q.atoms[plan[0]];
         assert!(
             first_atom.relation == "v1" || first_atom.relation == "v2",
             "expected the plan to start from a sample, got {}",
@@ -210,23 +205,13 @@ mod tests {
         let samples = HashMap::new();
         let plan = plan_left_deep(&q, &relations_for(&q, &edge, &samples));
         // Each successive atom must share a variable with the prefix.
-        let mut seen: Vec<VarId> = q.atoms[plan.order[0]].vars.clone();
-        for &idx in &plan.order[1..] {
+        let mut seen: Vec<VarId> = q.atoms[plan[0]].vars.clone();
+        for &idx in &plan[1..] {
             assert!(
                 q.atoms[idx].vars.iter().any(|v| seen.contains(v)),
                 "atom {idx} does not connect to the prefix"
             );
             seen.extend(&q.atoms[idx].vars);
         }
-    }
-
-    #[test]
-    fn estimates_grow_with_input_size() {
-        let q = CatalogQuery::ThreeClique.query();
-        let small = Relation::from_pairs((0..10i64).map(|a| (a, (a + 1) % 10)));
-        let samples = HashMap::new();
-        let plan_small = plan_left_deep(&q, &relations_for(&q, &small, &samples));
-        let plan_big = plan_left_deep(&q, &relations_for(&q, &dense_edge(), &samples));
-        assert!(plan_big.estimated_rows > plan_small.estimated_rows);
     }
 }

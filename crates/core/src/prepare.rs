@@ -497,10 +497,10 @@ impl<'db> PreparedQuery<'db> {
                     morsels_for(threads, || plan.partition(threads * PAIRWISE_GRANULARITY));
                 let source = PairwiseMorsels::new(plan);
                 let driven = run.drive(&source, &morsels, PAIRWISE_EXTRAS);
-                // Reclaim the workers (and collect the aggregated budget state)
-                // before surfacing any error: a monitor trip outranks the pairwise
-                // materialisation budget, which in turn fails the run (the sink
-                // may have received a partial prefix by then).
+                // Collect the aggregated budget state before surfacing any
+                // error: a monitor trip outranks the pairwise materialisation
+                // budget, which in turn fails the run (the sink may have received
+                // a partial prefix by then).
                 let pairwise = source.finish();
                 driven?;
                 run.stats.counters = pairwise.map_err(EngineError::Baseline)?;
@@ -562,12 +562,11 @@ impl<'db> PreparedQuery<'db> {
     /// count-only engines serve counting sinks ([`CountSink`]) at any thread count
     /// and return [`EngineError::Unsupported`] for row sinks.
     ///
-    /// Engine state is reused across the morsels each worker claims (and, for the
-    /// pairwise baselines, across repeated executions of the same prepared
-    /// query): Minesweeper carries its learned CDS constraints from morsel to
-    /// morsel, the pairwise engines pool their buffers and merge-join sort
-    /// permutations. The counters workers accumulate are summed into
-    /// [`RunStats::counters`].
+    /// Each worker builds its engine state once, reuses it across the morsels it
+    /// claims (LFTJ's and Minesweeper's executors, the pairwise engines' two
+    /// intermediate buffers) and drops it when the run ends: nothing a worker
+    /// builds carries over to the next execution. The counters workers
+    /// accumulate are summed into [`RunStats::counters`].
     ///
     /// ```
     /// use graphjoin::{CatalogQuery, CountSink, Database, Engine, Graph};

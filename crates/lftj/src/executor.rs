@@ -40,6 +40,7 @@ impl<'a> LftjExecutor<'a> {
         let n = bq.num_vars();
         let participants: Vec<Vec<usize>> = (0..n).map(|pos| bq.atoms_at_gao_pos(pos)).collect();
         for (pos, parts) in participants.iter().enumerate() {
+            // gj-lint: allow(no-panic-in-engines) — binding rejects variables outside every atom, so only a hand-assembled BoundQuery reaches this
             assert!(
                 !parts.is_empty(),
                 "variable {} is not contained in any atom",

@@ -32,10 +32,9 @@ pub struct LeapfrogJoin {
 }
 
 impl LeapfrogJoin {
-    /// Creates a leapfrog join over the given participant iterator indices.
-    /// `participants` must be non-empty.
+    /// Creates a leapfrog join over the given participant iterator indices. A
+    /// join over no iterator is exhausted from [`init`](Self::init) on.
     pub fn new(participants: Vec<usize>) -> Self {
-        assert!(!participants.is_empty(), "leapfrog join needs at least one iterator");
         let keys = vec![0; participants.len()];
         LeapfrogJoin { participants, keys, p: 0, at_end: false, key: 0 }
     }
@@ -69,7 +68,7 @@ impl LeapfrogJoin {
     /// `leapfrog-init`: to be called when every participating iterator has just been
     /// opened at this level. Establishes the rotation order and finds the first match.
     pub fn init(&mut self, iters: &mut [TrieIterator<'_>]) {
-        if self.participants.iter().any(|&i| iters[i].at_end()) {
+        if self.participants.is_empty() || self.participants.iter().any(|&i| iters[i].at_end()) {
             self.at_end = true;
             return;
         }
@@ -106,9 +105,12 @@ impl LeapfrogJoin {
         }
     }
 
-    /// `leapfrog-next`: moves past the current match to the next one.
+    /// `leapfrog-next`: moves past the current match to the next one. An
+    /// exhausted join stays exhausted.
     pub fn next(&mut self, iters: &mut [TrieIterator<'_>]) {
-        assert!(!self.at_end, "next() on an exhausted leapfrog join");
+        if self.at_end {
+            return;
+        }
         let idx = self.participants[self.p];
         iters[idx].next();
         if iters[idx].at_end() {
@@ -120,10 +122,10 @@ impl LeapfrogJoin {
         }
     }
 
-    /// `leapfrog-seek`: moves to the first match with key `>= v`.
+    /// `leapfrog-seek`: moves to the first match with key `>= v`. An exhausted
+    /// join stays exhausted.
     pub fn seek(&mut self, v: Val, iters: &mut [TrieIterator<'_>]) {
-        assert!(!self.at_end, "seek() on an exhausted leapfrog join");
-        if self.key >= v {
+        if self.at_end || self.key >= v {
             return;
         }
         let idx = self.participants[self.p];
@@ -170,6 +172,25 @@ mod tests {
         let b: &[Val] = &[0, 2, 6, 7, 8, 9];
         let c: &[Val] = &[2, 4, 5, 8, 10];
         assert_eq!(intersect(&[a, b, c]), vec![8]);
+    }
+
+    #[test]
+    fn a_join_over_no_iterator_is_exhausted() {
+        assert_eq!(intersect(&[]), Vec::<Val>::new());
+    }
+
+    #[test]
+    fn an_exhausted_join_stays_exhausted() {
+        let index = TrieIndex::build_natural(&Relation::from_values(vec![1, 4]));
+        let mut iters = vec![index.iter()];
+        iters[0].open();
+        let mut lf = LeapfrogJoin::new(vec![0]);
+        lf.init(&mut iters);
+        lf.seek(5, &mut iters);
+        assert!(lf.at_end());
+        lf.next(&mut iters);
+        lf.seek(9, &mut iters);
+        assert!(lf.at_end(), "next/seek past the end keep the join exhausted");
     }
 
     #[test]

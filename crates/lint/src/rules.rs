@@ -74,7 +74,9 @@ fn skipped(file: &SourceFile, cfg: &RuleConfig, offset: usize) -> bool {
 pub struct NoPanicInEngines;
 
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
+/// `debug_assert!` and friends are not listed: release builds compile them out.
+const PANIC_MACROS: &[&str] =
+    &["panic", "todo", "unimplemented", "unreachable", "assert", "assert_eq", "assert_ne"];
 
 impl Rule for NoPanicInEngines {
     fn id(&self) -> &'static str {
@@ -82,7 +84,7 @@ impl Rule for NoPanicInEngines {
     }
 
     fn describe(&self) -> &'static str {
-        "no unwrap/expect/panic!/todo!/unimplemented!/unreachable! in engine production code — abort via typed ExecError instead"
+        "no unwrap/expect/panic!/todo!/unimplemented!/unreachable!/assert!/assert_eq!/assert_ne! in engine production code — abort via typed ExecError instead"
     }
 
     fn check(&self, file: &SourceFile, cfg: &RuleConfig, out: &mut Vec<Finding>) {

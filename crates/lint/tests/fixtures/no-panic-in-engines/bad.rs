@@ -17,10 +17,17 @@ fn more_macros(kind: u8) {
     }
 }
 
+fn asserts(a: usize, b: usize) {
+    assert!(a > 0, "need atoms"); //~ ERROR no-panic-in-engines
+    assert_eq!(a, b); //~ ERROR no-panic-in-engines
+    assert_ne!(a, 17); //~ ERROR no-panic-in-engines
+}
+
 #[cfg(test)]
 mod tests {
-    // Test code may unwrap freely: none of these fire.
+    // Test code may unwrap and assert freely: none of these fire.
     fn in_tests(x: Option<u32>) -> u32 {
+        assert_eq!(x, Some(1));
         x.unwrap() + x.expect("still fine")
     }
 }

@@ -225,8 +225,9 @@ impl BoundQuery {
     /// [`select_gao`] when `gao` is `None`), building every index into a private
     /// single-threaded cache.
     ///
-    /// Fails if a referenced relation is missing or has the wrong arity, or if the
-    /// GAO is not a permutation of the query's variables.
+    /// Fails if a referenced relation is missing or has the wrong arity, if a
+    /// variable occurs in no atom, or if the GAO is not a permutation of the
+    /// query's variables.
     pub fn new(
         instance: &Instance,
         query: &Query,
@@ -256,6 +257,12 @@ impl BoundQuery {
         threads: usize,
     ) -> Result<(Self, BindReport), String> {
         query.validate()?;
+        // A variable no atom ranges over (one named only by an order filter) has
+        // no finite answer set, and no trie level to search.
+        if let Some(v) = (0..query.num_vars()).find(|&v| !query.atoms.iter().any(|a| a.contains(v)))
+        {
+            return Err(format!("variable {} is not contained in any atom", query.var_names[v]));
+        }
         let gao = gao.unwrap_or_else(|| select_gao(query));
         if gao.len() != query.num_vars() {
             return Err(format!(

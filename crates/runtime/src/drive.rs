@@ -21,10 +21,7 @@
 //!
 //! When a worker's loop ends the driver reads its [`Counters`]
 //! ([`MorselSource::counters`]) and sums every worker's into the
-//! [`DriveReport`] — once, here, for every engine. Then one lifecycle hook ends
-//! the state: [`MorselSource::retire_worker`] receives it by value, the engine's
-//! chance to return expensive caches to a [`WorkerPool`](crate::WorkerPool) so
-//! the next execution of the same prepared plan starts warm instead of cold.
+//! [`DriveReport`] — once, here, for every engine — and drops the worker.
 //!
 //! # Fault tolerance
 //!
@@ -67,13 +64,8 @@ pub trait MorselSource: Sync {
     /// created once per worker thread and carried across every claimed morsel.
     type Worker;
 
-    /// Creates the state for one worker thread.
-    ///
-    /// Sources whose workers carry expensive caches should pull from a
-    /// [`WorkerPool`](crate::WorkerPool) here (and give the worker back in
-    /// [`retire_worker`](Self::retire_worker)), so the caches survive across
-    /// repeated executions of the same prepared plan, not just across the morsels
-    /// of one run.
+    /// Creates the state for one worker thread; it lives until the worker's loop
+    /// ends and is dropped with it.
     fn worker(&self) -> Self::Worker;
 
     /// The work counters this worker accumulated over the morsels it ran. The
@@ -82,14 +74,6 @@ pub trait MorselSource: Sync {
     fn counters(&self, _worker: &Self::Worker) -> Counters {
         Counters::default()
     }
-
-    /// Lifecycle hook: called by the driver exactly once per worker, when its loop
-    /// ends (no more morsels, or the run stopped early) and after its
-    /// [`counters`](Self::counters) were read. Receives the worker state by value
-    /// so the source can reclaim it — return the worker (with its warmed caches)
-    /// to a [`WorkerPool`](crate::WorkerPool) shared by later executions. The
-    /// default drops the worker.
-    fn retire_worker(&self, _worker: Self::Worker) {}
 
     /// Runs one morsel, emitting rows until exhaustion, until `emit` breaks, or
     /// until the engine's [`ExecWatch`](crate::ExecWatch) (derived from `ctx`)
@@ -366,9 +350,7 @@ fn worker_loop<S: MorselSource, K: ParallelSink, L: Lanes<K>>(
             break;
         }
     }
-    let counters = source.counters(&worker);
-    source.retire_worker(worker);
-    counters
+    source.counters(&worker)
 }
 
 /// [`worker_loop`] at the worker's panic boundary: a panic is recorded on the

@@ -26,13 +26,10 @@
 //! leapfrog intersection, `gj-minesweeper` restricts the CDS frontier; the runtime
 //! never needs to know how a search is actually performed.
 //!
-//! Per-worker engine state lives for the whole worker loop. When the loop ends
-//! the driver reads the worker's [`Counters`] ([`MorselSource::counters`]) and
-//! sums them into the run's [`DriveReport`], then hands the worker to one
-//! lifecycle hook, [`MorselSource::retire_worker`], which may park warmed caches
-//! in a [`WorkerPool`] embedded in the prepared plan so the *next* execution
-//! starts warm too — how the pairwise baselines keep their merge-join sort
-//! permutations across reruns.
+//! Per-worker engine state lives for the whole worker loop and ends with it:
+//! when the loop ends the driver reads the worker's [`Counters`]
+//! ([`MorselSource::counters`]), sums them into the run's [`DriveReport`] and
+//! drops the worker. Nothing an engine builds in a worker outlives one execution.
 //!
 //! Early termination propagates across workers: a sink that answers
 //! [`ControlFlow::Break`](std::ops::ControlFlow::Break) during the merge (`first_k`
@@ -81,7 +78,6 @@ pub mod counters;
 pub mod drive;
 pub mod exec;
 pub mod morsel;
-pub mod pool;
 pub mod psink;
 pub mod queue;
 pub mod sink;
@@ -94,7 +90,6 @@ pub use exec::{
     CHECK_STRIDE,
 };
 pub use morsel::{partition_first_attribute, partition_values, Morsel};
-pub use pool::WorkerPool;
 pub use psink::{Ordered, ParallelSink, ShardSink};
 pub use queue::JobQueue;
 pub use sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};

@@ -281,15 +281,6 @@ impl Relation {
         Self::from_parts(self.arity, values, self.max_value)
     }
 
-    /// Projects the relation onto the given columns (duplicates removed).
-    pub fn project(&self, cols: &[usize]) -> Relation {
-        let mut values = Vec::with_capacity(self.len * cols.len());
-        for r in self.iter() {
-            values.extend(cols.iter().map(|&c| r[c]));
-        }
-        Self::from_flat_unchecked(cols.len(), values)
-    }
-
     /// Iterates over the rows as zero-copy slices.
     pub fn iter(&self) -> impl Iterator<Item = &[Val]> {
         self.values.chunks_exact(self.arity)
@@ -398,8 +389,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one attribute")]
-    fn empty_projection_rejected() {
-        Relation::from_pairs(vec![(1, 2)]).project(&[]);
+    fn zero_arity_rejected() {
+        Relation::from_flat(0, Vec::new());
     }
 
     #[test]
@@ -424,13 +415,6 @@ mod tests {
         let r = Relation::from_pairs(vec![(1, 10), (2, 5)]);
         let p = r.permute(&[1, 0]);
         assert_eq!(p.to_rows(), vec![vec![5, 2], vec![10, 1]]);
-    }
-
-    #[test]
-    fn project_removes_duplicates() {
-        let r = Relation::from_pairs(vec![(1, 10), (1, 20), (2, 10)]);
-        let p = r.project(&[0]);
-        assert_eq!(p.to_rows(), vec![vec![1], vec![2]]);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   run is the one-worker drive, so the driver-level sites (morsel claim, shard
 //!   merge) exist there too;
 //! * after the fault, the *same* `PreparedQuery` (same plan, same shared index
-//!   cache, same worker pool) re-executes cleanly and byte-identically to a
-//!   fresh database;
+//!   cache) re-executes cleanly and byte-identically to a fresh database;
 //! * abort reasons agree between the serial and the parallel execution paths;
 //! * cancellation is observed within a bounded latency even when morsel claims
 //!   are artificially slowed.
@@ -120,7 +119,7 @@ fn injected_faults_yield_typed_errors_or_exact_answers_and_clean_reruns() {
                         Err(other) => panic!("untyped failure {other} under fault: {tag}"),
                     }
                     // Post-fault reuse: the same prepared query, a clean budget,
-                    // the exact answer — pool and cache survived the fault.
+                    // the exact answer — plan and cache survived the fault.
                     assert_eq!(
                         prepared.try_par_count(threads, &QueryBudget::new()).unwrap(),
                         expected,
@@ -178,7 +177,7 @@ fn post_fault_reexecution_is_byte_identical_to_a_fresh_database() {
             "{}: {err}",
             engine.label()
         );
-        // Same prepared query, same cache, same pool: the rows must be the
+        // Same prepared query, same plan, same cache: the rows must be the
         // reference rows, byte for byte.
         assert_eq!(prepared.collect().unwrap(), reference, "{}", engine.label());
     }

@@ -226,12 +226,10 @@ fn fifty_random_queries_agree_across_engines_and_thread_counts() {
 /// corpus's seed stream; smaller because every case runs each engine 3 × 2 ways).
 const RERUN_CASES: u64 = 12;
 
-/// Repeated executions of one `PreparedQuery` reuse worker state — Minesweeper
-/// carries CDS constraints across morsels, the pairwise engines pool their
-/// buffers and merge-join left sort permutations across whole executions — so the
-/// second and third runs exercise warm caches the first run populated. Every warm
-/// run must be byte-identical to the cold one, at one and at four threads, for
-/// count, collect and first_k alike.
+/// Repeated executions of one `PreparedQuery` share its plan and the database's
+/// index cache; per-worker engine state starts fresh every run. Every rerun
+/// must be byte-identical to the first, at one and at four threads, for count,
+/// collect and first_k alike.
 #[test]
 fn repeated_executions_serve_warm_caches_without_drift() {
     for case in 0..RERUN_CASES {
@@ -322,8 +320,8 @@ fn pairwise_budget_aborts_streamed_and_parallel_runs() {
         budget_err(tight.count(), "serial streamed-row budget");
         // (b) Parallel: no single worker exceeds the budget, the aggregate does.
         budget_err(tight.par_count(4), "parallel aggregated budget");
-        // (c) Warm reruns (pooled workers, cached permutations) abort identically:
-        // the budget ledger is per-execution, the caches are not a loophole.
+        // (c) Reruns of the same plan abort identically: the budget ledger is
+        // per-execution.
         budget_err(tight.count(), "warm serial budget rerun");
         budget_err(tight.par_count(4), "warm parallel budget rerun");
 
