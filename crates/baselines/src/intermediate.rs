@@ -152,14 +152,25 @@ impl Intermediate {
     /// ties broken by row index (a stable key sort). Sorting never touches the
     /// buffer — consumers read `row(perm[k])`.
     pub fn sort_perm(&self, key_cols: &[usize]) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        if key_cols.is_empty() {
-            return order;
+        match *key_cols {
+            [] => (0..self.len() as u32).collect(),
+            // One key column: sort extracted `(key, row)` pairs, which order exactly
+            // as the comparator below does, without re-slicing two rows per
+            // comparison.
+            [col] => {
+                let mut pairs: Vec<(Val, u32)> =
+                    self.buf.chunks_exact(self.width).map(|row| row[col]).zip(0..).collect();
+                pairs.sort_unstable();
+                pairs.into_iter().map(|(_, row)| row).collect()
+            }
+            _ => {
+                let mut order: Vec<u32> = (0..self.len() as u32).collect();
+                order.sort_unstable_by(|&a, &b| {
+                    self.cmp_keys(a as usize, self, b as usize, key_cols, key_cols).then(a.cmp(&b))
+                });
+                order
+            }
         }
-        order.sort_unstable_by(|&a, &b| {
-            self.cmp_keys(a as usize, self, b as usize, key_cols, key_cols).then(a.cmp(&b))
-        });
-        order
     }
 
     /// Compares the key of `self.row(i)` (under `self_cols`) with the key of
@@ -587,6 +598,23 @@ mod tests {
         assert_eq!(inter.sort_perm(&[0]), vec![1, 3, 0, 2]);
         // The empty key is the identity (cartesian runs keep stored order).
         assert_eq!(inter.sort_perm(&[]), vec![0, 1, 2, 3]);
+    }
+
+    /// The single-column fast path yields the comparator's permutation: the key
+    /// order, ties by row index.
+    #[test]
+    fn single_key_sort_perm_matches_the_comparator_on_duplicate_keys() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let values: Vec<Val> = (0..3 * 500).map(|_| rng.gen_range(0..40)).collect();
+        let inter = r(&[0, 1, 2], &values);
+        for col in 0..3 {
+            let mut expected: Vec<u32> = (0..inter.len() as u32).collect();
+            expected.sort_by(|&a, &b| {
+                inter.cmp_keys(a as usize, &inter, b as usize, &[col], &[col]).then(a.cmp(&b))
+            });
+            assert_eq!(inter.sort_perm(&[col]), expected, "column {col}");
+        }
     }
 
     #[test]

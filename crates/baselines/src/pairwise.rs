@@ -100,9 +100,13 @@ pub enum BaselineError {
     /// variable that occurs in no atom) — rejected as a typed error rather than
     /// panicking mid-plan.
     UncoveredVariable(usize),
-    /// The query has no atom, or more than the pairwise planner's subset DP
-    /// handles; the allowed range is `1..=16`.
+    /// The query has more atoms than the pairwise planner's subset DP handles;
+    /// the allowed range is `1..=16`.
     UnsupportedAtomCount(usize),
+    /// The query does not fit the instance or is malformed (an atom's arity
+    /// differs from its relation's, a query without atoms, …); the message is
+    /// [`Instance::validate_query`]'s.
+    InvalidQuery(String),
 }
 
 impl std::fmt::Display for BaselineError {
@@ -118,6 +122,7 @@ impl std::fmt::Display for BaselineError {
             BaselineError::UnsupportedAtomCount(atoms) => {
                 write!(f, "the pairwise planner supports 1..={MAX_ATOMS} atoms, not {atoms}")
             }
+            BaselineError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
         }
     }
 }
@@ -160,20 +165,18 @@ impl PairwisePlan {
     ///
     /// # Errors
     ///
-    /// [`BaselineError::UnsupportedAtomCount`] for a query with no atom or more
-    /// than 16, [`BaselineError::MissingRelation`] for an atom over an unknown
-    /// relation, and [`BaselineError::UncoveredVariable`] for a query variable
-    /// that occurs in no atom.
+    /// [`BaselineError::MissingRelation`] for an atom over an unknown relation,
+    /// [`BaselineError::InvalidQuery`] for a query that
+    /// [`Instance::validate_query`] rejects (no atom, an atom whose arity differs
+    /// from its relation's, …), [`BaselineError::UnsupportedAtomCount`] for more
+    /// than 16 atoms, and [`BaselineError::UncoveredVariable`] for a query
+    /// variable that occurs in no atom.
     pub fn new(
         instance: &Instance,
         query: &Query,
         algo: JoinAlgo,
         limits: ExecLimits,
     ) -> Result<Self, BaselineError> {
-        let atoms = query.num_atoms();
-        if !(1..=MAX_ATOMS).contains(&atoms) {
-            return Err(BaselineError::UnsupportedAtomCount(atoms));
-        }
         let relations: Vec<&Relation> = query
             .atoms
             .iter()
@@ -183,6 +186,11 @@ impl PairwisePlan {
                     .ok_or_else(|| BaselineError::MissingRelation(a.relation.clone()))
             })
             .collect::<Result<_, _>>()?;
+        instance.validate_query(query).map_err(BaselineError::InvalidQuery)?;
+        let atoms = query.num_atoms();
+        if atoms > MAX_ATOMS {
+            return Err(BaselineError::UnsupportedAtomCount(atoms));
+        }
 
         let order = plan_left_deep(query, &relations);
         let first = order[0];
@@ -602,7 +610,7 @@ mod tests {
     #[test]
     fn atom_counts_outside_the_planner_range_are_typed_errors() {
         // A 17-atom path over a 20-row chain has 4 answers, but the subset DP
-        // plans at most 16 atoms; a query without atoms has nothing to plan.
+        // plans at most 16 atoms.
         let mut inst = Instance::new();
         inst.add_relation("r", Relation::from_pairs((0..20).map(|i| (i, i + 1))));
         let vars: Vec<String> = (0..18).map(|i| format!("x{i}")).collect();
@@ -610,16 +618,31 @@ mod tests {
             .windows(2)
             .fold(QueryBuilder::new("17-path"), |q, w| q.atom("r", &[&w[0], &w[1]]))
             .build();
-        let empty = QueryBuilder::new("empty").build();
         for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
-            for (q, atoms) in [(&long, 17), (&empty, 0)] {
-                let err = PairwisePlan::new(&inst, q, algo, ExecLimits::default()).unwrap_err();
-                assert_eq!(err, BaselineError::UnsupportedAtomCount(atoms), "{algo:?}");
-                assert_eq!(
-                    err.to_string(),
-                    format!("the pairwise planner supports 1..=16 atoms, not {atoms}")
-                );
-            }
+            let err = PairwisePlan::new(&inst, &long, algo, ExecLimits::default()).unwrap_err();
+            assert_eq!(err, BaselineError::UnsupportedAtomCount(17), "{algo:?}");
+            assert_eq!(err.to_string(), "the pairwise planner supports 1..=16 atoms, not 17");
+        }
+    }
+
+    /// An atom whose arity differs from its relation's is rejected before
+    /// planning: the planner's distinct-count estimates would index a column the
+    /// relation does not have.
+    #[test]
+    fn an_atom_of_the_wrong_arity_is_a_typed_error() {
+        let mut inst = Instance::new();
+        inst.add_relation("r", Relation::from_values(0..5));
+        let q = QueryBuilder::new("too-wide").atom("r", &["a", "b"]).build();
+        let expected = BaselineError::InvalidQuery(
+            "relation r has arity 1 but the atom uses 2 variables".to_string(),
+        );
+        for algo in [JoinAlgo::Hash, JoinAlgo::SortMerge] {
+            let plan = PairwisePlan::new(&inst, &q, algo, ExecLimits::default());
+            assert_eq!(plan.err(), Some(expected.clone()));
+            assert_eq!(
+                pairwise_count(&inst, &q, algo, &ExecLimits::default()),
+                Err(expected.clone())
+            );
         }
     }
 

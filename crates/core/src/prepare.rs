@@ -331,6 +331,9 @@ impl<'db> PreparedQuery<'db> {
         gao: Option<Vec<VarId>>,
     ) -> Result<Self, EngineError> {
         let start = Instant::now();
+        // One structural check for every engine, so each rejects a malformed query
+        // (no atom, a repeated variable, …) with the same typed error.
+        query.validate().map_err(EngineError::Bind)?;
         let threads = db.prepare_threads();
         let cache = db.cache();
         let bind = |gao| {

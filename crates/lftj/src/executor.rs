@@ -1,26 +1,89 @@
 //! The LeapFrog TrieJoin executor (Algorithm 1 of the paper, iterator formulation).
 //!
 //! For each variable in the GAO, the executor opens the trie iterators of every atom
-//! containing that variable, intersects their value lists with
-//! [`LeapfrogJoin`], and recurses on each match; the
-//! recursion bottoming out at the last variable yields an output tuple.
+//! containing that variable, intersects their value lists by leapfrogging, and
+//! recurses on each match; the recursion bottoming out at the last variable yields
+//! an output tuple.
+//!
+//! The intersection is one loop over a cursor per participant. Over a solid index
+//! the cursor is its open level as a slice ([`TrieIterator::solid_level`]): it
+//! seeks inline, steps past a match by moving its position, and hands the position
+//! back to the iterator only before the search descends. Over a delta-carrying
+//! index the cursor is the iterator. The cursor buffers are allocated once, in
+//! [`LftjExecutor::new`], so a warm executor searches without touching the heap.
 //!
 //! Order filters (`x < y`, used by the clique/cycle queries to report each pattern
-//! once) are pushed into the search: the filter's lower bound is applied with a
-//! leapfrog `seek`, and its upper bound truncates the scan of the current level.
+//! once) are pushed into the search: the loop starts at the filters' lower bound
+//! and stops at their upper bound; at the root, the morsel range bounds it the same
+//! way.
 
-use crate::leapfrog::LeapfrogJoin;
+use crate::leapfrog::seek;
 use gj_query::BoundQuery;
 use gj_runtime::{Counters, ExecCtx, ExecWatch, Morsel};
-use gj_storage::{TrieIterator, Val};
+use gj_storage::{TrieIterator, Val, NEG_INF, POS_INF};
 use std::ops::ControlFlow;
+
+/// One participant of the intersection at one GAO position: a solid index's open
+/// level as a slice (cut at the node's last child) plus a position in it, or, with
+/// `level` `None`, a delta-carrying index's iterator, which seeks itself.
+#[derive(Debug, Clone, Copy)]
+struct Cursor<'a> {
+    atom: usize,
+    level: Option<&'a [Val]>,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Opens the atom's next level at its first key; `false` if the level is empty.
+    fn open(&mut self, iters: &mut [TrieIterator<'a>]) -> bool {
+        let it = &mut iters[self.atom];
+        it.open();
+        self.level = it.solid_level().map(|(values, pos)| {
+            self.pos = pos;
+            values
+        });
+        !it.at_end()
+    }
+
+    /// Moves to the least key `>= v`; `None` once exhausted.
+    #[inline]
+    fn seek(&mut self, iters: &mut [TrieIterator<'a>], v: Val) -> Option<Val> {
+        if let Some(values) = self.level {
+            self.pos = seek(values, self.pos, v);
+            return values.get(self.pos).copied();
+        }
+        let it = &mut iters[self.atom];
+        it.seek(v);
+        (!it.at_end()).then(|| it.key())
+    }
+
+    /// Moves past the current key; `None` once exhausted.
+    #[inline]
+    fn next(&mut self, iters: &mut [TrieIterator<'a>]) -> Option<Val> {
+        if let Some(values) = self.level {
+            self.pos += 1;
+            return values.get(self.pos).copied();
+        }
+        let it = &mut iters[self.atom];
+        it.next();
+        (!it.at_end()).then(|| it.key())
+    }
+
+    /// Hands a solid position back to the iterator, so `open` descends from it.
+    #[inline]
+    fn sync(&self, iters: &mut [TrieIterator<'a>]) {
+        if self.level.is_some() {
+            iters[self.atom].set_solid_pos(self.pos);
+        }
+    }
+}
 
 /// LeapFrog TrieJoin executor over a [`BoundQuery`].
 pub struct LftjExecutor<'a> {
-    bq: &'a BoundQuery,
     iters: Vec<TrieIterator<'a>>,
-    /// Per GAO position: indices of the atoms whose iterator participates.
-    participants: Vec<Vec<usize>>,
+    /// Per GAO position: a cursor per participating atom. A search takes its
+    /// level's buffer out and puts it back, so every search reuses it.
+    cursors: Vec<Vec<Cursor<'a>>>,
     /// Per GAO position: filters `(earlier_gao_pos, earlier_is_smaller)`.
     filters: Vec<Vec<(usize, bool)>>,
     binding: Vec<Val>,
@@ -38,8 +101,13 @@ impl<'a> LftjExecutor<'a> {
     /// well-defined finite answer).
     pub fn new(bq: &'a BoundQuery) -> Self {
         let n = bq.num_vars();
-        let participants: Vec<Vec<usize>> = (0..n).map(|pos| bq.atoms_at_gao_pos(pos)).collect();
-        for (pos, parts) in participants.iter().enumerate() {
+        let cursors: Vec<Vec<Cursor<'a>>> = (0..n)
+            .map(|pos| {
+                let atoms = bq.atoms_at_gao_pos(pos).into_iter();
+                atoms.map(|atom| Cursor { atom, level: None, pos: 0 }).collect()
+            })
+            .collect();
+        for (pos, parts) in cursors.iter().enumerate() {
             // gj-lint: allow(no-panic-in-engines) — binding rejects variables outside every atom, so only a hand-assembled BoundQuery reaches this
             assert!(
                 !parts.is_empty(),
@@ -49,9 +117,8 @@ impl<'a> LftjExecutor<'a> {
         }
         let iters = bq.atoms.iter().map(|a| a.index.iter()).collect();
         LftjExecutor {
-            bq,
             iters,
-            participants,
+            cursors,
             filters: bq.filters_by_gao_pos(),
             binding: vec![0; n],
             stats: Counters::default(),
@@ -76,11 +143,11 @@ impl<'a> LftjExecutor<'a> {
     ///
     /// The executor is **not consumed** — the per-worker reuse primitive of the
     /// parallel runtime: a worker builds one executor and runs every morsel it
-    /// claims on it. The trie iterators, participant lists, and filter tables are
-    /// carried across calls (a completed or early-terminated search always rewinds
-    /// its iterators back to the root), and only the counters are reset per
-    /// range, so the result is identical to a fresh executor's over the same
-    /// range. The search polls `ctx` once per explored binding (at the coarse
+    /// claims on it. The trie iterators, per-depth cursor buffers, and filter
+    /// tables are carried across calls (a completed or early-terminated search
+    /// always rewinds its iterators back to the root), so a warm call allocates
+    /// nothing, and only the counters are reset per range, so the result is
+    /// identical to a fresh executor's over the same range. The search polls `ctx` once per explored binding (at the coarse
     /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE)) and unwinds cleanly when a
     /// cancel, deadline, or stop flag trips — the caller learns the reason from
     /// the context's monitor.
@@ -104,18 +171,16 @@ impl<'a> LftjExecutor<'a> {
         emit: &mut F,
     ) -> Counters {
         self.stats = Counters::default();
-        if self.bq.num_vars() > 0 {
-            let mut watch = ctx.watch();
-            // The watched and unwatched searches are separate monomorphisations:
-            // the per-binding `tick()` is cheap but the leapfrog inner loop is
-            // cheaper still, so unmonitored runs (the one-worker drive under a
-            // budget that cannot trip) must not pay even that branch.
-            let _ = if watch.is_inert() {
-                self.search::<F, false>(0, &mut watch, emit)
-            } else {
-                self.search::<F, true>(0, &mut watch, emit)
-            };
-        }
+        let mut watch = ctx.watch();
+        // The watched and unwatched searches are separate monomorphisations: the
+        // per-binding `tick()` is cheap but the leapfrog inner loop is cheaper
+        // still, so unmonitored runs (the one-worker drive under a budget that
+        // cannot trip) must not pay even that branch.
+        let _ = if watch.is_inert() {
+            self.search::<F, false>(0, &mut watch, emit)
+        } else {
+            self.search::<F, true>(0, &mut watch, emit)
+        };
         self.stats
     }
 
@@ -125,73 +190,96 @@ impl<'a> LftjExecutor<'a> {
         self.execute(&ExecCtx::none(), &mut |_| ControlFlow::Continue(())).results
     }
 
-    /// Recursive triejoin over GAO positions `depth..n`. Propagates the emitter's
-    /// `Break` up through every recursion level, so a stopped search unwinds without
-    /// visiting any further binding; a tripped `watch` unwinds the same way.
+    /// Recursive triejoin over GAO positions `depth..n`: opens the level, leapfrogs
+    /// over it and closes it again. An emitter's `Break` or a tripped `watch`
+    /// unwinds through every level without visiting any further binding.
     fn search<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool>(
         &mut self,
         depth: usize,
         watch: &mut ExecWatch<'_>,
         emit: &mut F,
     ) -> ControlFlow<()> {
-        let parts = self.participants[depth].clone();
-        for &i in &parts {
-            self.iters[i].open();
+        let mut cursors = std::mem::take(&mut self.cursors[depth]);
+        let mut nonempty = true;
+        for c in &mut cursors {
+            nonempty &= c.open(&mut self.iters);
         }
-
-        let mut lf = LeapfrogJoin::new(parts.clone());
-        lf.init(&mut self.iters);
-
-        // Bounds induced by the order filters whose later variable sits at `depth`,
-        // seeded at the root level with the morsel range restriction.
-        let mut lower: Option<Val> = None;
-        let mut upper: Option<Val> = None;
-        if depth == 0 {
-            lower = Some(self.range0.lo);
-            upper = Some(self.range0.hi);
+        let flow = if nonempty {
+            self.leapfrog::<F, WATCHED>(depth, &mut cursors, watch, emit)
+        } else {
+            ControlFlow::Continue(())
+        };
+        for c in &cursors {
+            self.iters[c.atom].up();
         }
+        self.cursors[depth] = cursors;
+        flow
+    }
+
+    /// The leapfrog loop over opened, non-empty cursors: seeks them in rotation to
+    /// the largest key seen; a key all of them agree on is a match, explored within
+    /// the bounds of the order filters (at the root, of the morsel range).
+    #[inline]
+    fn leapfrog<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool>(
+        &mut self,
+        depth: usize,
+        cursors: &mut [Cursor<'a>],
+        watch: &mut ExecWatch<'_>,
+        emit: &mut F,
+    ) -> ControlFlow<()> {
+        let (mut lower, mut upper) =
+            if depth == 0 { (self.range0.lo, self.range0.hi) } else { (NEG_INF, POS_INF) };
         for &(earlier_pos, earlier_is_smaller) in &self.filters[depth] {
             let bound = self.binding[earlier_pos];
             if earlier_is_smaller {
-                lower = Some(lower.map_or(bound + 1, |l: Val| l.max(bound + 1)));
+                lower = lower.max(bound + 1);
             } else {
-                upper = Some(upper.map_or(bound, |u: Val| u.min(bound)));
+                upper = upper.min(bound);
             }
         }
-        if let (Some(lb), false) = (lower, lf.at_end()) {
-            lf.seek(lb, &mut self.iters);
+        if lower >= upper {
+            return ControlFlow::Continue(());
         }
-
-        let mut flow = ControlFlow::Continue(());
-        while !lf.at_end() {
-            let v = lf.key();
-            if let Some(ub) = upper {
-                if v >= ub {
-                    break;
+        let last = depth + 1 == self.cursors.len();
+        let k = cursors.len();
+        // `agreed` cursors in a row, ending just before `i`, sit at `target`.
+        let (mut target, mut agreed, mut i) = (lower, 0, 0);
+        loop {
+            if agreed == k {
+                self.binding[depth] = target;
+                self.stats.bindings_explored += 1;
+                if WATCHED && watch.tick() {
+                    return ControlFlow::Break(());
+                }
+                let flow = if last {
+                    self.stats.results += 1;
+                    emit(&self.binding)
+                } else {
+                    for c in cursors.iter() {
+                        c.sync(&mut self.iters);
+                    }
+                    self.search::<F, WATCHED>(depth + 1, watch, emit)
+                };
+                if flow.is_break() {
+                    return flow;
+                }
+                match cursors[i].next(&mut self.iters) {
+                    Some(key) if key < upper => target = key,
+                    _ => return ControlFlow::Continue(()),
+                }
+                agreed = 1;
+            } else {
+                match cursors[i].seek(&mut self.iters, target) {
+                    Some(key) if key == target => agreed += 1,
+                    Some(key) if key < upper => {
+                        target = key;
+                        agreed = 1;
+                    }
+                    _ => return ControlFlow::Continue(()),
                 }
             }
-            self.binding[depth] = v;
-            self.stats.bindings_explored += 1;
-            if WATCHED && watch.tick() {
-                flow = ControlFlow::Break(());
-                break;
-            }
-            if depth + 1 == self.bq.num_vars() {
-                self.stats.results += 1;
-                flow = emit(&self.binding);
-            } else {
-                flow = self.search::<F, WATCHED>(depth + 1, watch, emit);
-            }
-            if flow.is_break() {
-                break;
-            }
-            lf.next(&mut self.iters);
+            i = if i + 1 == k { 0 } else { i + 1 };
         }
-
-        for &i in &parts {
-            self.iters[i].up();
-        }
-        flow
     }
 }
 

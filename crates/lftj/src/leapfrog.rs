@@ -1,17 +1,44 @@
-//! Unary leapfrog intersection.
+//! Unary leapfrog intersection and its seek kernel.
 //!
 //! The heart of LeapFrog TrieJoin: given `k` trie iterators positioned at the same
 //! trie level, enumerate the intersection of their (sorted) value lists by repeatedly
 //! seeking the iterator with the smallest key to the current maximum key — each miss
 //! "leapfrogs" over a swath of values that cannot participate in the join.
 //!
-//! The iterators themselves live in the executor (one per atom); [`LeapfrogJoin`]
-//! only stores which iterators participate at this level and the rotation state, and
-//! receives the iterator storage as an argument on every call. That keeps the borrow
-//! structure simple while matching the classic presentation (leapfrog-init /
-//! leapfrog-search / leapfrog-next / leapfrog-seek).
+//! `seek` is the kernel of both leapfrogs in this crate: over a solid level
+//! ([`TrieIterator::solid_level`]) it gallops forward from the position, then
+//! binary-searches. The executor's loop runs it on its own slice cursors
+//! ([`executor`](crate::executor)); [`LeapfrogJoin`], the classic presentation
+//! over an iterator vector, routes each solid iterator's seek through it.
 
 use gj_storage::{TrieIterator, Val};
+
+/// The first position `>= pos` of the sorted `values` holding a value `>= v`, or
+/// `values.len()`. Gallops in doubling steps, then binary-searches the bracket, so
+/// a jump of `d` positions costs `O(log d)`.
+#[inline]
+pub(crate) fn seek(values: &[Val], pos: usize, v: Val) -> usize {
+    if values.get(pos).is_none_or(|&x| x >= v) {
+        return pos;
+    }
+    // Invariant: values[lo] < v; the answer lies in lo + 1 ..= hi.
+    let (mut lo, mut hi, mut step) = (pos, pos + 1, 1);
+    while hi < values.len() && values[hi] < v {
+        lo = hi;
+        step *= 2;
+        hi = (lo + step).min(values.len());
+    }
+    lo + 1 + values[lo + 1..hi].partition_point(|&x| x < v)
+}
+
+/// Seeks `it` to its least key `>= v`, through [`seek`] over a solid level.
+#[inline]
+fn seek_iter(it: &mut TrieIterator<'_>, v: Val) {
+    match it.solid_level() {
+        Some((values, pos)) => it.set_solid_pos(seek(values, pos, v)),
+        None => it.seek(v),
+    }
+}
 
 /// Leapfrog intersection state over a subset of the executor's trie iterators.
 #[derive(Debug, Clone)]
@@ -94,7 +121,7 @@ impl LeapfrogJoin {
                 return;
             }
             let idx = self.participants[self.p];
-            iters[idx].seek(max_key);
+            seek_iter(&mut iters[idx], max_key);
             if iters[idx].at_end() {
                 self.at_end = true;
                 return;
@@ -129,7 +156,7 @@ impl LeapfrogJoin {
             return;
         }
         let idx = self.participants[self.p];
-        iters[idx].seek(v);
+        seek_iter(&mut iters[idx], v);
         if iters[idx].at_end() {
             self.at_end = true;
         } else {
@@ -163,6 +190,70 @@ mod tests {
             lf.next(&mut iters);
         }
         out
+    }
+
+    /// The kernel's contract, stated as a linear scan.
+    fn reference_seek(values: &[Val], pos: usize, v: Val) -> usize {
+        (pos..values.len()).find(|&i| values[i] >= v).unwrap_or(values.len())
+    }
+
+    #[test]
+    fn seek_below_the_position_stays_put() {
+        let values: &[Val] = &[1, 3, 5, 7];
+        assert_eq!(seek(values, 2, 2), 2);
+        assert_eq!(seek(values, 2, 5), 2);
+        assert_eq!(seek(values, 0, Val::MIN), 0);
+    }
+
+    #[test]
+    fn seek_past_the_end_exhausts() {
+        let values: &[Val] = &[1, 3, 5, 7];
+        assert_eq!(seek(values, 0, 8), 4);
+        assert_eq!(seek(values, 3, 100), 4);
+        assert_eq!(seek(values, 4, 0), 4, "an exhausted cursor stays exhausted");
+        assert_eq!(seek(&[], 0, 1), 0);
+    }
+
+    #[test]
+    fn seek_finds_the_last_element() {
+        let values: &[Val] = &[1, 3, 5, 7];
+        assert_eq!(seek(values, 0, 7), 3);
+        assert_eq!(seek(values, 0, 6), 3);
+        assert_eq!(seek(values, 3, 7), 3);
+    }
+
+    #[test]
+    fn seek_agrees_with_a_scan_over_long_gallops() {
+        let values: Vec<Val> = (0..5_000).map(|x| 3 * x + x % 2).collect();
+        for pos in [0, 1, 7, 100, 2_500, 4_998, 4_999, 5_000] {
+            for v in [-1, 0, 2, 31, 32, 4_000, 14_997, 14_998, 14_999, 15_000, 20_000] {
+                assert_eq!(
+                    seek(&values, pos, v),
+                    reference_seek(&values, pos, v),
+                    "pos {pos} v {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_join_seeks_a_delta_carrying_iterator_through_its_own_seek() {
+        let solid = TrieIndex::build_natural(&Relation::from_values(vec![1, 2, 4, 6, 8]));
+        let base = TrieIndex::build_natural(&Relation::from_values(vec![2, 3, 6, 7]));
+        let merged =
+            base.with_edits(&Relation::from_values(vec![8]), &Relation::from_values(vec![6]));
+        let mut iters = vec![solid.iter(), merged.iter()];
+        for it in &mut iters {
+            it.open();
+        }
+        let mut lf = LeapfrogJoin::new(vec![0, 1]);
+        lf.init(&mut iters);
+        let mut out = Vec::new();
+        while !lf.at_end() {
+            out.push(lf.key());
+            lf.next(&mut iters);
+        }
+        assert_eq!(out, vec![2, 8], "6 is tombstoned, 8 is inserted");
     }
 
     #[test]

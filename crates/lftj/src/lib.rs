@@ -12,6 +12,11 @@
 //! worst-case optimal — which is what lets it avoid the exploding intermediate
 //! results that pairwise (Selinger-style) plans materialise on cyclic graph patterns.
 //!
+//! Each level's intersection is one leapfrog loop over a cursor per atom: a solid
+//! trie's open level as a slice plus a position, or a delta-carrying trie's
+//! iterator. A warm search allocates nothing. [`LeapfrogJoin`] keeps the classic
+//! iterator-vector presentation on the same seek kernel.
+//!
 //! The public entry points are [`LftjExecutor`], [`count`] and [`enumerate`]; all of
 //! them consume a [`BoundQuery`](gj_query::BoundQuery) (query + GAO + GAO-consistent
 //! trie indexes) from `gj-query`. The executor has one way to run,

@@ -10,7 +10,7 @@
 //!
 //! Per-worker state mirrors Minesweeper's `MsWorker` pattern: each worker thread
 //! builds **one** [`LftjExecutor`] and carries it
-//! across every morsel it claims — the trie iterators, cached participant lists
+//! across every morsel it claims — the trie iterators, per-depth cursor buffers
 //! and filter tables are reused instead of being rebuilt per job — plus the
 //! variable-order scratch row. An ablation test below checks that the reused
 //! executor is behaviourally identical (same rows, same per-morsel result and

@@ -1,0 +1,142 @@
+//! Allocation guard for the LFTJ search: the executor allocates its per-depth
+//! cursor buffers once, in `LftjExecutor::new`, and every search reuses them, so a
+//! *second* `run_range_ctx` on one executor — over solid tries or over tries that
+//! carry a delta layer — must not touch the heap at all.
+
+use gj_lftj::LftjExecutor;
+use gj_query::{BoundQuery, CatalogQuery, Instance, Query};
+use gj_runtime::{Counters, ExecCtx, Morsel};
+use gj_storage::{Graph, Relation, Val};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::ops::ControlFlow;
+use std::sync::Arc;
+
+thread_local! {
+    /// Heap acquisitions (`alloc` + `realloc`) made by this thread. Per thread, so
+    /// the test harness's own threads do not leak into the measurement.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator outlives thread-local teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised `Cell<u64>` with no
+// destructor, so touching it never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: same contract as `System.alloc`, which receives `layout` as is.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: same contract as `System.dealloc`: `ptr` was handed out by `System`
+    // through this allocator with this `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: same contract as `System.realloc`: `ptr` was handed out by `System`
+    // through this allocator with this `layout`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn random_edges(seed: u64, n: u32, p: f64) -> Relation {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let edges: Vec<(u32, u32)> =
+        (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).filter(|_| rng.gen_bool(p)).collect();
+    Graph::new_undirected(n as usize, edges).edge_relation()
+}
+
+fn edge_instance(edge: Relation) -> Instance {
+    let mut inst = Instance::new();
+    inst.add_relation("edge", edge);
+    inst
+}
+
+/// Runs `bq` twice on one executor and returns the second run's counters with the
+/// allocations it made.
+fn warm_run(bq: &BoundQuery) -> (Counters, u64) {
+    let mut exec = LftjExecutor::new(bq);
+    let all = Morsel::whole_axis();
+    let mut run =
+        || exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()));
+    let cold = run();
+    let before = ALLOCATIONS.with(Cell::get);
+    let warm = run();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
+    assert!(warm.results > 0, "vacuous: the query has no answer");
+    (warm, allocations)
+}
+
+fn assert_warm_run_allocates_nothing(bq: &BoundQuery) {
+    let (warm, allocations) = warm_run(bq);
+    assert_eq!(
+        allocations, 0,
+        "{}: a warm run of {} bindings allocated {allocations} times",
+        bq.query.name, warm.bindings_explored
+    );
+}
+
+fn bound(inst: &Instance, query: &Query) -> BoundQuery {
+    BoundQuery::new(inst, query, None).unwrap()
+}
+
+#[test]
+fn a_warm_executor_allocates_nothing_on_the_3_clique() {
+    let inst = edge_instance(random_edges(7, 120, 0.08));
+    assert_warm_run_allocates_nothing(&bound(&inst, &CatalogQuery::ThreeClique.query()));
+}
+
+#[test]
+fn a_warm_executor_allocates_nothing_on_the_4_cycle() {
+    let inst = edge_instance(random_edges(8, 120, 0.06));
+    assert_warm_run_allocates_nothing(&bound(&inst, &CatalogQuery::FourCycle.query()));
+}
+
+/// Every atom's index carries a delta layer: the edge rows whose endpoints sum to
+/// a multiple of 5 live only in the insert trie, and three rows between live
+/// nodes sit in the base under tombstones (live endpoints, so no trie level shows
+/// a key whose whole subtree is deleted). The merged iterators seek themselves;
+/// the counters match the solid run and the warm run still allocates nothing.
+#[test]
+fn a_warm_executor_allocates_nothing_over_delta_carrying_indexes() {
+    let live = random_edges(9, 120, 0.08);
+    let ins = Relation::from_rows(
+        2,
+        live.iter().filter(|r| (r[0] + r[1]) % 5 == 0).map(<[_]>::to_vec).collect(),
+    );
+    let nodes: BTreeSet<Val> = live.iter().map(|r| r[0]).collect();
+    let absent = nodes
+        .iter()
+        .flat_map(|&x| nodes.iter().map(move |&y| (x, y)))
+        .filter(|&(x, y)| x != y && !live.contains(&[x, y]));
+    let del = Relation::from_pairs(absent.take(3));
+    let base = live.with_edits(&del, &ins);
+    let query = CatalogQuery::ThreeClique.query();
+    let solid = bound(&edge_instance(live), &query);
+    let mut delta = BoundQuery::new(&edge_instance(base), &query, Some(solid.gao.clone())).unwrap();
+    for atom in &mut delta.atoms {
+        atom.index = Arc::new(atom.index.with_edits(&ins, &del));
+        assert!(atom.index.has_delta());
+    }
+    assert_eq!(warm_run(&delta).0, warm_run(&solid).0, "the delta layer changes no counter");
+    assert_warm_run_allocates_nothing(&delta);
+}

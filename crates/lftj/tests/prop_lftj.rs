@@ -2,10 +2,14 @@
 //! on random graphs for every catalog query, under any legal GAO, and its output size
 //! must respect the AGM bound.
 
-use gj_lftj::{count, enumerate};
+use gj_lftj::{count, enumerate, LftjExecutor};
 use gj_query::{agm_bound, naive_join, BoundQuery, CatalogQuery, Instance};
-use gj_storage::{Graph, Relation};
+use gj_runtime::{Counters, ExecCtx, Morsel};
+use gj_storage::{Graph, Relation, Val};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// A random small graph plus sample relations, described by the raw edge choices.
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -34,6 +38,50 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         })
 }
 
+/// The GAO-order emission sequence and counters of one whole-axis run.
+fn emission(bq: &BoundQuery) -> (Vec<Vec<Val>>, Counters) {
+    let mut rows = Vec::new();
+    let all = Morsel::whole_axis();
+    let stats = LftjExecutor::new(bq).run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |b| {
+        rows.push(b.to_vec());
+        ControlFlow::Continue(())
+    });
+    (rows, stats)
+}
+
+/// `solid` with every other `edge` atom's index rebuilt as a base trie plus a
+/// delta layer holding the same relation: the edge rows picked by `seed` live
+/// only in the insert trie, and absent rows between live nodes sit in the base
+/// under tombstones (live endpoints, so no level shows a wholly deleted
+/// subtree). Every level that two `edge` atoms share then mixes a solid and a
+/// delta-carrying participant.
+fn with_mixed_indexes(inst: &Instance, solid: &BoundQuery, seed: i64) -> BoundQuery {
+    let live = inst.relation("edge").unwrap();
+    let ins = Relation::from_rows(
+        2,
+        live.iter().filter(|r| (r[0] * 7 + r[1] * 3 + seed) % 3 == 0).map(<[_]>::to_vec).collect(),
+    );
+    let nodes: BTreeSet<Val> = live.iter().map(|r| r[0]).collect();
+    let absent = nodes
+        .iter()
+        .flat_map(|&x| nodes.iter().map(move |&y| (x, y)))
+        .filter(|&(x, y)| x != y && (x + y + seed) % 4 == 0 && !live.contains(&[x, y]));
+    let del = Relation::from_pairs(absent.take(4));
+    let mut base_inst = inst.clone();
+    base_inst.add_relation("edge", live.with_edits(&del, &ins));
+    let base = BoundQuery::new(&base_inst, &solid.query, Some(solid.gao.clone())).unwrap();
+    let mut mixed = solid.clone();
+    let edge_atoms = mixed
+        .atoms
+        .iter_mut()
+        .zip(&base.atoms)
+        .filter(|(a, _)| solid.query.atoms[a.atom_idx].relation == "edge");
+    for (atom, base_atom) in edge_atoms.step_by(2) {
+        atom.index = Arc::new(base_atom.index.with_edits(&ins, &del));
+    }
+    mixed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -44,6 +92,19 @@ proptest! {
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
             let expected = naive_join(&inst, &q);
             prop_assert_eq!(enumerate(&bq), expected, "{}", q.name);
+        }
+    }
+
+    #[test]
+    fn levels_mixing_solid_and_delta_participants_match_solid_indexes(
+        inst in arb_instance(),
+        seed in 0i64..12,
+    ) {
+        for cq in CatalogQuery::all() {
+            let q = cq.query();
+            let solid = BoundQuery::new(&inst, &q, None).unwrap();
+            let mixed = with_mixed_indexes(&inst, &solid, seed);
+            prop_assert_eq!(emission(&mixed), emission(&solid), "{}", q.name);
         }
     }
 

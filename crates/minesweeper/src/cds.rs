@@ -132,7 +132,7 @@ impl Cds {
     /// Creates an empty CDS over `n` GAO attributes, with the frontier at
     /// `(-1, …, -1)`.
     pub fn new(n: usize, caching: bool, complete_nodes: bool) -> Self {
-        // gj-lint: allow(no-panic-in-engines) — a CDS over zero attributes has no frontier; MsMorsels answers variable-free queries without building one
+        // gj-lint: allow(no-panic-in-engines) — a CDS over zero attributes has no frontier; query validation rejects a query without atoms, so every bound query has a variable
         assert!(n > 0, "a query needs at least one variable");
         let mut active = vec![Vec::new(); n];
         active[0].push((0, 0));

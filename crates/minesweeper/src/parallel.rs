@@ -97,9 +97,6 @@ impl<'a> MorselSource for MsMorsels<'a> {
         emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
     ) {
         let gao = &self.bq.gao;
-        if gao.is_empty() {
-            return; // see `count_morsel`
-        }
         if worker.exec.as_ref().is_none_or(|&(_, kind)| kind) {
             self.executor(worker, false);
         }
@@ -114,11 +111,6 @@ impl<'a> MorselSource for MsMorsels<'a> {
     }
 
     fn count_morsel(&self, worker: &mut MsWorker, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
-        // A query without variables has no attribute for a CDS to search; like
-        // LFTJ, Minesweeper reports no rows for it.
-        if self.bq.gao.is_empty() {
-            return 0;
-        }
         let exec = self.executor(worker, true);
         let mut rows = 0;
         let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_, multiplicity| {

@@ -81,9 +81,12 @@ impl Query {
         self.filters.iter().all(|&(x, y)| binding[x] < binding[y])
     }
 
-    /// Checks internal consistency: every atom variable is in range, no atom repeats a
-    /// variable, filters reference existing variables.
+    /// Checks internal consistency: the query has an atom, every atom variable is
+    /// in range, no atom repeats a variable, filters reference existing variables.
     pub fn validate(&self) -> Result<(), String> {
+        if self.atoms.is_empty() {
+            return Err("a query needs at least one atom".to_string());
+        }
         for atom in &self.atoms {
             let mut seen = vec![false; self.num_vars()];
             for &v in &atom.vars {
@@ -267,6 +270,13 @@ mod tests {
     #[should_panic(expected = "repeats variable")]
     fn repeated_variable_in_atom_rejected() {
         QueryBuilder::new("bad").atom("edge", &["a", "a"]).build();
+    }
+
+    #[test]
+    fn validate_rejects_a_query_without_atoms() {
+        let empty =
+            Query { name: "empty".into(), var_names: vec![], atoms: vec![], filters: vec![] };
+        assert_eq!(empty.validate(), Err("a query needs at least one atom".to_string()));
     }
 
     #[test]

@@ -678,6 +678,35 @@ impl<'a> TrieIterator<'a> {
             Iter::Merged(it) => it.seek(v),
         }
     }
+
+    /// A solid index's open level as `(values, pos)`: the sorted values cut at the
+    /// end of the current node's children, and the position (`values.len()` once
+    /// exhausted), which [`set_solid_pos`](Self::set_solid_pos) takes back. `None`
+    /// at the root and over a delta-carrying index.
+    #[inline]
+    pub fn solid_level(&self) -> Option<(&'a [Val], usize)> {
+        match &self.0 {
+            Iter::Solid(it) => {
+                let &(pos, _, hi) = it.stack.last()?;
+                Some((&it.core.values[it.stack.len() - 1][..hi], pos))
+            }
+            Iter::Merged(_) => None,
+        }
+    }
+
+    /// Moves a solid iterator to `pos` of [`solid_level`](Self::solid_level)'s
+    /// slice. Panics at the root and over a delta-carrying index.
+    #[inline]
+    pub fn set_solid_pos(&mut self, pos: usize) {
+        match &mut self.0 {
+            Iter::Solid(it) => {
+                let frame = it.stack.last_mut().expect("set_solid_pos() called at the root");
+                frame.0 = pos;
+                it.at_end = pos >= frame.2;
+            }
+            Iter::Merged(_) => panic!("set_solid_pos() on a delta-carrying index"),
+        }
+    }
 }
 
 /// The single-layer iterator: the original flat-trie walk, byte-for-byte.
@@ -1052,6 +1081,32 @@ mod tests {
         assert_eq!(it.key(), 10);
         it.seek(11);
         assert!(it.at_end());
+    }
+
+    #[test]
+    fn solid_level_exposes_the_open_node_and_takes_positions_back() {
+        let idx = TrieIndex::build_natural(&figure1_relation());
+        let mut it = idx.iter();
+        assert_eq!(it.solid_level(), None, "no level is open at the root");
+        it.open();
+        it.next();
+        it.open();
+        // Level 1 is [1, 4, 9, 4]; the children of 7 occupy positions 1..3.
+        assert_eq!(it.solid_level(), Some((&[1, 4, 9][..], 1)));
+        it.set_solid_pos(2);
+        assert_eq!(it.key(), 9);
+        it.open();
+        assert_eq!(it.key(), 8, "open() descends from the position handed back");
+        it.up();
+        it.set_solid_pos(3);
+        assert!(it.at_end());
+
+        let (ins, del) = (Relation::from_pairs(vec![(3, 3)]), Relation::empty(2));
+        let edited =
+            TrieIndex::build_natural(&Relation::from_pairs(vec![(1, 2)])).with_edits(&ins, &del);
+        let mut merged = edited.iter();
+        merged.open();
+        assert_eq!(merged.solid_level(), None, "a merged level has no single array");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! its label) fails here first — loudly — instead of silently reshaping
 //! downstream reports.
 
-use graphjoin::{CancelToken, CatalogQuery, Database, ExecError, Graph, QueryBudget, RunOutcome};
+use graphjoin::{
+    CancelToken, CatalogQuery, Database, Engine, EngineError, ExecError, ExecLimits, Graph, Query,
+    QueryBudget, RunOutcome,
+};
 use std::time::Duration;
 
 /// Every `ExecError` variant, constructed directly.
@@ -77,4 +80,31 @@ fn live_runs_report_the_pinned_labels() {
     token.cancel();
     let cancelled = prepared.count_outcome(1, &QueryBudget::new().with_cancel_token(token));
     assert_eq!(cancelled.outcome.label(), "cancelled");
+}
+
+/// A query without atoms is rejected once, by query validation, so every engine
+/// answers `prepare` with the same typed error instead of disagreeing on its
+/// count.
+#[test]
+fn every_engine_rejects_a_query_without_atoms_alike() {
+    let mut db = Database::new();
+    db.add_graph(Graph::new_undirected(4, vec![(0, 1), (1, 2), (0, 2)]));
+    let empty = Query { name: "empty".into(), var_names: vec![], atoms: vec![], filters: vec![] };
+    let engines = [
+        Engine::Lftj,
+        Engine::minesweeper(),
+        Engine::hybrid_for(CatalogQuery::TwoLollipop).expect("the lollipop splits"),
+        Engine::HashJoin(ExecLimits::default()),
+        Engine::SortMergeJoin(ExecLimits::default()),
+        Engine::GraphEngine,
+    ];
+    for engine in &engines {
+        match db.prepare(&empty, engine) {
+            Err(EngineError::Bind(msg)) => {
+                assert_eq!(msg, "a query needs at least one atom", "{}", engine.label())
+            }
+            Err(other) => panic!("{}: {other}", engine.label()),
+            Ok(_) => panic!("{}: prepared a query without atoms", engine.label()),
+        }
+    }
 }

@@ -7,7 +7,7 @@
 use gj_baselines::BaselineError;
 use graphjoin::{
     naive_count, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError, ExecLimits,
-    Graph, MsConfig, QueryBudget, QueryBuilder, Relation, RunOutcome, Val,
+    Graph, MsConfig, Query, QueryBudget, QueryBuilder, Relation, RunOutcome, Val,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::ControlFlow;
@@ -246,9 +246,10 @@ fn count_only_engines_serve_counting_sinks_at_every_thread_count() {
     }
 }
 
-/// The pairwise planner's subset DP covers 1..=16 atoms. Outside that range
+/// The pairwise planner's subset DP covers at most 16 atoms. Beyond that
 /// `Database::prepare` answers with a typed baseline error — not a caught
-/// planner panic — while LFTJ still answers both queries.
+/// planner panic — while LFTJ still answers the query. (A query without atoms
+/// is rejected for every engine alike; see `tests/error_contract.rs`.)
 #[test]
 fn pairwise_prepare_rejects_unplannable_atom_counts_with_a_typed_error() {
     let mut db = Database::new();
@@ -258,33 +259,30 @@ fn pairwise_prepare_rejects_unplannable_atom_counts_with_a_typed_error() {
         .windows(2)
         .fold(QueryBuilder::new("17-path"), |q, w| q.atom("r", &[&w[0], &w[1]]))
         .build();
-    let empty = QueryBuilder::new("empty").build();
-    for (query, atoms, lftj_count) in [(&long, 17, 4), (&empty, 0, 0)] {
-        let lftj = db.prepare(query, &Engine::Lftj).unwrap();
-        assert_eq!(lftj.count().unwrap(), lftj_count, "{}", query.name);
-        for engine in
-            [Engine::HashJoin(ExecLimits::default()), Engine::SortMergeJoin(ExecLimits::default())]
-        {
-            match db.prepare(query, &engine) {
-                Err(EngineError::Baseline(err)) => {
-                    assert_eq!(err, BaselineError::UnsupportedAtomCount(atoms), "{}", query.name)
-                }
-                Err(other) => panic!("{} {}: untyped error {other}", query.name, engine.label()),
-                Ok(_) => panic!("{} {}: prepared an unplannable query", query.name, engine.label()),
+    let lftj = db.prepare(&long, &Engine::Lftj).unwrap();
+    assert_eq!(lftj.count().unwrap(), 4);
+    for engine in
+        [Engine::HashJoin(ExecLimits::default()), Engine::SortMergeJoin(ExecLimits::default())]
+    {
+        match db.prepare(&long, &engine) {
+            Err(EngineError::Baseline(err)) => {
+                assert_eq!(err, BaselineError::UnsupportedAtomCount(17))
             }
+            Err(other) => panic!("{}: untyped error {other}", engine.label()),
+            Ok(_) => panic!("{}: prepared an unplannable query", engine.label()),
         }
     }
 }
 
 /// Queries the trie engines cannot search answer without a worker panic: a
 /// variable named only by an order filter fails binding, and a query without
-/// variables counts no rows under Minesweeper as under LFTJ.
+/// variables (it has no atom) is rejected as invalid before any engine sees it.
 #[test]
 fn uncovered_and_variable_free_queries_answer_without_a_worker_panic() {
     let mut db = Database::new();
     db.add_relation("r", Relation::from_pairs((0..20).map(|i| (i, i + 1))));
     let uncovered = QueryBuilder::new("filter-only").atom("r", &["a", "b"]).lt("a", "z").build();
-    let empty = QueryBuilder::new("empty").build();
+    let empty = Query { name: "empty".into(), var_names: vec![], atoms: vec![], filters: vec![] };
     for engine in [Engine::Lftj, Engine::minesweeper()] {
         match db.prepare(&uncovered, &engine) {
             Err(EngineError::Bind(msg)) => {
@@ -293,15 +291,12 @@ fn uncovered_and_variable_free_queries_answer_without_a_worker_panic() {
             Err(other) => panic!("{}: untyped error {other}", engine.label()),
             Ok(_) => panic!("{}: bound a variable outside every atom", engine.label()),
         }
-        let prepared = db.prepare(&empty, &engine).unwrap();
-        for threads in [1, 2] {
-            assert_eq!(
-                prepared.try_par_count(threads, &QueryBudget::new()).unwrap(),
-                0,
-                "{}",
-                engine.label()
-            );
+        match db.prepare(&empty, &engine) {
+            Err(EngineError::Bind(msg)) => {
+                assert_eq!(msg, "a query needs at least one atom", "{}", engine.label())
+            }
+            Err(other) => panic!("{}: untyped error {other}", engine.label()),
+            Ok(_) => panic!("{}: prepared a query without atoms", engine.label()),
         }
-        assert_eq!(prepared.collect().unwrap(), Vec::<Vec<Val>>::new(), "{}", engine.label());
     }
 }
