@@ -12,6 +12,9 @@ use graphjoin::{
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::ControlFlow;
 use std::sync::Arc;
+use support::all_configs;
+
+mod support;
 
 /// Runs the whole query on a fresh executor, calling `emit(binding, multiplicity)`
 /// for every output, and returns the run's counters.
@@ -29,31 +32,6 @@ fn random_graph(seed: u64, n: u32, p: f64) -> Arc<Graph> {
     let edges: Vec<(u32, u32)> =
         (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).filter(|_| rng.gen_bool(p)).collect();
     Arc::new(Graph::new_undirected(n as usize, edges))
-}
-
-fn all_configs() -> Vec<(&'static str, MsConfig)> {
-    let base = MsConfig::default();
-    vec![
-        ("default", base.clone()),
-        ("no idea4", MsConfig { idea4_gap_memo: false, ..base.clone() }),
-        (
-            "no idea5",
-            MsConfig { idea5_caching: false, idea6_complete_nodes: false, ..base.clone() },
-        ),
-        ("no idea6", MsConfig { idea6_complete_nodes: false, ..base.clone() }),
-        ("no idea7", MsConfig { idea7_skeleton: false, ..base.clone() }),
-        ("baseline", MsConfig::baseline()),
-        (
-            "nothing",
-            MsConfig {
-                idea4_gap_memo: false,
-                idea5_caching: false,
-                idea6_complete_nodes: false,
-                idea7_skeleton: false,
-                ..base
-            },
-        ),
-    ]
 }
 
 #[test]
