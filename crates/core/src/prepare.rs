@@ -42,13 +42,14 @@ use crate::database::{same_shape, Database, Engine, EngineError, QueryOutput};
 use crate::sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 use gj_baselines::{BaselineError, GraphEngine, JoinAlgo, PairwiseMorsels, PairwisePlan};
 use gj_lftj::LftjMorsels;
-use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels};
+use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels, MsPool};
 use gj_query::{lftj_gao, BindReport, BoundQuery, CatalogQuery, Query, VarId};
 use gj_runtime::{
     partition_first_attribute, try_drive, Counters, ExecCtx, ExecError, ExecMonitor, Morsel,
     MorselSource, Ordered, ParallelSink, QueryBudget,
 };
 use gj_storage::Val;
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
@@ -188,8 +189,10 @@ enum GraphOp {
 enum Plan {
     /// LFTJ: a bound query (GAO + cache-shared trie indexes).
     Lftj(BoundQuery),
-    /// Minesweeper: a bound query and the engine configuration.
-    Minesweeper(BoundQuery, MsConfig),
+    /// Minesweeper: a bound query, the engine configuration, and the idle
+    /// executors the last drive's workers handed back, so a warm execution reuses
+    /// their node arenas and point lists instead of allocating its own.
+    Minesweeper(BoundQuery, MsConfig, MsPool),
     /// Pairwise baselines: the prepared left-deep plan — join order chosen, every
     /// atom's rows copied into columnar intermediates, right-side probe structures
     /// (hash tables / sort permutations) prebuilt and shared by every execution.
@@ -278,13 +281,16 @@ fn infallible<T>(result: Result<T, EngineError>) -> Result<T, EngineError> {
     }
 }
 
+/// The single morsel of a one-worker run.
+const WHOLE_AXIS: &[Morsel] = &[Morsel::whole_axis()];
+
 /// The partition of a run on `threads` workers: a one-thread run has nothing to
-/// split, so it never pays for `partition`.
-fn morsels_for(threads: usize, partition: impl FnOnce() -> Vec<Morsel>) -> Vec<Morsel> {
+/// split, so it never pays for `partition`, nor for a `Vec`.
+fn morsels_for(threads: usize, partition: impl FnOnce() -> Vec<Morsel>) -> Cow<'static, [Morsel]> {
     if threads == 1 {
-        vec![Morsel::whole_axis()]
+        Cow::Borrowed(WHOLE_AXIS)
     } else {
-        partition()
+        Cow::Owned(partition())
     }
 }
 
@@ -354,7 +360,7 @@ impl<'db> PreparedQuery<'db> {
             }
             Engine::Minesweeper(config) => {
                 let (bq, report) = bind(gao)?;
-                (Plan::Minesweeper(bq, config.clone()), report)
+                (Plan::Minesweeper(bq, config.clone(), MsPool::new()), report)
             }
             Engine::Hybrid { split, config } => {
                 let (plan, report) =
@@ -417,7 +423,7 @@ impl<'db> PreparedQuery<'db> {
     /// Minesweeper). `None` for engines that run no GAO (pairwise plans, the
     /// hybrid, the graph engine).
     pub fn gao(&self) -> Option<Vec<&str>> {
-        let (Plan::Lftj(bq) | Plan::Minesweeper(bq, _)) = &self.plan else { return None };
+        let (Plan::Lftj(bq) | Plan::Minesweeper(bq, ..)) = &self.plan else { return None };
         Some(bq.gao.iter().map(|&v| bq.query.var_names[v].as_str()).collect())
     }
 
@@ -489,11 +495,11 @@ impl<'db> PreparedQuery<'db> {
                 });
                 run.drive(&LftjMorsels::new(bq), &morsels, LFTJ_EXTRAS)?;
             }
-            Plan::Minesweeper(bq, config) => {
+            Plan::Minesweeper(bq, config, pool) => {
                 let morsels = morsels_for(threads, || {
                     partition_first_attribute(bq, threads * config.granularity.max(1))
                 });
-                run.drive(&MsMorsels::new(bq, config.clone()), &morsels, MS_EXTRAS)?;
+                run.drive(&MsMorsels::new(bq, config.clone(), pool), &morsels, MS_EXTRAS)?;
             }
             Plan::Pairwise(plan) => {
                 let morsels =
@@ -508,7 +514,7 @@ impl<'db> PreparedQuery<'db> {
                 driven?;
                 run.stats.counters = pairwise.map_err(EngineError::Baseline)?;
             }
-            Plan::CountOnly(source) => run.drive(source, &[Morsel::whole_axis()], &[])?,
+            Plan::CountOnly(source) => run.drive(source, WHOLE_AXIS, &[])?,
         }
         Ok(run.stats)
     }
@@ -567,9 +573,11 @@ impl<'db> PreparedQuery<'db> {
     ///
     /// Each worker builds its engine state once, reuses it across the morsels it
     /// claims (LFTJ's and Minesweeper's executors, the pairwise engines' two
-    /// intermediate buffers) and drops it when the run ends: nothing a worker
-    /// builds carries over to the next execution. The counters workers
-    /// accumulate are summed into [`RunStats::counters`].
+    /// intermediate buffers) and drops it when the run ends — except a
+    /// Minesweeper executor, which goes back to the prepared query's pool for the
+    /// next execution, its node arena kept and its memos forgotten on checkout, so
+    /// it counts exactly what a fresh one would. The counters workers accumulate
+    /// are summed into [`RunStats::counters`].
     ///
     /// ```
     /// use graphjoin::{CatalogQuery, CountSink, Database, Engine, Graph};

@@ -100,9 +100,9 @@ pub struct Cds {
     /// edges), most specific first. Owned so that a call refills them in place;
     /// `active[0]` is always the root alone.
     active: Vec<Vec<(NodeId, u32)>>,
-    /// Scratch: the chain (active nodes that constrain the level) of the level
-    /// being scanned.
-    chain: Vec<NodeId>,
+    /// Scratch: the chain (active nodes that constrain the level, with their
+    /// specificity, bottom node first) of the level last scanned.
+    chain: Vec<(NodeId, u32)>,
     /// The level the next [`compute_free_tuple`](Self::compute_free_tuple) walk
     /// starts at: the shallowest level whose frontier value, active set or chain
     /// intervals may have changed since the last walk (see the module docs, "walk
@@ -315,21 +315,33 @@ impl Cds {
                 return true;
             }
 
-            // Compute the next active set: children reached by the chosen label or by
-            // a wildcard edge.
+            // Compute the next active set: children reached by the chosen label (one
+            // more equality edge) or by a wildcard edge, most specific first. Both
+            // lists inherit the parents' order, so one stable merge sorts them; on
+            // equal specificity the wildcard child goes first, since its parent is
+            // the more specific one.
             let label = fv.value;
             let (upto, below) = self.active.split_at_mut(d + 1);
             let next = &mut below[0];
             next.clear();
-            for &(id, spec) in &upto[d] {
-                if let Some(c) = self.nodes[id].child(label) {
-                    next.push((c, spec + 1));
-                }
-                if let Some(w) = self.nodes[id].wildcard_child() {
-                    next.push((w, spec));
-                }
+            let nodes = &self.nodes;
+            let mut equal = upto[d]
+                .iter()
+                .filter_map(|&(id, spec)| Some((nodes[id].child(label)?, spec + 1)))
+                .peekable();
+            let mut wildcard = upto[d]
+                .iter()
+                .filter_map(|&(id, spec)| Some((nodes[id].wildcard_child()?, spec)))
+                .peekable();
+            loop {
+                let take = match (equal.peek(), wildcard.peek()) {
+                    (Some(&(_, e)), Some(&(_, w))) if e > w => equal.next(),
+                    (_, Some(_)) => wildcard.next(),
+                    (Some(_), None) => equal.next(),
+                    (None, None) => break,
+                };
+                next.extend(take);
             }
-            next.sort_by_key(|&(_, spec)| std::cmp::Reverse(spec));
             if next.is_empty() {
                 // Algorithm 4, line 13–16: no CDS node generalises the prefix at the
                 // next level, hence none exists at any deeper level either (paths are
@@ -375,19 +387,18 @@ impl Cds {
         if !self.complete_nodes || self.resume != last {
             return None;
         }
-        let active = &self.active[last];
-        let &(bottom, spec) = active
-            .iter()
-            .find(|&&(id, _)| self.nodes[id].has_intervals() || self.nodes[id].is_complete())?;
+        // The walk returned from level `last`, so the chain is that level's.
+        let (&(bottom, spec), above) = self.chain.split_first()?;
         if spec != pins || !self.nodes[bottom].is_complete() {
             return None;
         }
-        // Active nodes outside the chain have no intervals, so checking them all
-        // costs nothing and covers every chain node.
+        // The bottom node's free points lie outside its own intervals, and active
+        // nodes outside the chain have none: only the rest of the chain can rule a
+        // point out.
         let run = self.nodes[bottom]
             .free_points_in(self.frontier[last], upper)
             .iter()
-            .filter(|&&y| active.iter().all(|&(id, _)| self.nodes[id].next(y) == y))
+            .filter(|&&y| above.iter().all(|&(id, _)| self.nodes[id].next(y) == y))
             .count();
         Some(run as u64)
     }
@@ -399,12 +410,12 @@ impl Cds {
     /// exhausted.
     fn get_free_value(&mut self, x: Val, d: usize) -> FreeValue {
         self.chain.clear();
-        for &(id, _) in &self.active[d] {
+        for &(id, spec) in &self.active[d] {
             if self.nodes[id].has_intervals() || self.nodes[id].is_complete() {
-                self.chain.push(id);
+                self.chain.push((id, spec));
             }
         }
-        let Some(&bottom) = self.chain.first() else {
+        let Some(&(bottom, _)) = self.chain.first() else {
             if x > self.domain_max {
                 return self.backtrack_bump(d);
             }
@@ -456,15 +467,20 @@ impl Cds {
     /// `>= x` outside every chain interval. Values beyond the largest data value
     /// cannot be outputs and are reported as `POS_INF` (exhausted), so unconstrained
     /// levels still terminate.
+    ///
+    /// The chain is walked round robin until `len` consecutive nodes leave `y`
+    /// where it is. A node that moves `y` counts as the first of them: `next` is
+    /// idempotent, so a one-node chain takes a single call.
     fn chain_fixpoint(&self, x: Val) -> Val {
         let mut y = x;
-        loop {
-            let y2 = self.chain.iter().fold(y, |y, &id| self.nodes[id].next(y));
-            let settled = y2 == y || y2 == POS_INF;
-            y = y2;
-            if settled {
+        let mut settled = 0;
+        for &(id, _) in self.chain.iter().cycle() {
+            if settled == self.chain.len() || y == POS_INF {
                 break;
             }
+            let moved = self.nodes[id].next(y);
+            settled = if moved == y { settled + 1 } else { 1 };
+            y = moved;
         }
         if y > self.domain_max {
             POS_INF
@@ -480,7 +496,7 @@ impl Cds {
     /// that position is `d - 1` anyway or a value below `x` is still free.
     fn backjump(&mut self, x: Val, d: usize) -> FreeValue {
         let mut meet: Option<usize> = None;
-        for &id in &self.chain {
+        for &(id, _) in &self.chain {
             let mut cur = id;
             for pos in (0..d).rev() {
                 let (parent, label) = self.parents[cur];

@@ -89,7 +89,8 @@ pub struct MinesweeperExecutor {
     /// Per-atom probers, built once and reused across runs. Their Idea 4 memos are
     /// *facts about the data* (a gap box stays a gap box whatever range is being
     /// scanned), so they deliberately survive from one run to the next — a worker
-    /// carrying one executor across morsels starts each morsel pre-warmed.
+    /// carrying one executor across morsels starts each morsel pre-warmed — until
+    /// [`forget_memos`](Self::forget_memos).
     probers: Vec<AtomProber>,
     /// The constraint store, allocated once and [`reset`](Cds::reset) per run so
     /// repeated executions (one per claimed morsel) recycle the node arena instead
@@ -156,6 +157,20 @@ impl MinesweeperExecutor {
             advance: vec![-1; bq.num_vars()],
             run_pins: pinned.len() as u32,
         }
+    }
+
+    /// Makes the next run count exactly like a fresh executor's: every prober
+    /// forgets its Idea 4 memo and its probe cursor. The CDS node arena and every
+    /// buffer keep their capacity. A pooled executor is checked out this way at
+    /// the start of each execution.
+    pub fn forget_memos(&mut self) {
+        self.probers.iter_mut().for_each(AtomProber::forget);
+    }
+
+    /// Switches Idea 8 batch counting for the following runs (the configuration's
+    /// `idea8_batch_counting`): row sinks need one binding per output.
+    pub fn set_batch_counting(&mut self, on: bool) {
+        self.config.idea8_batch_counting = on;
     }
 
     /// Whether the caching machinery (Ideas 5/6) is active for this query and GAO.

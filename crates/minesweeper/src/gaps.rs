@@ -45,9 +45,9 @@ pub struct AtomProber {
     /// The atom's GAO-consistent trie index.
     index: Arc<TrieIndex>,
     /// Where the last index probe left its descent, so the next one searches only
-    /// the levels whose projected value changed. It stays valid across runs and
-    /// morsels because the index behind a prober never changes; memo answers do not
-    /// touch it.
+    /// the levels whose projected value changed, galloping forward on the first
+    /// of them. It stays valid across runs and morsels because the index behind a
+    /// prober never changes; memo answers do not touch it.
     cursor: ProbeCursor,
     /// Idea 4 memo: the last gap constraint produced, rewritten in place by every
     /// probe that finds a gap (so its pattern buffer is allocated once). It is kept
@@ -90,6 +90,14 @@ impl AtomProber {
     /// would crawl through the remembered gap value by value.
     pub fn begin_run(&mut self) {
         self.memo_stale = self.memo_level.is_some();
+    }
+
+    /// Forgets the memo and the probe cursor: the next probe searches the index
+    /// from the root, as a fresh prober's would.
+    pub fn forget(&mut self) {
+        self.memo_level = None;
+        self.memo_stale = false;
+        self.cursor.reset();
     }
 
     /// The GAO positions of the atom's attributes.

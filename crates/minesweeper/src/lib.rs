@@ -31,7 +31,8 @@
 //!   last-level node instead of being enumerated;
 //! * the **multi-threaded** partitioning of Section 4.10 — served through the
 //!   shared `gj-runtime` morsel driver ([`MsMorsels`]), with one executor reused
-//!   per worker across morsels and full sink support (parallel
+//!   per worker across morsels, kept warm between executions in an [`MsPool`],
+//!   and full sink support (parallel
 //!   enumerate/collect/first_k, not just counting) — and the **hybrid**
 //!   Minesweeper + LFTJ algorithm of Section 4.12.
 //!
@@ -50,4 +51,4 @@ pub use cds::Cds;
 pub use constraint::{Constraint, PatternComp};
 pub use engine::{count, enumerate, MinesweeperExecutor, MsConfig};
 pub use hybrid::{hybrid_count, HybridPlan};
-pub use parallel::{MsMorsels, MsWorker};
+pub use parallel::{MsMorsels, MsPool, MsWorker};

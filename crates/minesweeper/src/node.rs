@@ -10,10 +10,21 @@
 //!   Idea 6 (a complete last-level node also answers Idea 8's run counts).
 //!
 //! The paper fuses intervals, children and free values into a single sorted
-//! `pointList`. We keep them as three sorted vectors with the same asymptotic costs;
-//! the distinction is purely representational and every operation of the paper's
-//! pointList (`Next`, `hasNoFreeValue`, child pruning, complete-node iteration) is
-//! provided here.
+//! `pointList`. We keep them as three sorted vectors and provide every operation of
+//! the paper's pointList (`Next`, `hasNoFreeValue`, child pruning, complete-node
+//! iteration). With `k` intervals, `c` children and `f` free points:
+//!
+//! * `next`, `child` and `next_free_point` are one binary search, O(log k),
+//!   O(log c) and O(log f);
+//! * `insert_interval` binary-searches the run of stored intervals it overlaps and
+//!   the children and free points it rules out, then drains each range in place:
+//!   O(log k + log c + log f) comparisons plus the shift of each vector's tail.
+//!   The shift is a `memmove`; a balanced tree, as in the paper, would avoid it at
+//!   the price of a pointer chase per step of every search.
+//!
+//! A free point never lies inside its own node's intervals: `insert_interval`
+//! drops the ones a new interval covers, and a free point is only recorded outside
+//! every interval of the chain it was found in.
 
 use gj_storage::{Val, NEG_INF, POS_INF};
 
@@ -80,27 +91,31 @@ impl Node {
         if high <= low {
             return;
         }
-        let mut new_low = low;
-        let mut new_high = high;
-        // Merge with every interval that overlaps (strictly, on the real line) the
-        // new one. Touching intervals like (1,5) and (5,9) stay separate because the
-        // shared endpoint 5 itself is still free.
-        self.intervals.retain(|&(l, h)| {
-            let overlaps = l < new_high && new_low < h;
-            if overlaps {
-                new_low = new_low.min(l);
-                new_high = new_high.max(h);
-            }
-            !overlaps
-        });
-        let pos = self.intervals.partition_point(|&(l, _)| l < new_low);
-        self.intervals.insert(pos, (new_low, new_high));
+        // Stored intervals are disjoint and sorted, so their upper ends are sorted
+        // too and the ones overlapping (strictly, on the real line) the new one
+        // form the run `first..end`. Touching intervals like (1,5) and (5,9) stay
+        // separate because the shared endpoint 5 itself is still free.
+        let first = self.intervals.partition_point(|&(_, h)| h <= low);
+        let end = self.intervals.partition_point(|&(l, _)| l < high);
+        let (new_low, new_high) = if first < end {
+            let merged = (low.min(self.intervals[first].0), high.max(self.intervals[end - 1].1));
+            self.intervals[first] = merged;
+            self.intervals.drain(first + 1..end);
+            merged
+        } else {
+            self.intervals.insert(first, (low, high));
+            (low, high)
+        };
 
         // Prune children strictly inside the merged interval (their whole branch is
         // subsumed by the gap).
-        self.children.retain(|&(label, _)| !(new_low < label && label < new_high));
+        let lo = self.children.partition_point(|&(label, _)| label <= new_low);
+        let hi = self.children.partition_point(|&(label, _)| label < new_high);
+        self.children.drain(lo..hi);
         // Free points strictly inside the interval are no longer free.
-        self.free_points.retain(|&v| !(new_low < v && v < new_high));
+        let lo = self.free_points.partition_point(|&v| v <= new_low);
+        let hi = self.free_points.partition_point(|&v| v < new_high);
+        self.free_points.drain(lo..hi);
     }
 
     /// `Next(x)`: the smallest value `y >= x` not strictly inside any stored interval.
@@ -179,14 +194,15 @@ impl Node {
         &self.free_points[start..end.max(start)]
     }
 
-    /// The smallest recorded free point `>= x` that is not covered by an interval, or
-    /// `POS_INF` if none. Used when the node is complete (Idea 6).
+    /// The smallest recorded free point `>= x`, or `POS_INF` if none. Used when the
+    /// node is complete (Idea 6). No free point lies inside the node's own
+    /// intervals (module docs), so the first one `>= x` is the answer.
     pub fn next_free_point(&self, x: Val) -> Val {
-        self.free_points_in(x, POS_INF)
-            .iter()
-            .copied()
-            .find(|&v| self.next(v) == v)
-            .unwrap_or(POS_INF)
+        let Some(&v) = self.free_points.get(self.free_points.partition_point(|&v| v < x)) else {
+            return POS_INF;
+        };
+        debug_assert_eq!(self.next(v), v, "free point {v} inside its node's intervals");
+        v
     }
 
     /// Records a wrap past `+∞` (Idea 6); the node becomes complete on the second

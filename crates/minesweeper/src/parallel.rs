@@ -10,24 +10,70 @@
 //! partitions against per-job overhead; the paper uses `f = 1` for acyclic and
 //! `f = 8` for cyclic queries (Table 5).
 //!
-//! [`MsMorsels`] is Minesweeper's [`MorselSource`]: each worker thread builds **one**
-//! [`MinesweeperExecutor`] and carries it across every morsel it claims —
+//! [`MsMorsels`] is Minesweeper's [`MorselSource`]: each worker thread checks
+//! **one** [`MinesweeperExecutor`] out of an [`MsPool`] when it claims its first
+//! morsel and carries it across every morsel it claims —
 //! [`run_range_ctx`](MinesweeperExecutor::run_range_ctx) recycles the CDS node
 //! arena and keeps the probers' Idea 4 gap memos warm, instead of paying a fresh
-//! executor (and a fresh CDS) per job. Each worker accumulates the [`Counters`]
-//! of its morsels, and the driver sums every worker's into its report, so
-//! parallel executions report the same engine counters serial ones do.
+//! executor (and a fresh CDS) per job. When the worker ends, its executor goes back
+//! to the pool, so the next drive over the same pool starts with the node arena and
+//! every point list already grown: a warm execution allocates nothing. A checked-out
+//! executor forgets its memos and probe cursors
+//! ([`forget_memos`](MinesweeperExecutor::forget_memos)), so every execution counts
+//! exactly what a fresh executor would. Each worker accumulates the [`Counters`] of
+//! its morsels, and the driver sums every worker's into its report, so parallel
+//! executions report the same engine counters serial ones do.
 //!
 //! A serial Minesweeper execution in `gj-core` is this same source driven by one
-//! worker over the single whole-axis morsel. Use
-//! `PreparedQuery::par_count(threads)` in `gj-core` for a parallel count, or
-//! drive [`MsMorsels`] through `gj_runtime::drive` directly.
+//! worker over the single whole-axis morsel; a `PreparedQuery` keeps one pool per
+//! Minesweeper plan, which therefore holds at most one idle executor per worker of
+//! the widest drive it served. Use `PreparedQuery::par_count(threads)` in `gj-core`
+//! for a parallel count, or drive [`MsMorsels`] through `gj_runtime::drive`
+//! directly.
 
 use crate::engine::{MinesweeperExecutor, MsConfig};
 use gj_query::BoundQuery;
 use gj_runtime::{Counters, ExecCtx, Morsel, MorselSource};
 use gj_storage::Val;
 use std::ops::ControlFlow;
+use std::sync::{Mutex, PoisonError};
+
+/// The idle executors of one bound query under one configuration, kept between
+/// drives (see the [module docs](self)). Cloning gives an empty pool.
+#[derive(Default)]
+pub struct MsPool {
+    idle: Mutex<Vec<MinesweeperExecutor>>,
+}
+
+impl MsPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        MsPool::default()
+    }
+
+    /// The number of idle executors.
+    pub fn idle(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// The pool's list; an executor is pushed or popped whole, so a panic while
+    /// the lock was held leaves a valid list behind.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<MinesweeperExecutor>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for MsPool {
+    fn clone(&self) -> Self {
+        MsPool::default()
+    }
+}
+
+impl std::fmt::Debug for MsPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MsPool").field("idle", &self.idle()).finish()
+    }
+}
 
 /// Minesweeper as a [`MorselSource`] for the `gj-runtime` morsel driver.
 ///
@@ -39,69 +85,72 @@ use std::ops::ControlFlow;
 pub struct MsMorsels<'a> {
     bq: &'a BoundQuery,
     config: MsConfig,
+    pool: &'a MsPool,
 }
 
-/// Per-worker state of [`MsMorsels`]: the executor reused across claimed morsels
-/// (tagged with the configuration it was built for, so a worker that switches
-/// between the counting and the row path rebuilds instead of serving rows from a
-/// batch-counting executor), the variable-order scratch row, and the worker's
-/// accumulated counters.
-pub struct MsWorker {
-    exec: Option<(MinesweeperExecutor, bool)>,
+/// Per-worker state of [`MsMorsels`]: the executor checked out of the pool on the
+/// worker's first morsel and returned to it when the worker ends, the
+/// variable-order scratch row of the row path, and the worker's accumulated
+/// counters.
+pub struct MsWorker<'a> {
+    pool: &'a MsPool,
+    exec: Option<MinesweeperExecutor>,
     scratch: Vec<Val>,
     counters: Counters,
 }
 
+impl Drop for MsWorker<'_> {
+    fn drop(&mut self) {
+        // A panic may have unwound through the executor mid-update: drop it.
+        if let (Some(exec), false) = (self.exec.take(), std::thread::panicking()) {
+            self.pool.lock().push(exec);
+        }
+    }
+}
+
 impl<'a> MsMorsels<'a> {
-    /// Wraps a bound query for morsel-driven execution under `config`.
-    pub fn new(bq: &'a BoundQuery, config: MsConfig) -> Self {
-        MsMorsels { bq, config }
+    /// Wraps a bound query for morsel-driven execution under `config`, with
+    /// executors checked out of and returned to `pool`. Every drive over one pool
+    /// must use the same bound query and configuration.
+    pub fn new(bq: &'a BoundQuery, config: MsConfig, pool: &'a MsPool) -> Self {
+        MsMorsels { bq, config, pool }
     }
 
-    /// The worker's executor for the counting (`counting = true`, configuration as
-    /// given) or row (`counting = false`, Idea 8 batch counting disabled — a
-    /// counting-only optimisation whose multiplicities a row sink cannot express)
-    /// path, creating or rebuilding it when the cached one served the other path.
+    /// The worker's executor, checked out of the pool (or built) on first use.
     fn executor<'w>(
         &self,
-        worker: &'w mut MsWorker,
-        counting: bool,
+        exec: &'w mut Option<MinesweeperExecutor>,
     ) -> &'w mut MinesweeperExecutor {
-        if worker.exec.as_ref().is_none_or(|&(_, kind)| kind != counting) {
-            worker.exec = None;
-        }
-        let (exec, _) = worker.exec.get_or_insert_with(|| {
-            let config = if counting {
-                self.config.clone()
-            } else {
-                MsConfig { idea8_batch_counting: false, ..self.config.clone() }
-            };
-            (MinesweeperExecutor::new(self.bq, config), counting)
-        });
-        exec
+        exec.get_or_insert_with(|| match self.pool.lock().pop() {
+            Some(mut exec) => {
+                exec.forget_memos();
+                exec
+            }
+            None => MinesweeperExecutor::new(self.bq, self.config.clone()),
+        })
     }
 }
 
 impl<'a> MorselSource for MsMorsels<'a> {
-    type Worker = MsWorker;
+    type Worker = MsWorker<'a>;
 
-    fn worker(&self) -> MsWorker {
-        MsWorker { exec: None, scratch: vec![0; self.bq.num_vars()], counters: Counters::default() }
+    fn worker(&self) -> MsWorker<'a> {
+        MsWorker { pool: self.pool, exec: None, scratch: Vec::new(), counters: Counters::default() }
     }
 
     fn run_morsel(
         &self,
-        worker: &mut MsWorker,
+        worker: &mut MsWorker<'a>,
         morsel: Morsel,
         ctx: &ExecCtx<'_>,
         emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
     ) {
         let gao = &self.bq.gao;
-        if worker.exec.as_ref().is_none_or(|&(_, kind)| kind) {
-            self.executor(worker, false);
-        }
-        let MsWorker { exec, scratch, counters } = worker;
-        let Some((exec, _)) = exec.as_mut() else { return };
+        let MsWorker { exec, scratch, counters, .. } = worker;
+        let exec = self.executor(exec);
+        // A row sink needs every output as its own binding.
+        exec.set_batch_counting(false);
+        scratch.resize(gao.len(), 0);
         counters.merge(exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |binding, _| {
             for (pos, &v) in gao.iter().enumerate() {
                 scratch[v] = binding[pos];
@@ -110,8 +159,9 @@ impl<'a> MorselSource for MsMorsels<'a> {
         }));
     }
 
-    fn count_morsel(&self, worker: &mut MsWorker, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
-        let exec = self.executor(worker, true);
+    fn count_morsel(&self, worker: &mut MsWorker<'a>, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
+        let exec = self.executor(&mut worker.exec);
+        exec.set_batch_counting(self.config.idea8_batch_counting);
         let mut rows = 0;
         let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_, multiplicity| {
             rows += multiplicity;
@@ -121,7 +171,7 @@ impl<'a> MorselSource for MsMorsels<'a> {
         rows
     }
 
-    fn counters(&self, worker: &MsWorker) -> Counters {
+    fn counters(&self, worker: &MsWorker<'a>) -> Counters {
         worker.counters
     }
 }
@@ -152,7 +202,7 @@ mod tests {
     fn par_count(bq: &BoundQuery, config: &MsConfig, threads: usize, parts: usize) -> u64 {
         let morsels = partition_first_attribute(bq, parts);
         let mut sink = CountSink::new();
-        drive(&MsMorsels::new(bq, config.clone()), &morsels, threads, &mut sink);
+        drive(&MsMorsels::new(bq, config.clone(), &MsPool::new()), &morsels, threads, &mut sink);
         sink.rows()
     }
 
@@ -205,19 +255,20 @@ mod tests {
         let morsels = partition_first_attribute(&bq, 6);
         assert!(morsels.len() > 1, "test needs a real partition");
         let mut sink = CollectSink::new();
-        drive(&MsMorsels::new(&bq, MsConfig::default()), &morsels, 3, &mut sink);
+        drive(&MsMorsels::new(&bq, MsConfig::default(), &MsPool::new()), &morsels, 3, &mut sink);
         assert_eq!(sink.into_rows(), expected);
     }
 
     #[test]
     fn mixing_count_and_row_paths_on_one_worker_stays_correct() {
-        // A worker whose executor was first built for batch counting must not serve
-        // the row path with it (batch multiplicities would be collapsed to single
-        // rows); the adapter rebuilds on the path switch.
+        // A worker whose executor first served the counting path must not batch
+        // count on the row path (batch multiplicities would be collapsed to single
+        // rows); each morsel sets the executor's batch counting for its path.
         let inst = random_instance(18, 40, 0.15);
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let source = MsMorsels::new(&bq, MsConfig::default());
+        let pool = MsPool::new();
+        let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
         let morsels = partition_first_attribute(&bq, 4);
         let mut worker = source.worker();
         let counted: u64 =
@@ -244,7 +295,8 @@ mod tests {
         let inst = random_instance(17, 45, 0.15);
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let source = MsMorsels::new(&bq, MsConfig::default());
+        let pool = MsPool::new();
+        let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
         let morsels = partition_first_attribute(&bq, 8);
         let mut worker = source.worker();
         let total: u64 =
@@ -263,7 +315,8 @@ mod tests {
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
             let sequential = crate::engine::count(&bq, &MsConfig::default());
             for (threads, parts) in [(2, 6), (4, 16), (3, 24)] {
-                let source = MsMorsels::new(&bq, MsConfig::default());
+                let pool = MsPool::new();
+                let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
                 let morsels = partition_first_attribute(&bq, parts);
                 let mut sink = CountSink::new();
                 let report = drive(&source, &morsels, threads, &mut sink);
@@ -272,6 +325,37 @@ mod tests {
                 assert_eq!(counters.results, sequential, "{} t={threads} p={parts}", q.name);
                 assert!(counters.cds_nodes >= 1, "{} t={threads} p={parts}", q.name);
             }
+        }
+    }
+
+    /// Drives through one pool repeat a fresh pool's counters exactly (the
+    /// checked-out executors forget their memos), and every worker hands its
+    /// executor back when it ends: the pool never holds more idle executors than
+    /// the widest drive had workers.
+    #[test]
+    fn pooled_drives_repeat_the_counters_of_fresh_executors() {
+        let inst = random_instance(22, 60, 0.12);
+        for cq in [CatalogQuery::ThreePath, CatalogQuery::ThreeClique] {
+            let q = cq.query();
+            let bq = BoundQuery::new(&inst, &q, None).unwrap();
+            let morsels = partition_first_attribute(&bq, 8);
+            let count = |pool: &MsPool, threads| {
+                let mut sink = CountSink::new();
+                let source = MsMorsels::new(&bq, MsConfig::default(), pool);
+                (drive(&source, &morsels, threads, &mut sink).counters, sink.rows())
+            };
+            let pool = MsPool::new();
+            let fresh = count(&MsPool::new(), 1);
+            for threads in [1, 1, 2, 1, 2] {
+                let (counters, rows) = count(&pool, threads);
+                assert_eq!(rows, fresh.1, "{} t={threads}", q.name);
+                if threads == 1 {
+                    assert_eq!(counters, fresh.0, "{} pooled vs fresh", q.name);
+                }
+                assert!(pool.idle() <= 2, "{}: {} idle executors", q.name, pool.idle());
+            }
+            assert!(pool.idle() >= 1, "{}: no executor came back", q.name);
+            assert_eq!(pool.clone().idle(), 0, "a clone starts empty");
         }
     }
 }

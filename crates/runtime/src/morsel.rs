@@ -35,7 +35,7 @@ impl Morsel {
     }
 
     /// The whole axis as a single morsel — what a serial (one-worker) run drives.
-    pub fn whole_axis() -> Self {
+    pub const fn whole_axis() -> Self {
         Morsel { lo: NEG_INF, hi: POS_INF }
     }
 }

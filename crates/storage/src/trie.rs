@@ -114,6 +114,14 @@ impl TrieCore {
         (cs[idx], cs[idx + 1])
     }
 
+    /// Number of rows (last-level entries) under entry `idx` of level `d`: its
+    /// child range followed down to the last level, O(arity).
+    fn leaves_under(&self, d: usize, idx: usize) -> usize {
+        let (lo, hi) =
+            self.child_start[d..].iter().fold((idx, idx + 1), |(lo, hi), cs| (cs[lo], cs[hi]));
+        hi - lo
+    }
+
     /// Binary search for `v` among the entries `lo..hi` of level `d`.
     fn find_in(&self, d: usize, lo: usize, hi: usize, v: Val) -> Option<usize> {
         let vals = &self.values[d][lo..hi];
@@ -163,16 +171,39 @@ pub enum ProbeResult {
 }
 
 /// Where the previous [`TrieIndex::probe_with`] left its descent of one solid
-/// index, so the next probe redoes only the levels its tuple changes.
+/// index, so the next probe redoes only the levels its tuple changes, and
+/// gallops forward from where a level's search ended when its value grew.
 #[derive(Debug, Clone)]
 pub struct ProbeCursor {
-    /// Per level: the value probed there and the entry range `lo..hi` of the level
-    /// it was searched in (the children of the probed prefix). Valid for levels
+    /// Per level: the value probed there, the entry range `lo..hi` of the level
+    /// it was searched in (the children of the probed prefix), and the position
+    /// the search found (the first entry `>=` the value). Valid for levels
     /// `0..=matched` (all of them after a `Found`).
-    levels: Vec<(Val, usize, usize)>,
+    levels: Vec<Level>,
     /// Leading levels whose probed value was found: the gap depth, or the arity
     /// after a `Found`.
     matched: usize,
+}
+
+/// One level of a [`ProbeCursor`].
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    value: Val,
+    lo: usize,
+    hi: usize,
+    pos: usize,
+}
+
+impl ProbeCursor {
+    /// Forgets the previous probe: the next one searches every level from the
+    /// root, as on a fresh cursor.
+    pub fn reset(&mut self) {
+        if let Some(root) = self.levels.first_mut() {
+            root.value = NEG_INF;
+            root.pos = root.lo;
+        }
+        self.matched = 0;
+    }
 }
 
 impl TrieIndex {
@@ -373,7 +404,7 @@ impl TrieIndex {
     pub fn probe(&self, t: &[Val]) -> ProbeResult {
         if self.delta.is_none() {
             let (lo, hi) = self.base.root_range();
-            return self.descend(t, 0, lo, hi, |_, _, _, _| {});
+            return self.descend(t, 0, Level { value: NEG_INF, lo, hi, pos: lo }, |_, _| {});
         }
         self.probe_merged(t)
     }
@@ -381,15 +412,18 @@ impl TrieIndex {
     /// A cursor for [`TrieIndex::probe_with`] on this index, positioned at the root.
     pub fn probe_cursor(&self) -> ProbeCursor {
         let (lo, hi) = self.base.root_range();
-        ProbeCursor { levels: vec![(NEG_INF, lo, hi); self.arity()], matched: 0 }
+        let root = Level { value: NEG_INF, lo, hi, pos: lo };
+        ProbeCursor { levels: vec![root; self.arity()], matched: 0 }
     }
 
     /// [`TrieIndex::probe`], resumed from the levels of the previous probe through
     /// `cursor` that `t` leaves unchanged: the walk skips every leading level whose
     /// value was found last time and is probed again, and searches from the first
-    /// changed level inside the entry range it was searched in before. Repeating a
-    /// member costs `arity` comparisons and no search. The answer is exactly
-    /// [`TrieIndex::probe`]'s.
+    /// changed level inside the entry range it was searched in before. When that
+    /// level's value grew — the common case for Minesweeper, whose frontier only
+    /// moves forward — the search gallops forward from the position the last one
+    /// found instead of bisecting the range. Repeating a member costs `arity`
+    /// comparisons and no search. The answer is exactly [`TrieIndex::probe`]'s.
     ///
     /// `cursor` must come from [`TrieIndex::probe_cursor`] on this index (or one
     /// sharing its base and carrying no delta). Delta-carrying indexes ignore the
@@ -400,15 +434,14 @@ impl TrieIndex {
         }
         debug_assert_eq!(cursor.levels.len(), self.arity(), "cursor of another index");
         let mut d = 0;
-        while d < cursor.matched && cursor.levels[d].0 == t[d] {
+        while d < cursor.matched && cursor.levels[d].value == t[d] {
             d += 1;
         }
         if d == self.arity() {
             return ProbeResult::Found;
         }
-        let (_, lo, hi) = cursor.levels[d];
         let levels = &mut cursor.levels;
-        let result = self.descend(t, d, lo, hi, |d, v, lo, hi| levels[d] = (v, lo, hi));
+        let result = self.descend(t, d, levels[d], |d, level| levels[d] = level);
         cursor.matched = match result {
             ProbeResult::Found => self.arity(),
             ProbeResult::Gap { depth, .. } => depth,
@@ -417,32 +450,39 @@ impl TrieIndex {
     }
 
     /// The solid probe's one descent loop: searches level `d` of the base for
-    /// `t[d]` among the entries `lo..hi` (the children of the matched prefix
-    /// `t[..d]`) and goes down until a level misses or the leaf matches. `visit`
-    /// sees each level's value and searched range before its search.
+    /// `t[d]` among the entries `prev.lo..prev.hi` (the children of the matched
+    /// prefix `t[..d]`) and goes down until a level misses or the leaf matches.
+    /// `prev` is the last search of that range: its value and the first entry `>=`
+    /// it, from which a larger `t[d]` is galloped to. Deeper levels are bisected.
+    /// `visit` sees each level's search.
     fn descend(
         &self,
         t: &[Val],
         mut d: usize,
-        mut lo: usize,
-        mut hi: usize,
-        mut visit: impl FnMut(usize, Val, usize, usize),
+        prev: Level,
+        mut visit: impl FnMut(usize, Level),
     ) -> ProbeResult {
         assert_eq!(t.len(), self.arity(), "probe tuple must have the index arity");
         let core = &self.base;
+        let Level { mut lo, mut hi, .. } = prev;
+        let mut from = if t.get(d).is_some_and(|&v| v > prev.value) { prev.pos } else { lo };
         while d < core.arity {
-            let tv = t[d];
-            visit(d, tv, lo, hi);
-            let vals = &core.values[d][lo..hi];
-            // partition_point: number of values < tv in the node.
-            let pos = vals.partition_point(|&x| x < tv);
-            if pos == vals.len() || vals[pos] != tv {
-                let lower = if pos == 0 { NEG_INF } else { vals[pos - 1] };
-                let upper = if pos == vals.len() { POS_INF } else { vals[pos] };
+            let value = t[d];
+            let vals = &core.values[d][..hi];
+            let pos = if from > lo {
+                from + gallop(&vals[from..], value)
+            } else {
+                lo + vals[lo..].partition_point(|&x| x < value)
+            };
+            visit(d, Level { value, lo, hi, pos });
+            if pos == hi || vals[pos] != value {
+                let lower = if pos == lo { NEG_INF } else { vals[pos - 1] };
+                let upper = if pos == hi { POS_INF } else { vals[pos] };
                 return ProbeResult::Gap { depth: d, lower, upper };
             }
             if d + 1 < core.arity {
-                (lo, hi) = core.children_range(d, lo + pos);
+                (lo, hi) = core.children_range(d, pos);
+                from = lo;
             }
             d += 1;
         }
@@ -585,7 +625,8 @@ fn live_leaf_gap(base: &[Val], ins: &[Val], del: &[Val], tv: Val) -> (Val, Val) 
 /// * [`at_end`](TrieIterator::at_end) — whether the current level is exhausted.
 ///
 /// Over a delta-carrying index the iterator walks base and insert tries in lockstep
-/// and skips tombstoned leaves, so the stream is exactly the sorted live relation —
+/// and skips every key whose rows are all tombstoned, so the stream is exactly the
+/// sorted live relation at every level —
 /// engines never see the layers. Solid indexes take a dedicated single-layer path
 /// with no merge overhead.
 #[derive(Debug, Clone)]
@@ -803,7 +844,8 @@ struct Frame {
 }
 
 /// The two-layer lockstep iterator: presents `min(base, ins)` at every level with
-/// duplicates collapsed, and skips base leaves that appear in the tombstone trie.
+/// duplicates collapsed, and skips base keys whose whole subtree appears in the
+/// tombstone trie.
 #[derive(Debug, Clone)]
 struct MergedIter<'a> {
     base: &'a TrieCore,
@@ -895,10 +937,9 @@ impl MergedIter<'_> {
         *self.stack.last_mut().unwrap() = frame;
     }
 
-    /// Computes the merged key/source at `frame`'s cursors, skipping base leaves
-    /// that are tombstoned. Returns `false` when the level is exhausted.
+    /// Computes the merged key/source at `frame`'s cursors, skipping base keys
+    /// whose every row is tombstoned. Returns `false` when the level is exhausted.
     fn settle(&self, frame: &mut Frame, depth: usize) -> bool {
-        let leaf = depth + 1 == self.base.arity;
         loop {
             let bv = (frame.b_pos < frame.b_hi).then(|| self.base.values[depth][frame.b_pos]);
             let iv = (frame.i_pos < frame.i_hi).then(|| self.ins.values[depth][frame.i_pos]);
@@ -917,13 +958,15 @@ impl MergedIter<'_> {
             while frame.d_pos < frame.d_hi && self.del.values[depth][frame.d_pos] < key {
                 frame.d_pos += 1;
             }
-            // A tombstone kills a pure-base leaf. (Interior keys pass through: their
-            // live subtrees, if any, are resolved below; insert-side keys are live by
-            // the delta invariants — deletes apply to the base layer.)
-            if leaf
-                && src == Src::Base
+            // A pure-base key is dead when the tombstones under it cover its whole
+            // subtree: deletes are a subset of the base, so equal leaf counts mean
+            // every row is deleted (at the last level both counts are 1). Insert-side
+            // keys are live by the delta invariants — deletes apply to the base.
+            if src == Src::Base
                 && frame.d_pos < frame.d_hi
                 && self.del.values[depth][frame.d_pos] == key
+                && self.base.leaves_under(depth, frame.b_pos)
+                    == self.del.leaves_under(depth, frame.d_pos)
             {
                 frame.b_pos += 1;
                 continue;
@@ -1244,6 +1287,35 @@ mod tests {
         assert_eq!(it.key(), 50, "delta key beyond the base max");
         it.next();
         assert!(it.at_end());
+    }
+
+    #[test]
+    fn merged_iteration_skips_interior_keys_whose_rows_are_all_tombstoned() {
+        let base = figure1_relation();
+        // Every row under 5 and under (7, 9) is deleted; (7, 4) keeps its row.
+        let del = Relation::from_rows(
+            3,
+            vec![vec![5, 1, 4], vec![5, 1, 7], vec![5, 1, 12], vec![7, 9, 8], vec![7, 9, 13]],
+        );
+        let idx = TrieIndex::build_natural(&base).with_edits(&Relation::empty(3), &del);
+        let mut it = idx.iter();
+        it.open();
+        assert_eq!(it.key(), 7, "5 has no live row");
+        it.open();
+        assert_eq!(it.key(), 4);
+        it.next();
+        assert!(it.at_end(), "(7, 9) has no live row");
+        it.up();
+        it.next();
+        assert_eq!(it.key(), 10);
+        it.seek(11);
+        assert!(it.at_end());
+        // A key with one live row left stays.
+        let del = Relation::from_rows(3, vec![vec![5, 1, 4], vec![5, 1, 7]]);
+        let idx = TrieIndex::build_natural(&base).with_edits(&Relation::empty(3), &del);
+        let mut it = idx.iter();
+        it.open();
+        assert_eq!(it.key(), 5);
     }
 
     #[test]

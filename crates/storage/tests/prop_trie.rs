@@ -1,6 +1,7 @@
 //! Property-based tests for the trie index: every probe, seek and prefix walk must
 //! agree with a naive linear-scan reference over the same set of rows, a probe
-//! resumed through a cursor must agree with a fresh one, and the
+//! resumed through a cursor must agree with a fresh one (also along the increasing
+//! probe sequences Minesweeper issues, where the cursor gallops), and the
 //! zero-materialization build must be structurally identical to a reference build
 //! through an explicitly permuted relation.
 
@@ -79,6 +80,37 @@ proptest! {
                 t[pos] = v;
                 prop_assert_eq!(idx.probe_with(&t, &mut cursor), idx.probe(&t), "probe {:?}", &t);
             }
+        }
+    }
+
+    /// Probes in lexicographically increasing order, as Minesweeper's moving
+    /// frontier issues them: most steps keep a prefix and raise the next value —
+    /// the path on which the cursor gallops forward from the position its last
+    /// search found — and reset the deeper values. Every answer equals the
+    /// linear-scan reference; so does a second pass over the same probes after
+    /// the cursor is reset, which starts below where the first pass left it.
+    #[test]
+    fn cursor_probes_in_increasing_order_agree_with_the_reference(
+        rows in rows(3),
+        steps in prop::collection::vec((0usize..6, 1i64..4), 1..60),
+    ) {
+        let rel = Relation::from_rows(3, rows);
+        let idx = TrieIndex::build_natural(&rel);
+        let reference = rel.to_rows();
+        let mut probes = Vec::new();
+        let mut t = vec![-1i64; 3];
+        for &(pos, step) in &steps {
+            let pos = pos.min(2);
+            t[pos] += step;
+            t[pos + 1..].fill(-1);
+            probes.push(t.clone());
+        }
+        let mut cursor = idx.probe_cursor();
+        for _ in 0..2 {
+            for t in &probes {
+                prop_assert_eq!(idx.probe_with(t, &mut cursor), reference_probe(&reference, t), "probe {:?}", t);
+            }
+            cursor.reset();
         }
     }
 
