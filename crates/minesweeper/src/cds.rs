@@ -468,8 +468,8 @@ impl Cds {
     /// cannot be outputs and are reported as `POS_INF` (exhausted), so unconstrained
     /// levels still terminate.
     ///
-    /// The chain is walked round robin until `len` consecutive nodes leave `y`
-    /// where it is. A node that moves `y` counts as the first of them: `next` is
+    /// The chain is walked round robin until as many consecutive nodes as it has
+    /// leave `y` where it is. A node that moves `y` counts as the first of them: `next` is
     /// idempotent, so a one-node chain takes a single call.
     fn chain_fixpoint(&self, x: Val) -> Val {
         let mut y = x;

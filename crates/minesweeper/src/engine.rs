@@ -163,13 +163,13 @@ impl MinesweeperExecutor {
     /// forgets its Idea 4 memo and its probe cursor. The CDS node arena and every
     /// buffer keep their capacity. A pooled executor is checked out this way at
     /// the start of each execution.
-    pub fn forget_memos(&mut self) {
+    pub(crate) fn forget_memos(&mut self) {
         self.probers.iter_mut().for_each(AtomProber::forget);
     }
 
     /// Switches Idea 8 batch counting for the following runs (the configuration's
     /// `idea8_batch_counting`): row sinks need one binding per output.
-    pub fn set_batch_counting(&mut self, on: bool) {
+    pub(crate) fn set_batch_counting(&mut self, on: bool) {
         self.config.idea8_batch_counting = on;
     }
 

@@ -94,7 +94,7 @@ impl AtomProber {
 
     /// Forgets the memo and the probe cursor: the next probe searches the index
     /// from the root, as a fresh prober's would.
-    pub fn forget(&mut self) {
+    pub(crate) fn forget(&mut self) {
         self.memo_level = None;
         self.memo_stale = false;
         self.cursor.reset();

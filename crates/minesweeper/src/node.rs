@@ -346,6 +346,76 @@ mod tests {
         assert_eq!(n.next_free_point(0), 9);
     }
 
+    /// The point-list semantics spelled out on plain vectors: merge every
+    /// interval that overlaps the new one, keep the list sorted, and drop the
+    /// children and free points strictly inside the merged interval.
+    #[derive(Default)]
+    struct Model {
+        intervals: Vec<(Val, Val)>,
+        children: Vec<Val>,
+        free_points: Vec<Val>,
+    }
+
+    impl Model {
+        fn insert_interval(&mut self, low: Val, high: Val) {
+            if high <= low {
+                return;
+            }
+            let (mut low, mut high) = (low, high);
+            for &(l, h) in &self.intervals {
+                if l < high && low < h {
+                    (low, high) = (low.min(l), high.max(h));
+                }
+            }
+            self.intervals.retain(|&(l, h)| !(l < high && low < h));
+            self.intervals.push((low, high));
+            self.intervals.sort_unstable();
+            self.children.retain(|&v| !(low < v && v < high));
+            self.free_points.retain(|&v| !(low < v && v < high));
+        }
+    }
+
+    #[test]
+    fn point_list_updates_match_the_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut node, mut model) = (Node::new(), Model::default());
+            for _ in 0..40 {
+                let v = rng.gen_range(0..60);
+                match rng.gen_range(0..4) {
+                    0 if node.next(v) == v && node.child(v).is_none() => {
+                        node.set_child(v, v as NodeId);
+                        model.children.push(v);
+                        model.children.sort_unstable();
+                    }
+                    1 if node.next(v) == v => {
+                        node.add_free_point(v);
+                        if !model.free_points.contains(&v) {
+                            model.free_points.push(v);
+                            model.free_points.sort_unstable();
+                        }
+                    }
+                    _ => {
+                        let low = if rng.gen_bool(0.1) { NEG_INF } else { v - rng.gen_range(0..4) };
+                        let high =
+                            if rng.gen_bool(0.1) { POS_INF } else { v + rng.gen_range(0..6) };
+                        node.insert_interval(low, high);
+                        model.insert_interval(low, high);
+                    }
+                }
+                assert_eq!(node.intervals(), model.intervals.as_slice(), "seed {seed}");
+                let labels: Vec<Val> = node.children().iter().map(|&(label, _)| label).collect();
+                assert_eq!(labels, model.children, "seed {seed}");
+                assert_eq!(node.free_points(), model.free_points.as_slice(), "seed {seed}");
+                for x in [-1, v, 30] {
+                    let first = model.free_points.iter().copied().find(|&p| p >= x);
+                    assert_eq!(node.next_free_point(x), first.unwrap_or(POS_INF), "seed {seed}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sentinel_free_points_are_ignored() {
         let mut n = Node::new();

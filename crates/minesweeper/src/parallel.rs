@@ -18,9 +18,8 @@
 //! executor (and a fresh CDS) per job. When the worker ends, its executor goes back
 //! to the pool, so the next drive over the same pool starts with the node arena and
 //! every point list already grown: a warm execution allocates nothing. A checked-out
-//! executor forgets its memos and probe cursors
-//! ([`forget_memos`](MinesweeperExecutor::forget_memos)), so every execution counts
-//! exactly what a fresh executor would. Each worker accumulates the [`Counters`] of
+//! executor forgets its memos and probe cursors, so every execution counts exactly
+//! what a fresh executor would. Each worker accumulates the [`Counters`] of
 //! its morsels, and the driver sums every worker's into its report, so parallel
 //! executions report the same engine counters serial ones do.
 //!
@@ -36,7 +35,7 @@ use gj_query::BoundQuery;
 use gj_runtime::{Counters, ExecCtx, Morsel, MorselSource};
 use gj_storage::Val;
 use std::ops::ControlFlow;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The idle executors of one bound query under one configuration, kept between
 /// drives (see the [module docs](self)). Cloning gives an empty pool.
@@ -52,13 +51,13 @@ impl MsPool {
     }
 
     /// The number of idle executors.
-    pub fn idle(&self) -> usize {
-        self.lock().len()
+    pub(crate) fn idle(&self) -> usize {
+        self.executors().len()
     }
 
-    /// The pool's list; an executor is pushed or popped whole, so a panic while
+    /// The idle list; an executor is pushed or popped whole, so a panic while
     /// the lock was held leaves a valid list behind.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<MinesweeperExecutor>> {
+    fn executors(&self) -> MutexGuard<'_, Vec<MinesweeperExecutor>> {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -103,7 +102,7 @@ impl Drop for MsWorker<'_> {
     fn drop(&mut self) {
         // A panic may have unwound through the executor mid-update: drop it.
         if let (Some(exec), false) = (self.exec.take(), std::thread::panicking()) {
-            self.pool.lock().push(exec);
+            self.pool.executors().push(exec);
         }
     }
 }
@@ -121,12 +120,15 @@ impl<'a> MsMorsels<'a> {
         &self,
         exec: &'w mut Option<MinesweeperExecutor>,
     ) -> &'w mut MinesweeperExecutor {
-        exec.get_or_insert_with(|| match self.pool.lock().pop() {
-            Some(mut exec) => {
-                exec.forget_memos();
-                exec
+        exec.get_or_insert_with(|| {
+            let idle = self.pool.executors().pop();
+            match idle {
+                Some(mut exec) => {
+                    exec.forget_memos();
+                    exec
+                }
+                None => MinesweeperExecutor::new(self.bq, self.config.clone()),
             }
-            None => MinesweeperExecutor::new(self.bq, self.config.clone()),
         })
     }
 }

@@ -625,10 +625,9 @@ fn live_leaf_gap(base: &[Val], ins: &[Val], del: &[Val], tv: Val) -> (Val, Val) 
 /// * [`at_end`](TrieIterator::at_end) — whether the current level is exhausted.
 ///
 /// Over a delta-carrying index the iterator walks base and insert tries in lockstep
-/// and skips every key whose rows are all tombstoned, so the stream is exactly the
-/// sorted live relation at every level —
-/// engines never see the layers. Solid indexes take a dedicated single-layer path
-/// with no merge overhead.
+/// and skips every key whose rows are all tombstoned, so each level shows exactly
+/// the keys of the sorted live relation — engines never see the layers. Solid
+/// indexes take a dedicated single-layer path with no merge overhead.
 #[derive(Debug, Clone)]
 pub struct TrieIterator<'a>(Iter<'a>);
 
