@@ -445,7 +445,9 @@ impl Cds {
             if y < POS_INF {
                 self.nodes[bottom].add_free_point(y);
             }
-            if self.nodes[bottom].has_no_free_value() {
+            // A finite `y` stays free in the bottom node (the cached interval ends
+            // at it), so only an exhausted scan can have covered the level.
+            if y == POS_INF && self.nodes[bottom].has_no_free_value() {
                 let resume_depth = self.truncate(bottom, d);
                 return FreeValue { value: y, backtracked: true, resume_depth };
             }

@@ -252,7 +252,12 @@ impl MinesweeperExecutor {
             if !self.cds.compute_free_tuple() {
                 break;
             }
-            self.t.copy_from_slice(self.cds.frontier());
+            // The first position at which the free tuple moved: atoms wholly
+            // before it are probed with the projection they saw last time.
+            let frontier = self.cds.frontier();
+            let changed =
+                self.t.iter().zip(frontier).position(|(a, b)| a != b).unwrap_or(frontier.len());
+            self.t.copy_from_slice(frontier);
             if self.t[0] >= hi {
                 break;
             }
@@ -284,6 +289,9 @@ impl MinesweeperExecutor {
             }
 
             for prober in &mut self.probers {
+                if prober.repeat_member(changed, &mut stats) {
+                    continue;
+                }
                 let skeleton = prober.skeleton;
                 match prober.probe(&self.t, self.config.idea4_gap_memo, &mut stats) {
                     ProbeOutcome::Member => {}
