@@ -118,7 +118,7 @@ impl AtomProber {
     /// (a member leaves the memo as it was), so the same path would answer the
     /// same way: this counts what that path counts and returns `true` instead of
     /// repeating it. Returns `false` when [`probe`](Self::probe) must run.
-    pub fn repeat_member(&mut self, changed: usize, stats: &mut Counters) -> bool {
+    pub(crate) fn repeat_member(&mut self, changed: usize, stats: &mut Counters) -> bool {
         let Some(by_memo) = self.last_member else { return false };
         if self.positions.last().is_some_and(|&p| p >= changed) {
             return false;

@@ -25,8 +25,8 @@
 //!
 //! A serial Minesweeper execution in `gj-core` is this same source driven by one
 //! worker over the single whole-axis morsel; a `PreparedQuery` keeps one pool per
-//! Minesweeper plan, which therefore holds at most one idle executor per worker of
-//! the widest drive it served. Use `PreparedQuery::par_count(threads)` in `gj-core`
+//! Minesweeper plan, which therefore holds at most as many idle executors as its
+//! executions ever ran workers at once. Use `PreparedQuery::par_count(threads)` in `gj-core`
 //! for a parallel count, or drive [`MsMorsels`] through `gj_runtime::drive`
 //! directly.
 
