@@ -42,7 +42,7 @@ use crate::database::{same_shape, Database, Engine, EngineError, QueryOutput};
 use crate::sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 use gj_baselines::{BaselineError, GraphEngine, JoinAlgo, PairwiseMorsels, PairwisePlan};
 use gj_lftj::LftjMorsels;
-use gj_minesweeper::{HybridPlan, MsConfig, MsMorsels, MsPool};
+use gj_minesweeper::{HybridPlan, MsConfig, MsPlan};
 use gj_query::{lftj_gao, BindReport, BoundQuery, CatalogQuery, Query, VarId};
 use gj_runtime::{
     partition_first_attribute, try_drive, Counters, ExecCtx, ExecError, ExecMonitor, Morsel,
@@ -192,7 +192,7 @@ enum Plan {
     /// Minesweeper: a bound query, the engine configuration, and the idle
     /// executors the last drive's workers handed back, so a warm execution reuses
     /// their node arenas and point lists instead of allocating its own.
-    Minesweeper(BoundQuery, MsConfig, MsPool),
+    Minesweeper(MsPlan),
     /// Pairwise baselines: the prepared left-deep plan — join order chosen, every
     /// atom's rows copied into columnar intermediates, right-side probe structures
     /// (hash tables / sort permutations) prebuilt and shared by every execution.
@@ -360,7 +360,7 @@ impl<'db> PreparedQuery<'db> {
             }
             Engine::Minesweeper(config) => {
                 let (bq, report) = bind(gao)?;
-                (Plan::Minesweeper(bq, config.clone(), MsPool::new()), report)
+                (Plan::Minesweeper(MsPlan::new(bq, config.clone())), report)
             }
             Engine::Hybrid { split, config } => {
                 let (plan, report) =
@@ -423,7 +423,11 @@ impl<'db> PreparedQuery<'db> {
     /// Minesweeper). `None` for engines that run no GAO (pairwise plans, the
     /// hybrid, the graph engine).
     pub fn gao(&self) -> Option<Vec<&str>> {
-        let (Plan::Lftj(bq) | Plan::Minesweeper(bq, ..)) = &self.plan else { return None };
+        let bq = match &self.plan {
+            Plan::Lftj(bq) => bq,
+            Plan::Minesweeper(plan) => plan.bound_query(),
+            _ => return None,
+        };
         Some(bq.gao.iter().map(|&v| bq.query.var_names[v].as_str()).collect())
     }
 
@@ -495,11 +499,12 @@ impl<'db> PreparedQuery<'db> {
                 });
                 run.drive(&LftjMorsels::new(bq), &morsels, LFTJ_EXTRAS)?;
             }
-            Plan::Minesweeper(bq, config, pool) => {
+            Plan::Minesweeper(plan) => {
                 let morsels = morsels_for(threads, || {
-                    partition_first_attribute(bq, threads * config.granularity.max(1))
+                    let parts = threads * plan.config().granularity.max(1);
+                    partition_first_attribute(plan.bound_query(), parts)
                 });
-                run.drive(&MsMorsels::new(bq, config.clone(), pool), &morsels, MS_EXTRAS)?;
+                run.drive(&plan.morsels(), &morsels, MS_EXTRAS)?;
             }
             Plan::Pairwise(plan) => {
                 let morsels =
@@ -574,7 +579,7 @@ impl<'db> PreparedQuery<'db> {
     /// Each worker builds its engine state once, reuses it across the morsels it
     /// claims (LFTJ's and Minesweeper's executors, the pairwise engines' two
     /// intermediate buffers) and drops it when the run ends — except a
-    /// Minesweeper executor, which goes back to the prepared query's pool for the
+    /// Minesweeper executor, which goes back to the prepared query's plan for the
     /// next execution, its node arena kept and its memos forgotten on checkout, so
     /// it counts exactly what a fresh one would. The counters workers accumulate
     /// are summed into [`RunStats::counters`].

@@ -5,51 +5,9 @@
 
 use gj_datagen::{powerlaw_cluster, LdbcConfig, SocialNetwork};
 use graphjoin::{workload_database, CatalogQuery, Database, Engine, LdbcQuery, MsConfig, Query};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Heap acquisitions (`alloc` + `realloc`) made by this thread. Per thread, so
-    /// the test harness's own threads do not leak into the measurement.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-fn count_one() {
-    // `try_with`: the allocator outlives thread-local teardown.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised `Cell<u64>` with no
-// destructor, so touching it never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: same contract as `System.alloc`, which receives `layout` as is.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: same contract as `System.dealloc`: `ptr` was handed out by `System`
-    // through this allocator with this `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: same contract as `System.realloc`: `ptr` was handed out by `System`
-    // through this allocator with this `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Prepares `query` for Minesweeper, counts twice to warm the plan up, and
 /// asserts that a third count allocates nothing.
@@ -58,9 +16,7 @@ fn assert_warm_count_allocates_nothing(db: &Database, query: &Query) {
     let (expected, stats) = prepared.count_with_stats().unwrap();
     assert!(stats.counters.iterations > 1_000, "vacuous: {} is too small", query.name);
     assert_eq!(prepared.count().unwrap(), expected);
-    let before = ALLOCATIONS.with(Cell::get);
-    let count = prepared.count().unwrap();
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let (count, allocations) = counting_alloc::allocations_during(|| prepared.count().unwrap());
     assert_eq!(count, expected);
     assert_eq!(allocations, 0, "{}: a warm count allocated {allocations} times", query.name);
 }

@@ -8,54 +8,12 @@ use gj_query::{BoundQuery, CatalogQuery, Instance, Query};
 use gj_runtime::{Counters, ExecCtx, Morsel};
 use gj_storage::{Graph, Relation, Val};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-thread_local! {
-    /// Heap acquisitions (`alloc` + `realloc`) made by this thread. Per thread, so
-    /// the test harness's own threads do not leak into the measurement.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-fn count_one() {
-    // `try_with`: the allocator outlives thread-local teardown.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a const-initialised `Cell<u64>` with no
-// destructor, so touching it never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: same contract as `System.alloc`, which receives `layout` as is.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: same contract as `System.dealloc`: `ptr` was handed out by `System`
-    // through this allocator with this `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: same contract as `System.realloc`: `ptr` was handed out by `System`
-    // through this allocator with this `layout`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn random_edges(seed: u64, n: u32, p: f64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -78,9 +36,7 @@ fn warm_run(bq: &BoundQuery) -> (Counters, u64) {
     let mut run =
         || exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()));
     let cold = run();
-    let before = ALLOCATIONS.with(Cell::get);
-    let warm = run();
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let (warm, allocations) = counting_alloc::allocations_during(run);
     assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
     assert!(warm.results > 0, "vacuous: the query has no answer");
     (warm, allocations)

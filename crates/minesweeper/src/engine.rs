@@ -44,7 +44,7 @@ pub struct MsConfig {
     pub idea8_batch_counting: bool,
     /// Granularity factor `f` of Section 4.10: a run on `threads` workers
     /// (`PreparedQuery::par_count(threads)` and friends in `gj-core`,
-    /// [`crate::parallel::MsMorsels`] underneath) splits the output space into
+    /// [`crate::parallel::MsPlan::morsels`] underneath) splits the output space into
     /// `threads * granularity` jobs.
     pub granularity: usize,
 }
@@ -252,12 +252,7 @@ impl MinesweeperExecutor {
             if !self.cds.compute_free_tuple() {
                 break;
             }
-            // The first position at which the free tuple moved: atoms wholly
-            // before it are probed with the projection they saw last time.
-            let frontier = self.cds.frontier();
-            let changed =
-                self.t.iter().zip(frontier).position(|(a, b)| a != b).unwrap_or(frontier.len());
-            self.t.copy_from_slice(frontier);
+            self.t.copy_from_slice(self.cds.frontier());
             if self.t[0] >= hi {
                 break;
             }
@@ -289,9 +284,6 @@ impl MinesweeperExecutor {
             }
 
             for prober in &mut self.probers {
-                if prober.repeat_member(changed, &mut stats) {
-                    continue;
-                }
                 let skeleton = prober.skeleton;
                 match prober.probe(&self.t, self.config.idea4_gap_memo, &mut stats) {
                     ProbeOutcome::Member => {}

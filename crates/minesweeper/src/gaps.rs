@@ -60,9 +60,6 @@ pub struct AtomProber {
     memo_level: Option<usize>,
     /// Whether the memo predates the current run (see [`begin_run`](Self::begin_run)).
     memo_stale: bool,
-    /// How the last probe of this run found a member: `Some(true)` by the memo's
-    /// endpoint shortcut, `Some(false)` by the index; `None` after a gap.
-    last_member: Option<bool>,
     /// Scratch buffer for projections.
     scratch: Vec<Val>,
 }
@@ -83,7 +80,6 @@ impl AtomProber {
             memo: Constraint { pattern: Vec::new(), interval: (0, 0) },
             memo_level: None,
             memo_stale: false,
-            last_member: None,
         }
     }
 
@@ -94,7 +90,6 @@ impl AtomProber {
     /// would crawl through the remembered gap value by value.
     pub fn begin_run(&mut self) {
         self.memo_stale = self.memo_level.is_some();
-        self.last_member = None;
     }
 
     /// Forgets the memo and the probe cursor: the next probe searches the index
@@ -102,7 +97,6 @@ impl AtomProber {
     pub(crate) fn forget(&mut self) {
         self.memo_level = None;
         self.memo_stale = false;
-        self.last_member = None;
         self.cursor.reset();
     }
 
@@ -111,31 +105,10 @@ impl AtomProber {
         &self.positions
     }
 
-    /// Answers the probe of a free tuple whose projection onto the atom is the one
-    /// the last probe of this run saw — every position of the atom lies before
-    /// `changed`, the first GAO position at which the free tuple moved since then
-    /// — when that probe found a member. Nothing the answer depends on changed
-    /// (a member leaves the memo as it was), so the same path would answer the
-    /// same way: this counts what that path counts and returns `true` instead of
-    /// repeating it. Returns `false` when [`probe`](Self::probe) must run.
-    pub(crate) fn repeat_member(&mut self, changed: usize, stats: &mut Counters) -> bool {
-        let Some(by_memo) = self.last_member else { return false };
-        if self.positions.last().is_some_and(|&p| p >= changed) {
-            return false;
-        }
-        if by_memo {
-            stats.probes_skipped += 1;
-        } else {
-            stats.probes += 1;
-        }
-        true
-    }
-
     /// Probes the relation around the free tuple `t` (in GAO order), counting
     /// into `stats` the `seekGap` probes issued (`probes`) and those the Idea 4
     /// memo avoided (`probes_skipped`).
     pub fn probe(&mut self, t: &[Val], use_memo: bool, stats: &mut Counters) -> ProbeOutcome<'_> {
-        self.last_member = None;
         // Idea 4: answer from the memo when possible.
         if let (true, Some(level)) = (use_memo, self.memo_level) {
             if self.memo.pattern_matches(t) {
@@ -157,7 +130,6 @@ impl AtomProber {
                     && v < POS_INF
                 {
                     stats.probes_skipped += 1;
-                    self.last_member = Some(true);
                     return ProbeOutcome::Member;
                 }
             }
@@ -168,10 +140,7 @@ impl AtomProber {
         }
         stats.probes += 1;
         match self.index.probe_with(&self.scratch, &mut self.cursor) {
-            ProbeResult::Found => {
-                self.last_member = Some(false);
-                ProbeOutcome::Member
-            }
+            ProbeResult::Found => ProbeOutcome::Member,
             ProbeResult::Gap { depth, lower, upper } => {
                 self.memoise_gap(t, depth, lower, upper);
                 ProbeOutcome::Gap { constraint: &self.memo, newly_discovered: true }
@@ -355,36 +324,6 @@ mod tests {
         // A changed first value searches from the root again.
         assert_eq!(r.probe(&[1, 1, 5, 1, 1, 12, 1], true, &mut stats), ProbeOutcome::Member);
         assert_eq!(stats.probes, 5);
-    }
-
-    #[test]
-    fn a_repeated_member_counts_like_the_probe_it_skips() {
-        let (_bq, mut probers) = paper_setup();
-        let mut stats = Counters::default();
-        let r = probers.iter_mut().find(|p| p.positions() == [2, 4, 5]).unwrap();
-        // Nothing to repeat before the first probe of the run.
-        assert!(!r.repeat_member(6, &mut stats));
-        assert_eq!(r.probe(&[0, 0, 7, 0, 9, 13, 0], true, &mut stats), ProbeOutcome::Member);
-        // Position 6 moved, and the atom ends at 5: the member repeats, counted as
-        // the index probe it was.
-        assert!(r.repeat_member(6, &mut stats));
-        assert_eq!(stats.probes, 2);
-        // Position 5 moved: the projection may differ, so the probe must run.
-        assert!(!r.repeat_member(5, &mut stats));
-        // A gap leaves nothing to repeat.
-        assert!(matches!(
-            r.probe(&[0, 0, 7, 0, 9, 14, 0], true, &mut stats),
-            ProbeOutcome::Gap { .. }
-        ));
-        assert!(!r.repeat_member(6, &mut stats));
-        // A member answered by the memo's endpoint shortcut repeats as a skip.
-        assert_eq!(r.probe(&[0, 0, 7, 0, 9, 13, 1], true, &mut stats), ProbeOutcome::Member);
-        assert_eq!(stats.probes_skipped, 1);
-        assert!(r.repeat_member(6, &mut stats));
-        assert_eq!((stats.probes, stats.probes_skipped), (3, 2));
-        // A new run starts without a last probe.
-        r.begin_run();
-        assert!(!r.repeat_member(6, &mut stats));
     }
 
     #[test]

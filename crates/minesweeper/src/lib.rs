@@ -30,9 +30,9 @@
 //!   but the last attribute is counted from the free points of a complete
 //!   last-level node instead of being enumerated;
 //! * the **multi-threaded** partitioning of Section 4.10 — served through the
-//!   shared `gj-runtime` morsel driver ([`MsMorsels`]), with one executor reused
-//!   per worker across morsels, kept warm between executions in an [`MsPool`],
-//!   and full sink support (parallel
+//!   shared `gj-runtime` morsel driver ([`MsPlan::morsels`]), with one executor
+//!   reused per worker across morsels, kept warm between executions in the
+//!   [`MsPlan`], and full sink support (parallel
 //!   enumerate/collect/first_k, not just counting) — and the **hybrid**
 //!   Minesweeper + LFTJ algorithm of Section 4.12.
 //!
@@ -51,4 +51,4 @@ pub use cds::Cds;
 pub use constraint::{Constraint, PatternComp};
 pub use engine::{count, enumerate, MinesweeperExecutor, MsConfig};
 pub use hybrid::{hybrid_count, HybridPlan};
-pub use parallel::{MsMorsels, MsPool, MsWorker};
+pub use parallel::{MsMorsels, MsPlan, MsWorker};

@@ -10,25 +10,28 @@
 //! partitions against per-job overhead; the paper uses `f = 1` for acyclic and
 //! `f = 8` for cyclic queries (Table 5).
 //!
-//! [`MsMorsels`] is Minesweeper's [`MorselSource`]: each worker thread checks
-//! **one** [`MinesweeperExecutor`] out of an [`MsPool`] when it claims its first
-//! morsel and carries it across every morsel it claims —
+//! An [`MsPlan`] holds a bound query, its configuration and the idle executors
+//! of its last drive; [`MsPlan::morsels`] is Minesweeper's [`MorselSource`]. Each
+//! worker thread checks **one** [`MinesweeperExecutor`] out of the plan when it
+//! claims its first morsel and carries it across every morsel it claims —
 //! [`run_range_ctx`](MinesweeperExecutor::run_range_ctx) recycles the CDS node
 //! arena and keeps the probers' Idea 4 gap memos warm, instead of paying a fresh
 //! executor (and a fresh CDS) per job. When the worker ends, its executor goes back
-//! to the pool, so the next drive over the same pool starts with the node arena and
-//! every point list already grown: a warm execution allocates nothing. A checked-out
-//! executor forgets its memos and probe cursors, so every execution counts exactly
-//! what a fresh executor would. Each worker accumulates the [`Counters`] of
-//! its morsels, and the driver sums every worker's into its report, so parallel
-//! executions report the same engine counters serial ones do.
+//! to the plan, so the next drive starts with the node arena and every point list
+//! already grown: a warm execution allocates nothing. A checked-out executor
+//! forgets its memos and probe cursors, so every execution counts exactly what a
+//! fresh executor would. The plan owns the query and configuration its executors
+//! were built for, so no drive can hand an executor another query's indexes. Each
+//! worker accumulates the [`Counters`] of its morsels, and the driver sums every
+//! worker's into its report, so parallel executions report the same engine
+//! counters serial ones do.
 //!
 //! A serial Minesweeper execution in `gj-core` is this same source driven by one
-//! worker over the single whole-axis morsel; a `PreparedQuery` keeps one pool per
-//! Minesweeper plan, which therefore holds at most as many idle executors as its
-//! executions ever ran workers at once. Use `PreparedQuery::par_count(threads)` in `gj-core`
-//! for a parallel count, or drive [`MsMorsels`] through `gj_runtime::drive`
-//! directly.
+//! worker over the single whole-axis morsel. A `PreparedQuery` keeps one
+//! `MsPlan`, which therefore holds at most as many idle executors as its
+//! executions ever ran workers at once. Use `PreparedQuery::par_count(threads)` in
+//! `gj-core` for a parallel count, or drive [`MsPlan::morsels`] through
+//! `gj_runtime::drive` directly.
 
 use crate::engine::{MinesweeperExecutor, MsConfig};
 use gj_query::BoundQuery;
@@ -37,17 +40,48 @@ use gj_storage::Val;
 use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The idle executors of one bound query under one configuration, kept between
-/// drives (see the [module docs](self)). Cloning gives an empty pool.
-#[derive(Default)]
-pub struct MsPool {
+/// A bound query prepared for Minesweeper: the query, its configuration, and the
+/// idle executors the last drive's workers handed back (see the
+/// [module docs](self)). Every executor in it was built for this query and
+/// configuration. A clone starts with no idle executors.
+pub struct MsPlan {
+    bq: BoundQuery,
+    config: MsConfig,
     idle: Mutex<Vec<MinesweeperExecutor>>,
 }
 
-impl MsPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        MsPool::default()
+impl MsPlan {
+    /// A plan with no idle executors yet.
+    pub fn new(bq: BoundQuery, config: MsConfig) -> Self {
+        MsPlan { bq, config, idle: Mutex::default() }
+    }
+
+    /// The bound query.
+    pub fn bound_query(&self) -> &BoundQuery {
+        &self.bq
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &MsConfig {
+        &self.config
+    }
+
+    /// The plan as a [`MorselSource`] whose workers check executors out of the
+    /// plan and hand them back when they end.
+    pub fn morsels(&self) -> MsMorsels<'_> {
+        MsMorsels { plan: self }
+    }
+
+    /// An idle executor with its memos forgotten, or a new one when none is idle.
+    fn checkout(&self) -> MinesweeperExecutor {
+        let idle = self.executors().pop();
+        match idle {
+            Some(mut exec) => {
+                exec.forget_memos();
+                exec
+            }
+            None => MinesweeperExecutor::new(&self.bq, self.config.clone()),
+        }
     }
 
     /// The number of idle executors.
@@ -62,37 +96,40 @@ impl MsPool {
     }
 }
 
-impl Clone for MsPool {
+impl Clone for MsPlan {
     fn clone(&self) -> Self {
-        MsPool::default()
+        MsPlan::new(self.bq.clone(), self.config.clone())
     }
 }
 
-impl std::fmt::Debug for MsPool {
+impl std::fmt::Debug for MsPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MsPool").field("idle", &self.idle()).finish()
+        f.debug_struct("MsPlan")
+            .field("bq", &self.bq)
+            .field("config", &self.config)
+            .field("idle", &self.idle())
+            .finish()
     }
 }
 
-/// Minesweeper as a [`MorselSource`] for the `gj-runtime` morsel driver.
+/// Minesweeper as a [`MorselSource`] for the `gj-runtime` morsel driver, made by
+/// [`MsPlan::morsels`].
 ///
 /// Row emission re-orders bindings into **variable-id order** (the sink protocol's
 /// row shape) and disables Idea 8 batch counting (a counting-only optimisation);
 /// the counting fast path ([`MorselSource::count_morsel`]) keeps the configuration
 /// exactly as given, multiplicities included.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsMorsels<'a> {
-    bq: &'a BoundQuery,
-    config: MsConfig,
-    pool: &'a MsPool,
+    plan: &'a MsPlan,
 }
 
-/// Per-worker state of [`MsMorsels`]: the executor checked out of the pool on the
-/// worker's first morsel and returned to it when the worker ends, the
+/// Per-worker state of [`MsMorsels`]: the executor checked out of the plan on
+/// the worker's first morsel and returned to it when the worker ends, the
 /// variable-order scratch row of the row path, and the worker's accumulated
 /// counters.
 pub struct MsWorker<'a> {
-    pool: &'a MsPool,
+    plan: &'a MsPlan,
     exec: Option<MinesweeperExecutor>,
     scratch: Vec<Val>,
     counters: Counters,
@@ -102,34 +139,8 @@ impl Drop for MsWorker<'_> {
     fn drop(&mut self) {
         // A panic may have unwound through the executor mid-update: drop it.
         if let (Some(exec), false) = (self.exec.take(), std::thread::panicking()) {
-            self.pool.executors().push(exec);
+            self.plan.executors().push(exec);
         }
-    }
-}
-
-impl<'a> MsMorsels<'a> {
-    /// Wraps a bound query for morsel-driven execution under `config`, with
-    /// executors checked out of and returned to `pool`. Every drive over one pool
-    /// must use the same bound query and configuration.
-    pub fn new(bq: &'a BoundQuery, config: MsConfig, pool: &'a MsPool) -> Self {
-        MsMorsels { bq, config, pool }
-    }
-
-    /// The worker's executor, checked out of the pool (or built) on first use.
-    fn executor<'w>(
-        &self,
-        exec: &'w mut Option<MinesweeperExecutor>,
-    ) -> &'w mut MinesweeperExecutor {
-        exec.get_or_insert_with(|| {
-            let idle = self.pool.executors().pop();
-            match idle {
-                Some(mut exec) => {
-                    exec.forget_memos();
-                    exec
-                }
-                None => MinesweeperExecutor::new(self.bq, self.config.clone()),
-            }
-        })
     }
 }
 
@@ -137,7 +148,7 @@ impl<'a> MorselSource for MsMorsels<'a> {
     type Worker = MsWorker<'a>;
 
     fn worker(&self) -> MsWorker<'a> {
-        MsWorker { pool: self.pool, exec: None, scratch: Vec::new(), counters: Counters::default() }
+        MsWorker { plan: self.plan, exec: None, scratch: Vec::new(), counters: Counters::default() }
     }
 
     fn run_morsel(
@@ -147,9 +158,9 @@ impl<'a> MorselSource for MsMorsels<'a> {
         ctx: &ExecCtx<'_>,
         emit: &mut dyn FnMut(&[Val]) -> ControlFlow<()>,
     ) {
-        let gao = &self.bq.gao;
+        let gao = &self.plan.bq.gao;
         let MsWorker { exec, scratch, counters, .. } = worker;
-        let exec = self.executor(exec);
+        let exec = exec.get_or_insert_with(|| self.plan.checkout());
         // A row sink needs every output as its own binding.
         exec.set_batch_counting(false);
         scratch.resize(gao.len(), 0);
@@ -162,8 +173,8 @@ impl<'a> MorselSource for MsMorsels<'a> {
     }
 
     fn count_morsel(&self, worker: &mut MsWorker<'a>, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
-        let exec = self.executor(&mut worker.exec);
-        exec.set_batch_counting(self.config.idea8_batch_counting);
+        let exec = worker.exec.get_or_insert_with(|| self.plan.checkout());
+        exec.set_batch_counting(self.plan.config.idea8_batch_counting);
         let mut rows = 0;
         let stats = exec.run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_, multiplicity| {
             rows += multiplicity;
@@ -204,7 +215,8 @@ mod tests {
     fn par_count(bq: &BoundQuery, config: &MsConfig, threads: usize, parts: usize) -> u64 {
         let morsels = partition_first_attribute(bq, parts);
         let mut sink = CountSink::new();
-        drive(&MsMorsels::new(bq, config.clone(), &MsPool::new()), &morsels, threads, &mut sink);
+        let plan = MsPlan::new(bq.clone(), config.clone());
+        drive(&plan.morsels(), &morsels, threads, &mut sink);
         sink.rows()
     }
 
@@ -257,7 +269,7 @@ mod tests {
         let morsels = partition_first_attribute(&bq, 6);
         assert!(morsels.len() > 1, "test needs a real partition");
         let mut sink = CollectSink::new();
-        drive(&MsMorsels::new(&bq, MsConfig::default(), &MsPool::new()), &morsels, 3, &mut sink);
+        drive(&MsPlan::new(bq, MsConfig::default()).morsels(), &morsels, 3, &mut sink);
         assert_eq!(sink.into_rows(), expected);
     }
 
@@ -269,8 +281,8 @@ mod tests {
         let inst = random_instance(18, 40, 0.15);
         let q = CatalogQuery::ThreePath.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let pool = MsPool::new();
-        let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
+        let plan = MsPlan::new(bq.clone(), MsConfig::default());
+        let source = plan.morsels();
         let morsels = partition_first_attribute(&bq, 4);
         let mut worker = source.worker();
         let counted: u64 =
@@ -297,8 +309,8 @@ mod tests {
         let inst = random_instance(17, 45, 0.15);
         let q = CatalogQuery::ThreeClique.query();
         let bq = BoundQuery::new(&inst, &q, None).unwrap();
-        let pool = MsPool::new();
-        let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
+        let plan = MsPlan::new(bq.clone(), MsConfig::default());
+        let source = plan.morsels();
         let morsels = partition_first_attribute(&bq, 8);
         let mut worker = source.worker();
         let total: u64 =
@@ -317,8 +329,8 @@ mod tests {
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
             let sequential = crate::engine::count(&bq, &MsConfig::default());
             for (threads, parts) in [(2, 6), (4, 16), (3, 24)] {
-                let pool = MsPool::new();
-                let source = MsMorsels::new(&bq, MsConfig::default(), &pool);
+                let plan = MsPlan::new(bq.clone(), MsConfig::default());
+                let source = plan.morsels();
                 let morsels = partition_first_attribute(&bq, parts);
                 let mut sink = CountSink::new();
                 let report = drive(&source, &morsels, threads, &mut sink);
@@ -330,9 +342,9 @@ mod tests {
         }
     }
 
-    /// Drives through one pool repeat a fresh pool's counters exactly (the
+    /// Drives over one plan repeat a fresh plan's counters exactly (the
     /// checked-out executors forget their memos), and every worker hands its
-    /// executor back when it ends: the pool never holds more idle executors than
+    /// executor back when it ends: the plan never holds more idle executors than
     /// the widest drive had workers.
     #[test]
     fn pooled_drives_repeat_the_counters_of_fresh_executors() {
@@ -341,23 +353,22 @@ mod tests {
             let q = cq.query();
             let bq = BoundQuery::new(&inst, &q, None).unwrap();
             let morsels = partition_first_attribute(&bq, 8);
-            let count = |pool: &MsPool, threads| {
+            let count = |plan: &MsPlan, threads| {
                 let mut sink = CountSink::new();
-                let source = MsMorsels::new(&bq, MsConfig::default(), pool);
-                (drive(&source, &morsels, threads, &mut sink).counters, sink.rows())
+                (drive(&plan.morsels(), &morsels, threads, &mut sink).counters, sink.rows())
             };
-            let pool = MsPool::new();
-            let fresh = count(&MsPool::new(), 1);
+            let plan = MsPlan::new(bq.clone(), MsConfig::default());
+            let fresh = count(&plan.clone(), 1);
             for threads in [1, 1, 2, 1, 2] {
-                let (counters, rows) = count(&pool, threads);
+                let (counters, rows) = count(&plan, threads);
                 assert_eq!(rows, fresh.1, "{} t={threads}", q.name);
                 if threads == 1 {
                     assert_eq!(counters, fresh.0, "{} pooled vs fresh", q.name);
                 }
-                assert!(pool.idle() <= 2, "{}: {} idle executors", q.name, pool.idle());
+                assert!(plan.idle() <= 2, "{}: {} idle executors", q.name, plan.idle());
             }
-            assert!(pool.idle() >= 1, "{}: no executor came back", q.name);
-            assert_eq!(pool.clone().idle(), 0, "a clone starts empty");
+            assert!(plan.idle() >= 1, "{}: no executor came back", q.name);
+            assert_eq!(plan.clone().idle(), 0, "a clone starts empty");
         }
     }
 }
