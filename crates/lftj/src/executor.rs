@@ -5,11 +5,11 @@
 //! recurses on each match; the recursion bottoming out at the last variable yields
 //! an output tuple.
 //!
-//! The intersection is one loop over a cursor per participant. Over a solid index
-//! the cursor is its open level as a slice ([`TrieIterator::solid_level`]): it
-//! seeks inline, steps past a match by moving its position, and hands the position
-//! back to the iterator only before the search descends. Over a delta-carrying
-//! index the cursor is the iterator. The cursor buffers are allocated once, in
+//! The intersection is one loop over a cursor per participant. The cursor is the
+//! atom's open level as a slice ([`TrieIterator::level`]) — every index reads one
+//! solid trie, a delta-carrying one its fold — so it seeks inline, steps past a
+//! match by moving its position, and hands the position back to the iterator only
+//! before the search descends. The cursor buffers are allocated once, in
 //! [`LftjExecutor::new`], so a warm executor searches without touching the heap.
 //!
 //! Order filters (`x < y`, used by the clique/cycle queries to report each pattern
@@ -23,13 +23,12 @@ use gj_runtime::{Counters, ExecCtx, ExecWatch, Morsel};
 use gj_storage::{TrieIterator, Val, NEG_INF, POS_INF};
 use std::ops::ControlFlow;
 
-/// One participant of the intersection at one GAO position: a solid index's open
-/// level as a slice (cut at the node's last child) plus a position in it, or, with
-/// `level` `None`, a delta-carrying index's iterator, which seeks itself.
+/// One participant of the intersection at one GAO position: the atom's open level
+/// as a slice (cut at the node's last child) plus a position in it.
 #[derive(Debug, Clone, Copy)]
 struct Cursor<'a> {
     atom: usize,
-    level: Option<&'a [Val]>,
+    level: &'a [Val],
     pos: usize,
 }
 
@@ -38,43 +37,28 @@ impl<'a> Cursor<'a> {
     fn open(&mut self, iters: &mut [TrieIterator<'a>]) -> bool {
         let it = &mut iters[self.atom];
         it.open();
-        self.level = it.solid_level().map(|(values, pos)| {
-            self.pos = pos;
-            values
-        });
+        (self.level, self.pos) = it.level();
         !it.at_end()
     }
 
     /// Moves to the least key `>= v`; `None` once exhausted.
     #[inline]
-    fn seek(&mut self, iters: &mut [TrieIterator<'a>], v: Val) -> Option<Val> {
-        if let Some(values) = self.level {
-            self.pos = seek(values, self.pos, v);
-            return values.get(self.pos).copied();
-        }
-        let it = &mut iters[self.atom];
-        it.seek(v);
-        (!it.at_end()).then(|| it.key())
+    fn seek(&mut self, v: Val) -> Option<Val> {
+        self.pos = seek(self.level, self.pos, v);
+        self.level.get(self.pos).copied()
     }
 
     /// Moves past the current key; `None` once exhausted.
     #[inline]
-    fn next(&mut self, iters: &mut [TrieIterator<'a>]) -> Option<Val> {
-        if let Some(values) = self.level {
-            self.pos += 1;
-            return values.get(self.pos).copied();
-        }
-        let it = &mut iters[self.atom];
-        it.next();
-        (!it.at_end()).then(|| it.key())
+    fn next(&mut self) -> Option<Val> {
+        self.pos += 1;
+        self.level.get(self.pos).copied()
     }
 
-    /// Hands a solid position back to the iterator, so `open` descends from it.
+    /// Hands the position back to the iterator, so `open` descends from it.
     #[inline]
     fn sync(&self, iters: &mut [TrieIterator<'a>]) {
-        if self.level.is_some() {
-            iters[self.atom].set_solid_pos(self.pos);
-        }
+        iters[self.atom].set_pos(self.pos);
     }
 }
 
@@ -104,7 +88,7 @@ impl<'a> LftjExecutor<'a> {
         let cursors: Vec<Vec<Cursor<'a>>> = (0..n)
             .map(|pos| {
                 let atoms = bq.atoms_at_gao_pos(pos).into_iter();
-                atoms.map(|atom| Cursor { atom, level: None, pos: 0 }).collect()
+                atoms.map(|atom| Cursor { atom, level: &[], pos: 0 }).collect()
             })
             .collect();
         for (pos, parts) in cursors.iter().enumerate() {
@@ -263,13 +247,13 @@ impl<'a> LftjExecutor<'a> {
                 if flow.is_break() {
                     return flow;
                 }
-                match cursors[i].next(&mut self.iters) {
+                match cursors[i].next() {
                     Some(key) if key < upper => target = key,
                     _ => return ControlFlow::Continue(()),
                 }
                 agreed = 1;
             } else {
-                match cursors[i].seek(&mut self.iters, target) {
+                match cursors[i].seek(target) {
                     Some(key) if key == target => agreed += 1,
                     Some(key) if key < upper => {
                         target = key;

@@ -5,11 +5,11 @@
 //! seeking the iterator with the smallest key to the current maximum key — each miss
 //! "leapfrogs" over a swath of values that cannot participate in the join.
 //!
-//! `seek` is the kernel of both leapfrogs in this crate: over a solid level
-//! ([`TrieIterator::solid_level`]) it gallops forward from the position, then
-//! binary-searches. The executor's loop runs it on its own slice cursors
-//! ([`executor`](crate::executor)); [`LeapfrogJoin`], the classic presentation
-//! over an iterator vector, routes each solid iterator's seek through it.
+//! `seek` is the kernel of the executor's loop, which runs it on its own slice
+//! cursors over open trie levels ([`executor`](crate::executor)): it gallops
+//! forward from the position, then binary-searches. [`LeapfrogJoin`], the classic
+//! presentation over an iterator vector, seeks through [`TrieIterator::seek`],
+//! which gallops the same way.
 
 use gj_storage::{TrieIterator, Val};
 
@@ -29,15 +29,6 @@ pub(crate) fn seek(values: &[Val], pos: usize, v: Val) -> usize {
         hi = (lo + step).min(values.len());
     }
     lo + 1 + values[lo + 1..hi].partition_point(|&x| x < v)
-}
-
-/// Seeks `it` to its least key `>= v`, through [`seek`] over a solid level.
-#[inline]
-fn seek_iter(it: &mut TrieIterator<'_>, v: Val) {
-    match it.solid_level() {
-        Some((values, pos)) => it.set_solid_pos(seek(values, pos, v)),
-        None => it.seek(v),
-    }
 }
 
 /// Leapfrog intersection state over a subset of the executor's trie iterators.
@@ -121,7 +112,7 @@ impl LeapfrogJoin {
                 return;
             }
             let idx = self.participants[self.p];
-            seek_iter(&mut iters[idx], max_key);
+            iters[idx].seek(max_key);
             if iters[idx].at_end() {
                 self.at_end = true;
                 return;
@@ -156,7 +147,7 @@ impl LeapfrogJoin {
             return;
         }
         let idx = self.participants[self.p];
-        seek_iter(&mut iters[idx], v);
+        iters[idx].seek(v);
         if iters[idx].at_end() {
             self.at_end = true;
         } else {
@@ -237,12 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn a_join_seeks_a_delta_carrying_iterator_through_its_own_seek() {
+    fn a_join_over_a_delta_carrying_index_reads_its_fold() {
         let solid = TrieIndex::build_natural(&Relation::from_values(vec![1, 2, 4, 6, 8]));
         let base = TrieIndex::build_natural(&Relation::from_values(vec![2, 3, 6, 7]));
-        let merged =
+        let edited =
             base.with_edits(&Relation::from_values(vec![8]), &Relation::from_values(vec![6]));
-        let mut iters = vec![solid.iter(), merged.iter()];
+        let mut iters = vec![solid.iter(), edited.iter()];
         for it in &mut iters {
             it.open();
         }

@@ -12,10 +12,10 @@
 //! worst-case optimal — which is what lets it avoid the exploding intermediate
 //! results that pairwise (Selinger-style) plans materialise on cyclic graph patterns.
 //!
-//! Each level's intersection is one leapfrog loop over a cursor per atom: a solid
-//! trie's open level as a slice plus a position, or a delta-carrying trie's
-//! iterator. A warm search allocates nothing. [`LeapfrogJoin`] keeps the classic
-//! iterator-vector presentation on the same seek kernel.
+//! Each level's intersection is one leapfrog loop over a cursor per atom: the
+//! atom's open trie level as a slice plus a position (a delta-carrying index is
+//! read through its fold, so every level is a slice). A warm search allocates
+//! nothing. [`LeapfrogJoin`] keeps the classic iterator-vector presentation.
 //!
 //! The public entry points are [`LftjExecutor`], [`count`] and [`enumerate`]; all of
 //! them consume a [`BoundQuery`](gj_query::BoundQuery) (query + GAO + GAO-consistent

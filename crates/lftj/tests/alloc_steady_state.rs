@@ -87,8 +87,9 @@ fn solid_and_delta(live: Relation, del: Relation) -> (BoundQuery, BoundQuery) {
 }
 
 /// Every atom's index carries a delta layer: three rows between live nodes sit
-/// in the base under tombstones. The merged iterators seek themselves; the
-/// counters match the solid run and the warm run still allocates nothing.
+/// in the base under tombstones. The first run folds each delta into a solid
+/// trie; the counters match the solid run and the warm run, over the folds,
+/// allocates nothing.
 #[test]
 fn a_warm_executor_allocates_nothing_over_delta_carrying_indexes() {
     let live = random_edges(9, 120, 0.08);
@@ -103,10 +104,10 @@ fn a_warm_executor_allocates_nothing_over_delta_carrying_indexes() {
     assert_warm_run_allocates_nothing(&delta);
 }
 
-/// Tombstoned rows whose endpoints lie outside the graph leave trie keys with no
-/// live row under them. The merged iterators skip such keys, so LFTJ explores
-/// exactly the bindings of the solid run (presenting the dead keys explored 880
-/// bindings here against the solid run's 877).
+/// Tombstoned rows whose endpoints lie outside the graph leave base keys with no
+/// live row under them. The fold drops such keys, so LFTJ explores exactly the
+/// bindings of the solid run (presenting the dead keys explored 880 bindings here
+/// against the solid run's 877).
 #[test]
 fn keys_whose_rows_are_all_tombstoned_add_no_bindings() {
     let live = random_edges(9, 120, 0.08);

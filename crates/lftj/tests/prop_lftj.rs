@@ -51,10 +51,10 @@ fn emission(bq: &BoundQuery) -> (Vec<Vec<Val>>, Counters) {
 
 /// `solid` with every other `edge` atom's index rebuilt as a base trie plus a
 /// delta layer holding the same relation: the edge rows picked by `seed` live
-/// only in the insert trie, and absent rows between live nodes sit in the base
-/// under tombstones (live endpoints, so no level shows a wholly deleted
-/// subtree). Every level that two `edge` atoms share then mixes a solid and a
-/// delta-carrying participant.
+/// only in the insert trie, and absent rows sit in the base under tombstones —
+/// some between live nodes, and a triangle beyond the graph whose base keys have
+/// no live row at all. Every level that two `edge` atoms share then mixes a
+/// solid index and a delta-carrying one read through its fold.
 fn with_mixed_indexes(inst: &Instance, solid: &BoundQuery, seed: i64) -> BoundQuery {
     let live = inst.relation("edge").unwrap();
     let ins = Relation::from_rows(
@@ -66,7 +66,8 @@ fn with_mixed_indexes(inst: &Instance, solid: &BoundQuery, seed: i64) -> BoundQu
         .iter()
         .flat_map(|&x| nodes.iter().map(move |&y| (x, y)))
         .filter(|&(x, y)| x != y && (x + y + seed) % 4 == 0 && !live.contains(&[x, y]));
-    let del = Relation::from_pairs(absent.take(4));
+    let beyond = [(100, 101), (101, 102), (102, 100)].map(|(x, y)| (x + seed, y + seed));
+    let del = Relation::from_pairs(absent.take(4).chain(beyond));
     let mut base_inst = inst.clone();
     base_inst.add_relation("edge", live.with_edits(&del, &ins));
     let base = BoundQuery::new(&base_inst, &solid.query, Some(solid.gao.clone())).unwrap();

@@ -65,8 +65,9 @@ impl RelEntry {
 }
 
 /// Pending deltas above this size are folded into a fresh solid base
-/// (`max(64, live_rows / 8)`): big enough that a steady edit trickle almost never
-/// compacts, small enough that merged-iteration overhead stays bounded.
+/// (`max(64, live_rows / 8)`). Readers never pay for a delta (each index folds it
+/// once, on its first read), so the threshold bounds memory: the cumulative sets,
+/// the delta rows of every permutation, and a base kept beside its fold.
 fn compaction_threshold(live_rows: usize) -> usize {
     64.max(live_rows / 8)
 }
@@ -209,10 +210,11 @@ impl IndexCache {
     /// Applies an **effective** edit batch (inserts not previously live, deletes
     /// previously live — disjoint) to every cached index of relation `name`, in
     /// O(delta × permutations) — the shared base tries are never rebuilt.
-    /// `updated` is the post-edit relation, used only when the accumulated delta
-    /// crosses `compaction_threshold`: then every permutation is rebuilt solid
-    /// from it and the delta sets are cleared. Returns the number of indexes
-    /// compacted (0 for a pure delta update).
+    /// `updated` is the post-edit relation; its size sets `compaction_threshold`.
+    /// When the accumulated delta crosses it, every permutation is compacted: its
+    /// base and the cumulative delta are folded into a fresh solid base by one
+    /// linear merge (no sort), and the delta sets are cleared. Returns the number
+    /// of indexes compacted (0 for a pure delta update).
     ///
     /// A relation with no cached indexes needs no work: the next miss builds a
     /// solid index straight from the updated relation.
@@ -233,20 +235,21 @@ impl IndexCache {
             return 0;
         }
         entry.absorb(ins, del);
-        if entry.ins.len() + entry.del.len() > compaction_threshold(updated.len()) {
+        let compact = entry.ins.len() + entry.del.len() > compaction_threshold(updated.len());
+        if compact {
             self.fire_trie_build_locked();
-            for (perm, index) in entry.perms.iter_mut() {
-                *index = Arc::new(TrieIndex::build(updated, perm));
-            }
-            entry.ins.clear();
-            entry.del.clear();
-            return entry.perms.len();
         }
         let (ins_rel, del_rel) = entry.delta_relations(updated.arity());
         for index in entry.perms.values_mut() {
-            *index = Arc::new(index.with_edits(&ins_rel, &del_rel));
+            let edited = index.with_edits(&ins_rel, &del_rel);
+            *index = Arc::new(if compact { edited.compacted() } else { edited });
         }
-        0
+        if !compact {
+            return 0;
+        }
+        entry.ins.clear();
+        entry.del.clear();
+        entry.perms.len()
     }
 
     /// [`IndexCache::fire_trie_build`] is called with `entries` held during
@@ -479,16 +482,26 @@ mod tests {
         let cache = IndexCache::new();
         let r = edge();
         let before = cache.get_or_build("edge", &r, &[0, 1]);
-        // 65 inserts on a 4-row relation crosses max(64, len/8).
+        cache.get_or_build("edge", &r, &[1, 0]);
+        // 65 inserts and a delete on a 4-row relation cross max(64, len/8).
         let ins = Relation::from_pairs((0..65).map(|i| (100 + i, i)).collect::<Vec<_>>());
-        let none = Relation::empty(2);
-        let updated = r.with_edits(&ins, &none);
-        assert_eq!(cache.apply_edits("edge", &ins, &none, &updated), 1, "one perm compacted");
+        let del = Relation::from_pairs(vec![(2, 1)]);
+        let updated = r.with_edits(&ins, &del);
+        assert_eq!(cache.apply_edits("edge", &ins, &del, &updated), 2, "both perms compacted");
         let after = cache.get("edge", &[0, 1]).unwrap();
         assert!(!after.has_delta(), "compaction folds the delta away");
         assert!(!after.shares_base(&before), "compaction builds a fresh base");
-        assert_eq!(after.num_rows(), updated.len());
         assert_eq!(cache.pending_delta_len("edge"), 0);
+        for perm in [[0, 1], [1, 0]] {
+            let (after, rebuilt) =
+                (cache.get("edge", &perm).unwrap(), TrieIndex::build(&updated, &perm));
+            assert_eq!(after.num_rows(), rebuilt.num_rows());
+            assert_eq!(after.max_value(), rebuilt.max_value());
+            for d in 0..2 {
+                assert_eq!(after.level_values(d), rebuilt.level_values(d), "perm {perm:?}");
+            }
+            assert_eq!(after.child_offsets(0), rebuilt.child_offsets(0), "perm {perm:?}");
+        }
     }
 
     /// A permutation built *after* edits started must land at the entry's base

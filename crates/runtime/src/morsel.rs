@@ -55,12 +55,9 @@ pub fn partition_first_attribute(bq: &BoundQuery, parts: usize) -> Vec<Morsel> {
     let Some(atom) = bq.atoms.iter().find(|a| a.vars.first() == Some(&first_var)) else {
         return vec![Morsel::whole_axis()];
     };
-    // Merged first-level keys: a delta-carrying index may hold live keys outside
-    // the base trie's min/max, and dropping them from the quantile set would
-    // (with unlucky boundaries) still tile the axis — but a boundary set that
-    // ignores delta-only keys skews load; worse, slicing the *base* level alone
-    // here used to be the only reader assuming index == base.
-    partition_values(&atom.index.first_level_values(), parts)
+    // The live first-level keys: over a delta-carrying index these are its fold's,
+    // so keys inserted beyond the base's min/max get morsels too.
+    partition_values(atom.index.first_level_values(), parts)
 }
 
 /// Splits a **sorted, distinct** slice of attribute values into at most `parts`

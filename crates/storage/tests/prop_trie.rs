@@ -1,12 +1,15 @@
 //! Property-based tests for the trie index: every probe, seek and prefix walk must
 //! agree with a naive linear-scan reference over the same set of rows, a probe
 //! resumed through a cursor must agree with a fresh one (also along the increasing
-//! probe sequences Minesweeper issues, where the cursor gallops), and the
+//! probe sequences Minesweeper issues, where the cursor gallops), the
 //! zero-materialization build must be structurally identical to a reference build
-//! through an explicitly permuted relation.
+//! through an explicitly permuted relation, and the fold of a base trie with a
+//! cumulative delta layer must be structurally identical to the build of the live
+//! relation.
 
 use gj_storage::{ProbeResult, Relation, TrieIndex, Val, NEG_INF, POS_INF};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a small relation of the given arity with values in 0..20.
 fn rows(arity: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
@@ -43,7 +46,85 @@ fn seeded_perm(n: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
+/// Asserts that `folded` reads the trie `rebuilt` reads: every level's values and
+/// child offsets, and the row count.
+fn assert_same_trie(folded: &TrieIndex, rebuilt: &TrieIndex) -> Result<(), String> {
+    prop_assert_eq!(folded.num_rows(), rebuilt.num_rows());
+    for d in 0..rebuilt.arity() {
+        prop_assert_eq!(folded.level_values(d), rebuilt.level_values(d), "level {} values", d);
+    }
+    for d in 0..rebuilt.arity().saturating_sub(1) {
+        prop_assert_eq!(folded.child_offsets(d), rebuilt.child_offsets(d), "level {} offsets", d);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Edit scripts applied as the index cache applies them: each batch is
+    /// normalized against the live rows and absorbed into insert and tombstone
+    /// sets cumulative against the base, and the index is re-derived from the
+    /// previous one with those sets. Inserts reach values up to 29, beyond the
+    /// base's 0..20, so some keys exist only in the insert trie; a batch may also
+    /// delete every live row under one first-level key, which leaves that base
+    /// key with no live row. After every batch the folded index must equal the
+    /// build of the live relation, level by level, and answer every probe as it.
+    #[test]
+    fn folded_indexes_equal_the_build_of_the_live_relation(
+        raw in prop::collection::vec(prop::collection::vec(0i64..20, 4), 0..60),
+        arity in 1usize..5,
+        seed in 0u64..1_000_000,
+        script in prop::collection::vec(
+            (
+                prop::collection::vec(prop::collection::vec(0i64..30, 4), 0..10),
+                prop::collection::vec(0usize..1000, 0..10),
+                0i64..40,
+            ),
+            1..5,
+        ),
+        probes in prop::collection::vec(prop::collection::vec(-1i64..31, 4), 1..40),
+    ) {
+        let cut = |rows: &[Vec<i64>]| rows.iter().map(|r| r[..arity].to_vec()).collect::<Vec<_>>();
+        let base = Relation::from_rows(arity, cut(&raw));
+        let perm = seeded_perm(arity, seed);
+        let mut live: BTreeSet<Vec<Val>> = base.iter().map(<[Val]>::to_vec).collect();
+        let (mut ins, mut del) = (BTreeSet::new(), BTreeSet::new());
+        let mut idx = TrieIndex::build(&base, &perm);
+        for (inserts, deletes, dropped_key) in &script {
+            let rows: Vec<Vec<Val>> = live.iter().cloned().collect();
+            let mut batch_del: BTreeSet<Vec<Val>> =
+                deletes.iter().filter(|_| !rows.is_empty()).map(|&i| rows[i % rows.len()].clone()).collect();
+            batch_del.extend(rows.iter().filter(|r| r[0] == *dropped_key).cloned());
+            let batch_ins: BTreeSet<Vec<Val>> =
+                cut(inserts).into_iter().filter(|r| !live.contains(r) && !batch_del.contains(r)).collect();
+            for row in batch_del {
+                live.remove(&row);
+                if !ins.remove(&row) {
+                    del.insert(row);
+                }
+            }
+            for row in batch_ins {
+                live.insert(row.clone());
+                if !del.remove(&row) {
+                    ins.insert(row);
+                }
+            }
+            let as_relation = |set: &BTreeSet<Vec<Val>>| Relation::from_rows(arity, set.iter().cloned().collect());
+            idx = idx.with_edits(&as_relation(&ins), &as_relation(&del));
+            let rebuilt = TrieIndex::build(&as_relation(&live), &perm);
+            assert_same_trie(&idx, &rebuilt)?;
+            prop_assert_eq!(idx.first_level_values(), rebuilt.level_values(0));
+            let mut cursor = idx.probe_cursor();
+            for t in &probes {
+                let t = &t[..arity];
+                prop_assert_eq!(idx.probe(t), rebuilt.probe(t), "probe {:?}", t);
+                prop_assert_eq!(idx.probe_with(t, &mut cursor), rebuilt.probe(t), "cursor probe {:?}", t);
+            }
+            let compacted = idx.compacted();
+            assert_same_trie(&compacted, &rebuilt)?;
+            prop_assert_eq!(compacted.max_value(), rebuilt.max_value());
+        }
+    }
+
     #[test]
     fn probe_agrees_with_linear_scan(rows in rows(3), probes in prop::collection::vec(prop::collection::vec(0i64..20, 3), 1..20)) {
         let rel = Relation::from_rows(3, rows);

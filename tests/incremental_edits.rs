@@ -62,7 +62,7 @@ fn edits_on_a_30k_node_graph_rebuild_no_indexes() {
     assert_eq!(warm_ms.count().unwrap(), expected);
     assert!(
         warm.count().unwrap() > before_lftj,
-        "the inserted triangle must be visible through the merged iterators"
+        "the inserted triangle must be visible through the folded tries"
     );
 }
 
@@ -104,7 +104,7 @@ fn out_of_range_edits_survive_parallel_partitioning() {
         assert_eq!(
             prepared.par_count(4).unwrap(),
             expected,
-            "parallel {} must partition the merged (base + delta) key range",
+            "parallel {} must partition the live (base + delta) key range",
             engine.label()
         );
     }
