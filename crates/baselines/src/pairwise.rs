@@ -242,10 +242,12 @@ impl PairwisePlan {
         }
     }
 
-    /// Partitions the base's first attribute into at most `parts` morsels at
-    /// quantiles of the values present (the same scheme the trie engines use; see
-    /// `gj_runtime::partition_values`). Fewer than two morsels means the base is
-    /// too small to split — the driver runs the single morsel with one worker.
+    /// Partitions the base's first attribute into at most `parts` morsels at equal
+    /// *count* quantiles of the values present (`gj_runtime::partition_values`, the
+    /// unit-weight case of the trie engines' cut, which weighs a key by its fanout
+    /// squared; the base column carries no fanout, so a hub weighs what a leaf
+    /// does). Fewer than two morsels means the base is too small to split — the
+    /// driver runs the single morsel with one worker.
     pub fn partition(&self, parts: usize) -> Vec<Morsel> {
         partition_values(&self.base_first, parts)
     }

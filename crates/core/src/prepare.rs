@@ -54,14 +54,17 @@ use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Morsels per thread for parallel LFTJ (Minesweeper takes the factor from
-/// [`MsConfig::granularity`]). The paper's Table 5 uses `f = 8` for cyclic queries;
-/// over-splitting also lets the job pool work-steal around skewed partitions.
+/// [`MsConfig::granularity`]). The paper's Table 5 uses `f = 8` for cyclic queries.
+/// The morsels hold about equal estimated work (a first-level key weighs its fanout
+/// squared), and the over-split lets the job pool work-steal around what that
+/// estimate misses.
 const LFTJ_GRANULARITY: usize = 8;
 
 /// Morsels per thread for the parallel pairwise baselines. Each morsel re-runs the
 /// whole left-deep chain on a base slice, so the per-morsel overhead (a key sort of
 /// the restricted left side per merge join) is higher than the trie engines' —
-/// a moderate over-split still lets the pool work-steal around skew.
+/// a moderate over-split still lets the pool work-steal around skew, which the
+/// base's equal-count cut does not balance (a hub key weighs what a leaf key does).
 const PAIRWISE_GRANULARITY: usize = 4;
 
 /// A counter an engine reports by name through [`RunStats::extra`]: the name and

@@ -1,14 +1,16 @@
 //! Multi-threaded Minesweeper (Section 4.10 of the paper), on the shared runtime.
 //!
 //! The output space is partitioned into `p = threads × granularity` morsels by
-//! splitting the value range of the first GAO attribute at quantiles of the values
-//! actually present in the data (`gj_runtime::partition_first_attribute` — lifted
-//! from this module into the runtime so LFTJ shares it). Morsels go into a shared
-//! queue; worker threads repeatedly grab the next unclaimed one (a simple form of
-//! work stealing — exactly the behaviour the paper gets from the LogicBlox job
-//! pool). The granularity factor `f` trades the work-stealing benefit on skewed
-//! partitions against per-job overhead; the paper uses `f = 1` for acyclic and
-//! `f = 8` for cyclic queries (Table 5).
+//! splitting the value range of the first GAO attribute between values present in
+//! the data, at equal quantiles of estimated work, a first-level key weighing its
+//! trie fanout squared (`gj_runtime::partition_first_attribute` — lifted from this
+//! module into the runtime so LFTJ shares it). Equal key counts left a power-law
+//! graph's hubs, which have the lowest ids, in the first morsel. Morsels go into a
+//! shared queue; worker threads repeatedly grab the next unclaimed one (a simple
+//! form of work stealing — exactly the behaviour the paper gets from the LogicBlox
+//! job pool). The granularity factor `f` trades the work-stealing benefit around
+//! what the work estimate misses against per-job overhead; the paper uses `f = 1`
+//! for acyclic and `f = 8` for cyclic queries (Table 5).
 //!
 //! An [`MsPlan`] holds a bound query, its configuration and the idle executors
 //! of its last drive; [`MsPlan::morsels`] is Minesweeper's [`MorselSource`]. Each

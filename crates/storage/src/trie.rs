@@ -453,8 +453,9 @@ impl TrieIndex {
     }
 
     /// The raw child-offset array of level `d` (one entry per level-`d` value plus a
-    /// closing sentinel). Exposed so equivalence tests can compare two builds
-    /// structurally; engine code should use [`TrieIndex::children_range`].
+    /// closing sentinel). Parallel partitioning reads level 0's as the first-level
+    /// keys' fanouts, and equivalence tests compare two builds structurally with it;
+    /// engine searches should use [`TrieIndex::children_range`].
     pub fn child_offsets(&self, d: usize) -> &[u32] {
         &self.core().child_start[d]
     }

@@ -5,9 +5,15 @@
 //! `threads ∈ {1, 2, 4, 8}` and every granularity — identical counts, identical
 //! (not merely set-equal) `collect` results, and `first_k` answers that are exact
 //! serial prefixes even when early termination retires morsels across workers.
+//! On a power-law graph, the morsels must also split LFTJ's work evenly enough for
+//! several workers to share it.
 
+use gj_datagen::powerlaw_cluster;
+use gj_lftj::LftjExecutor;
+use gj_query::lftj_gao;
 use graphjoin::{
-    CatalogQuery, Database, Engine, Graph, MsConfig, Ordered, QueryBuilder, Relation, Val,
+    partition_first_attribute, CatalogQuery, Counters, Database, Engine, ExecCtx, Graph, Morsel,
+    MsConfig, Ordered, QueryBuilder, Relation, Val,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -182,6 +188,41 @@ fn prepared_queries_are_shareable_across_threads() {
             });
         }
     });
+}
+
+/// Morsel balance on a power-law graph: its hubs have the lowest ids, so cutting the
+/// first attribute at equal key counts left 59 % / 66 % / 77 % of the 3-clique /
+/// 4-clique / 4-cycle work in one of 16 morsels. Cutting at equal quantiles of
+/// estimated work (fanout squared per key) keeps the costliest morsel under a
+/// quarter of LFTJ's `bindings_explored`, and the morsels still add up to the
+/// serial run's counters exactly.
+#[test]
+fn work_quantile_morsels_balance_a_power_law_graph() {
+    let mut db = Database::new();
+    db.add_graph(powerlaw_cluster(400, 8, 0.4, 2014));
+    for cq in [CatalogQuery::ThreeClique, CatalogQuery::FourClique, CatalogQuery::FourCycle] {
+        let q = cq.query();
+        let bq = db.bind(&q, Some(lftj_gao(&q, db.instance()))).unwrap();
+        let run = |m: Morsel| {
+            LftjExecutor::new(&bq)
+                .run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()))
+        };
+        let serial = run(Morsel::whole_axis());
+        let morsels = partition_first_attribute(&bq, 16);
+        let per_morsel: Vec<Counters> = morsels.iter().map(|&m| run(m)).collect();
+        let mut sum = Counters::default();
+        per_morsel.iter().for_each(|&c| sum.merge(c));
+        assert_eq!(sum, serial, "{}: morsels must add up to the serial run", q.name);
+        let costliest = per_morsel.iter().map(|c| c.bindings_explored).max().unwrap_or(0);
+        let share = costliest as f64 / serial.bindings_explored as f64;
+        assert!(
+            share <= 0.25,
+            "{}: the costliest of {} morsels holds {:.0} % of the bindings",
+            q.name,
+            morsels.len(),
+            share * 100.0
+        );
+    }
 }
 
 /// Strategy: a small random graph database (same shape as `prop_engines.rs`).
