@@ -1,11 +1,11 @@
 //! The [`Database`] façade and engine dispatch.
 //!
-//! A [`Database`] owns a set of named relations (and optionally the graph they came
-//! from), a shared [`IndexCache`] of trie indexes, and prepares [`Query`]s for
-//! whichever [`Engine`] the caller selects. This mirrors how the paper's experiments
-//! drive one system with many algorithms: the data and the query stay fixed, only
-//! the join algorithm changes — and under the prepare/execute split, the indexes are
-//! built once and amortised across every execution and every engine.
+//! A [`Database`] owns a set of named relations, a shared [`IndexCache`] of trie
+//! indexes, and prepares [`Query`]s for whichever [`Engine`] the caller selects.
+//! This mirrors how the paper's experiments drive one system with many
+//! algorithms: the data and the query stay fixed, only the join algorithm
+//! changes — and under the prepare/execute split, the indexes are built once and
+//! amortised across every execution and every engine.
 //!
 //! The primary API is [`Database::prepare`] →
 //! [`PreparedQuery`]; [`Database::count`] /
@@ -18,6 +18,7 @@ use gj_minesweeper::MsConfig;
 use gj_query::{BoundQuery, CatalogQuery, IndexCache, Instance, Query, VarId};
 use gj_runtime::{panic_payload, ExecError};
 use gj_storage::{Graph, Relation, Val};
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -140,8 +141,9 @@ fn catch_prepare<'db>(
 /// The result of an enumeration: bindings in variable-id order.
 pub type QueryOutput = Vec<Vec<Val>>;
 
-/// An in-memory database of named relations plus an optional source graph, with a
-/// shared trie-index cache that amortises index builds across prepared queries.
+/// An in-memory database of named relations with a shared trie-index cache that
+/// amortises index builds across prepared queries. A graph is held as its
+/// symmetric `"edge"` relation only; [`graph`](Self::graph) derives it on demand.
 ///
 /// A database can additionally be *disk-backed* (see [`Database::open`] and
 /// [`Database::persist`] in the persistence module): relations then hydrate
@@ -151,7 +153,6 @@ pub type QueryOutput = Vec<Vec<Val>>;
 #[derive(Debug, Clone)]
 pub struct Database {
     instance: Instance,
-    graph: Option<Arc<Graph>>,
     cache: IndexCache,
     prepare_threads: usize,
     store: Option<Arc<gj_store::Store>>,
@@ -161,7 +162,6 @@ impl Default for Database {
     fn default() -> Self {
         Database {
             instance: Instance::default(),
-            graph: None,
             cache: IndexCache::new(),
             prepare_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             store: None,
@@ -189,17 +189,12 @@ impl Database {
         self
     }
 
-    /// Loads a graph: stores its symmetric `edge(a, b)` relation and keeps the graph
-    /// itself (shared, not deep-copied) so the specialised graph engine can run on
-    /// it. Accepts an owned [`Graph`] or an [`Arc<Graph>`]; wrap the graph in an
-    /// `Arc` up front to share it between the database and other consumers without
-    /// any copy.
-    pub fn add_graph(&mut self, graph: impl Into<Arc<Graph>>) -> &mut Self {
-        let graph = graph.into();
-        self.cache.invalidate("edge");
-        self.instance.add_relation("edge", graph.edge_relation());
-        self.graph = Some(graph);
-        self
+    /// Loads a graph as its symmetric `edge(a, b)` relation, replacing any
+    /// `"edge"` relation before it. The graph itself is not kept: the
+    /// specialised graph engine derives its adjacency from `"edge"` when it
+    /// prepares. Accepts an owned, borrowed or shared [`Graph`].
+    pub fn add_graph(&mut self, graph: impl Borrow<Graph>) -> &mut Self {
+        self.add_relation("edge", graph.borrow().edge_relation())
     }
 
     /// Inserts `rows` into relation `name` incrementally: the stored relation is
@@ -225,9 +220,8 @@ impl Database {
     /// enter, and a row named in both is deleted (the same convention as
     /// [`Relation::with_edits`]). Returns `inserted + deleted` effective rows.
     ///
-    /// If the relation is the `"edge"` view of an attached [`Graph`], the graph is
-    /// re-derived from the edited relation (growing `num_nodes` to fit new
-    /// endpoints) so the specialised graph engine keeps serving.
+    /// An insert into `"edge"` must keep every endpoint inside the graph's `u32`
+    /// node domain, so the graph engine can still read the relation.
     pub fn edit_rows(
         &mut self,
         name: &str,
@@ -244,12 +238,11 @@ impl Database {
     /// applying it needs, so that nothing can fail after this returns: the
     /// *effective* deltas (inserts that are new and not simultaneously deleted,
     /// deletes that currently exist — exactly what the cache's delta invariants
-    /// require, and what makes the edit count meaningful), the edited relation
-    /// and, for the `"edge"` view of a graph, the re-derived graph. `None` when
-    /// the batch changes nothing. Shared by [`edit_rows`](Self::edit_rows) and
-    /// the durable `commit_edits` path, which must fail *before* touching the
-    /// WAL: a logged batch the in-memory apply rejected would be replayed on
-    /// every reopen.
+    /// require, and what makes the edit count meaningful) and the edited
+    /// relation. `None` when the batch changes nothing. Shared by
+    /// [`edit_rows`](Self::edit_rows) and the durable `commit_edits` path,
+    /// which must fail *before* touching the WAL: a logged batch the in-memory
+    /// apply rejected would be replayed on every reopen.
     pub(crate) fn stage_edits(
         &self,
         name: &str,
@@ -272,6 +265,14 @@ impl Database {
                 return Err(EngineError::Edit(format!("row {row:?} contains a sentinel value")));
             }
         }
+        if name == "edge" {
+            if let Some(row) = ins.iter().find(|row| row.iter().any(|&v| u32::try_from(v).is_err()))
+            {
+                return Err(EngineError::Edit(format!(
+                    "edge {row:?} has endpoints outside the graph node domain"
+                )));
+            }
+        }
         let del_batch = Relation::from_rows(arity, del.to_vec());
         let eff_ins = Relation::from_rows(
             arity,
@@ -288,34 +289,21 @@ impl Database {
             return Ok(None);
         }
         let updated = current.with_edits(&eff_ins, &eff_del);
-        let graph = match (name == "edge", self.graph()) {
-            (true, Some(old)) => Some(Arc::new(
-                Graph::from_edge_relation(&updated, old.num_nodes()).map_err(|(a, b)| {
-                    EngineError::Edit(format!(
-                        "edge ({a}, {b}) has endpoints outside the graph node domain"
-                    ))
-                })?,
-            )),
-            _ => None,
-        };
-        Ok(Some(StagedEdit { ins: eff_ins, del: eff_del, updated, graph }))
+        Ok(Some(StagedEdit { ins: eff_ins, del: eff_del, updated }))
     }
 
-    /// Installs a batch staged by [`stage_edits`](Self::stage_edits): relation,
-    /// graph view and cached indexes. Returns the number of effective rows.
+    /// Installs a batch staged by [`stage_edits`](Self::stage_edits): relation
+    /// and cached indexes. Returns the number of effective rows.
     pub(crate) fn apply_staged(&mut self, name: &str, staged: StagedEdit) -> usize {
-        if let Some(graph) = staged.graph {
-            self.graph = Some(graph);
-        }
         self.cache.apply_edits(name, &staged.ins, &staged.del, &staged.updated);
         self.instance.add_relation(name, staged.updated);
         staged.ins.len() + staged.del.len()
     }
 
     /// Inserts undirected edges incrementally: both orientations enter the
-    /// `"edge"` relation (self-loops are ignored, matching [`Graph::new`]), every
-    /// cached index is delta-updated, and the attached graph — if any — grows to
-    /// fit new endpoints. Returns the number of directed rows actually inserted.
+    /// `"edge"` relation (self-loops are ignored, matching [`Graph::new`]) and
+    /// every cached index is delta-updated. Returns the number of directed rows
+    /// actually inserted.
     pub fn insert_edges(&mut self, edges: &[(u32, u32)]) -> Result<usize, EngineError> {
         self.edit_rows("edge", &symmetrize(edges), &[])
     }
@@ -342,21 +330,31 @@ impl Database {
         &mut self.instance
     }
 
-    /// Sets the graph *without* re-deriving the `"edge"` relation — used when
-    /// reopening a store, where the persisted `"edge"` relation is already the
-    /// authoritative one (it may have been overwritten after `add_graph`).
-    pub(crate) fn set_graph_raw(&mut self, graph: Arc<Graph>) {
-        self.graph = Some(graph);
-    }
-
     /// Attaches the disk store that backs this database.
     pub(crate) fn set_store(&mut self, store: Arc<gj_store::Store>) {
         self.store = Some(store);
     }
 
-    /// The stored graph, if any.
-    pub fn graph(&self) -> Option<&Graph> {
-        self.graph.as_deref()
+    /// The graph the `"edge"` relation holds, derived from it on each call
+    /// (node count: one past the largest endpoint). `None` when there is no
+    /// binary `"edge"` relation or an endpoint lies outside `u32`.
+    pub fn graph(&self) -> Option<Graph> {
+        self.edge_graph().ok()
+    }
+
+    /// [`graph`](Self::graph), with the reason when there is none: the graph
+    /// engine reports it as [`EngineError::Unsupported`].
+    pub(crate) fn edge_graph(&self) -> Result<Graph, String> {
+        let edge =
+            self.instance.relation("edge").ok_or("the graph engine needs an edge relation")?;
+        if edge.arity() != 2 {
+            return Err(format!(
+                "the graph engine needs a binary edge relation, not arity {}",
+                edge.arity()
+            ));
+        }
+        Graph::from_edge_relation(edge)
+            .map_err(|(a, b)| format!("edge ({a}, {b}) lies outside the graph node domain"))
     }
 
     /// The database-level trie-index cache shared by every preparation. Exposed so
@@ -492,8 +490,6 @@ pub(crate) struct StagedEdit {
     pub(crate) del: Relation,
     /// The relation with the batch applied.
     updated: Relation,
-    /// The re-derived graph, when the batch edits the `"edge"` view of one.
-    graph: Option<Arc<Graph>>,
 }
 
 /// Structural equality of two queries up to variable names: same atoms (relation name
@@ -582,14 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_engine_requires_a_loaded_graph() {
-        let mut db = Database::new();
-        db.add_relation("edge", Relation::from_pairs(vec![(0, 1)]));
-        let err = db.count(&CatalogQuery::ThreeClique.query(), &Engine::GraphEngine).unwrap_err();
-        assert!(matches!(err, EngineError::Unsupported(_)));
-    }
-
-    #[test]
     fn missing_relation_is_a_bind_error() {
         let db = Database::new();
         let err = db.count(&CatalogQuery::ThreeClique.query(), &Engine::Lftj).unwrap_err();
@@ -644,13 +632,13 @@ mod tests {
     }
 
     #[test]
-    fn add_graph_accepts_owned_and_shared_graphs() {
+    fn add_graph_accepts_owned_borrowed_and_shared_graphs_and_keeps_none() {
         let graph = Arc::new(Graph::new_undirected(4, vec![(0, 1), (1, 2), (0, 2)]));
         let mut db = Database::new();
-        // Sharing an Arc does not deep-copy the graph.
         db.add_graph(Arc::clone(&graph));
+        assert_eq!(Arc::strong_count(&graph), 1, "the database holds only the edge relation");
+        db.add_graph(graph.as_ref()).add_graph(graph.as_ref().clone());
         assert_eq!(db.count(&CatalogQuery::ThreeClique.query(), &Engine::GraphEngine).unwrap(), 1);
-        assert_eq!(Arc::strong_count(&graph), 2);
         // The one-shot `count` shims still warm the shared cache (for the engines
         // that consume trie indexes).
         assert_eq!(db.count(&CatalogQuery::ThreeClique.query(), &Engine::Lftj).unwrap(), 1);
@@ -713,17 +701,17 @@ mod tests {
     }
 
     #[test]
-    fn edge_edits_grow_the_graph_view() {
+    fn the_graph_view_follows_edge_edits() {
         let mut db = two_triangle_db();
         assert_eq!(db.graph().unwrap().num_nodes(), 5);
-        // Endpoint 7 is outside the current node range; the graph must grow.
+        // Endpoint 7 is outside the current node range; the graph grows.
         db.insert_edges(&[(4, 7), (3, 7)]).unwrap();
         assert_eq!(db.graph().unwrap().num_nodes(), 8);
-        db.insert_edges(&[(0, 7)]).unwrap();
-        // Deleting never shrinks the id space.
-        db.delete_edges(&[(0, 7)]).unwrap();
-        assert_eq!(db.graph().unwrap().num_nodes(), 8);
         let q = CatalogQuery::ThreeClique.query();
+        assert_eq!(db.count(&q, &Engine::GraphEngine).unwrap(), naive_count(db.instance(), &q));
+        // The node count is one past the largest endpoint left.
+        db.delete_edges(&[(4, 7), (3, 7)]).unwrap();
+        assert_eq!(db.graph().unwrap().num_nodes(), 5);
         assert_eq!(db.count(&q, &Engine::GraphEngine).unwrap(), naive_count(db.instance(), &q));
     }
 

@@ -3,10 +3,10 @@
 //!
 //! The division of labour with `gj-store`: the store knows pages, extents, the
 //! WAL and recovery; this module knows the `Database` shape — which relations
-//! exist, how the graph and its derived `"edge"` relation relate, and how to
-//! install *lazy* catalog slots so that [`Database::open`] is cheap no matter
-//! how large the image is. A relation's bytes are only read (through the
-//! store's buffer pool, checksum-verified) the first time a query binds it.
+//! exist, and how to install *lazy* catalog slots so that [`Database::open`]
+//! is cheap no matter how large the image is. A relation's bytes are only read
+//! (through the store's buffer pool, checksum-verified) the first time a query
+//! binds it. A graph is persisted as its `"edge"` relation, like any other.
 //!
 //! ## Failure surfacing
 //!
@@ -21,7 +21,7 @@
 use crate::database::{Database, EngineError};
 use gj_query::RelationLoader;
 use gj_storage::fault::FailpointRegistry;
-use gj_storage::{Graph, Relation, Val};
+use gj_storage::{Relation, Val};
 use gj_store::{Store, StoreError};
 use std::path::Path;
 use std::sync::Arc;
@@ -29,14 +29,10 @@ use std::sync::Arc;
 impl Database {
     /// Opens the disk store at `path` and returns a database over it.
     ///
-    /// Every persisted relation is installed as a lazy slot (hydrated through
-    /// the store's buffer pool on first use); the graph, if persisted, is
-    /// rebuilt eagerly (its CSR adjacency is needed by the graph engine and is
-    /// cheap relative to relation extents). If durable edits on `"edge"` are
-    /// pending, the graph is derived from the folded `"edge"` relation, which
-    /// is then installed resident instead of lazy. WAL recovery runs inside
-    /// [`Store::open`]: committed-but-not-checkpointed mutations are replayed,
-    /// a torn tail from a crash is discarded.
+    /// Every persisted relation is installed as a lazy slot, hydrated through
+    /// the store's buffer pool on first use, so open reads no extent. WAL
+    /// recovery runs inside [`Store::open`]: committed-but-not-checkpointed
+    /// mutations are replayed, a torn tail from a crash is discarded.
     ///
     /// ```no_run
     /// use graphjoin::{CatalogQuery, Database, Engine, Graph};
@@ -64,13 +60,6 @@ impl Database {
         let mut db = Database::new();
         for name in store.relation_names() {
             db.instance_mut().add_lazy_relation(name.clone(), lazy_loader(&store, name));
-        }
-        if let Some((graph, edge)) = store.load_graph()? {
-            if let Some(edge) = edge {
-                // Folded to derive the graph: keep it rather than fold it again.
-                db.instance_mut().add_relation("edge", edge);
-            }
-            db.set_graph_raw(Arc::new(graph));
         }
         db.set_store(store);
         Ok(db)
@@ -100,7 +89,9 @@ impl Database {
     /// Durably replaces relation `name`: the mutation is appended to the
     /// attached store's WAL *before* the in-memory apply, so a crash between
     /// the two replays it on the next open. Errors with
-    /// [`StoreError::NotAttached`] when the database has no store.
+    /// [`StoreError::NotAttached`] when the database has no store. The durable
+    /// counterpart of [`Database::add_graph`] is
+    /// `commit_relation("edge", graph.edge_relation())`.
     pub fn commit_relation(
         &mut self,
         name: impl Into<String>,
@@ -116,17 +107,6 @@ impl Database {
         Ok(self)
     }
 
-    /// Durably replaces the graph (and its derived `"edge"` relation), WAL
-    /// first — the durable counterpart of [`Database::add_graph`].
-    pub fn commit_graph(&mut self, graph: impl Into<Arc<Graph>>) -> Result<&mut Self, StoreError> {
-        let graph = graph.into();
-        let store = self.store().ok_or(StoreError::NotAttached)?;
-        self.instance().hydrate_if_shared("edge");
-        store.log_add_graph(&graph)?;
-        self.add_graph(graph);
-        Ok(self)
-    }
-
     /// Durably applies one incremental edit batch to relation `name`, WAL
     /// first: the *effective* delta (inserts not already present, deletes that
     /// exist) is appended to the attached store's WAL as a delta-sized edit
@@ -138,7 +118,7 @@ impl Database {
     /// A batch that changes nothing returns `Ok(0)` without touching the WAL.
     /// Returns [`EngineError::Store`]\([`StoreError::NotAttached`]) when the
     /// database has no store, [`EngineError::Edit`] on a malformed batch,
-    /// including an `"edge"` endpoint outside the graph's `u32` node domain.
+    /// including an `"edge"` insert with an endpoint outside `u32`.
     /// Everything that can fail in memory runs before the append, so in these
     /// cases the WAL is untouched and the store still reopens.
     ///
@@ -188,7 +168,7 @@ fn checkpoint_into(db: &Database, store: &Store) -> Result<(), StoreError> {
             .ok_or_else(|| StoreError::MissingRelation(name.clone()))?;
         image.push((name.as_str(), relation));
     }
-    store.checkpoint(&image, db.graph())
+    store.checkpoint(&image)
 }
 
 #[cfg(test)]
@@ -196,6 +176,7 @@ mod tests {
     use super::*;
     use crate::database::Engine;
     use gj_query::CatalogQuery;
+    use gj_storage::Graph;
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("gj-persist-{}-{tag}", std::process::id()));
@@ -226,7 +207,7 @@ mod tests {
             db.count(&q, &Engine::Lftj).unwrap()
         );
         assert!(reopened.instance().is_resident("edge"), "first query hydrates");
-        // The graph engine sees the persisted graph too.
+        // The graph engine reads the persisted edge relation too.
         assert_eq!(
             reopened.count(&q, &Engine::GraphEngine).unwrap(),
             db.count(&q, &Engine::GraphEngine).unwrap()
@@ -241,7 +222,7 @@ mod tests {
         let mut db = Database::open(&dir).unwrap();
         db.commit_relation("v1", Relation::from_values(vec![7, 8, 9])).unwrap();
         let g2 = Graph::new_undirected(3, vec![(0, 1), (1, 2), (0, 2)]);
-        db.commit_graph(g2).unwrap();
+        db.commit_relation("edge", g2.edge_relation()).unwrap();
         drop(db);
 
         let reopened = Database::open(&dir).unwrap();
@@ -252,6 +233,7 @@ mod tests {
         );
         let q = CatalogQuery::ThreeClique.query();
         assert_eq!(reopened.count(&q, &Engine::Lftj).unwrap(), 1, "committed graph replayed");
+        assert_eq!(reopened.count(&q, &Engine::GraphEngine).unwrap(), 1);
     }
 
     #[test]
@@ -306,6 +288,7 @@ mod tests {
         let mut db = Database::new();
         db.add_graph(Graph::new_undirected(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]));
         db.persist(&dir).unwrap();
+        let image_only = Database::open(&dir).unwrap().store().unwrap().pool_stats();
         let mut db = Database::open(&dir).unwrap();
         db.commit_edits("edge", &[vec![0, 2], vec![2, 0]], &[]).unwrap();
         let q = CatalogQuery::ThreeClique.query();
@@ -314,6 +297,12 @@ mod tests {
         drop(db);
 
         let reopened = Database::open(&dir).unwrap();
+        assert!(!reopened.instance().is_resident("edge"), "open folds nothing");
+        assert_eq!(
+            reopened.store().unwrap().pool_stats(),
+            image_only,
+            "open with pending edge edits fetches no page beyond the header and catalog"
+        );
         assert_eq!(reopened.count(&q, &Engine::Lftj).unwrap(), 1);
         assert_eq!(
             reopened.count(&q, &Engine::GraphEngine).unwrap(),
@@ -321,23 +310,31 @@ mod tests {
             "the graph view is derived from the edited edge relation"
         );
         assert_eq!(reopened.graph().unwrap().num_nodes(), 5);
-        assert!(reopened.instance().is_resident("edge"), "open keeps the edge it folded");
     }
 
     #[test]
-    fn a_deleted_edge_keeps_the_nodes_it_added_after_a_restart() {
+    fn a_deleted_edge_drops_the_nodes_it_added_after_a_restart() {
         let dir = scratch("edge-node-count");
         let mut db = Database::new();
-        db.add_graph(Graph::new_undirected(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]));
+        db.add_graph(Graph::new_undirected(5, vec![(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]));
         db.persist(&dir).unwrap();
         let mut db = Database::open(&dir).unwrap();
         db.commit_edits("edge", &[vec![5, 6], vec![6, 5]], &[]).unwrap();
+        assert_eq!(db.graph().unwrap().num_nodes(), 7);
         db.commit_edits("edge", &[], &[vec![5, 6], vec![6, 5]]).unwrap();
-        assert_eq!(db.graph().unwrap().num_nodes(), 7, "node ids never shrink in memory");
+        assert_eq!(db.graph().unwrap().num_nodes(), 5, "the node count follows the max endpoint");
         drop(db);
         let reopened = Database::open(&dir).unwrap();
-        assert_eq!(reopened.graph().unwrap().num_nodes(), 7);
-        assert_eq!(reopened.graph().unwrap().num_edges(), 8);
+        let graph = reopened.graph().unwrap();
+        assert_eq!((graph.num_nodes(), graph.num_edges()), (5, 10));
+        for q in [CatalogQuery::ThreeClique.query(), CatalogQuery::FourClique.query()] {
+            assert_eq!(
+                reopened.count(&q, &Engine::GraphEngine).unwrap(),
+                reopened.count(&q, &Engine::Lftj).unwrap(),
+                "{}",
+                q.name
+            );
+        }
     }
 
     #[test]

@@ -374,11 +374,6 @@ impl<'db> PreparedQuery<'db> {
             Engine::HashJoin(limits) => pairwise(JoinAlgo::Hash, *limits)?,
             Engine::SortMergeJoin(limits) => pairwise(JoinAlgo::SortMerge, *limits)?,
             Engine::GraphEngine => {
-                let Some(graph) = db.graph() else {
-                    return Err(EngineError::Unsupported(
-                        "the graph engine needs a graph loaded with add_graph".to_string(),
-                    ));
-                };
                 let op = if same_shape(query, &CatalogQuery::ThreeClique.query()) {
                     GraphOp::Triangles
                 } else if same_shape(query, &CatalogQuery::FourClique.query()) {
@@ -389,7 +384,8 @@ impl<'db> PreparedQuery<'db> {
                         query.name
                     )));
                 };
-                let engine = Box::new(GraphEngine::load(graph));
+                let graph = db.edge_graph().map_err(EngineError::Unsupported)?;
+                let engine = Box::new(GraphEngine::load(&graph));
                 (Plan::CountOnly(CountOnly::Graph(engine, op)), BindReport::default())
             }
         };

@@ -9,7 +9,7 @@ use crate::database::Database;
 use gj_datagen::{sample_relations, Dataset};
 use gj_query::CatalogQuery;
 use gj_storage::Graph;
-use std::sync::Arc;
+use std::borrow::Borrow;
 
 /// One experimental cell: a dataset, a query and a sample selectivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,24 +38,22 @@ impl Workload {
     }
 
     /// Materialises the workload over an explicitly provided graph (used by the
-    /// scaling experiments, which reuse one generated graph across many subsets —
-    /// pass an `Arc<Graph>` clone to share it without copying).
-    pub fn database_over(&self, graph: impl Into<Arc<Graph>>) -> Database {
+    /// scaling experiments, which reuse one generated graph across many subsets).
+    pub fn database_over(&self, graph: impl Borrow<Graph>) -> Database {
         workload_database(graph, self.query, self.selectivity, self.seed)
     }
 }
 
 /// Builds a [`Database`] holding `graph`'s edge relation plus the node samples the
-/// query requires, drawn with the given selectivity and seed. Accepts an owned
-/// [`Graph`] or an [`Arc<Graph>`]; the graph is shared with the database, not
-/// deep-copied.
+/// query requires, drawn with the given selectivity and seed. Accepts an owned,
+/// borrowed or shared [`Graph`]; the database keeps only its edge relation.
 pub fn workload_database(
-    graph: impl Into<Arc<Graph>>,
+    graph: impl Borrow<Graph>,
     query: CatalogQuery,
     selectivity: u32,
     seed: u64,
 ) -> Database {
-    let graph: Arc<Graph> = graph.into();
+    let graph = graph.borrow();
     let mut db = Database::new();
     let num_nodes = graph.num_nodes();
     db.add_graph(graph);
@@ -70,6 +68,7 @@ pub fn workload_database(
 mod tests {
     use super::*;
     use crate::database::Engine;
+    use std::sync::Arc;
 
     #[test]
     fn workload_database_has_every_relation_the_query_needs() {

@@ -165,8 +165,8 @@ impl Service {
     }
 
     /// Incrementally inserts undirected edges (both orientations of the
-    /// `"edge"` relation, as [`symmetrize`] spells them; the attached graph
-    /// view grows to fit new endpoints). Returns the resulting epoch.
+    /// `"edge"` relation, as [`symmetrize`] spells them). Returns the
+    /// resulting epoch.
     pub fn insert_edges(&self, edges: &[(u32, u32)]) -> Result<u64, EngineError> {
         self.edit_relation("edge", &symmetrize(edges), &[])
     }

@@ -52,13 +52,12 @@ impl Graph {
         Graph::new(num_nodes, sym)
     }
 
-    /// Re-derives a graph from a binary `edge(a, b)` relation, the inverse of
-    /// [`Graph::edge_relation`]. The node count is `min_nodes` or one past the
-    /// largest endpoint, whichever is larger, so node ids stay stable when edges
-    /// are deleted. An endpoint outside `u32` is returned as the offending row.
-    pub fn from_edge_relation(rel: &Relation, min_nodes: usize) -> Result<Graph, (Val, Val)> {
+    /// Derives a graph from a binary `edge(a, b)` relation, the inverse of
+    /// [`Graph::edge_relation`]. The node count is one past the largest
+    /// endpoint. An endpoint outside `u32` is returned as the offending row.
+    pub fn from_edge_relation(rel: &Relation) -> Result<Graph, (Val, Val)> {
         let mut edges = Vec::with_capacity(rel.len());
-        let mut num_nodes = min_nodes;
+        let mut num_nodes = 0;
         for row in rel.iter() {
             let (Ok(a), Ok(b)) = (u32::try_from(row[0]), u32::try_from(row[1])) else {
                 return Err((row[0], row[1]));
@@ -246,6 +245,17 @@ mod tests {
         assert_eq!(oriented.len(), 4);
         assert!(oriented.contains(&[0, 1]));
         assert!(!oriented.contains(&[1, 0]));
+    }
+
+    #[test]
+    fn from_edge_relation_sizes_the_graph_by_its_largest_endpoint() {
+        let g = Graph::from_edge_relation(&small_graph().edge_relation()).unwrap();
+        assert_eq!((g.num_nodes(), g.edges()), (4, small_graph().edges()));
+        let far = Relation::from_pairs(vec![(0, 9), (9, 0)]);
+        assert_eq!(Graph::from_edge_relation(&far).unwrap().num_nodes(), 10);
+        assert_eq!(Graph::from_edge_relation(&Relation::empty(2)).unwrap().num_nodes(), 0);
+        let negative = Relation::from_pairs(vec![(-1, 0)]);
+        assert_eq!(Graph::from_edge_relation(&negative).unwrap_err(), (-1, 0));
     }
 
     #[test]

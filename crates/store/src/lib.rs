@@ -44,7 +44,7 @@ pub use wal::{Wal, WalRecord};
 mod tests {
     use super::*;
     use gj_storage::fault::{sites, FailAction, FailpointRegistry};
-    use gj_storage::{Graph, Relation};
+    use gj_storage::Relation;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
@@ -59,29 +59,21 @@ mod tests {
         Relation::from_flat(1, vals.to_vec())
     }
 
-    fn sample_graph() -> Graph {
-        Graph::new(5, vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    }
-
     #[test]
-    fn checkpoint_then_open_roundtrips_relations_and_graph() {
+    fn checkpoint_then_open_roundtrips_relations() {
         let dir = scratch("roundtrip");
         let store = Store::create(&dir, None).unwrap();
         let r1 = unary(&[3, 1, 4, 1, 5]);
         let r2 = Relation::from_flat(2, vec![1, 2, 3, 4, 5, 6]);
-        let g = sample_graph();
-        let edge = g.edge_relation();
-        store.checkpoint(&[("u", &r1), ("r", &r2), ("edge", &edge)], Some(&g)).unwrap();
+        let edge = Relation::from_flat(2, vec![0, 1, 1, 0, 1, 2, 2, 1]);
+        store.checkpoint(&[("u", &r1), ("r", &r2), ("edge", &edge)]).unwrap();
         drop(store);
 
         let store = Store::open(&dir, None).unwrap();
         assert_eq!(store.relation_names(), ["edge", "r", "u"]);
         assert_eq!(store.load_relation("u").unwrap().flat_values(), r1.flat_values());
         assert_eq!(store.load_relation("r").unwrap().flat_values(), r2.flat_values());
-        let (reopened, folded_edge) = store.load_graph().unwrap().unwrap();
-        assert!(folded_edge.is_none(), "no edits on edge: the written graph is used as is");
-        assert_eq!(reopened.edges(), g.edges());
-        assert_eq!(reopened.num_nodes(), g.num_nodes());
+        assert_eq!(store.load_relation("edge").unwrap(), edge);
         assert!(matches!(store.load_relation("nope").unwrap_err(), StoreError::MissingRelation(_)));
     }
 
@@ -93,7 +85,7 @@ mod tests {
         // time, eviction traffic through the 8-frame write pool.
         let vals: Vec<i64> = (0..4096).collect();
         let big = Relation::from_flat(2, vals.clone());
-        store.checkpoint(&[("big", &big)], None).unwrap();
+        store.checkpoint(&[("big", &big)]).unwrap();
         drop(store);
         let store = Store::open(&dir, None).unwrap();
         assert_eq!(store.load_relation("big").unwrap().flat_values(), &vals[..]);
@@ -106,47 +98,12 @@ mod tests {
         let dir = scratch("wal-replay");
         let store = Store::create(&dir, None).unwrap();
         store.log_add_relation("u", &unary(&[7, 8])).unwrap();
-        let g = sample_graph();
-        store.log_add_graph(&g).unwrap();
         store.log_add_relation("u", &unary(&[9])).unwrap(); // replacement wins
         drop(store);
 
         let store = Store::open(&dir, None).unwrap();
+        assert_eq!(store.relation_names(), ["u"]);
         assert_eq!(store.load_relation("u").unwrap().flat_values(), &[9]);
-        assert_eq!(
-            store.load_relation("edge").unwrap().flat_values(),
-            g.edge_relation().flat_values(),
-            "add_graph replay derives the edge relation, mirroring Database::add_graph"
-        );
-        assert_eq!(store.load_graph().unwrap().unwrap().0.edges(), g.edges());
-    }
-
-    #[test]
-    fn edge_edits_derive_the_graph_from_the_edge_extent_alone() {
-        let dir = scratch("edge-graph");
-        let store = Store::create(&dir, None).unwrap();
-        let g = Graph::new_undirected(600, (0..599).map(|v| (v, v + 1)).collect());
-        store.checkpoint(&[("edge", &g.edge_relation())], Some(&g)).unwrap();
-        let (far, none) =
-            (Relation::from_flat(2, vec![0, 700, 700, 0]), Relation::from_flat(2, vec![]));
-        store.log_edit("edge", &far, &none).unwrap();
-        // Deleting the edge again keeps node 700, as the in-memory graph does.
-        store.log_edit("edge", &none, &far).unwrap();
-        drop(store);
-        let edge_only = Store::open(&dir, None).unwrap();
-        edge_only.load_relation("edge").unwrap();
-
-        let store = Store::open(&dir, None).unwrap();
-        let (graph, folded_edge) = store.load_graph().unwrap().unwrap();
-        let (stats, edge_stats) = (store.pool_stats(), edge_only.pool_stats());
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (edge_stats.hits, edge_stats.misses),
-            "deriving the graph reads the edge extent and not the graph's"
-        );
-        assert_eq!(folded_edge, Some(g.edge_relation()), "the folded relation is handed back");
-        assert_eq!(graph.edges(), g.edges());
-        assert_eq!(graph.num_nodes(), 701, "an endpoint a later batch deleted still counts");
     }
 
     #[test]
@@ -156,7 +113,7 @@ mod tests {
         let base = unary(&[10, 20, 30]);
         // Base lives only in the checkpoint image: the edits are queued and
         // folded onto the extent when it is first loaded.
-        store.checkpoint(&[("u", &base)], None).unwrap();
+        store.checkpoint(&[("u", &base)]).unwrap();
         store.log_edit("u", &unary(&[25]), &unary(&[10])).unwrap();
         // A second edit chains on the first (WAL order matters).
         store.log_edit("u", &unary(&[40]), &unary(&[25])).unwrap();
@@ -178,7 +135,7 @@ mod tests {
         let store = Store::create(&dir, None).unwrap();
         let err = store.log_edit("ghost", &unary(&[1]), &unary(&[])).unwrap_err();
         assert!(matches!(err, StoreError::MissingRelation(_)));
-        store.checkpoint(&[("u", &unary(&[1]))], None).unwrap();
+        store.checkpoint(&[("u", &unary(&[1]))]).unwrap();
         let pair = Relation::from_flat(2, vec![1, 2]);
         let err = store.log_edit("u", &pair, &Relation::empty(2)).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "arity mismatch: {err}");
@@ -208,7 +165,7 @@ mod tests {
             let dir = scratch(&format!("fold-{seed}"));
             let store = Store::create(&dir, None).unwrap();
             let base = random_rows(&mut rng, 2, 40);
-            store.checkpoint(&[("r", &base)], None).unwrap();
+            store.checkpoint(&[("r", &base)]).unwrap();
             let mut model = base;
             for _ in 0..rng.gen_range(1..16usize) {
                 if rng.gen_bool(0.15) {
@@ -241,7 +198,7 @@ mod tests {
         let dir = scratch("lazy-recovery");
         let store = Store::create(&dir, None).unwrap();
         let base = Relation::from_flat(2, (0..4096).collect());
-        store.checkpoint(&[("r", &base)], None).unwrap();
+        store.checkpoint(&[("r", &base)]).unwrap();
         drop(store);
         let image_only = Store::open(&dir, None).unwrap().pool_stats();
 
@@ -273,7 +230,7 @@ mod tests {
         let store = Store::create(&dir, None).unwrap();
         let r = unary(&[1, 2, 3]);
         store.log_add_relation("u", &r).unwrap();
-        store.checkpoint(&[("u", &r)], None).unwrap();
+        store.checkpoint(&[("u", &r)]).unwrap();
         assert_eq!(std::fs::metadata(dir.join("wal.gj")).unwrap().len(), 0);
         assert_eq!(store.load_relation("u").unwrap().flat_values(), r.flat_values());
         drop(store);
@@ -312,10 +269,44 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_image_is_rejected_with_a_typed_error() {
+        let dir = scratch("version-1");
+        drop(Store::create(&dir, None).unwrap());
+        let data = dir.join("data.gj");
+        let mut bytes = std::fs::read(&data).unwrap();
+        // The header is the 8-byte magic, then the version word.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&data, bytes).unwrap();
+        assert_eq!(
+            Store::open(&dir, None).unwrap_err(),
+            StoreError::Corrupt("unsupported store version 1".to_string())
+        );
+    }
+
+    #[test]
+    fn a_graph_record_of_format_1_fails_open_and_is_not_taken_for_a_torn_tail() {
+        let dir = scratch("graph-record");
+        drop(Store::create(&dir, None).unwrap());
+        // Tag 2, then a node count and an empty edge list, framed with a valid
+        // checksum exactly as format 1 appended it.
+        let mut payload = vec![2u8];
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&codec::fnv1a32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let wal = dir.join("wal.gj");
+        std::fs::write(&wal, &frame).unwrap();
+        let err = Store::open(&dir, None).unwrap_err();
+        assert!(matches!(&err, StoreError::Corrupt(m) if m.contains("unknown tag 2")), "{err}");
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), frame.len() as u64);
+    }
+
+    #[test]
     fn an_extent_past_the_end_of_the_image_is_corrupt() {
         let dir = scratch("truncated");
         let store = Store::create(&dir, None).unwrap();
-        store.checkpoint(&[("u", &Relation::from_flat(1, (0..4096).collect()))], None).unwrap();
+        store.checkpoint(&[("u", &Relation::from_flat(1, (0..4096).collect()))]).unwrap();
         drop(store);
         let data = dir.join("data.gj");
         let len = std::fs::metadata(&data).unwrap().len();
@@ -332,7 +323,7 @@ mod tests {
         let dir = scratch("bitrot");
         let store = Store::create(&dir, None).unwrap();
         let vals: Vec<i64> = (0..2048).collect();
-        store.checkpoint(&[("u", &Relation::from_flat(1, vals))], None).unwrap();
+        store.checkpoint(&[("u", &Relation::from_flat(1, vals))]).unwrap();
         drop(store);
         let data = dir.join("data.gj");
         let mut bytes = std::fs::read(&data).unwrap();

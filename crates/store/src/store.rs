@@ -8,15 +8,15 @@
 //!   * page 0: header (`"GJSTORE1"` magic, version, page size, catalog length,
 //!     catalog checksum);
 //!   * pages 1..=k: the serialized catalog (name, arity, rows, extent location
-//!     and checksum per relation; plus the graph's node count and edge extent);
+//!     and checksum per relation);
 //!   * remaining pages: extents — each relation's `rows × arity` flat values as
-//!     little-endian `i64`s, and the graph's canonical edge list as `u32` pairs.
+//!     little-endian `i64`s. A graph is stored as its `"edge"` relation.
 //! * `wal.gj` — the write-ahead log of mutations since the image was taken
 //!   (format in [`crate::wal`]).
 //!
 //! ## Crash safety
 //!
-//! * **Mutations** ([`Store::log_add_relation`] / [`Store::log_add_graph`])
+//! * **Mutations** ([`Store::log_add_relation`] / [`Store::log_edit`])
 //!   append a checksummed redo record to the WAL *before* the in-memory apply;
 //!   a crash mid-append leaves a torn tail the next recovery scan discards, so
 //!   the store reopens to exactly the pre- or post-mutation state, never a torn
@@ -32,18 +32,14 @@
 //!   stay on disk until first use), replays the WAL's valid prefix in order,
 //!   and truncates the torn tail. Replay only builds in-memory state, so a
 //!   crash *during* recovery loses nothing: the next open replays again. A
-//!   full-replacement record (`AddRelation` / `AddGraph`) becomes the
-//!   relation's new base and drops its queued edits. An edit record is checked
-//!   against the relation's arity and *queued* on that relation; no extent is
-//!   read and nothing is rebuilt. Commits ([`Store::log_edit`]) queue the same
+//!   full-replacement record (`AddRelation`) becomes the relation's new base
+//!   and drops its queued edits. An edit record is checked against the
+//!   relation's arity and *queued* on that relation; no extent is read and
+//!   nothing is rebuilt. Commits ([`Store::log_edit`]) queue the same
 //!   way, so a durable edit costs O(delta) at commit and at recovery.
 //! * **Loading** ([`Store::load_relation`]) folds a relation's base (the image
 //!   extent or a full-replacement record) with every queued edit batch in one
-//!   pass over the base, equal to applying the batches one by one. The graph
-//!   view follows its `"edge"` relation: with edits queued on `"edge"`,
-//!   [`Store::load_graph`] derives the graph from the folded relation, as
-//!   `Database::commit_edits` did in memory, and returns that relation too;
-//!   the written graph's edge extent is then not read, only its node count.
+//!   pass over the base, equal to applying the batches one by one.
 
 use crate::codec::{fnv1a32, fnv1a32_extend, ByteReader, ByteWriter, FNV1A32_START};
 use crate::error::StoreError;
@@ -51,13 +47,15 @@ use crate::pager::{Pager, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolStats};
 use crate::wal::{Wal, WalRecord};
 use gj_storage::fault::{sites, FailpointHit, FailpointRegistry};
-use gj_storage::{Graph, Relation, Val};
+use gj_storage::{Relation, Val};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const MAGIC: [u8; 8] = *b"GJSTORE1";
-const VERSION: u32 = 1;
+/// Version 2 dropped the graph extent of version 1: a graph is its `"edge"`
+/// relation. A version-1 image is rejected as [`StoreError::Corrupt`].
+const VERSION: u32 = 2;
 /// Frames in the read pool of an open store.
 const OPEN_POOL_FRAMES: usize = 64;
 /// Frames in the write pool used during a checkpoint — small on purpose, so
@@ -73,20 +71,8 @@ struct RelationEntry {
     crc: u32,
 }
 
-/// Location + integrity data for the graph extent in the image.
-#[derive(Debug, Clone)]
-struct GraphEntry {
-    num_nodes: u64,
-    num_edges: u64,
-    first_page: u32,
-    crc: u32,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Catalog {
-    relations: BTreeMap<String, RelationEntry>,
-    graph: Option<GraphEntry>,
-}
+/// The image catalog: every relation's extent, by name.
+type Catalog = BTreeMap<String, RelationEntry>;
 
 /// One logged edit batch, kept until the relation is loaded or checkpointed.
 #[derive(Debug)]
@@ -102,8 +88,6 @@ struct StoreState {
     wal: Wal,
     /// Relations whose base a full-replacement WAL record replaced.
     overrides: BTreeMap<String, Relation>,
-    /// Graph whose latest version lives in the WAL.
-    graph_override: Option<Graph>,
     /// Edit batches logged on each relation since its base, in log order.
     pending: BTreeMap<String, Vec<EditBatch>>,
 }
@@ -128,7 +112,7 @@ impl Store {
     ) -> Result<Store, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io("create store dir", e))?;
-        write_image(dir, failpoints.clone(), &[], None)?;
+        write_image(dir, failpoints.clone(), &[])?;
         let wal_path = dir.join("wal.gj");
         std::fs::write(&wal_path, b"").map_err(|e| StoreError::io("create wal", e))?;
         Store::open(dir, failpoints)
@@ -148,14 +132,8 @@ impl Store {
         let catalog = read_catalog(&pool)?;
         let (wal, records) = Wal::open(&dir.join("wal.gj"), failpoints.clone())?;
 
-        let mut state = StoreState {
-            pool,
-            catalog,
-            wal,
-            overrides: BTreeMap::new(),
-            graph_override: None,
-            pending: BTreeMap::new(),
-        };
+        let mut state =
+            StoreState { pool, catalog, wal, overrides: BTreeMap::new(), pending: BTreeMap::new() };
         for record in records {
             if let Some(fp) = &failpoints {
                 match fp.hit(sites::RECOVERY_REPLAY) {
@@ -187,9 +165,9 @@ impl Store {
     /// WAL-replayed replacements), in sorted order.
     pub fn relation_names(&self) -> Vec<String> {
         let state = self.lock_state();
-        let mut names: Vec<String> = state.catalog.relations.keys().cloned().collect();
+        let mut names: Vec<String> = state.catalog.keys().cloned().collect();
         for name in state.overrides.keys() {
-            if !state.catalog.relations.contains_key(name) {
+            if !state.catalog.contains_key(name) {
                 names.push(name.clone());
             }
         }
@@ -206,42 +184,6 @@ impl Store {
             .ok_or_else(|| StoreError::MissingRelation(name.to_string()))
     }
 
-    /// Materializes the graph, if one was persisted or committed.
-    ///
-    /// When edits were logged on `"edge"` since the graph was written, the
-    /// graph is derived from the folded `"edge"` relation instead, and that
-    /// relation is returned beside it so the caller need not fold it again.
-    /// The written graph is then not decoded: only its node count is used, and
-    /// the derived graph's count never falls below it or below what an
-    /// inserted edge needed (node ids stay stable when edges are deleted).
-    pub fn load_graph(&self) -> Result<Option<(Graph, Option<Relation>)>, StoreError> {
-        let state = self.lock_state();
-        let Some(batches) = state.pending.get("edge") else {
-            return Ok(match (&state.graph_override, &state.catalog.graph) {
-                (Some(g), _) => Some((g.clone(), None)),
-                (None, Some(entry)) => Some((load_image_graph(&state.pool, entry)?, None)),
-                (None, None) => None,
-            });
-        };
-        let base_nodes = match (&state.graph_override, &state.catalog.graph) {
-            (Some(g), _) => g.num_nodes(),
-            (None, Some(entry)) => entry.num_nodes as usize,
-            (None, None) => return Ok(None),
-        };
-        let min_nodes = batches
-            .iter()
-            .filter_map(|b| b.ins.max_value())
-            .filter_map(|v| u32::try_from(v).ok())
-            .fold(base_nodes, |n, v| n.max(v as usize + 1));
-        let edge = state.relation("edge")?.ok_or_else(|| {
-            StoreError::Corrupt("edits logged on 'edge' without an edge relation".to_string())
-        })?;
-        let graph = Graph::from_edge_relation(&edge, min_nodes).map_err(|(a, b)| {
-            StoreError::Corrupt(format!("edge ({a}, {b}) lies outside the graph node domain"))
-        })?;
-        Ok(Some((graph, Some(edge))))
-    }
-
     /// Durably records `add_relation(name, relation)`: WAL append first, then
     /// the in-memory apply. On any error (including an injected fault) nothing
     /// is applied.
@@ -249,16 +191,6 @@ impl Store {
         let mut state = self.lock_state();
         state.wal.append(&WalRecord::add_relation(name, relation))?;
         state.replace(name.to_string(), relation.clone());
-        Ok(())
-    }
-
-    /// Durably records `add_graph(graph)`. Mirrors `Database::add_graph`
-    /// semantics: the derived `"edge"` relation is replaced along with the
-    /// graph, so replay order reproduces the in-memory state exactly.
-    pub fn log_add_graph(&self, graph: &Graph) -> Result<(), StoreError> {
-        let mut state = self.lock_state();
-        state.wal.append(&WalRecord::add_graph(graph))?;
-        state.replace_graph(graph.clone());
         Ok(())
     }
 
@@ -282,16 +214,12 @@ impl Store {
         Ok(())
     }
 
-    /// Writes a fresh checkpoint image containing exactly `relations` and
-    /// `graph`, commits it by atomic rename, then truncates the WAL. See the
-    /// module docs for the crash-safety argument.
-    pub fn checkpoint<'a>(
-        &self,
-        relations: &[(&'a str, &'a Relation)],
-        graph: Option<&Graph>,
-    ) -> Result<(), StoreError> {
+    /// Writes a fresh checkpoint image containing exactly `relations`, commits
+    /// it by atomic rename, then truncates the WAL. See the module docs for the
+    /// crash-safety argument.
+    pub fn checkpoint(&self, relations: &[(&str, &Relation)]) -> Result<(), StoreError> {
         let mut state = self.lock_state();
-        write_image(&self.dir, self.failpoints.clone(), relations, graph)?;
+        write_image(&self.dir, self.failpoints.clone(), relations)?;
         // The rename committed: rebuild the read side over the new image.
         let pager = Pager::open(&self.dir.join("data.gj"), self.failpoints.clone())?;
         let pool = BufferPool::new(pager, OPEN_POOL_FRAMES);
@@ -299,7 +227,6 @@ impl Store {
         state.pool = pool;
         state.catalog = catalog;
         state.overrides.clear();
-        state.graph_override = None;
         state.pending.clear();
         state.wal.truncate()
     }
@@ -317,9 +244,6 @@ impl StoreState {
         match record {
             WalRecord::AddRelation { name, arity, values } => {
                 self.replace(name, Relation::from_flat(arity as usize, values));
-            }
-            WalRecord::AddGraph { num_nodes, edges } => {
-                self.replace_graph(Graph::new(num_nodes as usize, edges));
             }
             WalRecord::Edit { name, arity, ins, del } => {
                 let arity = arity as usize;
@@ -342,12 +266,6 @@ impl StoreState {
         self.overrides.insert(name, relation);
     }
 
-    /// Replaces the graph and, as `Database::add_graph` does, its `"edge"` view.
-    fn replace_graph(&mut self, graph: Graph) {
-        self.replace("edge".to_string(), graph.edge_relation());
-        self.graph_override = Some(graph);
-    }
-
     fn queue(&mut self, name: String, ins: Relation, del: Relation) {
         self.pending.entry(name).or_default().push(EditBatch { ins, del });
     }
@@ -357,7 +275,7 @@ impl StoreState {
     fn check_edit(&self, name: &str, arity: usize) -> Result<(), StoreError> {
         let have = match self.overrides.get(name) {
             Some(r) => Some(r.arity()),
-            None => self.catalog.relations.get(name).map(|e| e.arity as usize),
+            None => self.catalog.get(name).map(|e| e.arity as usize),
         };
         match have {
             None => Err(StoreError::MissingRelation(name.to_string())),
@@ -424,7 +342,7 @@ fn load_image_relation(
     catalog: &Catalog,
     name: &str,
 ) -> Result<Option<Relation>, StoreError> {
-    let Some(entry) = catalog.relations.get(name) else { return Ok(None) };
+    let Some(entry) = catalog.get(name) else { return Ok(None) };
     let total =
         extent_len(pool, entry.first_page, entry.rows, 8 * u64::from(entry.arity), "relation")?;
     let mut values: Vec<Val> = Vec::with_capacity((total / 8) as usize);
@@ -436,21 +354,6 @@ fn load_image_relation(
         );
     })?;
     Ok(Some(Relation::from_flat(entry.arity as usize, values)))
-}
-
-/// Materializes the graph from the checkpoint image (checksum-verified).
-fn load_image_graph(pool: &BufferPool, entry: &GraphEntry) -> Result<Graph, StoreError> {
-    let total = extent_len(pool, entry.first_page, entry.num_edges, 8, "graph")?;
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(entry.num_edges as usize);
-    read_extent(pool, entry.first_page, total, entry.crc, "graph", |bytes| {
-        edges.extend(bytes.chunks_exact(8).map(|c| {
-            (
-                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-            )
-        }));
-    })?;
-    Ok(Graph::new(entry.num_nodes as usize, edges))
 }
 
 /// The byte length of an extent of `items` items of `item_bytes` each, checked
@@ -503,23 +406,13 @@ fn read_extent(
 /// fields (fixed-width), which `write_image` relies on to lay out extents.
 fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(catalog.relations.len() as u32);
-    for (name, e) in &catalog.relations {
+    w.put_u32(catalog.len() as u32);
+    for (name, e) in catalog {
         w.put_str(name);
         w.put_u32(e.arity);
         w.put_u64(e.rows);
         w.put_u32(e.first_page);
         w.put_u32(e.crc);
-    }
-    match &catalog.graph {
-        None => w.put_u8(0),
-        Some(g) => {
-            w.put_u8(1);
-            w.put_u64(g.num_nodes);
-            w.put_u64(g.num_edges);
-            w.put_u32(g.first_page);
-            w.put_u32(g.crc);
-        }
     }
     w.into_bytes()
 }
@@ -539,15 +432,7 @@ fn decode_catalog(bytes: &[u8]) -> Result<Catalog, StoreError> {
         if entry.arity == 0 {
             return Err(StoreError::Corrupt(format!("catalog: relation '{name}' has arity 0")));
         }
-        catalog.relations.insert(name, entry);
-    }
-    if r.get_u8()? == 1 {
-        catalog.graph = Some(GraphEntry {
-            num_nodes: r.get_u64()?,
-            num_edges: r.get_u64()?,
-            first_page: r.get_u32()?,
-            crc: r.get_u32()?,
-        });
+        catalog.insert(name, entry);
     }
     Ok(catalog)
 }
@@ -591,7 +476,7 @@ fn read_catalog(pool: &BufferPool) -> Result<Catalog, StoreError> {
     decode_catalog(&bytes)
 }
 
-/// Writes a complete image for `relations` + `graph` to `<dir>/data.gj.tmp`
+/// Writes a complete image for `relations` to `<dir>/data.gj.tmp`
 /// and atomically renames it over `<dir>/data.gj`. Every page write passes the
 /// `page_flush` failpoint (via the pager), so a simulated crash can land on any
 /// individual page; until the rename, the old image is untouched.
@@ -599,11 +484,10 @@ fn write_image(
     dir: &Path,
     failpoints: Option<Arc<FailpointRegistry>>,
     relations: &[(&str, &Relation)],
-    graph: Option<&Graph>,
 ) -> Result<(), StoreError> {
     // Lay the image out from sizes alone: the catalog's byte length does not
     // depend on its page numbers or checksums (fixed-width fields). Extents
-    // follow the catalog in name order, then the graph's.
+    // follow the catalog in name order.
     let mut catalog = Catalog::default();
     let mut extent_of: BTreeMap<&str, &Relation> = BTreeMap::new();
     for &(name, relation) in relations {
@@ -613,40 +497,22 @@ fn write_image(
             first_page: 0,
             crc: 0,
         };
-        catalog.relations.insert(name.to_string(), entry);
+        catalog.insert(name.to_string(), entry);
         extent_of.insert(name, relation);
     }
-    catalog.graph = graph.map(|g| GraphEntry {
-        num_nodes: g.num_nodes() as u64,
-        num_edges: g.edges().len() as u64,
-        first_page: 0,
-        crc: 0,
-    });
     let catalog_pages = encode_catalog(&catalog).len().div_ceil(PAGE_SIZE).max(1) as u32;
     let mut next_page = 1 + catalog_pages;
-    for entry in catalog.relations.values_mut() {
+    for entry in catalog.values_mut() {
         entry.first_page = next_page;
         next_page += (entry.rows * u64::from(entry.arity) * 8).div_ceil(PAGE_SIZE as u64) as u32;
-    }
-    if let Some(entry) = &mut catalog.graph {
-        entry.first_page = next_page;
     }
 
     // Encode each extent page by page, checksumming as it goes.
     let tmp = dir.join("data.gj.tmp");
     let pool = BufferPool::new(Pager::create(&tmp, failpoints)?, CHECKPOINT_POOL_FRAMES);
-    for (name, entry) in &mut catalog.relations {
+    for (name, entry) in &mut catalog {
         let Some(relation) = extent_of.get(name.as_str()) else { continue };
         let words = relation.flat_values().iter().map(|v| v.to_le_bytes());
-        entry.crc = write_extent(&pool, entry.first_page, words)?;
-    }
-    if let (Some(entry), Some(g)) = (&mut catalog.graph, graph) {
-        let words = g.edges().iter().map(|&(a, b)| {
-            let mut word = [0u8; 8];
-            word[..4].copy_from_slice(&a.to_le_bytes());
-            word[4..].copy_from_slice(&b.to_le_bytes());
-            word
-        });
         entry.crc = write_extent(&pool, entry.first_page, words)?;
     }
     let catalog_bytes = encode_catalog(&catalog);

@@ -17,7 +17,7 @@
 use crate::codec::{fnv1a32, ByteReader, ByteWriter};
 use crate::error::StoreError;
 use gj_storage::fault::{sites, FailpointHit, FailpointRegistry};
-use gj_storage::{Graph, Relation, Val};
+use gj_storage::{Relation, Val};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -28,11 +28,12 @@ use std::sync::Arc;
 const MAX_RECORD_BYTES: u32 = 1 << 30;
 
 const TAG_ADD_RELATION: u8 = 1;
-const TAG_ADD_GRAPH: u8 = 2;
+// Tag 2 held a full graph replacement before a graph became its "edge"
+// relation; it stays unused, so such a record fails to decode.
 const TAG_EDIT: u8 = 3;
 
-/// One redo record: a full replacement of a relation or of the graph, or an
-/// incremental edit batch sized by the delta rather than the relation.
+/// One redo record: a full replacement of a relation, or an incremental edit
+/// batch sized by the delta rather than the relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// `add_relation(name, …)`: the relation's complete flat buffer.
@@ -43,13 +44,6 @@ pub enum WalRecord {
         arity: u32,
         /// Row-major `rows × arity` flat values, sorted/deduped.
         values: Vec<Val>,
-    },
-    /// `add_graph(…)`: the graph's canonical edge list.
-    AddGraph {
-        /// Node-id domain size.
-        num_nodes: u64,
-        /// Canonical (sorted, deduped, self-loop-free) directed edges.
-        edges: Vec<(u32, u32)>,
     },
     /// `commit_edits(name, …)`: an incremental edit batch, O(delta) bytes —
     /// this is what keeps a sustained update stream from rewriting full images
@@ -84,11 +78,6 @@ impl WalRecord {
         }
     }
 
-    /// Builds the record for replacing the graph.
-    pub fn add_graph(graph: &Graph) -> Self {
-        WalRecord::AddGraph { num_nodes: graph.num_nodes() as u64, edges: graph.edges().to_vec() }
-    }
-
     /// Builds the record for an incremental edit batch on `name`.
     pub fn edit(name: &str, ins: &Relation, del: &Relation) -> Self {
         debug_assert_eq!(ins.arity(), del.arity(), "edit batch arity mismatch");
@@ -111,15 +100,6 @@ impl WalRecord {
                 w.put_u64(values.len() as u64);
                 for &v in values {
                     w.put_val(v);
-                }
-            }
-            WalRecord::AddGraph { num_nodes, edges } => {
-                w.put_u8(TAG_ADD_GRAPH);
-                w.put_u64(*num_nodes);
-                w.put_u64(edges.len() as u64);
-                for &(a, b) in edges {
-                    w.put_u32(a);
-                    w.put_u32(b);
                 }
             }
             WalRecord::Edit { name, arity, ins, del } => {
@@ -155,17 +135,6 @@ impl WalRecord {
                     values.push(r.get_val()?);
                 }
                 Ok(WalRecord::AddRelation { name, arity, values })
-            }
-            TAG_ADD_GRAPH => {
-                let num_nodes = r.get_u64()?;
-                let len = r.get_u64()? as usize;
-                let mut edges = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let a = r.get_u32()?;
-                    let b = r.get_u32()?;
-                    edges.push((a, b));
-                }
-                Ok(WalRecord::AddGraph { num_nodes, edges })
             }
             TAG_EDIT => {
                 let name = r.get_str()?;
@@ -293,7 +262,7 @@ mod tests {
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::AddRelation { name: "u1".into(), arity: 1, values: vec![1, 5, 9] },
-            WalRecord::AddGraph { num_nodes: 4, edges: vec![(0, 1), (1, 2), (2, 3)] },
+            WalRecord::AddRelation { name: "u2".into(), arity: 1, values: vec![2, 4] },
             WalRecord::AddRelation { name: "r".into(), arity: 2, values: vec![1, 2, 3, 4] },
             WalRecord::Edit { name: "r".into(), arity: 2, ins: vec![5, 6], del: vec![1, 2] },
         ]

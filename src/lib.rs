@@ -21,3 +21,9 @@
 
 pub use gj_service;
 pub use graphjoin;
+
+/// Compiles and runs the Rust blocks of `README.md` as doctests, so the README
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every engine must produce identical answers on
 //! every benchmark query, across several random graphs and selectivities.
 
-use graphjoin::{workload_database, CatalogQuery, Engine, ExecLimits, Graph, MsConfig};
+use graphjoin::{workload_database, CatalogQuery, Database, Engine, ExecLimits, Graph, MsConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -111,4 +111,43 @@ fn triangle_counts_match_the_graph_utility_on_dataset_standins() {
     let expected = graph.triangle_count();
     assert_eq!(db.count(&q, &Engine::Lftj).unwrap(), expected);
     assert_eq!(db.count(&q, &Engine::GraphEngine).unwrap(), expected);
+}
+
+/// The graph engine reads the current `edge` relation, so its 3- and 4-clique
+/// counts equal LFTJ's however `edge` got there: replaced after `add_graph`,
+/// replaced durably, reopened from the store, or installed as a plain relation.
+#[test]
+fn graph_engine_counts_the_current_edge_relation() {
+    let cliques = [CatalogQuery::ThreeClique.query(), CatalogQuery::FourClique.query()];
+    let assert_counts = |db: &Database, expected: [u64; 2], case: &str| {
+        for (q, expected) in cliques.iter().zip(expected) {
+            assert_eq!(db.count(q, &Engine::Lftj).unwrap(), expected, "{case}: {}", q.name);
+            assert_eq!(db.count(q, &Engine::GraphEngine).unwrap(), expected, "{case}: {}", q.name);
+        }
+    };
+    // A triangle plus a pendant edge, then edge relations without its cliques.
+    let triangle = Graph::new_undirected(4, vec![(0, 1), (1, 2), (0, 2), (2, 3)]);
+    let path = Graph::new_undirected(4, vec![(0, 1), (1, 2), (2, 3)]);
+    let k4 = Graph::new_undirected(4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+
+    let mut db = Database::new();
+    db.add_graph(&triangle);
+    assert_counts(&db, [1, 0], "add_graph");
+    db.add_relation("edge", path.edge_relation());
+    assert_counts(&db, [0, 0], "add_relation after add_graph");
+
+    let dir = std::env::temp_dir().join(format!("gj-graph-view-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    db.add_graph(&triangle);
+    db.persist(&dir).unwrap();
+    let mut db = Database::open(&dir).unwrap();
+    db.commit_relation("edge", k4.edge_relation()).unwrap();
+    assert_counts(&db, [4, 1], "commit_relation");
+    drop(db);
+    assert_counts(&Database::open(&dir).unwrap(), [4, 1], "reopened after commit_relation");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut db = Database::new();
+    db.add_relation("edge", k4.edge_relation());
+    assert_counts(&db, [4, 1], "edge only as a relation");
 }

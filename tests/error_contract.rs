@@ -9,7 +9,7 @@
 
 use graphjoin::{
     CancelToken, CatalogQuery, Database, Engine, EngineError, ExecError, ExecLimits, Graph, Query,
-    QueryBudget, RunOutcome,
+    QueryBudget, Relation, RunOutcome,
 };
 use std::time::Duration;
 
@@ -105,6 +105,34 @@ fn every_engine_rejects_a_query_without_atoms_alike() {
             }
             Err(other) => panic!("{}: {other}", engine.label()),
             Ok(_) => panic!("{}: prepared a query without atoms", engine.label()),
+        }
+    }
+}
+
+/// The graph engine derives its adjacency from `edge` when it prepares. An
+/// `edge` it cannot read as a graph over `u32` node ids is `Unsupported`, not a
+/// panic (which `prepare` would report as `Exec`).
+#[test]
+fn the_graph_engine_rejects_an_edge_it_cannot_read_with_a_typed_error() {
+    let q = CatalogQuery::ThreeClique.query();
+    let too_big = i64::from(u32::MAX) + 1;
+    let edges = [
+        None,
+        Some(Relation::from_values(vec![0, 1])),
+        Some(Relation::from_flat(3, vec![0, 1, 2, 1, 2, 0])),
+        Some(Relation::from_pairs(vec![(-1, 0), (0, -1), (0, 1), (1, 0)])),
+        Some(Relation::from_pairs(vec![(0, too_big), (too_big, 0)])),
+    ];
+    for edge in edges {
+        let case = format!("{edge:?}");
+        let mut db = Database::new();
+        if let Some(edge) = edge {
+            db.add_relation("edge", edge);
+        }
+        match db.prepare(&q, &Engine::GraphEngine) {
+            Err(EngineError::Unsupported(_)) => {}
+            Err(other) => panic!("{case}: {other}"),
+            Ok(_) => panic!("{case}: prepared the graph engine"),
         }
     }
 }

@@ -419,7 +419,9 @@ const PERSIST_CASES: u64 = 16;
 /// the first query touches a relation. Then one durable edit batch on `edge` and
 /// one on a sample relation are committed to the reopened store (and applied to
 /// the in-RAM twin), and a second restart must still answer like memory, the
-/// graph engine's clique counts included.
+/// graph engine's clique counts included. Last, `edge` is durably replaced by a
+/// random symmetric graph, and after a third open the graph engine must count
+/// the cliques of that relation exactly as LFTJ does on the same database.
 #[test]
 fn persisted_and_reopened_databases_are_query_identical() {
     let scratch = std::env::temp_dir().join(format!("gj-fuzz-persist-{}", std::process::id()));
@@ -461,11 +463,11 @@ fn persisted_and_reopened_databases_are_query_identical() {
             assert_eq!(durable, memory, "{ctx}: {name} batch changed a different number of rows");
         }
         drop(reopened);
-        let restarted =
+        let mut restarted =
             Database::open(&dir).unwrap_or_else(|e| panic!("{ctx}: second open failed: {e}"));
         assert_eq!(
-            restarted.graph().map(Graph::num_nodes),
-            db.graph().map(Graph::num_nodes),
+            restarted.graph().as_ref().map(Graph::num_nodes),
+            db.graph().as_ref().map(Graph::num_nodes),
             "{ctx}: restarted graph node count"
         );
         let cliques = [CatalogQuery::ThreeClique.query(), CatalogQuery::FourClique.query()];
@@ -485,6 +487,28 @@ fn persisted_and_reopened_databases_are_query_identical() {
             );
         }
         assert_disk_matches_memory(&db, &restarted, &checks, &format!("{ctx} after edits"));
+
+        let replacement =
+            random_database(&mut rng).graph().expect("random databases carry a graph");
+        restarted
+            .commit_relation("edge", replacement.edge_relation())
+            .unwrap_or_else(|e| panic!("{ctx}: commit_relation(edge) failed: {e}"));
+        drop(restarted);
+        let replaced =
+            Database::open(&dir).unwrap_or_else(|e| panic!("{ctx}: third open failed: {e}"));
+        for clique in &cliques {
+            let count = |engine: &Engine| {
+                replaced
+                    .count(clique, engine)
+                    .unwrap_or_else(|e| panic!("{ctx}: {} on {}: {e}", engine.label(), clique.name))
+            };
+            assert_eq!(
+                count(&Engine::GraphEngine),
+                count(&Engine::Lftj),
+                "{ctx}: graph engine and LFTJ disagree on {} over a replaced edge",
+                clique.name
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -19,12 +19,10 @@ fn engines() -> Vec<Engine> {
 }
 
 /// A database with the same logical content as `db` but no shared state: the
-/// edited `"edge"` relation re-enters through `add_graph`, so even the graph
-/// engine's CSR view is rebuilt from scratch.
+/// edited `"edge"` relation re-enters through `add_graph`.
 fn rebuilt_from_scratch(db: &Database) -> Database {
-    let graph = db.graph().expect("test databases carry a graph");
     let mut fresh = Database::new();
-    fresh.add_graph(Graph::new(graph.num_nodes(), graph.edges().to_vec()));
+    fresh.add_graph(db.graph().expect("test databases carry a graph"));
     fresh
 }
 

@@ -137,7 +137,7 @@ fn engine_counters_over_delta_carrying_indexes_equal_a_rebuild() {
     db.delete_edges(&doomed).unwrap();
     db.insert_edges(&[(0, 22), (5, 17)]).unwrap();
     assert!(db.cache().pending_delta_len("edge") > 0, "the edits were compacted away");
-    let rebuilt = database_over(db.graph().unwrap().clone());
+    let rebuilt = database_over(db.graph().unwrap());
     for cq in CatalogQuery::all() {
         let q = cq.query();
         for engine in &engines {
