@@ -364,16 +364,9 @@ impl Database {
     }
 
     /// Number of worker threads [`prepare`](Self::prepare) shards index builds
-    /// across (defaults to the machine's available parallelism).
+    /// across: the machine's available parallelism.
     pub fn prepare_threads(&self) -> usize {
         self.prepare_threads
-    }
-
-    /// Sets the number of worker threads for index builds during preparation
-    /// (clamped to at least 1).
-    pub fn set_prepare_threads(&mut self, threads: usize) -> &mut Self {
-        self.prepare_threads = threads.max(1);
-        self
     }
 
     /// Prepares `query` for repeated execution with `engine`: validation, GAO

@@ -27,13 +27,13 @@
 //!
 //! [`TrieIndex::build`] upholds the invariant that **no intermediate permuted
 //! relation is ever materialized**: for any attribute permutation it sorts a row
-//! index array (a no-op for the identity order, since relations keep their rows
-//! sorted) and streams the trie level arrays directly out of the relation's flat
-//! buffer through that order. A property test
+//! index array with stable counting passes (none for the identity order, since
+//! relations keep their rows sorted) and streams the trie level arrays directly out
+//! of the relation's flat buffer through that order. A property test
 //! (`tests/prop_trie.rs::flat_build_is_identical_to_build_through_permuted_relation`)
-//! checks the result is structurally identical to the reference build that goes
-//! through [`Relation::permute`]. The per-relation maximum value is cached on the
-//! relation and copied into every index at build time, so
+//! checks the result is structurally identical to the natural build of the
+//! permuted rows, sorted by [`Relation::from_rows`]. The per-relation maximum value
+//! is cached on the relation and copied into every index at build time, so
 //! [`TrieIndex::max_value`] — which Minesweeper consults on every bind — is a field
 //! read, not a level rescan.
 //!

@@ -10,6 +10,12 @@
 //! lets [`TrieIndex::build`](crate::trie::TrieIndex::build) construct a
 //! GAO-consistent index in any attribute order without ever materializing a permuted
 //! copy of the relation.
+//!
+//! A permuted order costs no comparison sort: [`Relation::sorted_row_order`]
+//! re-sorts only the columns before the permutation's ascending tail, one stable
+//! pass each (a counting sort over `value − min` when the column's range is
+//! narrower than 64 × rows, else a stable sort on the column), so an index build
+//! in any order costs O(passes × (rows + span)).
 
 use crate::value::{is_finite, Tuple, Val};
 use std::cmp::Ordering;
@@ -202,18 +208,13 @@ impl Relation {
                 .filter(|(prev, next)| prev[0] != next[0])
                 .count();
         }
-        let (lo, hi) =
-            rows().fold((Val::MAX, Val::MIN), |(lo, hi), r| (lo.min(r[col]), hi.max(r[col])));
-        let span = hi.saturating_sub(lo);
-        if span >= 64 * self.len as Val {
+        let Some((lo, span)) = self.narrow_range(col) else {
             let mut values: Vec<Val> = rows().map(|r| r[col]).collect();
             values.sort_unstable();
             values.dedup();
             return values.len();
-        }
-        // Every value lies in [lo, lo + span] and span < 64 × rows, so the
-        // offsets fit the bitset and the subtraction cannot overflow.
-        let mut seen = vec![0u64; span as usize / 64 + 1];
+        };
+        let mut seen = vec![0u64; span / 64 + 1];
         for r in rows() {
             let bit = (r[col] - lo) as usize;
             seen[bit / 64] |= 1 << (bit % 64);
@@ -234,41 +235,77 @@ impl Relation {
         self.lower_bound(0, row).1
     }
 
+    /// The least value of column `col` and the width of its value range, when that
+    /// range is narrower than 64 × rows (computed in `i128`, so extreme values cannot
+    /// overflow). Every offset `value − lo` then lies in `0..=span` and cannot
+    /// overflow, so an array indexed by it costs O(rows). `None` for a wider range
+    /// or an empty relation.
+    fn narrow_range(&self, col: usize) -> Option<(Val, usize)> {
+        let (lo, hi) =
+            self.iter().fold((Val::MAX, Val::MIN), |(lo, hi), r| (lo.min(r[col]), hi.max(r[col])));
+        let span = i128::from(hi) - i128::from(lo);
+        (self.len > 0 && span < 64 * self.len as i128).then_some((lo, span as usize))
+    }
+
     /// The order of this relation's row indices when rows are compared through the
     /// column permutation `perm` (`perm[d]` is the source column compared at
-    /// position `d`). For the identity permutation the rows are already in order
-    /// and no sort happens.
+    /// position `d`).
     ///
     /// This is the primitive behind zero-materialization index builds: a consumer
     /// walks `order` and reads `row(order[k])[perm[d]]` instead of materializing a
     /// permuted, re-sorted copy of the relation. Because the stored rows are
     /// distinct and `perm` is a full permutation, the permuted rows are distinct
     /// too — no deduplication pass is needed.
+    ///
+    /// No comparison sort runs. Take the smallest `m` with `perm[m..]` ascending:
+    /// rows that tie on `perm[..m]` are already in `perm[m..]` order, because the
+    /// stored rows are sorted on columns `0..arity`. So one stable pass per column
+    /// `perm[m - 1], …, perm[0]`, starting from the stored order, sorts them (at
+    /// most `arity − 1` passes; none for the identity). A pass is a counting sort
+    /// over `value − min` when the column's range is narrower than 64 × rows, and a
+    /// stable sort on the column otherwise; both are stable, so the order is the
+    /// same either way. Cost: O(passes × (rows + span)), or O(rows × log rows) for
+    /// a pass over a wide column.
     pub fn sorted_row_order(&self, perm: &[usize]) -> Vec<u32> {
         assert_permutation(perm, self.arity);
         let mut order: Vec<u32> = (0..self.len as u32).collect();
-        if perm.iter().enumerate().all(|(i, &p)| i == p) {
-            return order;
+        let m = (1..perm.len()).rev().find(|&d| perm[d - 1] > perm[d]).unwrap_or(0);
+        for &col in perm[..m].iter().rev() {
+            self.stable_pass(col, &mut order);
         }
-        order.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (self.row(a as usize), self.row(b as usize));
-            for &c in perm {
-                match ra[c].cmp(&rb[c]) {
-                    Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            Ordering::Equal
-        });
         order
+    }
+
+    /// Stably reorders `order` by the value of column `col`: a counting sort over
+    /// the offsets `value − lo` for a narrow column, else a stable sort on the value.
+    fn stable_pass(&self, col: usize, order: &mut [u32]) {
+        let value = |i: u32| self.values[i as usize * self.arity + col];
+        let Some((lo, span)) = self.narrow_range(col) else {
+            order.sort_by_key(|&i| value(i));
+            return;
+        };
+        // `next[k]` is the output slot of the next row whose offset is `k`.
+        let mut next = vec![0u32; span + 2];
+        for &i in order.iter() {
+            next[(value(i) - lo) as usize + 1] += 1;
+        }
+        for k in 1..next.len() {
+            next[k] += next[k - 1];
+        }
+        let unsorted = order.to_vec();
+        for &i in &unsorted {
+            let slot = &mut next[(value(i) - lo) as usize];
+            order[*slot as usize] = i;
+            *slot += 1;
+        }
     }
 
     /// Returns a new relation with the columns permuted by `perm` (`perm[i]` is the
     /// source column of output column `i`), re-sorted for the new column order.
     ///
-    /// The index builds do **not** use this (see [`Relation::sorted_row_order`]); it
-    /// remains as a general relational operator and as the reference implementation
-    /// the property tests compare the zero-materialization build against.
+    /// The index builds do **not** use this (see [`Relation::sorted_row_order`], which
+    /// orders the rows here too); the delta layers of
+    /// [`TrieIndex::with_edits`](crate::trie::TrieIndex::with_edits) do.
     pub fn permute(&self, perm: &[usize]) -> Relation {
         let order = self.sorted_row_order(perm);
         let mut values = Vec::with_capacity(self.values.len());
@@ -444,16 +481,27 @@ mod tests {
     }
 
     #[test]
-    fn sorted_row_order_matches_permuted_relation() {
+    fn sorted_row_order_sorts_the_projected_rows() {
+        // Column 2 spans 2·10⁹ over 5 rows, so `[2, 0, 1]` takes the stable-sort
+        // pass and `[1, 0, 2]` the counting pass; `[0, 2, 1]` takes one of each.
         let r = Relation::from_rows(
             3,
-            vec![vec![5, 1, 4], vec![5, 1, 7], vec![7, 4, 6], vec![7, 9, 8], vec![10, 4, 1]],
+            vec![
+                vec![5, 1, 4],
+                vec![5, 1, 7],
+                vec![7, 4, 6],
+                vec![7, 9, 8],
+                vec![10, 4, -2_000_000_000],
+            ],
         );
-        let perm = [2usize, 0, 1];
-        let order = r.sorted_row_order(&perm);
-        let via_order: Vec<Vec<Val>> =
-            order.iter().map(|&i| perm.iter().map(|&c| r.row(i as usize)[c]).collect()).collect();
-        assert_eq!(via_order, r.permute(&perm).to_rows());
+        for perm in [[2usize, 0, 1], [1, 0, 2], [0, 2, 1]] {
+            let project = |row: &[Val]| perm.iter().map(|&c| row[c]).collect::<Vec<Val>>();
+            let via_order: Vec<Vec<Val>> =
+                r.sorted_row_order(&perm).iter().map(|&i| project(r.row(i as usize))).collect();
+            let mut expected: Vec<Vec<Val>> = r.iter().map(project).collect();
+            expected.sort();
+            assert_eq!(via_order, expected, "perm {perm:?}");
+        }
     }
 
     #[test]

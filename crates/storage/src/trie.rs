@@ -63,7 +63,9 @@ impl TrieCore {
     /// relation's flat buffer ([`Relation::sorted_row_order`] — a no-op for the
     /// identity permutation, since relations store their rows sorted) and streams the
     /// trie levels directly out of the buffer through that order. No permuted copy of
-    /// the relation is ever created.
+    /// the relation is ever created. The order costs O(passes × (rows + span)): one
+    /// stable counting pass per column of `perm` before its ascending tail, or a
+    /// stable sort for a column whose range is at least 64 × rows wide.
     fn build(relation: &Relation, perm: &[usize]) -> Self {
         // sorted_row_order validates that perm is a permutation of 0..arity.
         let order = relation.sorted_row_order(perm);

@@ -3,9 +3,9 @@
 //! resumed through a cursor must agree with a fresh one (also along the increasing
 //! probe sequences Minesweeper issues, where the cursor gallops), the
 //! zero-materialization build must be structurally identical to a reference build
-//! through an explicitly permuted relation, and the fold of a base trie with a
-//! cumulative delta layer must be structurally identical to the build of the live
-//! relation.
+//! of the projected rows, the row order behind that build must sort the projected
+//! rows, and the fold of a base trie with a cumulative delta layer must be
+//! structurally identical to the build of the live relation.
 
 use gj_storage::{ProbeResult, Relation, TrieIndex, Val, NEG_INF, POS_INF};
 use proptest::prelude::*;
@@ -44,6 +44,39 @@ fn seeded_perm(n: usize, seed: u64) -> Vec<usize> {
         perm.swap(i, j);
     }
     perm
+}
+
+/// Every permutation of `0..n`, in lexicographic order.
+fn all_perms(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..n {
+        for rest in all_perms(n - 1) {
+            let mut perm = vec![first];
+            perm.extend(rest.into_iter().map(|c| c + usize::from(c >= first)));
+            out.push(perm);
+        }
+    }
+    out
+}
+
+/// Maps a small value `v` in `0..12` into one of six column shapes, so one column
+/// can take the counting pass of `sorted_row_order` and another the stable-sort
+/// fallback: narrow, narrow and negative, wide (≥ 64 × rows) and negative, both
+/// ends of the domain at once (a span that overflows `i64`), and narrow next to
+/// either sentinel.
+fn shaped(v: i64, shape: u64) -> i64 {
+    match shape {
+        0 => v,
+        1 => v - 6,
+        2 => (v - 6) * 1_000_000_007,
+        3 if v % 2 == 0 => NEG_INF + 1 + v,
+        3 => POS_INF - 1 - v,
+        4 => NEG_INF + 1 + v,
+        _ => POS_INF - 12 + v,
+    }
 }
 
 /// Asserts that `folded` reads the trie `rebuilt` reads: every level's values and
@@ -216,11 +249,44 @@ proptest! {
         prop_assert_eq!(idx.num_rows(), rel.len());
     }
 
+    /// `sorted_row_order` lists the rows in the order of their projections through
+    /// `perm`, for arities 1–4, every permutation and every column shape of
+    /// `shaped` (counting passes and stable-sort passes, negative values, values
+    /// next to the sentinels), on the relation and on its 0- and 1-row prefixes.
+    /// The reference sorts the projected tuples themselves. Rows are distinct, so
+    /// equal projection sequences mean equal orders.
+    #[test]
+    fn sorted_row_order_sorts_the_projected_rows(
+        raw in prop::collection::vec(prop::collection::vec(0i64..12, 4), 0..80),
+        shapes in prop::collection::vec(0u64..6, 4),
+    ) {
+        for arity in 1..=4 {
+            let rows: Vec<Vec<i64>> = raw
+                .iter()
+                .map(|r| (0..arity).map(|c| shaped(r[c], shapes[c])).collect())
+                .collect();
+            for len in [0, rows.len().min(1), rows.len()] {
+                let rel = Relation::from_rows(arity, rows[..len].to_vec());
+                for perm in all_perms(arity) {
+                    let project = |row: &[i64]| perm.iter().map(|&c| row[c]).collect::<Vec<_>>();
+                    let got: Vec<Vec<i64>> = rel
+                        .sorted_row_order(&perm)
+                        .iter()
+                        .map(|&i| project(rel.row(i as usize)))
+                        .collect();
+                    let mut expected: Vec<Vec<i64>> = rel.iter().map(project).collect();
+                    expected.sort();
+                    prop_assert_eq!(got, expected, "perm {:?}, shapes {:?}", &perm, &shapes);
+                }
+            }
+        }
+    }
+
     /// The tentpole invariant of the columnar refactor: building straight from the
     /// flat buffer via a sorted row-index permutation produces an index that is
     /// structurally identical — every level's value array and every child-offset
-    /// array — to the reference build that materializes an explicitly permuted
-    /// relation first, for random relations, arities and permutations.
+    /// array — to the natural build of the projected rows, which `from_rows` sorts
+    /// on its own path, for random relations, arities and permutations.
     #[test]
     fn flat_build_is_identical_to_build_through_permuted_relation(
         raw in prop::collection::vec(prop::collection::vec(0i64..12, 4), 0..80),
@@ -233,8 +299,9 @@ proptest! {
 
         // Zero-materialization build in the permuted order.
         let flat = TrieIndex::build(&rel, &perm);
-        // Reference: materialize the permuted relation, then index it naturally.
-        let reference = TrieIndex::build_natural(&rel.permute(&perm));
+        // Reference: the projected rows as a relation of their own, indexed naturally.
+        let projected = rel.iter().map(|r| perm.iter().map(|&c| r[c]).collect()).collect();
+        let reference = TrieIndex::build_natural(&Relation::from_rows(arity, projected));
 
         prop_assert_eq!(flat.arity(), reference.arity());
         prop_assert_eq!(flat.num_rows(), reference.num_rows());
