@@ -198,7 +198,7 @@ impl Database {
     }
 
     /// Inserts `rows` into relation `name` incrementally: the stored relation is
-    /// merged in O(n + k), and every cached trie index gains the rows through its
+    /// merged in O(n + k), and every cached trie index stacks the rows onto its own
     /// delta layer in O(k × permutations) — no index is rebuilt (see
     /// [`IndexCache::apply_edits`]). Rows already present are ignored. Returns the
     /// number of rows actually inserted.
@@ -209,9 +209,10 @@ impl Database {
         self.edit_rows(name, rows, &[])
     }
 
-    /// Deletes `rows` from relation `name` incrementally (tombstones in the cached
-    /// indexes' delta layers; the base tries are untouched). Rows not present are
-    /// ignored. Returns the number of rows actually deleted.
+    /// Deletes `rows` from relation `name` incrementally: each cached index stacks
+    /// the rows onto its own delta layer, as tombstones or as cancelled pending
+    /// inserts; no base trie is rebuilt. Rows not present are ignored. Returns the
+    /// number of rows actually deleted.
     pub fn delete_rows(&mut self, name: &str, rows: &[Vec<Val>]) -> Result<usize, EngineError> {
         self.edit_rows(name, &[], rows)
     }
@@ -237,8 +238,8 @@ impl Database {
     /// Validates an edit batch against relation `name` and computes everything
     /// applying it needs, so that nothing can fail after this returns: the
     /// *effective* deltas (inserts that are new and not simultaneously deleted,
-    /// deletes that currently exist — exactly what the cache's delta invariants
-    /// require, and what makes the edit count meaningful) and the edited
+    /// deletes that currently exist — exactly what each cached index's `with_edits`
+    /// requires, and what makes the edit count meaningful) and the edited
     /// relation. `None` when the batch changes nothing. Shared by
     /// [`edit_rows`](Self::edit_rows) and the durable `commit_edits` path,
     /// which must fail *before* touching the WAL: a logged batch the in-memory

@@ -48,7 +48,7 @@ use gj_runtime::{
     partition_first_attribute, try_drive, Counters, ExecCtx, ExecError, ExecMonitor, Morsel,
     MorselSource, Ordered, ParallelSink, QueryBudget,
 };
-use gj_storage::Val;
+use gj_storage::{Graph, Val};
 use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -385,7 +385,7 @@ impl<'db> PreparedQuery<'db> {
                     )));
                 };
                 let graph = db.edge_graph().map_err(EngineError::Unsupported)?;
-                let engine = Box::new(GraphEngine::load(&graph));
+                let engine = Box::new(GraphEngine::load(&dense_ranks(&graph)));
                 (Plan::CountOnly(CountOnly::Graph(engine, op)), BindReport::default())
             }
         };
@@ -804,6 +804,20 @@ impl<'db> PreparedQuery<'db> {
     }
 }
 
+/// `graph` with every endpoint relabelled to its rank among the distinct
+/// endpoints. The CSR sizes its per-node arrays by the largest id, so a sparse id
+/// space would cost the graph engine memory and time in the ids instead of the
+/// edges. Ranks keep the id order, so clique counts and their loop order are
+/// unchanged.
+fn dense_ranks(graph: &Graph) -> Graph {
+    let mut ids: Vec<u32> = graph.edges().iter().flat_map(|&(a, b)| [a, b]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let rank = |v: u32| ids.partition_point(|&id| id < v) as u32;
+    let edges = graph.edges().iter().map(|&(a, b)| (rank(a), rank(b))).collect();
+    Graph::new(ids.len(), edges)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,6 +834,32 @@ mod tests {
         db.add_relation("v3", Relation::from_values(vec![0, 2]));
         db.add_relation("v4", Relation::from_values(vec![1, 4]));
         db
+    }
+
+    /// The graph engine counts over the endpoints' dense ranks: a sparse id space
+    /// (an endpoint at 4 000 000, one at `u32::MAX`) prepares without per-id
+    /// arrays and counts what LFTJ counts.
+    #[test]
+    fn the_graph_engine_counts_over_sparse_node_ids() {
+        let far: [Val; 4] = [3, 9, 4_000_000, Val::from(u32::MAX)];
+        let k4 =
+            far.iter().flat_map(|&a| far.iter().filter(move |&&b| b != a).map(move |&b| (a, b)));
+        let relations = [
+            (Relation::from_pairs(vec![(0, 4_000_000), (4_000_000, 0)]), [0, 0]),
+            (Relation::from_pairs(k4.chain([(9, 11), (11, 9)])), [4, 1]),
+        ];
+        for (edge, expected) in relations {
+            let mut db = Database::new();
+            db.add_relation("edge", edge);
+            for (query, want) in
+                [CatalogQuery::ThreeClique, CatalogQuery::FourClique].iter().zip(expected)
+            {
+                let q = query.query();
+                let graph = db.prepare(&q, &Engine::GraphEngine).unwrap().count().unwrap();
+                assert_eq!(graph, db.count(&q, &Engine::Lftj).unwrap(), "{}", q.name);
+                assert_eq!(graph, want, "{}", q.name);
+            }
+        }
     }
 
     #[test]

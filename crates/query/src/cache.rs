@@ -14,60 +14,23 @@
 //! `gj-runtime` morsel driver's job pool. Replacing a relation must call
 //! [`IndexCache::invalidate`] with its name; the `Database` façade in `gj-core`
 //! does this from `add_relation`/`add_graph`.
+//!
+//! Each cached index applies an edit batch on top of its own live content
+//! ([`IndexCache::apply_edits`]), so every index holds the current relation, a
+//! miss builds straight from it, and the cache keeps no edit state of its own.
 
-use gj_storage::{FailpointHit, FailpointRegistry, Relation, TrieIndex, Val};
-use std::collections::{BTreeSet, HashMap};
+use gj_storage::{FailpointHit, FailpointRegistry, Relation, TrieIndex};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// The per-relation slice of the cache: column permutation → shared index.
 type PermMap = HashMap<Vec<usize>, Arc<TrieIndex>>;
 
-/// Everything the cache knows about one relation: its built indexes plus the
-/// cumulative, normalized edit deltas not yet folded into their bases.
-///
-/// The delta invariants (every row in `ins` is absent from the indexes' shared
-/// base, every row in `del` is present in it, and the two sets are disjoint) are
-/// maintained by [`RelEntry::absorb`]; they are exactly the preconditions of
-/// [`TrieIndex::with_edits`].
-#[derive(Debug, Clone, Default)]
-struct RelEntry {
-    perms: PermMap,
-    ins: BTreeSet<Vec<Val>>,
-    del: BTreeSet<Vec<Val>>,
-}
-
-impl RelEntry {
-    /// Folds an *effective* edit batch (inserts not currently live, deletes
-    /// currently live — the `Database` normalizes against its relation before
-    /// calling) into the cumulative sets, preserving the delta invariants:
-    /// deleting a pending insert cancels it, re-inserting a tombstoned base row
-    /// revives it.
-    fn absorb(&mut self, ins: &Relation, del: &Relation) {
-        for row in del.iter() {
-            if !self.ins.remove(row) {
-                self.del.insert(row.to_vec());
-            }
-        }
-        for row in ins.iter() {
-            if !self.del.remove(row) {
-                self.ins.insert(row.to_vec());
-            }
-        }
-    }
-
-    /// The cumulative sets as sorted relations ready for [`TrieIndex::with_edits`].
-    fn delta_relations(&self, arity: usize) -> (Relation, Relation) {
-        let ins = Relation::from_rows(arity, self.ins.iter().cloned().collect::<Vec<_>>());
-        let del = Relation::from_rows(arity, self.del.iter().cloned().collect::<Vec<_>>());
-        (ins, del)
-    }
-}
-
-/// Pending deltas above this size are folded into a fresh solid base
-/// (`max(64, live_rows / 8)`). Readers never pay for a delta (each index folds it
-/// once, on its first read), so the threshold bounds memory: the cumulative sets,
-/// the delta rows of every permutation, and a base kept beside its fold.
+/// An index whose delta exceeds this (`max(64, live_rows / 8)`) is folded into a
+/// fresh solid base. A read index's delta holds only the batches since its fold,
+/// so an index crosses it when it goes unread across batches (or one batch alone
+/// is that large); the threshold bounds the memory of unread delta rows.
 fn compaction_threshold(live_rows: usize) -> usize {
     64.max(live_rows / 8)
 }
@@ -84,8 +47,8 @@ fn compaction_threshold(live_rows: usize) -> usize {
 /// recovered state is consistent.
 #[derive(Debug, Default)]
 pub struct IndexCache {
-    /// relation name → built indexes + pending deltas.
-    entries: RwLock<HashMap<String, RelEntry>>,
+    /// relation name → permutation → built index.
+    entries: RwLock<HashMap<String, PermMap>>,
     /// Fault-injection registry consulted before every trie build (tests only;
     /// `None` in production, costing one mutex lock per *build*, never per hit).
     failpoints: Mutex<Option<Arc<FailpointRegistry>>>,
@@ -123,6 +86,8 @@ impl IndexCache {
 
     /// Fires the `trie_build` failpoint if a registry is armed. A `Trip` action is
     /// meaningless at prepare time (there is no budget monitor) and is ignored.
+    /// Compaction calls it with `entries` write-locked; the failpoint mutex is
+    /// separate, so the lock order is entries → failpoints.
     fn fire_trie_build(&self) {
         let registry = self.failpoints.lock().unwrap_or_else(PoisonError::into_inner).clone();
         if let Some(registry) = registry {
@@ -134,14 +99,14 @@ impl IndexCache {
 
     /// Looks up the index for `name` under the column permutation `perm`.
     pub fn get(&self, name: &str, perm: &[usize]) -> Option<Arc<TrieIndex>> {
-        read(&self.entries).get(name)?.perms.get(perm).cloned()
+        read(&self.entries).get(name)?.get(perm).cloned()
     }
 
     /// Inserts an index, returning the cached copy (the existing one if another
     /// thread raced the build — all callers then share a single physical index).
     pub fn insert(&self, name: &str, perm: Vec<usize>, index: Arc<TrieIndex>) -> Arc<TrieIndex> {
         let mut entries = write(&self.entries);
-        entries.entry(name.to_string()).or_default().perms.entry(perm).or_insert(index).clone()
+        entries.entry(name.to_string()).or_default().entry(perm).or_insert(index).clone()
     }
 
     /// Returns the cached index for `(name, perm)`, building it from `relation`
@@ -150,39 +115,14 @@ impl IndexCache {
         if let Some(hit) = self.get(name, perm) {
             return hit;
         }
-        let built = self.build_index(name, relation, perm);
+        let built = self.build(relation, perm);
         self.insert(name, perm.to_vec(), built)
     }
 
-    /// The entry's cumulative pending deltas for `name`, or `None` when nothing
-    /// is pending.
-    fn pending_deltas(&self, name: &str, arity: usize) -> Option<(Relation, Relation)> {
-        let entries = read(&self.entries);
-        let entry = entries.get(name)?;
-        if entry.ins.is_empty() && entry.del.is_empty() {
-            return None;
-        }
-        Some(entry.delta_relations(arity))
-    }
-
-    /// Builds the index for `(name, perm)` at the same *base epoch* as the
-    /// entry's other permutations. [`TrieIndex::with_edits`] replaces the delta
-    /// layer wholesale, so [`apply_edits`](Self::apply_edits) patches every perm
-    /// with sets cumulative against a common base. A perm built mid-edit-stream
-    /// straight from `relation` would bake those edits into its base, and the
-    /// next cumulative application would corrupt it (a delete-then-reinsert
-    /// cancels out of the sets, silently dropping the row from the late base).
-    /// So when deltas are pending, the solid base is reconstructed by undoing
-    /// them on `relation` and the cumulative layer is re-attached on top.
-    fn build_index(&self, name: &str, relation: &Relation, perm: &[usize]) -> Arc<TrieIndex> {
+    /// Builds a solid index over `relation`, after the `trie_build` failpoint.
+    fn build(&self, relation: &Relation, perm: &[usize]) -> Arc<TrieIndex> {
         self.fire_trie_build();
-        match self.pending_deltas(name, relation.arity()) {
-            None => Arc::new(TrieIndex::build(relation, perm)),
-            Some((ins, del)) => {
-                let baseline = relation.with_edits(&del, &ins);
-                Arc::new(TrieIndex::build(&baseline, perm).with_edits(&ins, &del))
-            }
-        }
+        Arc::new(TrieIndex::build(relation, perm))
     }
 
     /// Drops every index built over the relation `name`. Must be called whenever
@@ -198,26 +138,25 @@ impl IndexCache {
 
     /// Number of physical indexes currently cached.
     pub fn len(&self) -> usize {
-        read(&self.entries).values().map(|e| e.perms.len()).sum()
+        read(&self.entries).values().map(PermMap::len).sum()
     }
 
-    /// Rows in the pending (uncompacted) delta for relation `name`:
-    /// `inserts + tombstones`, or 0 when nothing is pending.
+    /// The largest delta any cached permutation of relation `name` carries
+    /// (`inserts + tombstones`), or 0 when none carries one.
     pub fn pending_delta_len(&self, name: &str) -> usize {
-        read(&self.entries).get(name).map_or(0, |e| e.ins.len() + e.del.len())
+        read(&self.entries)
+            .get(name)
+            .map_or(0, |p| p.values().map(|i| i.delta_len()).fold(0, usize::max))
     }
 
     /// Applies an **effective** edit batch (inserts not previously live, deletes
-    /// previously live — disjoint) to every cached index of relation `name`, in
-    /// O(delta × permutations) — the shared base tries are never rebuilt.
-    /// `updated` is the post-edit relation; its size sets `compaction_threshold`.
-    /// When the accumulated delta crosses it, every permutation is compacted: its
-    /// base and the cumulative delta are folded into a fresh solid base by one
-    /// linear merge (no sort), and the delta sets are cleared. Returns the number
-    /// of indexes compacted (0 for a pure delta update).
-    ///
-    /// A relation with no cached indexes needs no work: the next miss builds a
-    /// solid index straight from the updated relation.
+    /// previously live — disjoint) on top of every cached index of relation `name`
+    /// ([`TrieIndex::with_edits`]), in O(delta × permutations) with no rebuild.
+    /// An index whose delta then exceeds `compaction_threshold(updated.len())`
+    /// (`updated` is the post-edit relation) is compacted: its fold becomes a fresh
+    /// solid base. Which indexes compact is decided, and the `trie_build`
+    /// failpoint fired, before any is replaced, so a failed compaction changes
+    /// nothing. Returns the number of indexes compacted.
     pub fn apply_edits(
         &self,
         name: &str,
@@ -226,37 +165,19 @@ impl IndexCache {
         updated: &Relation,
     ) -> usize {
         let mut entries = write(&self.entries);
-        let Some(entry) = entries.get_mut(name) else { return 0 };
-        if entry.perms.is_empty() {
-            // Nothing built yet; forget any pending bookkeeping too — future
-            // builds start from `updated` directly.
-            entry.ins.clear();
-            entry.del.clear();
-            return 0;
+        let Some(perms) = entries.get_mut(name) else { return 0 };
+        let threshold = compaction_threshold(updated.len());
+        let edited: Vec<(Vec<usize>, TrieIndex)> =
+            perms.iter().map(|(perm, index)| (perm.clone(), index.with_edits(ins, del))).collect();
+        let compacted = edited.iter().filter(|(_, index)| index.delta_len() > threshold).count();
+        if compacted > 0 {
+            self.fire_trie_build();
         }
-        entry.absorb(ins, del);
-        let compact = entry.ins.len() + entry.del.len() > compaction_threshold(updated.len());
-        if compact {
-            self.fire_trie_build_locked();
+        for (perm, index) in edited {
+            let index = if index.delta_len() > threshold { index.compacted() } else { index };
+            perms.insert(perm, Arc::new(index));
         }
-        let (ins_rel, del_rel) = entry.delta_relations(updated.arity());
-        for index in entry.perms.values_mut() {
-            let edited = index.with_edits(&ins_rel, &del_rel);
-            *index = Arc::new(if compact { edited.compacted() } else { edited });
-        }
-        if !compact {
-            return 0;
-        }
-        entry.ins.clear();
-        entry.del.clear();
-        entry.perms.len()
-    }
-
-    /// [`IndexCache::fire_trie_build`] is called with `entries` held during
-    /// compaction; the failpoint mutex is separate, so this is just a named alias
-    /// making the lock order (entries → failpoints) visible.
-    fn fire_trie_build_locked(&self) {
-        self.fire_trie_build();
+        compacted
     }
 
     /// Whether the cache holds no indexes.
@@ -302,8 +223,8 @@ impl IndexCache {
                 let missing = &missing;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(name, relation, perm)) = missing.get(i) else { break };
-                    let index = self.build_index(name, relation, perm);
+                    let Some(&(_, relation, perm)) = missing.get(i) else { break };
+                    let index = self.build(relation, perm);
                     built.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(index);
                 });
             }
@@ -504,10 +425,10 @@ mod tests {
         }
     }
 
-    /// A permutation built *after* edits started must land at the entry's base
-    /// epoch. Regression: a delete, a late perm build, then a re-insert of the
-    /// deleted row cancels out of the cumulative sets — a late perm built
-    /// straight from the current relation would silently lose the row.
+    /// A permutation built *after* edits started holds the current relation, and
+    /// the next batch applies on top of it. Regression: a delete, a late perm
+    /// build, then a re-insert of the deleted row once cancelled out of a delta
+    /// kept against an older base, silently dropping the row from the late perm.
     #[test]
     fn late_built_perms_survive_a_delete_then_reinsert() {
         let cache = IndexCache::new();
@@ -530,9 +451,8 @@ mod tests {
         assert_eq!(b.num_rows(), r.len());
     }
 
-    /// The mirror case: an insert, a late perm build, then a delete of that row
-    /// cancels out of the cumulative sets — a late perm with the row baked into
-    /// its base would keep serving it.
+    /// The mirror case: an insert, a late perm build, then a delete of that row —
+    /// a late perm with the row in its base must drop it.
     #[test]
     fn late_built_perms_drop_an_insert_then_delete() {
         let cache = IndexCache::new();
@@ -561,6 +481,84 @@ mod tests {
         assert_eq!(cache.apply_edits("edge", &ins, &none, &r.with_edits(&ins, &none)), 0);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.pending_delta_len("edge"), 0);
+    }
+
+    /// Asserts that `index` is structurally the build of `relation` under `perm`.
+    fn assert_built_from(index: &TrieIndex, relation: &Relation, perm: &[usize]) {
+        let rebuilt = TrieIndex::build(relation, perm);
+        assert_eq!(index.num_rows(), rebuilt.num_rows(), "perm {perm:?}");
+        for d in 0..rebuilt.arity() {
+            assert_eq!(index.level_values(d), rebuilt.level_values(d), "perm {perm:?}");
+        }
+        assert_eq!(index.child_offsets(0), rebuilt.child_offsets(0), "perm {perm:?}");
+    }
+
+    /// A clone shares the original's indexes, one read (folded) and one unread.
+    /// Edits to the clone stack on them without changing them: the original
+    /// keeps its rows, and the clone's indexes are the build of its relation.
+    #[test]
+    fn edits_to_a_clone_leave_the_originals_indexes_alone() {
+        let cache = IndexCache::new();
+        let r = edge();
+        cache.get_or_build("edge", &r, &[0, 1]);
+        cache.get_or_build("edge", &r, &[1, 0]);
+        let (row, none) = (Relation::from_pairs(vec![(5, 6)]), Relation::empty(2));
+        let live = r.with_edits(&row, &none);
+        cache.apply_edits("edge", &row, &none, &live);
+        assert!(cache.get("edge", &[0, 1]).unwrap().contains(&[5, 6]), "[0,1] is folded");
+        let clone = cache.clone();
+        let row = Relation::from_pairs(vec![(1, 2)]);
+        let shrunk = live.with_edits(&none, &row);
+        clone.apply_edits("edge", &none, &row, &shrunk);
+        assert!(!clone.get("edge", &[0, 1]).unwrap().contains(&[1, 2]));
+        assert!(!clone.get("edge", &[1, 0]).unwrap().contains(&[2, 1]));
+        clone.apply_edits("edge", &row, &none, &live);
+        for perm in [[0, 1], [1, 0]] {
+            assert_built_from(&cache.get("edge", &perm).unwrap(), &live, &perm);
+            assert_built_from(&clone.get("edge", &perm).unwrap(), &live, &perm);
+        }
+    }
+
+    /// The failpoint fires before any index is replaced: a compaction that
+    /// panics leaves every permutation as it was, and a retry applies the batch.
+    /// Each round's map has its own hash seed, so the rounds visit the two
+    /// permutations in both orders.
+    #[test]
+    fn a_failed_compaction_changes_no_index() {
+        use gj_storage::{fault::sites, FailAction};
+        let r = edge();
+        let none = Relation::empty(2);
+        let inserts = |from: i64, n: i64| Relation::from_pairs((from..from + n).map(|i| (i, 0)));
+        // [0,1] is read after the first batch, so only [1,0] carries both batches.
+        let (first, second) = (inserts(100, 40), inserts(200, 30));
+        let grown = r.with_edits(&first, &none);
+        let updated = grown.with_edits(&second, &none);
+        for _ in 0..8 {
+            let cache = IndexCache::new();
+            let [a, b] = [[0, 1], [1, 0]].map(|perm| cache.get_or_build("edge", &r, &perm));
+            cache.apply_edits("edge", &first, &none, &grown);
+            let before = [[0, 1], [1, 0]].map(|perm| cache.get("edge", &perm).unwrap());
+            assert_built_from(&before[0], &grown, &[0, 1]);
+            assert!(before[0].shares_base(&a) && before[1].shares_base(&b));
+            let fp = Arc::new(FailpointRegistry::new());
+            fp.arm(sites::TRIE_BUILD, FailAction::Panic);
+            cache.set_failpoints(Some(fp.clone()));
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.apply_edits("edge", &second, &none, &updated)
+            }));
+            assert!(result.is_err());
+            assert_eq!(fp.fired(), Some("trie_build".to_string()));
+            for (perm, before) in [[0, 1], [1, 0]].iter().zip(&before) {
+                assert!(Arc::ptr_eq(before, &cache.get("edge", perm).unwrap()), "{perm:?} changed");
+            }
+            // Reading [1,0] would fold it; its delta is still the first batch.
+            assert_eq!((before[1].delta_len(), before[1].num_rows()), (40, grown.len()));
+            cache.set_failpoints(None);
+            assert_eq!(cache.apply_edits("edge", &second, &none, &updated), 1, "only [1,0]");
+            for perm in [[0, 1], [1, 0]] {
+                assert_built_from(&cache.get("edge", &perm).unwrap(), &updated, &perm);
+            }
+        }
     }
 
     #[test]

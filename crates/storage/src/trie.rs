@@ -16,20 +16,26 @@
 //! # Delta layers (incremental maintenance)
 //!
 //! A [`TrieIndex`] is an immutable **base** trie (`TrieCore`, shared through an
-//! `Arc` by every updated version of the index) plus an optional **delta layer**: two
-//! small sorted row sets holding inserted rows and tombstoned deletes
-//! ([`TrieIndex::with_edits`]). The logical content is `(base \ deletes) ∪ inserts`.
-//! An edit batch therefore costs O(delta × permutations) instead of
-//! O(relation × permutations).
+//! `Arc` by the edited versions of the index built on it) plus an optional **delta
+//! layer**: two small sorted row sets holding inserted rows and tombstoned base rows.
+//! The logical content is `(base \ deletes) ∪ inserts`.
+//!
+//! Each index stacks its own edit batches ([`TrieIndex::with_edits`]), one at a
+//! time on top of its live content, in O(delta) work. While nobody has read the
+//! index, a batch merges into the pending delta: a delete of a pending insert
+//! cancels it and a re-insert of a tombstoned row revives it, so the delta stays as
+//! small as the net edits. Once a reader has folded the index, the fold is the next
+//! version's base and the batch its delta. No two indexes share an edit history.
 //!
 //! Readers never see the layers. The first read of a delta-carrying index folds them
 //! into one solid trie — a sort-free linear merge that copies the runs of base rows
 //! between edit rows level by level, writes the insert rows between them and drops
-//! the tombstoned ones — and every later read of that index uses the fold. So every reader walks one layout, and a trie read after
-//! an edit costs what it costs on an index rebuilt from the live relation: the fold
-//! is structurally identical to that rebuild. The
-//! [`IndexCache`](../../gj_query/struct.IndexCache.html) compacts deltas into a fresh
-//! base once they cross its compaction threshold, through the same fold.
+//! the tombstoned ones — and every later read of that index uses the fold. So every
+//! reader walks one layout, and a trie read after an edit costs what it costs on an
+//! index rebuilt from the live relation: the fold is structurally identical to that
+//! rebuild. The [`IndexCache`](../../gj_query/struct.IndexCache.html) compacts an
+//! index whose delta crosses its compaction threshold into a fresh base, through the
+//! same fold.
 
 use crate::relation::Relation;
 use crate::value::{Val, NEG_INF, POS_INF};
@@ -347,30 +353,39 @@ impl TrieIndex {
         Self::build(relation, &perm)
     }
 
-    /// Returns an updated index over the same shared base trie, with `ins` rows
-    /// inserted and `del` rows tombstoned — O(|ins| + |del|) work, the base is
-    /// **not** rebuilt (any previous delta layer is replaced, so the batches must be
-    /// cumulative against the base). The first read of the result folds the delta
-    /// into a solid trie.
+    /// Returns this index with one edit batch applied on top of its live content:
+    /// `ins` rows enter and `del` rows leave, in O(delta) work; no trie is rebuilt.
+    /// If a reader has built this index's fold, the fold is the result's base and
+    /// the batch its delta. Otherwise the batch is stacked onto the pending delta by
+    /// four linear merges (a delete of a pending insert cancels it, a re-insert of a
+    /// tombstoned row revives it), over the same shared base. The first read of the
+    /// result folds its delta into a solid trie.
     ///
-    /// Preconditions (maintained by the `IndexCache` normalization): `del` rows are
-    /// present in the base, `ins` rows are absent from it, and both are disjoint.
-    /// The logical content becomes `(base \ del) ∪ ins`.
+    /// Preconditions (the `Database` normalizes every batch against its relation):
+    /// `del` rows are live in this index, `ins` rows are not, and the two are
+    /// disjoint.
     pub fn with_edits(&self, ins: &Relation, del: &Relation) -> TrieIndex {
         assert_eq!(ins.arity(), self.arity(), "insert batch arity mismatch");
         assert_eq!(del.arity(), self.arity(), "delete batch arity mismatch");
-        let delta = DeltaLayer {
-            ins: ins.permute(&self.perm),
-            del: del.permute(&self.perm),
-            folded: OnceLock::new(),
-        };
-        TrieIndex {
-            base: Arc::clone(&self.base),
-            num_rows: self.base.num_rows - del.len() + ins.len(),
-            max_value: self.max_value.max(ins.max_value()),
-            delta: Some(delta),
-            perm: self.perm.clone(),
+        let num_rows = self.num_rows - del.len() + ins.len();
+        let max_value = self.max_value.max(ins.max_value());
+        let (mut ins, mut del) = (ins.permute(&self.perm), del.permute(&self.perm));
+        let mut base = &self.base;
+        if let Some(delta) = &self.delta {
+            match delta.folded.get() {
+                Some(fold) => base = fold,
+                None => {
+                    let none = Relation::empty(self.arity());
+                    (ins, del) = (
+                        delta.ins.with_edits(&ins, &del).with_edits(&none, &delta.del),
+                        delta.del.with_edits(&del, &ins).with_edits(&none, &delta.ins),
+                    );
+                }
+            }
         }
+        let delta =
+            (ins.len() + del.len() > 0).then(|| DeltaLayer { ins, del, folded: OnceLock::new() });
+        TrieIndex { base: Arc::clone(base), delta, perm: self.perm.clone(), num_rows, max_value }
     }
 
     /// This index as a solid one: its delta (if any) folded into a fresh base, with
@@ -410,7 +425,8 @@ impl TrieIndex {
     }
 
     /// Whether this index and `other` share the same physical base trie (true for
-    /// every index produced from the same solid ancestor by [`TrieIndex::with_edits`]).
+    /// an index and the versions [`TrieIndex::with_edits`] stacks onto it until a
+    /// fold becomes their base).
     pub fn shares_base(&self, other: &TrieIndex) -> bool {
         Arc::ptr_eq(&self.base, &other.base)
     }
@@ -1161,15 +1177,27 @@ mod tests {
     }
 
     #[test]
-    fn with_edits_replaces_a_previous_delta() {
+    fn with_edits_stacks_on_a_previous_delta() {
         let base = Relation::from_values(vec![1, 2, 3]);
         let solid = TrieIndex::build_natural(&base);
-        let first = solid.with_edits(&Relation::from_values(vec![9]), &Relation::empty(1));
-        // Cumulative batches are applied against the base, replacing the old layer.
-        let second =
-            first.with_edits(&Relation::from_values(vec![9, 10]), &Relation::from_values(vec![1]));
+        let first =
+            solid.with_edits(&Relation::from_values(vec![9]), &Relation::from_values(vec![2]));
+        // Unread, the batch merges into the pending delta over the same base: the
+        // delete of 9 cancels its insert and the re-insert of 2 revives it.
+        let second = first
+            .with_edits(&Relation::from_values(vec![2, 10]), &Relation::from_values(vec![1, 9]));
         assert!(second.shares_base(&solid));
-        assert_eq!(enumerate(&second), vec![vec![2], vec![3], vec![9], vec![10]],);
-        assert_eq!(second.num_rows(), 4);
+        assert_eq!(second.delta_len(), 2, "insert 10, tombstone 1");
+        assert_eq!(second.num_rows(), 3);
+        assert_eq!(enumerate(&second), vec![vec![2], vec![3], vec![10]]);
+        // Read, its fold is the next version's base and the batch its whole delta.
+        let third = second.with_edits(&Relation::from_values(vec![1]), &Relation::empty(1));
+        assert!(!third.shares_base(&solid));
+        assert_eq!(third.delta_len(), 1);
+        // A batch that cancels the whole pending delta leaves a solid index.
+        let fourth = third.with_edits(&Relation::empty(1), &Relation::from_values(vec![1]));
+        assert!(!fourth.has_delta() && fourth.shares_base(&third));
+        assert_eq!(enumerate(&third), vec![vec![1], vec![2], vec![3], vec![10]]);
+        assert_eq!(enumerate(&fourth), vec![vec![2], vec![3], vec![10]]);
     }
 }
