@@ -385,7 +385,7 @@ impl<'db> PreparedQuery<'db> {
                     )));
                 };
                 let graph = db.edge_graph().map_err(EngineError::Unsupported)?;
-                let engine = Box::new(GraphEngine::load(&dense_ranks(&graph)));
+                let engine = Box::new(GraphEngine::load(&dense_ranks(graph)));
                 (Plan::CountOnly(CountOnly::Graph(engine, op)), BindReport::default())
             }
         };
@@ -808,8 +808,12 @@ impl<'db> PreparedQuery<'db> {
 /// endpoints. The CSR sizes its per-node arrays by the largest id, so a sparse id
 /// space would cost the graph engine memory and time in the ids instead of the
 /// edges. Ranks keep the id order, so clique counts and their loop order are
-/// unchanged.
-fn dense_ranks(graph: &Graph) -> Graph {
+/// unchanged. A graph with no more node ids than edge endpoints already sizes
+/// its arrays by its edges and is returned as it is.
+fn dense_ranks(graph: Graph) -> Graph {
+    if graph.num_nodes() <= 2 * graph.num_edges() {
+        return graph;
+    }
     let mut ids: Vec<u32> = graph.edges().iter().flat_map(|&(a, b)| [a, b]).collect();
     ids.sort_unstable();
     ids.dedup();

@@ -440,8 +440,8 @@ mod tests {
         cache.apply_edits("edge", &none, &row, &shrunk);
         // Miss on a second permutation while the delete is still pending.
         cache.get_or_build("edge", &shrunk, &[1, 0]);
-        // Re-inserting the row revives the tombstone: the cumulative delta is
-        // now empty, so every perm must be back at the full relation.
+        // Re-inserting the row revives the [0,1] tombstone and lands on top of
+        // the late-built [1,0]: both perms must be back at the full relation.
         cache.apply_edits("edge", &row, &none, &r);
         let a = cache.get("edge", &[0, 1]).unwrap();
         let b = cache.get("edge", &[1, 0]).unwrap();
