@@ -8,7 +8,7 @@
 //! the trade-off the paper discusses (specialised engines versus a general-purpose
 //! engine with optimal joins).
 
-use gj_runtime::ExecCtx;
+use gj_runtime::{ExecCtx, ExecWatch};
 use gj_storage::{Csr, Graph};
 
 /// A graph loaded into the specialised engine.
@@ -25,65 +25,63 @@ impl GraphEngine {
     }
 
     /// Counts triangles with the node-iterator algorithm: for every edge `(a, b)`
-    /// with `a < b`, intersect the neighbour lists above `b`.
-    pub fn triangle_count(&self) -> u64 {
-        self.csr.triangle_count()
+    /// with `a < b`, count the common neighbours above `b`. Polls `ctx` once per
+    /// edge and stops on a trip (an aborted run returns a partial count — the
+    /// caller must consult the context's monitor).
+    pub fn triangle_count(&self, ctx: &ExecCtx<'_>) -> u64 {
+        let mut watch = ctx.watch();
+        // A context with nothing to watch runs the tick-free loop.
+        if watch.is_inert() {
+            self.triangles::<false>(&mut watch)
+        } else {
+            self.triangles::<true>(&mut watch)
+        }
     }
 
-    /// [`triangle_count`](Self::triangle_count) under an execution context: polls
-    /// `ctx` once per edge and stops on a trip (an aborted run returns a partial
-    /// count — the caller must consult the context's monitor).
-    pub fn triangle_count_ctx(&self, ctx: &ExecCtx<'_>) -> u64 {
+    /// Counts 4-cliques: for every triangle `a < b < c`, count the common
+    /// neighbours `d > c` of all three vertices. Polls `ctx` as
+    /// [`triangle_count`](Self::triangle_count) does.
+    pub fn four_clique_count(&self, ctx: &ExecCtx<'_>) -> u64 {
         let mut watch = ctx.watch();
+        if watch.is_inert() {
+            self.four_cliques::<false>(&mut watch)
+        } else {
+            self.four_cliques::<true>(&mut watch)
+        }
+    }
+
+    fn triangles<const WATCHED: bool>(&self, watch: &mut ExecWatch<'_>) -> u64 {
         let mut count = 0u64;
-        let mut above_b: Vec<u32> = Vec::new();
         for a in 0..self.csr.num_nodes() as u32 {
             let na = self.csr.neighbors(a);
             for &b in na.iter().filter(|&&b| b > a) {
-                if watch.tick() {
+                if WATCHED && watch.tick() {
                     return count;
                 }
-                above_b.clear();
-                intersect_into(na, self.csr.neighbors(b), b, &mut above_b);
-                count += above_b.len() as u64;
+                count += Csr::intersection_count(above(na, b), above(self.csr.neighbors(b), b));
             }
         }
         count
     }
 
-    /// Counts 4-cliques: for every triangle `a < b < c`, count the common neighbours
-    /// `d > c` of all three vertices.
-    pub fn four_clique_count(&self) -> u64 {
-        self.four_clique_count_ctx(&ExecCtx::none())
-    }
-
-    /// [`four_clique_count`](Self::four_clique_count) under an execution context:
-    /// polls `ctx` once per edge and stops on a trip (an aborted run returns a
-    /// partial count — the caller must consult the context's monitor).
-    pub fn four_clique_count_ctx(&self, ctx: &ExecCtx<'_>) -> u64 {
-        let mut watch = ctx.watch();
-        let n = self.csr.num_nodes();
+    fn four_cliques<const WATCHED: bool>(&self, watch: &mut ExecWatch<'_>) -> u64 {
         let mut count = 0u64;
         let mut common_ab: Vec<u32> = Vec::new();
-        for a in 0..n as u32 {
+        for a in 0..self.csr.num_nodes() as u32 {
             let na = self.csr.neighbors(a);
             for &b in na.iter().filter(|&&b| b > a) {
-                if watch.tick() {
+                if WATCHED && watch.tick() {
                     return count;
                 }
-                let nb = self.csr.neighbors(b);
                 // Common neighbours of a and b that are greater than b.
                 common_ab.clear();
-                intersect_into(na, nb, b, &mut common_ab);
+                intersect_into(above(na, b), above(self.csr.neighbors(b), b), &mut common_ab);
                 for (i, &c) in common_ab.iter().enumerate() {
                     let nc = self.csr.neighbors(c);
                     // d must be a common neighbour of a, b (i.e. in common_ab after c)
                     // and also adjacent to c.
-                    for &d in &common_ab[i + 1..] {
-                        if nc.binary_search(&d).is_ok() {
-                            count += 1;
-                        }
-                    }
+                    let ds = common_ab[i + 1..].iter().filter(|d| nc.binary_search(d).is_ok());
+                    count += ds.count() as u64;
                 }
             }
         }
@@ -91,11 +89,14 @@ impl GraphEngine {
     }
 }
 
-/// Pushes the intersection of two sorted lists, restricted to values `> floor`, into
-/// `out`.
-fn intersect_into(xs: &[u32], ys: &[u32], floor: u32, out: &mut Vec<u32>) {
-    let mut i = xs.partition_point(|&x| x <= floor);
-    let mut j = ys.partition_point(|&y| y <= floor);
+/// The part of a sorted list above `floor`.
+fn above(xs: &[u32], floor: u32) -> &[u32] {
+    &xs[xs.partition_point(|&x| x <= floor)..]
+}
+
+/// Pushes the intersection of two sorted lists into `out`.
+fn intersect_into(xs: &[u32], ys: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0, 0);
     while i < xs.len() && j < ys.len() {
         match xs[i].cmp(&ys[j]) {
             std::cmp::Ordering::Less => i += 1,
@@ -113,6 +114,7 @@ fn intersect_into(xs: &[u32], ys: &[u32], floor: u32, out: &mut Vec<u32>) {
 mod tests {
     use super::*;
     use gj_query::{naive_count, CatalogQuery, Instance};
+    use gj_runtime::ExecMonitor;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_graph(seed: u64, n: u32, p: f64) -> Graph {
@@ -128,8 +130,8 @@ mod tests {
     fn k4_has_four_triangles_and_one_four_clique() {
         let k4 = Graph::new_undirected(4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let engine = GraphEngine::load(&k4);
-        assert_eq!(engine.triangle_count(), 4);
-        assert_eq!(engine.four_clique_count(), 1);
+        assert_eq!(engine.triangle_count(&ExecCtx::none()), 4);
+        assert_eq!(engine.four_clique_count(&ExecCtx::none()), 1);
     }
 
     #[test]
@@ -137,8 +139,8 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..5).flat_map(|a| (a + 1..5).map(move |b| (a, b))).collect();
         let k5 = Graph::new_undirected(5, edges);
         let engine = GraphEngine::load(&k5);
-        assert_eq!(engine.triangle_count(), 10); // C(5,3)
-        assert_eq!(engine.four_clique_count(), 5); // C(5,4)
+        assert_eq!(engine.triangle_count(&ExecCtx::none()), 10); // C(5,3)
+        assert_eq!(engine.four_clique_count(&ExecCtx::none()), 5); // C(5,4)
     }
 
     #[test]
@@ -147,14 +149,19 @@ mod tests {
         let mut inst = Instance::new();
         inst.add_relation("edge", g.edge_relation());
         let engine = GraphEngine::load(&g);
-        assert_eq!(engine.triangle_count(), naive_count(&inst, &CatalogQuery::ThreeClique.query()));
         assert_eq!(
-            engine.four_clique_count(),
+            engine.triangle_count(&ExecCtx::none()),
+            naive_count(&inst, &CatalogQuery::ThreeClique.query())
+        );
+        assert_eq!(
+            engine.four_clique_count(&ExecCtx::none()),
             naive_count(&inst, &CatalogQuery::FourClique.query())
         );
-        // The watch-polling variants count the same patterns.
-        assert_eq!(engine.triangle_count_ctx(&ExecCtx::none()), engine.triangle_count());
-        assert_eq!(engine.four_clique_count_ctx(&ExecCtx::none()), engine.four_clique_count());
+        // A context with a monitor runs the watched loops: same patterns, same counts.
+        let monitor = ExecMonitor::unlimited();
+        let watched = ExecCtx::with_monitor(&monitor);
+        assert_eq!(engine.triangle_count(&watched), engine.triangle_count(&ExecCtx::none()));
+        assert_eq!(engine.four_clique_count(&watched), engine.four_clique_count(&ExecCtx::none()));
     }
 
     #[test]
@@ -163,7 +170,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..10).flat_map(|a| (10..20).map(move |b| (a, b))).collect();
         let g = Graph::new_undirected(20, edges);
         let engine = GraphEngine::load(&g);
-        assert_eq!(engine.triangle_count(), 0);
-        assert_eq!(engine.four_clique_count(), 0);
+        assert_eq!(engine.triangle_count(&ExecCtx::none()), 0);
+        assert_eq!(engine.four_clique_count(&ExecCtx::none()), 0);
     }
 }

@@ -376,7 +376,7 @@ impl Database {
     /// itself.
     ///
     /// ```
-    /// use graphjoin::{CatalogQuery, Database, Engine, Graph};
+    /// use graphjoin::{CatalogQuery, Database, Engine, ExistsSink, Graph};
     ///
     /// // Two triangles sharing the edge (1, 2).
     /// let graph = Graph::new_undirected(4, vec![(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)]);
@@ -386,10 +386,12 @@ impl Database {
     /// // Prepare once (builds the trie indexes) ...
     /// let prepared = db.prepare(&CatalogQuery::ThreeClique.query(), &Engine::Lftj)?;
     /// assert!(prepared.indexes_built() > 0);
-    /// // ... execute many times: count, collect, first_k, exists.
+    /// // ... execute many times: count, collect, or any sink.
     /// assert_eq!(prepared.count()?, 2);
     /// assert_eq!(prepared.collect()?.len(), 2);
-    /// assert!(prepared.exists()?);
+    /// let mut exists = ExistsSink::new();
+    /// prepared.run_parallel(&mut exists, 1)?;
+    /// assert!(exists.found());
     ///
     /// // A second prepare — same query, different engine — finds the shared
     /// // index cache warm and builds nothing.

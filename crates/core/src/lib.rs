@@ -27,10 +27,13 @@
 //! The primary API is the prepare/execute split: [`Database::prepare`] pays for
 //! binding, GAO selection and trie-index construction once (against a shared,
 //! database-level index cache), and the returned [`PreparedQuery`] executes any
-//! number of times through the unified [`Sink`] protocol.
+//! number of times through the unified [`Sink`] protocol. One fallible entry point,
+//! [`PreparedQuery::try_run_parallel`], takes any sink, thread count and
+//! [`QueryBudget`], and an abort is always its `Err`; `count`, `collect` and the
+//! other infallible methods are that call under a budget that cannot trip.
 //!
 //! ```
-//! use graphjoin::{CatalogQuery, Database, Engine};
+//! use graphjoin::{CatalogQuery, Database, Engine, ExistsSink, FirstK};
 //! use gj_storage::Graph;
 //!
 //! // Two triangles sharing the edge (1, 2).
@@ -45,9 +48,14 @@
 //! // morsel-driven runtime partitions the first GAO attribute across threads).
 //! assert_eq!(prepared.count().unwrap(), 2);
 //! assert_eq!(prepared.par_count(4).unwrap(), 2);
-//! assert_eq!(prepared.first_k(1).unwrap(), vec![vec![0, 1, 2]]);
 //! assert_eq!(prepared.par_collect(4).unwrap(), prepared.collect().unwrap());
-//! assert!(prepared.exists().unwrap());
+//! // Any other answer is a sink: the first k rows, an existence probe, ...
+//! let mut first = FirstK::new(1);
+//! prepared.run_parallel(&mut first, 1).unwrap();
+//! assert_eq!(first.into_rows(), vec![vec![0, 1, 2]]);
+//! let mut exists = ExistsSink::new();
+//! prepared.run_parallel(&mut exists, 4).unwrap();
+//! assert!(exists.found());
 //!
 //! // A second preparation — here with another engine — reuses the cached indexes.
 //! let warm = db.prepare(&q, &Engine::minesweeper()).unwrap();
@@ -62,7 +70,7 @@
 pub mod database;
 /// Disk persistence: [`Database::open`], [`Database::persist`], durable commits.
 pub mod persist;
-/// Prepared queries: bind once, run many, inspect [`RunStats`]/[`RunOutcome`].
+/// Prepared queries: bind once, run many, inspect [`RunStats`].
 pub mod prepare;
 /// Result sinks: collect, count, existence probe, first-k.
 pub mod sink;
@@ -70,13 +78,14 @@ pub mod sink;
 pub mod workload;
 
 pub use database::{symmetrize, Database, Engine, EngineError, QueryOutput};
-pub use prepare::{PreparedQuery, RunOutcome, RunStats};
+pub use prepare::{PreparedQuery, RunStats};
 pub use sink::{CollectSink, CountSink, ExistsSink, FirstK, Sink};
 pub use workload::{workload_database, Workload};
 
 // The morsel-driven parallel runtime (`gj-runtime`): the sink shard layer for
 // `PreparedQuery::run_parallel`, the building blocks for custom drivers, and the
-// error-model types (typed aborts, cancellation, budgets) of the `try_*` API.
+// error-model types (typed aborts, cancellation, budgets) of
+// `PreparedQuery::try_run_parallel`.
 pub use gj_runtime::{
     drive, partition_first_attribute, try_drive, CancelToken, Counters, DriveReport, ExecCtx,
     ExecError, ExecMonitor, ExecWatch, JobQueue, Morsel, MorselSource, Ordered, ParallelSink,

@@ -4,8 +4,9 @@
 //! the morsel-driven parallel driver and the engines can share them without
 //! depending on this crate; the public API here is unchanged. Every sink also
 //! implements [`ParallelSink`](crate::ParallelSink), so the same value can be
-//! passed to [`PreparedQuery::run`](crate::PreparedQuery::run) or
-//! [`PreparedQuery::run_parallel`](crate::PreparedQuery::run_parallel).
+//! passed to [`PreparedQuery::run_parallel`](crate::PreparedQuery::run_parallel)
+//! at any thread count; a closure sink goes through
+//! [`Ordered`](crate::Ordered).
 //!
 //! ```
 //! use graphjoin::{CatalogQuery, Database, Engine, FirstK, Graph};
@@ -16,7 +17,7 @@
 //!
 //! let prepared = db.prepare(&CatalogQuery::ThreeClique.query(), &Engine::Lftj).unwrap();
 //! let mut first = FirstK::new(1);
-//! prepared.run(&mut first).unwrap();
+//! prepared.run_parallel(&mut first, 1).unwrap();
 //! assert_eq!(first.into_rows(), vec![vec![0, 1, 2]]);
 //! ```
 

@@ -161,11 +161,6 @@ impl Cds {
         self
     }
 
-    /// Number of GAO attributes.
-    pub fn num_attrs(&self) -> usize {
-        self.n
-    }
-
     /// The current frontier.
     pub fn frontier(&self) -> &[Val] {
         &self.frontier

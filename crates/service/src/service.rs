@@ -21,7 +21,7 @@ use crate::admission::Gate;
 use crate::history::{check_history, HistoryLog, SessionEvent};
 use gj_runtime::QueryBudget;
 use gj_storage::Relation;
-use graphjoin::{symmetrize, Database, Engine, EngineError, Query};
+use graphjoin::{symmetrize, CollectSink, CountSink, Database, Engine, EngineError, Query};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -258,9 +258,10 @@ impl Session {
         let _permit = self.inner.gate.admit().map_err(EngineError::Exec)?;
         let (epoch, db) = self.inner.snapshot();
         let prepared = db.prepare(query, engine)?;
-        let count = prepared.try_par_count(self.inner.config.exec_threads, budget)?;
-        self.record_read(epoch, query, engine, count);
-        Ok(count)
+        let mut sink = CountSink::new();
+        prepared.try_run_parallel(&mut sink, self.inner.config.exec_threads, budget)?;
+        self.record_read(epoch, query, engine, sink.rows());
+        Ok(sink.rows())
     }
 
     /// Collects the answers of `query` under the service's default budget.
@@ -270,7 +271,9 @@ impl Session {
         self.collect_with(query, engine, &budget)
     }
 
-    /// [`collect`](Self::collect) under an explicit budget.
+    /// [`collect`](Self::collect) under an explicit budget, through the same
+    /// pipeline as [`count_with`](Self::count_with): the rows are collected on
+    /// the service's worker threads, in the serial emission order.
     pub fn collect_with(
         &self,
         query: &Query,
@@ -280,7 +283,9 @@ impl Session {
         let _permit = self.inner.gate.admit().map_err(EngineError::Exec)?;
         let (epoch, db) = self.inner.snapshot();
         let prepared = db.prepare(query, engine)?;
-        let rows = prepared.try_collect(budget)?;
+        let mut sink = CollectSink::new();
+        prepared.try_run_parallel(&mut sink, self.inner.config.exec_threads, budget)?;
+        let rows = sink.into_rows();
         self.record_read(epoch, query, engine, rows.len() as u64);
         Ok(rows)
     }

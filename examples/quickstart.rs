@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use graphjoin::{CatalogQuery, Database, Engine, ExecLimits, Graph};
+use graphjoin::{CatalogQuery, Database, Engine, ExecLimits, FirstK, Graph};
 
 fn main() {
     // A small social circle: two triangles sharing an edge plus a pendant node.
@@ -42,6 +42,7 @@ fn main() {
     let matches = prepared.collect().expect("enumeration succeeds");
     println!("matches: {matches:?}");
     // Early termination through the sink protocol: just the first match.
-    let first = prepared.first_k(1).expect("enumeration succeeds");
-    println!("first:   {first:?}");
+    let mut first = FirstK::new(1);
+    prepared.run_parallel(&mut first, 1).expect("enumeration succeeds");
+    println!("first:   {:?}", first.into_rows());
 }

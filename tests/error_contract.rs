@@ -1,15 +1,14 @@
 //! Stability contract for the typed-error surface.
 //!
-//! The short labels returned by [`ExecError::kind`] and [`RunOutcome::label`]
-//! are machine-readable: benchmark outcome cells, abort-parity assertions, and
-//! the fault-injection harness all match on the literal strings. This test pins
-//! every one of them, so renaming a label (or adding a variant without deciding
-//! its label) fails here first — loudly — instead of silently reshaping
-//! downstream reports.
+//! The short labels returned by [`ExecError::kind`] are machine-readable:
+//! abort-parity assertions and the fault-injection harness match on the literal
+//! strings. This test pins every one of them, so renaming a label (or adding a
+//! variant without deciding its label) fails here first — loudly — instead of
+//! silently reshaping downstream reports.
 
 use graphjoin::{
-    CancelToken, CatalogQuery, Database, Engine, EngineError, ExecError, ExecLimits, Graph, Query,
-    QueryBudget, Relation, RunOutcome,
+    CancelToken, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError, ExecLimits,
+    Graph, Query, QueryBudget, Relation,
 };
 use std::time::Duration;
 
@@ -45,19 +44,10 @@ fn every_display_rendering_is_pinned() {
     );
 }
 
-#[test]
-fn run_outcome_labels_are_pinned() {
-    assert_eq!(RunOutcome::Completed.label(), "completed");
-    assert!(RunOutcome::Completed.is_completed());
-    for err in all_variants() {
-        let outcome = RunOutcome::Aborted { reason: err.clone(), failpoint: None };
-        assert_eq!(outcome.label(), err.kind(), "aborted label delegates to kind");
-        assert!(!outcome.is_completed());
-    }
-}
-
 /// The labels a live run reports must be the same pinned strings — the contract
-/// holds end to end, not just on hand-built values.
+/// holds end to end, not just on hand-built values: the one fallible entry point
+/// returns each abort as an `Err` of that kind, at one thread and at four, for an
+/// engine that enumerates and for a count-only one.
 #[test]
 fn live_runs_report_the_pinned_labels() {
     let mut db = Database::new();
@@ -65,21 +55,28 @@ fn live_runs_report_the_pinned_labels() {
     let edges: Vec<(u32, u32)> = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))).collect();
     db.add_graph(Graph::new_undirected(n as usize, edges));
     let q = CatalogQuery::ThreeClique.query();
-    let prepared = db.prepare(&q, &graphjoin::Engine::Lftj).unwrap();
-
-    let completed = prepared.count_outcome(1, &QueryBudget::new());
-    assert_eq!(completed.outcome.label(), "completed");
-
-    let budget = prepared.count_outcome(1, &QueryBudget::new().with_max_rows(1));
-    assert_eq!(budget.outcome.label(), "budget");
-
-    let deadline = prepared.count_outcome(1, &QueryBudget::new().with_timeout(Duration::ZERO));
-    assert_eq!(deadline.outcome.label(), "deadline");
-
     let token = CancelToken::default();
     token.cancel();
-    let cancelled = prepared.count_outcome(1, &QueryBudget::new().with_cancel_token(token));
-    assert_eq!(cancelled.outcome.label(), "cancelled");
+    let aborts = [
+        (QueryBudget::new().with_max_rows(1), "budget"),
+        (QueryBudget::new().with_timeout(Duration::ZERO), "deadline"),
+        (QueryBudget::new().with_cancel_token(token), "cancelled"),
+    ];
+    for engine in [Engine::Lftj, Engine::GraphEngine] {
+        let prepared = db.prepare(&q, &engine).unwrap();
+        for threads in [1, 4] {
+            let label = format!("{} t={threads}", engine.label());
+            let mut sink = CountSink::new();
+            prepared.try_run_parallel(&mut sink, threads, &QueryBudget::new()).unwrap();
+            assert_eq!(sink.rows(), 2024, "{label}: C(24, 3) triangles");
+            for (budget, kind) in &aborts {
+                match prepared.try_run_parallel(&mut CountSink::new(), threads, budget) {
+                    Err(EngineError::Exec(err)) => assert_eq!(err.kind(), *kind, "{label}"),
+                    other => panic!("{label}: expected a {kind} abort, got {other:?}"),
+                }
+            }
+        }
+    }
 }
 
 /// A query without atoms is rejected once, by query validation, so every engine

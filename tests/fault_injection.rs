@@ -15,8 +15,9 @@
 //!   are artificially slowed.
 
 use graphjoin::{
-    fault::sites, CancelToken, CatalogQuery, Database, Engine, EngineError, ExecError, ExecLimits,
-    FailAction, FailpointRegistry, Graph, MsConfig, QueryBudget, Relation, RunOutcome, StoreError,
+    fault::sites, CancelToken, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError,
+    ExecLimits, FailAction, FailpointRegistry, Graph, MsConfig, PreparedQuery, QueryBudget,
+    Relation, StoreError,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::{Arc, Once};
@@ -40,6 +41,18 @@ fn quiet_failpoint_panics() {
             }
         }));
     });
+}
+
+/// Counts `prepared`'s rows on `threads` workers under `budget`, through the one
+/// fallible entry point.
+fn try_count(
+    prepared: &PreparedQuery<'_>,
+    threads: usize,
+    budget: &QueryBudget,
+) -> Result<u64, EngineError> {
+    let mut sink = CountSink::new();
+    prepared.try_run_parallel(&mut sink, threads, budget)?;
+    Ok(sink.rows())
 }
 
 /// A seeded random database big enough that every engine's inner loop passes the
@@ -92,7 +105,7 @@ fn injected_faults_yield_typed_errors_or_exact_answers_and_clean_reruns() {
                     let fp = Arc::new(FailpointRegistry::new());
                     fp.arm(site, action);
                     let budget = QueryBudget::new().with_failpoints(fp.clone());
-                    match prepared.try_par_count(threads, &budget) {
+                    match try_count(&prepared, threads, &budget) {
                         Ok(count) => {
                             // Legitimate only for `join_step` on a partitioned
                             // run: every morsel starts a fresh check stride, and
@@ -121,7 +134,7 @@ fn injected_faults_yield_typed_errors_or_exact_answers_and_clean_reruns() {
                     // Post-fault reuse: the same prepared query, a clean budget,
                     // the exact answer — plan and cache survived the fault.
                     assert_eq!(
-                        prepared.try_par_count(threads, &QueryBudget::new()).unwrap(),
+                        try_count(&prepared, threads, &QueryBudget::new()).unwrap(),
                         expected,
                         "clean rerun after fault: {tag}"
                     );
@@ -144,7 +157,7 @@ fn the_join_step_site_is_reachable_from_every_engine() {
         let fp = Arc::new(FailpointRegistry::new());
         fp.arm(sites::JOIN_STEP, FailAction::Trip);
         let budget = QueryBudget::new().with_failpoints(fp.clone());
-        let err = prepared.try_count(&budget).expect_err(engine.label());
+        let err = try_count(&prepared, 1, &budget).expect_err(engine.label());
         assert!(
             matches!(err, EngineError::Exec(ExecError::BudgetExceeded { .. })),
             "{}: {err}",
@@ -171,7 +184,7 @@ fn post_fault_reexecution_is_byte_identical_to_a_fresh_database() {
         let fp = Arc::new(FailpointRegistry::new());
         fp.arm(sites::MORSEL_CLAIM, FailAction::Panic);
         let budget = QueryBudget::new().with_failpoints(fp.clone());
-        let err = prepared.try_par_count(4, &budget).expect_err(engine.label());
+        let err = try_count(&prepared, 4, &budget).expect_err(engine.label());
         assert!(
             matches!(err, EngineError::Exec(ExecError::WorkerPanicked { .. })),
             "{}: {err}",
@@ -195,7 +208,7 @@ fn pre_violated_budgets_abort_deterministically() {
             let deadline = QueryBudget::new().with_timeout(Duration::ZERO);
             assert!(
                 matches!(
-                    prepared.try_par_count(threads, &deadline),
+                    try_count(&prepared, threads, &deadline),
                     Err(EngineError::Exec(ExecError::DeadlineExceeded))
                 ),
                 "{} threads {threads}",
@@ -206,7 +219,7 @@ fn pre_violated_budgets_abort_deterministically() {
             let cancelled = QueryBudget::new().with_cancel_token(token);
             assert!(
                 matches!(
-                    prepared.try_par_count(threads, &cancelled),
+                    try_count(&prepared, threads, &cancelled),
                     Err(EngineError::Exec(ExecError::Cancelled))
                 ),
                 "{} threads {threads}",
@@ -239,8 +252,8 @@ fn abort_reasons_agree_between_serial_and_parallel() {
     for engine in engines() {
         let prepared = db.prepare(&q, &engine).unwrap();
         for (want, budget) in &budgets {
-            let serial = kind(prepared.try_count(budget));
-            let parallel = kind(prepared.try_par_count(4, budget));
+            let serial = kind(try_count(&prepared, 1, budget));
+            let parallel = kind(try_count(&prepared, 4, budget));
             assert_eq!(serial, *want, "serial {} {want}", engine.label());
             assert_eq!(serial, parallel, "parity {} {want}", engine.label());
         }
@@ -262,10 +275,10 @@ fn row_budgets_are_row_granular_on_the_counting_path() {
     assert_eq!(prepared.count().unwrap(), 2024);
     let budget = QueryBudget::new().with_max_rows(5);
     assert_eq!(
-        prepared.try_count(&budget),
+        try_count(&prepared, 1, &budget),
         Err(EngineError::Exec(ExecError::BudgetExceeded { rows: 6, budget: 5 }))
     );
-    match prepared.try_par_count(4, &budget) {
+    match try_count(&prepared, 4, &budget) {
         Err(EngineError::Exec(ExecError::BudgetExceeded { rows, budget: 5 })) => {
             assert!((6..=5 + 4).contains(&rows), "overshoot of {rows} rows");
         }
@@ -314,7 +327,7 @@ fn cancellation_is_observed_promptly_under_slow_morsel_claims() {
         token.cancel();
     });
     let start = Instant::now();
-    let result = prepared.try_par_count(2, &budget);
+    let result = try_count(&prepared, 2, &budget);
     let elapsed = start.elapsed();
     canceller.join().unwrap();
     assert!(
@@ -327,32 +340,29 @@ fn cancellation_is_observed_promptly_under_slow_morsel_claims() {
     assert_eq!(fp.fired().as_deref(), Some(sites::MORSEL_CLAIM));
 }
 
-/// `count_outcome` never errors: completed runs and typed aborts (with failpoint
-/// attribution) both come back as `RunStats.outcome` — the bench harness records
-/// its timeout cells through exactly this path.
+/// A completed run is `Ok` with its statistics; an injected trip is an `Err` of
+/// the typed reason, and the registry the budget carried names the site that
+/// fired.
 #[test]
-fn count_outcome_reports_completion_and_attributed_aborts() {
+fn completed_runs_report_stats_and_aborts_are_attributed_errors() {
     let db = test_database(31);
     let q = CatalogQuery::ThreePath.query();
     let prepared = db.prepare(&q, &Engine::Lftj).unwrap();
-    let clean = prepared.count_outcome(1, &QueryBudget::new());
-    assert!(clean.outcome.is_completed());
-    assert_eq!(clean.outcome.label(), "completed");
+    let clean = prepared.try_run_parallel(&mut CountSink::new(), 1, &QueryBudget::new()).unwrap();
+    assert_eq!(clean.rows, prepared.count().unwrap());
 
     let fp = Arc::new(FailpointRegistry::new());
     fp.arm(sites::MORSEL_CLAIM, FailAction::Trip);
-    let tripped = prepared.count_outcome(4, &QueryBudget::new().with_failpoints(fp));
-    match &tripped.outcome {
-        RunOutcome::Aborted { reason, failpoint } => {
-            assert_eq!(reason.kind(), "budget");
-            assert_eq!(failpoint.as_deref(), Some(sites::MORSEL_CLAIM));
-        }
-        RunOutcome::Completed => panic!("armed trip must abort the run"),
-    }
-    assert_eq!(tripped.outcome.label(), "budget");
+    let tripped = try_count(&prepared, 4, &QueryBudget::new().with_failpoints(fp.clone()));
+    let kind = |result: Result<u64, EngineError>| match result {
+        Err(EngineError::Exec(reason)) => reason.kind(),
+        other => panic!("expected a typed abort, got {other:?}"),
+    };
+    assert_eq!(kind(tripped), "budget");
+    assert_eq!(fp.fired().as_deref(), Some(sites::MORSEL_CLAIM));
 
-    let overrun = prepared.count_outcome(1, &QueryBudget::new().with_max_rows(3));
-    assert_eq!(tripped.outcome.label(), overrun.outcome.label(), "both are budget aborts");
+    let overrun = try_count(&prepared, 1, &QueryBudget::new().with_max_rows(3));
+    assert_eq!(kind(overrun), "budget", "both are budget aborts");
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 //! * identical **sorted** `collect` row sets across engines, and byte-identical
 //!   `par_collect` vs the same engine's serial `collect` (the ordered shard merge
 //!   guarantee, now including the parallel pairwise path);
-//! * `first_k` / `par_first_k` answers that are exact serial prefixes;
-//! * `exists` / `par_exists` consistency.
+//! * `FirstK` answers that are exact serial prefixes at every thread count;
+//! * `ExistsSink` consistency at every thread count.
 //!
 //! Every assertion message carries the case number and the RNG seed, so a failure
 //! is reproducible by pasting the seed into [`run_case`]. The black-box approach
@@ -18,10 +18,21 @@
 
 use gj_baselines::BaselineError;
 use graphjoin::{
-    CatalogQuery, Database, Engine, EngineError, ExecLimits, Graph, MsConfig, Query, QueryBuilder,
-    Relation,
+    CatalogQuery, Database, Engine, EngineError, ExecLimits, ExistsSink, FirstK, Graph, MsConfig,
+    PreparedQuery, Query, QueryBuilder, QueryOutput, Relation,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// The first `k` rows of `prepared` on `threads` workers.
+fn first_k(
+    prepared: &PreparedQuery<'_>,
+    k: usize,
+    threads: usize,
+) -> Result<QueryOutput, EngineError> {
+    let mut sink = FirstK::new(k);
+    prepared.run_parallel(&mut sink, threads)?;
+    Ok(sink.into_rows())
+}
 
 /// Number of random cases the corpus draws.
 const CASES: u64 = 50;
@@ -181,14 +192,11 @@ fn differential_case(db: &Database, query: &Query, ctx: &str) {
                 serial,
                 "{tlabel}: par_collect is not byte-identical to serial collect"
             );
-            assert_eq!(
-                prepared.par_exists(threads).unwrap_or_else(|e| panic!("{tlabel}: {e}")),
-                !serial.is_empty(),
-                "{tlabel}: par_exists disagrees"
-            );
+            let mut exists = ExistsSink::new();
+            prepared.run_parallel(&mut exists, threads).unwrap_or_else(|e| panic!("{tlabel}: {e}"));
+            assert_eq!(exists.found(), !serial.is_empty(), "{tlabel}: exists disagrees");
             for k in [0usize, 1, serial.len() / 3, serial.len() + 2] {
-                let prefix = prepared
-                    .par_first_k(k, threads)
+                let prefix = first_k(&prepared, k, threads)
                     .unwrap_or_else(|e| panic!("{tlabel}: first_k({k}): {e}"));
                 assert_eq!(
                     prefix,
@@ -262,9 +270,7 @@ fn repeated_executions_serve_warm_caches_without_drift() {
                         "{rlabel}: warm collect is not byte-identical to the cold run"
                     );
                     assert_eq!(
-                        prepared
-                            .par_first_k(k, threads)
-                            .unwrap_or_else(|e| panic!("{rlabel}: {e}")),
+                        first_k(&prepared, k, threads).unwrap_or_else(|e| panic!("{rlabel}: {e}")),
                         cold[..k.min(cold.len())].to_vec(),
                         "{rlabel}: warm first_k is not the cold prefix"
                     );
@@ -348,7 +354,7 @@ const CANCEL_CASES: u64 = 10;
 #[test]
 fn randomized_cancellation_never_corrupts_a_prepared_query() {
     use graphjoin::{
-        fault::sites, CancelToken, ExecError, FailAction, FailpointRegistry, QueryBudget,
+        fault::sites, CancelToken, CountSink, ExecError, FailAction, FailpointRegistry, QueryBudget,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -386,11 +392,12 @@ fn randomized_cancellation_never_corrupts_a_prepared_query() {
                     std::thread::sleep(cancel_after);
                     token.cancel();
                 });
-                let result = prepared.try_par_count(threads, &budget);
+                let mut sink = CountSink::new();
+                let result = prepared.try_run_parallel(&mut sink, threads, &budget);
                 canceller.join().unwrap();
                 match result {
-                    Ok(count) => assert_eq!(
-                        count,
+                    Ok(_) => assert_eq!(
+                        sink.rows(),
                         rows.len() as u64,
                         "{tlabel}: a completed race must be exact"
                     ),

@@ -1,10 +1,10 @@
 //! Parallel-vs-serial differential tests for the morsel-driven runtime: over random
-//! and property-generated instances, `PreparedQuery::run_parallel` (and the
-//! `par_count` / `par_collect` / `par_first_k` / `par_exists` conveniences) must
-//! agree with the serial execution for LFTJ and Minesweeper across
-//! `threads ∈ {1, 2, 4, 8}` and every granularity — identical counts, identical
-//! (not merely set-equal) `collect` results, and `first_k` answers that are exact
-//! serial prefixes even when early termination retires morsels across workers.
+//! and property-generated instances, `PreparedQuery::run_parallel` (with any sink:
+//! `par_count` / `par_collect`, `FirstK`, `ExistsSink`) must agree with the serial
+//! execution for LFTJ and Minesweeper across `threads ∈ {1, 2, 4, 8}` and every
+//! granularity — identical counts, identical (not merely set-equal) `collect`
+//! results, and `FirstK` answers that are exact serial prefixes even when early
+//! termination retires morsels across workers.
 //! On a power-law graph, the morsels must also split LFTJ's work evenly enough for
 //! several workers to share it.
 
@@ -12,12 +12,20 @@ use gj_datagen::powerlaw_cluster;
 use gj_lftj::LftjExecutor;
 use gj_query::lftj_gao;
 use graphjoin::{
-    partition_first_attribute, CatalogQuery, Counters, Database, Engine, ExecCtx, Graph, Morsel,
-    MsConfig, Ordered, QueryBuilder, Relation, Val,
+    partition_first_attribute, CatalogQuery, Counters, Database, Engine, ExecCtx, ExistsSink,
+    FirstK, Graph, Morsel, MsConfig, Ordered, PreparedQuery, QueryBuilder, QueryOutput, Relation,
+    Val,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::ControlFlow;
+
+/// The first `k` rows of `prepared`, on `threads` workers.
+fn first_k(prepared: &PreparedQuery<'_>, k: usize, threads: usize) -> QueryOutput {
+    let mut sink = FirstK::new(k);
+    prepared.run_parallel(&mut sink, threads).unwrap();
+    sink.into_rows()
+}
 
 /// A random database: a seeded undirected graph plus the node samples every catalog
 /// query draws on.
@@ -121,7 +129,7 @@ fn parallel_first_k_is_a_serial_prefix_under_early_termination() {
             let all = prepared.collect().unwrap();
             for threads in [2, 4, 8] {
                 for k in [0usize, 1, 2, all.len() / 2, all.len(), all.len() + 7] {
-                    let prefix = prepared.par_first_k(k, threads).unwrap();
+                    let prefix = first_k(&prepared, k, threads);
                     assert_eq!(
                         prefix,
                         all[..k.min(all.len())].to_vec(),
@@ -130,8 +138,10 @@ fn parallel_first_k_is_a_serial_prefix_under_early_termination() {
                         engine.label()
                     );
                 }
+                let mut exists = ExistsSink::new();
+                prepared.run_parallel(&mut exists, threads).unwrap();
                 assert_eq!(
-                    prepared.par_exists(threads).unwrap(),
+                    exists.found(),
                     !all.is_empty(),
                     "{} {} threads {threads}",
                     q.name,
@@ -268,7 +278,7 @@ proptest! {
                     );
                     let k = rows.len() / 2 + 1;
                     prop_assert_eq!(
-                        prepared.par_first_k(k, threads).unwrap(),
+                        first_k(&prepared, k, threads),
                         rows[..k.min(rows.len())].to_vec(),
                         "{} {} threads {}", q.name, engine.label(), threads
                     );

@@ -1,13 +1,13 @@
 //! Cross-engine differential tests for the prepared-query API: over random small
 //! instances and every catalog query, all supporting engines must report identical
-//! counts through `PreparedQuery`, `first_k(k)` must be a prefix-consistent subset
-//! of `collect()`, and warm re-preparations must be answered entirely from the
+//! counts through `PreparedQuery`, the rows of a `FirstK::new(k)` sink must be a
+//! prefix of `collect()`, and warm re-preparations must be answered entirely from the
 //! shared index cache.
 
 use gj_baselines::BaselineError;
 use graphjoin::{
     naive_count, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError, ExecLimits,
-    Graph, MsConfig, Query, QueryBudget, QueryBuilder, Relation, RunOutcome, Val,
+    ExistsSink, FirstK, Graph, MsConfig, Ordered, Query, QueryBudget, QueryBuilder, Relation, Val,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::ControlFlow;
@@ -67,13 +67,17 @@ fn all_supporting_engines_count_identically_through_prepare() {
                     q.name,
                     engine.label()
                 );
-                assert_eq!(
-                    prepared.exists().unwrap(),
-                    expected > 0,
-                    "seed {seed} {} {}",
-                    q.name,
-                    engine.label()
-                );
+                // An existence probe is a row sink: the count-only engines
+                // reject it like every other.
+                let mut exists = ExistsSink::new();
+                let probed = prepared.run_parallel(&mut exists, 1);
+                let tag = format!("seed {seed} {} {}", q.name, engine.label());
+                if prepared.supports_enumeration() {
+                    probed.unwrap();
+                    assert_eq!(exists.found(), expected > 0, "{tag}");
+                } else {
+                    assert!(matches!(probed, Err(EngineError::Unsupported(_))), "{tag}");
+                }
                 // One execution path: the serial count is the one-worker drive of
                 // a counting sink, so both report the same rows and the same
                 // engine counters, every field of them.
@@ -159,7 +163,9 @@ fn first_k_is_a_prefix_of_collect_for_every_engine() {
             let all = prepared.collect().unwrap();
             assert_eq!(all.len() as u64, prepared.count().unwrap(), "{}", q.name);
             for k in [0usize, 1, 2, all.len() / 2, all.len(), all.len() + 5] {
-                let prefix = prepared.first_k(k).unwrap();
+                let mut first = FirstK::new(k);
+                prepared.run_parallel(&mut first, 1).unwrap();
+                let prefix = first.into_rows();
                 assert_eq!(
                     prefix,
                     all[..k.min(all.len())].to_vec(),
@@ -184,12 +190,11 @@ fn a_breaking_sink_sees_exactly_one_row_on_the_serial_path() {
         let all = prepared.collect().unwrap();
         assert!(all.len() > 1, "the test needs several rows");
         let mut seen: Vec<Vec<Val>> = Vec::new();
-        let stats = prepared
-            .run(&mut |row: &[Val]| {
-                seen.push(row.to_vec());
-                ControlFlow::Break(())
-            })
-            .unwrap();
+        let mut sink = Ordered::new(|row: &[Val]| {
+            seen.push(row.to_vec());
+            ControlFlow::Break(())
+        });
+        let stats = prepared.run_parallel(&mut sink, 1).unwrap();
         assert_eq!(seen, all[..1].to_vec(), "{}", engine.label());
         assert_eq!(stats.rows, 1, "{}", engine.label());
     }
@@ -243,14 +248,16 @@ fn count_only_engines_report_unsupported_for_enumeration() {
     let q = CatalogQuery::ThreeClique.query();
     let prepared = db.prepare(&q, &Engine::GraphEngine).unwrap();
     assert!(matches!(prepared.collect(), Err(EngineError::Unsupported(_))));
-    assert!(matches!(prepared.first_k(3), Err(EngineError::Unsupported(_))));
+    assert!(matches!(
+        prepared.run_parallel(&mut FirstK::new(3), 1),
+        Err(EngineError::Unsupported(_))
+    ));
     assert_eq!(prepared.count().unwrap(), naive_count(db.instance(), &q));
 }
 
 /// A counting sink is served by the count-only engines at every thread count and
 /// through every entry point — `par_count`, `run_parallel(CountSink, ..)` and
-/// `count_outcome` agree (a rejected counting sink would surface in a bench cell as
-/// a fake worker panic with zero rows); row sinks stay unsupported.
+/// `try_run_parallel(CountSink, ..)` agree; row sinks stay unsupported.
 #[test]
 fn count_only_engines_serve_counting_sinks_at_every_thread_count() {
     let db = random_database(17, 18, 0.25);
@@ -269,16 +276,24 @@ fn count_only_engines_serve_counting_sinks_at_every_thread_count() {
             let mut sink = CountSink::new();
             let stats = prepared.run_parallel(&mut sink, threads).unwrap();
             assert_eq!((sink.rows(), stats.rows), (expected, expected), "{tag}");
-            let outcome = prepared.count_outcome(threads, &QueryBudget::new());
-            assert_eq!(outcome.outcome, RunOutcome::Completed, "{tag}");
-            assert_eq!(outcome.rows, expected, "{tag}");
+            let stats =
+                prepared.try_run_parallel(&mut CountSink::new(), threads, &QueryBudget::new());
+            assert_eq!(stats.unwrap().rows, expected, "{tag}");
             assert!(matches!(prepared.par_collect(threads), Err(EngineError::Unsupported(_))));
+            assert!(matches!(
+                prepared.run_parallel(&mut ExistsSink::new(), threads),
+                Err(EngineError::Unsupported(_))
+            ));
         }
         // A row cap is honoured too: the count is delivered row by row.
         if expected > 2 {
-            let capped = prepared.try_count(&QueryBudget::new().with_max_rows(2));
+            let capped = prepared.try_run_parallel(
+                &mut CountSink::new(),
+                1,
+                &QueryBudget::new().with_max_rows(2),
+            );
             assert_eq!(
-                capped,
+                capped.map(|stats| stats.rows),
                 Err(EngineError::Exec(ExecError::BudgetExceeded { rows: 3, budget: 2 })),
                 "{} {}",
                 q.name,

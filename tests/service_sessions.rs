@@ -7,8 +7,8 @@
 
 use gj_service::{Service, ServiceConfig};
 use graphjoin::{
-    fault::sites, CancelToken, CatalogQuery, Database, Engine, EngineError, ExecError, FailAction,
-    FailpointRegistry, Graph, Query, QueryBudget, Relation,
+    fault::sites, CancelToken, CatalogQuery, CountSink, Database, Engine, EngineError, ExecError,
+    FailAction, FailpointRegistry, Graph, Query, QueryBudget, Relation,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
@@ -196,6 +196,35 @@ fn cancellation_mid_flight_is_clean_and_unrecorded() {
     assert!(service.history().is_empty(), "aborted reads are not recorded");
     assert_eq!(session.count(&q, &Engine::Lftj).unwrap(), expected, "session survives");
     service.verify_history(&base).unwrap();
+}
+
+/// A service's collects run on its `exec_threads` workers, as its counts do,
+/// and return the rows of a serial `collect`, in the same order. The proof that
+/// the run was partitioned: a trip armed on the second shard merge fires, and a
+/// one-morsel run merges only once.
+#[test]
+fn collects_run_on_the_configured_exec_threads_in_serial_order() {
+    let db = test_database(37);
+    let q = CatalogQuery::ThreeClique.query();
+    let prepared = db.prepare(&q, &Engine::Lftj).unwrap();
+    let serial = prepared.collect().unwrap();
+    let mut sink = CountSink::new();
+    let stats = prepared.run_parallel(&mut sink, 2).unwrap();
+    assert!(stats.morsels >= 2, "the first attribute must split: {} morsels", stats.morsels);
+    let service = Service::new(db.clone(), ServiceConfig { exec_threads: 2, ..Default::default() });
+    let session = service.session();
+
+    assert_eq!(session.collect(&q, &Engine::Lftj).unwrap(), serial);
+
+    let fp = Arc::new(FailpointRegistry::new());
+    fp.arm_after(sites::SHARD_MERGE, FailAction::Trip, 1, 1);
+    let budget = QueryBudget::new().with_failpoints(fp.clone());
+    match session.collect_with(&q, &Engine::Lftj, &budget) {
+        Err(EngineError::Exec(e)) => assert_eq!(e.kind(), "budget"),
+        other => panic!("a partitioned collect merges twice; got {other:?}"),
+    }
+    assert_eq!(fp.fired().as_deref(), Some(sites::SHARD_MERGE));
+    service.verify_history(&db).unwrap();
 }
 
 /// The serving layer composes with disk persistence: sessions over a
