@@ -413,8 +413,8 @@ impl<'db> PreparedQuery<'db> {
     }
 
     /// Counts the output rows. Supported by every engine; uses the engine's
-    /// counting fast path (e.g. Minesweeper's batch counting) rather than
-    /// delivering rows.
+    /// counting fast path (e.g. Minesweeper's batch counting, LFTJ's last-level
+    /// count) rather than delivering rows.
     pub fn count(&self) -> Result<u64, EngineError> {
         self.par_count(1)
     }

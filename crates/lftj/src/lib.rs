@@ -22,7 +22,10 @@
 //! trie indexes) from `gj-query`. The executor has one way to run,
 //! [`LftjExecutor::run_range_ctx`]: it range-restricts the root-level intersection
 //! (the whole axis for an unrestricted run), stops when the emitter breaks or the
-//! execution context trips, and does not consume the executor. For parallel
+//! execution context trips, and does not consume the executor. Its counting twin,
+//! [`LftjExecutor::count_range_ctx`], returns the same counters without visiting
+//! each match of the last GAO level (bitmaps of reused last-level slices; see
+//! [`executor`]); [`count`] and the morsel source's counting path use it. For parallel
 //! execution, [`LftjMorsels`] plugs it into the `gj-runtime` morsel driver: each
 //! worker thread reuses **one** executor across every morsel it claims
 //! ([`LftjWorker`] carries it plus the re-ordering scratch row).

@@ -8,13 +8,21 @@
 //! increasing order, the runtime's ordered merge reproduces the exact serial
 //! emission stream.
 //!
+//! A counting sink takes [`count_morsel`](MorselSource::count_morsel), which runs
+//! [`count_range_ctx`](LftjExecutor::count_range_ctx): the last GAO level is
+//! counted without emitting, by one pass against bitmaps of the last-level slices
+//! a search reuses (a slice gets one on its second consecutive use, if its span
+//! needs no more 64-bit words than it has values). Row caps, `FirstK` and collects
+//! take the row path.
+//!
 //! Per-worker state mirrors Minesweeper's `MsWorker` pattern: each worker thread
 //! builds **one** [`LftjExecutor`] and carries it
-//! across every morsel it claims — the trie iterators, per-depth cursor buffers
-//! and filter tables are reused instead of being rebuilt per job — plus the
-//! variable-order scratch row. An ablation test below checks that the reused
-//! executor is behaviourally identical (same rows, same per-morsel result and
-//! exploration counts) to building a fresh executor per morsel.
+//! across every morsel it claims — the trie iterators, per-depth cursor buffers,
+//! filter tables and last-level bitmaps (at most one word per cached value) are
+//! reused instead of being rebuilt per job — plus the variable-order scratch row.
+//! An ablation test below checks that the reused executor is behaviourally
+//! identical (same rows, same per-morsel result and exploration counts) to
+//! building a fresh executor per morsel.
 //!
 //! Each worker accumulates the [`Counters`] of the morsels it ran; the driver
 //! sums every worker's into its report, so parallel executions report the same
@@ -77,9 +85,7 @@ impl<'a> MorselSource for LftjMorsels<'a> {
     }
 
     fn count_morsel(&self, worker: &mut LftjWorker<'a>, morsel: Morsel, ctx: &ExecCtx<'_>) -> u64 {
-        let stats = worker
-            .exec
-            .run_range_ctx(morsel.lo, morsel.hi, ctx, &mut |_| ControlFlow::Continue(()));
+        let stats = worker.exec.count_range_ctx(morsel.lo, morsel.hi, ctx);
         worker.counters.merge(stats);
         stats.results
     }

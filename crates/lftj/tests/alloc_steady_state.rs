@@ -1,7 +1,8 @@
 //! Allocation guard for the LFTJ search: the executor allocates its per-depth
 //! cursor buffers once, in `LftjExecutor::new`, and every search reuses them, so a
 //! *second* `run_range_ctx` on one executor — over solid tries or over tries that
-//! carry a delta layer — must not touch the heap at all.
+//! carry a delta layer — must not touch the heap at all. The same holds for a
+//! second `count_range_ctx`: the last level's bitmaps keep their words' capacity.
 
 use gj_lftj::LftjExecutor;
 use gj_query::{BoundQuery, CatalogQuery, Instance, Query};
@@ -51,6 +52,31 @@ fn assert_warm_run_allocates_nothing(bq: &BoundQuery) {
     );
 }
 
+/// Counts `bq` twice on one executor and returns the second count's counters with
+/// the allocations the first and the second count made. Both counts report the
+/// row path's counters.
+fn warm_count(bq: &BoundQuery) -> (Counters, u64, u64) {
+    let mut exec = LftjExecutor::new(bq);
+    let all = Morsel::whole_axis();
+    let mut count = || exec.count_range_ctx(all.lo, all.hi, &ExecCtx::none());
+    let (cold, cold_allocations) = counting_alloc::allocations_during(&mut count);
+    let (warm, allocations) = counting_alloc::allocations_during(count);
+    assert_eq!(warm, cold, "a re-count on one executor repeats the first count exactly");
+    assert_eq!(warm, warm_run(bq).0, "a count reports the row path's counters");
+    (warm, cold_allocations, allocations)
+}
+
+/// The first count builds bitmaps (so it allocates); the second allocates nothing.
+fn assert_warm_count_allocates_nothing(bq: &BoundQuery) {
+    let (warm, cold_allocations, allocations) = warm_count(bq);
+    assert!(cold_allocations > 0, "{}: vacuous, the count built no bitmap", bq.query.name);
+    assert_eq!(
+        allocations, 0,
+        "{}: a warm count of {} bindings allocated {allocations} times",
+        bq.query.name, warm.bindings_explored
+    );
+}
+
 fn bound(inst: &Instance, query: &Query) -> BoundQuery {
     BoundQuery::new(inst, query, None).unwrap()
 }
@@ -65,6 +91,18 @@ fn a_warm_executor_allocates_nothing_on_the_3_clique() {
 fn a_warm_executor_allocates_nothing_on_the_4_cycle() {
     let inst = edge_instance(random_edges(8, 120, 0.06));
     assert_warm_run_allocates_nothing(&bound(&inst, &CatalogQuery::FourCycle.query()));
+}
+
+#[test]
+fn a_warm_count_allocates_nothing_on_the_3_clique() {
+    let inst = edge_instance(random_edges(7, 120, 0.08));
+    assert_warm_count_allocates_nothing(&bound(&inst, &CatalogQuery::ThreeClique.query()));
+}
+
+#[test]
+fn a_warm_count_allocates_nothing_on_the_4_cycle() {
+    let inst = edge_instance(random_edges(8, 120, 0.06));
+    assert_warm_count_allocates_nothing(&bound(&inst, &CatalogQuery::FourCycle.query()));
 }
 
 /// The 3-clique over `live`, solid, and over indexes whose base is `live` plus
@@ -102,6 +140,9 @@ fn a_warm_executor_allocates_nothing_over_delta_carrying_indexes() {
     let (solid, delta) = solid_and_delta(live, del);
     assert_eq!(warm_run(&delta).0, warm_run(&solid).0, "the delta layer changes no counter");
     assert_warm_run_allocates_nothing(&delta);
+    let (warm, _, allocations) = warm_count(&delta);
+    assert_eq!(warm, warm_count(&solid).0, "the delta layer changes no count");
+    assert_eq!(allocations, 0, "a warm count over the folds allocated {allocations} times");
 }
 
 /// Tombstoned rows whose endpoints lie outside the graph leave base keys with no

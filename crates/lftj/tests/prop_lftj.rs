@@ -1,12 +1,13 @@
 //! Property-based tests: LeapFrog TrieJoin must agree with the naive reference join
-//! on random graphs for every catalog query, under any legal GAO, and its output size
-//! must respect the AGM bound.
+//! on random graphs for every catalog query, under any legal GAO, its output size
+//! must respect the AGM bound, and its count must report the row path's counters.
 
 use gj_lftj::{count, enumerate, LftjExecutor};
 use gj_query::{agm_bound, naive_join, BoundQuery, CatalogQuery, Instance};
 use gj_runtime::{Counters, ExecCtx, Morsel};
-use gj_storage::{Graph, Relation, Val};
+use gj_storage::{Graph, Relation, Val, NEG_INF, POS_INF};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -83,8 +84,90 @@ fn with_mixed_indexes(inst: &Instance, solid: &BoundQuery, seed: i64) -> BoundQu
     mixed
 }
 
+/// How [`relabelled_instance`] maps node `i` to a value: around zero, negative,
+/// just above `i64::MIN`, just below `i64::MAX`, split between both ends (spans
+/// that overflow `i64`), spread over several bitmap words, or spread too thin for
+/// a bitmap.
+fn relabel(mode: u8, i: Val) -> Val {
+    match mode {
+        0 => i,
+        1 => i - 13,
+        2 => NEG_INF + 1 + i,
+        3 => POS_INF - 40 + i,
+        4 if i % 2 == 0 => NEG_INF + 1 + i,
+        4 => POS_INF - 40 + i,
+        5 => 3 * i + i % 2 - 30,
+        _ => i * 1_000 - 7_000,
+    }
+}
+
+/// A random graph on up to 24 nodes whose node ids are relabelled by `mode`, with
+/// `v1`..`v4` sampled from the relabelled nodes.
+fn relabelled_instance() -> impl Strategy<Value = (Instance, Vec<Val>)> {
+    (2usize..24, prop::collection::vec((0u32..24, 0u32..24), 0..140), 0u8..7, 0u64..1 << 32)
+        .prop_map(|(n, raw_edges, mode, seed)| {
+            let n = n.max(raw_edges.iter().map(|&(a, b)| a.max(b) as usize + 1).max().unwrap_or(1));
+            let edge = Graph::new_undirected(n, raw_edges).edge_relation();
+            let edge = Relation::from_pairs(
+                edge.iter().map(|r| (relabel(mode, r[0]), relabel(mode, r[1]))),
+            );
+            let nodes: Vec<Val> = (0..n as Val).map(|i| relabel(mode, i)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut inst = Instance::new();
+            inst.add_relation("edge", edge);
+            for name in ["v1", "v2", "v3", "v4"] {
+                let sample = nodes.iter().copied().filter(|_| rng.gen_bool(0.5));
+                inst.add_relation(name, Relation::from_values(sample));
+            }
+            (inst, nodes)
+        })
+}
+
+/// Tiles the whole axis into morsels cut at a random subset of `values`, listed in
+/// a random order.
+fn shuffled_morsels(values: &[Val], rng: &mut StdRng) -> Vec<Morsel> {
+    let mut cuts: Vec<Val> = values.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let bounds: Vec<Val> = std::iter::once(NEG_INF).chain(cuts).chain([POS_INF]).collect();
+    let mut morsels: Vec<Morsel> = bounds.windows(2).map(|w| Morsel::new(w[0], w[1])).collect();
+    for i in (1..morsels.len()).rev() {
+        morsels.swap(i, rng.gen_range(0..i + 1));
+    }
+    morsels
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One executor counts every morsel, in shuffled order, so a bitmap kept from
+    /// another morsel's slice would show; each count must report the counters of a
+    /// fresh executor's row path over the same morsel.
+    #[test]
+    fn a_reused_count_reports_the_row_paths_counters(
+        (inst, nodes) in relabelled_instance(),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for cq in CatalogQuery::all() {
+            let q = cq.query();
+            let bq = BoundQuery::new(&inst, &q, None).unwrap();
+            let mut counter = LftjExecutor::new(&bq);
+            let mut total = Counters::default();
+            for m in shuffled_morsels(&nodes, &mut rng) {
+                let counted = counter.count_range_ctx(m.lo, m.hi, &ExecCtx::none());
+                let emitted = LftjExecutor::new(&bq).run_range_ctx(
+                    m.lo,
+                    m.hi,
+                    &ExecCtx::none(),
+                    &mut |_| ControlFlow::Continue(()),
+                );
+                prop_assert_eq!(counted, emitted, "{} morsel {:?}", q.name, m);
+                total.merge(counted);
+            }
+            prop_assert_eq!(total, emission(&bq).1, "{}", q.name);
+        }
+    }
 
     #[test]
     fn lftj_matches_naive_on_all_catalog_queries(inst in arb_instance()) {

@@ -88,7 +88,8 @@ pub trait MorselSource: Sync {
     );
 
     /// Counting fast path: the number of output rows in one morsel. Engines with a
-    /// dedicated counting mode (e.g. Minesweeper's batch counting) should override
+    /// dedicated counting mode (e.g. Minesweeper's batch counting, LFTJ's
+    /// last-level count) should override
     /// this; the default enumerates and counts. The same in-loop polling duty as
     /// [`run_morsel`](Self::run_morsel) applies — a stopped run may return a
     /// partial count (the driver discards it).

@@ -384,11 +384,19 @@ impl ExecWatch<'_> {
     /// search and stop emitting.
     #[inline]
     pub fn tick(&mut self) -> bool {
+        self.tick_many(1)
+    }
+
+    /// Registers `steps` engine steps at once (an engine that counts a batch of
+    /// matches without visiting each); polls when the batch crosses the stride,
+    /// so a stop lands within one stride plus one batch.
+    #[inline]
+    pub fn tick_many(&mut self, steps: u64) -> bool {
         if self.stopped {
             return true;
         }
-        if self.countdown > 0 {
-            self.countdown -= 1;
+        if steps <= u64::from(self.countdown) {
+            self.countdown -= steps as u32;
             return false;
         }
         self.countdown = CHECK_STRIDE;
@@ -495,6 +503,26 @@ mod tests {
             assert!(ticks <= u64::from(CHECK_STRIDE) + 1, "stop not seen within one stride");
         }
         assert!(watch.tick(), "the stop is sticky");
+    }
+
+    #[test]
+    fn a_batch_tick_polls_when_it_crosses_the_stride_and_stays_sticky() {
+        let token = CancelToken::new();
+        let budget = QueryBudget::new().with_cancel_token(token.clone());
+        let monitor = ExecMonitor::new(&budget);
+        let ctx = ExecCtx::with_monitor(&monitor);
+        let mut watch = ctx.watch();
+        token.cancel();
+        assert!(!watch.tick_many(u64::from(CHECK_STRIDE) - 1), "inside the stride: no poll");
+        assert!(!watch.tick_many(1), "exactly at the stride: still no poll");
+        assert!(!watch.tick_many(0), "an empty batch never polls");
+        assert!(watch.tick_many(1), "crossing the stride polls and sees the cancel");
+        assert!(watch.tick_many(0) && watch.tick(), "the stop is sticky");
+
+        let mut fresh = ctx.watch();
+        assert!(fresh.tick_many(u64::MAX), "one batch past the stride polls at once");
+        let mut inert = ExecCtx::none().watch();
+        assert!(!inert.tick_many(u64::MAX) && !inert.tick(), "nothing to watch never stops");
     }
 
     #[test]

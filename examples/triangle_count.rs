@@ -27,7 +27,11 @@ fn main() {
         prepared.indexes_built()
     );
 
-    // Execute many times. The serial count uses the engine's counting fast path.
+    // Execute many times. The serial count uses the engine's counting fast path:
+    // LFTJ counts the last GAO level without visiting each triangle, scanning
+    // `N(b)` against a bitmap of `N(a)`, which is the same slice under every `b`.
+    // The bitmap is built on the slice's second use, if it needs no more 64-bit
+    // words than `N(a)` has values.
     let start = Instant::now();
     let serial = prepared.count().expect("serial count");
     println!("serial count:   {serial} triangles in {:.2} ms", start.elapsed().as_secs_f64() * 1e3);
