@@ -32,6 +32,21 @@
 //! bitmapped level, the leapfrog loop counts instead, without emitting. The
 //! counters are the row path's exactly, and a watched count ticks each level's
 //! count at once.
+//!
+//! A participant that opens its atom's root level at a GAO position after the
+//! first, where that level is exactly the integers `[first, first + len)` (sorted
+//! distinct values, so `last - first + 1 == len` is an O(1) test; a delta-carrying
+//! index is tested on its fold), prunes nothing: it holds every value in its
+//! range. [`LftjExecutor::new`] takes such participants out of the leapfrog
+//! rotation, keeping at least one participant per position in it. A search still
+//! opens their level, clips `[lower, upper)` to their range, runs the leapfrog
+//! loop (or the last-level count) over the others, and before descending past a
+//! match `v` sets their position to `v - first`, with no search. The edge trie's
+//! root under `b` of a 3-clique is one: `b` scans `N(a)` alone. The indexes do
+//! not change under an executor, so the split is fixed for its life, and an
+//! executor with no such participant runs a separate monomorphisation of the
+//! search that has no trace of it. Matches, emission order and counters are
+//! unchanged.
 
 use crate::leapfrog::seek;
 use gj_query::BoundQuery;
@@ -120,12 +135,40 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A participant taken out of the leapfrog rotation: an atom whose root level,
+/// opened at a GAO position after the first, is exactly the integers
+/// `[first, end)`, so the value `v` sits at position `v - first`.
+#[derive(Debug, Clone, Copy)]
+struct Contiguous {
+    atom: usize,
+    first: Val,
+    /// One past the last value, saturated at `POS_INF`, which no search reaches.
+    end: Val,
+}
+
+impl Contiguous {
+    /// The atom's root level as a [`Contiguous`] participant if it is exactly a
+    /// run of consecutive integers.
+    fn root_of(bq: &BoundQuery, atom: usize) -> Option<Self> {
+        let root = bq.atoms[atom].index.first_level_values();
+        let (&first, &last) = (root.first()?, root.last()?);
+        (last.abs_diff(first) == root.len() as u64 - 1).then_some(Contiguous {
+            atom,
+            first,
+            end: last.saturating_add(1),
+        })
+    }
+}
+
 /// LeapFrog TrieJoin executor over a [`BoundQuery`].
 pub struct LftjExecutor<'a> {
     iters: Vec<TrieIterator<'a>>,
-    /// Per GAO position: a cursor per participating atom. A search takes its
-    /// level's buffer out and puts it back, so every search reuses it.
+    /// Per GAO position: a cursor per participating atom in the leapfrog
+    /// rotation. A search takes its level's buffer out and puts it back, so every
+    /// search reuses it.
     cursors: Vec<Vec<Cursor<'a>>>,
+    /// Per GAO position: the participants taken out of the rotation (module docs).
+    contiguous: Vec<Vec<Contiguous>>,
     /// Per GAO position: filters `(earlier_gao_pos, earlier_is_smaller)`.
     filters: Vec<Vec<(usize, bool)>>,
     binding: Vec<Val>,
@@ -145,19 +188,29 @@ impl<'a> LftjExecutor<'a> {
     /// well-defined finite answer).
     pub fn new(bq: &'a BoundQuery) -> Self {
         let n = bq.num_vars();
-        let cursors: Vec<Vec<Cursor<'a>>> = (0..n)
-            .map(|pos| {
-                let atoms = bq.atoms_at_gao_pos(pos).into_iter();
-                atoms.map(|atom| Cursor { atom, level: &[], pos: 0 }).collect()
-            })
-            .collect();
-        for (pos, parts) in cursors.iter().enumerate() {
+        let (mut cursors, mut contiguous) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for pos in 0..n {
+            let atoms = bq.atoms_at_gao_pos(pos);
             // gj-lint: allow(no-panic-in-engines) — binding rejects variables outside every atom, so only a hand-assembled BoundQuery reaches this
             assert!(
-                !parts.is_empty(),
+                !atoms.is_empty(),
                 "variable {} is not contained in any atom",
                 bq.query.var_names[bq.gao[pos]]
             );
+            let (mut rotation, mut out) = (Vec::new(), Vec::new());
+            for atom in atoms {
+                let opens_root = pos > 0 && bq.atoms[atom].vars[0] == bq.gao[pos];
+                match opens_root.then(|| Contiguous::root_of(bq, atom)).flatten() {
+                    Some(part) => out.push(part),
+                    None => rotation.push(Cursor { atom, level: &[], pos: 0 }),
+                }
+            }
+            if rotation.is_empty() {
+                let atom = out.remove(0).atom;
+                rotation.push(Cursor { atom, level: &[], pos: 0 });
+            }
+            cursors.push(rotation);
+            contiguous.push(out);
         }
         let iters = bq.atoms.iter().map(|a| a.index.iter()).collect();
         let leaves = cursors.last().map_or(0, Vec::len);
@@ -166,6 +219,7 @@ impl<'a> LftjExecutor<'a> {
             iters,
             bitmaps,
             cursors,
+            contiguous,
             filters: bq.filters_by_gao_pos(),
             binding: vec![0; n],
             stats: Counters::default(),
@@ -234,11 +288,14 @@ impl<'a> LftjExecutor<'a> {
         // The watched and unwatched searches are separate monomorphisations: the
         // per-binding `tick()` is cheap but the leapfrog inner loop is cheaper
         // still, so unmonitored runs (the one-worker drive under a budget that
-        // cannot trip) must not pay even that branch.
-        let _ = if watch.is_inert() {
-            self.search::<F, false, COUNT>(0, &mut watch, emit)
-        } else {
-            self.search::<F, true, COUNT>(0, &mut watch, emit)
+        // cannot trip) must not pay even that branch. Likewise, an executor with
+        // no participant out of the rotation runs a search with no trace of them.
+        let split = self.contiguous.iter().any(|out| !out.is_empty());
+        let _ = match (watch.is_inert(), split) {
+            (true, false) => self.search::<F, false, COUNT, false>(0, &mut watch, emit),
+            (true, true) => self.search::<F, false, COUNT, true>(0, &mut watch, emit),
+            (false, false) => self.search::<F, true, COUNT, false>(0, &mut watch, emit),
+            (false, true) => self.search::<F, true, COUNT, true>(0, &mut watch, emit),
         };
         self.stats
     }
@@ -253,8 +310,14 @@ impl<'a> LftjExecutor<'a> {
     /// Recursive triejoin over GAO positions `depth..n`: opens the level, leapfrogs
     /// over it (a count counts the last level instead) and closes it again. An
     /// emitter's `Break` or a tripped `watch` unwinds through every level without
-    /// visiting any further binding.
-    fn search<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool, const COUNT: bool>(
+    /// visiting any further binding. `SPLIT` runs also open the participants out
+    /// of the rotation and clip the bounds to their ranges.
+    fn search<
+        F: FnMut(&[Val]) -> ControlFlow<()>,
+        const WATCHED: bool,
+        const COUNT: bool,
+        const SPLIT: bool,
+    >(
         &mut self,
         depth: usize,
         watch: &mut ExecWatch<'_>,
@@ -265,16 +328,33 @@ impl<'a> LftjExecutor<'a> {
         for c in &mut cursors {
             nonempty &= c.open(&mut self.iters);
         }
-        let (lower, upper) = self.bounds(depth);
+        let (mut lower, mut upper) = self.bounds(depth);
+        if SPLIT {
+            for out in &self.contiguous[depth] {
+                self.iters[out.atom].open();
+                (lower, upper) = (lower.max(out.first), upper.min(out.end));
+            }
+        }
         let flow = if !nonempty || lower >= upper {
             ControlFlow::Continue(())
         } else if COUNT && depth + 1 == self.cursors.len() {
-            self.count_leaf::<F, WATCHED>(depth, (lower, upper), &mut cursors, watch, emit)
+            self.count_leaf::<F, WATCHED, SPLIT>(depth, (lower, upper), &mut cursors, watch, emit)
         } else {
-            self.leapfrog::<F, WATCHED, COUNT>(depth, (lower, upper), &mut cursors, watch, emit)
+            self.leapfrog::<F, WATCHED, COUNT, SPLIT>(
+                depth,
+                (lower, upper),
+                &mut cursors,
+                watch,
+                emit,
+            )
         };
         for c in &cursors {
             self.iters[c.atom].up();
+        }
+        if SPLIT {
+            for out in &self.contiguous[depth] {
+                self.iters[out.atom].up();
+            }
         }
         self.cursors[depth] = cursors;
         flow
@@ -299,9 +379,16 @@ impl<'a> LftjExecutor<'a> {
 
     /// The leapfrog loop over opened, non-empty cursors: seeks them in rotation to
     /// the largest key seen; a key all of them agree on is a match, explored within
-    /// the non-empty `[lower, upper)` of [`bounds`](Self::bounds).
+    /// the non-empty `[lower, upper)` of [`bounds`](Self::bounds). Before it
+    /// descends past a match, the participants out of the rotation move to it by
+    /// subtraction.
     #[inline]
-    fn leapfrog<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool, const COUNT: bool>(
+    fn leapfrog<
+        F: FnMut(&[Val]) -> ControlFlow<()>,
+        const WATCHED: bool,
+        const COUNT: bool,
+        const SPLIT: bool,
+    >(
         &mut self,
         depth: usize,
         (lower, upper): (Val, Val),
@@ -327,7 +414,12 @@ impl<'a> LftjExecutor<'a> {
                     for c in cursors.iter() {
                         c.sync(&mut self.iters);
                     }
-                    self.search::<F, WATCHED, COUNT>(depth + 1, watch, emit)
+                    if SPLIT {
+                        for out in &self.contiguous[depth] {
+                            self.iters[out.atom].set_pos(target.abs_diff(out.first) as usize);
+                        }
+                    }
+                    self.search::<F, WATCHED, COUNT, SPLIT>(depth + 1, watch, emit)
                 };
                 if flow.is_break() {
                     return flow;
@@ -354,7 +446,12 @@ impl<'a> LftjExecutor<'a> {
     /// Counts the last GAO level over opened, non-empty cursors within the
     /// non-empty `[lower, upper)` and adds the count to both counters, as the
     /// leapfrog loop would one match at a time.
-    fn count_leaf<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool>(
+    ///
+    /// The last level descends nowhere, yet `SPLIT` is passed on: each
+    /// monomorphisation then has one caller and is inlined into it. One
+    /// shared by both searches stayed out of line, with its leapfrog loop, and
+    /// slowed unsplit LDBC counts (`friend-triangle`, `common-likes`) by 3 %.
+    fn count_leaf<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool, const SPLIT: bool>(
         &mut self,
         depth: usize,
         (lower, upper): (Val, Val),
@@ -370,7 +467,7 @@ impl<'a> LftjExecutor<'a> {
             _ => match self.bitmap_pass(cursors, lower, upper) {
                 Some(found) => found,
                 None => {
-                    return self.leapfrog::<F, WATCHED, true>(
+                    return self.leapfrog::<F, WATCHED, true, SPLIT>(
                         depth,
                         (lower, upper),
                         cursors,
@@ -662,6 +759,110 @@ mod tests {
                 "far {far}"
             );
         }
+    }
+
+    /// The participants `new` takes out of the rotation, as `"b: edge(b,c)"`.
+    fn taken_out(bq: &BoundQuery) -> Vec<String> {
+        let exec = LftjExecutor::new(bq);
+        let name = |v: usize| bq.query.var_names[v].as_str();
+        let mut out = Vec::new();
+        for (pos, parts) in exec.contiguous.iter().enumerate() {
+            for part in parts {
+                let atom = &bq.query.atoms[bq.atoms[part.atom].atom_idx];
+                let vars: Vec<&str> = atom.vars.iter().map(|&v| name(v)).collect();
+                out.push(format!("{}: {}({})", name(bq.gao[pos]), atom.relation, vars.join(",")));
+            }
+        }
+        out
+    }
+
+    /// Checks that a whole-axis count reports the row path's counters, and returns them.
+    fn count_is_row_path(bq: &BoundQuery) -> Counters {
+        let all = Morsel::whole_axis();
+        let mut exec = LftjExecutor::new(bq);
+        let counted = exec.count_range_ctx(all.lo, all.hi, &ExecCtx::none());
+        let rows = run_all(bq, &mut |_| ControlFlow::Continue(()));
+        assert_eq!(counted, rows, "{}", bq.query.name);
+        counted
+    }
+
+    /// A random graph on 60 nodes in which every node has an edge, so the `edge`
+    /// trie's root is the ids `0..60`.
+    fn covered_graph() -> Graph {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 60u32;
+        let mut edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|_| rng.gen_bool(0.15))
+            .collect();
+        edges.extend((0..n).map(|a| (a, (a + 1) % n)));
+        Graph::new_undirected(n as usize, edges)
+    }
+
+    #[test]
+    fn contiguous_roots_after_the_first_position_leave_the_rotation() {
+        let inst = instance_with_samples(&covered_graph(), &[]);
+        let expected: [(CatalogQuery, &[&str]); 3] = [
+            (CatalogQuery::ThreeClique, &["b: edge(b,c)"]),
+            (CatalogQuery::FourClique, &["b: edge(b,c)", "b: edge(b,d)", "c: edge(c,d)"]),
+            (CatalogQuery::FourCycle, &["b: edge(b,c)", "c: edge(c,d)"]),
+        ];
+        for (cq, out) in expected {
+            let q = cq.query();
+            let gao = (0..q.num_vars()).collect();
+            let bq = BoundQuery::new(&inst, &q, Some(gao)).unwrap();
+            assert_eq!(
+                bq.atoms[0].index.first_level_values(),
+                (0..60).collect::<Vec<Val>>(),
+                "the root is contiguous"
+            );
+            // Position 0 opens the same contiguous root, but stays whole.
+            assert_eq!(taken_out(&bq), out, "{}", q.name);
+            let stats = count_is_row_path(&bq);
+            assert_eq!(stats.results, naive_join(&inst, &q).len() as u64, "{}", q.name);
+        }
+    }
+
+    #[test]
+    fn a_root_with_a_hole_stays_in_the_rotation() {
+        // Node 2 has no edge: the root `{0, 1, 3, 4}` spans five ids.
+        let g = Graph::new_undirected(5, vec![(0, 1), (1, 3), (0, 3), (3, 4), (1, 4)]);
+        let inst = instance_with_samples(&g, &[]);
+        for cq in [CatalogQuery::ThreeClique, CatalogQuery::FourClique, CatalogQuery::FourCycle] {
+            let q = cq.query();
+            let bq = BoundQuery::new(&inst, &q, None).unwrap();
+            assert_eq!(taken_out(&bq), Vec::<String>::new(), "{}", q.name);
+            let stats = count_is_row_path(&bq);
+            assert_eq!(stats.results, naive_join(&inst, &q).len() as u64, "{}", q.name);
+        }
+    }
+
+    /// At `b`, both `q` and `r` open a contiguous root: `q` stays in the rotation
+    /// and `r` clips it to `[7, 10)`.
+    #[test]
+    fn a_position_of_contiguous_roots_only_keeps_one() {
+        let mut inst = Instance::new();
+        inst.add_relation("p", Relation::from_values(0..3));
+        inst.add_relation("q", Relation::from_values(5..10));
+        inst.add_relation("r", Relation::from_values(7..13));
+        let q = QueryBuilder::new("cross")
+            .atom("p", &["a"])
+            .atom("q", &["b"])
+            .atom("r", &["b"])
+            .build();
+        let bq = BoundQuery::new(&inst, &q, Some(vec![0, 1])).unwrap();
+        assert_eq!(taken_out(&bq), ["b: r(b)"]);
+        let mut rows = Vec::new();
+        let stats = run_all(&bq, &mut |b| {
+            rows.push(b.to_vec());
+            ControlFlow::Continue(())
+        });
+        let expected: Vec<Vec<Val>> =
+            (0..3).flat_map(|a| (7..10).map(move |b| vec![a, b])).collect();
+        assert_eq!(rows, expected);
+        assert_eq!((stats.results, stats.bindings_explored), (9, 12));
+        assert_eq!(count_is_row_path(&bq), stats);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! Each level's intersection is one leapfrog loop over a cursor per atom: the
 //! atom's open trie level as a slice plus a position (a delta-carrying index is
 //! read through its fold, so every level is a slice). A warm search allocates
-//! nothing. [`LeapfrogJoin`] keeps the classic iterator-vector presentation.
+//! nothing. A participant whose atom's root level, opened after the first GAO
+//! position, is a run of consecutive integers (`last - first + 1 == len`) leaves
+//! the rotation: it clips the bounds, and the descent finds its position by
+//! subtraction (see [`executor`]). [`LeapfrogJoin`] keeps the classic
+//! iterator-vector presentation.
 //!
 //! The public entry points are [`LftjExecutor`], [`count`] and [`enumerate`]; all of
 //! them consume a [`BoundQuery`](gj_query::BoundQuery) (query + GAO + GAO-consistent

@@ -18,8 +18,10 @@
 //! Per-worker state mirrors Minesweeper's `MsWorker` pattern: each worker thread
 //! builds **one** [`LftjExecutor`] and carries it
 //! across every morsel it claims — the trie iterators, per-depth cursor buffers,
-//! filter tables and last-level bitmaps (at most one word per cached value) are
-//! reused instead of being rebuilt per job — plus the variable-order scratch row.
+//! filter tables, the split of contiguous root levels out of the leapfrog
+//! rotation (fixed at construction: the indexes do not change) and last-level
+//! bitmaps (at most one word per cached value) are reused instead of being
+//! rebuilt per job — plus the variable-order scratch row.
 //! An ablation test below checks that the reused executor is behaviourally
 //! identical (same rows, same per-morsel result and exploration counts) to
 //! building a fresh executor per morsel.

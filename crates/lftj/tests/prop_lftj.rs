@@ -1,6 +1,8 @@
 //! Property-based tests: LeapFrog TrieJoin must agree with the naive reference join
 //! on random graphs for every catalog query, under any legal GAO, its output size
 //! must respect the AGM bound, and its count must report the row path's counters.
+//! A graph whose trie roots are contiguous id ranges must behave exactly as the
+//! same graph relabelled with gaps, where no participant leaves the rotation.
 
 use gj_lftj::{count, enumerate, LftjExecutor};
 use gj_query::{agm_bound, naive_join, BoundQuery, CatalogQuery, Instance};
@@ -137,6 +139,117 @@ fn shuffled_morsels(values: &[Val], rng: &mut StdRng) -> Vec<Morsel> {
     morsels
 }
 
+/// The edit a [`contiguous_case`] applies on top of its covered graph.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// None: every root is contiguous.
+    None,
+    /// The solid graph without a middle node's edges: a root with one hole.
+    SolidHole,
+    /// A delta batch deleting every edge of a middle node, opening a hole.
+    DeltaHole,
+    /// A delta batch inserting a node at `first + len`, extending the range.
+    DeltaExtend,
+}
+
+/// A graph on `n` nodes in which every node has an edge, an [`Edit`] of it, the
+/// offset of its contiguous labelling (node `i` is `i + offset`; `0`, `-13`, just
+/// above `i64::MIN` or just below `i64::MAX`) and a seed for samples and morsels.
+fn contiguous_case() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, Edit, u8, u64)> {
+    let edits = [Edit::None, Edit::SolidHole, Edit::DeltaHole, Edit::DeltaExtend];
+    (
+        3usize..20,
+        prop::collection::vec((0u32..20, 0u32..20), 0..100),
+        0usize..4,
+        0u8..4,
+        0u64..1 << 32,
+    )
+        .prop_map(move |(n, raw, edit, offset, seed)| {
+            let edit = edits[edit];
+            let mut edges: Vec<(u32, u32)> =
+                raw.into_iter().filter(|&(a, b)| (a as usize) < n && (b as usize) < n).collect();
+            edges.extend((0..n as u32).map(|i| (i, (i + 1) % n as u32)));
+            (n, edges, edit, offset, seed)
+        })
+}
+
+/// One labelling of a [`contiguous_case`]: node `i` is `scale * i + offset`.
+#[derive(Debug, Clone, Copy)]
+struct Labelling {
+    scale: Val,
+    offset: Val,
+}
+
+impl Labelling {
+    fn of(&self, i: Val) -> Val {
+        self.scale * i + self.offset
+    }
+
+    /// The node index of a labelled value.
+    fn index(&self, v: Val) -> Val {
+        v.wrapping_sub(self.offset) / self.scale
+    }
+
+    /// A morsel bound over node indexes: the infinities stay, node `i` is labelled.
+    fn bound(&self, i: Val) -> Val {
+        if i == NEG_INF || i == POS_INF {
+            i
+        } else {
+            self.of(i)
+        }
+    }
+
+    fn edges(&self, edges: &[(Val, Val)]) -> Relation {
+        Relation::from_pairs(edges.iter().flat_map(|&(a, b)| {
+            let (a, b) = (self.of(a), self.of(b));
+            [(a, b), (b, a)]
+        }))
+    }
+
+    fn nodes(&self, nodes: &[Val]) -> Relation {
+        Relation::from_values(nodes.iter().map(|&i| self.of(i)))
+    }
+}
+
+/// Whether a trie root level is a run of consecutive integers.
+fn is_contiguous(root: &[Val]) -> bool {
+    root.last().is_some_and(|&last| last.abs_diff(root[0]) == root.len() as u64 - 1)
+}
+
+/// A [`contiguous_case`]'s edges by node index: the graph, and the edit's
+/// inserted and deleted edges.
+struct EditedGraph {
+    base: Vec<(Val, Val)>,
+    ins: Vec<(Val, Val)>,
+    del: Vec<(Val, Val)>,
+}
+
+/// Builds `q` over `graph` in `label`, with the edit applied as a delta layer on
+/// every `edge` index (`delta`) or to the solid relation.
+fn bind_labelled(
+    q: &gj_query::Query,
+    label: Labelling,
+    graph: &EditedGraph,
+    samples: &[Vec<Val>],
+    delta: bool,
+    gao: Option<Vec<usize>>,
+) -> BoundQuery {
+    let (base, ins, del) =
+        (label.edges(&graph.base), label.edges(&graph.ins), label.edges(&graph.del));
+    let mut inst = Instance::new();
+    inst.add_relation("edge", if delta { base } else { base.with_edits(&ins, &del) });
+    for (name, sample) in ["v1", "v2", "v3", "v4"].into_iter().zip(samples) {
+        inst.add_relation(name, label.nodes(sample));
+    }
+    let mut bq = BoundQuery::new(&inst, q, gao).unwrap();
+    if delta {
+        for atom in bq.atoms.iter_mut().filter(|a| q.atoms[a.atom_idx].relation == "edge") {
+            atom.index = Arc::new(atom.index.with_edits(&ins, &del));
+        }
+    }
+    bq
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -166,6 +279,103 @@ proptest! {
                 total.merge(counted);
             }
             prop_assert_eq!(total, emission(&bq).1, "{}", q.name);
+        }
+    }
+
+    /// Node `i` labelled `i + c` (contiguous roots, so participants leave the
+    /// rotation) against `2i + c'` (no contiguous root): one executor per
+    /// labelling counts and runs every morsel, in one shuffled order, and both
+    /// labellings report the same counters and the same rows, in order.
+    #[test]
+    fn contiguous_roots_agree_with_a_relabelling_that_has_none(
+        (n, edges, edit, offset, seed) in contiguous_case(),
+    ) {
+        let n = n as Val;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges: Vec<(Val, Val)> = edges.iter().map(|&(a, b)| (a as Val, b as Val)).collect();
+        let middle = rng.gen_range(1..n - 1);
+        let mut graph = EditedGraph { base: edges, ins: vec![], del: vec![] };
+        match edit {
+            Edit::None => {}
+            Edit::SolidHole | Edit::DeltaHole => {
+                let touches = |&(a, b): &(Val, Val)| a == middle || b == middle;
+                graph.del = graph.base.iter().copied().filter(touches).collect();
+            }
+            Edit::DeltaExtend => graph.ins = vec![(n, middle), (n, 0)],
+        }
+        let delta = matches!(edit, Edit::DeltaHole | Edit::DeltaExtend);
+        let nodes = if matches!(edit, Edit::DeltaExtend) { n + 1 } else { n };
+        // Every sample holds two nodes at least, so none is contiguous in `2i + c'`.
+        // Half are a run of nodes, which a taken-out participant must clip to.
+        let samples: Vec<Vec<Val>> = (0..4)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    let first = rng.gen_range(0..nodes - 1);
+                    return (first..=rng.gen_range(first + 1..nodes)).collect();
+                }
+                let mut s: Vec<Val> = (0..nodes).filter(|_| rng.gen_bool(0.5)).collect();
+                s.extend([0, nodes - 1]);
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        let (contiguous, spread) = match offset {
+            0 => (Labelling { scale: 1, offset: 0 }, Labelling { scale: 2, offset: 0 }),
+            1 => (Labelling { scale: 1, offset: -13 }, Labelling { scale: 2, offset: 5 }),
+            2 => (
+                Labelling { scale: 1, offset: NEG_INF + 1 },
+                Labelling { scale: 2, offset: NEG_INF + 1 },
+            ),
+            _ => (
+                Labelling { scale: 1, offset: POS_INF - nodes },
+                Labelling { scale: 2, offset: POS_INF - 2 * nodes + 1 },
+            ),
+        };
+        let indexes: Vec<Val> = (0..nodes).collect();
+        let morsels = shuffled_morsels(&indexes, &mut rng);
+        for cq in CatalogQuery::all() {
+            let q = cq.query();
+            let a = bind_labelled(&q, contiguous, &graph, &samples, delta, None);
+            let b = bind_labelled(&q, spread, &graph, &samples, false, Some(a.gao.clone()));
+            let edge_root = a.atoms.iter().find(|x| q.atoms[x.atom_idx].relation == "edge");
+            let holed = matches!(edit, Edit::SolidHole | Edit::DeltaHole);
+            prop_assert_eq!(
+                is_contiguous(edge_root.unwrap().index.first_level_values()),
+                !holed,
+                "{}: the edge root is contiguous unless a node lost its edges",
+                q.name
+            );
+            let oracle_roots = b.atoms.iter().map(|x| x.index.first_level_values());
+            prop_assert!(
+                !oracle_roots.into_iter().any(is_contiguous),
+                "{}: the oracle has a contiguous root",
+                q.name
+            );
+            let (mut ea, mut eb) = (LftjExecutor::new(&a), LftjExecutor::new(&b));
+            for &Morsel { lo, hi } in &morsels {
+                let m = |label: Labelling| (label.bound(lo), label.bound(hi));
+                let ((alo, ahi), (blo, bhi)) = (m(contiguous), m(spread));
+                let counts = (
+                    ea.count_range_ctx(alo, ahi, &ExecCtx::none()),
+                    eb.count_range_ctx(blo, bhi, &ExecCtx::none()),
+                );
+                let (mut rows_a, mut rows_b) = (Vec::new(), Vec::new());
+                let runs = (
+                    ea.run_range_ctx(alo, ahi, &ExecCtx::none(), &mut |r| {
+                        rows_a.push(r.iter().map(|&v| contiguous.index(v)).collect::<Vec<_>>());
+                        ControlFlow::Continue(())
+                    }),
+                    eb.run_range_ctx(blo, bhi, &ExecCtx::none(), &mut |r| {
+                        rows_b.push(r.iter().map(|&v| spread.index(v)).collect::<Vec<_>>());
+                        ControlFlow::Continue(())
+                    }),
+                );
+                prop_assert_eq!(counts.0, runs.0, "{} morsel {:?}: count", q.name, (lo, hi));
+                prop_assert_eq!(counts.1, runs.1, "{} morsel {:?}: oracle count", q.name, (lo, hi));
+                prop_assert_eq!(runs.0, runs.1, "{} morsel {:?}: counters", q.name, (lo, hi));
+                prop_assert_eq!(rows_a, rows_b, "{} morsel {:?}: rows", q.name, (lo, hi));
+            }
         }
     }
 
