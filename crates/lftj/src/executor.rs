@@ -150,13 +150,8 @@ impl Contiguous {
     /// The atom's root level as a [`Contiguous`] participant if it is exactly a
     /// run of consecutive integers.
     fn root_of(bq: &BoundQuery, atom: usize) -> Option<Self> {
-        let root = bq.atoms[atom].index.first_level_values();
-        let (&first, &last) = (root.first()?, root.last()?);
-        (last.abs_diff(first) == root.len() as u64 - 1).then_some(Contiguous {
-            atom,
-            first,
-            end: last.saturating_add(1),
-        })
+        let (first, last) = bq.atoms[atom].index.contiguous_root()?;
+        Some(Contiguous { atom, first, end: last.saturating_add(1) })
     }
 }
 

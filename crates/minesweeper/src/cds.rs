@@ -16,7 +16,8 @@
 //!
 //! A third, [`Cds::complete_run_len`], is Idea 8's count: how many outputs share the
 //! first `n - 1` values of the free tuple just returned, read off a complete
-//! last-level node instead of enumerated.
+//! last-level node instead of enumerated, and kept by that node until its range or
+//! chain changes.
 //!
 //! Three deliberate deviations from the pseudocode:
 //!
@@ -83,6 +84,9 @@ pub struct Cds {
     /// Parent link and incoming edge label of each node (`None` label = wildcard
     /// edge). The root's entry is unused.
     parents: Vec<(NodeId, Option<Val>)>,
+    /// Per node: the last run [`Cds::complete_run_len`] counted with it as the
+    /// bottom node.
+    run_memos: Vec<RunMemo>,
     /// The moving frontier (Idea 2).
     frontier: Vec<Val>,
     /// Whether `getFreeValue` may cache intervals into the bottom node (Idea 5).
@@ -117,6 +121,18 @@ pub struct Cds {
     pub stats: Counters,
 }
 
+/// The run [`Cds::complete_run_len`] counted from one bottom node, with what it
+/// was counted from: the range of last values and the chain, each node with its
+/// [`version`](Node::version) at the time.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct RunMemo {
+    from: Val,
+    upper: Val,
+    /// The chain, bottom node first; empty when nothing is memoised.
+    chain: Vec<(NodeId, u64)>,
+    run: u64,
+}
+
 /// Result of a `getFreeValue` call.
 struct FreeValue {
     /// The value found (may be `POS_INF` when backtracking).
@@ -141,6 +157,7 @@ impl Cds {
             nodes: vec![Node::new()],
             live: 1,
             parents: vec![(0, None)],
+            run_memos: vec![RunMemo::default()],
             frontier: vec![-1; n],
             caching,
             complete_nodes: complete_nodes && caching,
@@ -198,6 +215,7 @@ impl Cds {
     /// a fresh CDS allocation per job.
     pub fn reset(&mut self) {
         self.nodes[0].clear();
+        self.run_memos[0].chain.clear();
         self.live = 1;
         self.frontier.iter_mut().for_each(|v| *v = -1);
         self.resume = 0;
@@ -229,9 +247,11 @@ impl Cds {
             // Recycle an arena slot left over from before the last reset.
             self.nodes[id].clear();
             self.parents[id] = (parent, label);
+            self.run_memos[id].chain.clear();
         } else {
             self.nodes.push(Node::new());
             self.parents.push((parent, label));
+            self.run_memos.push(RunMemo::default());
         }
         self.live = id + 1;
         id
@@ -377,7 +397,12 @@ impl Cds {
     /// the frontier moves; returns `None` otherwise. The caller's escape past the
     /// run leaves completeness sound: it skips values at the last level only under
     /// this (already complete) bottom node, exactly as its wrap would.
-    pub fn complete_run_len(&self, pins: u32, upper: Val) -> Option<u64> {
+    ///
+    /// The run depends on the bottom node's free points, the rest of the chain's
+    /// intervals and the range alone, so the bottom node keeps its last answer and
+    /// gives it again while the range, the chain and every chain node's
+    /// [`version`](Node::version) are the same.
+    pub fn complete_run_len(&mut self, pins: u32, upper: Val) -> Option<u64> {
         let last = self.n - 1;
         if !self.complete_nodes || self.resume != last {
             return None;
@@ -387,15 +412,26 @@ impl Cds {
         if spec != pins || !self.nodes[bottom].is_complete() {
             return None;
         }
-        // The bottom node's free points lie outside its own intervals, and active
-        // nodes outside the chain have none: only the rest of the chain can rule a
-        // point out.
-        let run = self.nodes[bottom]
-            .free_points_in(self.frontier[last], upper)
-            .iter()
-            .filter(|&&y| above.iter().all(|&(id, _)| self.nodes[id].next(y) == y))
-            .count();
-        Some(run as u64)
+        let (from, nodes, memo) = (self.frontier[last], &self.nodes, &mut self.run_memos[bottom]);
+        let unchanged = (memo.from, memo.upper) == (from, upper)
+            && memo.chain.len() == self.chain.len()
+            && memo.chain.iter().zip(&self.chain).all(|(&(id, version), &(chain_id, _))| {
+                id == chain_id && nodes[id].version() == version
+            });
+        if !unchanged {
+            // The bottom node's free points lie outside its own intervals, and
+            // active nodes outside the chain have none: only the rest of the chain
+            // can rule a point out.
+            let run = nodes[bottom]
+                .free_points_in(from, upper)
+                .iter()
+                .filter(|&&y| above.iter().all(|&(id, _)| nodes[id].next(y) == y))
+                .count();
+            (memo.from, memo.upper, memo.run) = (from, upper, run as u64);
+            memo.chain.clear();
+            memo.chain.extend(self.chain.iter().map(|&(id, _)| (id, nodes[id].version())));
+        }
+        Some(memo.run)
     }
 
     /// `getFreeValue(x, G)` (Algorithm 5): the smallest value `>= x` not covered by
@@ -659,10 +695,12 @@ mod tests {
     /// Drives the engine's loop by hand over `R(a), T(b, c), S(c)` in GAO order
     /// `a, b, c` (random data, so the atoms containing `c` pin `b` only): every
     /// output asks [`Cds::complete_run_len`] for its run, and a counted run must
-    /// equal the run listed from the data. A sparse `S` lets `S`'s node `<*, *>`
-    /// complete under a `b` whose `T(b, ·)` holds all of `S`; counting from it
-    /// under another `b` would over-count. Returns the runs counted at once.
-    fn runs_counted_from_complete_nodes(seed: u64) -> u64 {
+    /// equal the run listed from the data and the run a twin with no memoised
+    /// runs counts. A sparse `S` lets `S`'s node `<*, *>` complete under a `b`
+    /// whose `T(b, ·)` holds all of `S`; counting from it under another `b` would
+    /// over-count. Returns the runs counted at once and how many of them the
+    /// bottom node's memo answered.
+    fn runs_counted_from_complete_nodes(seed: u64) -> (u64, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let r: Vec<Val> = (0..6).filter(|_| rng.gen_bool(0.8)).collect();
         let t_rows: Vec<(Val, Val)> = (0..6)
@@ -683,7 +721,7 @@ mod tests {
         };
 
         let mut cds = Cds::new(3, true, true).with_domain_max(12);
-        let (mut outputs, mut batched) = (0, 0);
+        let (mut outputs, mut batched, mut memo_hits) = (0, 0, 0);
         while cds.compute_free_tuple() {
             let t = cds.frontier().to_vec();
             let (a, b, v) = (t[0], t[1], t[2]);
@@ -701,7 +739,21 @@ mod tests {
             }
             let mut next = vec![a, b, v + 1];
             if gaps.is_empty() {
-                match cds.complete_run_len(1, POS_INF) {
+                let mut twin = cds.clone();
+                twin.run_memos.iter_mut().for_each(|memo| memo.chain.clear());
+                let bottom = cds.chain.first().map_or(0, |&(id, _)| id);
+                let before = cds.run_memos[bottom].clone();
+                let counted = cds.complete_run_len(1, POS_INF);
+                assert_eq!(
+                    counted,
+                    twin.complete_run_len(1, POS_INF),
+                    "seed {seed}: memo of {t:?}"
+                );
+                if counted.is_some() && !before.chain.is_empty() && before == cds.run_memos[bottom]
+                {
+                    memo_hits += 1;
+                }
+                match counted {
                     Some(run) => {
                         assert_eq!(run, run_in_data(b, v), "seed {seed}: run of {t:?}");
                         outputs += run;
@@ -716,13 +768,49 @@ mod tests {
         }
         let expected = r.len() as u64 * t_bs.iter().map(|&b| run_in_data(b, -1)).sum::<u64>();
         assert_eq!(outputs, expected, "seed {seed}");
-        batched
+        (batched, memo_hits)
     }
 
     #[test]
     fn complete_run_len_equals_the_run_listed_from_the_data() {
-        let batched: u64 = (0..64).map(runs_counted_from_complete_nodes).sum();
+        let (batched, memo_hits) = (0..64)
+            .map(runs_counted_from_complete_nodes)
+            .fold((0, 0), |(a, b), (batched, hits)| (a + batched, b + hits));
         assert!(batched > 0, "no run was counted from a complete node");
+        assert!(memo_hits > 0, "no run was answered by a memo");
+    }
+
+    /// `<*, 1>` completes over `a = 0` and `a = 1` with free points 3 and 6; under
+    /// `a = 2` it counts the run `{3, 6}`, and the same question again is answered
+    /// by its memo. A gap inserted into `<*, *>` around 6 leaves the range and the
+    /// chain as they were, so only the chain's versions tell the memo is stale.
+    #[test]
+    fn a_memoised_run_is_recounted_when_the_chain_changes() {
+        let mut cds = Cds::new(3, true, true).with_domain_max(10);
+        cds.insert_constraint(&c(vec![], (NEG_INF, 0)));
+        cds.insert_constraint(&c(vec![Wildcard], (NEG_INF, 1)));
+        cds.insert_constraint(&c(vec![Wildcard], (1, POS_INF)));
+        for gap in [(NEG_INF, 3), (3, 6), (6, POS_INF)] {
+            cds.insert_constraint(&c(vec![Wildcard, Eq(1)], gap));
+        }
+        cds.insert_constraint(&c(vec![Wildcard, Wildcard], (7, 9)));
+        let mut outputs = Vec::new();
+        while cds.compute_free_tuple() && cds.frontier()[0] < 2 {
+            let t = cds.frontier().to_vec();
+            outputs.push(t.clone());
+            cds.set_frontier(&[t[0], t[1], t[2] + 1]);
+        }
+        assert_eq!(outputs, [[0, 1, 3], [0, 1, 6], [1, 1, 3], [1, 1, 6]]);
+        assert_eq!(cds.frontier(), &[2, 1, 3]);
+        let bottom = cds.find_node(&[Wildcard, Eq(1)]).unwrap();
+        assert!(cds.node(bottom).is_complete());
+        assert_eq!(cds.complete_run_len(1, POS_INF), Some(2));
+        assert_eq!(cds.complete_run_len(1, POS_INF), Some(2), "the memo's answer");
+
+        cds.insert_constraint(&c(vec![Wildcard, Wildcard], (5, 7)));
+        assert!(cds.compute_free_tuple());
+        assert_eq!(cds.frontier(), &[2, 1, 3]);
+        assert_eq!(cds.complete_run_len(1, POS_INF), Some(1), "6 is covered now");
     }
 
     #[test]

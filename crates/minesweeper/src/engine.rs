@@ -183,6 +183,11 @@ impl MinesweeperExecutor {
         &self.skeleton
     }
 
+    /// The constraint store as the last run left it (for tests and diagnostics).
+    pub fn cds(&self) -> &Cds {
+        &self.cds
+    }
+
     /// The constraint-inserting atoms must form a β-acyclic (forest) subquery for
     /// which the GAO is a nested elimination order; only then is it sound to cache
     /// chain-walk results into the bottom node (Proposition 4.2).

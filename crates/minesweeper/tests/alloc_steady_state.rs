@@ -3,9 +3,9 @@
 //! `advance` buffers and Idea 8's run-counting buffers, the CDS refills its own
 //! active-set stack and chain scratch, each prober owns its trie cursor, and a probe
 //! lends its gap out of the prober's memo, so on a *second* run over one
-//! executor — node arena, point lists and memo buffers already grown — the only
-//! allocations left are the ones a CDS insert can cause. The bound is therefore a
-//! multiple of `constraints_inserted`, never of `iterations`.
+//! executor — node arena, point lists, child tables and memo buffers already grown —
+//! the only allocations left are the ones a CDS insert can cause. The bound is
+//! therefore a multiple of `constraints_inserted`, never of `iterations`.
 
 use gj_minesweeper::{MinesweeperExecutor, MsConfig};
 use gj_query::{BoundQuery, CatalogQuery, Instance};
@@ -29,9 +29,16 @@ fn sampled_instance(seed: u64, n: u32, p: f64) -> Instance {
     inst
 }
 
-/// Runs 3-path twice on one executor and returns the second run's statistics with
-/// the allocations it made.
-fn warm_run(config: MsConfig) -> (Counters, u64) {
+/// The second of two 3-path runs on one executor.
+struct WarmRun {
+    stats: Counters,
+    allocations: u64,
+    /// The most children a label-indexed node of the run's CDS holds (0: none is).
+    widest_table: usize,
+}
+
+/// Runs 3-path twice on one executor and returns the second run.
+fn warm_run(config: MsConfig) -> WarmRun {
     let inst = sampled_instance(7, 120, 0.05);
     let query = CatalogQuery::ThreePath.query();
     let bq = BoundQuery::new(&inst, &query, None).unwrap();
@@ -42,25 +49,38 @@ fn warm_run(config: MsConfig) -> (Counters, u64) {
     };
 
     let cold = run();
-    let (warm, allocations) = counting_alloc::allocations_during(run);
-    assert_eq!(warm, cold, "a re-run on one executor repeats the first run exactly");
-    (warm, allocations)
+    let (stats, allocations) = counting_alloc::allocations_during(&mut run);
+    assert_eq!(stats, cold, "a re-run on one executor repeats the first run exactly");
+    // A run starts by resetting the CDS, so every node it holds now was built by
+    // the warm run.
+    let cds = exec.cds();
+    let widest_table = (0..cds.num_nodes())
+        .map(|id| cds.node(id))
+        .filter(|node| node.is_label_indexed())
+        .map(|node| node.children().count())
+        .max()
+        .unwrap_or(0);
+    WarmRun { stats, allocations, widest_table }
 }
 
 /// Nothing per iteration; per inserted constraint at most a point-list growth and an
-/// arena growth; the constant covers per-run setup.
-fn assert_allocates_per_constraint((warm, allocations): (Counters, u64)) {
-    let bound = 2 * warm.constraints_inserted + 16;
+/// arena growth; the constant covers per-run setup. The warm run must have built
+/// label-indexed nodes (`Node::is_label_indexed`, read off the CDS it leaves), so a
+/// child table that grew per iteration would break the bound too.
+fn assert_allocates_per_constraint(warm: WarmRun) {
+    let WarmRun { stats, allocations, widest_table } = warm;
+    let bound = 2 * stats.constraints_inserted + 16;
     assert!(
-        bound < warm.iterations,
+        bound < stats.iterations,
         "vacuous: {} iterations cannot exceed the bound {bound}",
-        warm.iterations
+        stats.iterations
     );
+    assert!(widest_table > 1, "vacuous: no label-indexed node holds two children");
     assert!(
         allocations <= bound,
         "{allocations} allocations on a warm run of {} iterations / {} constraints (bound {bound})",
-        warm.iterations,
-        warm.constraints_inserted
+        stats.iterations,
+        stats.constraints_inserted
     );
 }
 
@@ -75,7 +95,7 @@ fn a_warm_executor_allocates_per_constraint_not_per_iteration() {
 /// per counted run, ≈ 9 400 allocations here, three times the bound.)
 #[test]
 fn batch_counting_allocates_per_constraint_not_per_counted_run() {
-    let (warm, allocations) = warm_run(MsConfig::default());
-    assert!(warm.batched_runs > 0, "vacuous: no run was counted from a complete node");
-    assert_allocates_per_constraint((warm, allocations));
+    let warm = warm_run(MsConfig::default());
+    assert!(warm.stats.batched_runs > 0, "vacuous: no run was counted from a complete node");
+    assert_allocates_per_constraint(warm);
 }

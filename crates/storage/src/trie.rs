@@ -151,6 +151,15 @@ impl TrieCore {
         (0, self.values.first().map_or(0, Vec::len))
     }
 
+    /// The root level's least and greatest values when the level holds every
+    /// integer between them. Values are sorted and distinct, so the test is
+    /// `last - first + 1 == len`.
+    fn contiguous_root(&self) -> Option<(Val, Val)> {
+        let root = self.values.first()?;
+        let (&first, &last) = (root.first()?, root.last()?);
+        (last.abs_diff(first) == root.len() as u64 - 1).then_some((first, last))
+    }
+
     fn children_range(&self, depth: usize, idx: usize) -> (usize, usize) {
         let cs = &self.child_start[depth];
         (cs[idx] as usize, cs[idx + 1] as usize)
@@ -470,6 +479,14 @@ impl TrieIndex {
         self.core().children_range(depth, idx)
     }
 
+    /// The root level's least and greatest values when it holds every integer
+    /// between them, checked in O(1) on the trie this index reads (the fold, over a
+    /// delta-carrying index). Such a level needs no search: a value's position is
+    /// its distance from the least one.
+    pub fn contiguous_root(&self) -> Option<(Val, Val)> {
+        self.core().contiguous_root()
+    }
+
     /// The raw child-offset array of level `d` (one entry per level-`d` value plus a
     /// closing sentinel). Parallel partitioning reads level 0's as the first-level
     /// keys' fanouts, and equivalence tests compare two builds structurally with it;
@@ -559,10 +576,11 @@ impl TrieIndex {
 
     /// The probe's one descent loop: searches level `d` for `t[d]` among the
     /// entries `prev.lo..prev.hi` (the children of the matched prefix `t[..d]`) and
-    /// goes down until a level misses or the leaf matches. `prev` is the last
-    /// search of that range: its value and the first entry `>=` it, from which a
-    /// larger `t[d]` is galloped to. Deeper levels are bisected. `visit` sees each
-    /// level's search.
+    /// goes down until a level misses or the leaf matches. A contiguous root level
+    /// ([`TrieIndex::contiguous_root`]) is not searched: the position is found by
+    /// subtraction. Otherwise `prev` is the last search of the range: its value and
+    /// the first entry `>=` it, from which a larger `t[d]` is galloped to. Deeper
+    /// levels are bisected. `visit` sees each level's search.
     fn descend(
         &self,
         t: &[Val],
@@ -577,7 +595,15 @@ impl TrieIndex {
         while d < core.arity {
             let value = t[d];
             let vals = &core.values[d][..hi];
-            let pos = if from > lo {
+            let root = if d == 0 { core.contiguous_root() } else { None };
+            let pos = if let Some((first, _)) = root {
+                // The root range is the whole level, `first` at position 0.
+                if value <= first {
+                    0
+                } else {
+                    value.abs_diff(first).min(hi as u64) as usize
+                }
+            } else if from > lo {
                 from + gallop(&vals[from..], value)
             } else {
                 lo + vals[lo..].partition_point(|&x| x < value)

@@ -4,8 +4,10 @@
 //! probe sequences Minesweeper issues, where the cursor gallops), the
 //! zero-materialization build must be structurally identical to a reference build
 //! of the projected rows, the row order behind that build must sort the projected
-//! rows, and the fold of an index that stacked edit batches must be structurally
-//! identical to the build of the live relation.
+//! rows, the fold of an index that stacked edit batches must be structurally
+//! identical to the build of the live relation, and a contiguous root level, which
+//! a probe positions by subtraction, must probe as the reference at either end of
+//! `i64` and after a fold opens a hole in it or extends it.
 
 use gj_storage::{ProbeResult, Relation, TrieIndex, Val, NEG_INF, POS_INF};
 use proptest::prelude::*;
@@ -220,6 +222,76 @@ proptest! {
                 prop_assert_eq!(idx.probe_with(t, &mut cursor), reference_probe(&reference, t), "probe {:?}", t);
             }
             cursor.reset();
+        }
+    }
+
+    /// Root levels that hold every integer of their span, which a probe positions
+    /// by subtraction, answer every probe as the linear-scan reference does,
+    /// stateless and through a cursor (in random and in increasing order), with
+    /// the run at 0, below 0, or at either end of the values a relation holds
+    /// (`NEG_INF + 1` and `POS_INF - 1`, next to `i64::MIN` and `i64::MAX`). So do
+    /// their folds after one edit batch that either deletes every row of one key,
+    /// which opens a hole when the key is inside the run, or inserts rows under the
+    /// key one past either end of the run, which extends it (unless that key is a
+    /// sentinel). Probed keys reach two past either end, sentinels included.
+    #[test]
+    fn contiguous_roots_probe_as_the_reference(
+        children in prop::collection::vec(prop::collection::vec(0i64..20, 1..4), 1..12),
+        shape in 0u64..4,
+        (kind, key, inserted) in (0u64..3, 0i64..12, prop::collection::vec(0i64..20, 1..3)),
+        probes in prop::collection::vec((0i64..16, 0i64..20), 1..40),
+    ) {
+        let len = children.len() as i64;
+        let first = match shape {
+            0 => 0,
+            1 => -7,
+            2 => NEG_INF + 1,
+            _ => POS_INF - len,
+        };
+        let last = first + (len - 1);
+        let rows: Vec<Vec<Val>> = children
+            .iter()
+            .zip(first..=last)
+            .flat_map(|(cs, k)| cs.iter().map(move |&c| vec![k, c]))
+            .collect();
+        let rel = Relation::from_rows(2, rows.clone());
+        let solid = TrieIndex::build_natural(&rel);
+        prop_assert_eq!(solid.contiguous_root(), Some((first, last)));
+
+        let under = |k: Val| match k {
+            NEG_INF | POS_INF => vec![],
+            k => inserted.iter().map(|&c| vec![k, c]).collect(),
+        };
+        let (ins, del): (Vec<Vec<Val>>, Vec<Vec<Val>>) = match kind {
+            0 => (vec![], rows.iter().filter(|r| r[0] == first + key % len).cloned().collect()),
+            1 => (under(last + 1), vec![]),
+            _ => (under(first - 1), vec![]),
+        };
+        let mut live: BTreeSet<Vec<Val>> = rows.iter().cloned().collect();
+        live.retain(|r| !del.contains(r));
+        live.extend(ins.iter().cloned());
+        let live: Vec<Vec<Val>> = live.into_iter().collect();
+        let edited = solid.with_edits(&Relation::from_rows(2, ins), &Relation::from_rows(2, del));
+        let keys: BTreeSet<Val> = live.iter().map(|r| r[0]).collect();
+        let expected = match (keys.first(), keys.last()) {
+            (Some(&lo), Some(&hi)) if hi.abs_diff(lo) == keys.len() as u64 - 1 => Some((lo, hi)),
+            _ => None,
+        };
+        prop_assert_eq!(edited.contiguous_root(), expected);
+
+        let mut sorted = probes.clone();
+        sorted.sort_unstable();
+        for (idx, reference) in [(&solid, &rows), (&edited, &live)] {
+            let mut cursor = idx.probe_cursor();
+            for order in [&probes, &sorted] {
+                for &(at, c) in order {
+                    let t = [first.saturating_add(at - 2), c];
+                    let want = reference_probe(reference, &t);
+                    prop_assert_eq!(idx.probe(&t), want, "probe {:?}", t);
+                    prop_assert_eq!(idx.probe_with(&t, &mut cursor), want, "cursor probe {:?}", t);
+                }
+                cursor.reset();
+            }
         }
     }
 
