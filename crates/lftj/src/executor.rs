@@ -17,21 +17,31 @@
 //! and stops at their upper bound; at the root, the morsel range bounds it the same
 //! way.
 //!
-//! A count ([`LftjExecutor::count_range_ctx`]) counts the last GAO level without
-//! visiting each match. With one participant the count is the size of its range
-//! inside the bounds (two searches). With several, a participant whose level is
-//! the same slice as in the previous search at this position — `N(a)` under every
-//! `(b, c)` of a 4-cycle — gets a bitmap over its values' `[min, max]` on that
-//! second consecutive use, kept for the rest of the streak, if the span needs no
-//! more 64-bit words than the level has values (so a bitmap costs at most one word
-//! per cached value). Every participant here is at its atom's last trie level, so
-//! membership is all the count needs. The level is then counted in one pass over
-//! the participant without a bitmap (the shortest, if all have one), between the
-//! bounds and inside every bitmap's `[min, max]`, testing each value against every
-//! bitmap. When two participants lack a bitmap, or the pass would be longer than a
-//! bitmapped level, the leapfrog loop counts instead, without emitting. The
-//! counters are the row path's exactly, and a watched count ticks each level's
-//! count at once.
+//! A count ([`LftjExecutor::count_range_ctx`]) does not visit what one atom
+//! decides. The *tail* is the longest GAO suffix in which each position has
+//! exactly one participating atom, and each order filter at a tail position sits
+//! on its atom's first tail level and compares with a position before the tail
+//! (`d1 b d2` of `common-likes`). The tail atoms are independent under a tail-start
+//! prefix: each one's first tail level is its range inside the bounds (two
+//! searches), and each deeper level is `[child_offsets[s], child_offsets[e])` of
+//! the range above, O(1). A tail position explores the product of the range sizes
+//! of the atoms it has reached, and the last one's product is the results.
+//!
+//! Bitmaps replace searches of a slice that repeats. A participant at its atom's
+//! last trie level whose slice `(pos, end)` is the one it had in the previous
+//! search at its position — `N(a)` under every `(b, c)` of a 4-cycle — gets a
+//! bitmap over its values' `[min, max]`, kept for the rest of the streak. The
+//! streak's `k`-th use, from the second on, builds it once its 64-bit words are
+//! no more than `k` times the slice's values, and never past the entry count of
+//! the trie level. A last position of several participants is then counted in
+//! one scan of the participant without a bitmap (the shortest, if all have one),
+//! between the bounds and inside every bitmap's `[min, max]`, testing each value
+//! against every bitmap. An inner position of two participants, one with a bitmap,
+//! is walked the same way, by the row path too, descending past each value the
+//! bitmap holds in ascending order. When two participants lack a bitmap, or the
+//! scan would be longer than a bitmapped slice, the leapfrog loop runs instead.
+//! The counters are the row path's exactly, and a watched count ticks each tail's
+//! or last level's count at once.
 //!
 //! A participant that opens its atom's root level at a GAO position after the
 //! first, where that level is exactly the integers `[first, first + len)` (sorted
@@ -54,12 +64,14 @@ use gj_runtime::{Counters, ExecCtx, ExecWatch, Morsel};
 use gj_storage::{TrieIterator, Val, NEG_INF, POS_INF};
 use std::ops::ControlFlow;
 
-/// A membership bitmap of one participant of the last GAO position, tracking the
-/// slice that participant searched last.
+/// A membership bitmap of one participant at its atom's last trie level,
+/// tracking the slice that participant searched last at its GAO position.
 #[derive(Debug, Default)]
-struct LeafBitmap {
+struct SliceBitmap {
     /// The previous search's slice at this position, as `(pos, end)` of the level.
     slice: (usize, usize),
+    /// Consecutive searches of `slice` so far: the streak.
+    uses: u64,
     /// Whether `words` holds the bitmap of `slice`.
     ready: bool,
     /// The slice's least and greatest values; bit 0 stands for `min`.
@@ -67,25 +79,46 @@ struct LeafBitmap {
     max: Val,
     /// Bit `v - min` is set for every value `v` of the slice.
     words: Vec<u64>,
+    /// The most words a bitmap may hold: the entry count of the participant's
+    /// trie level. Zero for a participant that is not at its atom's last level.
+    max_words: u64,
 }
 
-impl LeafBitmap {
-    /// Builds the bitmap of the sorted, non-empty `values`; `false` (and no bitmap)
-    /// when their span needs more 64-bit words than there are values.
-    fn build(&mut self, values: &[Val]) -> bool {
-        let (min, max) = (values[0], values[values.len() - 1]);
-        let words = max.abs_diff(min) / 64 + 1;
-        if words > values.len() as u64 {
-            return false;
+impl SliceBitmap {
+    fn new(max_words: u64) -> Self {
+        SliceBitmap { max_words, ..SliceBitmap::default() }
+    }
+
+    /// Notes one more search of the non-empty slice `level[pos..]` and returns
+    /// whether its bitmap is ready. A new slice starts a streak and drops the
+    /// bitmap (its words keep their capacity). The streak's `k`-th use, from the
+    /// second on, builds the bitmap once its words are no more than `k` times the
+    /// slice's values (the searches it replaces pay for it), and no more than
+    /// `max_words`.
+    fn refresh(&mut self, level: &[Val], pos: usize) -> bool {
+        let slice = (pos, level.len());
+        if self.slice != slice {
+            (self.slice, self.uses, self.ready) = (slice, 1, false);
+        } else if !self.ready {
+            self.uses += 1;
+            let values = &level[pos..];
+            let (min, max) = (values[0], values[values.len() - 1]);
+            let words = max.abs_diff(min) / 64 + 1;
+            if words <= self.uses.saturating_mul(values.len() as u64) && words <= self.max_words {
+                self.build(values, min, max, words as usize);
+            }
         }
-        (self.min, self.max) = (min, max);
+        self.ready
+    }
+
+    fn build(&mut self, values: &[Val], min: Val, max: Val, words: usize) {
+        (self.min, self.max, self.ready) = (min, max, true);
         self.words.clear();
-        self.words.resize(words as usize, 0);
+        self.words.resize(words, 0);
         for &v in values {
             let bit = v.abs_diff(min);
             self.words[(bit / 64) as usize] |= 1 << (bit % 64);
         }
-        true
     }
 
     /// Whether `v`, which lies in `[min, max]`, is one of the slice's values.
@@ -93,6 +126,88 @@ impl LeafBitmap {
     fn holds(&self, v: Val) -> bool {
         let bit = v.abs_diff(self.min);
         self.words[(bit / 64) as usize] >> (bit % 64) & 1 == 1
+    }
+}
+
+/// One position of the tail a count counts without visiting it (module docs):
+/// the one atom participating there, at one of its trie levels.
+#[derive(Debug, Clone, Copy)]
+struct TailLevel<'a> {
+    atom: usize,
+    /// The atom's slot in [`Tail::ranges`].
+    slot: usize,
+    /// Whether this is the atom's first level in the tail, which the bounds clip.
+    first: bool,
+    /// The level's values.
+    values: &'a [Val],
+    /// The child offsets of the atom's level above; `None` at its root.
+    parent: Option<&'a [u32]>,
+}
+
+/// The longest GAO suffix whose count is a product of per-atom range sizes
+/// (module docs), fixed by [`LftjExecutor::new`].
+#[derive(Debug)]
+struct Tail<'a> {
+    /// The first tail position; the number of positions when there is no tail.
+    start: usize,
+    /// One per tail position.
+    levels: Vec<TailLevel<'a>>,
+    /// Per tail atom: its entry range `[s, e)` at the deepest level reached.
+    ranges: Vec<(usize, usize)>,
+}
+
+impl<'a> Tail<'a> {
+    /// The tail of `bq` given the executor's rotation, its participants out of
+    /// it and its filters. A suffix stays a tail when it loses its first
+    /// position, so the tail starts at the least position whose suffix is one.
+    fn of(
+        bq: &'a BoundQuery,
+        cursors: &[Vec<Cursor<'a>>],
+        contiguous: &[Vec<Contiguous>],
+        filters: &[Vec<(usize, bool)>],
+    ) -> Self {
+        let n = bq.num_vars();
+        // The atom alone at `pos`, if one is, and its trie level there.
+        let alone = |pos: usize| match (&cursors[pos][..], contiguous[pos].is_empty()) {
+            ([c], true) => {
+                let vars = &bq.atoms[c.atom].vars;
+                Some((c.atom, vars.iter().position(|&v| v == bq.gao[pos])?))
+            }
+            _ => None,
+        };
+        // Whether the atom at `pos`, at `level`, has no level in `start..pos`.
+        let first = |atom: usize, level: usize, start: usize| {
+            level == 0 || bq.var_pos[bq.atoms[atom].vars[level - 1]] < start
+        };
+        let is_tail = |start: usize| {
+            (start..n).all(|pos| {
+                alone(pos).is_some_and(|(atom, level)| {
+                    filters[pos].is_empty()
+                        || first(atom, level, start)
+                            && filters[pos].iter().all(|&(earlier, _)| earlier < start)
+                })
+            })
+        };
+        let start = (0..=n).rev().take_while(|&start| is_tail(start)).last().unwrap_or(n);
+        let mut atoms: Vec<usize> = Vec::new();
+        let levels = (start..n)
+            .filter_map(alone)
+            .map(|(atom, level)| {
+                let slot = atoms.iter().position(|&a| a == atom).unwrap_or_else(|| {
+                    atoms.push(atom);
+                    atoms.len() - 1
+                });
+                let index = &bq.atoms[atom].index;
+                TailLevel {
+                    atom,
+                    slot,
+                    first: first(atom, level, start),
+                    values: index.level_values(level),
+                    parent: (level > 0).then(|| index.child_offsets(level - 1)),
+                }
+            })
+            .collect();
+        Tail { start, levels, ranges: vec![(0, 0); atoms.len()] }
     }
 }
 
@@ -167,8 +282,13 @@ pub struct LftjExecutor<'a> {
     /// Per GAO position: filters `(earlier_gao_pos, earlier_is_smaller)`.
     filters: Vec<Vec<(usize, bool)>>,
     binding: Vec<Val>,
-    /// One per participant of the last GAO position, for counts.
-    bitmaps: Vec<LeafBitmap>,
+    /// Per GAO position: a bitmap per rotation participant where slices are
+    /// tracked — at the last position (for counts) and at an inner position of
+    /// two participants, one at its atom's last trie level (for walks) — and
+    /// none elsewhere.
+    bitmaps: Vec<Vec<SliceBitmap>>,
+    /// The GAO suffix a count multiplies out instead of searching.
+    tail: Tail<'a>,
     /// The current search's `results` and `bindings_explored`.
     stats: Counters,
     /// Restriction of the first GAO attribute (parallel partitioning); the whole
@@ -208,14 +328,39 @@ impl<'a> LftjExecutor<'a> {
             contiguous.push(out);
         }
         let iters = bq.atoms.iter().map(|a| a.index.iter()).collect();
-        let leaves = cursors.last().map_or(0, Vec::len);
-        let bitmaps = (0..leaves).map(|_| LeafBitmap::default()).collect();
+        // A participant at its atom's last trie level may get a bitmap, of at
+        // most as many words as that level has entries.
+        let max_words = |pos: usize, atom: usize| {
+            let (vars, index) = (&bq.atoms[atom].vars, &bq.atoms[atom].index);
+            let last = vars.len() - 1;
+            if vars[last] == bq.gao[pos] {
+                index.level_values(last).len() as u64
+            } else {
+                0
+            }
+        };
+        let bitmaps = cursors
+            .iter()
+            .enumerate()
+            .map(|(pos, rotation)| {
+                let walks =
+                    rotation.len() == 2 && rotation.iter().any(|c| max_words(pos, c.atom) > 0);
+                if pos + 1 == n || walks {
+                    rotation.iter().map(|c| SliceBitmap::new(max_words(pos, c.atom))).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let filters = bq.filters_by_gao_pos();
+        let tail = Tail::of(bq, &cursors, &contiguous, &filters);
         LftjExecutor {
             iters,
             bitmaps,
+            tail,
             cursors,
             contiguous,
-            filters: bq.filters_by_gao_pos(),
+            filters,
             binding: vec![0; n],
             stats: Counters::default(),
             range0: Morsel::whole_axis(),
@@ -239,11 +384,12 @@ impl<'a> LftjExecutor<'a> {
     ///
     /// The executor is **not consumed** — the per-worker reuse primitive of the
     /// parallel runtime: a worker builds one executor and runs every morsel it
-    /// claims on it. The trie iterators, per-depth cursor buffers, and filter
-    /// tables are carried across calls (a completed or early-terminated search
-    /// always rewinds its iterators back to the root), so a warm call allocates
-    /// nothing, and only the counters are reset per range, so the result is
-    /// identical to a fresh executor's over the same range. The search polls `ctx` once per explored binding (at the coarse
+    /// claims on it. The trie iterators, per-depth cursor buffers, filter tables
+    /// and the bitmaps of walked slices are carried across calls (a completed or
+    /// early-terminated search always rewinds its iterators back to the root),
+    /// so a warm call allocates nothing, and only the counters are reset per
+    /// range, so the result is identical to a fresh executor's over the same
+    /// range. The search polls `ctx` once per explored binding (at the coarse
     /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE)) and unwinds cleanly when a
     /// cancel, deadline, or stop flag trips — the caller learns the reason from
     /// the context's monitor.
@@ -260,11 +406,11 @@ impl<'a> LftjExecutor<'a> {
 
     /// Counts the join restricted to first-GAO-attribute values in `[lo, hi)`:
     /// the counters [`run_range_ctx`](Self::run_range_ctx) returns over the same
-    /// range, found without visiting each match of the last GAO level (see the
-    /// module docs). The bitmaps of reused last-level slices are kept across calls
-    /// with their capacity, so a warm count allocates nothing. A watched count
-    /// ticks each last-level count at once, so a stop lands within one
-    /// [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE) plus one last-level pass.
+    /// range, found without visiting each match of the tail or of the last GAO
+    /// level (see the module docs). The bitmaps of reused slices are kept across
+    /// calls with their capacity, so a warm count allocates nothing. A watched
+    /// count ticks each tail's or last level's count at once, so a stop lands
+    /// within one [`CHECK_STRIDE`](gj_runtime::CHECK_STRIDE) plus one such count.
     pub fn count_range_ctx(&mut self, lo: Val, hi: Val, ctx: &ExecCtx<'_>) -> Counters {
         self.range0 = Morsel::new(lo, hi);
         self.execute::<_, true>(ctx, &mut |_| ControlFlow::Continue(()))
@@ -303,7 +449,8 @@ impl<'a> LftjExecutor<'a> {
     }
 
     /// Recursive triejoin over GAO positions `depth..n`: opens the level, leapfrogs
-    /// over it (a count counts the last level instead) and closes it again. An
+    /// over it (or walks a reused slice's bitmap; a count multiplies out the tail
+    /// and counts the last level instead) and closes it again. An
     /// emitter's `Break` or a tripped `watch` unwinds through every level without
     /// visiting any further binding. `SPLIT` runs also open the participants out
     /// of the rotation and clip the bounds to their ranges.
@@ -318,6 +465,9 @@ impl<'a> LftjExecutor<'a> {
         watch: &mut ExecWatch<'_>,
         emit: &mut F,
     ) -> ControlFlow<()> {
+        if COUNT && depth == self.tail.start {
+            return self.count_tail::<WATCHED>(watch);
+        }
         let mut cursors = std::mem::take(&mut self.cursors[depth]);
         let mut nonempty = true;
         for c in &mut cursors {
@@ -330,10 +480,13 @@ impl<'a> LftjExecutor<'a> {
                 (lower, upper) = (lower.max(out.first), upper.min(out.end));
             }
         }
+        let last = depth + 1 == self.cursors.len();
         let flow = if !nonempty || lower >= upper {
             ControlFlow::Continue(())
-        } else if COUNT && depth + 1 == self.cursors.len() {
+        } else if COUNT && last {
             self.count_leaf::<F, WATCHED, SPLIT>(depth, (lower, upper), &mut cursors, watch, emit)
+        } else if !last && !self.bitmaps[depth].is_empty() {
+            self.walk::<F, WATCHED, COUNT, SPLIT>(depth, (lower, upper), &mut cursors, watch, emit)
         } else {
             self.leapfrog::<F, WATCHED, COUNT, SPLIT>(
                 depth,
@@ -438,9 +591,120 @@ impl<'a> LftjExecutor<'a> {
         }
     }
 
+    /// Walks the leapfrog loop's matches at an inner `depth` of two opened,
+    /// non-empty cursors, one of them with its slice's bitmap: scans the other
+    /// between `[lower, upper)` and the bitmap's `[min, max]`, and explores each
+    /// value the bitmap holds, in ascending order, as the loop would. The
+    /// bitmapped participant is at its atom's last level, so only the scanned
+    /// one is handed back to its iterator. The leapfrog loop runs instead when
+    /// no cursor has a bitmap, or when the scan would be longer than the
+    /// bitmapped slice.
+    fn walk<
+        F: FnMut(&[Val]) -> ControlFlow<()>,
+        const WATCHED: bool,
+        const COUNT: bool,
+        const SPLIT: bool,
+    >(
+        &mut self,
+        depth: usize,
+        (lower, upper): (Val, Val),
+        cursors: &mut [Cursor<'a>],
+        watch: &mut ExecWatch<'_>,
+        emit: &mut F,
+    ) -> ControlFlow<()> {
+        let Some((scan, from, to)) = self.plan_pass(depth, cursors, lower, upper) else {
+            return self.leapfrog::<F, WATCHED, COUNT, SPLIT>(
+                depth,
+                (lower, upper),
+                cursors,
+                watch,
+                emit,
+            );
+        };
+        // The search below reaches deeper positions only; this one's bitmaps
+        // are put back after the walk.
+        let bitmaps = std::mem::take(&mut self.bitmaps[depth]);
+        let (bitmap, mut flow) = (&bitmaps[1 - scan], ControlFlow::Continue(()));
+        let c = &mut cursors[scan];
+        for pos in from..to {
+            let v = c.level[pos];
+            if !bitmap.holds(v) {
+                continue;
+            }
+            self.binding[depth] = v;
+            self.stats.bindings_explored += 1;
+            if WATCHED && watch.tick() {
+                flow = ControlFlow::Break(());
+                break;
+            }
+            c.pos = pos;
+            c.sync(&mut self.iters);
+            if SPLIT {
+                for out in &self.contiguous[depth] {
+                    self.iters[out.atom].set_pos(v.abs_diff(out.first) as usize);
+                }
+            }
+            flow = self.search::<F, WATCHED, COUNT, SPLIT>(depth + 1, watch, emit);
+            if flow.is_break() {
+                break;
+            }
+        }
+        self.bitmaps[depth] = bitmaps;
+        flow
+    }
+
+    /// Counts the tail from its first position: per atom, the first tail level's
+    /// range under the atom's prefix, clipped to the bounds, then each deeper
+    /// level's range from the child offsets of the one above. A tail position
+    /// explores the product of the range sizes of the atoms it has reached;
+    /// the last one's product is the results.
+    fn count_tail<const WATCHED: bool>(&mut self, watch: &mut ExecWatch<'_>) -> ControlFlow<()> {
+        // An atom not reached yet multiplies by one.
+        self.tail.ranges.fill((0, 1));
+        let (mut explored, mut found) = (0u64, 1u64);
+        for (i, level) in self.tail.levels.iter().enumerate() {
+            let (s, e) = self.tail.ranges[level.slot];
+            let range = match (level.first, level.parent) {
+                // A deeper level: the children of the range above.
+                (false, Some(offsets)) => (offsets[s] as usize, offsets[e] as usize),
+                // A first level: the children of the atom's prefix, inside the bounds.
+                (_, parent) => {
+                    let (s, e) = match parent {
+                        Some(offsets) => {
+                            let at = self.iters[level.atom].level().1;
+                            (offsets[at] as usize, offsets[at + 1] as usize)
+                        }
+                        None => (0, level.values.len()),
+                    };
+                    let (lower, upper) = self.bounds(self.tail.start + i);
+                    let values = &level.values[..e];
+                    let from = seek(values, s, lower);
+                    (from, seek(values, from, upper))
+                }
+            };
+            self.tail.ranges[level.slot] = range;
+            found = self.tail.ranges.iter().fold(1, |p, &(s, e)| p.saturating_mul((e - s) as u64));
+            explored += found;
+            if found == 0 {
+                break;
+            }
+        }
+        self.stats.bindings_explored += explored;
+        self.stats.results += found;
+        if WATCHED && watch.tick_many(explored) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
     /// Counts the last GAO level over opened, non-empty cursors within the
     /// non-empty `[lower, upper)` and adds the count to both counters, as the
     /// leapfrog loop would one match at a time.
+    ///
+    /// A one-participant last level is a tail, counted before it is opened,
+    /// unless a participant out of the rotation shares it: the one-cursor arm
+    /// counts that case, inside the bounds those participants clipped.
     ///
     /// The last level descends nowhere, yet `SPLIT` is passed on: each
     /// monomorphisation then has one caller and is inlined into it. One
@@ -459,7 +723,7 @@ impl<'a> LftjExecutor<'a> {
                 let from = seek(c.level, c.pos, lower);
                 (seek(c.level, from, upper) - from) as u64
             }
-            _ => match self.bitmap_pass(cursors, lower, upper) {
+            _ => match self.bitmap_pass(depth, cursors, lower, upper) {
                 Some(found) => found,
                 None => {
                     return self.leapfrog::<F, WATCHED, true, SPLIT>(
@@ -481,22 +745,24 @@ impl<'a> LftjExecutor<'a> {
         }
     }
 
-    /// Refreshes the bitmaps for the cursors' slices, then counts the values in
-    /// `[lower, upper)` of the one cursor without a bitmap (of the shortest cursor,
-    /// if all have one) that every other cursor's bitmap holds. `None` — the
-    /// leapfrog loop counts — when two cursors lack a bitmap, or when the pass
-    /// would be longer than a bitmapped level.
-    fn bitmap_pass(&mut self, cursors: &[Cursor<'a>], lower: Val, upper: Val) -> Option<u64> {
+    /// Refreshes the bitmaps of the cursors' slices at `depth` and plans one pass
+    /// over the cursor without a bitmap (over the shortest, if all have one):
+    /// its positions `from..to` of the values inside `[lower, upper)` and every
+    /// other cursor's bitmap range, as `(cursor, from, to)`. `None` — the
+    /// leapfrog loop runs — when two cursors lack a bitmap, or when the pass
+    /// would be longer than a bitmapped slice.
+    fn plan_pass(
+        &mut self,
+        depth: usize,
+        cursors: &[Cursor<'a>],
+        lower: Val,
+        upper: Val,
+    ) -> Option<(usize, usize, usize)> {
+        let bitmaps = &mut self.bitmaps[depth];
         let len = |c: &Cursor<'a>| c.level.len() - c.pos;
         let (mut plain, mut scan) = (0, 0);
-        for (i, (c, b)) in cursors.iter().zip(&mut self.bitmaps).enumerate() {
-            let slice = (c.pos, c.level.len());
-            if b.slice != slice {
-                (b.slice, b.ready) = (slice, false);
-            } else if !b.ready {
-                b.ready = b.build(&c.level[c.pos..]);
-            }
-            if !b.ready {
+        for (i, (c, b)) in cursors.iter().zip(bitmaps.iter_mut()).enumerate() {
+            if !b.refresh(c.level, c.pos) {
                 plain += 1;
                 scan = i;
             } else if plain == 0 && len(c) < len(&cursors[scan]) {
@@ -507,19 +773,29 @@ impl<'a> LftjExecutor<'a> {
             return None;
         }
         // The pass only needs the scanned values inside every bitmap's range.
-        let tests = || self.bitmaps.iter().enumerate().filter(move |&(i, _)| i != scan);
         let (mut lo, mut hi, mut shortest) = (lower, upper, usize::MAX);
-        for (i, b) in tests() {
+        for (i, b) in bitmaps.iter().enumerate().filter(|&(i, _)| i != scan) {
             (lo, hi) = (lo.max(b.min), hi.min(b.max.saturating_add(1)));
             shortest = shortest.min(len(&cursors[i]));
         }
         let d = &cursors[scan];
         let from = seek(d.level, d.pos, lo);
         let to = seek(d.level, from, hi);
-        if to - from > shortest {
-            return None;
-        }
-        let values = &d.level[from..to];
+        (to - from <= shortest).then_some((scan, from, to))
+    }
+
+    /// Counts the values of the last level's pass ([`plan_pass`](Self::plan_pass))
+    /// that every other cursor's bitmap holds.
+    fn bitmap_pass(
+        &mut self,
+        depth: usize,
+        cursors: &[Cursor<'a>],
+        lower: Val,
+        upper: Val,
+    ) -> Option<u64> {
+        let (scan, from, to) = self.plan_pass(depth, cursors, lower, upper)?;
+        let bitmaps = &self.bitmaps[depth];
+        let values = &cursors[scan].level[from..to];
         // Two participants, so one bitmap to test, is the common case (the last
         // level of the 3-clique and the 4-cycle). A loop of its own keeps that
         // bitmap out of the walk over the bitmaps per value: without it, the
@@ -527,10 +803,13 @@ impl<'a> LftjExecutor<'a> {
         // (152 against 160 per second, 10 alternating runs each, 2-CPU machine).
         let found = match cursors.len() {
             2 => {
-                let b = &self.bitmaps[1 - scan];
+                let b = &bitmaps[1 - scan];
                 values.iter().filter(|&&v| b.holds(v)).count()
             }
-            _ => values.iter().filter(|&&v| tests().all(|(_, b)| b.holds(v))).count(),
+            _ => {
+                let tests = bitmaps.iter().enumerate().filter(|&(i, _)| i != scan);
+                values.iter().filter(|&&v| tests.clone().all(|(_, b)| b.holds(v))).count()
+            }
         };
         Some(found as u64)
     }
@@ -728,13 +1007,39 @@ mod tests {
         }
     }
 
-    /// `N(0)` is the last level's slice under every `b` of the 3-clique at `a = 0`:
-    /// its bitmap is built on the second `b` and kept, unless the slice's span
-    /// needs more words than it has values. Either way the count is the row
-    /// path's.
+    /// The uses of one slice on which its bitmap is ready.
+    fn ready_on(bitmap: &mut SliceBitmap, values: &[Val], uses: usize) -> Vec<usize> {
+        (1..=uses).filter(|_| bitmap.refresh(values, 0)).collect()
+    }
+
+    /// A slice's bitmap is built on the streak's `k`-th use, from the second on,
+    /// once `k` times its values cover its words: on the second use for a dense
+    /// slice, on the use that pays for a sparse one, and never when its words
+    /// outnumber its level's entries. A new slice drops the bitmap.
     #[test]
-    fn a_reused_leaf_slice_gets_a_bitmap_unless_it_is_sparse() {
-        for (far, dense) in [(5, true), (1_000, false)] {
+    fn a_reused_slice_gets_a_bitmap_on_the_use_that_pays_for_it() {
+        let mut dense = SliceBitmap::new(100);
+        assert_eq!(ready_on(&mut dense, &[1, 2, 3, 4, 5], 3), [2, 3]);
+        // Five values over 1 000 ids need 16 words: `k × 5 >= 16` from k = 4.
+        let sparse = [1, 2, 3, 4, 1_000];
+        let mut bitmap = SliceBitmap::new(100);
+        assert_eq!(ready_on(&mut bitmap, &sparse, 5), [4, 5]);
+        assert!((1..=1_000).all(|v| bitmap.holds(v) == sparse.contains(&v)));
+        assert_eq!(ready_on(&mut bitmap, &[0, 2_000, 7_000], 2), Vec::<usize>::new());
+        assert!(!bitmap.ready, "another slice drops the bitmap");
+        // 16 words from the fourth use on, but the level has 15 entries.
+        let mut capped = SliceBitmap::new(15);
+        assert_eq!(ready_on(&mut capped, &sparse, 1_000), Vec::<usize>::new());
+        assert_eq!(capped.words.capacity(), 0);
+    }
+
+    /// `N(0)` is the last level's slice under every `b` of the 3-clique at `a = 0`,
+    /// five uses in all: its bitmap is built on the second one when it is dense,
+    /// on the fourth when its five values span 1 000 ids (16 words), and not at
+    /// all when they span 100 000. Either way the count is the row path's.
+    #[test]
+    fn a_reused_leaf_slice_gets_a_bitmap_once_its_uses_pay_for_it() {
+        for (far, built_on) in [(5, Some(2)), (1_000, Some(4)), (100_000, None)] {
             let star = (1..=4).chain([far]).map(|b| (0, b));
             let path = [(1, 2), (2, 3), (3, 4), (4, far)];
             let mut inst = Instance::new();
@@ -748,12 +1053,38 @@ mod tests {
             let rows =
                 exec.run_range_ctx(0, 1, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()));
             assert_eq!((counted, counted.results), (rows, 4), "far {far}");
+            // A ready bitmap ends the streak's count.
+            let n0 = &exec.bitmaps[2][1];
             assert_eq!(
-                exec.bitmaps.iter().filter(|b| b.ready).count(),
-                usize::from(dense),
+                (n0.ready, n0.uses),
+                (built_on.is_some(), built_on.unwrap_or(5)),
                 "far {far}"
             );
         }
+    }
+
+    /// A slice of two values at both ends of `i64`, reused under a thousand `b`,
+    /// would need 2^58 words: its bitmap never holds more than its level's two
+    /// entries. The count is the row path's.
+    #[test]
+    fn a_slice_spanning_i64_never_allocates_past_its_level() {
+        let ends = [NEG_INF + 1, POS_INF - 1];
+        let mut inst = Instance::new();
+        inst.add_relation("p", Relation::from_pairs(ends.map(|c| (0, c))));
+        inst.add_relation("q", Relation::from_pairs((0..1_000).flat_map(|b| ends.map(|c| (b, c)))));
+        let q = QueryBuilder::new("ends").atom("p", &["a", "c"]).atom("q", &["b", "c"]).build();
+        let bq = BoundQuery::new(&inst, &q, Some(vec![0, 2, 1])).unwrap();
+        let stats = count_is_row_path(&bq);
+        assert_eq!(stats.results, 2_000);
+        let mut exec = LftjExecutor::new(&bq);
+        exec.count_range_ctx(NEG_INF, POS_INF, &ExecCtx::none());
+        for bitmap in &exec.bitmaps[2] {
+            assert!(
+                bitmap.max_words <= 2_000 && bitmap.words.capacity() as u64 <= bitmap.max_words
+            );
+            assert!(!bitmap.ready);
+        }
+        assert_eq!(exec.bitmaps[2][0].uses, 1_000, "p's slice is reused under every b");
     }
 
     /// The participants `new` takes out of the rotation, as `"b: edge(b,c)"`.
@@ -858,6 +1189,79 @@ mod tests {
         assert_eq!(rows, expected);
         assert_eq!((stats.results, stats.bindings_explored), (9, 12));
         assert_eq!(count_is_row_path(&bq), stats);
+    }
+
+    /// Random relations `r(_, _, _)` and `s(_, _)` over the values `0..8`.
+    fn ternary_instance() -> Instance {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut row = |arity: usize| (0..arity).map(|_| rng.gen_range(0..8)).collect::<Vec<Val>>();
+        let (r, s) = ((0..60).map(|_| row(3)).collect(), (0..30).map(|_| row(2)).collect());
+        let mut inst = Instance::new();
+        inst.add_relation("r", Relation::from_rows(3, r));
+        inst.add_relation("s", Relation::from_rows(2, s));
+        inst.add_relation("likes", inst.relation("r").unwrap().clone());
+        inst
+    }
+
+    /// Where the tail starts, per query under the natural GAO: a position joins
+    /// it when one atom decides it, and its filters sit on that atom's first
+    /// tail level and compare with a position before the tail.
+    #[test]
+    fn the_tail_is_the_suffix_one_atom_decides() {
+        let inst = ternary_instance();
+        let q = |name: &str| QueryBuilder::new(name);
+        let cases = [
+            (q("alone").atom("r", &["a", "x", "y"]).build(), 0),
+            (q("two").atom("r", &["a", "x", "z"]).atom("s", &["a", "y"]).build(), 1),
+            // `x < y` compares two would-be tail positions.
+            (q("between").atom("s", &["a", "x"]).atom("s", &["a", "y"]).lt("x", "y").build(), 2),
+            (q("first").atom("r", &["a", "x", "y"]).atom("s", &["a", "z"]).lt("a", "x").build(), 1),
+            // `a < y` sits on the second tail level of `r`.
+            (
+                q("second").atom("s", &["a", "b"]).atom("r", &["b", "x", "y"]).lt("a", "y").build(),
+                3,
+            ),
+            (q("joined").atom("r", &["a", "x", "y"]).atom("s", &["x", "z"]).build(), 2),
+        ];
+        for (query, start) in cases {
+            let gao = (0..query.num_vars()).collect();
+            let bq = BoundQuery::new(&inst, &query, Some(gao)).unwrap();
+            assert_eq!(LftjExecutor::new(&bq).tail.start, start, "{}", query.name);
+            let stats = count_is_row_path(&bq);
+            assert_eq!(stats.results, naive_join(&inst, &query).len() as u64, "{}", query.name);
+        }
+        // `common-likes`: `d1` (the first `likes`), then `b` and `d2` (the second);
+        // `a < b` sits on the second's first tail level.
+        let q = gj_query::LdbcQuery::CommonLikes.query();
+        let gao =
+            ["m", "a", "d1", "b", "d2"].map(|v| q.var_names.iter().position(|n| n == v).unwrap());
+        let bq = BoundQuery::new(&inst, &q, Some(gao.to_vec())).unwrap();
+        assert_eq!(LftjExecutor::new(&bq).tail.start, 2);
+        assert_eq!(count_is_row_path(&bq).results, naive_join(&inst, &q).len() as u64);
+    }
+
+    /// At `c` of the 4-clique, `N(a)` is the same slice under every `b`: once its
+    /// bitmap is ready, the search walks `N(b)` and tests it, and explores what
+    /// the leapfrog loop would, in its order.
+    #[test]
+    fn an_inner_walk_explores_the_leapfrog_loops_bindings() {
+        let inst = instance_with_samples(&covered_graph(), &[]);
+        let q = CatalogQuery::FourClique.query();
+        let bq = BoundQuery::new(&inst, &q, Some(vec![0, 1, 2, 3])).unwrap();
+        let mut exec = LftjExecutor::new(&bq);
+        let all = Morsel::whole_axis();
+        let mut rows = Vec::new();
+        let stats = exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |b| {
+            rows.push(bq.binding_to_var_order(b));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(rows, naive_join(&inst, &q));
+        assert_eq!(count_is_row_path(&bq), stats);
+        // The last streak of `N(0)` is still running after a run at `a = 0` alone.
+        exec.run_range_ctx(0, 1, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()));
+        assert_eq!(exec.bitmaps[2].len(), 2, "c is walked");
+        assert!(exec.bitmaps[2].iter().any(|b| b.ready), "vacuous: no bitmap was built");
     }
 
     #[test]

@@ -28,8 +28,11 @@
 //! (the whole axis for an unrestricted run), stops when the emitter breaks or the
 //! execution context trips, and does not consume the executor. Its counting twin,
 //! [`LftjExecutor::count_range_ctx`], returns the same counters without visiting
-//! each match of the last GAO level (bitmaps of reused last-level slices; see
-//! [`executor`]); [`count`] and the morsel source's counting path use it. For parallel
+//! what one atom decides: a GAO suffix of one atom per position is a product of
+//! range sizes read off the tries' child offsets, and a last level is counted
+//! against bitmaps of reused slices (see [`executor`]); [`count`] and the morsel
+//! source's counting path use it. Both paths walk an inner position of two
+//! participants against the bitmap of a reused last-level slice. For parallel
 //! execution, [`LftjMorsels`] plugs it into the `gj-runtime` morsel driver: each
 //! worker thread reuses **one** executor across every morsel it claims
 //! ([`LftjWorker`] carries it plus the re-ordering scratch row).

@@ -9,18 +9,19 @@
 //! emission stream.
 //!
 //! A counting sink takes [`count_morsel`](MorselSource::count_morsel), which runs
-//! [`count_range_ctx`](LftjExecutor::count_range_ctx): the last GAO level is
-//! counted without emitting, by one pass against bitmaps of the last-level slices
-//! a search reuses (a slice gets one on its second consecutive use, if its span
-//! needs no more 64-bit words than it has values). Row caps, `FirstK` and collects
-//! take the row path.
+//! [`count_range_ctx`](LftjExecutor::count_range_ctx): a GAO suffix of one atom
+//! per position is multiplied out from range sizes, and the last GAO level is
+//! counted without emitting, by one pass against bitmaps of the slices a search
+//! reuses (a slice gets one on the use that pays for it, never larger than its
+//! trie level). Row caps, `FirstK` and collects take the row path.
 //!
 //! Per-worker state mirrors Minesweeper's `MsWorker` pattern: each worker thread
 //! builds **one** [`LftjExecutor`] and carries it
 //! across every morsel it claims — the trie iterators, per-depth cursor buffers,
 //! filter tables, the split of contiguous root levels out of the leapfrog
-//! rotation (fixed at construction: the indexes do not change) and last-level
-//! bitmaps (at most one word per cached value) are reused instead of being
+//! rotation and the tail (fixed at construction: the indexes do not change) and
+//! the bitmaps of reused slices (never more words than their trie level has
+//! entries) are reused instead of being
 //! rebuilt per job — plus the variable-order scratch row.
 //! An ablation test below checks that the reused executor is behaviourally
 //! identical (same rows, same per-morsel result and exploration counts) to

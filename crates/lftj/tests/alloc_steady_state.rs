@@ -4,10 +4,12 @@
 //! carry a delta layer — must not touch the heap at all. The same holds for a
 //! second `count_range_ctx`: the last level's bitmaps keep their words' capacity.
 //! The 4-cycle's graph has a contiguous root, so those guards also cover the
-//! participants the executor takes out of the leapfrog rotation.
+//! participants the executor takes out of the leapfrog rotation. On LDBC-shaped
+//! relations, a count that multiplies out a tail and a run or count that walks
+//! an inner position's bitmap allocate nothing warm either.
 
 use gj_lftj::LftjExecutor;
-use gj_query::{BoundQuery, CatalogQuery, Instance, Query};
+use gj_query::{BoundQuery, CatalogQuery, Instance, LdbcQuery, Query};
 use gj_runtime::{Counters, ExecCtx, Morsel};
 use gj_storage::{Graph, Relation, Val};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -168,4 +170,65 @@ fn keys_whose_rows_are_all_tombstoned_add_no_bindings() {
     let (solid, delta) = (warm_run(&solid).0, warm_run(&delta).0);
     assert_eq!(solid.bindings_explored, 877);
     assert_eq!(delta, solid, "dead keys add no binding");
+}
+
+/// Random LDBC-shaped relations: 50 persons, 200 messages with one creator and
+/// two of 10 tags each, a sparse `knows`, ten likes per person on 5 days, and a
+/// three-tag sample.
+fn social_instance() -> Instance {
+    let mut rng = StdRng::seed_from_u64(12);
+    let (persons, messages) = (50, 200);
+    let mut inst = Instance::new();
+    inst.add_relation("tagSample", Relation::from_values([0, 3, 7]));
+    let tags = (0..messages).flat_map(|m| [(m, rng.gen_range(0..10)), (m, rng.gen_range(0..10))]);
+    inst.add_relation("hasTag", Relation::from_pairs(tags.collect::<Vec<_>>()));
+    let creators = (0..messages).map(|m| (m, rng.gen_range(0..persons)));
+    inst.add_relation("hasCreator", Relation::from_pairs(creators.collect::<Vec<_>>()));
+    let knows = (0..persons).flat_map(|c| (0..persons).map(move |p| (c, p)));
+    inst.add_relation(
+        "knows",
+        Relation::from_pairs(knows.filter(|_| rng.gen_bool(0.1)).collect::<Vec<_>>()),
+    );
+    let likes = (0..persons)
+        .flat_map(|p| (0..10).map(move |_| p))
+        .map(|p| vec![p, rng.gen_range(0..messages), rng.gen_range(0..5)])
+        .collect();
+    inst.add_relation("likes", Relation::from_rows(3, likes));
+    inst
+}
+
+/// `lq` over [`social_instance`] under the GAO that lists its variables as
+/// `names` (LFTJ's own order on the benchmark network).
+fn social(lq: LdbcQuery, names: &[&str]) -> BoundQuery {
+    let q = lq.query();
+    let gao = names.iter().map(|n| q.var_names.iter().position(|v| v == n).unwrap()).collect();
+    BoundQuery::new(&social_instance(), &q, Some(gao)).unwrap()
+}
+
+/// `common-likes` counts `d1 b d2` as a tail: no bitmap, no allocation.
+#[test]
+fn a_warm_tail_count_allocates_nothing() {
+    let bq = social(LdbcQuery::CommonLikes, &["m", "a", "d1", "b", "d2"]);
+    let (warm, _, allocations) = warm_count(&bq);
+    assert_eq!(
+        allocations, 0,
+        "a warm tail count of {} bindings allocated {allocations} times",
+        warm.bindings_explored
+    );
+}
+
+/// `deep-tag-reach` walks `likes(p, n, d)` at `n` against the bitmap of
+/// `hasTag(n, t)`, the same slice under every `(m, c, p)` of one tag: the first
+/// run and the first count build bitmaps, the warm ones allocate nothing.
+#[test]
+fn a_warm_inner_walk_allocates_nothing() {
+    let bq = social(LdbcQuery::DeepTagReach, &["t", "m", "c", "p", "n", "d"]);
+    let mut exec = LftjExecutor::new(&bq);
+    let all = Morsel::whole_axis();
+    let mut run =
+        || exec.run_range_ctx(all.lo, all.hi, &ExecCtx::none(), &mut |_| ControlFlow::Continue(()));
+    let (_, cold_allocations) = counting_alloc::allocations_during(&mut run);
+    assert!(cold_allocations > 0, "vacuous: the run built no bitmap");
+    assert_warm_run_allocates_nothing(&bq);
+    assert_warm_count_allocates_nothing(&bq);
 }

@@ -3,9 +3,15 @@
 //! must respect the AGM bound, and its count must report the row path's counters.
 //! A graph whose trie roots are contiguous id ranges must behave exactly as the
 //! same graph relabelled with gaps, where no participant leaves the rotation.
+//! On LDBC-shaped relations and a ternary one, counts that multiply out a tail
+//! and searches that walk a reused slice's bitmap must report the counters an
+//! independent oracle derives from the reference join of every GAO prefix.
 
 use gj_lftj::{count, enumerate, LftjExecutor};
-use gj_query::{agm_bound, naive_join, BoundQuery, CatalogQuery, Instance};
+use gj_query::{
+    agm_bound, lftj_gao, naive_join, BoundQuery, CatalogQuery, Instance, LdbcQuery, Query,
+    QueryBuilder,
+};
 use gj_runtime::{Counters, ExecCtx, Morsel};
 use gj_storage::{Graph, Relation, Val, NEG_INF, POS_INF};
 use proptest::prelude::*;
@@ -250,8 +256,158 @@ fn bind_labelled(
     bq
 }
 
+/// Random relations of the LDBC shapes — `likes(p, m, d)`, `hasCreator(m, c)`,
+/// `knows(p, c)`, `hasTag(m, t)`, `tagSample(t)` — and a ternary `r(a, b, c)`,
+/// over the indexes `0..12` relabelled by one [`relabel`] mode (so around zero,
+/// near either end of `i64`, or spread), with the relabelled values.
+fn social_instance() -> impl Strategy<Value = (Instance, Vec<Val>)> {
+    let triples = || prop::collection::vec((0..12i64, 0..12i64, 0..12i64), 0..80);
+    let pairs = || prop::collection::vec((0..12i64, 0..12i64), 0..40);
+    let sample = prop::collection::vec(0..12i64, 0..6);
+    ((triples(), triples()), pairs(), pairs(), pairs(), sample, 0u8..7).prop_map(
+        |((likes, r), creator, knows, tags, sample, mode)| {
+            let l = |i: Val| relabel(mode, i);
+            let ternary = |rows: Vec<(Val, Val, Val)>| {
+                Relation::from_rows(
+                    3,
+                    rows.into_iter().map(|(a, b, c)| vec![l(a), l(b), l(c)]).collect(),
+                )
+            };
+            let binary = |rows: Vec<(Val, Val)>| {
+                Relation::from_pairs(rows.into_iter().map(|(a, b)| (l(a), l(b))))
+            };
+            let mut inst = Instance::new();
+            inst.add_relation("likes", ternary(likes));
+            inst.add_relation("hasCreator", binary(creator));
+            inst.add_relation("knows", binary(knows));
+            inst.add_relation("hasTag", binary(tags));
+            inst.add_relation("tagSample", Relation::from_values(sample.into_iter().map(l)));
+            inst.add_relation("r", ternary(r));
+            (inst, (0..12).map(l).collect())
+        },
+    )
+}
+
+/// The LDBC reads whose counts end in a tail or whose searches walk a reused
+/// slice, and ternary queries whose filters stop a tail: between two would-be
+/// tail variables (`c < e`), and on a tail atom's second level (`p < c`).
+fn tail_queries() -> Vec<Query> {
+    let ldbc = [
+        LdbcQuery::CommonLikes,
+        LdbcQuery::TaggedCreatorPath,
+        LdbcQuery::MutualFans,
+        LdbcQuery::DeepTagReach,
+        LdbcQuery::CreatorFan,
+    ];
+    let pair = |name: &str| {
+        QueryBuilder::new(name).atom("r", &["a", "b", "c"]).atom("r", &["a", "d", "e"])
+    };
+    ldbc.iter()
+        .map(LdbcQuery::query)
+        .chain([
+            QueryBuilder::new("ternary").atom("r", &["a", "b", "c"]).build(),
+            pair("ternary-pair").build(),
+            pair("filter-between-tails").lt("c", "e").build(),
+            QueryBuilder::new("filter-on-second-level")
+                .atom("knows", &["p", "q"])
+                .atom("r", &["q", "b", "c"])
+                .lt("p", "c")
+                .build(),
+        ])
+        .collect()
+}
+
+/// Per GAO depth `d`, the first GAO value of each binding LFTJ explores there:
+/// the reference join of every atom projected onto `gao[..=d]`, under the
+/// filters between those variables.
+fn explored_by_depth(inst: &Instance, bq: &BoundQuery) -> Vec<Vec<Val>> {
+    let q = &bq.query;
+    let name = |v: usize| q.var_names[v].as_str();
+    (1..=bq.num_vars())
+        .map(|depth| {
+            let prefix = &bq.gao[..depth];
+            let (mut sub, mut builder) = (Instance::new(), QueryBuilder::new("prefix"));
+            for (i, atom) in q.atoms.iter().enumerate() {
+                let cols: Vec<usize> =
+                    (0..atom.arity()).filter(|&c| prefix.contains(&atom.vars[c])).collect();
+                if cols.is_empty() {
+                    continue;
+                }
+                let rows = inst.relation(&atom.relation).unwrap().iter();
+                let rows = rows.map(|r| cols.iter().map(|&c| r[c]).collect()).collect();
+                sub.add_relation(format!("atom{i}"), Relation::from_rows(cols.len(), rows));
+                let vars: Vec<&str> = cols.iter().map(|&c| name(atom.vars[c])).collect();
+                builder = builder.atom(&format!("atom{i}"), &vars);
+            }
+            for &(x, y) in
+                q.filters.iter().filter(|(x, y)| prefix.contains(x) && prefix.contains(y))
+            {
+                builder = builder.lt(name(x), name(y));
+            }
+            let pq = builder.build();
+            let first = pq.var(name(bq.gao[0])).unwrap();
+            naive_join(&sub, &pq).iter().map(|row| row[first]).collect()
+        })
+        .collect()
+}
+
+/// A seeded permutation of `0..n`.
+fn shuffled_gao(n: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut gao: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        gao.swap(i, rng.gen_range(0..i + 1));
+    }
+    gao
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Under LFTJ's own GAO and a random one, one executor counts and another
+    /// runs every morsel, in shuffled order, so a tail's ranges or a bitmap kept
+    /// from another morsel would show. Both report the prefix oracle's counters,
+    /// and the run emits the reference join's rows in lexicographic GAO order.
+    #[test]
+    fn tails_and_inner_walks_report_the_prefix_oracles_counters(
+        (inst, values) in social_instance(),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for q in tail_queries() {
+            let gaos = [lftj_gao(&q, &inst), shuffled_gao(q.num_vars(), &mut rng)];
+            for gao in gaos {
+                let bq = BoundQuery::new(&inst, &q, Some(gao.clone())).unwrap();
+                let explored = explored_by_depth(&inst, &bq);
+                let mut expected: Vec<Vec<Val>> = naive_join(&inst, &q)
+                    .iter()
+                    .map(|row| gao.iter().map(|&v| row[v]).collect())
+                    .collect();
+                expected.sort_unstable();
+                let (mut counter, mut runner) = (LftjExecutor::new(&bq), LftjExecutor::new(&bq));
+                for m in shuffled_morsels(&values, &mut rng) {
+                    let inside = |v: &&Val| m.lo <= **v && **v < m.hi;
+                    let per_depth: Vec<u64> =
+                        explored.iter().map(|d| d.iter().filter(inside).count() as u64).collect();
+                    let oracle = Counters {
+                        results: per_depth[per_depth.len() - 1],
+                        bindings_explored: per_depth.iter().sum(),
+                        ..Counters::default()
+                    };
+                    let counted = counter.count_range_ctx(m.lo, m.hi, &ExecCtx::none());
+                    let mut rows = Vec::new();
+                    let ran = runner.run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |b| {
+                        rows.push(b.to_vec());
+                        ControlFlow::Continue(())
+                    });
+                    let want: Vec<Vec<Val>> =
+                        expected.iter().filter(|row| inside(&&row[0])).cloned().collect();
+                    prop_assert_eq!(counted, oracle, "{} {:?} morsel {:?}: count", q.name, gao, m);
+                    prop_assert_eq!(ran, oracle, "{} {:?} morsel {:?}: run", q.name, gao, m);
+                    prop_assert_eq!(rows, want, "{} {:?} morsel {:?}: rows", q.name, gao, m);
+                }
+            }
+        }
+    }
 
     /// One executor counts every morsel, in shuffled order, so a bitmap kept from
     /// another morsel's slice would show; each count must report the counters of a

@@ -32,8 +32,8 @@ fn main() {
     // by subtracting the first id, with no search of the root. The serial count
     // uses the engine's counting fast path: LFTJ counts the last GAO level
     // without visiting each triangle, scanning `N(b)` against a bitmap of `N(a)`,
-    // which is the same slice under every `b`. The bitmap is built on the
-    // slice's second use, if it needs no more 64-bit words than `N(a)` has values.
+    // which is the same slice under every `b`. The bitmap is built once the
+    // slice's uses so far, times its values, cover its 64-bit words.
     let start = Instant::now();
     let serial = prepared.count().expect("serial count");
     println!("serial count:   {serial} triangles in {:.2} ms", start.elapsed().as_secs_f64() * 1e3);
