@@ -18,30 +18,50 @@
 //! way.
 //!
 //! A count ([`LftjExecutor::count_range_ctx`]) does not visit what one atom
-//! decides. The *tail* is the longest GAO suffix in which each position has
-//! exactly one participating atom, and each order filter at a tail position sits
-//! on its atom's first tail level and compares with a position before the tail
-//! (`d1 b d2` of `common-likes`). The tail atoms are independent under a tail-start
-//! prefix: each one's first tail level is its range inside the bounds (two
-//! searches), and each deeper level is `[child_offsets[s], child_offsets[e])` of
-//! the range above, O(1). A tail position explores the product of the range sizes
-//! of the atoms it has reached, and the last one's product is the results.
+//! decides. The *tail* is the longest GAO suffix, of two positions at least, in
+//! which each position has exactly one participating atom, and each order filter
+//! at a tail position sits on its atom's first tail level and compares with a
+//! position before the tail (`d1 b d2` of `common-likes`). The tail atoms are
+//! independent under a tail-start prefix: each one's first tail level is its
+//! range inside the bounds (two searches), and each deeper level is
+//! `[child_offsets[s], child_offsets[e])` of the range above, O(1). A tail
+//! position explores the product of the range sizes of the atoms it has reached,
+//! and the last one's product is the results.
+//!
+//! Nor does a count search the last GAO position: the loop at position `n − 2`
+//! counts it under each of its matches `v`. [`LftjExecutor::new`] sorts the
+//! participants there into two kinds. A *fixed* one, whose atom's level above
+//! the last sits before `n − 2` or whose last level is its root (`edge(a,c)` of
+//! the 3-clique), keeps one slice through the loop, resolved once as the loop
+//! starts from its atom's position at the level above. A *moving* one, whose
+//! atom's level above is the one at `n − 2` (`edge(b,c)`), has the slice
+//! `[child_offsets[p], child_offsets[p + 1])` under `v`, where `p` is its atom's
+//! position at `v`: the loop's cursor, or `v − first` for a participant out of
+//! the rotation (below). No iterator is opened for it. The bounds are the order
+//! filters' under `v`, clipped to the range of every participant out of the
+//! rotation at the last position. One slice is counted by two searches; several
+//! by a bitmap pass or, failing that, the leapfrog loop over the slices. A
+//! one-position query counts its only level from the root the same way.
 //!
 //! Bitmaps replace searches of a slice that repeats. A participant at its atom's
-//! last trie level whose slice `(pos, end)` is the one it had in the previous
-//! search at its position — `N(a)` under every `(b, c)` of a 4-cycle — gets a
-//! bitmap over its values' `[min, max]`, kept for the rest of the streak. The
-//! streak's `k`-th use, from the second on, builds it once its 64-bit words are
-//! no more than `k` times the slice's values, and never past the entry count of
-//! the trie level. A last position of several participants is then counted in
-//! one scan of the participant without a bitmap (the shortest, if all have one),
-//! between the bounds and inside every bitmap's `[min, max]`, testing each value
-//! against every bitmap. An inner position of two participants, one with a bitmap,
-//! is walked the same way, by the row path too, descending past each value the
-//! bitmap holds in ascending order. When two participants lack a bitmap, or the
-//! scan would be longer than a bitmapped slice, the leapfrog loop runs instead.
-//! The counters are the row path's exactly, and a watched count ticks each tail's
-//! or last level's count at once.
+//! last trie level whose slice `(pos, end)` is the one it had at its position
+//! the previous time — `N(a)` under every `(b, c)` of a 4-cycle — gets a bitmap
+//! over its values' `[min, max]`, kept for the rest of the streak. The streak's
+//! `k`-th use, from the second on, builds it once its 64-bit words are no more
+//! than `k` times the slice's values, and never past the entry count of the trie
+//! level. Only a fixed participant's slice repeats at the last position: the
+//! start of the loop above and each count under it are one use each until the
+//! bitmap is ready, and once every fixed slice has one, the loop plans its pass
+//! once. A last position of several participants is then counted in one scan
+//! of the participant without a bitmap (the shortest, if all have one), between
+//! the bounds and inside every bitmap's `[min, max]`, testing each value against
+//! every bitmap; the scan stops at the first value past the upper bound. An inner
+//! position of two participants, one with a bitmap, is walked the same way, by
+//! the row path too, descending past each value the bitmap holds in ascending
+//! order. When two participants lack a bitmap, or the scan would be longer than a
+//! bitmapped slice, the leapfrog loop runs instead. The counters are the row
+//! path's exactly, and a watched count ticks each tail's or last position's
+//! count at once.
 //!
 //! A participant that opens its atom's root level at a GAO position after the
 //! first, where that level is exactly the integers `[first, first + len)` (sorted
@@ -50,13 +70,12 @@
 //! range. [`LftjExecutor::new`] takes such participants out of the leapfrog
 //! rotation, keeping at least one participant per position in it. A search still
 //! opens their level, clips `[lower, upper)` to their range, runs the leapfrog
-//! loop (or the last-level count) over the others, and before descending past a
-//! match `v` sets their position to `v - first`, with no search. The edge trie's
-//! root under `b` of a 3-clique is one: `b` scans `N(a)` alone. The indexes do
-//! not change under an executor, so the split is fixed for its life, and an
-//! executor with no such participant runs a separate monomorphisation of the
-//! search that has no trace of it. Matches, emission order and counters are
-//! unchanged.
+//! loop over the others, and before descending past a match `v` sets their
+//! position to `v - first`, with no search. The edge trie's root under `b` of a
+//! 3-clique is one: `b` scans `N(a)` alone. The indexes do not change under an
+//! executor, so the split is fixed for its life, and an executor with no such
+//! participant runs a separate monomorphisation of the search that has no trace
+//! of it. Matches, emission order and counters are unchanged.
 
 use crate::leapfrog::seek;
 use gj_query::BoundQuery;
@@ -189,6 +208,8 @@ impl<'a> Tail<'a> {
             })
         };
         let start = (0..=n).rev().take_while(|&start| is_tail(start)).last().unwrap_or(n);
+        // A one-position tail is the last position, which the loop above counts.
+        let start = if start + 1 < n { start } else { n };
         let mut atoms: Vec<usize> = Vec::new();
         let levels = (start..n)
             .filter_map(alone)
@@ -208,6 +229,151 @@ impl<'a> Tail<'a> {
             })
             .collect();
         Tail { start, levels, ranges: vec![(0, 0); atoms.len()] }
+    }
+}
+
+/// Where a moving participant at the last GAO position finds its atom's
+/// position at `n − 2` (module docs).
+#[derive(Debug, Clone, Copy)]
+enum Above {
+    /// The position of the loop's cursor `i` there.
+    Cursor(usize),
+    /// `v − first` in a contiguous root out of the rotation there.
+    Contiguous(Val),
+}
+
+/// A fixed participant at the last GAO position: its cursor there, the values
+/// of its atom's last level, and the child offsets of the level above (`None`
+/// at its root).
+type Fixed<'a> = (usize, &'a [Val], Option<&'a [u32]>);
+
+/// A moving participant at the last GAO position: as [`Fixed`], with the child
+/// offsets of its atom's level at `n − 2`, and where its position there is.
+type Moving<'a> = (usize, &'a [Val], &'a [u32], Above);
+
+/// How a count counts the last GAO position from the loop above it (module
+/// docs), fixed by [`LftjExecutor::new`], and the state of the current loop.
+#[derive(Debug)]
+struct Last<'a> {
+    /// The participants whose slice is the same through the loop at `n − 2`.
+    fixed: Vec<Fixed<'a>>,
+    /// The participants whose slice moves with the loop at `n − 2`.
+    moving: Vec<Moving<'a>>,
+    /// The range `[lower, upper)` the participants out of the rotation at the
+    /// last position clip the bounds to.
+    clip: (Val, Val),
+    /// Whether a fixed slice of the current loop is empty.
+    empty: bool,
+    /// The current loop's bitmap pass, once every fixed participant's bitmap
+    /// is ready.
+    pass: Option<Pass>,
+}
+
+impl<'a> Last<'a> {
+    /// Sorts the rotation participants at the last position of `bq` into fixed
+    /// and moving ones, given the executor's rotation and its participants out
+    /// of it. A query of one position has fixed participants only.
+    fn of(bq: &'a BoundQuery, cursors: &[Vec<Cursor<'a>>], contiguous: &[Vec<Contiguous>]) -> Self {
+        let n = cursors.len();
+        let (mut fixed, mut moving) = (Vec::new(), Vec::new());
+        for (i, c) in cursors.last().into_iter().flatten().enumerate() {
+            let (vars, index) = (&bq.atoms[c.atom].vars, &bq.atoms[c.atom].index);
+            // The last GAO variable is the last of every atom it is in.
+            let (level, values) = (vars.len() - 1, index.level_values(vars.len() - 1));
+            let Some(offsets) = level.checked_sub(1).map(|above| index.child_offsets(above)) else {
+                fixed.push((i, values, None));
+                continue;
+            };
+            // An atom at `n − 2` has its level above the last there.
+            let rotation = cursors[n - 2].iter().position(|d| d.atom == c.atom);
+            match (rotation, contiguous[n - 2].iter().find(|out| out.atom == c.atom)) {
+                (Some(j), _) => moving.push((i, values, offsets, Above::Cursor(j))),
+                (None, Some(out)) => {
+                    moving.push((i, values, offsets, Above::Contiguous(out.first)))
+                }
+                (None, None) => fixed.push((i, values, Some(offsets))),
+            }
+        }
+        let clip = contiguous
+            .last()
+            .into_iter()
+            .flatten()
+            .fold((NEG_INF, POS_INF), |(lo, hi), out| (lo.max(out.first), hi.min(out.end)));
+        Last { fixed, moving, clip, empty: false, pass: None }
+    }
+}
+
+/// One pass over the values of the cursor `scan` that tests them against the
+/// other cursors' bitmaps, inside those bitmaps' `[lo, hi)`; `shortest` is the
+/// shortest other slice.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    scan: usize,
+    lo: Val,
+    hi: Val,
+    shortest: usize,
+}
+
+impl Pass {
+    /// Plans the pass over the cursor whose bitmap is not ready (over the
+    /// shortest, if all are); `None` when two are not.
+    fn plan(bitmaps: &[SliceBitmap], cursors: &[Cursor<'_>]) -> Option<Pass> {
+        let (mut plain, mut scan) = (0, 0);
+        for (i, (c, b)) in cursors.iter().zip(bitmaps).enumerate() {
+            if !b.ready {
+                plain += 1;
+                scan = i;
+            } else if plain == 0 && c.len() < cursors[scan].len() {
+                scan = i;
+            }
+        }
+        if plain > 1 {
+            return None;
+        }
+        let (mut lo, mut hi, mut shortest) = (NEG_INF, POS_INF, usize::MAX);
+        for (i, b) in bitmaps.iter().enumerate().filter(|&(i, _)| i != scan) {
+            (lo, hi) = (lo.max(b.min), hi.min(b.max.saturating_add(1)));
+            shortest = shortest.min(cursors[i].len());
+        }
+        Some(Pass { scan, lo, hi, shortest })
+    }
+
+    /// The positions `from..to` of the scanned values inside `[lower, upper)`,
+    /// or `None` — the leapfrog loop runs — when the pass would be longer than
+    /// a bitmapped slice.
+    #[inline]
+    fn range(&self, cursors: &[Cursor<'_>], lower: Val, upper: Val) -> Option<(usize, usize)> {
+        let d = &cursors[self.scan];
+        let from = seek(d.level, d.pos, lower.max(self.lo));
+        let to = seek(d.level, from, upper.min(self.hi));
+        (to - from <= self.shortest).then_some((from, to))
+    }
+
+    /// The number of scanned values inside `[lower, upper)` that pass `test`,
+    /// or `None` when the pass would be longer than a bitmapped slice. The
+    /// scan stops at the first value `>= upper` rather than searching for it
+    /// first, as [`range`](Self::range) does: the cyclic counts of the
+    /// benchmark graph ran 4–6 % faster so, their passes being a few values.
+    #[inline]
+    fn count(
+        &self,
+        cursors: &[Cursor<'_>],
+        lower: Val,
+        upper: Val,
+        test: impl Fn(Val) -> bool,
+    ) -> Option<u64> {
+        let d = &cursors[self.scan];
+        let from = seek(d.level, d.pos, lower.max(self.lo));
+        let (hi, most) = (upper.min(self.hi), self.shortest.saturating_add(1));
+        let window = &d.level[from..d.level.len().min(from.saturating_add(most))];
+        let mut found = 0;
+        for &v in window {
+            if v >= hi {
+                return Some(found);
+            }
+            found += u64::from(test(v));
+        }
+        (window.len() <= self.shortest).then_some(found)
     }
 }
 
@@ -241,6 +407,25 @@ impl<'a> Cursor<'a> {
     fn next(&mut self) -> Option<Val> {
         self.pos += 1;
         self.level.get(self.pos).copied()
+    }
+
+    /// The number of values from the position on.
+    #[inline]
+    fn len(&self) -> usize {
+        self.level.len() - self.pos
+    }
+
+    /// Points a fixed participant's cursor at its slice: the children of its
+    /// atom's position at the level above, or the whole root.
+    fn fix(&mut self, iters: &[TrieIterator<'a>], values: &'a [Val], parent: Option<&[u32]>) {
+        let (s, e) = match parent {
+            Some(offsets) => {
+                let at = iters[self.atom].level().1;
+                (offsets[at] as usize, offsets[at + 1] as usize)
+            }
+            None => (0, values.len()),
+        };
+        (self.level, self.pos) = (&values[..e], s);
     }
 
     /// Hands the position back to the iterator, so `open` descends from it.
@@ -289,6 +474,8 @@ pub struct LftjExecutor<'a> {
     bitmaps: Vec<Vec<SliceBitmap>>,
     /// The GAO suffix a count multiplies out instead of searching.
     tail: Tail<'a>,
+    /// How a count counts the last position from the loop above it.
+    last: Last<'a>,
     /// The current search's `results` and `bindings_explored`.
     stats: Counters,
     /// Restriction of the first GAO attribute (parallel partitioning); the whole
@@ -354,10 +541,12 @@ impl<'a> LftjExecutor<'a> {
             .collect();
         let filters = bq.filters_by_gao_pos();
         let tail = Tail::of(bq, &cursors, &contiguous, &filters);
+        let last = Last::of(bq, &cursors, &contiguous);
         LftjExecutor {
             iters,
             bitmaps,
             tail,
+            last,
             cursors,
             contiguous,
             filters,
@@ -449,11 +638,11 @@ impl<'a> LftjExecutor<'a> {
     }
 
     /// Recursive triejoin over GAO positions `depth..n`: opens the level, leapfrogs
-    /// over it (or walks a reused slice's bitmap; a count multiplies out the tail
-    /// and counts the last level instead) and closes it again. An
-    /// emitter's `Break` or a tripped `watch` unwinds through every level without
-    /// visiting any further binding. `SPLIT` runs also open the participants out
-    /// of the rotation and clip the bounds to their ranges.
+    /// over it (or walks a reused slice's bitmap; a count multiplies out the tail,
+    /// and counts the last position from the loop above it) and closes it again.
+    /// An emitter's `Break` or a tripped `watch` unwinds through every level
+    /// without visiting any further binding. `SPLIT` runs also open the
+    /// participants out of the rotation and clip the bounds to their ranges.
     fn search<
         F: FnMut(&[Val]) -> ControlFlow<()>,
         const WATCHED: bool,
@@ -465,8 +654,14 @@ impl<'a> LftjExecutor<'a> {
         watch: &mut ExecWatch<'_>,
         emit: &mut F,
     ) -> ControlFlow<()> {
+        let n = self.cursors.len();
         if COUNT && depth == self.tail.start {
             return self.count_tail::<WATCHED>(watch);
+        }
+        if COUNT && depth + 1 == n {
+            // Only a one-position count searches its last position.
+            self.resolve_fixed();
+            return self.count_last::<WATCHED>(&[], watch);
         }
         let mut cursors = std::mem::take(&mut self.cursors[depth]);
         let mut nonempty = true;
@@ -480,12 +675,12 @@ impl<'a> LftjExecutor<'a> {
                 (lower, upper) = (lower.max(out.first), upper.min(out.end));
             }
         }
-        let last = depth + 1 == self.cursors.len();
+        if COUNT && depth + 2 == n {
+            self.resolve_fixed();
+        }
         let flow = if !nonempty || lower >= upper {
             ControlFlow::Continue(())
-        } else if COUNT && last {
-            self.count_leaf::<F, WATCHED, SPLIT>(depth, (lower, upper), &mut cursors, watch, emit)
-        } else if !last && !self.bitmaps[depth].is_empty() {
+        } else if depth + 1 < n && !self.bitmaps[depth].is_empty() {
             self.walk::<F, WATCHED, COUNT, SPLIT>(depth, (lower, upper), &mut cursors, watch, emit)
         } else {
             self.leapfrog::<F, WATCHED, COUNT, SPLIT>(
@@ -529,7 +724,7 @@ impl<'a> LftjExecutor<'a> {
     /// the largest key seen; a key all of them agree on is a match, explored within
     /// the non-empty `[lower, upper)` of [`bounds`](Self::bounds). Before it
     /// descends past a match, the participants out of the rotation move to it by
-    /// subtraction.
+    /// subtraction; a count at `n − 2` counts the last position instead.
     #[inline]
     fn leapfrog<
         F: FnMut(&[Val]) -> ControlFlow<()>,
@@ -545,6 +740,7 @@ impl<'a> LftjExecutor<'a> {
         emit: &mut F,
     ) -> ControlFlow<()> {
         let last = depth + 1 == self.cursors.len();
+        let counts_last = COUNT && depth + 2 == self.cursors.len();
         let k = cursors.len();
         // `agreed` cursors in a row, ending just before `i`, sit at `target`.
         let (mut target, mut agreed, mut i) = (lower, 0, 0);
@@ -558,6 +754,8 @@ impl<'a> LftjExecutor<'a> {
                 let flow = if last {
                     self.stats.results += 1;
                     emit(&self.binding)
+                } else if counts_last {
+                    self.count_last::<WATCHED>(cursors, watch)
                 } else {
                     for c in cursors.iter() {
                         c.sync(&mut self.iters);
@@ -612,7 +810,14 @@ impl<'a> LftjExecutor<'a> {
         watch: &mut ExecWatch<'_>,
         emit: &mut F,
     ) -> ControlFlow<()> {
-        let Some((scan, from, to)) = self.plan_pass(depth, cursors, lower, upper) else {
+        let bitmaps = &mut self.bitmaps[depth];
+        for (c, b) in cursors.iter().zip(bitmaps.iter_mut()) {
+            b.refresh(c.level, c.pos);
+        }
+        let pass = Pass::plan(bitmaps, cursors);
+        let Some((scan, (from, to))) =
+            pass.and_then(|p| Some((p.scan, p.range(cursors, lower, upper)?)))
+        else {
             return self.leapfrog::<F, WATCHED, COUNT, SPLIT>(
                 depth,
                 (lower, upper),
@@ -621,13 +826,13 @@ impl<'a> LftjExecutor<'a> {
                 emit,
             );
         };
+        let counts_last = COUNT && depth + 2 == self.cursors.len();
         // The search below reaches deeper positions only; this one's bitmaps
         // are put back after the walk.
         let bitmaps = std::mem::take(&mut self.bitmaps[depth]);
         let (bitmap, mut flow) = (&bitmaps[1 - scan], ControlFlow::Continue(()));
-        let c = &mut cursors[scan];
-        for pos in from..to {
-            let v = c.level[pos];
+        let level = cursors[scan].level;
+        for (pos, &v) in (from..).zip(&level[from..to]) {
             if !bitmap.holds(v) {
                 continue;
             }
@@ -637,14 +842,18 @@ impl<'a> LftjExecutor<'a> {
                 flow = ControlFlow::Break(());
                 break;
             }
-            c.pos = pos;
-            c.sync(&mut self.iters);
-            if SPLIT {
-                for out in &self.contiguous[depth] {
-                    self.iters[out.atom].set_pos(v.abs_diff(out.first) as usize);
+            cursors[scan].pos = pos;
+            flow = if counts_last {
+                self.count_last::<WATCHED>(cursors, watch)
+            } else {
+                cursors[scan].sync(&mut self.iters);
+                if SPLIT {
+                    for out in &self.contiguous[depth] {
+                        self.iters[out.atom].set_pos(v.abs_diff(out.first) as usize);
+                    }
                 }
-            }
-            flow = self.search::<F, WATCHED, COUNT, SPLIT>(depth + 1, watch, emit);
+                self.search::<F, WATCHED, COUNT, SPLIT>(depth + 1, watch, emit)
+            };
             if flow.is_break() {
                 break;
             }
@@ -698,44 +907,34 @@ impl<'a> LftjExecutor<'a> {
         }
     }
 
-    /// Counts the last GAO level over opened, non-empty cursors within the
-    /// non-empty `[lower, upper)` and adds the count to both counters, as the
-    /// leapfrog loop would one match at a time.
-    ///
-    /// A one-participant last level is a tail, counted before it is opened,
-    /// unless a participant out of the rotation shares it: the one-cursor arm
-    /// counts that case, inside the bounds those participants clipped.
-    ///
-    /// The last level descends nowhere, yet `SPLIT` is passed on: each
-    /// monomorphisation then has one caller and is inlined into it. One
-    /// shared by both searches stayed out of line, with its leapfrog loop, and
-    /// slowed unsplit LDBC counts (`friend-triangle`, `common-likes`) by 3 %.
-    fn count_leaf<F: FnMut(&[Val]) -> ControlFlow<()>, const WATCHED: bool, const SPLIT: bool>(
-        &mut self,
-        depth: usize,
-        (lower, upper): (Val, Val),
-        cursors: &mut [Cursor<'a>],
-        watch: &mut ExecWatch<'_>,
-        emit: &mut F,
-    ) -> ControlFlow<()> {
-        let found = match cursors {
-            [c] => {
-                let from = seek(c.level, c.pos, lower);
-                (seek(c.level, from, upper) - from) as u64
+    /// Points the last position's cursors of fixed participants at their
+    /// slices as the loop at `n − 2` starts (or a one-position count does):
+    /// the children of the atom's position at the level above, or the root.
+    /// Each slice's bitmap counts the loop as one use.
+    fn resolve_fixed(&mut self) {
+        let last = self.cursors.len() - 1;
+        let (cursors, bitmaps) = (&mut self.cursors[last], &mut self.bitmaps[last]);
+        (self.last.empty, self.last.pass) = (false, None);
+        for &(i, values, parent) in &self.last.fixed {
+            let c = &mut cursors[i];
+            c.fix(&self.iters, values, parent);
+            if c.len() == 0 {
+                self.last.empty = true;
+            } else {
+                bitmaps[i].refresh(c.level, c.pos);
             }
-            _ => match self.bitmap_pass(depth, cursors, lower, upper) {
-                Some(found) => found,
-                None => {
-                    return self.leapfrog::<F, WATCHED, true, SPLIT>(
-                        depth,
-                        (lower, upper),
-                        cursors,
-                        watch,
-                        emit,
-                    )
-                }
-            },
-        };
+        }
+    }
+
+    /// Counts the last GAO position under the match of the loop at `n − 2`,
+    /// whose cursors are `above`, and adds the count to both counters, as a
+    /// search of the last position would one match at a time.
+    fn count_last<const WATCHED: bool>(
+        &mut self,
+        above: &[Cursor<'a>],
+        watch: &mut ExecWatch<'_>,
+    ) -> ControlFlow<()> {
+        let found = self.last_count(above);
         self.stats.bindings_explored += found;
         self.stats.results += found;
         if WATCHED && watch.tick_many(found) {
@@ -745,73 +944,94 @@ impl<'a> LftjExecutor<'a> {
         }
     }
 
-    /// Refreshes the bitmaps of the cursors' slices at `depth` and plans one pass
-    /// over the cursor without a bitmap (over the shortest, if all have one):
-    /// its positions `from..to` of the values inside `[lower, upper)` and every
-    /// other cursor's bitmap range, as `(cursor, from, to)`. `None` — the
-    /// leapfrog loop runs — when two cursors lack a bitmap, or when the pass
-    /// would be longer than a bitmapped slice.
-    fn plan_pass(
-        &mut self,
-        depth: usize,
-        cursors: &[Cursor<'a>],
-        lower: Val,
-        upper: Val,
-    ) -> Option<(usize, usize, usize)> {
-        let bitmaps = &mut self.bitmaps[depth];
-        let len = |c: &Cursor<'a>| c.level.len() - c.pos;
-        let (mut plain, mut scan) = (0, 0);
-        for (i, (c, b)) in cursors.iter().zip(bitmaps.iter_mut()).enumerate() {
-            if !b.refresh(c.level, c.pos) {
-                plain += 1;
-                scan = i;
-            } else if plain == 0 && len(c) < len(&cursors[scan]) {
-                scan = i;
+    /// The number of values at the last position under the match of the loop
+    /// at `n − 2` (module docs): the moving participants' slices are the
+    /// children of their atoms' positions there, the fixed ones' were resolved
+    /// as the loop started. Until every fixed slice has its bitmap, each count
+    /// is one more use of each.
+    #[inline]
+    fn last_count(&mut self, above: &[Cursor<'a>]) -> u64 {
+        let last = self.cursors.len() - 1;
+        let (lower, upper) = self.bounds(last);
+        let (lower, upper) = (lower.max(self.last.clip.0), upper.min(self.last.clip.1));
+        if self.last.empty || lower >= upper {
+            return 0;
+        }
+        let (cursors, bitmaps) = (&mut self.cursors[last], &mut self.bitmaps[last]);
+        let v = self.binding[last.saturating_sub(1)];
+        for &(i, values, offsets, at) in &self.last.moving {
+            let p = match at {
+                Above::Cursor(j) => above[j].pos,
+                Above::Contiguous(first) => v.abs_diff(first) as usize,
+            };
+            let (s, e) = (offsets[p] as usize, offsets[p + 1] as usize);
+            if s == e {
+                return 0;
             }
+            (cursors[i].level, cursors[i].pos) = (&values[..e], s);
         }
-        if plain > 1 {
-            return None;
+        if let [c] = &cursors[..] {
+            let from = seek(c.level, c.pos, lower);
+            return (seek(c.level, from, upper) - from) as u64;
         }
-        // The pass only needs the scanned values inside every bitmap's range.
-        let (mut lo, mut hi, mut shortest) = (lower, upper, usize::MAX);
-        for (i, b) in bitmaps.iter().enumerate().filter(|&(i, _)| i != scan) {
-            (lo, hi) = (lo.max(b.min), hi.min(b.max.saturating_add(1)));
-            shortest = shortest.min(len(&cursors[i]));
-        }
-        let d = &cursors[scan];
-        let from = seek(d.level, d.pos, lo);
-        let to = seek(d.level, from, hi);
-        (to - from <= shortest).then_some((scan, from, to))
-    }
-
-    /// Counts the values of the last level's pass ([`plan_pass`](Self::plan_pass))
-    /// that every other cursor's bitmap holds.
-    fn bitmap_pass(
-        &mut self,
-        depth: usize,
-        cursors: &[Cursor<'a>],
-        lower: Val,
-        upper: Val,
-    ) -> Option<u64> {
-        let (scan, from, to) = self.plan_pass(depth, cursors, lower, upper)?;
-        let bitmaps = &self.bitmaps[depth];
-        let values = &cursors[scan].level[from..to];
+        let pass = match self.last.pass {
+            Some(pass) => Some(pass),
+            None => {
+                for &(i, _, _) in &self.last.fixed {
+                    bitmaps[i].refresh(cursors[i].level, cursors[i].pos);
+                }
+                let pass = Pass::plan(bitmaps, cursors);
+                if self.last.fixed.iter().all(|&(i, _, _)| bitmaps[i].ready) {
+                    self.last.pass = pass;
+                }
+                pass
+            }
+        };
         // Two participants, so one bitmap to test, is the common case (the last
-        // level of the 3-clique and the 4-cycle). A loop of its own keeps that
+        // position of the 3-clique and the 4-cycle). A loop of its own keeps that
         // bitmap out of the walk over the bitmaps per value: without it, the
         // benchmark's `cyclic-lftj` workload ran 5 % fewer counts per second
         // (152 against 160 per second, 10 alternating runs each, 2-CPU machine).
-        let found = match cursors.len() {
+        let found = pass.and_then(|pass| match cursors.len() {
             2 => {
-                let b = &bitmaps[1 - scan];
-                values.iter().filter(|&&v| b.holds(v)).count()
+                let b = &bitmaps[1 - pass.scan];
+                pass.count(cursors, lower, upper, |v| b.holds(v))
             }
             _ => {
-                let tests = bitmaps.iter().enumerate().filter(|&(i, _)| i != scan);
-                values.iter().filter(|&&v| tests.clone().all(|(_, b)| b.holds(v))).count()
+                let tests = bitmaps.iter().enumerate().filter(|&(i, _)| i != pass.scan);
+                pass.count(cursors, lower, upper, |v| tests.clone().all(|(_, b)| b.holds(v)))
             }
+        });
+        found.unwrap_or_else(|| {
+            let found = intersect_count(cursors, lower, upper);
+            // The loop moved the fixed cursors too.
+            for &(i, values, parent) in &self.last.fixed {
+                cursors[i].fix(&self.iters, values, parent);
+            }
+            found
+        })
+    }
+}
+
+/// The number of values every one of the non-empty cursors holds inside
+/// `[lower, upper)`: the leapfrog loop, counting its matches.
+fn intersect_count(cursors: &mut [Cursor<'_>], lower: Val, upper: Val) -> u64 {
+    let k = cursors.len();
+    // `agreed` cursors in a row, ending just before `i`, sit at `target`.
+    let (mut target, mut agreed, mut i, mut found) = (lower, 0, 0, 0);
+    loop {
+        let key = if agreed == k {
+            found += 1;
+            cursors[i].next()
+        } else {
+            cursors[i].seek(target)
         };
-        Some(found as u64)
+        match key {
+            Some(key) if key == target => agreed += 1,
+            Some(key) if key < upper => (target, agreed) = (key, 1),
+            _ => return found,
+        }
+        i = if i + 1 == k { 0 } else { i + 1 };
     }
 }
 
@@ -1033,10 +1253,11 @@ mod tests {
         assert_eq!(capped.words.capacity(), 0);
     }
 
-    /// `N(0)` is the last level's slice under every `b` of the 3-clique at `a = 0`,
-    /// five uses in all: its bitmap is built on the second one when it is dense,
-    /// on the fourth when its five values span 1 000 ids (16 words), and not at
-    /// all when they span 100 000. Either way the count is the row path's.
+    /// `N(0)` is the fixed last-level slice of the loop over `b` of the 3-clique
+    /// at `a = 0`, six uses in all (the loop's start and its five counts): its
+    /// bitmap is built on the second one when it is dense, on the fourth when
+    /// its five values span 1 000 ids (16 words), and not at all when they span
+    /// 100 000. Either way the count is the row path's.
     #[test]
     fn a_reused_leaf_slice_gets_a_bitmap_once_its_uses_pay_for_it() {
         for (far, built_on) in [(5, Some(2)), (1_000, Some(4)), (100_000, None)] {
@@ -1057,15 +1278,15 @@ mod tests {
             let n0 = &exec.bitmaps[2][1];
             assert_eq!(
                 (n0.ready, n0.uses),
-                (built_on.is_some(), built_on.unwrap_or(5)),
+                (built_on.is_some(), built_on.unwrap_or(6)),
                 "far {far}"
             );
         }
     }
 
-    /// A slice of two values at both ends of `i64`, reused under a thousand `b`,
-    /// would need 2^58 words: its bitmap never holds more than its level's two
-    /// entries. The count is the row path's.
+    /// A fixed slice of two values at both ends of `i64`, reused under a
+    /// thousand `b`, would need 2^58 words: its bitmap never holds more than its
+    /// level's two entries. The count is the row path's.
     #[test]
     fn a_slice_spanning_i64_never_allocates_past_its_level() {
         let ends = [NEG_INF + 1, POS_INF - 1];
@@ -1084,7 +1305,7 @@ mod tests {
             );
             assert!(!bitmap.ready);
         }
-        assert_eq!(exec.bitmaps[2][0].uses, 1_000, "p's slice is reused under every b");
+        assert_eq!(exec.bitmaps[2][0].uses, 1_001, "p's slice: the loop's start and every b");
     }
 
     /// The participants `new` takes out of the rotation, as `"b: edge(b,c)"`.
@@ -1100,6 +1321,75 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The participants at the last position, as `"fixed edge(a,c)"`, or as
+    /// `"moving edge(b,c)"` with `" by v - first"` when the atom is out of the
+    /// rotation at `n − 2`.
+    fn last_kinds(bq: &BoundQuery) -> Vec<String> {
+        let exec = LftjExecutor::new(bq);
+        let cursors = &exec.cursors[bq.num_vars() - 1];
+        let name = |i: usize| {
+            let atom = &bq.query.atoms[bq.atoms[cursors[i].atom].atom_idx];
+            let vars: Vec<&str> =
+                atom.vars.iter().map(|&v| bq.query.var_names[v].as_str()).collect();
+            format!("{}({})", atom.relation, vars.join(","))
+        };
+        let fixed = exec.last.fixed.iter().map(|&(i, _, _)| format!("fixed {}", name(i)));
+        let moving = exec.last.moving.iter().map(|&(i, _, _, above)| match above {
+            Above::Cursor(_) => format!("moving {}", name(i)),
+            Above::Contiguous(_) => format!("moving {} by v - first", name(i)),
+        });
+        fixed.chain(moving).collect()
+    }
+
+    /// A last-position participant is fixed when its atom's level above the
+    /// last sits before `n − 2`, or its last level is its root; it moves with
+    /// the loop at `n − 2` when its level above is there.
+    #[test]
+    fn last_position_participants_are_fixed_or_moving() {
+        // `edge`'s root is `0..60`; `knows` lacks node 2, so its root has a hole.
+        let mut inst =
+            instance_with_samples(&covered_graph(), &[("v1", vec![0, 3]), ("v2", vec![5])]);
+        let holed = Graph::new_undirected(5, vec![(0, 1), (1, 3), (0, 3), (3, 4), (1, 4)]);
+        inst.add_relation("knows", holed.edge_relation());
+        let natural = ["a", "b", "c", "d"];
+        let cases: [(gj_query::Query, [&str; 4], &[&str]); 5] = [
+            (
+                CatalogQuery::ThreeClique.query(),
+                natural,
+                &["fixed edge(a,c)", "moving edge(b,c) by v - first"],
+            ),
+            (
+                CatalogQuery::FourClique.query(),
+                natural,
+                &["fixed edge(a,d)", "fixed edge(b,d)", "moving edge(c,d) by v - first"],
+            ),
+            (
+                CatalogQuery::FourCycle.query(),
+                natural,
+                &["fixed edge(a,d)", "moving edge(c,d) by v - first"],
+            ),
+            (
+                gj_query::LdbcQuery::FriendTriangle.query(),
+                natural,
+                &["fixed knows(a,c)", "moving knows(b,c)"],
+            ),
+            (
+                CatalogQuery::ThreePath.query(),
+                ["d", "c", "b", "a"],
+                &["fixed v1(a)", "moving edge(a,b) by v - first"],
+            ),
+        ];
+        for (q, names, kinds) in cases {
+            let gao = names.iter().filter_map(|&name| q.var(name)).collect();
+            let bq = BoundQuery::new(&inst, &q, Some(gao)).unwrap();
+            let mut found = last_kinds(&bq);
+            found.sort();
+            assert_eq!(found, kinds, "{}", q.name);
+            let stats = count_is_row_path(&bq);
+            assert_eq!(stats.results, naive_join(&inst, &q).len() as u64, "{}", q.name);
+        }
     }
 
     /// Checks that a whole-axis count reports the row path's counters, and returns them.
@@ -1206,7 +1496,8 @@ mod tests {
 
     /// Where the tail starts, per query under the natural GAO: a position joins
     /// it when one atom decides it, and its filters sit on that atom's first
-    /// tail level and compare with a position before the tail.
+    /// tail level and compare with a position before the tail. A tail of one
+    /// position is none: the loop above the last position counts it.
     #[test]
     fn the_tail_is_the_suffix_one_atom_decides() {
         let inst = ternary_instance();
@@ -1215,12 +1506,12 @@ mod tests {
             (q("alone").atom("r", &["a", "x", "y"]).build(), 0),
             (q("two").atom("r", &["a", "x", "z"]).atom("s", &["a", "y"]).build(), 1),
             // `x < y` compares two would-be tail positions.
-            (q("between").atom("s", &["a", "x"]).atom("s", &["a", "y"]).lt("x", "y").build(), 2),
+            (q("between").atom("s", &["a", "x"]).atom("s", &["a", "y"]).lt("x", "y").build(), 3),
             (q("first").atom("r", &["a", "x", "y"]).atom("s", &["a", "z"]).lt("a", "x").build(), 1),
             // `a < y` sits on the second tail level of `r`.
             (
                 q("second").atom("s", &["a", "b"]).atom("r", &["b", "x", "y"]).lt("a", "y").build(),
-                3,
+                4,
             ),
             (q("joined").atom("r", &["a", "x", "y"]).atom("s", &["x", "z"]).build(), 2),
         ];

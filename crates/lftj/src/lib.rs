@@ -29,9 +29,10 @@
 //! execution context trips, and does not consume the executor. Its counting twin,
 //! [`LftjExecutor::count_range_ctx`], returns the same counters without visiting
 //! what one atom decides: a GAO suffix of one atom per position is a product of
-//! range sizes read off the tries' child offsets, and a last level is counted
-//! against bitmaps of reused slices (see [`executor`]); [`count`] and the morsel
-//! source's counting path use it. Both paths walk an inner position of two
+//! range sizes read off the tries' child offsets, and the last level is counted
+//! from the loop above it, over slices read off child offsets and against
+//! bitmaps of reused ones (see [`executor`]); [`count`] and the morsel source's
+//! counting path use it. Both paths walk an inner position of two
 //! participants against the bitmap of a reused last-level slice. For parallel
 //! execution, [`LftjMorsels`] plugs it into the `gj-runtime` morsel driver: each
 //! worker thread reuses **one** executor across every morsel it claims

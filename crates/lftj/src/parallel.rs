@@ -11,9 +11,10 @@
 //! A counting sink takes [`count_morsel`](MorselSource::count_morsel), which runs
 //! [`count_range_ctx`](LftjExecutor::count_range_ctx): a GAO suffix of one atom
 //! per position is multiplied out from range sizes, and the last GAO level is
-//! counted without emitting, by one pass against bitmaps of the slices a search
-//! reuses (a slice gets one on the use that pays for it, never larger than its
-//! trie level). Row caps, `FirstK` and collects take the row path.
+//! counted from the loop above it, without a search or an emitted row, by one
+//! pass against bitmaps of the slices that loop reuses (a slice gets one on the
+//! use that pays for it, never larger than its trie level). Row caps, `FirstK`
+//! and collects take the row path.
 //!
 //! Per-worker state mirrors Minesweeper's `MsWorker` pattern: each worker thread
 //! builds **one** [`LftjExecutor`] and carries it

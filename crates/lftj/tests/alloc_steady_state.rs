@@ -6,7 +6,9 @@
 //! The 4-cycle's graph has a contiguous root, so those guards also cover the
 //! participants the executor takes out of the leapfrog rotation. On LDBC-shaped
 //! relations, a count that multiplies out a tail and a run or count that walks
-//! an inner position's bitmap allocate nothing warm either.
+//! an inner position's bitmap allocate nothing warm either. So does a count of
+//! the last position from the loop above it, with three participants there (the
+//! 4-clique) or with a moving participant that stays in the rotation.
 
 use gj_lftj::LftjExecutor;
 use gj_query::{BoundQuery, CatalogQuery, Instance, LdbcQuery, Query};
@@ -118,6 +120,14 @@ fn a_warm_count_allocates_nothing_on_the_4_cycle() {
     assert_warm_count_allocates_nothing(&four_cycle_over_a_contiguous_root());
 }
 
+/// At `d` of the 4-clique, `edge(a,d)` and `edge(b,d)` are fixed through the
+/// loop over `c` and `edge(c,d)` moves with it.
+#[test]
+fn a_warm_count_allocates_nothing_on_the_4_clique() {
+    let inst = edge_instance(random_edges(7, 120, 0.15));
+    assert_warm_count_allocates_nothing(&bound(&inst, &CatalogQuery::FourClique.query()));
+}
+
 /// The 3-clique over `live`, solid, and over indexes whose base is `live` plus
 /// `del` with every `del` row tombstoned and the edge rows whose endpoints sum to a
 /// multiple of 5 moved into the insert trie: the same live relation either way.
@@ -215,6 +225,28 @@ fn a_warm_tail_count_allocates_nothing() {
         "a warm tail count of {} bindings allocated {allocations} times",
         warm.bindings_explored
     );
+}
+
+/// `friend-triangle` over a `knows` without person 7: its root has a hole, so
+/// `knows(b,c)` stays in the rotation at `b`, and its slice at `c` moves with
+/// the rotation's cursor there.
+#[test]
+fn a_warm_count_allocates_nothing_with_a_moving_participant_in_the_rotation() {
+    let mut inst = social_instance();
+    let knows = inst.relation("knows").unwrap().iter().filter(|r| !r.contains(&7));
+    let knows = Relation::from_rows(2, knows.map(<[_]>::to_vec).collect());
+    inst.add_relation("knows", knows);
+    let q = LdbcQuery::FriendTriangle.query();
+    let bq = BoundQuery::new(&inst, &q, Some(vec![0, 1, 2])).unwrap();
+    assert_eq!(
+        bq.gao.iter().map(|&v| q.var_names[v].as_str()).collect::<Vec<_>>(),
+        ["a", "b", "c"]
+    );
+    assert!(
+        bq.atoms.iter().all(|a| a.index.contiguous_root().is_none()),
+        "vacuous: a root is contiguous"
+    );
+    assert_warm_count_allocates_nothing(&bq);
 }
 
 /// `deep-tag-reach` walks `likes(p, n, d)` at `n` against the bitmap of

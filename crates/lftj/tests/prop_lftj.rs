@@ -230,6 +230,49 @@ struct EditedGraph {
     del: Vec<(Val, Val)>,
 }
 
+/// A [`contiguous_case`]'s `n` nodes and edges with its edit around a random
+/// middle node: the graph, whether the edit is a delta layer, and the node
+/// count after the edit.
+fn edited_graph(
+    n: Val,
+    edges: &[(u32, u32)],
+    edit: Edit,
+    rng: &mut StdRng,
+) -> (EditedGraph, bool, Val) {
+    let edges: Vec<(Val, Val)> = edges.iter().map(|&(a, b)| (a as Val, b as Val)).collect();
+    let middle = rng.gen_range(1..n - 1);
+    let mut graph = EditedGraph { base: edges, ins: vec![], del: vec![] };
+    match edit {
+        Edit::None => {}
+        Edit::SolidHole | Edit::DeltaHole => {
+            let touches = |&(a, b): &(Val, Val)| a == middle || b == middle;
+            graph.del = graph.base.iter().copied().filter(touches).collect();
+        }
+        Edit::DeltaExtend => graph.ins = vec![(n, middle), (n, 0)],
+    }
+    let delta = matches!(edit, Edit::DeltaHole | Edit::DeltaExtend);
+    let nodes = if matches!(edit, Edit::DeltaExtend) { n + 1 } else { n };
+    (graph, delta, nodes)
+}
+
+/// `graph` in `label` with the samples `v1`..`v4`: its `edge` is the edited
+/// graph, or the graph before the edit when the edit is to be a delta layer.
+fn labelled_instance(
+    label: Labelling,
+    graph: &EditedGraph,
+    samples: &[Vec<Val>],
+    delta: bool,
+) -> Instance {
+    let (base, ins, del) =
+        (label.edges(&graph.base), label.edges(&graph.ins), label.edges(&graph.del));
+    let mut inst = Instance::new();
+    inst.add_relation("edge", if delta { base } else { base.with_edits(&ins, &del) });
+    for (name, sample) in ["v1", "v2", "v3", "v4"].into_iter().zip(samples) {
+        inst.add_relation(name, label.nodes(sample));
+    }
+    inst
+}
+
 /// Builds `q` over `graph` in `label`, with the edit applied as a delta layer on
 /// every `edge` index (`delta`) or to the solid relation.
 fn bind_labelled(
@@ -240,13 +283,8 @@ fn bind_labelled(
     delta: bool,
     gao: Option<Vec<usize>>,
 ) -> BoundQuery {
-    let (base, ins, del) =
-        (label.edges(&graph.base), label.edges(&graph.ins), label.edges(&graph.del));
-    let mut inst = Instance::new();
-    inst.add_relation("edge", if delta { base } else { base.with_edits(&ins, &del) });
-    for (name, sample) in ["v1", "v2", "v3", "v4"].into_iter().zip(samples) {
-        inst.add_relation(name, label.nodes(sample));
-    }
+    let (ins, del) = (label.edges(&graph.ins), label.edges(&graph.del));
+    let inst = labelled_instance(label, graph, samples, delta);
     let mut bq = BoundQuery::new(&inst, q, gao).unwrap();
     if delta {
         for atom in bq.atoms.iter_mut().filter(|a| q.atoms[a.atom_idx].relation == "edge") {
@@ -351,6 +389,72 @@ fn explored_by_depth(inst: &Instance, bq: &BoundQuery) -> Vec<Vec<Val>> {
         .collect()
 }
 
+/// One counting and one running executor over `bq` go through `morsels` in
+/// order: each morsel's count and run report the counters of the prefix
+/// oracle over `inst` (the live relations), and the run emits the reference
+/// join's rows of the morsel in lexicographic GAO order.
+fn agrees_with_the_prefix_oracle(
+    inst: &Instance,
+    bq: &BoundQuery,
+    morsels: &[Morsel],
+) -> Result<(), String> {
+    let (q, gao) = (&bq.query, &bq.gao);
+    let explored = explored_by_depth(inst, bq);
+    let mut expected: Vec<Vec<Val>> =
+        naive_join(inst, q).iter().map(|row| gao.iter().map(|&v| row[v]).collect()).collect();
+    expected.sort_unstable();
+    let (mut counter, mut runner) = (LftjExecutor::new(bq), LftjExecutor::new(bq));
+    for &m in morsels {
+        let inside = |v: &&Val| m.lo <= **v && **v < m.hi;
+        let per_depth: Vec<u64> =
+            explored.iter().map(|d| d.iter().filter(inside).count() as u64).collect();
+        let oracle = Counters {
+            results: per_depth[per_depth.len() - 1],
+            bindings_explored: per_depth.iter().sum(),
+            ..Counters::default()
+        };
+        let counted = counter.count_range_ctx(m.lo, m.hi, &ExecCtx::none());
+        let mut rows = Vec::new();
+        let ran = runner.run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |b| {
+            rows.push(b.to_vec());
+            ControlFlow::Continue(())
+        });
+        let want: Vec<Vec<Val>> = expected.iter().filter(|row| inside(&&row[0])).cloned().collect();
+        prop_assert_eq!(counted, oracle, "{} {:?} morsel {:?}: count", q.name, gao, m);
+        prop_assert_eq!(ran, oracle, "{} {:?} morsel {:?}: run", q.name, gao, m);
+        prop_assert_eq!(rows, want, "{} {:?} morsel {:?}: rows", q.name, gao, m);
+    }
+    Ok(())
+}
+
+/// Queries whose count counts the last position from the loop above it, each
+/// with the GAO that lists its variables in the given order: a fixed and a
+/// moving participant (the 3-clique, the 4-cycle); three participants, two of
+/// them fixed (the 4-clique); a unary root at the last position (the 3-path
+/// under `d c b a`); a run of nodes opened at the last position, which leaves
+/// the rotation and clips the bounds when it is contiguous; filters on the last
+/// variable against `n − 2` and against an earlier position, in both
+/// directions; and one position of two unary atoms.
+fn last_position_queries() -> Vec<(Query, Vec<&'static str>)> {
+    let triangle = |name: &str| {
+        QueryBuilder::new(name)
+            .atom("edge", &["a", "b"])
+            .atom("edge", &["b", "c"])
+            .atom("edge", &["a", "c"])
+    };
+    let natural = || vec!["a", "b", "c", "d"];
+    vec![
+        (CatalogQuery::ThreeClique.query(), natural()),
+        (CatalogQuery::FourClique.query(), natural()),
+        (CatalogQuery::FourCycle.query(), natural()),
+        (CatalogQuery::ThreePath.query(), vec!["d", "c", "b", "a"]),
+        (triangle("run-at-last").atom("v3", &["c"]).lt("a", "b").lt("b", "c").build(), natural()),
+        (triangle("below-and-above").lt("c", "b").lt("a", "c").build(), natural()),
+        (triangle("above-and-below").lt("b", "c").lt("c", "a").build(), natural()),
+        (QueryBuilder::new("unary-pair").atom("v1", &["a"]).atom("v2", &["a"]).build(), natural()),
+    ]
+}
+
 /// A seeded permutation of `0..n`.
 fn shuffled_gao(n: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut gao: Vec<usize> = (0..n).collect();
@@ -376,36 +480,43 @@ proptest! {
         for q in tail_queries() {
             let gaos = [lftj_gao(&q, &inst), shuffled_gao(q.num_vars(), &mut rng)];
             for gao in gaos {
-                let bq = BoundQuery::new(&inst, &q, Some(gao.clone())).unwrap();
-                let explored = explored_by_depth(&inst, &bq);
-                let mut expected: Vec<Vec<Val>> = naive_join(&inst, &q)
-                    .iter()
-                    .map(|row| gao.iter().map(|&v| row[v]).collect())
-                    .collect();
-                expected.sort_unstable();
-                let (mut counter, mut runner) = (LftjExecutor::new(&bq), LftjExecutor::new(&bq));
-                for m in shuffled_morsels(&values, &mut rng) {
-                    let inside = |v: &&Val| m.lo <= **v && **v < m.hi;
-                    let per_depth: Vec<u64> =
-                        explored.iter().map(|d| d.iter().filter(inside).count() as u64).collect();
-                    let oracle = Counters {
-                        results: per_depth[per_depth.len() - 1],
-                        bindings_explored: per_depth.iter().sum(),
-                        ..Counters::default()
-                    };
-                    let counted = counter.count_range_ctx(m.lo, m.hi, &ExecCtx::none());
-                    let mut rows = Vec::new();
-                    let ran = runner.run_range_ctx(m.lo, m.hi, &ExecCtx::none(), &mut |b| {
-                        rows.push(b.to_vec());
-                        ControlFlow::Continue(())
-                    });
-                    let want: Vec<Vec<Val>> =
-                        expected.iter().filter(|row| inside(&&row[0])).cloned().collect();
-                    prop_assert_eq!(counted, oracle, "{} {:?} morsel {:?}: count", q.name, gao, m);
-                    prop_assert_eq!(ran, oracle, "{} {:?} morsel {:?}: run", q.name, gao, m);
-                    prop_assert_eq!(rows, want, "{} {:?} morsel {:?}: rows", q.name, gao, m);
-                }
+                let bq = BoundQuery::new(&inst, &q, Some(gao)).unwrap();
+                agrees_with_the_prefix_oracle(&inst, &bq, &shuffled_morsels(&values, &mut rng))?;
             }
+        }
+    }
+
+    /// Over a covered graph, edited solid or by a delta layer, labelled
+    /// contiguously (a moving slice is then addressed by `v − first` of a root
+    /// out of the rotation at `n − 2`) or spread (it is addressed by the
+    /// rotation's cursor there), around zero or near either end of `i64`: one
+    /// executor counts and another runs every morsel, in shuffled order, and
+    /// both report the prefix oracle's counters on every query that counts its
+    /// last position from the loop above it.
+    #[test]
+    fn last_position_counts_report_the_prefix_oracles_counters(
+        (n, edges, edit, offset, seed) in contiguous_case(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, delta, nodes) = edited_graph(n as Val, &edges, edit, &mut rng);
+        let sample = |rng: &mut StdRng| (0..nodes).filter(|_| rng.gen_bool(0.5)).collect();
+        let first = rng.gen_range(0..nodes - 1);
+        let run = (first..=rng.gen_range(first + 1..nodes)).collect();
+        let samples: Vec<Vec<Val>> = vec![sample(&mut rng), sample(&mut rng), run, sample(&mut rng)];
+        let scale = if rng.gen_bool(0.5) { 1 } else { 2 };
+        let offset = match offset {
+            0 => 0,
+            1 => -13,
+            2 => NEG_INF + 1,
+            _ => POS_INF - scale * nodes,
+        };
+        let label = Labelling { scale, offset };
+        let live = labelled_instance(label, &graph, &samples, false);
+        let values: Vec<Val> = (0..nodes).map(|i| label.of(i)).collect();
+        for (q, names) in last_position_queries() {
+            let gao = names.iter().filter_map(|&name| q.var(name)).collect();
+            let bq = bind_labelled(&q, label, &graph, &samples, delta, Some(gao));
+            agrees_with_the_prefix_oracle(&live, &bq, &shuffled_morsels(&values, &mut rng))?;
         }
     }
 
@@ -446,21 +557,8 @@ proptest! {
     fn contiguous_roots_agree_with_a_relabelling_that_has_none(
         (n, edges, edit, offset, seed) in contiguous_case(),
     ) {
-        let n = n as Val;
         let mut rng = StdRng::seed_from_u64(seed);
-        let edges: Vec<(Val, Val)> = edges.iter().map(|&(a, b)| (a as Val, b as Val)).collect();
-        let middle = rng.gen_range(1..n - 1);
-        let mut graph = EditedGraph { base: edges, ins: vec![], del: vec![] };
-        match edit {
-            Edit::None => {}
-            Edit::SolidHole | Edit::DeltaHole => {
-                let touches = |&(a, b): &(Val, Val)| a == middle || b == middle;
-                graph.del = graph.base.iter().copied().filter(touches).collect();
-            }
-            Edit::DeltaExtend => graph.ins = vec![(n, middle), (n, 0)],
-        }
-        let delta = matches!(edit, Edit::DeltaHole | Edit::DeltaExtend);
-        let nodes = if matches!(edit, Edit::DeltaExtend) { n + 1 } else { n };
+        let (graph, delta, nodes) = edited_graph(n as Val, &edges, edit, &mut rng);
         // Every sample holds two nodes at least, so none is contiguous in `2i + c'`.
         // Half are a run of nodes, which a taken-out participant must clip to.
         let samples: Vec<Vec<Val>> = (0..4)

@@ -17,8 +17,9 @@ pub struct Counters {
     /// Output tuples found (after order filters), counted by LFTJ and Minesweeper.
     pub results: u64,
     /// LFTJ: variable bindings explored, one per match at every GAO position.
-    /// A count adds a last level's range, or a tail's product of range sizes,
-    /// at once: its figure equals the row path's.
+    /// A count adds a last position's count under each match of the loop
+    /// above it, or a tail's product of range sizes, at once: its figure
+    /// equals the row path's.
     pub bindings_explored: u64,
     /// Minesweeper: outer-loop iterations (free tuples probed).
     pub iterations: u64,
